@@ -1,10 +1,10 @@
-"""Time the numba kernels against their pure-numpy fallbacks.
+"""Time the package kernels on representative workloads.
 
-Runs each public kernel on a representative workload with both dispatch
-paths and prints a small table. The numba path is warmed up first so JIT
-compilation is not charged to the measurement.
+Runs each public kernel once to warm caches, then prints the best of
+``--repeats`` wall-clock times per kernel. End-to-end CLI timings live in
+``perfbench/``.
 
-Usage: python3 benchmarks/bench_kernels.py [--repeats 5]
+Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 5]
 """
 
 import argparse
@@ -102,31 +102,16 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    if not kernels.HAS_NUMBA:
-        print("numba unavailable (or disabled); timing the numpy path only")
-
     rows = []
     for name, make in BENCHES:
         run = make()
-        timings = {}
-        for use_numba in ([True, False] if kernels.HAS_NUMBA else [False]):
-            kernels.USE_NUMBA = use_numba
-            run()  # warm-up: JIT compile / cache fill
-            timings[use_numba] = best_of(run, args.repeats)
-        kernels.USE_NUMBA = kernels.HAS_NUMBA
-        rows.append((name, timings))
+        run()  # warm-up: cache fill
+        rows.append((name, best_of(run, args.repeats)))
 
     width = max(len(name) for name, _ in rows)
-    if kernels.HAS_NUMBA:
-        print(f"{'kernel':<{width}}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}")
-        for name, t in rows:
-            ratio = t[False] / t[True]
-            print(f"{name:<{width}}  {t[True]*1e3:>8.2f}ms  {t[False]*1e3:>8.2f}ms  "
-                  f"{ratio:>7.2f}x")
-    else:
-        print(f"{'kernel':<{width}}  {'numpy':>10}")
-        for name, t in rows:
-            print(f"{name:<{width}}  {t[False]*1e3:>8.2f}ms")
+    print(f"{'kernel':<{width}}  {'best':>10}")
+    for name, t in rows:
+        print(f"{name:<{width}}  {t*1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

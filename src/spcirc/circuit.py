@@ -14,23 +14,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import kernels
 from .errors import CapacityError, DomainError
 from .lie_closure import GeneratorSet, prop2_generators, theorem1_generators
 from .pauli import PauliString
-from .sampler import RngStream, as_generator, sample_block
+from .sampler import BLOCK_GROUPS, RngStream, as_generator, sample_block
 
 STATEVECTOR_LIMIT = 14
 UNITARY_LIMIT = 12
-
-BLOCK_GROUPS = ("sp2", "so4", "o4", "u4")
 
 
 @dataclass(frozen=True)
@@ -297,11 +291,10 @@ def circuit_from_json(source) -> CircuitSpec:
     """Parse {n, gates, seed?}; Haar blocks are resolved from the seed in
     gate order, so the same document always yields the same circuit."""
     data = json.loads(source) if isinstance(source, (str, bytes)) else source
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(data, CIRCUIT_SCHEMA)
-        except jsonschema.ValidationError as e:
-            raise DomainError(f"bad circuit document: {e.message}") from e
+    try:
+        jsonschema.validate(data, CIRCUIT_SCHEMA)
+    except jsonschema.ValidationError as e:
+        raise DomainError(f"bad circuit document: {e.message}") from e
     seed = data.get("seed")
     needs_seed = any(g["type"] == "haar" for g in data["gates"])
     if needs_seed and seed is None:

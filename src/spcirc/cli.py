@@ -20,12 +20,8 @@ import sys
 import time
 from pathlib import Path
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import __version__, brauer, circuit, gp_stats, lie_closure, moment
 from .errors import CapacityError, DomainError
@@ -241,11 +237,10 @@ GP_CONFIG_SCHEMA = {
 
 def _load_gp_config(path: str):
     data = json.loads(Path(path).read_text())
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(data, GP_CONFIG_SCHEMA)
-        except jsonschema.ValidationError as e:
-            raise DomainError(f"bad gp config: {e.message}") from e
+    try:
+        jsonschema.validate(data, GP_CONFIG_SCHEMA)
+    except jsonschema.ValidationError as e:
+        raise DomainError(f"bad gp config: {e.message}") from e
     n = data["n"]
     states = []
     for s in data["states"]:
@@ -259,20 +254,9 @@ def _load_gp_config(path: str):
     return data, states, observable
 
 
-def _run_gp(args):
-    data, states, observable = _load_gp_config(args.config)
-    summary = gp_stats.run_gp_experiment(
-        states,
-        observable,
-        data["samples"],
-        RngStream(args.seed, "gp"),
-        batches=data.get("batches", gp_stats.DEFAULT_BATCHES),
-        threads=args.threads,
-    )
-    return data, summary
-
-
-def _cmd_gp(args):
+def _gp_command(args, report):
+    """Config echo, validation and GP run shared by ``gp`` and ``gp-summary``;
+    ``report(args, summary)`` turns the finished run into the payload."""
     config = {"config": args.config, "seed": args.seed, "out": args.out,
               "threads": args.threads}
     data, states, observable = _load_gp_config(args.config)
@@ -284,27 +268,20 @@ def _cmd_gp(args):
         batches=data.get("batches", gp_stats.DEFAULT_BATCHES),
         threads=args.threads,
     )
+    return report(args, summary), config
+
+
+def _gp_values_csv(args, summary):
     rows = [
         (k, j, _fmt(summary.values[k, j]))
         for k in range(summary.sample_count)
-        for j in range(len(states))
+        for j in range(len(summary.state_labels))
     ]
     _write_csv(args.out, ["sample_id", "state_id", "value"], rows)
-    return {"path": args.out, "rows": len(rows)}, config
+    return {"path": args.out, "rows": len(rows)}
 
 
-def _cmd_gp_summary(args):
-    config = {"config": args.config, "seed": args.seed, "out": args.out,
-              "threads": args.threads}
-    data, states, observable = _load_gp_config(args.config)
-    config["resolved"] = data
-    if args.dry_run:
-        return {"validated": True, "states": len(states)}, config
-    summary = gp_stats.run_gp_experiment(
-        states, observable, data["samples"], RngStream(args.seed, "gp"),
-        batches=data.get("batches", gp_stats.DEFAULT_BATCHES),
-        threads=args.threads,
-    )
+def _gp_summary_payload(args, summary):
     payload = {
         "n": summary.n,
         "samples": summary.sample_count,
@@ -321,8 +298,16 @@ def _cmd_gp_summary(args):
     }
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        return {"path": args.out}, config
-    return payload, config
+        return {"path": args.out}
+    return payload
+
+
+def _cmd_gp(args):
+    return _gp_command(args, _gp_values_csv)
+
+
+def _cmd_gp_summary(args):
+    return _gp_command(args, _gp_summary_payload)
 
 
 def _default_observable(n: int) -> PauliString:

@@ -264,6 +264,16 @@ def _batch_sizes(total: int, batches: int):
     return [base + (1 if b < extra else 0) for b in range(batches)]
 
 
+def _batch_se(values: np.ndarray, batches: int):
+    """Standard error of the mean over the last axis, whose samples come in
+    the batch order of ``_batch_sizes``, from the spread of batch means."""
+    edges = np.cumsum([0] + _batch_sizes(values.shape[-1], batches))
+    means = np.stack(
+        [values[..., edges[b]: edges[b + 1]].mean(axis=-1) for b in range(batches)]
+    )
+    return means.std(axis=0, ddof=1) / math.sqrt(batches)
+
+
 def _run_batches(total, batches, threads, rng_stream, worker):
     """worker(count, generator) -> array; batch b draws from child stream b,
     so results do not depend on the thread schedule."""
@@ -317,7 +327,6 @@ def run_gp_experiment(
     rng,
     batches: int = DEFAULT_BATCHES,
     threads: int = 1,
-    keep_values: bool = True,
 ) -> GPSummary:
     """Sample C(rho_j) = Tr[S rho_j S^dag O] over Haar-symplectic S."""
     states = list(states)
@@ -368,7 +377,7 @@ def run_gp_experiment(
         theory_covariance=theory,
         exact_covariance=exact_covariance(states),
         fourth_moment_ratio=ratio,
-        values=values if keep_values else np.empty((0, len(states))),
+        values=values,
     )
 
 
@@ -440,12 +449,7 @@ def concentration_tail(
     sigma_sq = 2.0 * tr_g / d
     hits = c_vals[None, :] >= thresholds[:, None]
     emp = hits.mean(axis=1)
-    sizes = _batch_sizes(n_samples, batches)
-    edges = np.cumsum([0] + sizes)
-    batch_emp = np.stack(
-        [hits[:, edges[b]: edges[b + 1]].mean(axis=1) for b in range(batches)]
-    )
-    emp_se = batch_emp.std(axis=0, ddof=1) / math.sqrt(batches)
+    emp_se = _batch_se(hits, batches)
     if sigma_sq > 0:
         gauss = erfc(thresholds / math.sqrt(2.0 * sigma_sq))
     else:
@@ -510,25 +514,16 @@ def anticoncentration_check(
     probs = np.concatenate(chunks)
     hits = probs[None, :] >= (alphas[:, None] / d)
     emp = hits.mean(axis=1)
-    sizes = _batch_sizes(n_samples, batches)
-    edges = np.cumsum([0] + sizes)
-    batch_emp = np.stack(
-        [hits[:, edges[b]: edges[b + 1]].mean(axis=1) for b in range(batches)]
-    )
-    emp_se = batch_emp.std(axis=0, ddof=1) / math.sqrt(batches)
-    batch_z = np.array(
-        [d * float((probs[edges[b]: edges[b + 1]] ** 2).mean())
-         for b in range(batches)]
-    )
     return AnticoncentrationTable(
         n=n,
         x_index=x_index,
         sample_count=n_samples,
         alphas=alphas,
         empirical=emp,
-        empirical_se=emp_se,
+        empirical_se=_batch_se(hits, batches),
         bound=(1.0 - alphas) ** 2 / 2.0,
         z_estimate=d * float((probs**2).mean()),
-        z_se=float(batch_z.std(ddof=1) / math.sqrt(len(batch_z))),
+        # d is a power of two, so scaling before the batch means is exact
+        z_se=float(_batch_se(d * probs**2, batches)),
         z_haar=2.0 / (d + 1),
     )

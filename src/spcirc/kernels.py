@@ -1,14 +1,9 @@
-"""Hot numerical kernels with numba JIT and a pure-numpy fallback.
+"""Hot numerical kernels, vectorized with numpy.
 
-Every kernel has two implementations with identical semantics:
-
-- ``*_nb``: numba ``@njit`` compiled, used by default when numba imports.
-- ``*_np``: vectorized numpy, used when numba is unavailable or when the
-  environment variable ``SPCIRC_DISABLE_NUMBA=1`` is set.
-
-The public dispatchers (``apply_gate_2q``, ``pauli_rotation``,
-``transfer_apply``, ``closure_round``) pick the path once at import time;
-``benchmarks/bench_kernels.py`` times both paths against each other.
+Four kernels carry the package's inner loops: ``apply_gate_2q`` and
+``pauli_rotation`` for the statevector simulator, ``transfer_apply`` for the
+second-moment label propagator and ``closure_round`` for the Lie closure.
+``benchmarks/bench_kernels.py`` times each one on a representative workload.
 
 Conventions shared with the rest of the package:
 
@@ -20,82 +15,17 @@ Conventions shared with the rest of the package:
   axis being contracted has length ``din`` and stride ``R``.
 """
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("SPCIRC_DISABLE_NUMBA", "").strip() in {"1", "true", "yes"}
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by SPCIRC_DISABLE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        """Dummy decorator standing in for numba.njit when it is unused."""
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-USE_NUMBA = HAS_NUMBA
-
-
-# ---------------------------------------------------------------------------
-# bit utilities
-
-@njit(cache=True)
-def _popcount(x):
-    # SWAR popcount; inputs are nonnegative masks well below 2**63
-    x = x - ((x >> 1) & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    return (x * 0x0101010101010101) >> 56
-
-
-def popcount_array(a):
-    """Vectorized popcount for nonnegative integer arrays."""
-    return np.bitwise_count(a)
+# Kept for tools that report the machine they ran on; no kernel is compiled.
+HAS_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # two-qubit dense gate on a statevector
 
-@njit(cache=True)
-def _apply_gate_2q_nb(psi, gate, pos_a, pos_b):
-    d = psi.size
-    p1 = max(pos_a, pos_b)
-    p0 = min(pos_a, pos_b)
-    m0 = (1 << p0) - 1
-    m1 = (1 << p1) - 1
-    ba = 1 << pos_a
-    bb = 1 << pos_b
-    for r in range(d >> 2):
-        t = ((r & ~m0) << 1) | (r & m0)
-        base = ((t & ~m1) << 1) | (t & m1)
-        i00 = base
-        i01 = base | bb
-        i10 = base | ba
-        i11 = base | ba | bb
-        a0 = psi[i00]
-        a1 = psi[i01]
-        a2 = psi[i10]
-        a3 = psi[i11]
-        psi[i00] = gate[0, 0] * a0 + gate[0, 1] * a1 + gate[0, 2] * a2 + gate[0, 3] * a3
-        psi[i01] = gate[1, 0] * a0 + gate[1, 1] * a1 + gate[1, 2] * a2 + gate[1, 3] * a3
-        psi[i10] = gate[2, 0] * a0 + gate[2, 1] * a1 + gate[2, 2] * a2 + gate[2, 3] * a3
-        psi[i11] = gate[3, 0] * a0 + gate[3, 1] * a1 + gate[3, 2] * a2 + gate[3, 3] * a3
-
-
-def _apply_gate_2q_np(psi, gate, pos_a, pos_b):
+def apply_gate_2q(psi, gate, pos_a, pos_b):
+    """Apply a 4x4 gate in place at dense bit positions (pos_a, pos_b)."""
     n = psi.size.bit_length() - 1
     # axis k of the (2,)*n view corresponds to dense bit position n-1-k
     ax_a = n - 1 - pos_a
@@ -107,41 +37,19 @@ def _apply_gate_2q_np(psi, gate, pos_a, pos_b):
     psi[:] = np.moveaxis(out, (0, 1), (ax_a, ax_b)).reshape(-1)
 
 
-def apply_gate_2q(psi, gate, pos_a, pos_b):
-    """Apply a 4x4 gate in place at dense bit positions (pos_a, pos_b)."""
-    if USE_NUMBA:
-        _apply_gate_2q_nb(psi, gate, pos_a, pos_b)
-    else:
-        _apply_gate_2q_np(psi, gate, pos_a, pos_b)
-
-
 # ---------------------------------------------------------------------------
 # exp(i theta P) on a statevector, P a Hermitian Pauli given by dense masks
 
-@njit(cache=True)
-def _pauli_rotation_nb(psi, x_dense, z_dense, base, cos_t, sin_t):
-    d = psi.size
-    if x_dense == 0:
-        for r in range(d):
-            sign = 1.0 - 2.0 * (_popcount(r & z_dense) & 1)
-            psi[r] = (cos_t + 1j * sin_t * base * sign) * psi[r]
-    else:
-        for r in range(d):
-            s = r ^ x_dense
-            if s < r:
-                continue
-            phr = base * (1.0 - 2.0 * (_popcount(r & z_dense) & 1))
-            phs = base * (1.0 - 2.0 * (_popcount(s & z_dense) & 1))
-            ar = psi[r]
-            as_ = psi[s]
-            psi[r] = cos_t * ar + 1j * sin_t * phs * as_
-            psi[s] = cos_t * as_ + 1j * sin_t * phr * ar
-    return psi
+def pauli_rotation(psi, x_dense, z_dense, base, theta):
+    """In-place exp(i*theta*P)|psi> with P[r^x, r] = base*(-1)^{popcount(z&r)}.
 
-
-def _pauli_rotation_np(psi, x_dense, z_dense, base, cos_t, sin_t):
-    d = psi.size
-    idx = np.arange(d)
+    ``base`` is i**((phase_exp + y_count) mod 4); P is Hermitian iff its
+    phase_exp is even, in which case base is +-1 for even Y count and +-i
+    for odd.
+    """
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    idx = np.arange(psi.size)
     sign = 1.0 - 2.0 * (np.bitwise_count(idx & z_dense) & 1)
     if x_dense == 0:
         psi *= cos_t + 1j * sin_t * base * sign
@@ -152,75 +60,25 @@ def _pauli_rotation_np(psi, x_dense, z_dense, base, cos_t, sin_t):
     return psi
 
 
-def pauli_rotation(psi, x_dense, z_dense, base, theta):
-    """In-place exp(i*theta*P)|psi> with P[r^x, r] = base*(-1)^{popcount(z&r)}.
-
-    ``base`` is i**((phase_exp + y_count) mod 4); P is Hermitian iff its
-    phase_exp is even, in which case base is +-1 for even Y count and +-i
-    for odd.
-    """
-    c = np.cos(theta)
-    s = np.sin(theta)
-    if USE_NUMBA:
-        return _pauli_rotation_nb(psi, x_dense, z_dense, base, c, s)
-    return _pauli_rotation_np(psi, x_dense, z_dense, base, c, s)
-
-
 # ---------------------------------------------------------------------------
 # label-basis transfer contraction: out[l,o,r] = sum_i T[o,i] v[l,i,r]
 
-@njit(cache=True)
-def _transfer_apply_nb(v, T, L, din, R, dout, out):
-    for l in range(L):
-        for o in range(dout):
-            ob = (l * dout + o) * R
-            for r_ in range(R):
-                acc = 0.0
-                for i in range(din):
-                    acc += T[o, i] * v[(l * din + i) * R + r_]
-                out[ob + r_] = acc
-    return out
-
-
-def _transfer_apply_np(v, T, L, din, R, dout, out):
-    v3 = v.reshape(L, din, R)
-    np.einsum("oi,lir->lor", T, v3, out=out.reshape(L, dout, R), optimize=True)
-    return out
-
-
 def transfer_apply(v, T, L, din, R):
     """Contract matrix T (dout x din) into the middle axis of v (L, din, R)."""
-    dout = T.shape[0]
-    out = np.empty(L * dout * R, dtype=v.dtype)
-    if USE_NUMBA:
-        return _transfer_apply_nb(v, np.ascontiguousarray(T), L, din, R, dout, out)
-    return _transfer_apply_np(v, T, L, din, R, dout, out)
+    return np.matmul(T, v.reshape(L, din, R)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
 # one breadth-first round of Lie-closure commutators over Pauli directions
 
-@njit(cache=True)
-def _closure_round_nb(new_x, new_z, all_x, all_z, seen, n, out_x, out_z):
-    count = 0
-    for i in range(new_x.size):
-        xi = new_x[i]
-        zi = new_z[i]
-        for j in range(all_x.size):
-            par = (_popcount(xi & all_z[j]) + _popcount(zi & all_x[j])) & 1
-            if par:
-                x3 = xi ^ all_x[j]
-                z3 = zi ^ all_z[j]
-                key = (x3 << n) | z3
-                if not seen[key]:
-                    seen[key] = True
-                    out_x[count] = x3
-                    out_z[count] = z3
-                    count += 1
-    return count
+def closure_round(new_x, new_z, all_x, all_z, seen, n):
+    """Commutate the frontier against the whole basis; return fresh directions.
 
-
-def _closure_round_np(new_x, new_z, all_x, all_z, seen, n, out_x, out_z):
+    ``seen`` is a bool array of length 4**n indexed by key (x << n) | z and is
+    updated in place. Returns (found_x, found_z) in first-discovery order.
+    """
+    out_x = np.empty(seen.size, dtype=np.int64)
+    out_z = np.empty(seen.size, dtype=np.int64)
     count = 0
     for i in range(new_x.size):
         par = (np.bitwise_count(new_x[i] & all_z) + np.bitwise_count(new_z[i] & all_x)) & 1
@@ -244,18 +102,4 @@ def _closure_round_np(new_x, new_z, all_x, all_z, seen, n, out_x, out_z):
         out_x[count:count + kf.size] = xf
         out_z[count:count + kf.size] = zf
         count += kf.size
-    return count
-
-
-def closure_round(new_x, new_z, all_x, all_z, seen, n):
-    """Commutate the frontier against the whole basis; return fresh directions.
-
-    ``seen`` is a bool array of length 4**n indexed by key (x << n) | z and is
-    updated in place. Returns (found_x, found_z) in first-discovery order.
-    """
-    cap = seen.size
-    out_x = np.empty(cap, dtype=np.int64)
-    out_z = np.empty(cap, dtype=np.int64)
-    fn = _closure_round_nb if USE_NUMBA else _closure_round_np
-    count = fn(new_x, new_z, all_x, all_z, seen, n, out_x, out_z)
     return out_x[:count].copy(), out_z[:count].copy()

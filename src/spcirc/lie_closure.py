@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, DomainError
-from .pauli import PauliString, in_sp_algebra, sp_dimension
+from .pauli import PauliString, in_sp_algebra
 
 MAX_DIM_DEFAULT = 4 ** 7
 
@@ -167,7 +167,3 @@ def closure(g: GeneratorSet, max_dim: int = MAX_DIM_DEFAULT) -> ClosureResult:
         PauliString(n, int(x), int(z), 0) for x, z in zip(all_x.tolist(), all_z.tolist())
     )
     return ClosureResult(basis, len(basis), iterations, classify(basis))
-
-
-def expected_sp_dimension(n: int) -> int:
-    return sp_dimension(n)

@@ -31,19 +31,14 @@ import numpy as np
 
 from . import brauer, circuit, kernels
 from .errors import CapacityError, ConsistencyError, DomainError
+from .pauli import _DENSE_1Q
 from .sampler import as_generator
 
 LABEL_BUDGET = 16
 
-_PAULI_1Q = {
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 
 def _two_copy(p: str) -> np.ndarray:
-    m = _PAULI_1Q[p]
+    m = _DENSE_1Q[p]
     return np.kron(m, m).real
 
 
@@ -170,9 +165,6 @@ class TransferMatrix:
     entries: np.ndarray
     basis_order: tuple
 
-    def column_action(self) -> np.ndarray:
-        return np.ascontiguousarray(self.entries.T)
-
 
 def derive_transfer(kind: str) -> TransferMatrix:
     out_a, out_b = _out_alphabets(kind)
@@ -246,9 +238,7 @@ def _apply_block(v: LabelVector, bond: int, group: str) -> LabelVector:
     left = int(np.prod(dims[: bond - 1], dtype=np.int64))
     right = int(np.prod(dims[bond + 1 :], dtype=np.int64))
     din = len(in_a) * len(in_b)
-    out = kernels.transfer_apply(
-        v.coeffs, np.ascontiguousarray(row.T), left, din, right
-    )
+    out = kernels.transfer_apply(v.coeffs, row.T, left, din, right)
     out_a, out_b = _out_alphabets(group)
     alphabets = (
         v.alphabets[: bond - 1] + (out_a, out_b) + v.alphabets[bond + 1 :]

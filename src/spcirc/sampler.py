@@ -128,7 +128,7 @@ def sample_sp(d: int, rng) -> np.ndarray:
     return q[np.ix_(inv, inv)]
 
 
-_BLOCK_GROUPS = ("sp2", "so4", "o4", "u4")
+BLOCK_GROUPS = ("sp2", "so4", "o4", "u4")
 
 
 def sample_block(group: str, rng) -> np.ndarray:
@@ -141,7 +141,7 @@ def sample_block(group: str, rng) -> np.ndarray:
         return sample_orthogonal(4, rng).astype(complex)
     if group == "u4":
         return sample_unitary(4, rng)
-    raise DomainError(f"unknown block group {group!r}; expected one of {_BLOCK_GROUPS}")
+    raise DomainError(f"unknown block group {group!r}; expected one of {BLOCK_GROUPS}")
 
 
 # ---------------------------------------------------------------------------

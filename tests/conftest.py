@@ -1,6 +1,7 @@
 from hypothesis import HealthCheck, settings
 
-# JIT warm-up makes first calls slow; wall-clock deadlines would flake.
+# Examples run dense linear algebra of uneven cost on a shared machine;
+# wall-clock deadlines would flake.
 settings.register_profile(
     "suite",
     deadline=None,

@@ -1,16 +1,12 @@
-"""Dual-path kernels: numba and numpy implementations must agree exactly,
-and both must agree with slow dense oracles."""
+"""Kernels against slow oracles: dense matrices, einsum and a plain-Python
+closure round."""
 
 import numpy as np
-import pytest
 from scipy.linalg import expm
 
 from spcirc import kernels
+from spcirc.lie_closure import theorem1_generators
 from spcirc.pauli import PauliString, to_dense
-
-needs_numba = pytest.mark.skipif(
-    not kernels.HAS_NUMBA, reason="numba unavailable or disabled"
-)
 
 
 def random_state(n, seed):
@@ -69,71 +65,65 @@ def test_transfer_apply_matches_einsum():
     assert np.allclose(kernels.transfer_apply(v, T, L, din, R), expected, atol=1e-12)
 
 
-# -- path agreement -------------------------------------------------------------
-
-@needs_numba
-def test_gate_paths_agree():
-    gen = np.random.default_rng(44)
-    gate = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-    psi = random_state(5, 45)
-    a = psi.copy()
-    b = psi.copy()
-    kernels._apply_gate_2q_nb(a, gate, 3, 1)
-    kernels._apply_gate_2q_np(b, gate, 3, 1)
-    assert np.array_equal(a, b) or np.allclose(a, b, atol=1e-15)
-
-
-@needs_numba
-def test_rotation_paths_agree():
-    psi = random_state(4, 46)
-    for xd, zd, base in [(0b1010, 0b0110, 1.0 + 0j), (0, 0b1001, 1.0 + 0j),
-                         (0b0011, 0b0011, 1j)]:
-        a = kernels._pauli_rotation_nb(psi.copy(), xd, zd, base, np.cos(0.5), np.sin(0.5))
-        b = kernels._pauli_rotation_np(psi.copy(), xd, zd, base, np.cos(0.5), np.sin(0.5))
-        assert np.allclose(a, b, atol=1e-15)
+def closure_round_reference(new_x, new_z, all_x, all_z, seen, n):
+    """Frontier-major double loop: each anticommuting pair whose commutator
+    direction is unseen is recorded and marked seen on the spot."""
+    found = []
+    for xi, zi in zip(new_x.tolist(), new_z.tolist()):
+        for xj, zj in zip(all_x.tolist(), all_z.tolist()):
+            if (bin(xi & zj).count("1") + bin(zi & xj).count("1")) & 1:
+                x3, z3 = xi ^ xj, zi ^ zj
+                key = (x3 << n) | z3
+                if not seen[key]:
+                    seen[key] = True
+                    found.append((x3, z3))
+    return found
 
 
-@needs_numba
-def test_transfer_paths_agree():
-    gen = np.random.default_rng(47)
-    L, din, dout, R = 2, 9, 6, 27
-    v = gen.standard_normal(L * din * R)
-    T = gen.standard_normal((dout, din))
-    a = kernels._transfer_apply_nb(
-        v, np.ascontiguousarray(T), L, din, R, dout, np.empty(L * dout * R)
-    )
-    b = kernels._transfer_apply_np(v, T, L, din, R, dout, np.empty(L * dout * R))
-    assert np.allclose(a, b, atol=1e-13)
+def assert_round_matches_reference(new_x, new_z, all_x, all_z, seen, n):
+    ref_seen = seen.copy()
+    expected = closure_round_reference(new_x, new_z, all_x, all_z, ref_seen, n)
+    found_x, found_z = kernels.closure_round(new_x, new_z, all_x, all_z, seen, n)
+    assert found_x.dtype == found_z.dtype == np.int64
+    assert list(zip(found_x.tolist(), found_z.tolist())) == expected
+    assert np.array_equal(seen, ref_seen)
+    return found_x, found_z
 
 
-@needs_numba
-def test_closure_round_paths_agree():
-    n = 3
-    gen = np.random.default_rng(48)
-    xs = gen.integers(0, 2**n, 6).astype(np.int64)
-    zs = gen.integers(0, 2**n, 6).astype(np.int64)
-    # dedup directions to mimic real usage
-    keys = sorted(set(((int(x) << n) | int(z) for x, z in zip(xs, zs))))
-    xs = np.array([k >> n for k in keys], dtype=np.int64)
-    zs = np.array([k & (2**n - 1) for k in keys], dtype=np.int64)
-
-    def run(fn):
+def test_closure_round_matches_python_loop_on_theorem1_rounds():
+    for n in (3, 4):
+        gens = theorem1_generators(n).generators
+        all_x = np.array([p.x_mask for p in gens], dtype=np.int64)
+        all_z = np.array([p.z_mask for p in gens], dtype=np.int64)
         seen = np.zeros(4**n, dtype=bool)
-        seen[(xs << n) | zs] = True
-        out_x = np.empty(4**n, dtype=np.int64)
-        out_z = np.empty(4**n, dtype=np.int64)
-        count = fn(xs, zs, xs, zs, seen, n, out_x, out_z)
-        return out_x[:count].copy(), out_z[:count].copy(), seen
+        seen[(all_x << n) | all_z] = True
+        new_x, new_z = all_x, all_z
+        rounds = repeated = 0
+        while new_x.size:
+            # commutator directions hit more than once within this round
+            pairs = [((xi ^ xj) << n) | (zi ^ zj)
+                     for xi, zi in zip(new_x.tolist(), new_z.tolist())
+                     for xj, zj in zip(all_x.tolist(), all_z.tolist())
+                     if (bin(xi & zj).count("1") + bin(zi & xj).count("1")) & 1]
+            repeated += len(pairs) - len(set(pairs))
+            new_x, new_z = assert_round_matches_reference(
+                new_x, new_z, all_x, all_z, seen, n
+            )
+            all_x = np.concatenate([all_x, new_x])
+            all_z = np.concatenate([all_z, new_z])
+            rounds += 1
+        assert rounds >= 2 and repeated > 0, (n, rounds, repeated)
+        assert all_x.size == 2**n * (2**n + 1) // 2
 
-    ax, az, aseen = run(kernels._closure_round_nb)
-    bx, bz, bseen = run(kernels._closure_round_np)
-    assert np.array_equal(ax, bx)
-    assert np.array_equal(az, bz)
-    assert np.array_equal(aseen, bseen)
 
-
-def test_popcount_array():
-    vals = np.array([0, 1, 2, 3, 255, 2**40 - 1], dtype=np.int64)
-    assert np.array_equal(
-        kernels.popcount_array(vals), [bin(int(v)).count("1") for v in vals]
-    )
+def test_closure_round_keeps_first_of_repeats_within_one_frontier_entry():
+    n = 2
+    # a basis that lists Z1 twice: X1 meets it twice in one frontier entry
+    all_x = np.array([0b10, 0b00, 0b00, 0b01], dtype=np.int64)
+    all_z = np.array([0b00, 0b10, 0b10, 0b01], dtype=np.int64)
+    new_x = np.array([0b10, 0b01], dtype=np.int64)
+    new_z = np.array([0b00, 0b00], dtype=np.int64)
+    seen = np.zeros(4**n, dtype=bool)
+    seen[(all_x << n) | all_z] = True
+    found_x, _ = assert_round_matches_reference(new_x, new_z, all_x, all_z, seen, n)
+    assert found_x.size == 2
