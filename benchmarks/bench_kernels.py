@@ -15,6 +15,7 @@ import numpy as np
 
 from spcirc import kernels, lie_closure
 from spcirc.pauli import PauliString
+from spcirc.sampler import sample_sp, sample_sp_columns
 
 
 def best_of(fn, repeats):
@@ -89,11 +90,27 @@ def bench_closure(n=6):
     return run
 
 
+def bench_haar_draw(d=256, k=None, draws=20):
+    """``draws`` Haar-symplectic draws: the full matrix, or k quaternionic columns."""
+    gen = np.random.default_rng(4)
+
+    def run():
+        for _ in range(draws):
+            if k is None:
+                sample_sp(d, gen)
+            else:
+                sample_sp_columns(d, k, gen)
+
+    return run
+
+
 BENCHES = [
     ("apply_gate_2q (n=14, 100 gates)", bench_apply_gate),
     ("pauli_rotation (n=14, 100 rotations)", bench_pauli_rotation),
     ("transfer_apply (n=12, 8 layers)", bench_transfer),
     ("lie closure (n=6, dim 2080)", bench_closure),
+    ("sample_sp (d=256, 20 draws)", bench_haar_draw),
+    ("sample_sp_columns (d=256, k=2, 20 draws)", lambda: bench_haar_draw(k=2)),
 ]
 
 

@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 domain/config error (with usage), 2 capacity error.
 Stochastic subcommands require --seed; identical config + seed reproduce
 byte-identical CSV/NPY payloads. Every subcommand accepts --dry-run, which
 validates the configuration (including reading any input files) without
-computing. Results are wrapped in a JSON envelope on stdout: the echoed
-config, a build id, wall-clock seconds, and the payload (inline JSON or the
-path of the file written).
+computing; for the sampling subcommands it makes every domain and capacity
+check the real run makes, so both exit alike. Results are wrapped in a JSON
+envelope on stdout: the echoed config, a build id, wall-clock seconds, and
+the payload (inline JSON or the path of the file written).
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
+
+
+def _float_list(text: str, what: str) -> list:
+    try:
+        values = [float(x) for x in text.split(",") if x]
+    except ValueError as e:
+        raise DomainError(f"bad {what} list {text!r}: {e}") from e
+    if not values:
+        raise DomainError(f"empty {what} list")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +253,11 @@ def _load_gp_config(path: str):
     except jsonschema.ValidationError as e:
         raise DomainError(f"bad gp config: {e.message}") from e
     n = data["n"]
+    observable = PauliString.from_label(data["observable"])
+    gp_stats.check_gp(
+        n, data["samples"], observable,
+        data.get("batches", gp_stats.DEFAULT_BATCHES),
+    )
     states = []
     for s in data["states"]:
         if s["kind"] == "computational_basis":
@@ -250,7 +266,6 @@ def _load_gp_config(path: str):
             states.append(
                 gp_stats.StateSpec.superposition_pair(n, s.get("flip_qubit", 2))
             )
-    observable = PauliString.from_label(data["observable"])
     return data, states, observable
 
 
@@ -318,17 +333,16 @@ def _cmd_concentration(args):
     config = {"n": args.n, "samples": args.samples, "seed": args.seed,
               "thresholds": args.thresholds, "state": args.state,
               "observable": args.observable, "threads": args.threads}
-    thresholds = [float(x) for x in args.thresholds.split(",") if x]
-    if not thresholds:
-        raise DomainError("empty threshold list")
+    thresholds = _float_list(args.thresholds, "threshold")
+    obs = (PauliString.from_label(args.observable) if args.observable
+           else _default_observable(args.n))
+    gp_stats.check_concentration(args.n, args.samples, thresholds, obs)
     if args.state == "basis":
         state = gp_stats.StateSpec.computational_basis(args.n, 0)
     elif args.state == "pair":
         state = gp_stats.StateSpec.superposition_pair(args.n)
     else:
         raise DomainError(f"unknown state kind {args.state!r}")
-    obs = (PauliString.from_label(args.observable) if args.observable
-           else _default_observable(args.n))
     if args.dry_run:
         return {"validated": True}, config
     table = gp_stats.concentration_tail(
@@ -350,9 +364,8 @@ def _cmd_concentration(args):
 def _cmd_anticoncentration(args):
     config = {"n": args.n, "samples": args.samples, "alphas": args.alphas,
               "seed": args.seed, "x": args.x, "threads": args.threads}
-    alphas = [float(x) for x in args.alphas.split(",") if x]
-    if not alphas:
-        raise DomainError("empty alpha list")
+    alphas = _float_list(args.alphas, "alpha")
+    gp_stats.check_anticoncentration(args.n, args.samples, alphas, args.x)
     if args.dry_run:
         return {"validated": True}, config
     table = gp_stats.anticoncentration_check(
@@ -430,6 +443,13 @@ def _cmd_collision(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p, stochastic: bool, threaded: bool = False):
     p.add_argument("--dry-run", action="store_true",
                    help="validate the configuration without computing")
@@ -437,7 +457,8 @@ def _add_common(p, stochastic: bool, threaded: bool = False):
         p.add_argument("--seed", type=int, required=True,
                        help="RNG seed (required: no silent entropy)")
     if threaded:
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=_positive_int,
+                       default=os.cpu_count() or 1,
                        help="worker threads for the sample loop")
 
 

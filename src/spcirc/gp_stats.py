@@ -19,6 +19,18 @@ threshold 1/(log2 d)^2 and always reports the exact formula alongside.
 
 Error bars everywhere come from batching (20 batches by default), not from
 Gaussianity assumptions: the Gaussianity itself is under test.
+
+Sampling reads S only on the span of the states. Once per run, every
+spectral vector psi is Gram-Schmidted in pairs under the antiunitary
+J psi = Omega conj(psi) into an orthonormal frame
+F = [w_1 .. w_k | -J w_1 .. -J w_k], dropping vectors that already lie in the
+span; each psi is stored as its coefficients c = F^dag psi. F has
+F^T Omega F = Omega_2k, so it extends to a symplectic unitary U with
+U e_j = w_j and U e_{d/2+j} = -J w_j. For Haar S, SU is Haar again, and
+S psi = (SU) E c with E = [e_0 .. e_{k-1} | e_{d/2} .. e_{d/2+k-1}]: each
+draw is the d x 2k matrix Q = (SU) E from ``sample_sp_columns`` and
+S psi = Q c, at O(d k^2) cost instead of the O(d^3) of a full Haar matrix.
+The anticoncentration check reads S e_0 only (k = 1).
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from scipy.special import erfc
 from .circuit import pauli_apply
 from .errors import CapacityError, DomainError
 from .pauli import PauliString, enumerate_sp_basis, in_sp_algebra, omega_dense
-from .sampler import RngStream, sample_sp
+from .sampler import DEFAULT_TOL, RngStream, sample_sp_columns
 
 SAMPLING_LIMIT = 12
 PROJECTION_LIMIT = 8
@@ -83,8 +95,7 @@ class StateSpec:
 
     @classmethod
     def computational_basis(cls, n: int, x: int = 0) -> "StateSpec":
-        if not 0 <= x < 2**n:
-            raise DomainError(f"basis index {x} out of range")
+        _check_basis_index(n, x)
         v = np.zeros(2**n, dtype=complex)
         v[x] = 1.0
         return cls(n, "computational_basis", True, statevector=v, label=f"basis[{x}]")
@@ -258,10 +269,64 @@ def select_theorem(states) -> tuple:
 # sampling
 
 def _batch_sizes(total: int, batches: int):
-    if total < batches:
-        raise DomainError(f"need at least {batches} samples, got {total}")
     base, extra = divmod(total, batches)
     return [base + (1 if b < extra else 0) for b in range(batches)]
+
+
+def _check_sampling(n: int, n_samples: int, batches: int) -> None:
+    if n < 1:
+        raise DomainError(f"need at least one qubit, got n = {n}")
+    if n > SAMPLING_LIMIT:
+        raise CapacityError(f"dense sampling capped at n <= {SAMPLING_LIMIT}")
+    if batches < 2:
+        raise DomainError(f"batch error bars need at least 2 batches, got {batches}")
+    if n_samples < batches:
+        raise DomainError(f"need at least {batches} samples, got {n_samples}")
+
+
+def _check_basis_index(n: int, x_index: int) -> None:
+    if not 0 <= x_index < 2**n:
+        raise DomainError(f"bitstring index {x_index} out of range")
+
+
+# One validator per sampled experiment, called by the experiment itself and by
+# the CLI dry run, so both reject the same configurations. None of them
+# allocates or samples.
+
+def check_gp(n: int, n_samples: int, observable: PauliString,
+             batches: int = DEFAULT_BATCHES) -> None:
+    """Domain and capacity checks of ``run_gp_experiment``."""
+    _check_sampling(n, n_samples, batches)
+    if observable.n != n:
+        raise DomainError("observable size mismatch")
+    if observable.phase_exp % 2:
+        raise DomainError("observable must be Hermitian")
+    if not in_sp_algebra(observable):
+        raise DomainError(
+            "observable must lie in i*sp(d/2); the Gaussian-process theorems "
+            "do not cover other Paulis"
+        )
+
+
+def check_concentration(n: int, n_samples: int, thresholds, observable: PauliString,
+                        batches: int = DEFAULT_BATCHES) -> np.ndarray:
+    """Checks of ``concentration_tail``; returns the thresholds as an array."""
+    thresholds = np.asarray(thresholds, dtype=float)
+    if not np.all(thresholds > 0):
+        raise DomainError("thresholds must be positive")
+    check_gp(n, n_samples, observable, batches)
+    return thresholds
+
+
+def check_anticoncentration(n: int, n_samples: int, alpha_grid, x_index: int,
+                            batches: int = DEFAULT_BATCHES) -> np.ndarray:
+    """Checks of ``anticoncentration_check``; returns the alphas as an array."""
+    _check_sampling(n, n_samples, batches)
+    _check_basis_index(n, x_index)
+    alphas = np.asarray(alpha_grid, dtype=float)
+    if not np.all((alphas >= 0) & (alphas <= 1)):
+        raise DomainError("alpha values must lie in [0, 1]")
+    return alphas
 
 
 def _batch_se(values: np.ndarray, batches: int):
@@ -288,18 +353,54 @@ def _run_batches(total, batches, threads, rng_stream, worker):
     return [run(b) for b in range(batches)]
 
 
-def _observable_values(states, observable, count, gen) -> np.ndarray:
-    d = 2 ** states[0].n
-    pairs = [s.spectral_pairs() for s in states]
-    out = np.empty((count, len(states)))
-    for k in range(count):
-        s = sample_sp(d, gen)
-        for j, spec in enumerate(pairs):
+def _quaternionic_conj(v: np.ndarray) -> np.ndarray:
+    """J v = Omega conj(v) for Omega = [[0, I], [-I, 0]]."""
+    m = v.shape[0] // 2
+    return np.concatenate([v[m:], -v[:m]]).conj()
+
+
+def symplectic_frame(vectors) -> np.ndarray:
+    """Orthonormal F = [w_1 .. w_k | -J w_1 .. -J w_k] whose span holds every
+    vector and its J-image; a vector whose residual is below ``DEFAULT_TOL``
+    times its norm adds nothing. F^T Omega F = Omega_2k, so F = U E for a symplectic
+    unitary U and E the columns e_0 .. e_{k-1}, e_{d/2} .. e_{d/2+k-1}."""
+    ws = []
+    frame = np.empty((vectors[0].shape[0], 0), dtype=complex)
+    for v in vectors:
+        r = v
+        for _ in range(2):  # the second pass removes what rounding left
+            r = r - frame @ (frame.conj().T @ r)
+        norm = np.linalg.norm(r)
+        if norm <= DEFAULT_TOL * np.linalg.norm(v):
+            continue
+        ws.append(r / norm)
+        frame = np.column_stack(ws + [-_quaternionic_conj(w) for w in ws])
+    return frame
+
+
+def _frame_coefficients(states) -> tuple:
+    """(k, coefficients): the first k quaternionic columns of a draw carry
+    every state, and coefficients[j] lists (weight, F^dag psi) over state j's
+    spectrum."""
+    spectra = [s.spectral_pairs() for s in states]
+    frame = symplectic_frame([v for spec in spectra for _, v in spec])
+    adjoint = frame.conj().T
+    coefficients = [[(w, adjoint @ v) for w, v in spec] for spec in spectra]
+    return frame.shape[1] // 2, coefficients
+
+
+def _observable_values(k, coefficients, observable, count, gen) -> np.ndarray:
+    """C(rho_j) for ``count`` Haar draws of k quaternionic columns each."""
+    d = 2**observable.n
+    out = np.empty((count, len(coefficients)))
+    for i in range(count):
+        q = sample_sp_columns(d, k, gen)
+        for j, spec in enumerate(coefficients):
             acc = 0.0
-            for wgt, vec in spec:
-                phi = s @ vec
+            for wgt, c in spec:
+                phi = q @ c
                 acc += wgt * float(np.real(np.vdot(phi, pauli_apply(observable, phi))))
-            out[k, j] = acc
+            out[i, j] = acc
     return out
 
 
@@ -335,21 +436,12 @@ def run_gp_experiment(
     n = states[0].n
     if any(s.n != n for s in states):
         raise DomainError("states must share n")
-    if n > SAMPLING_LIMIT:
-        raise CapacityError(f"dense sampling capped at n <= {SAMPLING_LIMIT}")
-    if observable.n != n:
-        raise DomainError("observable size mismatch")
-    if observable.phase_exp % 2:
-        raise DomainError("observable must be Hermitian")
-    if not in_sp_algebra(observable):
-        raise DomainError(
-            "observable must lie in i*sp(d/2); the Gaussian-process theorems "
-            "do not cover other Paulis"
-        )
+    check_gp(n, n_samples, observable, batches)
     stream = rng_stream(rng)
+    k, coefficients = _frame_coefficients(states)
     chunks = _run_batches(
         n_samples, batches, threads, stream,
-        lambda count, gen: _observable_values(states, observable, count, gen),
+        lambda count, gen: _observable_values(k, coefficients, observable, count, gen),
     )
     values = np.concatenate(chunks, axis=0)
     batch_means = np.stack([c.mean(axis=0) for c in chunks])
@@ -437,13 +529,13 @@ def concentration_tail(
 ) -> TailTable:
     """Empirical Pr(|C| >= c) with the Gaussian erfc reference and the
     t = 2, 4 moment bounds."""
+    thresholds = check_concentration(
+        state.n, n_samples, thresholds, observable, batches
+    )
     summary = run_gp_experiment(
         [state], observable, n_samples, rng, batches=batches, threads=threads
     )
     c_vals = np.abs(summary.values[:, 0])
-    thresholds = np.asarray(thresholds, dtype=float)
-    if (thresholds <= 0).any():
-        raise DomainError("thresholds must be positive")
     d = 2**state.n
     tr_g = algebra_overlap(state, state)
     sigma_sq = 2.0 * tr_g / d
@@ -493,20 +585,14 @@ def anticoncentration_check(
 ) -> AnticoncentrationTable:
     """Pr(p_S(x) >= alpha/d) over Haar-symplectic S against the (1-alpha)^2/2
     floor, plus the collision estimate z = d*mean(p^2) vs 2/(d+1)."""
-    if n > SAMPLING_LIMIT:
-        raise CapacityError(f"dense sampling capped at n <= {SAMPLING_LIMIT}")
+    alphas = check_anticoncentration(n, n_samples, alpha_grid, x_index, batches)
     d = 2**n
-    if not 0 <= x_index < d:
-        raise DomainError(f"bitstring index {x_index} out of range")
-    alphas = np.asarray(alpha_grid, dtype=float)
-    if ((alphas < 0) | (alphas > 1)).any():
-        raise DomainError("alpha values must lie in [0, 1]")
 
     def worker(count, gen):
         probs = np.empty(count)
         for k in range(count):
-            s = sample_sp(d, gen)
-            probs[k] = float(abs(s[x_index, 0]) ** 2)
+            # column 0 of the draw is S e_0
+            probs[k] = float(abs(sample_sp_columns(d, 1, gen)[x_index, 0]) ** 2)
         return probs
 
     stream = rng_stream(rng)

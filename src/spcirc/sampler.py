@@ -13,6 +13,8 @@ quaternionic unitary: exactly symplectic w.r.t. the paired form
 Omega' = I_{d/2} (x) [[0,1],[-1,0]]. A fixed perfect-shuffle permutation
 (old 2k -> new k, old 2k+1 -> new k + d/2) then conjugates to the canonical
 block form Omega = [[0, I], [-I, 0]], which on qubits equals iY (x) I.
+sample_sp_columns stops the factorization after the first k quaternionic
+columns, for experiments that read S on a few vectors only.
 """
 
 from __future__ import annotations
@@ -106,17 +108,28 @@ def _shuffle_perm(d: int) -> np.ndarray:
     return inv
 
 
-def sample_sp(d: int, rng) -> np.ndarray:
-    """Haar SP(d/2) as a d x d complex matrix, symplectic w.r.t. omega(d)."""
+def sample_sp_columns(d: int, k: int, rng) -> np.ndarray:
+    """Columns [S e_0 .. S e_{k-1} | S e_m .. S e_{m+k-1}] (m = d/2) of a Haar
+    S in SP(d/2), as a d x 2k complex matrix, at O(d k^2) cost.
+
+    The first k quaternionic columns of the QR factor depend only on the first
+    k quaternionic columns of the Gaussian, so a thin QR of a (d/2) x k
+    quaternionic Gaussian gives them exactly (Mezzadri, arXiv:math-ph/0609050).
+    Rows take the perfect shuffle; columns come out ordered [even | odd], the
+    images of e_j and e_{m+j}. The result Q satisfies Q^dag Q = I and
+    Q^T omega(d) Q = omega(2k). At k = m this is the full Haar matrix.
+    """
     if d % 2 or d < 2:
         raise DomainError(f"SP sampler needs even d >= 2, got {d}")
-    g = as_generator(rng)
     m = d // 2
-    qa = g.standard_normal((m, m))
-    qb = g.standard_normal((m, m))
-    qc = g.standard_normal((m, m))
-    qd = g.standard_normal((m, m))
-    a = np.empty((d, d), dtype=complex)
+    if not 1 <= k <= m:
+        raise DomainError(f"need 1 <= k <= d/2 = {m} quaternionic columns, got {k}")
+    g = as_generator(rng)
+    qa = g.standard_normal((m, k))
+    qb = g.standard_normal((m, k))
+    qc = g.standard_normal((m, k))
+    qd = g.standard_normal((m, k))
+    a = np.empty((d, 2 * k), dtype=complex)
     a[0::2, 0::2] = qa + 1j * qb
     a[0::2, 1::2] = qc + 1j * qd
     a[1::2, 0::2] = -qc + 1j * qd
@@ -124,8 +137,12 @@ def sample_sp(d: int, rng) -> np.ndarray:
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r)
     q = q * (diag / np.abs(diag))
-    inv = _shuffle_perm(d)
-    return q[np.ix_(inv, inv)]
+    return q[np.ix_(_shuffle_perm(d), _shuffle_perm(2 * k))]
+
+
+def sample_sp(d: int, rng) -> np.ndarray:
+    """Haar SP(d/2) as a d x d complex matrix, symplectic w.r.t. omega(d)."""
+    return sample_sp_columns(d, d // 2, rng)
 
 
 BLOCK_GROUPS = ("sp2", "so4", "o4", "u4")

@@ -439,3 +439,85 @@ def test_collision_zero_layers(capsys):
 def test_collision_capacity(capsys):
     code, _, _ = run(["collision", "--n", "17", "--layers", "1"], capsys)
     assert code == 2
+
+
+# -- dry-run contract -----------------------------------------------------------------
+
+def assert_dry_run_exits_like_run(argv, code, capsys):
+    """The dry run and the real run of ``argv`` both exit with ``code``."""
+    for extra in (["--dry-run"], []):
+        got, _, err = run(argv + extra, capsys)
+        assert got == code, (extra, err)
+        assert "Traceback" not in err
+
+
+SAMPLING_FAILURES = [
+    pytest.param(["concentration", "--n", "4", "--samples", "40",
+                  "--thresholds=-0.5"], 1, id="concentration-negative-threshold"),
+    pytest.param(["concentration", "--n", "4", "--samples", "40",
+                  "--thresholds", "0.5,abc"], 1, id="concentration-unparsable-threshold"),
+    pytest.param(["concentration", "--n", "4", "--samples", "5",
+                  "--thresholds", "0.5"], 1, id="concentration-samples-below-batches"),
+    pytest.param(["concentration", "--n", "30", "--samples", "40",
+                  "--thresholds", "0.5"], 2, id="concentration-n-over-limit"),
+    pytest.param(["concentration", "--n", "0", "--samples", "40",
+                  "--thresholds", "0.5"], 1, id="concentration-no-qubits"),
+    pytest.param(["concentration", "--n", "4", "--samples", "40",
+                  "--thresholds", "0.5", "--observable", "IXII"], 1,
+                 id="concentration-observable-outside-algebra"),
+    pytest.param(["anticoncentration", "--n", "3", "--samples", "40",
+                  "--alphas", "1.5"], 1, id="anticoncentration-alpha-above-one"),
+    pytest.param(["anticoncentration", "--n", "3", "--samples", "5",
+                  "--alphas", "0.5"], 1, id="anticoncentration-samples-below-batches"),
+    pytest.param(["anticoncentration", "--n", "13", "--samples", "40",
+                  "--alphas", "0.5"], 2, id="anticoncentration-n-over-limit"),
+    pytest.param(["anticoncentration", "--n", "3", "--samples", "40",
+                  "--alphas", "0.5", "--x", "8"], 1, id="anticoncentration-x-out-of-range"),
+]
+
+
+@pytest.mark.parametrize("argv,code", SAMPLING_FAILURES)
+def test_sampling_dry_run_fails_like_the_run(argv, code, capsys):
+    assert_dry_run_exits_like_run(argv + ["--seed", "1", "--threads", "1"], code, capsys)
+
+
+@pytest.mark.parametrize(
+    "overrides,code",
+    [
+        pytest.param({"samples": 20, "batches": 30}, 1, id="samples-below-batches"),
+        pytest.param({"n": 13, "observable": "I" + "Y" + "I" * 11}, 2, id="n-over-limit"),
+        pytest.param({"states": [{"kind": "computational_basis", "x": 8}]}, 1,
+                     id="x-out-of-range"),
+        pytest.param({"states": [{"kind": "superposition_pair", "flip_qubit": 4}]}, 1,
+                     id="flip-qubit-out-of-range"),
+        pytest.param({"observable": "IY"}, 1, id="observable-size"),
+    ],
+)
+@pytest.mark.parametrize("command", ["gp", "gp-summary"])
+def test_gp_dry_run_fails_like_the_run(tmp_path, command, overrides, code, capsys):
+    cfg = gp_config(tmp_path, **overrides)
+    argv = [command, "--config", cfg, "--seed", "1", "--threads", "1",
+            "--out", str(tmp_path / "o.out")]
+    assert_dry_run_exits_like_run(argv, code, capsys)
+
+
+THREADED = [
+    ["gp", "--config", "{cfg}", "--seed", "1", "--out", "{tmp}/o.csv"],
+    ["gp-summary", "--config", "{cfg}", "--seed", "1"],
+    ["concentration", "--n", "3", "--samples", "40", "--thresholds", "0.5",
+     "--seed", "1"],
+    ["anticoncentration", "--n", "3", "--samples", "40", "--alphas", "0.5",
+     "--seed", "1"],
+    ["anticoncentration-depth", "--n-min", "2", "--n-max", "3",
+     "--out", "{tmp}/d.csv"],
+]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("template", THREADED, ids=[t[0] for t in THREADED])
+def test_threads_below_one_rejected(tmp_path, template, threads, capsys):
+    cfg = gp_config(tmp_path)
+    argv = [a.format(cfg=cfg, tmp=tmp_path) for a in template]
+    assert_dry_run_exits_like_run(argv + ["--threads", threads], 1, capsys)
+    # the same command with one thread runs
+    assert run(argv + ["--threads", "1"], capsys)[0] == 0

@@ -10,10 +10,14 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import ks_2samp
 
+from spcirc.circuit import pauli_apply
 from spcirc.errors import CapacityError, DomainError
 from spcirc.gp_stats import (
     StateSpec,
+    _frame_coefficients,
+    _observable_values,
     algebra_overlap,
     algebra_overlap_info,
     anticoncentration_check,
@@ -24,11 +28,12 @@ from spcirc.gp_stats import (
     run_gp_experiment,
     select_theorem,
     state_overlap,
+    symplectic_frame,
     twisted_overlap,
     wick_fourth_moments,
 )
 from spcirc.pauli import PauliString
-from spcirc.sampler import RngStream
+from spcirc.sampler import RngStream, omega, sample_sp, sample_sp_columns
 
 
 def fig_family(n):
@@ -44,6 +49,18 @@ def fig_family(n):
 def random_pure(n, gen):
     v = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
     return StateSpec.from_statevector(n, v / np.linalg.norm(v))
+
+
+def j_image(v):
+    """J v = Omega conj(v), the antiunitary every symplectic unitary commutes with."""
+    return omega(v.shape[0]) @ v.conj()
+
+
+def degenerate_family(n, gen):
+    """psi_1, J psi_1 and a combination of the two: one quaternionic column."""
+    psi = random_pure(n, gen).statevector
+    mix = (psi + 1j * j_image(psi)) / math.sqrt(2.0)
+    return [StateSpec.from_statevector(n, v) for v in (psi, j_image(psi), mix)]
 
 
 # -- overlaps -----------------------------------------------------------------
@@ -144,6 +161,133 @@ def test_select_theorem_branches():
     name, cov = select_theorem(twisted)
     assert name == "general"
     assert cov[0, 1] == pytest.approx(2.0 * (-0.5) / d)
+
+
+# -- the column frame ---------------------------------------------------------------
+
+def test_symplectic_frame_spans_the_states_and_extends_to_a_symplectic_unitary():
+    gen = np.random.default_rng(41)
+    n, d = 3, 8
+    vecs = [random_pure(n, gen).statevector for _ in range(3)]
+    frame = symplectic_frame(vecs)
+    assert frame.shape == (d, 6)
+    assert np.abs(frame.conj().T @ frame - np.eye(6)).max() <= 1e-12
+    assert np.abs(frame.T @ omega(d) @ frame - omega(6)).max() <= 1e-12
+    proj = frame @ frame.conj().T
+    for v in vecs:
+        assert np.abs(proj @ v - v).max() <= 1e-12
+        assert np.abs(proj @ j_image(v) - j_image(v)).max() <= 1e-12
+
+
+def test_symplectic_frame_drops_dependent_vectors():
+    gen = np.random.default_rng(42)
+    states = degenerate_family(4, gen)
+    k, coefficients = _frame_coefficients(states)
+    assert k == 1
+    assert [len(spec) for spec in coefficients] == [1, 1, 1]
+    # a full basis needs every column, in the canonical order
+    basis = [StateSpec.computational_basis(2, x) for x in range(4)]
+    k, _ = _frame_coefficients(basis)
+    assert k == 2
+    assert np.array_equal(
+        symplectic_frame([s.statevector for s in basis]), np.eye(4)
+    )
+
+
+def test_degenerate_states_share_one_column():
+    # C(J psi) = -C(psi) for every draw, since J commutes with S and
+    # J^dag O J = -O for iO in sp(d/2)
+    gen = np.random.default_rng(43)
+    n = 4
+    states = degenerate_family(n, gen)
+    obs = PauliString.single(n, 2, "Y")
+    values = _observable_values(
+        *_frame_coefficients(states), obs, 50, RngStream(44).generator()
+    )
+    assert np.abs(values[:, 1] + values[:, 0]).max() <= 1e-12
+    assert np.std(values[:, 0]) > 0.01
+
+
+def test_column_draws_preserve_overlaps_and_twisted_overlaps():
+    # S psi_a and S psi_b keep <psi_a, psi_b> and psi_a^T Omega psi_b, draw by
+    # draw; the mixed state's eigenvectors lie in the span of the pure ones
+    gen = np.random.default_rng(45)
+    n, d = 4, 16
+    pure = degenerate_family(n, gen)[:1] + [random_pure(n, gen) for _ in range(2)]
+    rho = 0.6 * pure[0].density_matrix() + 0.4 * pure[1].density_matrix()
+    states = pure + [StateSpec.from_density(n, rho)]
+    k, coefficients = _frame_coefficients(states)
+    assert k == 3
+    vecs = [v for s in states for _, v in s.spectral_pairs()]
+    coeffs = [c for spec in coefficients for _, c in spec]
+    assert len(vecs) == len(coeffs) == 5
+    om = omega(d)
+    draws = RngStream(46).generator()
+    for _ in range(5):
+        q = sample_sp_columns(d, k, draws)
+        phis = [q @ c for c in coeffs]
+        for a, b in ((a, b) for a in range(5) for b in range(5)):
+            assert abs(np.vdot(phis[a], phis[b]) - np.vdot(vecs[a], vecs[b])) <= 1e-12
+            assert abs(phis[a] @ om @ phis[b] - vecs[a] @ om @ vecs[b]) <= 1e-12
+
+
+def test_mixed_state_value_is_linear_in_the_state():
+    gen = np.random.default_rng(47)
+    n = 3
+    a, b = StateSpec.computational_basis(n, 0), random_pure(n, gen)
+    rho = 0.7 * a.density_matrix() + 0.3 * b.density_matrix()
+    states = [a, b, StateSpec.from_density(n, rho)]
+    obs = PauliString.single(n, 2, "Y")
+    values = _observable_values(
+        *_frame_coefficients(states), obs, 40, RngStream(48).generator()
+    )
+    assert np.abs(values[:, 2] - (0.7 * values[:, 0] + 0.3 * values[:, 1])).max() <= 1e-12
+
+
+def test_full_frame_reproduces_the_dense_draw():
+    # with every basis state in the family the frame is the identity and the
+    # column draw is the full Haar matrix, byte for byte the dense sampler's
+    n, d = 3, 8
+    states = [StateSpec.computational_basis(n, x) for x in range(d)]
+    obs = PauliString.single(n, 2, "Y")
+    values = _observable_values(
+        *_frame_coefficients(states), obs, 5, RngStream(49).generator()
+    )
+    dense = RngStream(49).generator()
+    for row in values:
+        s = sample_sp(d, dense)
+        want = [np.real(np.vdot(s[:, x], pauli_apply(obs, s[:, x]))) for x in range(d)]
+        assert np.abs(row - want).max() <= 1e-12
+
+
+def test_column_path_matches_dense_sampler_in_distribution():
+    n, d = 6, 64
+    gen = np.random.default_rng(50)
+    states = [StateSpec.superposition_pair(n, 2), random_pure(n, gen)]
+    obs = PauliString.single(n, 2, "Y")
+    count = 1500
+    column = run_gp_experiment(states, obs, count, RngStream(51, "ks")).values
+    dense_gen = RngStream(52, "ks-dense").generator()
+    dense = np.empty((count, len(states)))
+    for i in range(count):
+        s = sample_sp(d, dense_gen)
+        for j, st in enumerate(states):
+            phi = s @ st.statevector
+            dense[i, j] = np.real(np.vdot(phi, pauli_apply(obs, phi)))
+    for j in range(len(states)):
+        assert ks_2samp(column[:, j], dense[:, j]).pvalue > 0.01
+    # the joint law too: the correlation of the two states' values
+    assert ks_2samp(column[:, 0] * column[:, 1], dense[:, 0] * dense[:, 1]).pvalue > 0.01
+
+
+@pytest.mark.parametrize("n,count", [(8, 4000), (12, 2000)])
+def test_gp_covariance_matches_finite_d_formula(n, count):
+    states = [StateSpec.computational_basis(n, 0), StateSpec.superposition_pair(n, 2)]
+    obs = PauliString.single(n, 2, "Y")
+    run = run_gp_experiment(states, obs, count, RngStream(n, "gp-cov-test"))
+    d = 2**n
+    assert run.exact_covariance[0, 0] == pytest.approx(1.0 / (d + 1))
+    assert np.all(np.abs(run.covariance - run.exact_covariance) <= 3.0 * run.covariance_se)
 
 
 # -- the sampled experiment ------------------------------------------------------
@@ -311,6 +455,17 @@ def test_anticoncentration_table():
     assert np.all(table.empirical >= table.bound)
     assert abs(table.z_estimate - table.z_haar) <= 5.0 * table.z_se
     assert table.sample_count == 2000 and table.x_index == 0
+
+
+def test_anticoncentration_reproducible_and_schedule_independent():
+    args = (4, 200, [0.0, 0.5, 1.0])
+    a = anticoncentration_check(*args, RngStream(32), x_index=5, threads=1)
+    b = anticoncentration_check(*args, RngStream(32), x_index=5, threads=2)
+    for field in ("empirical", "empirical_se", "bound"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert (a.z_estimate, a.z_se) == (b.z_estimate, b.z_se)
+    c = anticoncentration_check(*args, RngStream(33), x_index=5, threads=1)
+    assert c.z_estimate != a.z_estimate
 
 
 def test_anticoncentration_validation():

@@ -18,6 +18,7 @@ from spcirc.sampler import (
     omega,
     sample_orthogonal,
     sample_sp,
+    sample_sp_columns,
     sample_unitary,
     symplectic_defect,
 )
@@ -41,6 +42,40 @@ def test_sample_sp_membership():
             assert is_unitary(s)
             assert is_symplectic(s)
             assert symplectic_defect(s) <= 1e-10
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (4, 1), (4, 2), (16, 3), (256, 2), (256, 128)])
+def test_sample_sp_columns_is_a_symplectic_isometry(d, k):
+    gen = RngStream(15, "columns").generator()
+    for _ in range(3):
+        q = sample_sp_columns(d, k, gen)
+        assert q.shape == (d, 2 * k)
+        assert np.abs(q.conj().T @ q - np.eye(2 * k)).max() <= 1e-12
+        assert np.abs(q.T @ omega(d) @ q - omega(2 * k)).max() <= 1e-12
+
+
+def test_sample_sp_is_the_full_column_draw():
+    for d in (4, 16):
+        a = sample_sp(d, RngStream(16, "columns").generator())
+        b = sample_sp_columns(d, d // 2, RngStream(16, "columns").generator())
+        assert np.array_equal(a, b)
+
+
+def test_sample_sp_columns_first_moment_vanishes():
+    # without the R-diagonal gauge, Re Q[0, 0] would keep one sign
+    d, k, count = 16, 2, 4000
+    gen = RngStream(18, "columns").generator()
+    acc = np.zeros((d, 2 * k), dtype=complex)
+    for _ in range(count):
+        acc += sample_sp_columns(d, k, gen)
+    assert np.abs(acc / count).max() <= 5 / np.sqrt(d * count)
+
+
+def test_sample_sp_columns_validation():
+    gen = RngStream(17, "columns").generator()
+    for d, k in ((4, 0), (4, 3), (5, 1), (0, 1)):
+        with pytest.raises(DomainError):
+            sample_sp_columns(d, k, gen)
 
 
 def test_sample_orthogonal_membership():
