@@ -56,9 +56,8 @@ def bench_pauli_rotation(n=14, rotations=100):
     def run():
         work = psi.copy()
         for p, theta in labels:
-            xd, zd = p.dense_masks()
-            base = 1j ** ((p.phase_exp + p.y_count) % 4)
-            kernels.pauli_rotation(work, xd, zd, complex(base), theta)
+            xd, phases = p.dense_action()
+            kernels.pauli_rotation(work, xd, phases, theta)
 
     return run
 

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, check_bytes
 from .sampler import as_generator, omega, sample_orthogonal, sample_sp
 
 MAX_T = 5
@@ -112,6 +112,13 @@ def double_factorial(k: int) -> int:
     return reduce(int.__mul__, range(k, 0, -2), 1)
 
 
+def _check_order(t: int, cap: int = MAX_T) -> None:
+    if t < 1:
+        raise DomainError(f"need t >= 1, got {t}")
+    if t > cap:
+        raise CapacityError(f"t = {t} exceeds the diagram cap {cap}")
+
+
 def enumerate_diagrams(t: int, cap: int = MAX_T) -> list[BrauerDiagram]:
     """All (2t-1)!! diagrams of order t.
 
@@ -119,10 +126,7 @@ def enumerate_diagrams(t: int, cap: int = MAX_T) -> list[BrauerDiagram]:
     notation), then the remaining pairings sorted lexicographically, so for
     t = 2 the order is identity, swap, form-contraction.
     """
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
-    if t > cap:
-        raise CapacityError(f"t = {t} exceeds the diagram cap {cap}")
+    _check_order(t, cap)
     diagrams = [
         BrauerDiagram.from_pairs(t, p)
         for p in _all_pairings(list(range(1, 2 * t + 1)))
@@ -342,7 +346,17 @@ class GramMatrix:
         return self._inverse
 
 
+def check_gram(t: int, d: int, form: str = "sp") -> None:
+    """Checks of ``gram``: 1 <= t <= MAX_T, d >= 1, even d for the sp form."""
+    _check_order(t)
+    if d < 1:
+        raise DomainError(f"need d >= 1, got {d}")
+    if form == "sp" and d % 2:
+        raise DomainError(f"symplectic form needs even d, got {d}")
+
+
 def gram(t: int, d: int, form: str = "sp") -> GramMatrix:
+    check_gram(t, d, form)
     diagrams = tuple(enumerate_diagrams(t))
     k = len(diagrams)
     entries = np.empty((k, k))
@@ -396,6 +410,17 @@ class TwirlResult:
 _FORM_BY_GROUP = {"sp": "sp", "o": "o", "so": "o"}
 
 
+def check_twirl(t: int, d: int, group: str = "sp") -> None:
+    """Checks of ``gram``, and of the (2t-1)!! d^t x d^t matrices ``twirl`` keeps."""
+    if group not in _FORM_BY_GROUP:
+        raise DomainError(f"unknown group {group!r}")
+    check_gram(t, d, _FORM_BY_GROUP[group])
+    dim = d**t
+    if dim > DENSE_DIM_LIMIT:
+        raise CapacityError(f"dense diagram dim {dim} exceeds limit {DENSE_DIM_LIMIT}")
+    check_bytes(double_factorial(2 * t - 1) * dim * dim * 8, "the diagram table")
+
+
 def twirl(x: np.ndarray, t: int, d: int, group: str = "sp") -> TwirlResult:
     """Exact t-th moment twirl of x over the Haar measure of the group.
 
@@ -403,8 +428,7 @@ def twirl(x: np.ndarray, t: int, d: int, group: str = "sp") -> TwirlResult:
     basis: c = W^{-1} m with m_i = Tr[F(sigma_i)^T x] (matrices are real, so
     the transpose implements the Frobenius pairing used for the Gram matrix).
     """
-    if group not in _FORM_BY_GROUP:
-        raise DomainError(f"unknown group {group!r}")
+    check_twirl(t, d, group)
     form = _FORM_BY_GROUP[group]
     dim = d**t
     if x.shape != (dim, dim):

@@ -179,9 +179,8 @@ def _apply_inplace(circ: CircuitSpec, amp: np.ndarray, check_norm: bool) -> None
     n = circ.n
     for g in circ.gates:
         if isinstance(g, Rotation):
-            xd, zd = g.generator.dense_masks()
-            base = 1j ** ((g.generator.phase_exp + g.generator.y_count) % 4)
-            kernels.pauli_rotation(amp, xd, zd, complex(base), g.theta)
+            xd, phases = g.generator.dense_action()
+            kernels.pauli_rotation(amp, xd, phases, g.theta)
         else:
             if g.matrix is None:
                 raise DomainError(
@@ -195,13 +194,16 @@ def _apply_inplace(circ: CircuitSpec, amp: np.ndarray, check_norm: bool) -> None
             raise DomainError("statevector norm drifted past 1e-12")
 
 
+def check_statevector(n: int) -> None:
+    """Capacity check of ``apply``."""
+    if n > STATEVECTOR_LIMIT:
+        raise CapacityError(f"n = {n} exceeds the statevector limit {STATEVECTOR_LIMIT}")
+
+
 def apply(circ: CircuitSpec, psi: StateVector) -> StateVector:
     if circ.n != psi.n:
         raise DomainError(f"circuit n = {circ.n} vs state n = {psi.n}")
-    if circ.n > STATEVECTOR_LIMIT:
-        raise CapacityError(
-            f"n = {circ.n} exceeds the statevector limit {STATEVECTOR_LIMIT}"
-        )
+    check_statevector(circ.n)
     amp = psi.amplitudes.copy()
     unit = abs(np.linalg.norm(amp) - 1.0) <= 1e-12
     _apply_inplace(circ, amp, check_norm=unit)
@@ -224,12 +226,9 @@ def pauli_apply(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """Dense P|v> without materializing the matrix."""
     if vec.shape != (2**p.n,):
         raise DomainError(f"vector length {vec.shape} != 2**{p.n}")
-    xd, zd = p.dense_masks()
-    base = 1j ** ((p.phase_exp + p.y_count) % 4)
-    idx = np.arange(2**p.n)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & zd) & 1)
+    xd, phases = p.dense_action()
     out = np.empty_like(vec, dtype=complex)
-    out[idx ^ xd] = base * signs * vec
+    out[np.arange(2**p.n) ^ xd] = phases * vec
     return out
 
 

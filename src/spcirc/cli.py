@@ -1,13 +1,13 @@
 """Command-line interface: every experiment behind one entry point.
 
-Exit codes: 0 success, 1 domain/config error (with usage), 2 capacity error.
-Stochastic subcommands require --seed; identical config + seed reproduce
-byte-identical CSV/NPY payloads. Every subcommand accepts --dry-run, which
-validates the configuration (including reading any input files) without
-computing; for the sampling subcommands it makes every domain and capacity
-check the real run makes, so both exit alike. Results are wrapped in a JSON
-envelope on stdout: the echoed config, a build id, wall-clock seconds, and
-the payload (inline JSON or the path of the file written).
+Exit codes: 0 success, 1 domain/config error (with usage), 2 capacity error,
+3 failed internal cross-check. Stochastic subcommands require --seed;
+identical config + seed reproduce byte-identical CSV/NPY payloads. Every
+subcommand first builds a plan, which reads the inputs and makes every domain
+and capacity check of the run; --dry-run stops there, so a dry run fails
+exactly when the real run would. Results are wrapped in a JSON envelope on
+stdout: the echoed config, a build id, wall-clock seconds, and the payload
+(inline JSON or the path of the file written).
 """
 
 from __future__ import annotations
@@ -19,13 +19,15 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
 from . import __version__, brauer, circuit, gp_stats, lie_closure, moment
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, ConsistencyError, DomainError, check_bytes
 from .pauli import PauliString
 from .sampler import RngStream, sample_orthogonal, sample_sp, sample_unitary
 
@@ -53,23 +55,15 @@ def _build_id() -> str:
     return f"spcirc-{__version__}"
 
 
-def _envelope(command: str, config: dict, payload, started: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "build_id": _build_id(),
-        "wall_clock_s": round(time.monotonic() - started, 6),
-        "payload": payload,
-    }
-
-
-def _matrix(a: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in np.atleast_2d(a)]
-
-
-def _vector(a: np.ndarray) -> list:
-    return [float(x) for x in np.atleast_1d(a)]
+def _payload(result, *fields) -> dict:
+    """A result dataclass as a JSON payload; each field is a name or a
+    (payload key, name) pair, and numpy arrays become lists."""
+    out = {}
+    for field in fields:
+        key, name = field if isinstance(field, tuple) else (field, field)
+        value = getattr(result, name)
+        out[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -77,10 +71,6 @@ def _write_csv(path: str, header, rows) -> None:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _float_list(text: str, what: str) -> list:
@@ -93,11 +83,31 @@ def _float_list(text: str, what: str) -> list:
     return values
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers; each returns (payload, config_echo)
+def _out_path(path, suffix=""):
+    """The file --out names (np.save appends ``suffix``), in an existing directory."""
+    if path is None:
+        return None
+    path = path if path.endswith(suffix) else path + suffix
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise DomainError(f"cannot write {path}: not a file in an existing directory")
+    return path
 
-def _cmd_closure(args):
+
+# ---------------------------------------------------------------------------
+# subcommand plans; each parses its arguments, reads its inputs and makes
+# every domain and capacity check, allocating nothing large, and returns
+# (config echo, extra dry-run fields, run) where run() computes the payload
+
+_GENERATOR_SETS = {
+    "theorem1": lie_closure.theorem1_generators,
+    "prop2": lie_closure.prop2_generators,
+    "so-chain": lie_closure.so_chain_generators,
+}
+
+
+def _plan_closure(args):
     config = {"set": args.set, "n": args.n, "max_dim": args.max_dim}
+    lie_closure.check_closure(args.n, args.max_dim)
     if args.set == "custom":
         if not args.generators:
             raise DomainError("--set custom needs --generators FILE")
@@ -108,104 +118,108 @@ def _cmd_closure(args):
         gens = lie_closure.GeneratorSet(
             args.n, tuple(PauliString.from_label(s) for s in labels), "custom"
         )
-    elif args.set == "theorem1":
-        gens = lie_closure.theorem1_generators(args.n)
-    elif args.set == "prop2":
-        gens = lie_closure.prop2_generators(args.n)
-    elif args.set == "so-chain":
-        gens = lie_closure.so_chain_generators(args.n)
     else:
-        raise DomainError(f"unknown generator set {args.set!r}")
-    if args.dry_run:
-        return {"validated": True}, config
-    res = lie_closure.closure(gens, max_dim=args.max_dim)
-    payload = {
-        "dimension": res.dimension,
-        "classification": res.classification,
-        "basis_count": len(res.basis),
-        "iterations": res.iterations,
-    }
-    return payload, config
+        gens = _GENERATOR_SETS[args.set](args.n)
+
+    def run():
+        res = lie_closure.closure(gens, max_dim=args.max_dim)
+        return _payload(res, "dimension", "classification", ("basis_count", "dimension"),
+                        "iterations")
+
+    return config, {}, run
 
 
-_SAMPLERS = {
-    "sp": lambda d, g: sample_sp(d, g),
-    "o": lambda d, g: sample_orthogonal(d, g).astype(complex),
-    "so": lambda d, g: sample_orthogonal(d, g, special=True).astype(complex),
-    "u": lambda d, g: sample_unitary(d, g),
-}
+_SAMPLERS = {"sp": sample_sp, "o": sample_orthogonal,
+             "so": partial(sample_orthogonal, special=True), "u": sample_unitary}
 
 
-def _cmd_sample(args):
+def check_sample(group: str, d: int, count: int) -> None:
+    """Checks of the ``sample`` subcommand, including its output bytes."""
+    if count < 1:
+        raise DomainError(f"count must be positive, got {count}")
+    if group == "sp" and d % 2:
+        raise DomainError(f"symplectic dimension must be even, got {d}")
+    if d < 1:
+        raise DomainError(f"dimension must be positive, got {d}")
+    check_bytes(count * d * d * 16, "the sample array")
+
+
+def _plan_sample(args):
     config = {"group": args.group, "d": args.d, "count": args.count,
               "seed": args.seed, "out": args.out}
-    if args.count < 1:
-        raise DomainError(f"count must be positive, got {args.count}")
-    if args.group == "sp" and args.d % 2:
-        raise DomainError(f"symplectic dimension must be even, got {args.d}")
-    if args.d < 1:
-        raise DomainError(f"dimension must be positive, got {args.d}")
-    if args.dry_run:
-        return {"validated": True}, config
-    gen = RngStream(args.seed, "sample").generator()
-    draw = _SAMPLERS[args.group]
-    out = np.empty((args.count, args.d, args.d), dtype=complex)
-    for k in range(args.count):
-        out[k] = draw(args.d, gen)
-    np.save(args.out, out)
-    return {"path": args.out + ("" if args.out.endswith(".npy") else ".npy"),
-            "shape": list(out.shape), "dtype": "complex128"}, config
+    check_sample(args.group, args.d, args.count)
+    path = _out_path(args.out, ".npy")
+
+    def run():
+        gen = RngStream(args.seed, "sample").generator()
+        draw = _SAMPLERS[args.group]
+        out = np.empty((args.count, args.d, args.d), dtype=complex)
+        for k in range(args.count):
+            out[k] = draw(args.d, gen)
+        np.save(path, out)
+        return {"path": path, "shape": list(out.shape), "dtype": "complex128"}
+
+    return config, {}, run
 
 
-def _cmd_twirl(args):
+def _plan_twirl(args):
     config = {"t": args.t, "d": args.d, "group": args.group,
               "input": args.input, "out": args.out}
+    brauer.check_twirl(args.t, args.d, args.group)
+    out = _out_path(args.out)
     x = np.load(args.input)
     dim = args.d**args.t
-    if x.shape != (dim, dim):
-        raise DomainError(f"input shape {x.shape} != {(dim, dim)}")
-    if args.dry_run:
-        return {"validated": True}, config
-    res = brauer.twirl(x.astype(complex), args.t, args.d, args.group)
-    coeff = {
-        str(sig): [c.real, c.imag] for sig, c in res.coefficients.items()
-    }
-    payload = {"coefficients": coeff, "residual": res.residual,
-               "diagram_order": [str(s) for s in res.diagrams]}
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        return {"path": args.out}, config
-    return payload, config
+    if np.shape(x) != (dim, dim) or x.dtype.kind not in "biufc":
+        raise DomainError(f"input must be a numeric array of shape {(dim, dim)}")
+
+    def run():
+        res = brauer.twirl(x.astype(complex), args.t, args.d, args.group)
+        coeff = {
+            str(sig): [c.real, c.imag] for sig, c in res.coefficients.items()
+        }
+        payload = {"coefficients": coeff, "residual": res.residual,
+                   "diagram_order": [str(s) for s in res.diagrams]}
+        if out:
+            Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+            return {"path": out}
+        return payload
+
+    return config, {}, run
 
 
-def _cmd_gram(args):
+def _plan_gram(args):
     config = {"t": args.t, "d": args.d, "group": args.group}
-    if args.dry_run:
-        return {"validated": True}, config
-    g = brauer.gram(args.t, args.d, "sp" if args.group == "sp" else "o")
-    payload = {
-        "diagrams": [str(s) for s in g.diagrams],
-        "entries": _matrix(g.entries),
-        "pseudo_inverse": g.pseudo,
-        "delta": g.delta,
-        "inverse": _matrix(g.inverse()),
-    }
-    return payload, config
+    brauer.check_gram(args.t, args.d, args.group)
+
+    def run():
+        g = brauer.gram(args.t, args.d, args.group)
+        return {
+            "diagrams": [str(s) for s in g.diagrams],
+            "entries": g.entries.tolist(),
+            "pseudo_inverse": g.pseudo,
+            "delta": g.delta,
+            "inverse": g.inverse().tolist(),
+        }
+
+    return config, {}, run
 
 
-def _cmd_simulate(args):
+def _plan_simulate(args):
     config = {"circuit": args.circuit, "state": args.state, "out": args.out}
     circ = circuit.circuit_from_json(Path(args.circuit).read_text())
+    circuit.check_statevector(circ.n)
     psi = circuit.initial_state(circ.n, args.state)
-    if args.dry_run:
-        return {"validated": True, "n": circ.n, "gates": circ.gate_count()}, config
-    out_state = circuit.apply(circ, psi)
-    if args.out:
-        np.save(args.out, out_state.amplitudes)
-        return {"path": args.out + ("" if args.out.endswith(".npy") else ".npy"),
-                "n": circ.n, "norm": out_state.norm()}, config
-    amps = [[float(a.real), float(a.imag)] for a in out_state.amplitudes]
-    return {"n": circ.n, "amplitudes": amps, "norm": out_state.norm()}, config
+    out = _out_path(args.out, ".npy")
+
+    def run():
+        out_state = circuit.apply(circ, psi)
+        if out:
+            np.save(out, out_state.amplitudes)
+            return {"path": out, "n": circ.n, "norm": out_state.norm()}
+        amps = [[float(a.real), float(a.imag)] for a in out_state.amplitudes]
+        return {"n": circ.n, "amplitudes": amps, "norm": out_state.norm()}
+
+    return config, {"n": circ.n, "gates": circ.gate_count()}, run
 
 
 GP_STATE_SCHEMA = {
@@ -269,175 +283,135 @@ def _load_gp_config(path: str):
     return data, states, observable
 
 
-def _gp_command(args, report):
-    """Config echo, validation and GP run shared by ``gp`` and ``gp-summary``;
-    ``report(args, summary)`` turns the finished run into the payload."""
+def _plan_gp(args, report):
+    """Plan shared by ``gp`` and ``gp-summary``; ``report(summary, out)`` turns
+    the finished run into the payload."""
     config = {"config": args.config, "seed": args.seed, "out": args.out,
               "threads": args.threads}
     data, states, observable = _load_gp_config(args.config)
     config["resolved"] = data
-    if args.dry_run:
-        return {"validated": True, "states": len(states)}, config
-    summary = gp_stats.run_gp_experiment(
-        states, observable, data["samples"], RngStream(args.seed, "gp"),
-        batches=data.get("batches", gp_stats.DEFAULT_BATCHES),
-        threads=args.threads,
-    )
-    return report(args, summary), config
+    out = _out_path(args.out)
+
+    def run():
+        summary = gp_stats.run_gp_experiment(
+            states, observable, data["samples"], RngStream(args.seed, "gp"),
+            batches=data.get("batches", gp_stats.DEFAULT_BATCHES),
+            threads=args.threads,
+        )
+        return report(summary, out)
+
+    return config, {"states": len(states)}, run
 
 
-def _gp_values_csv(args, summary):
+def _gp_values_csv(summary, out):
     rows = [
-        (k, j, _fmt(summary.values[k, j]))
+        (k, j, "%.17g" % summary.values[k, j])
         for k in range(summary.sample_count)
         for j in range(len(summary.state_labels))
     ]
-    _write_csv(args.out, ["sample_id", "state_id", "value"], rows)
-    return {"path": args.out, "rows": len(rows)}
+    _write_csv(out, ["sample_id", "state_id", "value"], rows)
+    return {"path": out, "rows": len(rows)}
 
 
-def _gp_summary_payload(args, summary):
-    payload = {
-        "n": summary.n,
-        "samples": summary.sample_count,
-        "state_labels": list(summary.state_labels),
-        "observable": summary.observable,
-        "mean_vector": _vector(summary.mean_vector),
-        "mean_se": _vector(summary.mean_se),
-        "covariance": _matrix(summary.covariance),
-        "covariance_se": _matrix(summary.covariance_se),
-        "theory_name": summary.theory_name,
-        "theory_covariance": _matrix(summary.theory_covariance),
-        "exact_covariance": _matrix(summary.exact_covariance),
-        "fourth_moment_ratio": _vector(summary.fourth_moment_ratio),
-    }
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        return {"path": args.out}
+def _gp_summary_payload(summary, out):
+    payload = _payload(
+        summary, "n", ("samples", "sample_count"), "state_labels", "observable",
+        "mean_vector", "mean_se", "covariance", "covariance_se", "theory_name",
+        "theory_covariance", "exact_covariance", "fourth_moment_ratio",
+    )
+    if out:
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+        return {"path": out}
     return payload
 
 
-def _cmd_gp(args):
-    return _gp_command(args, _gp_values_csv)
-
-
-def _cmd_gp_summary(args):
-    return _gp_command(args, _gp_summary_payload)
-
-
-def _default_observable(n: int) -> PauliString:
-    return PauliString.single(n, min(2, n), "Y")
-
-
-def _cmd_concentration(args):
+def _plan_concentration(args):
     config = {"n": args.n, "samples": args.samples, "seed": args.seed,
               "thresholds": args.thresholds, "state": args.state,
               "observable": args.observable, "threads": args.threads}
     thresholds = _float_list(args.thresholds, "threshold")
     obs = (PauliString.from_label(args.observable) if args.observable
-           else _default_observable(args.n))
+           else PauliString.single(args.n, min(2, args.n), "Y"))
     gp_stats.check_concentration(args.n, args.samples, thresholds, obs)
-    if args.state == "basis":
-        state = gp_stats.StateSpec.computational_basis(args.n, 0)
-    elif args.state == "pair":
-        state = gp_stats.StateSpec.superposition_pair(args.n)
-    else:
-        raise DomainError(f"unknown state kind {args.state!r}")
-    if args.dry_run:
-        return {"validated": True}, config
-    table = gp_stats.concentration_tail(
-        state, obs, args.samples, thresholds,
-        RngStream(args.seed, "concentration"), threads=args.threads,
-    )
-    payload = {
-        "thresholds": _vector(table.thresholds),
-        "empirical": _vector(table.empirical),
-        "empirical_se": _vector(table.empirical_se),
-        "gaussian_tail": _vector(table.gaussian),
-        "bound_t2": _vector(table.bound_t2),
-        "bound_t4": _vector(table.bound_t4),
-        "sigma_squared": table.sigma_squared,
-    }
-    return payload, config
+    state = (gp_stats.StateSpec.computational_basis(args.n, 0) if args.state == "basis"
+             else gp_stats.StateSpec.superposition_pair(args.n))
+
+    def run():
+        table = gp_stats.concentration_tail(
+            state, obs, args.samples, thresholds,
+            RngStream(args.seed, "concentration"), threads=args.threads,
+        )
+        return _payload(table, "thresholds", "empirical", "empirical_se",
+                        ("gaussian_tail", "gaussian"), "bound_t2", "bound_t4",
+                        "sigma_squared")
+
+    return config, {}, run
 
 
-def _cmd_anticoncentration(args):
+def _plan_anticoncentration(args):
     config = {"n": args.n, "samples": args.samples, "alphas": args.alphas,
               "seed": args.seed, "x": args.x, "threads": args.threads}
     alphas = _float_list(args.alphas, "alpha")
     gp_stats.check_anticoncentration(args.n, args.samples, alphas, args.x)
-    if args.dry_run:
-        return {"validated": True}, config
-    table = gp_stats.anticoncentration_check(
-        args.n, args.samples, alphas, RngStream(args.seed, "anticoncentration"),
-        x_index=args.x, threads=args.threads,
-    )
-    payload = {
-        "n": table.n,
-        "x_index": table.x_index,
-        "alphas": _vector(table.alphas),
-        "empirical": _vector(table.empirical),
-        "empirical_se": _vector(table.empirical_se),
-        "bound": _vector(table.bound),
-        "z_estimate": table.z_estimate,
-        "z_se": table.z_se,
-        "z_haar": table.z_haar,
-    }
-    return payload, config
+
+    def run():
+        table = gp_stats.anticoncentration_check(
+            args.n, args.samples, alphas, RngStream(args.seed, "anticoncentration"),
+            x_index=args.x, threads=args.threads,
+        )
+        return _payload(table, "n", "x_index", "alphas", "empirical", "empirical_se",
+                        "bound", "z_estimate", "z_se", "z_haar")
+
+    return config, {}, run
 
 
-def _cmd_depth(args):
+def _plan_depth(args):
     config = {"n_min": args.n_min, "n_max": args.n_max, "epsilon": args.epsilon,
               "max_layers": args.max_layers, "out": args.out,
               "threads": args.threads}
-    if args.n_min < 2 or args.n_max < args.n_min:
+    if args.n_max < args.n_min:
         raise DomainError(f"bad n range [{args.n_min}, {args.n_max}]")
-    if args.dry_run:
-        return {"validated": True}, config
-    ns = list(range(args.n_min, args.n_max + 1))
+    for n in (args.n_min, args.n_max):
+        moment.check_depth(n, args.epsilon)
+    out = _out_path(args.out)
+    sweep = partial(moment.depth_to_anticoncentrate, epsilon=args.epsilon,
+                    max_layers=args.max_layers)
 
-    def sweep(n):
-        return moment.depth_to_anticoncentrate(
-            n, epsilon=args.epsilon, max_layers=args.max_layers
-        )
-
-    if args.threads and args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
+    def run():
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(sweep, ns))
-    else:
-        results = [sweep(n) for n in ns]
-    rows = []
-    for res in results:
-        star = "" if res.n_l_star is None else res.n_l_star
-        rows.append((res.n, star, json.dumps([round(z, 15) for z in res.z_trace])))
-    _write_csv(args.out, ["n", "n_L_star", "z_trace"], rows)
-    payload = {"path": args.out}
-    reached = [(r.n, r.n_l_star) for r in results if r.n_l_star is not None]
-    if len(reached) >= 2:
-        fit = moment.fit_log_depth([x for x, _ in reached], [y for _, y in reached])
-        payload["fit"] = {"a": fit.a, "b": fit.b, "r_squared": fit.r_squared}
-    unreached = [r.n for r in results if r.n_l_star is None]
-    if unreached:
-        payload["unreached"] = unreached
-    return payload, config
+            results = list(pool.map(sweep, range(args.n_min, args.n_max + 1)))
+        rows = []
+        for res in results:
+            star = "" if res.n_l_star is None else res.n_l_star
+            rows.append((res.n, star, json.dumps([round(z, 15) for z in res.z_trace])))
+        _write_csv(out, ["n", "n_L_star", "z_trace"], rows)
+        payload = {"path": out}
+        reached = [(r.n, r.n_l_star) for r in results if r.n_l_star is not None]
+        if len(reached) >= 2:
+            fit = moment.fit_log_depth([x for x, _ in reached], [y for _, y in reached])
+            payload["fit"] = {"a": fit.a, "b": fit.b, "r_squared": fit.r_squared}
+        unreached = [r.n for r in results if r.n_l_star is None]
+        if unreached:
+            payload["unreached"] = unreached
+        return payload
+
+    return config, {}, run
 
 
-def _cmd_collision(args):
+def _plan_collision(args):
     config = {"n": args.n, "layers": args.layers}
-    if args.layers < 0:
-        raise DomainError(f"negative layer count {args.layers}")
-    if args.dry_run:
-        return {"validated": True}, config
-    v = moment.propagate(moment.initial_label_vector(args.n), args.layers)
-    payload = {
-        "n": args.n,
-        "layers": args.layers,
-        "z": moment.collision_probability(v),
-        "z_haar": moment.z_haar(args.n),
-    }
-    return payload, config
+    moment.check_propagation(args.n, args.layers)
+
+    def run():
+        v = moment.propagate(moment.initial_label_vector(args.n), args.layers)
+        return {
+            "n": args.n,
+            "layers": args.layers,
+            "z": moment.collision_probability(v),
+            "z_haar": moment.z_haar(args.n),
+        }
+
+    return config, {}, run
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +424,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, stochastic: bool, threaded: bool = False):
+def _subcommand(sub, name: str, plan, help: str, stochastic: bool = False,
+                threaded: bool = False):
+    """A subparser whose ``plan`` main() calls, with the shared options."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(plan=plan)
     p.add_argument("--dry-run", action="store_true",
-                   help="validate the configuration without computing")
+                   help="make every check of the run without computing")
     if stochastic:
         p.add_argument("--seed", type=int, required=True,
                        help="RNG seed (required: no silent entropy)")
@@ -460,6 +438,7 @@ def _add_common(p, stochastic: bool, threaded: bool = False):
         p.add_argument("--threads", type=_positive_int,
                        default=os.cpu_count() or 1,
                        help="worker threads for the sample loop")
+    return p
 
 
 def build_parser() -> _Parser:
@@ -467,90 +446,76 @@ def build_parser() -> _Parser:
                      description="compact-symplectic circuit toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("closure", parents=[], help="Lie closure of a generator set")
-    p.add_argument("--set", required=True,
-                   choices=["theorem1", "prop2", "so-chain", "custom"])
+    p = _subcommand(sub, "closure", _plan_closure, "Lie closure of a generator set")
+    p.add_argument("--set", required=True, choices=[*_GENERATOR_SETS, "custom"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--generators", help="JSON list of Pauli labels (custom set)")
-    p.add_argument("--max-dim", type=int, default=4**7)
-    _add_common(p, stochastic=False)
-    p.set_defaults(fn=_cmd_closure)
+    p.add_argument("--max-dim", type=int, default=lie_closure.MAX_DIM_DEFAULT)
 
-    p = sub.add_parser("sample", help="Haar samples from sp/o/so/u")
-    p.add_argument("--group", required=True, choices=["sp", "o", "so", "u"])
+    p = _subcommand(sub, "sample", _plan_sample, "Haar samples from sp/o/so/u",
+                    stochastic=True)
+    p.add_argument("--group", required=True, choices=list(_SAMPLERS))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True, help="output .npy path")
-    _add_common(p, stochastic=True)
-    p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("twirl", help="exact t-th moment twirl of a dense operator")
+    p = _subcommand(sub, "twirl", _plan_twirl,
+                    "exact t-th moment twirl of a dense operator")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--group", required=True, choices=["sp", "o"])
     p.add_argument("--input", required=True, help=".npy dense operator, shape (d^t, d^t)")
     p.add_argument("--out", help="write the coefficient JSON here")
-    _add_common(p, stochastic=False)
-    p.set_defaults(fn=_cmd_twirl)
 
-    p = sub.add_parser("gram", help="diagram Gram matrix and its (pseudo)inverse")
+    p = _subcommand(sub, "gram", _plan_gram,
+                    "diagram Gram matrix and its (pseudo)inverse")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--group", required=True, choices=["sp", "o"])
-    _add_common(p, stochastic=False)
-    p.set_defaults(fn=_cmd_gram)
 
-    p = sub.add_parser("simulate", help="apply a CircuitSpec JSON to a basis state")
+    p = _subcommand(sub, "simulate", _plan_simulate,
+                    "apply a CircuitSpec JSON to a basis state")
     p.add_argument("--circuit", required=True, help="CircuitSpec JSON path")
     p.add_argument("--state", type=int, default=0, help="initial basis index")
     p.add_argument("--out", help="output .npy amplitudes")
-    _add_common(p, stochastic=False)
-    p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("gp", help="Gaussian-process samples to CSV")
+    p = _subcommand(sub, "gp", partial(_plan_gp, report=_gp_values_csv),
+                    "Gaussian-process samples to CSV", stochastic=True, threaded=True)
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="CSV path")
-    _add_common(p, stochastic=True, threaded=True)
-    p.set_defaults(fn=_cmd_gp)
 
-    p = sub.add_parser("gp-summary", help="GP summary statistics as JSON")
+    p = _subcommand(sub, "gp-summary", partial(_plan_gp, report=_gp_summary_payload),
+                    "GP summary statistics as JSON", stochastic=True, threaded=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="write the JSON here instead of inline")
-    _add_common(p, stochastic=True, threaded=True)
-    p.set_defaults(fn=_cmd_gp_summary)
 
-    p = sub.add_parser("concentration", help="tail probabilities vs bounds")
+    p = _subcommand(sub, "concentration", _plan_concentration,
+                    "tail probabilities vs bounds", stochastic=True, threaded=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--thresholds", required=True, help="comma-separated c values")
     p.add_argument("--state", default="basis", choices=["basis", "pair"])
     p.add_argument("--observable", help="Pauli label; default Y on qubit 2")
-    _add_common(p, stochastic=True, threaded=True)
-    p.set_defaults(fn=_cmd_concentration)
 
-    p = sub.add_parser("anticoncentration", help="Pr(p >= alpha/d) vs the floor")
+    p = _subcommand(sub, "anticoncentration", _plan_anticoncentration,
+                    "Pr(p >= alpha/d) vs the floor", stochastic=True, threaded=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--alphas", required=True, help="comma-separated alpha values")
     p.add_argument("--x", type=int, default=0, help="bitstring index")
-    _add_common(p, stochastic=True, threaded=True)
-    p.set_defaults(fn=_cmd_anticoncentration)
 
-    p = sub.add_parser("anticoncentration-depth",
-                       help="layers to anti-concentrate vs n (CSV + log fit)")
+    p = _subcommand(sub, "anticoncentration-depth", _plan_depth,
+                    "layers to anti-concentrate vs n (CSV + log fit)", threaded=True)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=14)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--max-layers", type=int, default=500)
     p.add_argument("--out", required=True, help="CSV path")
-    _add_common(p, stochastic=False, threaded=True)
-    p.set_defaults(fn=_cmd_depth)
 
-    p = sub.add_parser("collision", help="propagated collision probability z")
+    p = _subcommand(sub, "collision", _plan_collision,
+                    "propagated collision probability z")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--layers", type=int, required=True)
-    _add_common(p, stochastic=False)
-    p.set_defaults(fn=_cmd_collision)
 
     return parser
 
@@ -560,10 +525,21 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
-        payload, config = args.fn(args)
-        if getattr(args, "dry_run", False) and isinstance(payload, dict):
-            payload.setdefault("dry_run", True)
-        envelope = _envelope(args.command, config, payload, started)
+        try:
+            config, info, run = args.plan(args)
+        except DomainError:
+            raise
+        except (OSError, ValueError) as e:  # an unreadable or malformed input
+            raise DomainError(f"{type(e).__name__}: {e}") from e
+        payload = {"validated": True, **info, "dry_run": True} if args.dry_run else run()
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": config,
+            "build_id": _build_id(),
+            "wall_clock_s": round(time.monotonic() - started, 6),
+            "payload": payload,
+        }
         print(json.dumps(envelope, indent=2))
         return 0
     except DomainError as e:
@@ -572,12 +548,9 @@ def main(argv=None) -> int:
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as e:
-        print(f"error: invalid JSON: {e}", file=sys.stderr)
-        return 1
+    except ConsistencyError as e:
+        print(f"consistency error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .circuit import pauli_apply
 from .errors import CapacityError, DomainError
@@ -59,14 +58,11 @@ DEFAULT_BATCHES = 20
 class StateSpec:
     """A state in the experiment family.
 
-    kind is one of "computational_basis", "superposition_pair", "dense";
-    pure states carry a statevector (fast O(d) overlap routes), mixed ones
+    Pure states carry a statevector (fast O(d) overlap routes), mixed ones
     only a density matrix.
     """
 
     n: int
-    kind: str
-    pure: bool
     statevector: np.ndarray | None = None
     density: np.ndarray | None = None
     label: str = ""
@@ -98,7 +94,7 @@ class StateSpec:
         _check_basis_index(n, x)
         v = np.zeros(2**n, dtype=complex)
         v[x] = 1.0
-        return cls(n, "computational_basis", True, statevector=v, label=f"basis[{x}]")
+        return cls(n, statevector=v, label=f"basis[{x}]")
 
     @classmethod
     def superposition_pair(cls, n: int, flip_qubit: int = 2) -> "StateSpec":
@@ -107,21 +103,15 @@ class StateSpec:
             raise DomainError(f"flip qubit {flip_qubit} out of range")
         v = np.zeros(2**n, dtype=complex)
         v[0] = v[1 << (n - flip_qubit)] = 1.0 / math.sqrt(2.0)
-        return cls(
-            n, "superposition_pair", True, statevector=v,
-            label=f"pair[q{flip_qubit}]",
-        )
+        return cls(n, statevector=v, label=f"pair[q{flip_qubit}]")
 
     @classmethod
     def from_statevector(cls, n: int, vec, label: str = "pure") -> "StateSpec":
-        return cls(n, "dense", True, statevector=np.asarray(vec, dtype=complex),
-                   label=label)
+        return cls(n, statevector=np.asarray(vec, dtype=complex), label=label)
 
     @classmethod
     def from_density(cls, n: int, rho, label: str = "mixed") -> "StateSpec":
-        rho = np.asarray(rho, dtype=complex)
-        purity = float(np.real(np.trace(rho @ rho)))
-        return cls(n, "dense", purity > 1.0 - 1e-10, density=rho, label=label)
+        return cls(n, density=np.asarray(rho, dtype=complex), label=label)
 
     def density_matrix(self) -> np.ndarray:
         if self.density is not None:
@@ -211,13 +201,10 @@ def _pauli_coefficient(p: PauliString, s: StateSpec, rho) -> float:
         return float(
             np.real(np.vdot(s.statevector, pauli_apply(p, s.statevector)))
         )
-    d = 2**p.n
-    xd, zd = p.dense_masks()
-    base = 1j ** ((p.phase_exp + p.y_count) % 4)
-    r = np.arange(d)
-    signs = 1.0 - 2.0 * (np.bitwise_count(r & zd) & 1)
+    xd, phases = p.dense_action()
+    r = np.arange(2**p.n)
     # Tr[P rho] = sum_r P[r^x, r] rho[r, r^x]
-    return float(np.real(base * np.sum(signs * rho[r, r ^ xd])))
+    return float(np.real(np.sum(phases * rho[r, r ^ xd])))
 
 
 def algebra_overlap(a: StateSpec, b: StateSpec, method: str = "auto") -> float:
@@ -543,7 +530,8 @@ def concentration_tail(
     emp = hits.mean(axis=1)
     emp_se = _batch_se(hits, batches)
     if sigma_sq > 0:
-        gauss = erfc(thresholds / math.sqrt(2.0 * sigma_sq))
+        scale = math.sqrt(2.0 * sigma_sq)
+        gauss = np.array([math.erfc(c / scale) for c in thresholds])
     else:
         gauss = np.zeros_like(thresholds)
     return TailTable(

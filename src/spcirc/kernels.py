@@ -38,23 +38,17 @@ def apply_gate_2q(psi, gate, pos_a, pos_b):
 
 
 # ---------------------------------------------------------------------------
-# exp(i theta P) on a statevector, P a Hermitian Pauli given by dense masks
+# exp(i theta P) on a statevector, P a Hermitian Pauli given by its dense action
 
-def pauli_rotation(psi, x_dense, z_dense, base, theta):
-    """In-place exp(i*theta*P)|psi> with P[r^x, r] = base*(-1)^{popcount(z&r)}.
-
-    ``base`` is i**((phase_exp + y_count) mod 4); P is Hermitian iff its
-    phase_exp is even, in which case base is +-1 for even Y count and +-i
-    for odd.
-    """
+def pauli_rotation(psi, x_dense, phases, theta):
+    """In-place exp(i*theta*P)|psi> with P[r^x, r] = phases[r], the pair
+    ``PauliString.dense_action`` returns."""
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
-    idx = np.arange(psi.size)
-    sign = 1.0 - 2.0 * (np.bitwise_count(idx & z_dense) & 1)
     if x_dense == 0:
-        psi *= cos_t + 1j * sin_t * base * sign
+        psi *= cos_t + 1j * sin_t * phases
     else:
-        ppsi = (base * sign * psi)[idx ^ x_dense]
+        ppsi = (phases * psi)[np.arange(psi.size) ^ x_dense]
         psi *= cos_t
         psi += 1j * sin_t * ppsi
     return psi

@@ -133,6 +133,15 @@ def classify(basis: list[PauliString] | tuple[PauliString, ...]) -> str:
     return "other"
 
 
+def check_closure(n: int, max_dim: int) -> None:
+    """Checks of ``closure``, made before any generator or table is built."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    # 4**n > max_dim, compared by bit length so that an absurd n costs nothing
+    if 2 * n >= max(max_dim, 1).bit_length():
+        raise CapacityError(f"4**{n} directions exceed the budget {max_dim}")
+
+
 def closure(g: GeneratorSet, max_dim: int = MAX_DIM_DEFAULT) -> ClosureResult:
     """Smallest commutator-closed set of Pauli directions containing g.
 
@@ -141,11 +150,7 @@ def closure(g: GeneratorSet, max_dim: int = MAX_DIM_DEFAULT) -> ClosureResult:
     rounds until no new direction appears. Deterministic given input order.
     """
     n = g.n
-    if 4 ** n > max_dim:
-        raise CapacityError(
-            f"4**{n} directions exceed the budget {max_dim}; "
-            f"partial dimension = {len(g.generators)}"
-        )
+    check_closure(n, max_dim)
     seen = np.zeros(4 ** n, dtype=bool)
     xs = np.array([p.x_mask for p in g.generators], dtype=np.int64)
     zs = np.array([p.z_mask for p in g.generators], dtype=np.int64)

@@ -214,18 +214,19 @@ class LabelVector:
         return float(self.coeffs[flat])
 
 
-def _check_budget(n: int) -> None:
+def check_propagation(n: int, layers: int = 0) -> None:
+    """Checks of ``propagate``: n >= 2 within the label budget, layers >= 0."""
+    if layers < 0:
+        raise DomainError(f"negative layer count {layers}")
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
     if n > LABEL_BUDGET:
-        raise CapacityError(
-            f"n = {n} exceeds the dense label budget (n <= {LABEL_BUDGET})"
-        )
+        raise CapacityError(f"n = {n} exceeds the dense label budget (n <= {LABEL_BUDGET})")
 
 
 def initial_label_vector(n: int) -> LabelVector:
     """The pre-circuit two-copy state |0><0|^(x)2n: every qubit raw, z = 1."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    _check_budget(n)
+    check_propagation(n)
     return LabelVector(n, (ALPHA_RAW,) * n, np.ones(1), layers=0)
 
 
@@ -249,9 +250,7 @@ def _apply_block(v: LabelVector, bond: int, group: str) -> LabelVector:
 def propagate(v: LabelVector, layers: int) -> LabelVector:
     """Apply ``layers`` full brick layers (odd bonds then even bonds; the
     bond containing qubit 1 is symplectic, every other bond orthogonal)."""
-    if layers < 0:
-        raise DomainError(f"negative layer count {layers}")
-    _check_budget(v.n)
+    check_propagation(v.n, layers)
     for _ in range(layers):
         for start in (1, 2):
             for i in range(start, v.n, 2):
@@ -286,14 +285,19 @@ class DepthResult:
     z_trace: tuple
 
 
+def check_depth(n: int, epsilon: float) -> None:
+    """Checks of ``depth_to_anticoncentrate``."""
+    if not epsilon > 0:
+        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    check_propagation(n)
+
+
 def depth_to_anticoncentrate(
     n: int, epsilon: float = 0.01, max_layers: int = 500
 ) -> DepthResult:
     """Smallest layer count with |z_haar - z| < epsilon/d; None if unreached
     within max_layers. z_trace starts at depth 0."""
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    _check_budget(n)
+    check_depth(n, epsilon)
     target = epsilon / 2**n
     zh = z_haar(n)
     v = initial_label_vector(n)

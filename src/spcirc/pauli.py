@@ -139,6 +139,13 @@ class PauliString:
             zd |= ((self.z_mask >> j) & 1) << (self.n - 1 - j)
         return xd, zd
 
+    def dense_action(self) -> tuple[int, np.ndarray]:
+        """(x, phases) with P|r> = phases[r] |r ^ x> on dense indices r:
+        phases[r] = i**(phase_exp + y_count) * (-1)**popcount(z_dense & r)."""
+        xd, zd = self.dense_masks()
+        base = 1j ** ((self.phase_exp + self.y_count) % 4)
+        return xd, base * (1.0 - 2.0 * (np.bitwise_count(np.arange(2**self.n) & zd) & 1))
+
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
     """Exact product a*b including the accumulated i**k phase."""
@@ -220,18 +227,13 @@ def sp_dimension(n: int) -> int:
 
 
 def to_dense(p: PauliString, limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Dense 2**n x 2**n matrix, built in O(4**n) from the mask action.
-
-    P|r> = base * (-1)^{popcount(z_dense & r)} |r ^ x_dense> with
-    base = i**(phase_exp + y_count).
-    """
+    """Dense 2**n x 2**n matrix, built in O(4**n) from the mask action
+    (``PauliString.dense_action``)."""
     if p.n > limit:
         raise CapacityError(f"n = {p.n} exceeds the dense limit {limit}")
     d = 2 ** p.n
-    xd, zd = p.dense_masks()
-    base = 1j ** ((p.phase_exp + p.y_count) % 4)
+    xd, phases = p.dense_action()
     idx = np.arange(d)
-    phases = base * (1.0 - 2.0 * (np.bitwise_count(idx & zd) & 1))
     m = np.zeros((d, d), dtype=complex)
     m[idx ^ xd, idx] = phases
     return m

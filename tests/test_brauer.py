@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from spcirc.brauer import (
     BrauerDiagram,
     asymptotic_decomposition,
+    check_gram,
+    check_twirl,
     compose,
     diagram_from_string,
     double_factorial,
@@ -317,6 +319,29 @@ def test_twirl_input_validation():
         twirl(np.eye(9, dtype=complex), 2, 4, "sp")
     with pytest.raises(DomainError):
         twirl(np.eye(16, dtype=complex), 2, 4, "nope")
+
+
+def test_twirl_table_byte_limit():
+    check_twirl(4, 4, "sp")  # 105 matrices of 256 x 256: 55 MB
+    check_twirl(2, 64, "o")  # 3 matrices of 4096 x 4096: 403 MB
+    with pytest.raises(CapacityError):
+        check_twirl(3, 16, "sp")  # 15 matrices of 4096 x 4096: 2.0 GB
+    with pytest.raises(CapacityError):
+        check_twirl(5, 4, "sp")  # 945 matrices of 1024 x 1024: 7.9 GB
+    with pytest.raises(CapacityError):
+        check_twirl(1, 8192, "o")  # one matrix past DENSE_DIM_LIMIT
+
+
+def test_gram_domain_checks():
+    for t, d, form in [(0, 4, "sp"), (2, 0, "o"), (2, -3, "o"), (2, 3, "sp")]:
+        with pytest.raises(DomainError):
+            check_gram(t, d, form)
+        with pytest.raises(DomainError):
+            gram(t, d, form)
+    with pytest.raises(CapacityError):
+        check_gram(6, 4, "sp")
+    with pytest.raises(DomainError):
+        check_twirl(2, 4, "nope")
 
 
 def test_monte_carlo_twirl_converges():

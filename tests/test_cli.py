@@ -1,12 +1,21 @@
 """End-to-end CLI checks, run in-process through main()."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spcirc import brauer, circuit
-from spcirc.cli import main
+import spcirc
+from spcirc import brauer, circuit, lie_closure, moment
+from spcirc.cli import check_sample, main
+from spcirc.errors import MEMORY_LIMIT, CapacityError, ConsistencyError, DomainError
 from spcirc.sampler import symplectic_defect
 
 
@@ -103,9 +112,11 @@ def test_bad_arguments_exit_one_with_usage(capsys):
 
 
 def test_dry_run_skips_work(capsys):
-    env = run_json(["closure", "--set", "theorem1", "--n", "8", "--dry-run"], capsys)
-    # n = 8 would blow the default cap; dry-run only validates
+    # the real run of this closure takes about 15 s; the dry run only plans it
+    env = run_json(["closure", "--set", "theorem1", "--n", "8",
+                    "--max-dim", "65536", "--dry-run"], capsys)
     assert env["payload"] == {"validated": True, "dry_run": True}
+    assert env["wall_clock_s"] < 5.0
 
 
 # -- sample -----------------------------------------------------------------------
@@ -521,3 +532,162 @@ def test_threads_below_one_rejected(tmp_path, template, threads, capsys):
     assert_dry_run_exits_like_run(argv + ["--threads", threads], 1, capsys)
     # the same command with one thread runs
     assert run(argv + ["--threads", "1"], capsys)[0] == 0
+
+
+def plan_inputs(tmp_path):
+    """Input files for the cases below: a circuit past the statevector limit,
+    a directory, a file that is not .npy and a 9 x 9 operator."""
+    (tmp_path / "c20.json").write_text(json.dumps({"n": 20, "gates": []}))
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "text.npy").write_text("not an array")
+    np.save(tmp_path / "eye9.npy", np.eye(9))
+    return tmp_path
+
+
+PLAN_FAILURES = [
+    pytest.param(["collision", "--n", "40", "--layers", "1"], 2, id="collision-n-over-budget"),
+    pytest.param(["collision", "--n", "1", "--layers", "1"], 1, id="collision-one-qubit"),
+    pytest.param(["anticoncentration-depth", "--n-min", "17", "--n-max", "17",
+                  "--out", "{tmp}/d.csv"], 2, id="depth-n-over-budget"),
+    pytest.param(["anticoncentration-depth", "--epsilon", "-1", "--out", "{tmp}/d.csv"], 1,
+                 id="depth-negative-epsilon"),
+    pytest.param(["closure", "--set", "theorem1", "--n", "8"], 2, id="closure-default-cap"),
+    pytest.param(["closure", "--set", "theorem1", "--n", "3", "--max-dim", "-1"], 2,
+                 id="closure-negative-cap"),
+    pytest.param(["gram", "--t", "7", "--d", "4", "--group", "sp"], 2, id="gram-t-over-cap"),
+    pytest.param(["gram", "--t", "0", "--d", "4", "--group", "sp"], 1, id="gram-t-zero"),
+    pytest.param(["gram", "--t", "2", "--d", "0", "--group", "o"], 1, id="gram-d-zero"),
+    pytest.param(["gram", "--t", "2", "--d", "-3", "--group", "o"], 1, id="gram-d-negative"),
+    pytest.param(["simulate", "--circuit", "{tmp}/c20.json"], 2, id="simulate-n20"),
+    pytest.param(["simulate", "--circuit", "{tmp}/adir"], 1, id="simulate-circuit-directory"),
+    pytest.param(["sample", "--group", "sp", "--d", "4", "--count", "2", "--seed", "1",
+                  "--out", "{tmp}/missing/s.npy"], 1, id="sample-out-directory-missing"),
+    pytest.param(["sample", "--group", "u", "--d", "16384", "--count", "1", "--seed", "1",
+                  "--out", "{tmp}/s.npy"], 2, id="sample-over-byte-limit"),
+    pytest.param(["twirl", "--t", "2", "--d", "3", "--group", "sp",
+                  "--input", "{tmp}/eye9.npy"], 1, id="twirl-sp-odd-d"),
+    pytest.param(["twirl", "--t", "2", "--d", "3", "--group", "o",
+                  "--input", "{tmp}/text.npy"], 1, id="twirl-input-not-npy"),
+    pytest.param(["twirl", "--t", "5", "--d", "4", "--group", "sp",
+                  "--input", "{tmp}/eye9.npy"], 2, id="twirl-table-over-byte-limit"),
+    pytest.param(["gp", "--config", "{tmp}/adir", "--seed", "1", "--threads", "1",
+                  "--out", "{tmp}/o.csv"], 1, id="gp-config-directory"),
+]
+
+
+@pytest.mark.parametrize("template,code", PLAN_FAILURES)
+def test_plan_fails_like_the_run(tmp_path, template, code, capsys):
+    tmp = plan_inputs(tmp_path)
+    assert_dry_run_exits_like_run([a.format(tmp=tmp) for a in template], code, capsys)
+
+
+def test_sample_byte_limit():
+    side = 2**13  # one side x side complex matrix is exactly MEMORY_LIMIT bytes
+    assert side * side * 16 == MEMORY_LIMIT
+    check_sample("u", side, 1)
+    with pytest.raises(CapacityError):
+        check_sample("u", side, 2)
+    with pytest.raises(CapacityError):
+        check_sample("sp", 2 * side, 1)
+
+
+def test_consistency_error_exits_three(monkeypatch, capsys):
+    def broken(*args):
+        raise ConsistencyError("re-expansion residual")
+
+    monkeypatch.setattr(moment, "block_transfer", broken)
+    code, _, err = run(["collision", "--n", "2", "--layers", "1"], capsys)
+    assert code == 3 and "consistency" in err and "Traceback" not in err
+
+
+def test_value_error_inside_the_run_is_not_hidden(monkeypatch, capsys):
+    """Only planning errors map to exit 1; one in the run is a program bug."""
+    def broken(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(lie_closure, "closure", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["closure", "--set", "theorem1", "--n", "2"])
+    assert run(["closure", "--set", "theorem1", "--n", "2", "--dry-run"], capsys)[0] == 0
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(spcirc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, spcirc.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+# -- fuzzed dry-run contract ----------------------------------------------------------
+
+# Per subcommand: option -> (in-range values, out-of-range values or None).
+# 10**6 is out of range for sizes; 10**6 draws, samples or layers would be a
+# valid, long run, so counts go out of range only through 0 and negatives.
+BAD = st.sampled_from([0, -1, -5, 10**6])
+BAD_COUNT = st.sampled_from([0, -1, -5])
+THREADS = (st.sampled_from([1, 2]), st.sampled_from([-1, 0]))
+SEED = (st.just(1), None)
+FUZZ = {
+    "closure": {"--set": (st.sampled_from(["theorem1", "prop2", "so-chain"]), None),
+                "--n": (st.integers(2, 4), BAD), "--max-dim": (st.integers(16, 256), BAD)},
+    "sample": {"--group": (st.sampled_from(["sp", "o", "so", "u"]), None),
+               "--d": (st.sampled_from([2, 4, 8]), BAD),
+               "--count": (st.integers(1, 2), BAD_COUNT), "--seed": SEED,
+               "--out": (st.just("{tmp}/s.npy"), None)},
+    "gram": {"--t": (st.integers(1, 3), BAD), "--d": (st.integers(1, 8), BAD),
+             "--group": (st.sampled_from(["sp", "o"]), None)},
+    "collision": {"--n": (st.integers(2, 4), BAD), "--layers": (st.integers(0, 2), BAD_COUNT)},
+    "anticoncentration-depth": {
+        "--n-min": (st.integers(2, 3), BAD), "--n-max": (st.integers(3, 4), BAD),
+        "--epsilon": (st.sampled_from([0.01, 0.5, 10**6]), st.sampled_from([0, -1])),
+        "--max-layers": (st.integers(1, 40), BAD), "--threads": THREADS,
+        "--out": (st.just("{tmp}/d.csv"), None)},
+    "concentration": {
+        "--n": (st.integers(1, 4), BAD), "--samples": (st.integers(20, 40), BAD_COUNT),
+        "--thresholds": (st.sampled_from(["0.1,0.5", "1e6"]),
+                         st.sampled_from(["0", "-0.5", "x", ""])),
+        "--state": (st.sampled_from(["basis", "pair"]), None),
+        "--threads": THREADS, "--seed": SEED},
+    "anticoncentration": {
+        "--n": (st.integers(1, 4), BAD), "--samples": (st.integers(20, 40), BAD_COUNT),
+        "--alphas": (st.sampled_from(["0,0.5,1", "0.2"]), st.sampled_from(["1.5", "-0.1", "x"])),
+        "--x": (st.integers(0, 1), BAD), "--threads": THREADS, "--seed": SEED},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """An in-range argv, or one with a single option out of range."""
+    cmd = draw(st.sampled_from(sorted(FUZZ)))
+    options = FUZZ[cmd]
+    broken = None
+    if draw(st.booleans()):
+        broken = draw(st.sampled_from([o for o, (_, bad) in options.items()
+                                       if bad is not None]))
+    argv = [cmd]
+    for option, (good, bad) in options.items():
+        argv += [option, str(draw(bad if option == broken else good))]
+    return argv
+
+
+def quiet_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200)
+@given(template=cli_argv())
+def test_fuzzed_dry_run_exits_like_the_run(tmp_path_factory, template):
+    tmp = tmp_path_factory.getbasetemp() / "fuzz"
+    tmp.mkdir(exist_ok=True)
+    argv = [a.format(tmp=tmp) for a in template]
+    dry, dry_err = quiet_main(argv + ["--dry-run"])
+    real, real_err = quiet_main(argv)
+    assert real in (0, 1, 2, 3), real_err
+    assert dry == real, (dry_err, real_err)
+    assert "Traceback" not in dry_err + real_err

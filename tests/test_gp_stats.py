@@ -423,6 +423,18 @@ def test_concentration_tail_table():
     )
 
 
+def test_gaussian_tail_matches_scipy_erfc():
+    from scipy.special import erfc
+
+    n = 4
+    state = StateSpec.computational_basis(n, 0)
+    thresholds = np.linspace(0.01, 1.5, 30)
+    table = concentration_tail(state, PauliString.single(n, 2, "Y"), 40, thresholds,
+                               RngStream(2))
+    want = erfc(thresholds / math.sqrt(2.0 * table.sigma_squared))
+    np.testing.assert_allclose(table.gaussian, want, rtol=1e-13, atol=0)
+
+
 def test_concentration_tail_mixed_state_is_degenerate():
     n = 2
     mixed = StateSpec.from_density(n, np.eye(4) / 4)
@@ -497,4 +509,4 @@ def test_state_spec_validation():
     with pytest.raises(DomainError):
         StateSpec.from_density(2, bad)  # negative weight
     with pytest.raises(DomainError):
-        StateSpec(2, "dense", True)
+        StateSpec(2)

@@ -48,11 +48,10 @@ def test_pauli_rotation_matches_expm():
     theta = 0.37
     for label in ["XYZ", "ZZI", "IIY", "YIY", "ZIZ"]:
         p = PauliString.from_label(label)
-        xd, zd = p.dense_masks()
-        base = 1j ** ((p.phase_exp + p.y_count) % 4)
+        xd, phases = p.dense_action()
         psi = random_state(3, 7)
         expected = expm(1j * theta * to_dense(p)) @ psi
-        got = kernels.pauli_rotation(psi.copy(), xd, zd, complex(base), theta)
+        got = kernels.pauli_rotation(psi.copy(), xd, phases, theta)
         assert np.allclose(got, expected, atol=1e-12), label
 
 
