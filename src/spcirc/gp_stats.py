@@ -284,6 +284,12 @@ def check_gp(n: int, n_samples: int, observable: PauliString,
              batches: int = DEFAULT_BATCHES) -> None:
     """Domain and capacity checks of ``run_gp_experiment``."""
     _check_sampling(n, n_samples, batches)
+    # each batch's sample covariance needs one degree of freedom
+    if n_samples < 2 * batches:
+        raise DomainError(
+            f"the batch covariances need at least two draws per batch: "
+            f"{n_samples} samples for {batches} batches"
+        )
     if observable.n != n:
         raise DomainError("observable size mismatch")
     if observable.phase_exp % 2:

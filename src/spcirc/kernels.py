@@ -5,6 +5,12 @@ Four kernels carry the package's inner loops: ``apply_gate_2q`` and
 second-moment label propagator and ``closure_round`` for the Lie closure.
 ``benchmarks/bench_kernels.py`` times each one on a representative workload.
 
+``closure_round`` commutes a frontier of Pauli directions with a second set.
+``lie_closure.closure`` passes the generators as that set: the algebra they
+generate is spanned by right-normed brackets [g1, [g2, ... [g(k-1), gk]]],
+and a commutator of two directions is one direction or zero, so a round
+costs |frontier| * |G| parity tests rather than |frontier| * dim.
+
 Conventions shared with the rest of the package:
 
 - statevectors are 1-D complex arrays of length 2**n; qubit j (1-based,
@@ -65,35 +71,39 @@ def transfer_apply(v, T, L, din, R):
 # ---------------------------------------------------------------------------
 # one breadth-first round of Lie-closure commutators over Pauli directions
 
-def closure_round(new_x, new_z, all_x, all_z, seen, n):
-    """Commutate the frontier against the whole basis; return fresh directions.
+# Frontier rows per chunk are chosen so that a chunk holds about this many
+# (frontier, basis) pairs: a few tens of MB of temporaries whatever the sizes.
+CHUNK_PAIRS = 1 << 20
 
-    ``seen`` is a bool array of length 4**n indexed by key (x << n) | z and is
-    updated in place. Returns (found_x, found_z) in first-discovery order.
+
+def closure_round(new_x, new_z, all_x, all_z, seen, n):
+    """Commute each frontier direction with each basis direction; return the
+    fresh commutator directions.
+
+    Two Pauli directions anticommute iff popcount(x1 & z2) + popcount(z1 & x2)
+    is odd, and their commutator is then the direction (x1 ^ x2, z1 ^ z2).
+    The parities of a chunk of frontier rows against the whole basis are one
+    vectorised pass. ``seen`` is a bool array of length 4**n indexed by key
+    (x << n) | z and is updated in place. Returns (found_x, found_z) in
+    row-major (frontier, basis) order, each direction at its first occurrence.
     """
-    out_x = np.empty(seen.size, dtype=np.int64)
-    out_z = np.empty(seen.size, dtype=np.int64)
-    count = 0
-    for i in range(new_x.size):
-        par = (np.bitwise_count(new_x[i] & all_z) + np.bitwise_count(new_z[i] & all_x)) & 1
-        idx = np.nonzero(par)[0]
-        if idx.size == 0:
-            continue
-        x3 = new_x[i] ^ all_x[idx]
-        z3 = new_z[i] ^ all_z[idx]
+    rows = max(1, CHUNK_PAIRS // max(all_x.size, 1))
+    found_x, found_z = [], []
+    for start in range(0, new_x.size, rows):
+        fx = new_x[start:start + rows, None]
+        fz = new_z[start:start + rows, None]
+        par = (np.bitwise_count(fx & all_z) + np.bitwise_count(fz & all_x)) & 1
+        i, j = np.nonzero(par)
+        x3 = fx[i, 0] ^ all_x[j]
+        z3 = fz[i, 0] ^ all_z[j]
         keys = (x3 << n) | z3
-        fresh = ~seen[keys]
-        if not fresh.any():
-            continue
-        kf = keys[fresh]
-        # stable first-occurrence dedup within the batch
-        _, first = np.unique(kf, return_index=True)
-        order = np.sort(first)
-        kf = kf[order]
-        xf = (x3[fresh])[order]
-        zf = (z3[fresh])[order]
-        seen[kf] = True
-        out_x[count:count + kf.size] = xf
-        out_z[count:count + kf.size] = zf
-        count += kf.size
-    return out_x[:count].copy(), out_z[:count].copy()
+        fresh = np.flatnonzero(~seen[keys])
+        # stable first-occurrence dedup within the chunk
+        _, first = np.unique(keys[fresh], return_index=True)
+        fresh = fresh[np.sort(first)]
+        seen[keys[fresh]] = True
+        found_x.append(x3[fresh])
+        found_z.append(z3[fresh])
+    if not found_x:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(found_x), np.concatenate(found_z)

@@ -1,9 +1,15 @@
 """Lie closure of Pauli generator sets and algebra classification.
 
-The closure is computed over Pauli *directions*: distinct strings are
-orthogonal, so linear-independence bookkeeping is exact integer set
-membership, and one breadth-first worklist round commutates the current
-frontier against everything known. The generator families are the
+The closure is computed over Pauli *directions*. The Lie algebra generated by
+a set G is spanned by the right-normed brackets [g1, [g2, ... [g(k-1), gk]]]
+with every gi in G (the Jacobi identity rewrites any nested bracket as a
+combination of these). The commutator of two Pauli directions is zero or a
+single direction, so every right-normed bracket is, up to a factor, one
+direction, and distinct directions are linearly independent. A breadth-first
+search that starts from G and commutes each newly found direction with the
+generators only therefore reaches exactly the directions whose span is the
+closure, and the dimension is their count: O(dim * |G|) commutators, not the
+O(dim**2) of commuting with the whole basis. The generator families are the
 symplectic-universal chain set, the SU-universal local set, and the
 orthogonal Y/XY/YX chain.
 """
@@ -15,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, DomainError
-from .pauli import PauliString, in_sp_algebra
+from .errors import CapacityError, DomainError, check_bytes
+from .pauli import PauliString
 
 MAX_DIM_DEFAULT = 4 ** 7
 
@@ -40,12 +46,25 @@ class GeneratorSet:
             seen.add(key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureResult:
-    basis: tuple[PauliString, ...]
-    dimension: int
+    """The closure's directions as int64 x and z mask arrays, in discovery
+    order; ``basis`` builds the ``PauliString`` objects on request."""
+
+    n: int
+    x_masks: np.ndarray
+    z_masks: np.ndarray
     iterations: int
     classification: str
+
+    @property
+    def dimension(self) -> int:
+        return int(self.x_masks.size)
+
+    @property
+    def basis(self) -> tuple[PauliString, ...]:
+        return tuple(PauliString(self.n, x, z, 0)
+                     for x, z in zip(self.x_masks.tolist(), self.z_masks.tolist()))
 
 
 def _chain(n, spec_pairs):
@@ -113,24 +132,40 @@ def so_chain_generators(n: int, start: int = 1) -> GeneratorSet:
     return GeneratorSet(n, _chain(n, spec), "so-chain")
 
 
-def classify(basis: list[PauliString] | tuple[PauliString, ...]) -> str:
-    """Map a commutator-closed basis to sp | su | so | other.
+def sp_directions(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``pauli.in_sp_algebra`` over mask arrays: a direction is in sp(d/2) iff
+    (first factor non-identity) + (Y count on the other qubits) is odd."""
+    return ((np.bitwise_count((x & z) >> 1) + ((x | z) & 1)) & 1).astype(bool)
+
+
+def antisymmetric_directions(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Directions with an odd Y count, i.e. P^T = -P."""
+    return (np.bitwise_count(x & z) & 1).astype(bool)
+
+
+def classify(n: int, x: np.ndarray, z: np.ndarray) -> str:
+    """Map a commutator-closed set of directions, given by its mask arrays, to
+    sp | su | so | other.
 
     sp: dimension d(d+1)/2 with every member an sp direction; su: dimension
     d**2 - 1; so: dimension d(d-1)/2 with every member antisymmetric.
     """
-    if not basis:
-        return "other"
-    n = basis[0].n
     d = 2 ** n
-    dim = len(basis)
-    if dim == d * (d + 1) // 2 and all(in_sp_algebra(p) for p in basis):
+    dim = x.size
+    if dim == 0:
+        return "other"
+    if dim == d * (d + 1) // 2 and sp_directions(x, z).all():
         return "sp"
     if dim == d * d - 1:
         return "su"
-    if dim == d * (d - 1) // 2 and all(p.y_count % 2 == 1 for p in basis):
+    if dim == d * (d - 1) // 2 and antisymmetric_directions(x, z).all():
         return "so"
     return "other"
+
+
+# Bytes per direction a closure may hold: one ``seen`` flag for each of the
+# 4**n directions and, in the worst case, an int64 x and z mask for each.
+_BYTES_PER_DIRECTION = 1 + 16
 
 
 def check_closure(n: int, max_dim: int) -> None:
@@ -140,35 +175,38 @@ def check_closure(n: int, max_dim: int) -> None:
     # 4**n > max_dim, compared by bit length so that an absurd n costs nothing
     if 2 * n >= max(max_dim, 1).bit_length():
         raise CapacityError(f"4**{n} directions exceed the budget {max_dim}")
+    check_bytes(_BYTES_PER_DIRECTION * 4 ** n, f"the closure table at n = {n}")
 
 
 def closure(g: GeneratorSet, max_dim: int = MAX_DIM_DEFAULT) -> ClosureResult:
     """Smallest commutator-closed set of Pauli directions containing g.
 
-    Breadth-first worklist: round k commutates the directions discovered in
-    round k-1 against the whole accumulated basis; ``iterations`` counts
-    rounds until no new direction appears. Deterministic given input order.
+    Breadth-first search over right-normed brackets: round k commutes the
+    directions first found in round k-1 (the generators in round 1) with the
+    generators only; ``iterations`` counts rounds until one finds no new
+    direction. Directions are listed in discovery order, which is
+    deterministic given the generator order.
     """
     n = g.n
     check_closure(n, max_dim)
     seen = np.zeros(4 ** n, dtype=bool)
-    xs = np.array([p.x_mask for p in g.generators], dtype=np.int64)
-    zs = np.array([p.z_mask for p in g.generators], dtype=np.int64)
-    seen[(xs << n) | zs] = True
+    gen_x = np.array([p.x_mask for p in g.generators], dtype=np.int64)
+    gen_z = np.array([p.z_mask for p in g.generators], dtype=np.int64)
+    seen[(gen_x << n) | gen_z] = True
 
-    all_x, all_z = xs, zs
-    new_x, new_z = xs, zs
+    # room for every direction; only the pages that get written are touched
+    xs = np.empty(4 ** n, dtype=np.int64)
+    zs = np.empty(4 ** n, dtype=np.int64)
+    start, count = 0, gen_x.size
+    xs[:count], zs[:count] = gen_x, gen_z
     iterations = 0
-    while new_x.size:
-        found_x, found_z = kernels.closure_round(new_x, new_z, all_x, all_z, seen, n)
+    while start < count:
+        found_x, found_z = kernels.closure_round(
+            xs[start:count], zs[start:count], gen_x, gen_z, seen, n
+        )
         iterations += 1
-        if found_x.size == 0:
-            break
-        all_x = np.concatenate([all_x, found_x])
-        all_z = np.concatenate([all_z, found_z])
-        new_x, new_z = found_x, found_z
+        start, count = count, count + found_x.size
+        xs[start:count], zs[start:count] = found_x, found_z
 
-    basis = tuple(
-        PauliString(n, int(x), int(z), 0) for x, z in zip(all_x.tolist(), all_z.tolist())
-    )
-    return ClosureResult(basis, len(basis), iterations, classify(basis))
+    xs, zs = xs[:count], zs[:count]
+    return ClosureResult(n, xs, zs, iterations, classify(n, xs, zs))

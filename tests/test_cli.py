@@ -351,6 +351,19 @@ def test_gp_summary_out_file(tmp_path, capsys):
     assert json.loads(out.read_text())["theory_name"] == "overlapping-states"
 
 
+def reject_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
+def test_gp_summary_is_strict_json_at_two_draws_per_batch(tmp_path, capsys):
+    cfg = gp_config(tmp_path, samples=40, batches=20)
+    code, out, err = run(["gp-summary", "--config", cfg, "--seed", "5", "--threads", "1"],
+                         capsys)
+    assert code == 0, err
+    p = json.loads(out, parse_constant=reject_constant)["payload"]
+    assert np.all(np.isfinite(p["covariance_se"]))
+
+
 # -- concentration / anticoncentration ----------------------------------------------
 
 def test_concentration_command(capsys):
@@ -536,11 +549,13 @@ def test_threads_below_one_rejected(tmp_path, template, threads, capsys):
 
 def plan_inputs(tmp_path):
     """Input files for the cases below: a circuit past the statevector limit,
-    a directory, a file that is not .npy and a 9 x 9 operator."""
+    a directory, a file that is not .npy, a 9 x 9 operator and a gp config
+    with one draw per batch."""
     (tmp_path / "c20.json").write_text(json.dumps({"n": 20, "gates": []}))
     (tmp_path / "adir").mkdir()
     (tmp_path / "text.npy").write_text("not an array")
     np.save(tmp_path / "eye9.npy", np.eye(9))
+    gp_config(tmp_path, samples=20, batches=20)
     return tmp_path
 
 
@@ -572,6 +587,11 @@ PLAN_FAILURES = [
                   "--input", "{tmp}/eye9.npy"], 2, id="twirl-table-over-byte-limit"),
     pytest.param(["gp", "--config", "{tmp}/adir", "--seed", "1", "--threads", "1",
                   "--out", "{tmp}/o.csv"], 1, id="gp-config-directory"),
+    pytest.param(["gp-summary", "--config", "{tmp}/gp.json", "--seed", "1",
+                  "--threads", "1"], 1, id="gp-summary-samples-equal-batches"),
+    pytest.param(["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5",
+                  "--seed", "1", "--threads", "1"], 1,
+                 id="concentration-samples-equal-batches"),
 ]
 
 

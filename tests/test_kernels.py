@@ -126,3 +126,23 @@ def test_closure_round_keeps_first_of_repeats_within_one_frontier_entry():
     seen[(all_x << n) | all_z] = True
     found_x, _ = assert_round_matches_reference(new_x, new_z, all_x, all_z, seen, n)
     assert found_x.size == 2
+
+
+def test_closure_round_is_chunk_size_independent(monkeypatch):
+    # chunks of one and of a few frontier rows: dedup across chunks goes
+    # through ``seen``, so every round must still match the reference
+    n = 4
+    gens = theorem1_generators(n).generators
+    gen_x = np.array([p.x_mask for p in gens], dtype=np.int64)
+    gen_z = np.array([p.z_mask for p in gens], dtype=np.int64)
+    for chunk_pairs in (1, 3 * gen_x.size + 1):
+        monkeypatch.setattr(kernels, "CHUNK_PAIRS", chunk_pairs)
+        seen = np.zeros(4**n, dtype=bool)
+        seen[(gen_x << n) | gen_z] = True
+        new_x, new_z, total = gen_x, gen_z, gen_x.size
+        while new_x.size:
+            new_x, new_z = assert_round_matches_reference(
+                new_x, new_z, gen_x, gen_z, seen, n
+            )
+            total += new_x.size
+        assert total == 2**n * (2**n + 1) // 2

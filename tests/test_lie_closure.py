@@ -1,16 +1,29 @@
-"""Closure dimensions against the frozen family values."""
+"""Closure dimensions against the frozen family values, and the
+generator-bracket closure against the closure over the whole basis."""
 
+import numpy as np
 import pytest
 
+from spcirc import kernels
 from spcirc.errors import CapacityError, DomainError
 from spcirc.lie_closure import (
     GeneratorSet,
+    antisymmetric_directions,
+    check_closure,
+    classify,
     closure,
     prop2_generators,
     so_chain_generators,
+    sp_directions,
     theorem1_generators,
 )
-from spcirc.pauli import PauliString, commutator, in_sp_algebra, sp_dimension
+from spcirc.pauli import (
+    PauliString,
+    commutator,
+    enumerate_sp_basis,
+    in_sp_algebra,
+    sp_dimension,
+)
 
 
 def test_theorem1_generator_count():
@@ -99,3 +112,96 @@ def test_generator_validation():
 def test_capacity_budget():
     with pytest.raises(CapacityError):
         closure(theorem1_generators(8), max_dim=4**7)
+
+
+def test_check_closure_byte_bound():
+    # the seen table and worst-case mask arrays: 17 * 4**n bytes against 1 GiB
+    check_closure(12, 4**12)
+    with pytest.raises(CapacityError):
+        check_closure(13, 4**13)
+
+
+# -- the closure over the whole basis, as an oracle ---------------------------------
+
+def closure_over_basis(g):
+    """Direction set of the closure by commuting each round's frontier with
+    every direction found so far."""
+    n = g.n
+    all_x = np.array([p.x_mask for p in g.generators], dtype=np.int64)
+    all_z = np.array([p.z_mask for p in g.generators], dtype=np.int64)
+    seen = np.zeros(4**n, dtype=bool)
+    seen[(all_x << n) | all_z] = True
+    new_x, new_z = all_x, all_z
+    while new_x.size:
+        new_x, new_z = kernels.closure_round(new_x, new_z, all_x, all_z, seen, n)
+        all_x = np.concatenate([all_x, new_x])
+        all_z = np.concatenate([all_z, new_z])
+    return all_x, all_z
+
+
+def assert_matches_basis_closure(g):
+    res = closure(g)
+    ox, oz = closure_over_basis(g)
+    got = set(zip(res.x_masks.tolist(), res.z_masks.tolist()))
+    assert got == set(zip(ox.tolist(), oz.tolist())), g.label
+    assert res.dimension == ox.size == len(got)
+    assert res.classification == classify(g.n, ox, oz)
+    return res
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("family", [theorem1_generators, prop2_generators,
+                                    so_chain_generators])
+def test_family_closure_matches_basis_closure(family, n):
+    assert_matches_basis_closure(family(n))
+
+
+def test_random_generator_sets_match_basis_closure():
+    gen = np.random.default_rng(2024)
+    kinds = set()
+    for _ in range(20):
+        n = int(gen.integers(1, 5))
+        count = int(gen.integers(1, 6))
+        keys = gen.choice(np.arange(1, 4**n), size=min(count, 4**n - 1), replace=False)
+        gens = tuple(PauliString(n, int(k) >> n, int(k) & (2**n - 1)) for k in keys)
+        kinds.add(assert_matches_basis_closure(GeneratorSet(n, gens)).classification)
+    assert len(kinds) >= 2, kinds
+
+
+# -- classification over mask arrays -------------------------------------------------
+
+def masks(paulis):
+    return (np.array([p.x_mask for p in paulis], dtype=np.int64),
+            np.array([p.z_mask for p in paulis], dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_vectorised_rules_match_per_object_rules(n):
+    paulis = [PauliString(n, k >> n, k & (2**n - 1)) for k in range(1, 4**n)]
+    x, z = masks(paulis)
+    assert sp_directions(x, z).tolist() == [in_sp_algebra(p) for p in paulis]
+    assert antisymmetric_directions(x, z).tolist() == [p.y_count % 2 == 1 for p in paulis]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_classify_on_known_bases(n):
+    d = 2**n
+    everything = [PauliString(n, k >> n, k & (d - 1)) for k in range(1, 4**n)]
+    sp = enumerate_sp_basis(n)
+    so = [p for p in everything if p.y_count % 2 == 1]
+    assert classify(n, *masks(sp)) == "sp"
+    # sp(1) = su(2): at n = 1 the rule for sp comes first
+    assert classify(n, *masks(everything)) == ("su" if n > 1 else "sp")
+    assert classify(n, *masks(so)) == "so"
+    assert classify(n, *masks([])) == "other"
+    # the right sizes with one member outside the algebra
+    symmetric = [p for p in everything if p.y_count % 2 == 0]
+    assert classify(n, *masks(so[:-1] + symmetric[:1])) == "other"
+    if n > 1:
+        outside_sp = next(p for p in everything if not in_sp_algebra(p))
+        assert classify(n, *masks(sp[:-1] + [outside_sp])) == "other"
+
+
+def test_theorem1_n9():
+    res = closure(theorem1_generators(9), max_dim=4**9)
+    assert (res.dimension, res.classification) == (131328, "sp")
