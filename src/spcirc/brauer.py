@@ -112,21 +112,21 @@ def double_factorial(k: int) -> int:
     return reduce(int.__mul__, range(k, 0, -2), 1)
 
 
-def _check_order(t: int, cap: int = MAX_T) -> None:
+def _check_order(t: int) -> None:
     if t < 1:
         raise DomainError(f"need t >= 1, got {t}")
-    if t > cap:
-        raise CapacityError(f"t = {t} exceeds the diagram cap {cap}")
+    if t > MAX_T:
+        raise CapacityError(f"t = {t} exceeds the diagram cap {MAX_T}")
 
 
-def enumerate_diagrams(t: int, cap: int = MAX_T) -> list[BrauerDiagram]:
+def enumerate_diagrams(t: int) -> list[BrauerDiagram]:
     """All (2t-1)!! diagrams of order t.
 
     Permutations come first (identity leading, the rest sorted by one-line
     notation), then the remaining pairings sorted lexicographically, so for
     t = 2 the order is identity, swap, form-contraction.
     """
-    _check_order(t, cap)
+    _check_order(t)
     diagrams = [
         BrauerDiagram.from_pairs(t, p)
         for p in _all_pairings(list(range(1, 2 * t + 1)))
@@ -224,9 +224,7 @@ def _form_matrix(form: str, d: int) -> np.ndarray:
     raise DomainError(f"unknown form {form!r}")
 
 
-def represent(
-    sigma: BrauerDiagram, d: int, form: str = "sp", limit: int = DENSE_DIM_LIMIT
-) -> np.ndarray:
+def represent(sigma: BrauerDiagram, d: int, form: str = "sp") -> np.ndarray:
     """Dense matrix of the diagram on (C^d)^(x)t, shape (d^t, d^t).
 
     Row multi-index runs over the ket items t+1..2t, column over the bra
@@ -235,8 +233,8 @@ def represent(
     """
     t = sigma.t
     dim = d**t
-    if dim > limit:
-        raise CapacityError(f"dense diagram dim {dim} exceeds limit {limit}")
+    if dim > DENSE_DIM_LIMIT:
+        raise CapacityError(f"dense diagram dim {dim} exceeds limit {DENSE_DIM_LIMIT}")
     metric = _form_matrix(form, d)
     eye = np.eye(d)
     subs = []
@@ -332,13 +330,13 @@ class GramMatrix:
     def delta(self) -> float:
         return -float(self.d) if self.form == "sp" else float(self.d)
 
-    def inverse(self, cutoff: float = 1e-12) -> np.ndarray:
-        """Inverse when regular, eigenvalue-thresholded pseudo-inverse when
-        d <= 2t - 2 makes the Gram matrix singular."""
+    def inverse(self) -> np.ndarray:
+        """Inverse when regular, pseudo-inverse when d <= 2t - 2 makes the Gram
+        matrix singular: eigenvalues below 1e-12 of the largest are dropped."""
         if self._inverse is None:
             if self.pseudo:
                 vals, vecs = np.linalg.eigh(self.entries)
-                keep = np.abs(vals) > cutoff * np.abs(vals).max()
+                keep = np.abs(vals) > 1e-12 * np.abs(vals).max()
                 inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
                 self._inverse = (vecs * inv_vals) @ vecs.T
             else:

@@ -210,10 +210,12 @@ def apply(circ: CircuitSpec, psi: StateVector) -> StateVector:
     return StateVector(circ.n, amp)
 
 
-def to_unitary(circ: CircuitSpec, limit: int = UNITARY_LIMIT) -> np.ndarray:
+def to_unitary(circ: CircuitSpec) -> np.ndarray:
     """Dense (2^n, 2^n) matrix of the whole circuit."""
-    if circ.n > limit:
-        raise CapacityError(f"n = {circ.n} exceeds the dense-unitary limit {limit}")
+    if circ.n > UNITARY_LIMIT:
+        raise CapacityError(
+            f"n = {circ.n} exceeds the dense-unitary limit {UNITARY_LIMIT}"
+        )
     d = 2**circ.n
     u = np.eye(d, dtype=complex)
     cols = np.ascontiguousarray(u.T)

@@ -5,11 +5,12 @@ sp(d/2), the quantities C(rho_j) = Tr[S rho_j S^dag O] over a state family
 behave, at large d, like a centered Gaussian process. The covariance is
 controlled by the algebra overlap
 
-    Tr_g[rho rho'] = (1/d) sum_{P in sp basis} Tr[P rho] Tr[P rho'],
+    Tr_g[rho rho'] = (1/d) sum_{P in sp basis} Tr[P rho] Tr[P rho'].
 
-computable for pure states in O(d) via the identity
-2 Tr_g[rho rho'] = Tr[rho rho'] + Tr[Omega rho Omega rho'^T], whose twisted
-term equals -|psi^T Omega phi|^2.
+The identity 2 Tr_g[rho rho'] = Tr[rho rho'] + Tr[Omega rho Omega rho'^T] is
+bilinear, so it holds for every state through its spectrum
+rho = sum_k w_k |v_k><v_k|: the first term is sum w w' |v^dag v'|^2 and the
+twisted one -sum w w' |v^T Omega v'|^2, at O(d r r') for ranks r and r'.
 
 The exact finite-d covariance is 2 Tr_g/(d + 1); the large-d theory
 references are Tr[rho rho']/d (overlapping states with small twisted
@@ -37,17 +38,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import pauli_apply
 from .errors import CapacityError, DomainError
-from .pauli import PauliString, enumerate_sp_basis, in_sp_algebra, omega_dense
+from .pauli import PauliString, in_sp_algebra
 from .sampler import DEFAULT_TOL, RngStream, sample_sp_columns
 
 SAMPLING_LIMIT = 12
-PROJECTION_LIMIT = 8
 DEFAULT_BATCHES = 20
 
 
@@ -56,38 +56,48 @@ DEFAULT_BATCHES = 20
 
 @dataclass
 class StateSpec:
-    """A state in the experiment family.
+    """A state in the experiment family, held as its spectrum: ``weights``
+    (r,) and orthonormal columns ``vectors`` (d x r) with
+    rho = vectors diag(weights) vectors^dag.
 
-    Pure states carry a statevector (fast O(d) overlap routes), mixed ones
-    only a density matrix.
+    Give exactly one of ``statevector`` (one column of weight 1) and
+    ``density`` (validated, then diagonalised once; weights at or below
+    1e-12 are dropped).
     """
 
     n: int
     statevector: np.ndarray | None = None
     density: np.ndarray | None = None
     label: str = ""
+    weights: np.ndarray = field(init=False, repr=False)
+    vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = 2**self.n
+        if (self.statevector is None) == (self.density is None):
+            raise DomainError("state needs exactly one of a statevector and a density matrix")
         if self.statevector is not None:
-            self.statevector = np.ascontiguousarray(self.statevector, dtype=complex)
-            if self.statevector.shape != (d,):
-                raise DomainError(f"statevector shape {self.statevector.shape}")
-            if abs(np.linalg.norm(self.statevector) - 1.0) > 1e-10:
+            v = np.ascontiguousarray(self.statevector, dtype=complex)
+            if v.shape != (d,):
+                raise DomainError(f"statevector shape {v.shape}")
+            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
                 raise DomainError("statevector is not normalized")
-        if self.density is not None:
-            rho = np.asarray(self.density, dtype=complex)
-            if rho.shape != (d, d):
-                raise DomainError(f"density shape {rho.shape}")
-            if abs(np.trace(rho) - 1.0) > 1e-10:
-                raise DomainError("density trace != 1")
-            if np.abs(rho - rho.conj().T).max() > 1e-10:
-                raise DomainError("density is not Hermitian")
-            if np.linalg.eigvalsh(rho).min() < -1e-10:
-                raise DomainError("density is not positive semidefinite")
-            self.density = rho
-        if self.statevector is None and self.density is None:
-            raise DomainError("state needs a statevector or a density matrix")
+            self.statevector = v
+            self.weights, self.vectors = np.ones(1), v[:, None]
+            return
+        rho = np.asarray(self.density, dtype=complex)
+        if rho.shape != (d, d):
+            raise DomainError(f"density shape {rho.shape}")
+        if abs(np.trace(rho) - 1.0) > 1e-10:
+            raise DomainError("density trace != 1")
+        if np.abs(rho - rho.conj().T).max() > 1e-10:
+            raise DomainError("density is not Hermitian")
+        vals, vecs = np.linalg.eigh(rho)
+        if vals.min() < -1e-10:
+            raise DomainError("density is not positive semidefinite")
+        self.density = rho
+        keep = vals > 1e-12
+        self.weights, self.vectors = vals[keep], vecs[:, keep]
 
     @classmethod
     def computational_basis(cls, n: int, x: int = 0) -> "StateSpec":
@@ -114,126 +124,63 @@ class StateSpec:
         return cls(n, density=np.asarray(rho, dtype=complex), label=label)
 
     def density_matrix(self) -> np.ndarray:
-        if self.density is not None:
-            return self.density
-        return np.outer(self.statevector, self.statevector.conj())
-
-    def spectral_pairs(self):
-        """(weight, vector) pairs for Tr[S rho S^dag O] evaluation."""
-        if self.statevector is not None:
-            return [(1.0, self.statevector)]
-        vals, vecs = np.linalg.eigh(self.density)
-        return [(float(w), np.ascontiguousarray(vecs[:, k]))
-                for k, w in enumerate(vals) if w > 1e-12]
+        return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
-def _omega_pauli(n: int) -> PauliString:
-    # i*Y on qubit 1 (mask bit 0): the dense symplectic form
-    return PauliString(n, 1, 1, 1)
+def _omega_apply(v: np.ndarray) -> np.ndarray:
+    """Omega v for Omega = [[0, I], [-I, 0]] = iY (x) I^(x)(n-1), along axis 0."""
+    m = v.shape[0] // 2
+    return np.concatenate([v[m:], -v[:m]])
 
 
 # ---------------------------------------------------------------------------
 # overlaps
 
-def state_overlap(a: StateSpec, b: StateSpec) -> float:
-    """Tr[rho_a rho_b]."""
+def _overlaps(a: StateSpec, b: StateSpec) -> tuple:
+    """(Tr[rho_a rho_b], Tr[Omega rho_a Omega rho_b^T]) from the spectra:
+    (sum w w' |v^dag v'|^2, -sum w w' |v^T Omega v'|^2)."""
     if a.n != b.n:
         raise DomainError("state size mismatch")
-    if a.statevector is not None and b.statevector is not None:
-        return float(abs(np.vdot(a.statevector, b.statevector)) ** 2)
-    return float(np.real(np.trace(a.density_matrix() @ b.density_matrix())))
+    plain = np.abs(a.vectors.conj().T @ b.vectors) ** 2
+    twisted = np.abs(a.vectors.T @ _omega_apply(b.vectors)) ** 2
+    return (float(a.weights @ plain @ b.weights),
+            -float(a.weights @ twisted @ b.weights))
+
+
+def state_overlap(a: StateSpec, b: StateSpec) -> float:
+    """Tr[rho_a rho_b]."""
+    return _overlaps(a, b)[0]
 
 
 def twisted_overlap(a: StateSpec, b: StateSpec) -> float:
     """Tr[Omega rho_a Omega rho_b^T]; for pure states -|psi^T Omega phi|^2."""
-    if a.n != b.n:
-        raise DomainError("state size mismatch")
-    om = _omega_pauli(a.n)
-    if a.statevector is not None and b.statevector is not None:
-        u = np.dot(a.statevector, pauli_apply(om, b.statevector))
-        return -float(abs(u) ** 2)
-    w = omega_dense(a.n)
-    ra, rb = a.density_matrix(), b.density_matrix()
-    return float(np.real(np.trace(w @ ra @ w @ rb.T)))
+    return _overlaps(a, b)[1]
 
 
-@dataclass(frozen=True)
-class AlgebraOverlap:
-    """Tr_g[rho_a rho_b] with the route that produced it."""
-
-    value: float
-    method: str
-
-
-def algebra_overlap_info(
-    a: StateSpec, b: StateSpec, method: str = "auto"
-) -> AlgebraOverlap:
-    if a.n != b.n:
-        raise DomainError("state size mismatch")
-    if method == "auto":
-        method = "identity" if (
-            a.statevector is not None and b.statevector is not None
-        ) else "pauli"
-    if method == "identity":
-        if a.statevector is None or b.statevector is None:
-            raise DomainError("identity route needs pure states")
-        value = 0.5 * (state_overlap(a, b) + twisted_overlap(a, b))
-        return AlgebraOverlap(float(value), "identity")
-    if method != "pauli":
-        raise DomainError(f"unknown overlap method {method!r}")
-    if a.n > PROJECTION_LIMIT:
-        raise CapacityError(
-            f"sp-basis projection capped at n <= {PROJECTION_LIMIT}"
-        )
-    d = 2**a.n
-    total = 0.0
-    ra = a.density_matrix() if a.statevector is None else None
-    rb = b.density_matrix() if b.statevector is None else None
-    for p in enumerate_sp_basis(a.n):
-        ca = _pauli_coefficient(p, a, ra)
-        cb = ca if b is a else _pauli_coefficient(p, b, rb)
-        total += ca * cb
-    return AlgebraOverlap(total / d, "pauli")
-
-
-def _pauli_coefficient(p: PauliString, s: StateSpec, rho) -> float:
-    if s.statevector is not None:
-        return float(
-            np.real(np.vdot(s.statevector, pauli_apply(p, s.statevector)))
-        )
-    xd, phases = p.dense_action()
-    r = np.arange(2**p.n)
-    # Tr[P rho] = sum_r P[r^x, r] rho[r, r^x]
-    return float(np.real(np.sum(phases * rho[r, r ^ xd])))
-
-
-def algebra_overlap(a: StateSpec, b: StateSpec, method: str = "auto") -> float:
-    return algebra_overlap_info(a, b, method).value
+def algebra_overlap(a: StateSpec, b: StateSpec) -> float:
+    """Tr_g[rho_a rho_b] = (Tr[rho_a rho_b] + Tr[Omega rho_a Omega rho_b^T])/2."""
+    return 0.5 * sum(_overlaps(a, b))
 
 
 # ---------------------------------------------------------------------------
 # covariance references
 
-def exact_covariance(states) -> np.ndarray:
-    """Finite-d covariance 2 Tr_g[rho_j rho_j']/(d + 1)."""
-    d = 2 ** states[0].n
-    m = len(states)
-    out = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            out[i, j] = out[j, i] = 2.0 * algebra_overlap(states[i], states[j]) / (d + 1)
-    return out
-
-
 def _pair_matrices(states):
+    """(Tr[rho_j rho_j'], Tr[Omega rho_j Omega rho_j'^T]) over every pair."""
     m = len(states)
     t = np.empty((m, m))
     w = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            t[i, j] = t[j, i] = state_overlap(states[i], states[j])
-            w[i, j] = w[j, i] = twisted_overlap(states[i], states[j])
+            t[i, j], w[i, j] = _overlaps(states[i], states[j])
+            t[j, i], w[j, i] = t[i, j], w[i, j]
     return t, w
+
+
+def exact_covariance(states) -> np.ndarray:
+    """Finite-d covariance 2 Tr_g[rho_j rho_j']/(d + 1)."""
+    t, w = _pair_matrices(states)
+    return (t + w) / (2 ** states[0].n + 1)
 
 
 def select_theorem(states) -> tuple:
@@ -347,9 +294,8 @@ def _run_batches(total, batches, threads, rng_stream, worker):
 
 
 def _quaternionic_conj(v: np.ndarray) -> np.ndarray:
-    """J v = Omega conj(v) for Omega = [[0, I], [-I, 0]]."""
-    m = v.shape[0] // 2
-    return np.concatenate([v[m:], -v[:m]]).conj()
+    """J v = Omega conj(v)."""
+    return np.conj(_omega_apply(v))
 
 
 def symplectic_frame(vectors) -> np.ndarray:
@@ -375,10 +321,10 @@ def _frame_coefficients(states) -> tuple:
     """(k, coefficients): the first k quaternionic columns of a draw carry
     every state, and coefficients[j] lists (weight, F^dag psi) over state j's
     spectrum."""
-    spectra = [s.spectral_pairs() for s in states]
-    frame = symplectic_frame([v for spec in spectra for _, v in spec])
+    frame = symplectic_frame([v for s in states for v in s.vectors.T])
     adjoint = frame.conj().T
-    coefficients = [[(w, adjoint @ v) for w, v in spec] for spec in spectra]
+    coefficients = [[(w, adjoint @ v) for w, v in zip(s.weights, s.vectors.T)]
+                    for s in states]
     return frame.shape[1] // 2, coefficients
 
 

@@ -201,18 +201,6 @@ class LabelVector:
     def dims(self) -> tuple:
         return tuple(len(a) for a in self.alphabets)
 
-    def coefficient(self, label: str) -> float:
-        """Coefficient of a product label given as one letter per qubit."""
-        if len(label) != self.n:
-            raise DomainError(f"label {label!r} is not {self.n} letters")
-        flat = 0
-        for j, ch in enumerate(label):
-            alpha = self.alphabets[j]
-            if ch not in alpha:
-                raise DomainError(f"qubit {j + 1} has no label {ch!r}")
-            flat = flat * len(alpha) + alpha.index(ch)
-        return float(self.coeffs[flat])
-
 
 def check_propagation(n: int, layers: int = 0) -> None:
     """Checks of ``propagate``: n >= 2 within the label budget, layers >= 0."""
@@ -350,13 +338,15 @@ def _block_superop(group: str) -> np.ndarray:
     return f @ g.inverse() @ f.T
 
 
-def dense_second_moment(n: int, layers: int, limit: int = DENSE_ORACLE_LIMIT) -> np.ndarray:
+def dense_second_moment(n: int, layers: int) -> np.ndarray:
     """E[rho (x) rho] after the given layer count, built by composing exact
     per-block twirl superoperators on the full 4^n-dimensional space."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if n > limit:
-        raise CapacityError(f"dense second-moment oracle capped at n <= {limit}")
+    if n > DENSE_ORACLE_LIMIT:
+        raise CapacityError(
+            f"dense second-moment oracle capped at n <= {DENSE_ORACLE_LIMIT}"
+        )
     dim = 4**n
     m = np.zeros((dim, dim))
     m[0, 0] = 1.0

@@ -42,6 +42,7 @@ _DENSE_1Q = {
 }
 
 DENSE_LIMIT = 12
+BASIS_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def in_sp_algebra(p: PauliString) -> bool:
     return rest_y % 2 == 1
 
 
-def enumerate_sp_basis(n: int, limit: int = 10) -> list[PauliString]:
+def enumerate_sp_basis(n: int) -> list[PauliString]:
     """All d(d+1)/2 Pauli directions spanning sp(d/2), d = 2**n.
 
     Ordered by the (x, z) masks of the trailing n-1 qubits, with first-factor
@@ -205,8 +206,8 @@ def enumerate_sp_basis(n: int, limit: int = 10) -> list[PauliString]:
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if n > limit:
-        raise CapacityError(f"n = {n} exceeds the basis enumeration limit {limit}")
+    if n > BASIS_LIMIT:
+        raise CapacityError(f"n = {n} exceeds the basis enumeration limit {BASIS_LIMIT}")
     out = []
     for rest in range(4 ** (n - 1)):
         xr = rest & ((1 << (n - 1)) - 1)
@@ -226,11 +227,11 @@ def sp_dimension(n: int) -> int:
     return d * (d + 1) // 2
 
 
-def to_dense(p: PauliString, limit: int = DENSE_LIMIT) -> np.ndarray:
+def to_dense(p: PauliString) -> np.ndarray:
     """Dense 2**n x 2**n matrix, built in O(4**n) from the mask action
     (``PauliString.dense_action``)."""
-    if p.n > limit:
-        raise CapacityError(f"n = {p.n} exceeds the dense limit {limit}")
+    if p.n > DENSE_LIMIT:
+        raise CapacityError(f"n = {p.n} exceeds the dense limit {DENSE_LIMIT}")
     d = 2 ** p.n
     xd, phases = p.dense_action()
     idx = np.arange(d)
@@ -239,14 +240,9 @@ def to_dense(p: PauliString, limit: int = DENSE_LIMIT) -> np.ndarray:
     return m
 
 
-def to_dense_kron(p: PauliString, limit: int = DENSE_LIMIT) -> np.ndarray:
+def to_dense_kron(p: PauliString) -> np.ndarray:
     """Same matrix via literal Kronecker products (slow oracle path)."""
-    if p.n > limit:
-        raise CapacityError(f"n = {p.n} exceeds the dense limit {limit}")
+    if p.n > DENSE_LIMIT:
+        raise CapacityError(f"n = {p.n} exceeds the dense limit {DENSE_LIMIT}")
     factors = [_DENSE_1Q[p.factor(j)] for j in range(1, p.n + 1)]
     return (1j ** p.phase_exp) * reduce(np.kron, factors)
-
-
-def omega_dense(n: int) -> np.ndarray:
-    """The symplectic form iY (x) I^(x)(n-1) as a dense real matrix."""
-    return to_dense(PauliString(n, 1, 1, 1)).real.astype(float)

@@ -26,8 +26,8 @@ from spcirc.circuit import (
 )
 from spcirc.errors import CapacityError, DomainError
 from spcirc.lie_closure import theorem1_generators
-from spcirc.pauli import PauliString, omega_dense, to_dense
-from spcirc.sampler import RngStream, is_symplectic, is_unitary, symplectic_defect
+from spcirc.pauli import PauliString, to_dense
+from spcirc.sampler import RngStream, is_symplectic, is_unitary, omega, symplectic_defect
 
 
 def rot(label, theta):
@@ -245,4 +245,4 @@ def test_pauli_expectation():
     assert pauli_expectation(psi, PauliString.from_label("ZI")) == pytest.approx(1.0)
     assert pauli_expectation(psi, PauliString.from_label("XI")) == pytest.approx(0.0)
     om = PauliString(2, 1, 1, 1)  # i Y1, the symplectic form
-    assert np.allclose(omega_dense(2), to_dense(om).real)
+    assert np.allclose(omega(4), to_dense(om).real)

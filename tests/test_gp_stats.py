@@ -19,7 +19,6 @@ from spcirc.gp_stats import (
     _frame_coefficients,
     _observable_values,
     algebra_overlap,
-    algebra_overlap_info,
     anticoncentration_check,
     concentration_tail,
     exact_covariance,
@@ -32,7 +31,7 @@ from spcirc.gp_stats import (
     twisted_overlap,
     wick_fourth_moments,
 )
-from spcirc.pauli import PauliString
+from spcirc.pauli import PauliString, enumerate_sp_basis
 from spcirc.sampler import RngStream, omega, sample_sp, sample_sp_columns
 
 
@@ -56,6 +55,36 @@ def j_image(v):
     return omega(v.shape[0]) @ v.conj()
 
 
+def random_mixed(n, gen):
+    """Full-rank density matrix A A^dag / Tr[A A^dag] for a Gaussian A."""
+    d = 2**n
+    a = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return StateSpec.from_density(n, rho / np.trace(rho).real)
+
+
+def given_density(s):
+    """The state's density matrix as given, not rebuilt from its spectrum."""
+    if s.density is not None:
+        return s.density
+    return np.outer(s.statevector, s.statevector.conj())
+
+
+def projection_overlap(a, b):
+    """Oracle Tr_g[rho_a rho_b] = (1/d) sum_P Tr[P rho_a] Tr[P rho_b] over the
+    d(d+1)/2 sp basis directions, from dense density matrices: O(4^n d)."""
+    d = 2**a.n
+    ra, rb = given_density(a), given_density(b)
+    r = np.arange(d)
+    total = 0.0
+    for p in enumerate_sp_basis(a.n):
+        xd, phases = p.dense_action()
+        # Tr[P rho] = sum_r P[r^x, r] rho[r, r^x]
+        total += (np.real(np.sum(phases * ra[r, r ^ xd]))
+                  * np.real(np.sum(phases * rb[r, r ^ xd])))
+    return total / d
+
+
 def degenerate_family(n, gen):
     """psi_1, J psi_1 and a combination of the two: one quaternionic column."""
     psi = random_pure(n, gen).statevector
@@ -68,10 +97,8 @@ def degenerate_family(n, gen):
 def test_basis_state_algebra_overlap_is_half():
     for n in (2, 3, 4):
         s = StateSpec.computational_basis(n, 0)
-        for method in ("identity", "pauli"):
-            info = algebra_overlap_info(s, s, method=method)
-            assert info.method == method
-            assert info.value == pytest.approx(0.5, abs=1e-12)
+        assert algebra_overlap(s, s) == pytest.approx(0.5, abs=1e-12)
+        assert projection_overlap(s, s) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_overlap_routes_agree_on_random_pure_states():
@@ -79,23 +106,27 @@ def test_overlap_routes_agree_on_random_pure_states():
     n = 3
     for _ in range(6):
         a, b = random_pure(n, gen), random_pure(n, gen)
-        fast = algebra_overlap(a, b, method="identity")
-        slow = algebra_overlap(a, b, method="pauli")
-        assert fast == pytest.approx(slow, abs=1e-10)
-        # dense density-matrix route hits the same number
+        fast = algebra_overlap(a, b)
+        assert fast == pytest.approx(projection_overlap(a, b), abs=1e-10)
+        # the same states given as density matrices hit the same number
         ad = StateSpec.from_density(n, a.density_matrix())
         bd = StateSpec.from_density(n, b.density_matrix())
         assert algebra_overlap(ad, bd) == pytest.approx(fast, abs=1e-10)
+    # full-rank mixed states, against each other and against pure ones
+    for n in (2, 3, 4):
+        a, b, c = random_mixed(n, gen), random_mixed(n, gen), random_pure(n, gen)
+        assert a.weights.shape == (2**n,)
+        assert np.abs(a.density_matrix() - a.density).max() <= 1e-12
+        for x, y in ((a, a), (a, b), (a, c), (c, b)):
+            assert algebra_overlap(x, y) == pytest.approx(
+                projection_overlap(x, y), abs=1e-10
+            )
 
 
 def test_maximally_mixed_has_zero_algebra_overlap():
     n = 3
     mixed = StateSpec.from_density(n, np.eye(2**n) / 2**n)
-    info = algebra_overlap_info(mixed, mixed)
-    assert info.method == "pauli"
-    assert info.value == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        algebra_overlap(mixed, mixed, method="identity")
+    assert algebra_overlap(mixed, mixed) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_twisted_overlap_frozen_values():
@@ -117,12 +148,6 @@ def test_overlap_size_mismatch():
     for fn in (state_overlap, twisted_overlap, algebra_overlap):
         with pytest.raises(DomainError):
             fn(a, b)
-
-
-def test_pauli_route_capacity():
-    a = StateSpec.computational_basis(9, 0)
-    with pytest.raises(CapacityError):
-        algebra_overlap(a, a, method="pauli")
 
 
 # -- covariance references -----------------------------------------------------
@@ -218,7 +243,7 @@ def test_column_draws_preserve_overlaps_and_twisted_overlaps():
     states = pure + [StateSpec.from_density(n, rho)]
     k, coefficients = _frame_coefficients(states)
     assert k == 3
-    vecs = [v for s in states for _, v in s.spectral_pairs()]
+    vecs = [v for s in states for v in s.vectors.T]
     coeffs = [c for spec in coefficients for _, c in spec]
     assert len(vecs) == len(coeffs) == 5
     om = omega(d)
@@ -288,6 +313,25 @@ def test_gp_covariance_matches_finite_d_formula(n, count):
     d = 2**n
     assert run.exact_covariance[0, 0] == pytest.approx(1.0 / (d + 1))
     assert np.all(np.abs(run.covariance - run.exact_covariance) <= 3.0 * run.covariance_se)
+
+
+def test_gp_run_with_a_mixed_state_past_n8():
+    # the exact covariance comes from the spectra at any n the sampler takes
+    n, d = 9, 512
+    gen = np.random.default_rng(53)
+    u, v = random_pure(n, gen).statevector, random_pure(n, gen).statevector
+    v = v - np.vdot(u, v) * u
+    v /= np.linalg.norm(v)
+    rho = 0.75 * np.outer(u, u.conj()) + 0.25 * np.outer(v, v.conj())
+    states = [StateSpec.computational_basis(n, 0), StateSpec.from_density(n, rho)]
+    run = run_gp_experiment(states, PauliString.single(n, 2, "Y"), 40, RngStream(54))
+    assert run.values.shape == (40, 2)
+    om = omega(d)
+    dense = [given_density(s) for s in states]
+    want = np.array([[np.trace(a @ b).real + np.trace(om @ a @ om @ b.T).real
+                      for b in dense] for a in dense]) / (d + 1)
+    assert np.abs(run.exact_covariance - want).max() <= 1e-12
+    assert states[1].weights.shape == (2,)
 
 
 # -- the sampled experiment ------------------------------------------------------
@@ -510,3 +554,5 @@ def test_state_spec_validation():
         StateSpec.from_density(2, bad)  # negative weight
     with pytest.raises(DomainError):
         StateSpec(2)
+    with pytest.raises(DomainError):  # one description of the state, not two
+        StateSpec(2, statevector=np.eye(4)[0], density=np.eye(4) / 4)

@@ -14,7 +14,6 @@ from spcirc.pauli import (
     in_sp_algebra,
     is_symmetric,
     multiply,
-    omega_dense,
     sp_dimension,
     to_dense,
     to_dense_kron,
@@ -89,7 +88,7 @@ def test_dense_matches_kron_property(p):
 
 def test_dense_limit():
     with pytest.raises(CapacityError):
-        to_dense(PauliString(13, 0, 0), limit=12)
+        to_dense(PauliString(13, 0, 0))
 
 
 def test_hermitian_iff_even_phase():
@@ -156,14 +155,14 @@ def test_commutator_direction():
 # -- symplectic algebra membership ----------------------------------------------
 
 def dense_in_sp(p):
-    om = omega_dense(p.n)
+    om = omega(2**p.n)
     m = 1j * to_dense(p)
     return np.allclose(m.T @ om, -om @ m, atol=1e-12)
 
 
 def test_omega_dense_is_canonical_block_form():
     for n in (1, 2, 3):
-        assert np.array_equal(omega_dense(n), omega(2**n))
+        assert np.array_equal(to_dense(PauliString(n, 1, 1, 1)).real, omega(2**n))
 
 
 def test_in_sp_algebra_matches_dense_exhaustive():
@@ -193,7 +192,7 @@ def test_enumerate_sp_basis():
 
 def test_enumerate_sp_basis_limit():
     with pytest.raises(CapacityError):
-        enumerate_sp_basis(11, limit=10)
+        enumerate_sp_basis(11)
 
 
 def test_iz_only_members_are_z_leading():
