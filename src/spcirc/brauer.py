@@ -158,13 +158,18 @@ class BrauerAlgebraElement:
 
 
 def compose(a: BrauerDiagram, b: BrauerDiagram, delta: float) -> BrauerAlgebraElement:
-    """Diagram product matching operator order: glue a's bra column onto
-    b's ket column, so for permutations represent(compose(a, b).single()[0])
-    equals represent(a) @ represent(b).
+    """Abstract B_t(delta) diagram product in operator order: glue a's bra
+    column onto b's ket column.
 
     Strands surviving the gluing form the product diagram on b's bra and
     a's ket columns; each closed loop confined to the glued middle column
-    contributes one factor of delta.
+    contributes one factor of delta. For the orthogonal form (delta = d),
+    delta^loops * represent(product) equals represent(a) @ represent(b) for
+    every pair. For the symplectic form (delta = -d) that holds up to a sign
+    only: the oriented omega edges are not tracked, so some products that
+    are not permutations come out negated, e.g. represent(SWAP) @
+    represent(Pi_s) = -represent(Pi_s) while compose gives Pi_s (2 of the 9
+    products at t = 2, 90 of 225 at t = 3).
     """
     if a.t != b.t:
         raise DomainError(f"order mismatch: {a.t} vs {b.t}")
@@ -405,7 +410,9 @@ class TwirlResult:
         return np.array([self.coefficients[sig] for sig in self.diagrams])
 
 
-_FORM_BY_GROUP = {"sp": "sp", "o": "o", "so": "o"}
+# SO(d) is left out: for even d <= 2t its invariants include the Levi-Civita
+# tensor, which no Brauer diagram spans, so the O(d) twirl would be wrong.
+_FORM_BY_GROUP = {"sp": "sp", "o": "o"}
 
 
 def check_twirl(t: int, d: int, group: str = "sp") -> None:

@@ -14,11 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, has_type, read_fields, read_kind
 from .lie_closure import GeneratorSet, prop2_generators, theorem1_generators
 from .pauli import PauliString
 from .sampler import BLOCK_GROUPS, RngStream, as_generator, sample_block
@@ -154,21 +153,22 @@ def concat(circuits) -> CircuitSpec:
     return CircuitSpec(n, [g for c in circuits for g in c.gates])
 
 
+def brick_layer(n: int) -> list:
+    """The (bond, group) blocks of one brick layer in gate order: odd bonds
+    (1,2), (3,4), ... then even bonds (2,3), (4,5), ..., bond i joining qubits
+    i and i + 1; the bond containing qubit 1 is SP(2), every other O(4)."""
+    return [(i, "sp2" if i == 1 else "o4") for start in (1, 2) for i in range(start, n, 2)]
+
+
 def build_bricklayer(n: int, layers: int, rng) -> CircuitSpec:
-    """Brick-layer of Haar 2-qubit blocks: per layer, odd bonds (1,2), (3,4),
-    ... then even bonds (2,3), (4,5), ...; the bond containing qubit 1 draws
-    from SP(2), every other bond from O(4)."""
+    """``layers`` brick layers of Haar 2-qubit blocks, drawn in gate order."""
     if n < 2:
         raise DomainError(f"brick-layer needs n >= 2, got {n}")
     if layers < 0:
         raise DomainError(f"negative layer count {layers}")
     gen = as_generator(rng)
-    gates = []
-    for _ in range(layers):
-        for start in (1, 2):
-            for i in range(start, n, 2):
-                group = "sp2" if i == 1 else "o4"
-                gates.append(HaarBlock((i, i + 1), group, sample_block(group, gen)))
+    gates = [HaarBlock((i, i + 1), group, sample_block(group, gen))
+             for _ in range(layers) for i, group in brick_layer(n)]
     return CircuitSpec(n, gates, layers=layers)
 
 
@@ -244,58 +244,30 @@ def pauli_expectation(psi: StateVector, p: PauliString) -> complex:
 # ---------------------------------------------------------------------------
 # JSON interface
 
-CIRCUIT_SCHEMA = {
-    "type": "object",
-    "required": ["n", "gates"],
-    "additionalProperties": False,
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "layers": {"type": "integer", "minimum": 0},
-        "gates": {
-            "type": "array",
-            "items": {
-                "oneOf": [
-                    {
-                        "type": "object",
-                        "required": ["type", "pauli", "theta"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "type": {"const": "rot"},
-                            "pauli": {"type": "string"},
-                            "theta": {"type": "number"},
-                        },
-                    },
-                    {
-                        "type": "object",
-                        "required": ["type", "qubits", "group"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "type": {"const": "haar"},
-                            "qubits": {
-                                "type": "array",
-                                "items": {"type": "integer", "minimum": 1},
-                                "minItems": 2,
-                                "maxItems": 2,
-                            },
-                            "group": {"enum": list(BLOCK_GROUPS)},
-                        },
-                    },
-                ]
-            },
-        },
-    },
+_GATE_FIELDS = {
+    "rot": {"type": str, "pauli": str, "theta": float},
+    "haar": {"type": str, "qubits": list, "group": str},
 }
 
 
 def circuit_from_json(source) -> CircuitSpec:
-    """Parse {n, gates, seed?}; Haar blocks are resolved from the seed in
-    gate order, so the same document always yields the same circuit."""
+    """Parse {n, gates, seed?, layers?}; Haar blocks are resolved from the seed
+    in gate order, so the same document always yields the same circuit. Key
+    and type errors are reported here; CircuitSpec and sample_block check the
+    values."""
     data = json.loads(source) if isinstance(source, (str, bytes)) else source
-    try:
-        jsonschema.validate(data, CIRCUIT_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise DomainError(f"bad circuit document: {e.message}") from e
+    read_fields(data, "circuit document", {"n": int, "gates": list},
+                {"seed": int, "layers": int})
+    if data.get("layers", 0) < 0:
+        raise DomainError("bad circuit document: layers must be at least 0")
+    for k, g in enumerate(data["gates"]):
+        where = f"circuit document: gates[{k}]"
+        kind = read_kind(g, where, "type", _GATE_FIELDS)
+        read_fields(g, where, _GATE_FIELDS[kind])
+        if kind == "haar" and not (
+            len(g["qubits"]) == 2 and all(has_type(q, int) for q in g["qubits"])
+        ):
+            raise DomainError(f"bad {where}: qubits must be two integers")
     seed = data.get("seed")
     needs_seed = any(g["type"] == "haar" for g in data["gates"])
     if needs_seed and seed is None:
@@ -306,9 +278,9 @@ def circuit_from_json(source) -> CircuitSpec:
         if g["type"] == "rot":
             gates.append(Rotation(PauliString.from_label(g["pauli"]), float(g["theta"])))
         else:
-            qubits = tuple(int(q) for q in g["qubits"])
-            gates.append(HaarBlock(qubits, g["group"], sample_block(g["group"], gen)))
-    return CircuitSpec(int(data["n"]), gates, seed=seed, layers=data.get("layers"))
+            gates.append(HaarBlock(tuple(g["qubits"]), g["group"],
+                                   sample_block(g["group"], gen)))
+    return CircuitSpec(data["n"], gates, seed=seed, layers=data.get("layers"))
 
 
 def circuit_to_json(circ: CircuitSpec) -> dict:

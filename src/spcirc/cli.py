@@ -23,11 +23,11 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__, brauer, circuit, gp_stats, lie_closure, moment
-from .errors import CapacityError, ConsistencyError, DomainError, check_bytes
+from .errors import (CapacityError, ConsistencyError, DomainError, check_bytes, read_fields,
+                     read_kind)
 from .pauli import PauliString
 from .sampler import RngStream, sample_orthogonal, sample_sp, sample_unitary
 
@@ -222,64 +222,34 @@ def _plan_simulate(args):
     return config, {"n": circ.n, "gates": circ.gate_count()}, run
 
 
-GP_STATE_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"const": "computational_basis"},
-                "x": {"type": "integer", "minimum": 0},
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"const": "superposition_pair"},
-                "flip_qubit": {"type": "integer", "minimum": 1},
-            },
-        },
-    ]
-}
-
-GP_CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version", "n", "observable", "states", "samples"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "n": {"type": "integer", "minimum": 2},
-        "observable": {"type": "string"},
-        "samples": {"type": "integer", "minimum": 20},
-        "batches": {"type": "integer", "minimum": 2},
-        "states": {"type": "array", "minItems": 1, "items": GP_STATE_SCHEMA},
-    },
+_GP_FIELDS = {"schema_version": int, "n": int, "observable": str, "samples": int,
+              "states": list}
+# state kind -> (its one optional field, the StateSpec constructor taking it)
+_GP_STATES = {
+    "computational_basis": ("x", gp_stats.StateSpec.computational_basis),
+    "superposition_pair": ("flip_qubit", gp_stats.StateSpec.superposition_pair),
 }
 
 
 def _load_gp_config(path: str):
-    data = json.loads(Path(path).read_text())
-    try:
-        jsonschema.validate(data, GP_CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise DomainError(f"bad gp config: {e.message}") from e
-    n = data["n"]
+    """The config's fields and types, then the rules no library check makes;
+    check_gp and the StateSpec constructors make the rest."""
+    data = read_fields(json.loads(Path(path).read_text()), "gp config",
+                       _GP_FIELDS, {"batches": int})
+    n, samples = data["n"], data["samples"]
+    if data["schema_version"] != SCHEMA_VERSION:
+        raise DomainError(f"bad gp config: schema_version must be {SCHEMA_VERSION}")
+    if n < 2 or samples < 20 or not data["states"]:
+        raise DomainError(f"bad gp config: needs n >= 2, samples >= 20 and a state; "
+                          f"got n = {n}, samples = {samples}, {len(data['states'])} states")
+    for k, s in enumerate(data["states"]):
+        where = f"gp config: states[{k}]"
+        kind = read_kind(s, where, "kind", _GP_STATES)
+        read_fields(s, where, {"kind": str}, {_GP_STATES[kind][0]: int})
     observable = PauliString.from_label(data["observable"])
-    gp_stats.check_gp(
-        n, data["samples"], observable,
-        data.get("batches", gp_stats.DEFAULT_BATCHES),
-    )
-    states = []
-    for s in data["states"]:
-        if s["kind"] == "computational_basis":
-            states.append(gp_stats.StateSpec.computational_basis(n, s.get("x", 0)))
-        else:
-            states.append(
-                gp_stats.StateSpec.superposition_pair(n, s.get("flip_qubit", 2))
-            )
+    gp_stats.check_gp(n, samples, observable, data.get("batches", gp_stats.DEFAULT_BATCHES))
+    states = [_GP_STATES[s["kind"]][1](n, **{key: v for key, v in s.items() if key != "kind"})
+              for s in data["states"]]
     return data, states, observable
 
 

@@ -2,7 +2,9 @@
 
 DomainError maps to CLI exit code 1 (bad parameters, mismatched sizes),
 CapacityError to exit code 2 (request exceeds the configured dense budget),
-ConsistencyError to exit code 3.
+ConsistencyError to exit code 3. ``read_fields`` and ``read_kind`` check the
+keys and value types of a JSON input document, the one check the CLI's JSON
+inputs get before the domain checks of the library.
 """
 
 # Bytes one dense table or output array may take.
@@ -26,3 +28,46 @@ def check_bytes(nbytes: int, what: str) -> None:
     """CapacityError when ``what`` would take more than MEMORY_LIMIT bytes."""
     if nbytes > MEMORY_LIMIT:
         raise CapacityError(f"{what} needs {nbytes} bytes; the limit is {MEMORY_LIMIT}")
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def has_type(value, kind: type) -> bool:
+    """Whether a JSON value is of ``kind``: int is a JSON integer (not a bool,
+    not 4.0), float any JSON number, and str, list and dict what they say."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def read_fields(doc, where: str, required: dict, optional: dict | None = None) -> dict:
+    """Return ``doc`` after checking that it is a JSON object with every
+    ``required`` key, no key outside ``required`` and ``optional``, and each
+    value of the type its key maps to (see ``has_type``). A failure raises
+    DomainError("bad <where>: ...")."""
+    optional = optional or {}
+    if not isinstance(doc, dict):
+        raise DomainError(f"bad {where}: expected an object, got {type(doc).__name__}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise DomainError(f"bad {where}: missing {', '.join(map(repr, missing))}")
+    for key, value in doc.items():
+        kind = required.get(key, optional.get(key))
+        if kind is None:
+            raise DomainError(f"bad {where}: unknown key {key!r}")
+        if not has_type(value, kind):
+            raise DomainError(
+                f"bad {where}: {key!r} must be {_TYPE_NAMES[kind]}, got {repr(value)[:40]}"
+            )
+    return doc
+
+
+def read_kind(doc, where: str, key: str, kinds) -> str:
+    """The string ``doc[key]`` of a JSON object, which must be one of ``kinds``;
+    it names the fields ``read_fields`` then checks."""
+    kind = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise DomainError(f"bad {where}: {key!r} must be one of {', '.join(kinds)}")
+    return kind

@@ -54,7 +54,7 @@ DEFAULT_BATCHES = 20
 # ---------------------------------------------------------------------------
 # states
 
-@dataclass
+@dataclass(eq=False)
 class StateSpec:
     """A state in the experiment family, held as its spectrum: ``weights``
     (r,) and orthonormal columns ``vectors`` (d x r) with
@@ -210,12 +210,12 @@ def _batch_sizes(total: int, batches: int):
 def _check_sampling(n: int, n_samples: int, batches: int) -> None:
     if n < 1:
         raise DomainError(f"need at least one qubit, got n = {n}")
-    if n > SAMPLING_LIMIT:
-        raise CapacityError(f"dense sampling capped at n <= {SAMPLING_LIMIT}")
     if batches < 2:
         raise DomainError(f"batch error bars need at least 2 batches, got {batches}")
     if n_samples < batches:
         raise DomainError(f"need at least {batches} samples, got {n_samples}")
+    if n > SAMPLING_LIMIT:
+        raise CapacityError(f"dense sampling capped at n <= {SAMPLING_LIMIT}")
 
 
 def _check_basis_index(n: int, x_index: int) -> None:

@@ -236,13 +236,11 @@ def _apply_block(v: LabelVector, bond: int, group: str) -> LabelVector:
 
 
 def propagate(v: LabelVector, layers: int) -> LabelVector:
-    """Apply ``layers`` full brick layers (odd bonds then even bonds; the
-    bond containing qubit 1 is symplectic, every other bond orthogonal)."""
+    """Apply ``layers`` full brick layers (``circuit.brick_layer``)."""
     check_propagation(v.n, layers)
     for _ in range(layers):
-        for start in (1, 2):
-            for i in range(start, v.n, 2):
-                v = _apply_block(v, i, "sp2" if i == 1 else "o4")
+        for i, group in circuit.brick_layer(v.n):
+            v = _apply_block(v, i, group)
         v = LabelVector(v.n, v.alphabets, v.coeffs, layers=v.layers + 1)
     return v
 
@@ -353,21 +351,20 @@ def dense_second_moment(n: int, layers: int) -> np.ndarray:
     # axes: rows (copy1 qubits 1..n, copy2 qubits 1..n), then columns likewise
     shape = (2,) * (4 * n)
     for _ in range(layers):
-        for start in (1, 2):
-            for i in range(start, n, 2):
-                s = _block_superop("sp2" if i == 1 else "o4")
-                axes = [
-                    i - 1, i,                     # rows, copy 1
-                    n + i - 1, n + i,             # rows, copy 2
-                    2 * n + i - 1, 2 * n + i,     # cols, copy 1
-                    3 * n + i - 1, 3 * n + i,     # cols, copy 2
-                ]
-                t = np.moveaxis(m.reshape(shape), axes, range(8))
-                rest = t.shape[8:]
-                flat = np.ascontiguousarray(t.reshape(256, -1))
-                flat = s @ flat
-                t = np.moveaxis(flat.reshape((2,) * 8 + rest), range(8), axes)
-                m = t.reshape(dim, dim)
+        for i, group in circuit.brick_layer(n):
+            s = _block_superop(group)
+            axes = [
+                i - 1, i,                     # rows, copy 1
+                n + i - 1, n + i,             # rows, copy 2
+                2 * n + i - 1, 2 * n + i,     # cols, copy 1
+                3 * n + i - 1, 3 * n + i,     # cols, copy 2
+            ]
+            t = np.moveaxis(m.reshape(shape), axes, range(8))
+            rest = t.shape[8:]
+            flat = np.ascontiguousarray(t.reshape(256, -1))
+            flat = s @ flat
+            t = np.moveaxis(flat.reshape((2,) * 8 + rest), range(8), axes)
+            m = t.reshape(dim, dim)
     return m
 
 

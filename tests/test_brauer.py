@@ -175,6 +175,20 @@ def test_compose_matches_matrix_product_for_permutations():
             )
 
 
+def test_compose_matches_matrix_product_for_the_orthogonal_form():
+    # delta^loops F(a b) = F(a) F(b) for every pair; the symplectic form
+    # agrees only up to a sign, e.g. F(SWAP) F(Pi_s) = -F(Pi_s)
+    d = 3
+    for t in (1, 2, 3):
+        reps = {s: represent(s, d, form="o") for s in enumerate_diagrams(t)}
+        for a in reps:
+            for b in reps:
+                prod, loops = compose(a, b, float(d)).single()
+                assert np.allclose(d**loops * reps[prod], reps[a] @ reps[b])
+    ident, swap, pi = enumerate_diagrams(2)
+    assert np.array_equal(represent(swap, 4) @ represent(pi, 4), -represent(pi, 4))
+
+
 def test_temperley_lieb_relations():
     ident, swap, pi = enumerate_diagrams(2)
     delta = -4.0
@@ -330,6 +344,16 @@ def test_twirl_table_byte_limit():
         check_twirl(5, 4, "sp")  # 945 matrices of 1024 x 1024: 7.9 GB
     with pytest.raises(CapacityError):
         check_twirl(1, 8192, "o")  # one matrix past DENSE_DIM_LIMIT
+
+
+def test_special_orthogonal_twirl_is_refused():
+    # SO(2) fixes J = [[0, 1], [-1, 0]], which the O(2) twirl would send to 0
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.allclose(monte_carlo_twirl(j, 1, 2, "so", 5, RngStream(28, "mc")), j)
+    with pytest.raises(DomainError):
+        check_twirl(1, 2, "so")
+    with pytest.raises(DomainError):
+        twirl(j.astype(complex), 1, 2, "so")
 
 
 def test_gram_domain_checks():

@@ -228,6 +228,16 @@ def test_json_validation():
         circuit_from_json(
             json.dumps({"n": 2, "gates": [{"type": "rot", "pauli": "XX"}]})
         )
+    # integers must be JSON integers: no 3.0, no bool; qubits are one pair
+    haar = {"type": "haar", "qubits": [1, 2], "group": "sp2"}
+    for doc in [
+        {"n": 3.0, "gates": []},
+        {"n": 2, "seed": 1.0, "gates": [haar]},
+        {"n": 2, "seed": True, "gates": [haar]},
+        {"n": 3, "seed": 1, "gates": [dict(haar, qubits=[1, 2, 3])]},
+    ]:
+        with pytest.raises(DomainError):
+            circuit_from_json(json.dumps(doc))
 
 
 # -- Pauli action helpers -------------------------------------------------------------

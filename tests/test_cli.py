@@ -515,6 +515,10 @@ def test_sampling_dry_run_fails_like_the_run(argv, code, capsys):
         pytest.param({"states": [{"kind": "superposition_pair", "flip_qubit": 4}]}, 1,
                      id="flip-qubit-out-of-range"),
         pytest.param({"observable": "IY"}, 1, id="observable-size"),
+        pytest.param({"n": 3.0}, 1, id="float-n"),
+        pytest.param({"samples": 60.0}, 1, id="float-samples"),
+        pytest.param({"states": [{"kind": "computational_basis", "x": 1.0}]}, 1,
+                     id="float-x"),
     ],
 )
 @pytest.mark.parametrize("command", ["gp", "gp-summary"])
@@ -634,11 +638,10 @@ def test_value_error_inside_the_run_is_not_hidden(monkeypatch, capsys):
 def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(spcirc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, spcirc.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
+    code = "import sys, spcirc.cli; print('scipy' in sys.modules, 'jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False False"
 
 
 # -- fuzzed dry-run contract ----------------------------------------------------------

@@ -556,3 +556,7 @@ def test_state_spec_validation():
         StateSpec(2)
     with pytest.raises(DomainError):  # one description of the state, not two
         StateSpec(2, statevector=np.eye(4)[0], density=np.eye(4) / 4)
+    # states compare by identity, so lists of them can be searched
+    a, b = StateSpec.computational_basis(2, 0), StateSpec.computational_basis(2, 0)
+    assert a == a and a != b
+    assert [b, a].index(a) == 1
