@@ -62,20 +62,22 @@ def bench_pauli_rotation(n=14, rotations=100):
     return run
 
 
-def bench_transfer(n=12, layers=8):
+def bench_transfer(n=12):
+    """One half brick layer of the label propagator on a fully labeled
+    vector: a gemm per block on bonds (1, 2), (3, 4), ..., the last block
+    first, alternating between two buffers."""
     gen = np.random.default_rng(3)
-    t = gen.normal(size=(9, 9))
-    dims = [2] + [3] * (n - 1)
-    v = gen.normal(size=int(np.prod(dims)))
+    size = 2 * 3 ** (n - 1)
+    v = gen.normal(size=size)
+    buffers = (np.empty(size), np.empty(size))
+    # qubit 1 carries 2 labels, every other qubit 3
+    blocks = [gen.normal(size=(9, 9)) for _ in range(n // 2 - 1)] + [gen.normal(size=(6, 6))]
 
     def run():
-        for _ in range(layers):
-            for bond in range(1, n - 1):
-                left = int(np.prod(dims[: bond - 1] or [1]))
-                right = int(np.prod(dims[bond + 1:] or [1]))
-                din = dims[bond - 1] * dims[bond]
-                block = t[:din, :din].T.copy()
-                kernels.transfer_apply(v, block, left, din, right)
+        cur = v
+        for k, t in enumerate(blocks):
+            din = t.shape[1]
+            cur = kernels.transfer_apply(cur, t, size // din, din, 1, out=buffers[k % 2])
 
     return run
 
@@ -106,7 +108,7 @@ def bench_haar_draw(d=256, k=None, draws=20):
 BENCHES = [
     ("apply_gate_2q (n=14, 100 gates)", bench_apply_gate),
     ("pauli_rotation (n=14, 100 rotations)", bench_pauli_rotation),
-    ("transfer_apply (n=12, 8 layers)", bench_transfer),
+    ("transfer_apply (n=12, half layer)", bench_transfer),
     ("lie closure (n=6, dim 2080)", bench_closure),
     ("sample_sp (d=256, 20 draws)", bench_haar_draw),
     ("sample_sp_columns (d=256, k=2, 20 draws)", lambda: bench_haar_draw(k=2)),

@@ -224,16 +224,20 @@ def _plan_simulate(args):
 
 _GP_FIELDS = {"schema_version": int, "n": int, "observable": str, "samples": int,
               "states": list}
-# state kind -> (its one optional field, the StateSpec constructor taking it)
+# state kind -> (its one optional field, that field's range check, the
+# StateSpec constructor taking it)
 _GP_STATES = {
-    "computational_basis": ("x", gp_stats.StateSpec.computational_basis),
-    "superposition_pair": ("flip_qubit", gp_stats.StateSpec.superposition_pair),
+    "computational_basis": ("x", gp_stats.check_basis_index,
+                            gp_stats.StateSpec.computational_basis),
+    "superposition_pair": ("flip_qubit", gp_stats.check_flip_qubit,
+                           gp_stats.StateSpec.superposition_pair),
 }
 
 
 def _load_gp_config(path: str):
     """The config's fields and types, then the rules no library check makes;
-    check_gp and the StateSpec constructors make the rest."""
+    check_gp and the StateSpec constructors make the rest. The state ranges
+    come before check_gp, whose capacity check would otherwise hide them."""
     data = read_fields(json.loads(Path(path).read_text()), "gp config",
                        _GP_FIELDS, {"batches": int})
     n, samples = data["n"], data["samples"]
@@ -244,11 +248,13 @@ def _load_gp_config(path: str):
                           f"got n = {n}, samples = {samples}, {len(data['states'])} states")
     for k, s in enumerate(data["states"]):
         where = f"gp config: states[{k}]"
-        kind = read_kind(s, where, "kind", _GP_STATES)
-        read_fields(s, where, {"kind": str}, {_GP_STATES[kind][0]: int})
+        field, check_range, _ = _GP_STATES[read_kind(s, where, "kind", _GP_STATES)]
+        read_fields(s, where, {"kind": str}, {field: int})
+        if field in s:
+            check_range(n, s[field])
     observable = PauliString.from_label(data["observable"])
     gp_stats.check_gp(n, samples, observable, data.get("batches", gp_stats.DEFAULT_BATCHES))
-    states = [_GP_STATES[s["kind"]][1](n, **{key: v for key, v in s.items() if key != "kind"})
+    states = [_GP_STATES[s["kind"]][2](n, **{key: v for key, v in s.items() if key != "kind"})
               for s in data["states"]]
     return data, states, observable
 

@@ -101,7 +101,7 @@ class StateSpec:
 
     @classmethod
     def computational_basis(cls, n: int, x: int = 0) -> "StateSpec":
-        _check_basis_index(n, x)
+        check_basis_index(n, x)
         v = np.zeros(2**n, dtype=complex)
         v[x] = 1.0
         return cls(n, statevector=v, label=f"basis[{x}]")
@@ -109,8 +109,7 @@ class StateSpec:
     @classmethod
     def superposition_pair(cls, n: int, flip_qubit: int = 2) -> "StateSpec":
         """(|0...0> + |0...010...0>)/sqrt(2), the 1 on ``flip_qubit``."""
-        if not 1 <= flip_qubit <= n:
-            raise DomainError(f"flip qubit {flip_qubit} out of range")
+        check_flip_qubit(n, flip_qubit)
         v = np.zeros(2**n, dtype=complex)
         v[0] = v[1 << (n - flip_qubit)] = 1.0 / math.sqrt(2.0)
         return cls(n, statevector=v, label=f"pair[q{flip_qubit}]")
@@ -218,9 +217,17 @@ def _check_sampling(n: int, n_samples: int, batches: int) -> None:
         raise CapacityError(f"dense sampling capped at n <= {SAMPLING_LIMIT}")
 
 
-def _check_basis_index(n: int, x_index: int) -> None:
-    if not 0 <= x_index < 2**n:
+# The two state range checks allocate nothing (not even 2**n), so a GP
+# config can make them before its capacity check.
+
+def check_basis_index(n: int, x_index: int) -> None:
+    if not (x_index >= 0 and int(x_index).bit_length() <= n):
         raise DomainError(f"bitstring index {x_index} out of range")
+
+
+def check_flip_qubit(n: int, flip_qubit: int) -> None:
+    if not 1 <= flip_qubit <= n:
+        raise DomainError(f"flip qubit {flip_qubit} out of range")
 
 
 # One validator per sampled experiment, called by the experiment itself and by
@@ -261,8 +268,8 @@ def check_concentration(n: int, n_samples: int, thresholds, observable: PauliStr
 def check_anticoncentration(n: int, n_samples: int, alpha_grid, x_index: int,
                             batches: int = DEFAULT_BATCHES) -> np.ndarray:
     """Checks of ``anticoncentration_check``; returns the alphas as an array."""
+    check_basis_index(n, x_index)
     _check_sampling(n, n_samples, batches)
-    _check_basis_index(n, x_index)
     alphas = np.asarray(alpha_grid, dtype=float)
     if not np.all((alphas >= 0) & (alphas <= 1)):
         raise DomainError("alpha values must lie in [0, 1]")

@@ -24,17 +24,16 @@ the dense 4x4 oracle, never hardcoded.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import brauer, circuit, kernels
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import CapacityError, ConsistencyError, DomainError, check_bytes
 from .pauli import _DENSE_1Q
 from .sampler import as_generator
-
-LABEL_BUDGET = 16
 
 
 def _two_copy(p: str) -> np.ndarray:
@@ -202,14 +201,20 @@ class LabelVector:
         return tuple(len(a) for a in self.alphabets)
 
 
+def _full_size(n: int) -> int:
+    """Coefficients of a fully labeled vector: {I, S} on qubit 1, {I, S, B}
+    on the rest. No label vector of the propagation is larger."""
+    return 2 * 3 ** (n - 1)
+
+
 def check_propagation(n: int, layers: int = 0) -> None:
-    """Checks of ``propagate``: n >= 2 within the label budget, layers >= 0."""
+    """Checks of ``propagate``: n >= 2, layers >= 0, and the two buffers of
+    ``_full_size(n)`` float64 the propagation holds within the byte limit."""
     if layers < 0:
         raise DomainError(f"negative layer count {layers}")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if n > LABEL_BUDGET:
-        raise CapacityError(f"n = {n} exceeds the dense label budget (n <= {LABEL_BUDGET})")
+    check_bytes(2 * _full_size(n) * 8, f"label propagation at n = {n}")
 
 
 def initial_label_vector(n: int) -> LabelVector:
@@ -218,30 +223,69 @@ def initial_label_vector(n: int) -> LabelVector:
     return LabelVector(n, (ALPHA_RAW,) * n, np.ones(1), layers=0)
 
 
-def _apply_block(v: LabelVector, bond: int, group: str) -> LabelVector:
-    """Bond (bond, bond + 1), 1-based."""
-    in_a = v.alphabets[bond - 1]
-    in_b = v.alphabets[bond]
-    row = block_transfer(group, in_a, in_b)
-    dims = v.dims()
-    left = int(np.prod(dims[: bond - 1], dtype=np.int64))
-    right = int(np.prod(dims[bond + 1 :], dtype=np.int64))
-    din = len(in_a) * len(in_b)
-    out = kernels.transfer_apply(v.coeffs, row.T, left, din, right)
-    out_a, out_b = _out_alphabets(group)
-    alphabets = (
-        v.alphabets[: bond - 1] + (out_a, out_b) + v.alphabets[bond + 1 :]
-    )
-    return LabelVector(v.n, alphabets, out, layers=v.layers)
+def _half_layers(n: int) -> list:
+    """The odd-bond and the even-bond halves of ``circuit.brick_layer(n)``,
+    each a set of disjoint blocks; the even half is empty at n = 2."""
+    layer = circuit.brick_layer(n)
+    halves = ([b for b in layer if b[0] % 2 == 1], [b for b in layer if b[0] % 2 == 0])
+    return [h for h in halves if h]
+
+
+def _half_layer_blocks(alphabets: tuple, half: list) -> list:
+    """One half layer as blocks that tile qubits 1..n: (row-action matrix,
+    output alphabets) per block, first qubit first. A qubit that no block of
+    the half touches (qubit 1 in the even half, qubit n in the half whose
+    last bond ends before it) is folded into its neighbour's block as an
+    identity factor, kron(I, T) or kron(T, I); on a raw qubit that factor
+    is 1 x 1."""
+    n = len(alphabets)
+    blocks = []
+    for k, (bond, group) in enumerate(half):
+        lo = 1 if k == 0 else bond
+        hi = n if k == len(half) - 1 else bond + 1
+        row = block_transfer(group, alphabets[bond - 1], alphabets[bond])
+        left = alphabets[lo - 1 : bond - 1]
+        right = alphabets[bond + 1 : hi]
+        if left:
+            row = np.kron(np.eye(math.prod(map(len, left))), row)
+        if right:
+            row = np.kron(row, np.eye(math.prod(map(len, right))))
+        blocks.append((row, left + _out_alphabets(group) + right))
+    return blocks
+
+
+def _layers(v: LabelVector):
+    """Yield ``v`` after each further brick layer, without end.
+
+    A half layer is the Kronecker product of its blocks. Each block is one
+    ``kernels.transfer_apply`` gemm that contracts the vector's trailing
+    qubits and writes them first, so walking the blocks from the last qubit
+    to the first leaves the qubits in their order. The passes alternate
+    between two buffers of ``_full_size(n)`` float64; a yielded vector is a
+    view into one of them and holds only until the next step.
+    """
+    buffers = (np.empty(_full_size(v.n)), np.empty(_full_size(v.n)))
+    halves = _half_layers(v.n)
+    alphabets, cur, layers, passes = v.alphabets, v.coeffs, v.layers, 0
+    while True:
+        for half in halves:
+            blocks = _half_layer_blocks(alphabets, half)
+            for row, _ in reversed(blocks):
+                din, dout = row.shape
+                rest = cur.size // din
+                out = buffers[passes % 2][: dout * rest]
+                cur = kernels.transfer_apply(cur, row.T, rest, din, 1, out=out)
+                passes += 1
+            alphabets = sum((out_ab for _, out_ab in blocks), ())
+        layers += 1
+        yield LabelVector(v.n, alphabets, cur, layers=layers)
 
 
 def propagate(v: LabelVector, layers: int) -> LabelVector:
     """Apply ``layers`` full brick layers (``circuit.brick_layer``)."""
     check_propagation(v.n, layers)
-    for _ in range(layers):
-        for i, group in circuit.brick_layer(v.n):
-            v = _apply_block(v, i, group)
-        v = LabelVector(v.n, v.alphabets, v.coeffs, layers=v.layers + 1)
+    for v in itertools.islice(_layers(v), layers):
+        pass
     return v
 
 
@@ -255,12 +299,10 @@ def collision_probability(v: LabelVector) -> float:
 
 def collision_trace(n: int, layers: int) -> list:
     """[z(0 layers), z(1), ..., z(layers)]."""
+    check_propagation(n, layers)
     v = initial_label_vector(n)
-    trace = [collision_probability(v)]
-    for _ in range(layers):
-        v = propagate(v, 1)
-        trace.append(collision_probability(v))
-    return trace
+    steps = itertools.islice(_layers(v), layers)
+    return [collision_probability(v)] + [collision_probability(w) for w in steps]
 
 
 @dataclass(frozen=True)
@@ -289,9 +331,8 @@ def depth_to_anticoncentrate(
     v = initial_label_vector(n)
     trace = [collision_probability(v)]
     hit = None
-    for layer in range(1, max_layers + 1):
-        v = propagate(v, 1)
-        z = collision_probability(v)
+    for layer, w in enumerate(itertools.islice(_layers(v), max(max_layers, 0)), start=1):
+        z = collision_probability(w)
         trace.append(z)
         if abs(zh - z) < target:
             hit = layer

@@ -497,6 +497,9 @@ SAMPLING_FAILURES = [
                   "--alphas", "0.5"], 2, id="anticoncentration-n-over-limit"),
     pytest.param(["anticoncentration", "--n", "3", "--samples", "40",
                   "--alphas", "0.5", "--x", "8"], 1, id="anticoncentration-x-out-of-range"),
+    pytest.param(["anticoncentration", "--n", "13", "--samples", "40",
+                  "--alphas", "0.5", "--x=-1"], 1,
+                 id="anticoncentration-x-out-of-range-over-limit"),
 ]
 
 
@@ -514,6 +517,12 @@ def test_sampling_dry_run_fails_like_the_run(argv, code, capsys):
                      id="x-out-of-range"),
         pytest.param({"states": [{"kind": "superposition_pair", "flip_qubit": 4}]}, 1,
                      id="flip-qubit-out-of-range"),
+        pytest.param({"n": 13, "observable": "I" + "Y" + "I" * 11,
+                      "states": [{"kind": "computational_basis", "x": -1}]}, 1,
+                     id="x-out-of-range-over-limit"),
+        pytest.param({"n": 13, "observable": "I" + "Y" + "I" * 11,
+                      "states": [{"kind": "superposition_pair", "flip_qubit": 14}]}, 1,
+                     id="flip-qubit-out-of-range-over-limit"),
         pytest.param({"observable": "IY"}, 1, id="observable-size"),
         pytest.param({"n": 3.0}, 1, id="float-n"),
         pytest.param({"samples": 60.0}, 1, id="float-samples"),

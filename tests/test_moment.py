@@ -1,4 +1,4 @@
-"""Second-moment label propagator against frozen and dense oracles.
+"""Second-moment label propagator against frozen, per-block and dense oracles.
 
 The 6x6 sp2 transfer matrix below is a frozen external reference value; the
 test asserts the first-principles derivation reproduces it entry-by-entry in
@@ -9,10 +9,16 @@ expansion of the twirled input label a.
 import numpy as np
 import pytest
 
+from spcirc import circuit
 from spcirc.errors import CapacityError, DomainError
 from spcirc.moment import (
+    ALPHA_FIRST,
+    ALPHA_RAW,
     ALPHA_REST,
     LABEL_OPS,
+    LabelVector,
+    block_transfer,
+    check_propagation,
     collision_probability,
     collision_trace,
     contraction_values,
@@ -114,6 +120,8 @@ def test_initial_vector_collision_is_one():
         assert collision_probability(initial_label_vector(n)) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         initial_label_vector(1)
+    # the two propagation buffers fit the byte limit up to n = 16
+    check_propagation(16)
     with pytest.raises(CapacityError):
         initial_label_vector(17)
 
@@ -139,6 +147,37 @@ def test_fixed_point_is_haar_value():
         assert collision_probability(v) == pytest.approx(z_haar(n), abs=1e-10)
 
 
+def apply_block_reference(v, bond, group):
+    """One block on bond (bond, bond + 1), 1-based, as a stacked matmul over
+    the qubits left and right of the bond: the propagator's step before the
+    half layers became one gemm per block."""
+    in_a, in_b = v.alphabets[bond - 1], v.alphabets[bond]
+    row = block_transfer(group, in_a, in_b)
+    dims = v.dims()
+    left = int(np.prod(dims[: bond - 1], dtype=np.int64))
+    right = int(np.prod(dims[bond + 1 :], dtype=np.int64))
+    out = np.matmul(row.T, v.coeffs.reshape(left, len(in_a) * len(in_b), right))
+    out_a = ALPHA_FIRST if group == "sp2" else ALPHA_REST
+    alphabets = v.alphabets[: bond - 1] + (out_a, ALPHA_REST) + v.alphabets[bond + 1 :]
+    return LabelVector(v.n, alphabets, out.reshape(-1), layers=v.layers)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_propagate_matches_per_block_reference(n):
+    """Every layer up to 20, including odd n and n = 2, where the half layers
+    fold the qubits no block touches into a neighbouring block."""
+    ref = LabelVector(n, (ALPHA_RAW,) * n, np.ones(1))
+    v = initial_label_vector(n)
+    for layer in range(1, 21):
+        for bond, group in circuit.brick_layer(n):
+            ref = apply_block_reference(ref, bond, group)
+        v = propagate(v, 1)
+        assert v.layers == layer
+        assert v.alphabets == ref.alphabets
+        scale = np.abs(ref.coeffs).max()
+        assert np.abs(v.coeffs - ref.coeffs).max() <= 1e-12 * scale, (n, layer)
+
+
 def test_propagate_layer_count_bookkeeping():
     v = propagate(initial_label_vector(3), 2)
     assert v.layers == 2
@@ -148,7 +187,9 @@ def test_propagate_layer_count_bookkeeping():
 
 # -- dense oracle cross-checks ----------------------------------------------------------
 
-@pytest.mark.parametrize("n,layers", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize(
+    "n,layers", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3), (6, 2)]
+)
 def test_propagated_z_matches_dense_second_moment(n, layers):
     m = dense_second_moment(n, layers)
     z_dense = dense_collision(m, n)
