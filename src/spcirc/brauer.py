@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import CapacityError, DomainError, check_bytes
-from .sampler import as_generator, omega, sample_orthogonal, sample_sp
+from .sampler import SAMPLERS, as_generator, omega
 
 MAX_T = 5
 DENSE_DIM_LIMIT = 4096
@@ -459,16 +459,12 @@ def monte_carlo_twirl(
     x: np.ndarray, t: int, d: int, group: str, n_samples: int, rng
 ) -> np.ndarray:
     """Empirical mean of S^(x)t x (S^(x)t)^dag over Haar samples."""
-    gen = as_generator(rng)
-    if group == "sp":
-        draw = lambda: sample_sp(d, gen)
-    elif group in ("o", "so"):
-        draw = lambda: sample_orthogonal(d, gen, special=group == "so")
-    else:
+    if group not in SAMPLERS:
         raise DomainError(f"unknown group {group!r}")
+    gen = as_generator(rng)
     acc = np.zeros((d**t, d**t), dtype=complex)
     for _ in range(n_samples):
-        s = draw()
+        s = SAMPLERS[group](d, gen)
         big = s
         for _ in range(t - 1):
             big = np.kron(big, s)

@@ -19,7 +19,6 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from . import __version__, brauer, circuit, gp_stats, lie_closure, moment
 from .errors import (CapacityError, ConsistencyError, DomainError, check_bytes, read_fields,
                      read_kind)
 from .pauli import PauliString
-from .sampler import RngStream, sample_orthogonal, sample_sp, sample_unitary
+from .sampler import SAMPLERS, RngStream
 
 SCHEMA_VERSION = 1
 
@@ -129,10 +128,6 @@ def _plan_closure(args):
     return config, {}, run
 
 
-_SAMPLERS = {"sp": sample_sp, "o": sample_orthogonal,
-             "so": partial(sample_orthogonal, special=True), "u": sample_unitary}
-
-
 def check_sample(group: str, d: int, count: int) -> None:
     """Checks of the ``sample`` subcommand, including its output bytes."""
     if count < 1:
@@ -152,7 +147,7 @@ def _plan_sample(args):
 
     def run():
         gen = RngStream(args.seed, "sample").generator()
-        draw = _SAMPLERS[args.group]
+        draw = SAMPLERS[args.group]
         out = np.empty((args.count, args.d, args.d), dtype=complex)
         for k in range(args.count):
             out[k] = draw(args.d, gen)
@@ -343,19 +338,16 @@ def _plan_anticoncentration(args):
 
 def _plan_depth(args):
     config = {"n_min": args.n_min, "n_max": args.n_max, "epsilon": args.epsilon,
-              "max_layers": args.max_layers, "out": args.out,
-              "threads": args.threads}
+              "max_layers": args.max_layers, "out": args.out}
     if args.n_max < args.n_min:
         raise DomainError(f"bad n range [{args.n_min}, {args.n_max}]")
     for n in (args.n_min, args.n_max):
-        moment.check_depth(n, args.epsilon)
+        moment.check_depth(n, args.epsilon, args.max_layers)
     out = _out_path(args.out)
-    sweep = partial(moment.depth_to_anticoncentrate, epsilon=args.epsilon,
-                    max_layers=args.max_layers)
 
     def run():
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(sweep, range(args.n_min, args.n_max + 1)))
+        results = [moment.depth_to_anticoncentrate(n, args.epsilon, args.max_layers)
+                   for n in range(args.n_min, args.n_max + 1)]
         rows = []
         for res in results:
             star = "" if res.n_l_star is None else res.n_l_star
@@ -430,7 +422,7 @@ def build_parser() -> _Parser:
 
     p = _subcommand(sub, "sample", _plan_sample, "Haar samples from sp/o/so/u",
                     stochastic=True)
-    p.add_argument("--group", required=True, choices=list(_SAMPLERS))
+    p.add_argument("--group", required=True, choices=list(SAMPLERS))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True, help="output .npy path")
@@ -481,7 +473,7 @@ def build_parser() -> _Parser:
     p.add_argument("--x", type=int, default=0, help="bitstring index")
 
     p = _subcommand(sub, "anticoncentration-depth", _plan_depth,
-                    "layers to anti-concentrate vs n (CSV + log fit)", threaded=True)
+                    "layers to anti-concentrate vs n (CSV + log fit)")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=14)
     p.add_argument("--epsilon", type=float, default=0.01)

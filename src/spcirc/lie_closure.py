@@ -172,8 +172,10 @@ def check_closure(n: int, max_dim: int) -> None:
     """Checks of ``closure``, made before any generator or table is built."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
+    if max_dim < 1:
+        raise DomainError(f"need max_dim >= 1, got {max_dim}")
     # 4**n > max_dim, compared by bit length so that an absurd n costs nothing
-    if 2 * n >= max(max_dim, 1).bit_length():
+    if 2 * n >= max_dim.bit_length():
         raise CapacityError(f"4**{n} directions exceed the budget {max_dim}")
     check_bytes(_BYTES_PER_DIRECTION * 4 ** n, f"the closure table at n = {n}")
 

@@ -7,10 +7,11 @@ inside a per-qubit product basis: qubit 1 carries {I, S}, every other qubit
     S_J = XX + YY + ZZ,    B_J = XX - YY + ZZ.
 
 Each Haar block acts on this reduced space as a small transfer matrix
-derived here from the exact t = 2 twirl (symplectic for the block on qubit
-1, orthogonal elsewhere) rather than transcribed from a table. The label
-basis is not orthogonal (S and B overlap), so re-expansion goes through the
-per-qubit Gram matrices.
+derived here rather than transcribed from a table: the projection onto the
+label pairs of the block's exact t = 2 twirl superoperator (symplectic for
+the block on qubit 1, orthogonal elsewhere), the 256 x 256 matrix the dense
+oracle applies as well. The label basis is not orthogonal (S and B
+overlap), so the projection solves the normal equations of the label pairs.
 
 Before any block has acted, |0><0|^(x)2 per qubit is outside the label span;
 such qubits carry the one-element bootstrap alphabet ("raw",) and enter the
@@ -100,52 +101,53 @@ def _out_alphabets(group: str):
     raise DomainError(f"no label transfer for block group {group!r}")
 
 
+def _block_superop(group: str) -> np.ndarray:
+    """256x256 real matrix of the exact block twirl acting on vec(X), X a
+    16x16 copy-major two-copy operator of the block's two qubits."""
+    form = _GROUP_FORM[group]
+    g, reps = brauer._representations(2, 4, form)
+    f = np.stack([r.ravel() for r in reps], axis=1)
+    return f @ g.inverse() @ f.T
+
+
 _TRANSFER_CACHE: dict = {}
+
+
+def _label_basis(alpha_a, alpha_b) -> np.ndarray:
+    """256 x (|alpha_a| |alpha_b|) matrix whose columns are the vec'd
+    copy-major operators of the label pairs, first factor outermost."""
+    return np.stack(
+        [_copy_swap(np.kron(LABEL_OPS[a], LABEL_OPS[b])).ravel()
+         for a in alpha_a for b in alpha_b],
+        axis=1,
+    )
 
 
 def block_transfer(group: str, in_a, in_b) -> np.ndarray:
     """Row-action transfer of one Haar block: entry [i, o] is the coefficient
     of output label pair o in the exact twirl of input label pair i.
 
-    Derivation: push each dense input pair through the t = 2 Weingarten
-    twirl of the block's group at d = 4, then re-expand in the (non-
-    orthogonal) output label basis via the per-qubit Gram inverses. A
-    residual above 1e-10 in the re-expansion is a basis/ordering bug and
-    raises ConsistencyError.
+    Derivation: a projection of the block superoperator ``_block_superop``
+    (the t = 2 Weingarten twirl of the block's group at d = 4, the one the
+    dense oracle applies) onto the label pairs. With B_in and B_out the
+    vec'd input and output pairs, C solves the normal equations
+    (B_out^T B_out) C = B_out^T S B_in, since the output labels are not
+    orthogonal. A residual B_out C - S B_in above 1e-10 is a basis/ordering
+    bug and raises ConsistencyError.
     """
     key = (group, tuple(in_a), tuple(in_b))
     if key in _TRANSFER_CACHE:
         return _TRANSFER_CACHE[key]
-    out_a, out_b = _out_alphabets(group)
-    ga_inv = np.linalg.inv(label_gram(out_a))
-    gb_inv = np.linalg.inv(label_gram(out_b))
-    basis_a = [LABEL_OPS[a] for a in out_a]
-    basis_b = [LABEL_OPS[b] for b in out_b]
-    rows = []
-    for la in in_a:
-        for lb in in_b:
-            x = _copy_swap(np.kron(LABEL_OPS[la], LABEL_OPS[lb]))
-            tw = brauer.twirl(x.astype(complex), 2, 4, _GROUP_FORM[group])
-            y = brauer.twirl_matrix(tw)
-            if np.abs(y.imag).max() > 1e-12:
-                raise ConsistencyError("twirl of a real operator came out complex")
-            y = _copy_swap(y.real)
-            m = np.array(
-                [[np.sum(np.kron(ka, kb) * y) for kb in basis_b] for ka in basis_a]
-            )
-            c = ga_inv @ m @ gb_inv
-            recon = sum(
-                c[i, j] * np.kron(basis_a[i], basis_b[j])
-                for i in range(len(out_a))
-                for j in range(len(out_b))
-            )
-            if np.abs(recon - y).max() > 1e-10:
-                raise ConsistencyError(
-                    f"label re-expansion residual {np.abs(recon - y).max():.2e} "
-                    f"for {group} input ({la},{lb})"
-                )
-            rows.append(c.ravel())
-    out = np.array(rows)
+    b_out = _label_basis(*_out_alphabets(group))
+    y = _block_superop(group) @ _label_basis(in_a, in_b)
+    c = np.linalg.solve(b_out.T @ b_out, b_out.T @ y)
+    residual = np.abs(b_out @ c - y).max()
+    if residual > 1e-10:
+        raise ConsistencyError(
+            f"label re-expansion residual {residual:.2e} for {group} inputs "
+            f"{tuple(in_a)} x {tuple(in_b)}"
+        )
+    out = np.ascontiguousarray(c.T)
     out.setflags(write=False)
     _TRANSFER_CACHE[key] = out
     return out
@@ -290,11 +292,12 @@ def propagate(v: LabelVector, layers: int) -> LabelVector:
 
 
 def collision_probability(v: LabelVector) -> float:
-    """z = sum_x E[p(x)^2]: contract against (x)_J sum_b |bb><bb|."""
-    t = v.coeffs.reshape(v.dims())
-    for alpha in v.alphabets:
-        t = np.tensordot(contraction_values(alpha), t, axes=([0], [0]))
-    return float(t)
+    """z = sum_x E[p(x)^2]: contract against (x)_J sum_b |bb><bb|, the
+    trailing qubit of the contiguous vector first."""
+    t = v.coeffs
+    for alpha in reversed(v.alphabets):
+        t = t.reshape(-1, len(alpha)) @ contraction_values(alpha)
+    return float(t[0])
 
 
 def collision_trace(n: int, layers: int) -> list:
@@ -313,10 +316,12 @@ class DepthResult:
     z_trace: tuple
 
 
-def check_depth(n: int, epsilon: float) -> None:
+def check_depth(n: int, epsilon: float, max_layers: int) -> None:
     """Checks of ``depth_to_anticoncentrate``."""
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if max_layers < 1:
+        raise DomainError(f"need max_layers >= 1, got {max_layers}")
     check_propagation(n)
 
 
@@ -325,13 +330,13 @@ def depth_to_anticoncentrate(
 ) -> DepthResult:
     """Smallest layer count with |z_haar - z| < epsilon/d; None if unreached
     within max_layers. z_trace starts at depth 0."""
-    check_depth(n, epsilon)
+    check_depth(n, epsilon, max_layers)
     target = epsilon / 2**n
     zh = z_haar(n)
     v = initial_label_vector(n)
     trace = [collision_probability(v)]
     hit = None
-    for layer, w in enumerate(itertools.islice(_layers(v), max(max_layers, 0)), start=1):
+    for layer, w in enumerate(itertools.islice(_layers(v), max_layers), start=1):
         z = collision_probability(w)
         trace.append(z)
         if abs(zh - z) < target:
@@ -366,15 +371,6 @@ def fit_log_depth(ns, depths) -> LogFit:
 # dense oracles (test surface; exponential in n)
 
 DENSE_ORACLE_LIMIT = 6
-
-
-def _block_superop(group: str) -> np.ndarray:
-    """256x256 real matrix of the exact block twirl acting on vec(X), X a
-    16x16 copy-major two-copy operator of the block's two qubits."""
-    form = _GROUP_FORM[group]
-    g, reps = brauer._representations(2, 4, form)
-    f = np.stack([r.ravel() for r in reps], axis=1)
-    return f @ g.inverse() @ f.T
 
 
 def dense_second_moment(n: int, layers: int) -> np.ndarray:

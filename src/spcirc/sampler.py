@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,26 +76,25 @@ def omega(d: int) -> np.ndarray:
     return out
 
 
+def _gauged_q(a: np.ndarray) -> np.ndarray:
+    """Q of the QR of a Ginibre matrix, its columns rephased so that the
+    diagonal of R is positive (a zero diagonal has probability zero)."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
 def sample_unitary(d: int, rng) -> np.ndarray:
     """Haar U(d): complex Ginibre, QR, R-diagonal phase gauge."""
     g = as_generator(rng)
     a = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return q
+    return _gauged_q(a)
 
 
 def sample_orthogonal(d: int, rng, special: bool = False) -> np.ndarray:
     """Haar O(d); with special=True, Haar SO(d) by flipping one column sign."""
-    g = as_generator(rng)
-    a = g.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diagonal(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
+    q = _gauged_q(as_generator(rng).standard_normal((d, d)))
     if special and np.linalg.det(q) < 0:
-        q = q.copy()
         q[:, 0] = -q[:, 0]
     return q
 
@@ -134,9 +134,7 @@ def sample_sp_columns(d: int, k: int, rng) -> np.ndarray:
     a[0::2, 1::2] = qc + 1j * qd
     a[1::2, 0::2] = -qc + 1j * qd
     a[1::2, 1::2] = qa - 1j * qb
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
+    q = _gauged_q(a)
     return q[np.ix_(_shuffle_perm(d), _shuffle_perm(2 * k))]
 
 
@@ -145,20 +143,20 @@ def sample_sp(d: int, rng) -> np.ndarray:
     return sample_sp_columns(d, d // 2, rng)
 
 
-BLOCK_GROUPS = ("sp2", "so4", "o4", "u4")
+# group -> Haar sampler, called as sampler(d, rng)
+SAMPLERS = {"sp": sample_sp, "o": sample_orthogonal,
+            "so": partial(sample_orthogonal, special=True), "u": sample_unitary}
+
+# brick-layer block group -> its SAMPLERS key; every block is 4 x 4
+BLOCK_GROUPS = {"sp2": "sp", "so4": "so", "o4": "o", "u4": "u"}
 
 
 def sample_block(group: str, rng) -> np.ndarray:
-    """4x4 Haar block for the brick-layer circuit families."""
-    if group == "sp2":
-        return sample_sp(4, rng)
-    if group == "so4":
-        return sample_orthogonal(4, rng, special=True)
-    if group == "o4":
-        return sample_orthogonal(4, rng).astype(complex)
-    if group == "u4":
-        return sample_unitary(4, rng)
-    raise DomainError(f"unknown block group {group!r}; expected one of {BLOCK_GROUPS}")
+    """4x4 complex Haar block for the brick-layer circuit families."""
+    if group not in BLOCK_GROUPS:
+        raise DomainError(f"unknown block group {group!r}; expected one of "
+                          f"{tuple(BLOCK_GROUPS)}")
+    return SAMPLERS[BLOCK_GROUPS[group]](4, rng).astype(complex)
 
 
 # ---------------------------------------------------------------------------

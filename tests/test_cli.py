@@ -408,7 +408,7 @@ def test_depth_sweep_csv_and_fit(tmp_path, capsys):
     out = tmp_path / "depth.csv"
     env = run_json(
         ["anticoncentration-depth", "--n-min", "2", "--n-max", "4",
-         "--out", str(out), "--threads", "1"],
+         "--out", str(out)],
         capsys,
     )
     assert env["payload"]["path"] == str(out)
@@ -429,7 +429,7 @@ def test_depth_unreached_column_empty(tmp_path, capsys):
     out = tmp_path / "depth.csv"
     env = run_json(
         ["anticoncentration-depth", "--n-min", "4", "--n-max", "5",
-         "--max-layers", "1", "--out", str(out), "--threads", "1"],
+         "--max-layers", "1", "--out", str(out)],
         capsys,
     )
     assert env["payload"]["unreached"] == [4, 5]
@@ -545,8 +545,6 @@ THREADED = [
      "--seed", "1"],
     ["anticoncentration", "--n", "3", "--samples", "40", "--alphas", "0.5",
      "--seed", "1"],
-    ["anticoncentration-depth", "--n-min", "2", "--n-max", "3",
-     "--out", "{tmp}/d.csv"],
 ]
 
 
@@ -558,6 +556,15 @@ def test_threads_below_one_rejected(tmp_path, template, threads, capsys):
     assert_dry_run_exits_like_run(argv + ["--threads", threads], 1, capsys)
     # the same command with one thread runs
     assert run(argv + ["--threads", "1"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("threads", ["1", "0", "-3"])
+def test_depth_has_no_threads_option(tmp_path, threads, capsys):
+    """The depth sweep runs serially; --threads is an unknown option there."""
+    argv = ["anticoncentration-depth", "--n-min", "2", "--n-max", "3",
+            "--out", str(tmp_path / "d.csv")]
+    assert_dry_run_exits_like_run(argv + ["--threads", threads], 1, capsys)
+    assert "threads" not in run_json(argv, capsys)["config"]
 
 
 def plan_inputs(tmp_path):
@@ -579,9 +586,17 @@ PLAN_FAILURES = [
                   "--out", "{tmp}/d.csv"], 2, id="depth-n-over-budget"),
     pytest.param(["anticoncentration-depth", "--epsilon", "-1", "--out", "{tmp}/d.csv"], 1,
                  id="depth-negative-epsilon"),
+    pytest.param(["anticoncentration-depth", "--max-layers", "0", "--out", "{tmp}/d.csv"], 1,
+                 id="depth-zero-max-layers"),
+    pytest.param(["anticoncentration-depth", "--max-layers", "-1", "--out", "{tmp}/d.csv"], 1,
+                 id="depth-negative-max-layers"),
     pytest.param(["closure", "--set", "theorem1", "--n", "8"], 2, id="closure-default-cap"),
-    pytest.param(["closure", "--set", "theorem1", "--n", "3", "--max-dim", "-1"], 2,
+    pytest.param(["closure", "--set", "theorem1", "--n", "3", "--max-dim", "-1"], 1,
                  id="closure-negative-cap"),
+    pytest.param(["closure", "--set", "theorem1", "--n", "3", "--max-dim", "0"], 1,
+                 id="closure-zero-cap"),
+    pytest.param(["closure", "--set", "theorem1", "--n", "3", "--max-dim", "-5"], 1,
+                 id="closure-cap-minus-five"),
     pytest.param(["gram", "--t", "7", "--d", "4", "--group", "sp"], 2, id="gram-t-over-cap"),
     pytest.param(["gram", "--t", "0", "--d", "4", "--group", "sp"], 1, id="gram-t-zero"),
     pytest.param(["gram", "--t", "2", "--d", "0", "--group", "o"], 1, id="gram-d-zero"),
@@ -675,7 +690,7 @@ FUZZ = {
     "anticoncentration-depth": {
         "--n-min": (st.integers(2, 3), BAD), "--n-max": (st.integers(3, 4), BAD),
         "--epsilon": (st.sampled_from([0.01, 0.5, 10**6]), st.sampled_from([0, -1])),
-        "--max-layers": (st.integers(1, 40), BAD), "--threads": THREADS,
+        "--max-layers": (st.integers(1, 40), BAD),
         "--out": (st.just("{tmp}/d.csv"), None)},
     "concentration": {
         "--n": (st.integers(1, 4), BAD), "--samples": (st.integers(20, 40), BAD_COUNT),

@@ -121,6 +121,15 @@ def test_check_closure_byte_bound():
         check_closure(13, 4**13)
 
 
+@pytest.mark.parametrize("max_dim", [0, -5])
+def test_check_closure_rejects_a_cap_below_one(max_dim):
+    # malformed input, not a capacity question, even where 4**n exceeds the cap
+    with pytest.raises(DomainError, match="max_dim"):
+        check_closure(3, max_dim)
+    with pytest.raises(DomainError, match="max_dim"):
+        closure(theorem1_generators(3), max_dim=max_dim)
+
+
 # -- the closure over the whole basis, as an oracle ---------------------------------
 
 def closure_over_basis(g):

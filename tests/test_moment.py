@@ -18,6 +18,7 @@ from spcirc.moment import (
     LABEL_OPS,
     LabelVector,
     block_transfer,
+    check_depth,
     check_propagation,
     collision_probability,
     collision_trace,
@@ -178,6 +179,25 @@ def test_propagate_matches_per_block_reference(n):
         assert np.abs(v.coeffs - ref.coeffs).max() <= 1e-12 * scale, (n, layer)
 
 
+def collision_reference(v):
+    """z contracted one qubit at a time from qubit 1, one tensordot each: the
+    reverse order of ``collision_probability``, which starts at qubit n."""
+    t = v.coeffs.reshape(v.dims())
+    for alpha in v.alphabets:
+        t = np.tensordot(contraction_values(alpha), t, axes=([0], [0]))
+    return float(t)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_collision_matches_per_qubit_contraction(n):
+    v = initial_label_vector(n)
+    for layer in range(21):
+        if layer:
+            v = propagate(v, 1)
+        ref = collision_reference(v)
+        assert abs(collision_probability(v) - ref) <= 1e-13 * abs(ref), (n, layer)
+
+
 def test_propagate_layer_count_bookkeeping():
     v = propagate(initial_label_vector(3), 2)
     assert v.layers == 2
@@ -226,6 +246,14 @@ def test_depth_unreached_within_budget():
 def test_depth_epsilon_validation():
     with pytest.raises(DomainError):
         depth_to_anticoncentrate(3, epsilon=0.0)
+
+
+@pytest.mark.parametrize("max_layers", [0, -1])
+def test_depth_max_layers_validation(max_layers):
+    with pytest.raises(DomainError, match="max_layers"):
+        check_depth(3, 0.01, max_layers)
+    with pytest.raises(DomainError, match="max_layers"):
+        depth_to_anticoncentrate(3, epsilon=0.01, max_layers=max_layers)
 
 
 def test_fit_log_depth_recovers_exact_data():
