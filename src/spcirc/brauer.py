@@ -21,6 +21,7 @@ one. Diagonals are d^t for every diagram.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -30,7 +31,6 @@ from .errors import CapacityError, DomainError, check_bytes
 from .sampler import SAMPLERS, as_generator, omega
 
 MAX_T = 5
-DENSE_DIM_LIMIT = 4096
 
 _LETTERS = "abcdefghijklmnopqrst"
 
@@ -234,12 +234,11 @@ def represent(sigma: BrauerDiagram, d: int, form: str = "sp") -> np.ndarray:
 
     Row multi-index runs over the ket items t+1..2t, column over the bra
     items 1..t, so permutation diagrams act as the usual tensor-factor
-    permutation operators.
-    """
+    permutation operators. It holds the einsum output and its contiguous
+    copy (8 B per entry each) and 1 B per entry for the d x d factors."""
     t = sigma.t
+    check_bytes(f"a dense diagram at t = {t}", 17, d, 2 * t)
     dim = d**t
-    if dim > DENSE_DIM_LIMIT:
-        raise CapacityError(f"dense diagram dim {dim} exceeds limit {DENSE_DIM_LIMIT}")
     metric = _form_matrix(form, d)
     eye = np.eye(d)
     subs = []
@@ -350,12 +349,15 @@ class GramMatrix:
 
 
 def check_gram(t: int, d: int, form: str = "sp") -> None:
-    """Checks of ``gram``: 1 <= t <= MAX_T, d >= 1, even d for the sp form."""
+    """Checks of ``gram``: 1 <= t <= MAX_T, d >= 1, even d for the sp form,
+    and the diagonal entries d**t within the float64 range."""
     _check_order(t)
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
     if form == "sp" and d % 2:
         raise DomainError(f"symplectic form needs even d, got {d}")
+    if d**t > sys.float_info.max:  # t <= MAX_T keeps d**t cheap
+        raise CapacityError(f"d**{t} exceeds the float64 range of the Gram entries")
 
 
 def gram(t: int, d: int, form: str = "sp") -> GramMatrix:
@@ -416,14 +418,13 @@ _FORM_BY_GROUP = {"sp": "sp", "o": "o"}
 
 
 def check_twirl(t: int, d: int, group: str = "sp") -> None:
-    """Checks of ``gram``, and of the (2t-1)!! d^t x d^t matrices ``twirl`` keeps."""
+    """Checks of ``gram``, and of ``twirl``'s bytes per entry of a d^t x d^t
+    matrix: the (2t-1)!! float64 diagram matrices it keeps, two complex
+    temporaries of the operator's shape and 2 B for the smaller arrays."""
     if group not in _FORM_BY_GROUP:
         raise DomainError(f"unknown group {group!r}")
     check_gram(t, d, _FORM_BY_GROUP[group])
-    dim = d**t
-    if dim > DENSE_DIM_LIMIT:
-        raise CapacityError(f"dense diagram dim {dim} exceeds limit {DENSE_DIM_LIMIT}")
-    check_bytes(double_factorial(2 * t - 1) * dim * dim * 8, "the diagram table")
+    check_bytes("the diagram table", 8 * double_factorial(2 * t - 1) + 34, d, 2 * t)
 
 
 def twirl(x: np.ndarray, t: int, d: int, group: str = "sp") -> TwirlResult:

@@ -17,13 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, DomainError, has_type, read_fields, read_kind
+from .errors import DomainError, check_bytes, has_type, read_fields, read_kind
 from .lie_closure import GeneratorSet, prop2_generators, theorem1_generators
-from .pauli import PauliString
+from .pauli import PauliString, check_dense
 from .sampler import BLOCK_GROUPS, RngStream, as_generator, sample_block
-
-STATEVECTOR_LIMIT = 14
-UNITARY_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -195,9 +192,9 @@ def _apply_inplace(circ: CircuitSpec, amp: np.ndarray, check_norm: bool) -> None
 
 
 def check_statevector(n: int) -> None:
-    """Capacity check of ``apply``."""
-    if n > STATEVECTOR_LIMIT:
-        raise CapacityError(f"n = {n} exceeds the statevector limit {STATEVECTOR_LIMIT}")
+    """Capacity check of ``apply``: per amplitude the working state (16 B) and
+    one gate's temporaries, at most three complex and two index vectors."""
+    check_bytes(f"the statevector at n = {n}", 80, 2, n)
 
 
 def apply(circ: CircuitSpec, psi: StateVector) -> StateVector:
@@ -212,13 +209,9 @@ def apply(circ: CircuitSpec, psi: StateVector) -> StateVector:
 
 def to_unitary(circ: CircuitSpec) -> np.ndarray:
     """Dense (2^n, 2^n) matrix of the whole circuit."""
-    if circ.n > UNITARY_LIMIT:
-        raise CapacityError(
-            f"n = {circ.n} exceeds the dense-unitary limit {UNITARY_LIMIT}"
-        )
+    check_dense(circ.n)  # the columns and their transposed copy
     d = 2**circ.n
-    u = np.eye(d, dtype=complex)
-    cols = np.ascontiguousarray(u.T)
+    cols = np.eye(d, dtype=complex)  # column k of the identity, as row k
     for k in range(d):
         _apply_inplace(circ, cols[k], check_norm=False)
     return np.ascontiguousarray(cols.T)

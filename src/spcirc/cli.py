@@ -129,14 +129,15 @@ def _plan_closure(args):
 
 
 def check_sample(group: str, d: int, count: int) -> None:
-    """Checks of the ``sample`` subcommand, including its output bytes."""
+    """Checks of ``sample``: per entry of a d x d matrix, 16 B for each output
+    draw and 80 B for one draw (sp's Gaussian blocks, image, copy, Q and R)."""
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     if group == "sp" and d % 2:
         raise DomainError(f"symplectic dimension must be even, got {d}")
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")
-    check_bytes(count * d * d * 16, "the sample array")
+    check_bytes("the sample array with one draw", 16 * count + 80, d, 2)
 
 
 def _plan_sample(args):
@@ -203,6 +204,8 @@ def _plan_simulate(args):
     config = {"circuit": args.circuit, "state": args.state, "out": args.out}
     circ = circuit.circuit_from_json(Path(args.circuit).read_text())
     circuit.check_statevector(circ.n)
+    if not args.out:  # json's pieces of the inline amplitudes: about 410 B each
+        check_bytes(f"the inline amplitudes at n = {circ.n}", 512, 2, circ.n)
     psi = circuit.initial_state(circ.n, args.state)
     out = _out_path(args.out, ".npy")
 

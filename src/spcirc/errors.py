@@ -1,13 +1,13 @@
 """Error taxonomy shared by the library and the CLI.
 
 DomainError maps to CLI exit code 1 (bad parameters, mismatched sizes),
-CapacityError to exit code 2 (request exceeds the configured dense budget),
+CapacityError to exit code 2 (request exceeds a byte or count budget),
 ConsistencyError to exit code 3. ``read_fields`` and ``read_kind`` check the
 keys and value types of a JSON input document, the one check the CLI's JSON
 inputs get before the domain checks of the library.
 """
 
-# Bytes one dense table or output array may take.
+# Bytes one call may hold at once.
 MEMORY_LIMIT = 2**30
 
 
@@ -24,10 +24,16 @@ class ConsistencyError(RuntimeError):
     indicates a bug, not bad user input."""
 
 
-def check_bytes(nbytes: int, what: str) -> None:
-    """CapacityError when ``what`` would take more than MEMORY_LIMIT bytes."""
-    if nbytes > MEMORY_LIMIT:
-        raise CapacityError(f"{what} needs {nbytes} bytes; the limit is {MEMORY_LIMIT}")
+def check_bytes(what: str, nbytes: int, base: int = 1, exponent: int = 0) -> None:
+    """CapacityError when ``what`` holds more than MEMORY_LIMIT bytes at once:
+    nbytes * base**exponent. Bit lengths decide first, so a vast size costs
+    O(1) and is reported as 2**k, never in digits."""
+    low = nbytes.bit_length() - 1 + exponent * (base.bit_length() - 1)
+    if low >= MEMORY_LIMIT.bit_length():  # the size is at least 2**low
+        raise CapacityError(f"{what} needs at least 2**{low} bytes; the limit is {MEMORY_LIMIT}")
+    size = nbytes * base**exponent  # low is small, so this is cheap
+    if size > MEMORY_LIMIT:
+        raise CapacityError(f"{what} needs {size} bytes; the limit is {MEMORY_LIMIT}")
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",

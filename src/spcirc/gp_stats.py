@@ -42,8 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .brauer import double_factorial
 from .circuit import pauli_apply
 from .errors import CapacityError, DomainError
+from .moment import z_haar
 from .pauli import PauliString, in_sp_algebra
 from .sampler import DEFAULT_TOL, RngStream, sample_sp_columns
 
@@ -459,9 +461,8 @@ def moment_bound(tr_g: float, d: int, c, t: int) -> np.ndarray:
     k = t // 2
     if k < 1:
         raise DomainError(f"need t >= 2, got {t}")
-    dfac = float(np.prod(np.arange(2 * k - 1, 0, -2))) if k > 1 else 1.0
     c = np.asarray(c, dtype=float)
-    return dfac * (2.0 * tr_g / (d * c**2)) ** k
+    return double_factorial(2 * k - 1) * (2.0 * tr_g / (d * c**2)) ** k
 
 
 def concentration_tail(
@@ -558,5 +559,5 @@ def anticoncentration_check(
         z_estimate=d * float((probs**2).mean()),
         # d is a power of two, so scaling before the batch means is exact
         z_se=float(_batch_se(d * probs**2, batches)),
-        z_haar=2.0 / (d + 1),
+        z_haar=z_haar(n),
     )

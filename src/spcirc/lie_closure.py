@@ -177,7 +177,7 @@ def check_closure(n: int, max_dim: int) -> None:
     # 4**n > max_dim, compared by bit length so that an absurd n costs nothing
     if 2 * n >= max_dim.bit_length():
         raise CapacityError(f"4**{n} directions exceed the budget {max_dim}")
-    check_bytes(_BYTES_PER_DIRECTION * 4 ** n, f"the closure table at n = {n}")
+    check_bytes(f"the closure table at n = {n}", _BYTES_PER_DIRECTION, 4, n)
 
 
 def closure(g: GeneratorSet, max_dim: int = MAX_DIM_DEFAULT) -> ClosureResult:

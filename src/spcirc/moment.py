@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brauer, circuit, kernels
-from .errors import CapacityError, ConsistencyError, DomainError, check_bytes
+from .errors import ConsistencyError, DomainError, check_bytes
 from .pauli import _DENSE_1Q
-from .sampler import as_generator
+from .sampler import BLOCK_GROUPS, as_generator
 
 
 def _two_copy(p: str) -> np.ndarray:
@@ -90,9 +90,6 @@ def _copy_swap(x16: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(16, 16))
 
 
-_GROUP_FORM = {"sp2": "sp", "o4": "o"}
-
-
 def _out_alphabets(group: str):
     if group == "sp2":
         return ALPHA_FIRST, ALPHA_REST
@@ -104,8 +101,7 @@ def _out_alphabets(group: str):
 def _block_superop(group: str) -> np.ndarray:
     """256x256 real matrix of the exact block twirl acting on vec(X), X a
     16x16 copy-major two-copy operator of the block's two qubits."""
-    form = _GROUP_FORM[group]
-    g, reps = brauer._representations(2, 4, form)
+    g, reps = brauer._representations(2, 4, BLOCK_GROUPS[group])
     f = np.stack([r.ravel() for r in reps], axis=1)
     return f @ g.inverse() @ f.T
 
@@ -210,13 +206,14 @@ def _full_size(n: int) -> int:
 
 
 def check_propagation(n: int, layers: int = 0) -> None:
-    """Checks of ``propagate``: n >= 2, layers >= 0, and the two buffers of
-    ``_full_size(n)`` float64 the propagation holds within the byte limit."""
+    """Checks of ``propagate`` and the z contractions after it: n >= 2,
+    layers >= 0, and per coefficient of ``_full_size(n)`` the two float64
+    buffers (16 B) and ``collision_probability``'s partial sums (4 B)."""
     if layers < 0:
         raise DomainError(f"negative layer count {layers}")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    check_bytes(2 * _full_size(n) * 8, f"label propagation at n = {n}")
+    check_bytes(f"label propagation at n = {n}", 2 * 20, 3, n - 1)
 
 
 def initial_label_vector(n: int) -> LabelVector:
@@ -370,18 +367,14 @@ def fit_log_depth(ns, depths) -> LogFit:
 # ---------------------------------------------------------------------------
 # dense oracles (test surface; exponential in n)
 
-DENSE_ORACLE_LIMIT = 6
-
-
 def dense_second_moment(n: int, layers: int) -> np.ndarray:
     """E[rho (x) rho] after the given layer count, built by composing exact
     per-block twirl superoperators on the full 4^n-dimensional space."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if n > DENSE_ORACLE_LIMIT:
-        raise CapacityError(
-            f"dense second-moment oracle capped at n <= {DENSE_ORACLE_LIMIT}"
-        )
+    # per entry: three float64 copies of the operator (m, its moved copy and the
+    # product) and 8 B, which bound the 256 x 256 block superoperators from n = 5
+    check_bytes(f"the dense second moment at n = {n}", 32, 16, n)
     dim = 4**n
     m = np.zeros((dim, dim))
     m[0, 0] = 1.0

@@ -28,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, check_bytes
 
 _KINDS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _MASKS = {v: k for k, v in _KINDS.items()}
@@ -41,7 +41,6 @@ _DENSE_1Q = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-DENSE_LIMIT = 12
 BASIS_LIMIT = 10
 
 
@@ -57,8 +56,7 @@ class PauliString:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"need n >= 1, got {self.n}")
-        full = (1 << self.n) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
+        if (self.x_mask | self.z_mask) >> self.n:  # O(1) even for a vast n
             raise DomainError("mask has bits set beyond position n-1")
         object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 
@@ -227,11 +225,16 @@ def sp_dimension(n: int) -> int:
     return d * (d + 1) // 2
 
 
+def check_dense(n: int) -> None:
+    """Capacity check of ``to_dense``, ``to_dense_kron`` and ``circuit.to_unitary``:
+    two complex d x d matrices (16 B per entry each) and 1 B per entry for O(d) ones."""
+    check_bytes(f"a dense matrix at n = {n}", 33, 4, n)
+
+
 def to_dense(p: PauliString) -> np.ndarray:
     """Dense 2**n x 2**n matrix, built in O(4**n) from the mask action
     (``PauliString.dense_action``)."""
-    if p.n > DENSE_LIMIT:
-        raise CapacityError(f"n = {p.n} exceeds the dense limit {DENSE_LIMIT}")
+    check_dense(p.n)
     d = 2 ** p.n
     xd, phases = p.dense_action()
     idx = np.arange(d)
@@ -242,7 +245,6 @@ def to_dense(p: PauliString) -> np.ndarray:
 
 def to_dense_kron(p: PauliString) -> np.ndarray:
     """Same matrix via literal Kronecker products (slow oracle path)."""
-    if p.n > DENSE_LIMIT:
-        raise CapacityError(f"n = {p.n} exceeds the dense limit {DENSE_LIMIT}")
+    check_dense(p.n)
     factors = [_DENSE_1Q[p.factor(j)] for j in range(1, p.n + 1)]
     return (1j ** p.phase_exp) * reduce(np.kron, factors)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spcirc import brauer
 from spcirc.brauer import (
     BrauerDiagram,
     asymptotic_decomposition,
@@ -152,9 +153,14 @@ def test_mirror_is_dense_transpose():
             )
 
 
-def test_represent_capacity():
+def test_represent_capacity(checked_only):
+    # 17 B per entry of the d^t x d^t matrix against 1 GiB: dim 18**3 = 5832
+    # (past the old dim cap of 4096) fits, dim 20**3 = 8000 does not
+    checked = checked_only(brauer)
+    with pytest.raises(checked):
+        represent(BrauerDiagram.identity(3), 18)
     with pytest.raises(CapacityError):
-        represent(BrauerDiagram.identity(3), 17)
+        represent(BrauerDiagram.identity(3), 20)
 
 
 # -- composition -------------------------------------------------------------------
@@ -336,14 +342,15 @@ def test_twirl_input_validation():
 
 
 def test_twirl_table_byte_limit():
-    check_twirl(4, 4, "sp")  # 105 matrices of 256 x 256: 55 MB
-    check_twirl(2, 64, "o")  # 3 matrices of 4096 x 4096: 403 MB
+    # per entry: 8 B per diagram matrix and 34 B of temporaries
+    check_twirl(4, 4, "sp")  # 105 matrices of 256 x 256: 57 MB
+    check_twirl(2, 64, "o")  # 3 matrices of 4096 x 4096: 973 MB
     with pytest.raises(CapacityError):
-        check_twirl(3, 16, "sp")  # 15 matrices of 4096 x 4096: 2.0 GB
+        check_twirl(3, 16, "sp")  # 15 matrices of 4096 x 4096: 2.6 GB
     with pytest.raises(CapacityError):
-        check_twirl(5, 4, "sp")  # 945 matrices of 1024 x 1024: 7.9 GB
+        check_twirl(5, 4, "sp")  # 945 matrices of 1024 x 1024: 8.0 GB
     with pytest.raises(CapacityError):
-        check_twirl(1, 8192, "o")  # one matrix past DENSE_DIM_LIMIT
+        check_twirl(1, 8192, "o")  # one 8192 x 8192 matrix: 2.8 GB
 
 
 def test_special_orthogonal_twirl_is_refused():

@@ -15,6 +15,7 @@ from spcirc.circuit import (
     build_bricklayer,
     build_prop2_block,
     build_theorem1_block,
+    check_statevector,
     circuit_from_json,
     circuit_to_json,
     concat,
@@ -173,8 +174,10 @@ def test_gate_validation():
 
 
 def test_capacity_limits():
+    # 80 B per amplitude against 1 GiB: the statevector bound is n = 23
+    check_statevector(23)
     with pytest.raises(CapacityError):
-        apply(CircuitSpec(15, ()), StateVector(15, np.zeros(2**15, dtype=complex)))
+        check_statevector(24)
     with pytest.raises(CapacityError):
         to_unitary(CircuitSpec(13, ()))
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -468,11 +469,13 @@ def test_collision_capacity(capsys):
 # -- dry-run contract -----------------------------------------------------------------
 
 def assert_dry_run_exits_like_run(argv, code, capsys):
-    """The dry run and the real run of ``argv`` both exit with ``code``."""
+    """The dry run and the real run of ``argv`` both exit with ``code``, with
+    no traceback, and a capacity error says why in under 300 characters."""
     for extra in (["--dry-run"], []):
         got, _, err = run(argv + extra, capsys)
         assert got == code, (extra, err)
         assert "Traceback" not in err
+        assert code != 2 or len(err) < 300, err
 
 
 SAMPLING_FAILURES = [
@@ -568,10 +571,11 @@ def test_depth_has_no_threads_option(tmp_path, threads, capsys):
 
 
 def plan_inputs(tmp_path):
-    """Input files for the cases below: a circuit past the statevector limit,
-    a directory, a file that is not .npy, a 9 x 9 operator and a gp config
-    with one draw per batch."""
-    (tmp_path / "c20.json").write_text(json.dumps({"n": 20, "gates": []}))
+    """Input files for the cases below: circuits just and far past the
+    statevector bound, a directory, a file that is not .npy, a 9 x 9 operator
+    and a gp config with one draw per batch."""
+    (tmp_path / "c24.json").write_text(json.dumps({"n": 24, "gates": []}))
+    (tmp_path / "c1e18.json").write_text(json.dumps({"n": 10**18, "gates": []}))
     (tmp_path / "adir").mkdir()
     (tmp_path / "text.npy").write_text("not an array")
     np.save(tmp_path / "eye9.npy", np.eye(9))
@@ -601,7 +605,8 @@ PLAN_FAILURES = [
     pytest.param(["gram", "--t", "0", "--d", "4", "--group", "sp"], 1, id="gram-t-zero"),
     pytest.param(["gram", "--t", "2", "--d", "0", "--group", "o"], 1, id="gram-d-zero"),
     pytest.param(["gram", "--t", "2", "--d", "-3", "--group", "o"], 1, id="gram-d-negative"),
-    pytest.param(["simulate", "--circuit", "{tmp}/c20.json"], 2, id="simulate-n20"),
+    pytest.param(["simulate", "--circuit", "{tmp}/c24.json"], 2, id="simulate-n24"),
+    pytest.param(["simulate", "--circuit", "{tmp}/c1e18.json"], 2, id="simulate-n1e18"),
     pytest.param(["simulate", "--circuit", "{tmp}/adir"], 1, id="simulate-circuit-directory"),
     pytest.param(["sample", "--group", "sp", "--d", "4", "--count", "2", "--seed", "1",
                   "--out", "{tmp}/missing/s.npy"], 1, id="sample-out-directory-missing"),
@@ -620,23 +625,53 @@ PLAN_FAILURES = [
     pytest.param(["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5",
                   "--seed", "1", "--threads", "1"], 1,
                  id="concentration-samples-equal-batches"),
+    # sizes whose byte count is vast: refused in O(1), never printed in digits
+    pytest.param(["collision", "--n", "1000000", "--layers", "1"], 2, id="collision-n1e6"),
+    pytest.param(["collision", "--n", str(10**18), "--layers", "1"], 2, id="collision-n1e18"),
+    pytest.param(["anticoncentration-depth", "--n-max", "1000000", "--out", "{tmp}/d.csv"], 2,
+                 id="depth-n-max-1e6"),
+    pytest.param(["sample", "--group", "u", "--d", str(10**3000), "--count", "1", "--seed", "1",
+                  "--out", "{tmp}/s.npy"], 2, id="sample-d1e3000"),
+    pytest.param(["twirl", "--t", "2", "--d", str(10**3000), "--group", "o",
+                  "--input", "{tmp}/eye9.npy"], 2, id="twirl-d1e3000"),
+    pytest.param(["gram", "--t", "2", "--d", str(10**400), "--group", "o"], 2,
+                 id="gram-d1e400"),
+    pytest.param(["gram", "--t", "2", "--d", str(10**160), "--group", "o"], 2,
+                 id="gram-d1e160"),
+    pytest.param(["concentration", "--n", str(10**18), "--samples", "20", "--thresholds", "0.5",
+                  "--seed", "1", "--threads", "1"], 2, id="concentration-n1e18"),
 ]
 
 
 @pytest.mark.parametrize("template,code", PLAN_FAILURES)
 def test_plan_fails_like_the_run(tmp_path, template, code, capsys):
     tmp = plan_inputs(tmp_path)
+    started = time.monotonic()
     assert_dry_run_exits_like_run([a.format(tmp=tmp) for a in template], code, capsys)
+    assert time.monotonic() - started < 5.0
+
+
+def test_simulate_inline_amplitudes_byte_bound(tmp_path, capsys):
+    # about 410 B per amplitude printed inline: n = 21 fits, n = 22 needs --out
+    for n in (21, 22):
+        (tmp_path / f"c{n}.json").write_text(json.dumps({"n": n, "gates": []}))
+    argv = ["simulate", "--circuit", str(tmp_path / "c22.json")]
+    assert_dry_run_exits_like_run(argv, 2, capsys)
+    assert run(argv + ["--out", str(tmp_path / "a.npy"), "--dry-run"], capsys)[0] == 0
+    assert run(["simulate", "--circuit", str(tmp_path / "c21.json"), "--dry-run"], capsys)[0] == 0
 
 
 def test_sample_byte_limit():
-    side = 2**13  # one side x side complex matrix is exactly MEMORY_LIMIT bytes
-    assert side * side * 16 == MEMORY_LIMIT
-    check_sample("u", side, 1)
+    # per entry of a d x d draw: 16 B per output draw and 80 B for one draw
+    assert (16 * 11 + 80) * 2048**2 == MEMORY_LIMIT
+    check_sample("u", 2048, 11)
     with pytest.raises(CapacityError):
-        check_sample("u", side, 2)
+        check_sample("u", 2048, 12)
+    check_sample("sp", 3344, 1)
     with pytest.raises(CapacityError):
-        check_sample("sp", 2 * side, 1)
+        check_sample("sp", 3346, 1)
+    with pytest.raises(CapacityError):
+        check_sample("u", 2**13, 1)  # the output alone is 1 GiB, its QR more
 
 
 def test_consistency_error_exits_three(monkeypatch, capsys):
@@ -671,9 +706,10 @@ def test_cli_import_leaves_scipy_out():
 # -- fuzzed dry-run contract ----------------------------------------------------------
 
 # Per subcommand: option -> (in-range values, out-of-range values or None).
-# 10**6 is out of range for sizes; 10**6 draws, samples or layers would be a
+# 10**6 and 10**18 are out of range for sizes, and a check must refuse them
+# without computing 3**n or 2**n; 10**6 draws, samples or layers would be a
 # valid, long run, so counts go out of range only through 0 and negatives.
-BAD = st.sampled_from([0, -1, -5, 10**6])
+BAD = st.sampled_from([0, -1, -5, 10**6, 10**18])
 BAD_COUNT = st.sampled_from([0, -1, -5])
 THREADS = (st.sampled_from([1, 2]), st.sampled_from([-1, 0]))
 SEED = (st.just(1), None)
