@@ -12,18 +12,23 @@ three t = 2 diagrams represent to I, SWAP and
 Pi_s = d (1 (x) Omega)|Phi+><Phi+|(1 (x) Omega)^T, which satisfies
 Tr[Pi_s] = -d and Pi_s^2 = -d Pi_s.
 
-Gram entries are computed combinatorially: overlaying two diagrams yields
-disjoint cycles; a cycle traversing m form-edges, s of them against their
-orientation, contributes 0 if m is odd (trace of an odd omega power), else
-(-1)^s (-1)^(m/2) d for the symplectic form and always d for the orthogonal
-one. Diagonals are d^t for every diagram.
+Every diagram computation reads one table, ``BrauerDiagram.links``, and
+glued diagrams are traced by one walker, ``_walk``. A strand through m form
+edges, s of them left against their orientation, has the matrix
+(-1)^s M^m. A closed strand is a loop worth its trace: d for the orthogonal
+form, and for the symplectic one 0 if m is odd (the trace of an odd omega
+power), else (-1)^(s + m/2) d. Gram entries glue two diagrams on all 2t
+items, so every strand is a loop; diagonals are d^t for every diagram.
+Diagram products glue one diagram's bra column onto the other's ket column,
+and are exact for both forms: the open strands give the product diagram and
+its sign, the loops powers of delta.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -60,8 +65,20 @@ class BrauerDiagram:
     def identity(cls, t: int) -> "BrauerDiagram":
         return cls.from_permutation(tuple(range(1, t + 1)))
 
+    @cached_property
+    def links(self) -> tuple:
+        """(partner, kind) per item, index 0 unused. Kind 0 is a cross pair, an
+        index delta; kind +1 or -1 is a form edge left along or against its
+        orientation (a left-column pair a < b is M[i_a, i_b], a right-column
+        pair M[i_b, i_a])."""
+        links = [None] * (2 * self.t + 1)
+        for a, b in self.pairing:
+            kind = 0 if a <= self.t < b else 1 if b <= self.t else -1
+            links[a], links[b] = (b, kind), (a, -kind)
+        return tuple(links)
+
     def is_permutation(self) -> bool:
-        return all(a <= self.t < b for a, b in self.pairing)
+        return not any(kind for _, kind in self.links[1:])
 
     def one_line(self):
         """One-line notation when the diagram is a permutation, else None."""
@@ -142,11 +159,13 @@ def enumerate_diagrams(t: int) -> list[BrauerDiagram]:
 
 @dataclass(frozen=True)
 class BrauerAlgebraElement:
-    """Sum of delta^k * diagram terms; ``terms`` maps diagram -> loop count k."""
+    """Sum of sign * delta^k * diagram terms; ``terms`` maps diagram -> loop
+    count k. ``sign`` is what the symplectic form edges of a product carry."""
 
     t: int
     terms: tuple
     delta: float
+    sign: int = 1
 
     def single(self):
         ((diagram, k),) = self.terms
@@ -154,71 +173,74 @@ class BrauerAlgebraElement:
 
     def scalar_factor(self) -> float:
         _, k = self.single()
-        return float(self.delta) ** k
+        return self.sign * float(self.delta) ** k
+
+
+def _walk(tables, glue, side, item, seen):
+    """Follow the strand that leaves ``item`` of diagram ``side`` (0 or 1)
+    along its pair in ``tables[side]``, a ``BrauerDiagram.links`` table.
+
+    ``glue[side][item]`` is the item of the other diagram that ``item`` is
+    glued to, 0 where the strand ends. Every item passed is marked in
+    ``seen[side]``. Returns the end item, the form edges m and the edges s
+    left against their orientation: the strand's matrix is (-1)^s M^m. A
+    loop ends back at its start.
+    """
+    m = s = 0
+    while True:
+        seen[side][item] = True
+        item, kind = tables[side][item]
+        seen[side][item] = True
+        if kind:
+            m += 1
+            s += kind < 0
+        nxt = glue[side][item]
+        if not nxt:
+            return item, m, s
+        side, item = 1 - side, nxt
+        if seen[side][item]:
+            return item, m, s
 
 
 def compose(a: BrauerDiagram, b: BrauerDiagram, delta: float) -> BrauerAlgebraElement:
-    """Abstract B_t(delta) diagram product in operator order: glue a's bra
-    column onto b's ket column.
+    """Diagram product in operator order: glue a's bra column onto b's ket
+    column, so that sign * delta^loops * represent(product) equals
+    represent(a) @ represent(b) for both forms.
 
-    Strands surviving the gluing form the product diagram on b's bra and
-    a's ket columns; each closed loop confined to the glued middle column
-    contributes one factor of delta. For the orthogonal form (delta = d),
-    delta^loops * represent(product) equals represent(a) @ represent(b) for
-    every pair. For the symplectic form (delta = -d) that holds up to a sign
-    only: the oriented omega edges are not tracked, so some products that
-    are not permutations come out negated, e.g. represent(SWAP) @
-    represent(Pi_s) = -represent(Pi_s) while compose gives Pi_s (2 of the 9
-    products at t = 2, 90 of 225 at t = 3).
+    Strands that reach the outer columns form the product diagram on b's bra
+    and a's ket columns; each loop confined to the glued middle column
+    contributes one factor of delta. delta < 0 is the symplectic form
+    (delta = -d), whose oriented form edges also give the product a sign,
+    e.g. represent(SWAP) @ represent(Pi_s) = -represent(Pi_s); for the
+    orthogonal form (delta = d) the sign is 1.
     """
     if a.t != b.t:
         raise DomainError(f"order mismatch: {a.t} vs {b.t}")
     t = a.t
-    # node ids: 0..t-1 result bra (b's bra), t..2t-1 glued middle (a's bra
-    # identified with b's ket), 2t..3t-1 result ket (a's ket)
-    edges: dict[int, list[int]] = {i: [] for i in range(3 * t)}
-
-    def connect(u: int, v: int) -> None:
-        edges[u].append(v)
-        edges[v].append(u)
-
-    for u, v in b.pairing:
-        connect(u - 1, v - 1)
-    for u, v in a.pairing:
-        connect(u - 1 + t, v - 1 + t)
-
-    def is_endpoint(node: int) -> bool:
-        return node < t or node >= 2 * t
-
-    def as_item(node: int) -> int:
-        return node + 1 if node < t else node - t + 1
-
-    visited = [False] * (3 * t)
-    pairs = []
-    loops = 0
-    for start in range(3 * t):
-        if visited[start] or not is_endpoint(start):
-            continue
-        visited[start] = True
-        prev, cur = start, edges[start][0]
-        while not is_endpoint(cur):
-            visited[cur] = True
-            step = edges[cur]
-            prev, cur = cur, step[0] if step[0] != prev else step[1]
-        visited[cur] = True
-        pairs.append((as_item(start), as_item(cur)))
-    for start in range(t, 2 * t):
-        if visited[start]:
-            continue
-        visited[start] = True
-        prev, cur = start, edges[start][0]
-        while cur != start:
-            visited[cur] = True
-            step = edges[cur]
-            prev, cur = cur, step[0] if step[0] != prev else step[1]
-        loops += 1
-    result = BrauerDiagram.from_pairs(t, pairs)
-    return BrauerAlgebraElement(t, ((result, loops),), delta)
+    tables = (a.links, b.links)
+    # a's bra item j is glued to b's ket item t + j; the rest are the ends
+    glue = ([0] + list(range(t + 1, 2 * t + 1)) + [0] * t,
+            [0] * (t + 1) + list(range(1, t + 1)))
+    seen = ([False] * (2 * t + 1), [False] * (2 * t + 1))
+    strands = []
+    ends = [(1, u) for u in range(1, t + 1)] + [(0, u) for u in range(t + 1, 2 * t + 1)]
+    for side, start in ends:
+        if not seen[side][start]:
+            strands.append((start, *_walk(tables, glue, side, start, seen)))
+    result = BrauerDiagram.from_pairs(t, [(u, v) for u, v, _, _ in strands])
+    flips = loops = 0
+    for j in range(1, t + 1):
+        if not seen[0][j]:
+            _, m, s = _walk(tables, glue, 0, j, seen)
+            loops += 1
+            flips += s + m // 2 + 1  # worth (-1)^(s + m/2) d = (-1)^(s + m/2 + 1) delta
+    for u, _, m, s in strands:
+        # the strand is (-1)^s omega^m; the product's pair read from u is
+        # omega^m' with m' = |kind|, negated when kind < 0
+        kind = result.links[u][1]
+        flips += s + (m - abs(kind)) // 2 + (kind < 0)
+    sign = -1 if delta < 0 and flips % 2 else 1
+    return BrauerAlgebraElement(t, ((result, loops),), delta, sign)
 
 
 def _form_matrix(form: str, d: int) -> np.ndarray:
@@ -244,15 +266,10 @@ def represent(sigma: BrauerDiagram, d: int, form: str = "sp") -> np.ndarray:
     subs = []
     factors = []
     for a, b in sigma.pairing:
-        if a <= t < b:
-            factors.append(eye)
-            subs.append(_LETTERS[a - 1] + _LETTERS[b - 1])
-        elif b <= t:
-            factors.append(metric)
-            subs.append(_LETTERS[a - 1] + _LETTERS[b - 1])
-        else:
-            factors.append(metric)
-            subs.append(_LETTERS[b - 1] + _LETTERS[a - 1])
+        kind = sigma.links[a][1]
+        factors.append(metric if kind else eye)
+        subs.append(_LETTERS[a - 1] + _LETTERS[b - 1] if kind >= 0
+                    else _LETTERS[b - 1] + _LETTERS[a - 1])
     out = "".join(_LETTERS[t + k] for k in range(t)) + "".join(
         _LETTERS[k] for k in range(t)
     )
@@ -260,58 +277,22 @@ def represent(sigma: BrauerDiagram, d: int, form: str = "sp") -> np.ndarray:
     return np.ascontiguousarray(arr.reshape(dim, dim))
 
 
-def _cycle_edges(mu: BrauerDiagram, nu: BrauerDiagram):
-    """Partner-and-kind tables for the overlay graph on items 1..2t.
-
-    kind 0: index contraction (cross pair); kind +1: form edge traversed
-    along its orientation when leaving this node; kind -1: against it.
-    """
-    t = mu.t
-
-    def table(diagram):
-        part = {}
-        for a, b in diagram.pairing:
-            if a <= t < b:
-                part[a] = (b, 0)
-                part[b] = (a, 0)
-            elif b <= t:
-                part[a] = (b, 1)
-                part[b] = (a, -1)
-            else:
-                part[a] = (b, -1)
-                part[b] = (a, 1)
-        return part
-    return table(mu), table(nu)
-
-
 def gram_entry(mu: BrauerDiagram, nu: BrauerDiagram, d: int, form: str = "sp") -> float:
-    """Frobenius pairing sum_ij F(mu)_ij F(nu)_ij without dense matrices."""
+    """Frobenius pairing sum_ij F(mu)_ij F(nu)_ij without dense matrices: mu
+    and nu glued item to item, a product of loop values."""
     t = mu.t
-    mu_part, nu_part = _cycle_edges(mu, nu)
-    seen = [False] * (2 * t + 1)
+    tables = (mu.links, nu.links)
+    same = list(range(2 * t + 1))
+    glue, seen = (same, same), ([False] * (2 * t + 1), [False] * (2 * t + 1))
     value = 1.0
     for start in range(1, 2 * t + 1):
-        if seen[start]:
+        if seen[0][start]:
             continue
-        node = start
-        use_mu = True
-        form_edges = 0
-        against = 0
-        while True:
-            seen[node] = True
-            partner, kind = (mu_part if use_mu else nu_part)[node]
-            if kind != 0:
-                form_edges += 1
-                if kind < 0:
-                    against += 1
-            node = partner
-            use_mu = not use_mu
-            if node == start and use_mu:
-                break
+        _, m, s = _walk(tables, glue, 0, start, seen)
         if form == "sp":
-            if form_edges % 2:
+            if m % 2:
                 return 0.0
-            sign = -1.0 if (against + form_edges // 2) % 2 else 1.0
+            sign = -1.0 if (s + m // 2) % 2 else 1.0
             value *= sign * d
         else:
             value *= d
@@ -335,8 +316,10 @@ class GramMatrix:
         return -float(self.d) if self.form == "sp" else float(self.d)
 
     def inverse(self) -> np.ndarray:
-        """Inverse when regular, pseudo-inverse when d <= 2t - 2 makes the Gram
-        matrix singular: eigenvalues below 1e-12 of the largest are dropped."""
+        """Inverse when regular, pseudo-inverse when the Gram matrix is
+        singular (``pseudo``: d <= 2t - 2 for the symplectic form, d < t for
+        the orthogonal one): eigenvalues below 1e-12 of the largest are
+        dropped."""
         if self._inverse is None:
             if self.pseudo:
                 vals, vecs = np.linalg.eigh(self.entries)
@@ -368,7 +351,9 @@ def gram(t: int, d: int, form: str = "sp") -> GramMatrix:
     for i in range(k):
         for j in range(i, k):
             entries[i, j] = entries[j, i] = gram_entry(diagrams[i], diagrams[j], d, form)
-    return GramMatrix(t, d, form, diagrams, entries, pseudo=d <= 2 * t - 2)
+    # the diagram matrices are linearly dependent exactly at these d
+    pseudo = d <= 2 * t - 2 if form == "sp" else d < t
+    return GramMatrix(t, d, form, diagrams, entries, pseudo)
 
 
 def weingarten(t: int, d: int, form: str = "sp") -> np.ndarray:
@@ -454,6 +439,22 @@ def twirl_matrix(result: TwirlResult) -> np.ndarray:
     _, reps = _representations(result.t, result.d, _FORM_BY_GROUP[result.group])
     vec = result.coefficient_vector()
     return sum(c * rep for c, rep in zip(vec, reps))
+
+
+def twirl_superoperator(t: int, d: int, group: str = "sp") -> np.ndarray:
+    """d^2t x d^2t real matrix of the exact t-th moment twirl acting on vec(X):
+    F Wg F^T, with the diagram matrices as the columns of F.
+
+    Per entry of a diagram matrix it holds the diagram table ``check_twirl``
+    counts (8 B per diagram and 34 B), F and F Wg (8 B per diagram each) and
+    a row of the output (8 d^2t B)."""
+    check_twirl(t, d, group)
+    k = double_factorial(2 * t - 1)
+    check_bytes(f"the twirl superoperator at t = {t}", 8 * d ** (2 * t) + 24 * k + 34,
+                d, 2 * t)
+    g, reps = _representations(t, d, _FORM_BY_GROUP[group])
+    f = np.stack([r.ravel() for r in reps], axis=1)
+    return f @ g.inverse() @ f.T
 
 
 def monte_carlo_twirl(

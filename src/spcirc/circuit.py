@@ -94,14 +94,19 @@ class StateVector:
 
     @classmethod
     def basis(cls, n: int, index: int = 0) -> "StateVector":
-        if not 0 <= index < 2**n:
-            raise DomainError(f"basis index {index} out of range for n = {n}")
+        check_basis_index(n, index)
         amp = np.zeros(2**n, dtype=complex)
         amp[index] = 1.0
         return cls(n, amp)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+
+def check_basis_index(n: int, index: int) -> None:
+    """0 <= index < 2**n, decided by bit length."""
+    if not (index >= 0 and int(index).bit_length() <= n):
+        raise DomainError(f"basis index {index} out of range for n = {n}")
 
 
 def initial_state(n: int, index: int = 0) -> StateVector:

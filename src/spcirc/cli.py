@@ -206,11 +206,11 @@ def _plan_simulate(args):
     circuit.check_statevector(circ.n)
     if not args.out:  # json's pieces of the inline amplitudes: about 410 B each
         check_bytes(f"the inline amplitudes at n = {circ.n}", 512, 2, circ.n)
-    psi = circuit.initial_state(circ.n, args.state)
+    circuit.check_basis_index(circ.n, args.state)
     out = _out_path(args.out, ".npy")
 
     def run():
-        out_state = circuit.apply(circ, psi)
+        out_state = circuit.apply(circ, circuit.initial_state(circ.n, args.state))
         if out:
             np.save(out, out_state.amplitudes)
             return {"path": out, "n": circ.n, "norm": out_state.norm()}
@@ -225,7 +225,7 @@ _GP_FIELDS = {"schema_version": int, "n": int, "observable": str, "samples": int
 # state kind -> (its one optional field, that field's range check, the
 # StateSpec constructor taking it)
 _GP_STATES = {
-    "computational_basis": ("x", gp_stats.check_basis_index,
+    "computational_basis": ("x", circuit.check_basis_index,
                             gp_stats.StateSpec.computational_basis),
     "superposition_pair": ("flip_qubit", gp_stats.check_flip_qubit,
                            gp_stats.StateSpec.superposition_pair),

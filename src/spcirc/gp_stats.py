@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brauer import double_factorial
-from .circuit import pauli_apply
+from .circuit import check_basis_index, pauli_apply
 from .errors import CapacityError, DomainError
 from .moment import z_haar
 from .pauli import PauliString, in_sp_algebra
@@ -219,13 +219,9 @@ def _check_sampling(n: int, n_samples: int, batches: int) -> None:
         raise CapacityError(f"dense sampling capped at n <= {SAMPLING_LIMIT}")
 
 
-# The two state range checks allocate nothing (not even 2**n), so a GP
-# config can make them before its capacity check.
-
-def check_basis_index(n: int, x_index: int) -> None:
-    if not (x_index >= 0 and int(x_index).bit_length() <= n):
-        raise DomainError(f"bitstring index {x_index} out of range")
-
+# The two state range checks, this one and ``circuit.check_basis_index``,
+# allocate nothing (not even 2**n), so a GP config can make them before its
+# capacity check.
 
 def check_flip_qubit(n: int, flip_qubit: int) -> None:
     if not 1 <= flip_qubit <= n:

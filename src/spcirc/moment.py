@@ -33,12 +33,12 @@ import numpy as np
 
 from . import brauer, circuit, kernels
 from .errors import ConsistencyError, DomainError, check_bytes
-from .pauli import _DENSE_1Q
+from .pauli import DENSE_1Q
 from .sampler import BLOCK_GROUPS, as_generator
 
 
 def _two_copy(p: str) -> np.ndarray:
-    m = _DENSE_1Q[p]
+    m = DENSE_1Q[p]
     return np.kron(m, m).real
 
 
@@ -98,14 +98,6 @@ def _out_alphabets(group: str):
     raise DomainError(f"no label transfer for block group {group!r}")
 
 
-def _block_superop(group: str) -> np.ndarray:
-    """256x256 real matrix of the exact block twirl acting on vec(X), X a
-    16x16 copy-major two-copy operator of the block's two qubits."""
-    g, reps = brauer._representations(2, 4, BLOCK_GROUPS[group])
-    f = np.stack([r.ravel() for r in reps], axis=1)
-    return f @ g.inverse() @ f.T
-
-
 _TRANSFER_CACHE: dict = {}
 
 
@@ -123,19 +115,20 @@ def block_transfer(group: str, in_a, in_b) -> np.ndarray:
     """Row-action transfer of one Haar block: entry [i, o] is the coefficient
     of output label pair o in the exact twirl of input label pair i.
 
-    Derivation: a projection of the block superoperator ``_block_superop``
-    (the t = 2 Weingarten twirl of the block's group at d = 4, the one the
-    dense oracle applies) onto the label pairs. With B_in and B_out the
-    vec'd input and output pairs, C solves the normal equations
-    (B_out^T B_out) C = B_out^T S B_in, since the output labels are not
-    orthogonal. A residual B_out C - S B_in above 1e-10 is a basis/ordering
-    bug and raises ConsistencyError.
+    Derivation: a projection of the block superoperator S onto the label
+    pairs. S is ``brauer.twirl_superoperator`` of the block's group at t = 2
+    and d = 4, the 256 x 256 matrix the dense oracle applies to vec(X), X a
+    16 x 16 copy-major two-copy operator of the block's two qubits. With
+    B_in and B_out the vec'd input and output pairs, C solves the normal
+    equations (B_out^T B_out) C = B_out^T S B_in, since the output labels
+    are not orthogonal. A residual B_out C - S B_in above 1e-10 is a
+    basis/ordering bug and raises ConsistencyError.
     """
     key = (group, tuple(in_a), tuple(in_b))
     if key in _TRANSFER_CACHE:
         return _TRANSFER_CACHE[key]
     b_out = _label_basis(*_out_alphabets(group))
-    y = _block_superop(group) @ _label_basis(in_a, in_b)
+    y = brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group]) @ _label_basis(in_a, in_b)
     c = np.linalg.solve(b_out.T @ b_out, b_out.T @ y)
     residual = np.abs(b_out @ c - y).max()
     if residual > 1e-10:
@@ -382,7 +375,7 @@ def dense_second_moment(n: int, layers: int) -> np.ndarray:
     shape = (2,) * (4 * n)
     for _ in range(layers):
         for i, group in circuit.brick_layer(n):
-            s = _block_superop(group)
+            s = brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group])
             axes = [
                 i - 1, i,                     # rows, copy 1
                 n + i - 1, n + i,             # rows, copy 2

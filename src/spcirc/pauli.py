@@ -34,7 +34,8 @@ _KINDS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _MASKS = {v: k for k, v in _KINDS.items()}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 
-_DENSE_1Q = {
+# dense 2 x 2 matrix of each single-qubit Pauli
+DENSE_1Q = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -246,5 +247,5 @@ def to_dense(p: PauliString) -> np.ndarray:
 def to_dense_kron(p: PauliString) -> np.ndarray:
     """Same matrix via literal Kronecker products (slow oracle path)."""
     check_dense(p.n)
-    factors = [_DENSE_1Q[p.factor(j)] for j in range(1, p.n + 1)]
+    factors = [DENSE_1Q[p.factor(j)] for j in range(1, p.n + 1)]
     return (1j ** p.phase_exp) * reduce(np.kron, factors)

@@ -195,6 +195,22 @@ def test_compose_matches_matrix_product_for_the_orthogonal_form():
     assert np.array_equal(represent(swap, 4) @ represent(pi, 4), -represent(pi, 4))
 
 
+@pytest.mark.parametrize("form", ["sp", "o"])
+def test_compose_is_exact(form):
+    # sign * delta^loops F(a b) = F(a) F(b) for every pair, with the sign the
+    # symplectic form edges carry
+    for t in (1, 2, 3):
+        for d in (2, 4, 6):
+            delta = -float(d) if form == "sp" else float(d)
+            reps = {s: represent(s, d, form) for s in enumerate_diagrams(t)}
+            for a in reps:
+                for b in reps:
+                    el = compose(a, b, delta)
+                    prod, _ = el.single()
+                    assert np.allclose(el.scalar_factor() * reps[prod], reps[a] @ reps[b],
+                                       rtol=0, atol=1e-12), (a, b, d)
+
+
 def test_temperley_lieb_relations():
     ident, swap, pi = enumerate_diagrams(2)
     delta = -4.0
@@ -275,6 +291,15 @@ def test_gram_pseudo_inverse_at_small_d():
     assert np.allclose(w @ g.entries @ w, w, atol=1e-9)
 
 
+@pytest.mark.parametrize("form", ["sp", "o"])
+def test_pseudo_inverse_exactly_when_singular(form):
+    # singular at d <= 2t - 2 for sp and at d < t for o
+    for t in (1, 2, 3, 4):
+        for d in range(2, 10, 2) if form == "sp" else range(1, 10):
+            g = gram(t, d, form)
+            assert g.pseudo == (np.linalg.matrix_rank(g.entries) < len(g.diagrams)), (t, d)
+
+
 def test_asymptotic_split():
     g = gram(2, 4, "sp")
     lead, b = asymptotic_decomposition(g)
@@ -332,6 +357,16 @@ def test_twirl_preserves_trace():
     x = (a + a.T).astype(complex)
     y = twirl_matrix(twirl(x, 2, d, "sp"))
     assert np.trace(y) == pytest.approx(np.trace(x).real, abs=1e-9)
+
+
+@pytest.mark.parametrize("t,d,group", [(1, 4, "sp"), (2, 2, "sp"), (2, 4, "sp"),
+                                         (2, 3, "o"), (3, 2, "o")])
+def test_twirl_superoperator_applies_the_twirl(t, d, group):
+    gen = RngStream(29, "brauer").generator()
+    x = gen.standard_normal((d**t, d**t))
+    s = brauer.twirl_superoperator(t, d, group)
+    y = twirl_matrix(twirl(x.astype(complex), t, d, group))
+    assert np.abs((s @ x.ravel()).reshape(x.shape) - y).max() <= 1e-10
 
 
 def test_twirl_input_validation():

@@ -125,6 +125,7 @@ BOUNDED = {
     "represent": (lambda d: partial(brauer.represent, brauer.enumerate_diagrams(2)[-1], d, "o"),
                   4, 64),
     "twirl": (lambda d: partial(brauer.twirl, np.eye(d * d, dtype=complex), 2, d, "o"), 2, 32),
+    "twirl_superoperator": (lambda d: partial(brauer.twirl_superoperator, 2, d, "o"), 2, 6),
     "closure": (lambda n: partial(lie_closure.closure, commuting_set(n), 4**n), 3, 10),
 }
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,34 @@ def test_simulate_matches_direct_apply(tmp_path, capsys):
     )
     want2 = circuit.apply(circ, circuit.initial_state(2, 2)).amplitudes
     assert np.abs(np.load(out) - want2).max() <= 1e-12
+
+
+def circuit_file(tmp_path, n):
+    spec = tmp_path / "circ.json"
+    circ = circuit.build_theorem1_block(n, np.linspace(0.1, 1.0, 3 * n - 2))
+    spec.write_text(json.dumps(circuit.circuit_to_json(circ)))
+    return str(spec)
+
+
+def test_simulate_dry_run_allocates_nothing_large(tmp_path, capsys):
+    argv = ["simulate", "--circuit", circuit_file(tmp_path, 20), "--dry-run"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < 2**20  # the initial state alone would be 16 * 2**20 bytes
+
+
+def test_simulate_state_out_of_range(tmp_path, capsys):
+    spec = circuit_file(tmp_path, 3)
+    for state in ("8", "-1"):
+        for extra in (["--dry-run"], []):
+            code, _, err = run(["simulate", "--circuit", spec, "--state", state] + extra,
+                               capsys)
+            assert code == 1 and "out of range" in err
 
 
 def test_simulate_rejects_bad_json(tmp_path, capsys):

@@ -214,3 +214,39 @@ def test_classify_on_known_bases(n):
 def test_theorem1_n9():
     res = closure(theorem1_generators(9), max_dim=4**9)
     assert (res.dimension, res.classification) == (131328, "sp")
+
+
+# -- translation-invariant nearest-neighbour sets ------------------------------------
+
+TI_TERMS = ("X", "Y", "Z") + tuple(p + q for p in "XYZ" for q in "XYZ")
+
+
+def ti_generators(n, terms):
+    """Each one-qubit term on every qubit and each two-qubit term on every bond
+    of an open chain, duplicates dropped."""
+    labels = [("I" * j + term).ljust(n, "I")
+              for term in terms for j in range(n - len(term) + 1)]
+    return GeneratorSet(n, tuple(dict.fromkeys(map(PauliString.from_label, labels))))
+
+
+@pytest.mark.parametrize("n,counts,all_sp_dims", [
+    (3, {"su": 3776, "so": 10, "other": 309}, [3, 3, 3, 10, 11, 11, 11]),
+    (4, {"su": 3818, "so": 14, "other": 263}, [4, 6, 6, 36, 37, 37, 37]),
+    (5, {"su": 3818, "so": 14, "other": 263}, [5, 10, 10, 136, 137, 137, 137]),
+])
+def test_no_translation_invariant_set_closes_to_sp(n, counts, all_sp_dims):
+    # all 4095 nonempty subsets of the three one-qubit and nine two-qubit terms
+    found = dict.fromkeys(("sp", "su", "so", "other"), 0)
+    dims = {}
+    for k in range(1, 2 ** len(TI_TERMS)):
+        terms = [term for b, term in enumerate(TI_TERMS) if k >> b & 1]
+        gens = ti_generators(n, terms)
+        res = closure(gens)
+        found[res.classification] += 1
+        if all(map(in_sp_algebra, gens.generators)):
+            dims[" ".join(terms)] = res.dimension
+    assert found == {"sp": 0, **counts}
+    # Y, YX, YZ and their unions; YX YZ closes to sp of n - 1 qubits
+    assert dims == dict(zip(["Y", "YX", "YZ", "YX YZ", "Y YX", "Y YZ", "Y YX YZ"],
+                            all_sp_dims))
+    assert dims["YX YZ"] == sp_dimension(n - 1)
