@@ -22,6 +22,10 @@ items, so every strand is a loop; diagonals are d^t for every diagram.
 Diagram products glue one diagram's bra column onto the other's ket column,
 and are exact for both forms: the open strands give the product diagram and
 its sign, the loops powers of delta.
+
+The module keeps no state between calls: ``twirl`` and
+``twirl_superoperator`` build the Gram matrix and the dense diagram matrices
+they need, and ``twirl`` returns the projected matrix with its coefficients.
 """
 
 from __future__ import annotations
@@ -157,25 +161,6 @@ def enumerate_diagrams(t: int) -> list[BrauerDiagram]:
     return perms + rest
 
 
-@dataclass(frozen=True)
-class BrauerAlgebraElement:
-    """Sum of sign * delta^k * diagram terms; ``terms`` maps diagram -> loop
-    count k. ``sign`` is what the symplectic form edges of a product carry."""
-
-    t: int
-    terms: tuple
-    delta: float
-    sign: int = 1
-
-    def single(self):
-        ((diagram, k),) = self.terms
-        return diagram, k
-
-    def scalar_factor(self) -> float:
-        _, k = self.single()
-        return self.sign * float(self.delta) ** k
-
-
 def _walk(tables, glue, side, item, seen):
     """Follow the strand that leaves ``item`` of diagram ``side`` (0 or 1)
     along its pair in ``tables[side]``, a ``BrauerDiagram.links`` table.
@@ -202,10 +187,10 @@ def _walk(tables, glue, side, item, seen):
             return item, m, s
 
 
-def compose(a: BrauerDiagram, b: BrauerDiagram, delta: float) -> BrauerAlgebraElement:
-    """Diagram product in operator order: glue a's bra column onto b's ket
-    column, so that sign * delta^loops * represent(product) equals
-    represent(a) @ represent(b) for both forms.
+def compose(a: BrauerDiagram, b: BrauerDiagram, delta: float) -> tuple:
+    """Diagram product in operator order as (product, loops, sign): glue a's
+    bra column onto b's ket column, so that sign * delta^loops *
+    represent(product) equals represent(a) @ represent(b) for both forms.
 
     Strands that reach the outer columns form the product diagram on b's bra
     and a's ket columns; each loop confined to the glued middle column
@@ -239,8 +224,7 @@ def compose(a: BrauerDiagram, b: BrauerDiagram, delta: float) -> BrauerAlgebraEl
         # omega^m' with m' = |kind|, negated when kind < 0
         kind = result.links[u][1]
         flips += s + (m - abs(kind)) // 2 + (kind < 0)
-    sign = -1 if delta < 0 and flips % 2 else 1
-    return BrauerAlgebraElement(t, ((result, loops),), delta, sign)
+    return result, loops, -1 if delta < 0 and flips % 2 else 1
 
 
 def _form_matrix(form: str, d: int) -> np.ndarray:
@@ -356,11 +340,6 @@ def gram(t: int, d: int, form: str = "sp") -> GramMatrix:
     return GramMatrix(t, d, form, diagrams, entries, pseudo)
 
 
-def weingarten(t: int, d: int, form: str = "sp") -> np.ndarray:
-    """Inverse Gram matrix; coefficient c_i = sum_j Wg_ij Tr[F(sigma_j)^T X]."""
-    return gram(t, d, form).inverse()
-
-
 def asymptotic_decomposition(g: GramMatrix) -> tuple[float, np.ndarray]:
     """Split W = d^t (I + B/d) into the leading scalar and the bounded part."""
     lead = float(g.d) ** g.t
@@ -368,77 +347,58 @@ def asymptotic_decomposition(g: GramMatrix) -> tuple[float, np.ndarray]:
     return lead, b
 
 
-_REP_CACHE: dict = {}
-
-
-def _representations(t: int, d: int, form: str):
-    key = (t, d, form)
-    if key not in _REP_CACHE:
-        g = gram(t, d, form)
-        reps = tuple(represent(sig, d, form) for sig in g.diagrams)
-        for r in reps:
-            r.setflags(write=False)
-        _REP_CACHE[key] = (g, reps)
-    return _REP_CACHE[key]
+def _table(t: int, d: int, form: str):
+    """The Gram matrix and the (2t-1)!! dense diagram matrices, built for one call."""
+    g = gram(t, d, form)
+    return g, [represent(sig, d, form) for sig in g.diagrams]
 
 
 @dataclass
 class TwirlResult:
-    """Projection of an operator onto the diagram span."""
+    """Projection of an operator onto the diagram span: the coefficients in
+    ``diagrams`` order and the projected matrix sum_i c_i F(sigma_i)."""
 
     t: int
     d: int
     group: str
     diagrams: tuple
-    coefficients: dict
+    coefficients: np.ndarray
+    matrix: np.ndarray
     residual: float
-
-    def coefficient_vector(self) -> np.ndarray:
-        return np.array([self.coefficients[sig] for sig in self.diagrams])
-
-
-# SO(d) is left out: for even d <= 2t its invariants include the Levi-Civita
-# tensor, which no Brauer diagram spans, so the O(d) twirl would be wrong.
-_FORM_BY_GROUP = {"sp": "sp", "o": "o"}
 
 
 def check_twirl(t: int, d: int, group: str = "sp") -> None:
     """Checks of ``gram``, and of ``twirl``'s bytes per entry of a d^t x d^t
-    matrix: the (2t-1)!! float64 diagram matrices it keeps, two complex
+    matrix: the (2t-1)!! float64 diagram matrices it builds, two complex
     temporaries of the operator's shape and 2 B for the smaller arrays."""
-    if group not in _FORM_BY_GROUP:
+    # SO(d) is left out: for even d <= 2t its invariants include the Levi-Civita
+    # tensor, which no Brauer diagram spans, so the O(d) twirl would be wrong.
+    if group not in ("sp", "o"):
         raise DomainError(f"unknown group {group!r}")
-    check_gram(t, d, _FORM_BY_GROUP[group])
+    check_gram(t, d, group)
     check_bytes("the diagram table", 8 * double_factorial(2 * t - 1) + 34, d, 2 * t)
 
 
 def twirl(x: np.ndarray, t: int, d: int, group: str = "sp") -> TwirlResult:
     """Exact t-th moment twirl of x over the Haar measure of the group.
 
-    Returns the coefficients of E[S^(x)t x (S^(x)t)^dag] in the diagram
-    basis: c = W^{-1} m with m_i = Tr[F(sigma_i)^T x] (matrices are real, so
-    the transpose implements the Frobenius pairing used for the Gram matrix).
+    Builds the diagram matrices F(sigma_i) and returns the coefficients of
+    E[S^(x)t x (S^(x)t)^dag] in the diagram basis, c = W^{-1} m with
+    m_i = Tr[F(sigma_i)^T x] (matrices are real, so the transpose implements
+    the Frobenius pairing used for the Gram matrix), and the projection
+    sum_i c_i F(sigma_i). The coefficients are real when x is.
     """
     check_twirl(t, d, group)
-    form = _FORM_BY_GROUP[group]
     dim = d**t
     if x.shape != (dim, dim):
         raise DomainError(f"operator shape {x.shape} != {(dim, dim)}")
-    g, reps = _representations(t, d, form)
+    g, reps = _table(t, d, group)
     m = np.array([np.sum(rep * x) for rep in reps])
     coeff = g.inverse() @ m
-    recon = sum(c * rep for c, rep in zip(coeff, reps))
+    matrix = sum(c * rep for c, rep in zip(coeff, reps))
     # distance from x to its projection; zero iff x already lies in the span
-    residual = float(np.linalg.norm(x - recon))
-    coefficients = {sig: complex(c) for sig, c in zip(g.diagrams, coeff)}
-    return TwirlResult(t, d, group, g.diagrams, coefficients, residual)
-
-
-def twirl_matrix(result: TwirlResult) -> np.ndarray:
-    """Dense matrix sum_i c_i F(sigma_i) of a twirl result."""
-    _, reps = _representations(result.t, result.d, _FORM_BY_GROUP[result.group])
-    vec = result.coefficient_vector()
-    return sum(c * rep for c, rep in zip(vec, reps))
+    residual = float(np.linalg.norm(x - matrix))
+    return TwirlResult(t, d, group, g.diagrams, coeff, matrix, residual)
 
 
 def twirl_superoperator(t: int, d: int, group: str = "sp") -> np.ndarray:
@@ -452,7 +412,7 @@ def twirl_superoperator(t: int, d: int, group: str = "sp") -> np.ndarray:
     k = double_factorial(2 * t - 1)
     check_bytes(f"the twirl superoperator at t = {t}", 8 * d ** (2 * t) + 24 * k + 34,
                 d, 2 * t)
-    g, reps = _representations(t, d, _FORM_BY_GROUP[group])
+    g, reps = _table(t, d, group)
     f = np.stack([r.ravel() for r in reps], axis=1)
     return f @ g.inverse() @ f.T
 

@@ -12,6 +12,7 @@ factor) sits at dense bit position n - j.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,8 @@ class CircuitSpec:
                     raise DomainError(
                         f"rotation generator {g.generator} is not Hermitian"
                     )
+                if not math.isfinite(g.theta):
+                    raise DomainError(f"rotation angle {g.theta} is not finite")
             elif isinstance(g, HaarBlock):
                 if g.group not in BLOCK_GROUPS:
                     raise DomainError(f"unknown block group {g.group!r}")

@@ -167,12 +167,13 @@ def _plan_twirl(args):
     dim = args.d**args.t
     if np.shape(x) != (dim, dim) or x.dtype.kind not in "biufc":
         raise DomainError(f"input must be a numeric array of shape {(dim, dim)}")
+    if not np.isfinite(x).all():
+        raise DomainError("input has a NaN or infinite entry")
 
     def run():
-        res = brauer.twirl(x.astype(complex), args.t, args.d, args.group)
-        coeff = {
-            str(sig): [c.real, c.imag] for sig, c in res.coefficients.items()
-        }
+        res = brauer.twirl(x, args.t, args.d, args.group)
+        coeff = {str(sig): [float(c.real), float(c.imag)]
+                 for sig, c in zip(res.diagrams, res.coefficients)}
         payload = {"coefficients": coeff, "residual": res.residual,
                    "diagram_order": [str(s) for s in res.diagrams]}
         if out:
@@ -204,8 +205,8 @@ def _plan_simulate(args):
     config = {"circuit": args.circuit, "state": args.state, "out": args.out}
     circ = circuit.circuit_from_json(Path(args.circuit).read_text())
     circuit.check_statevector(circ.n)
-    if not args.out:  # json's pieces of the inline amplitudes: about 410 B each
-        check_bytes(f"the inline amplitudes at n = {circ.n}", 512, 2, circ.n)
+    if not args.out:  # the inline amplitudes as lists of floats: about 150 B each
+        check_bytes(f"the inline amplitudes at n = {circ.n}", 160, 2, circ.n)
     circuit.check_basis_index(circ.n, args.state)
     out = _out_path(args.out, ".npy")
 
@@ -500,7 +501,7 @@ def main(argv=None) -> int:
             config, info, run = args.plan(args)
         except DomainError:
             raise
-        except (OSError, ValueError) as e:  # an unreadable or malformed input
+        except (OSError, ValueError, OverflowError) as e:  # an unreadable or malformed input
             raise DomainError(f"{type(e).__name__}: {e}") from e
         payload = {"validated": True, **info, "dry_run": True} if args.dry_run else run()
         envelope = {
@@ -511,7 +512,8 @@ def main(argv=None) -> int:
             "wall_clock_s": round(time.monotonic() - started, 6),
             "payload": payload,
         }
-        print(json.dumps(envelope, indent=2))
+        json.dump(envelope, sys.stdout, indent=2)
+        sys.stdout.write("\n")
         return 0
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)

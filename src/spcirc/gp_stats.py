@@ -257,8 +257,8 @@ def check_concentration(n: int, n_samples: int, thresholds, observable: PauliStr
                         batches: int = DEFAULT_BATCHES) -> np.ndarray:
     """Checks of ``concentration_tail``; returns the thresholds as an array."""
     thresholds = np.asarray(thresholds, dtype=float)
-    if not np.all(thresholds > 0):
-        raise DomainError("thresholds must be positive")
+    if not np.all((thresholds > 0) & np.isfinite(thresholds)):
+        raise DomainError("thresholds must be positive and finite")
     check_gp(n, n_samples, observable, batches)
     return thresholds
 

@@ -308,8 +308,8 @@ class DepthResult:
 
 def check_depth(n: int, epsilon: float, max_layers: int) -> None:
     """Checks of ``depth_to_anticoncentrate``."""
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     if max_layers < 1:
         raise DomainError(f"need max_layers >= 1, got {max_layers}")
     check_propagation(n)
@@ -373,9 +373,11 @@ def dense_second_moment(n: int, layers: int) -> np.ndarray:
     m[0, 0] = 1.0
     # axes: rows (copy1 qubits 1..n, copy2 qubits 1..n), then columns likewise
     shape = (2,) * (4 * n)
+    supers = {group: brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group])
+              for _, group in circuit.brick_layer(n)}
     for _ in range(layers):
         for i, group in circuit.brick_layer(n):
-            s = brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group])
+            s = supers[group]
             axes = [
                 i - 1, i,                     # rows, copy 1
                 n + i - 1, n + i,             # rows, copy 2

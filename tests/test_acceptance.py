@@ -117,7 +117,7 @@ def test_criterion_04_twirl_vs_monte_carlo():
         g = x_gen.normal(size=(16, 16)) + 1j * x_gen.normal(size=(16, 16))
         x = (g + g.conj().T) / 2
         x /= np.linalg.norm(x)
-        exact = brauer.twirl_matrix(brauer.twirl(x, 2, 4, "sp"))
+        exact = brauer.twirl(x, 2, 4, "sp").matrix
         for n in counts:
             mc = brauer.monte_carlo_twirl(
                 x, 2, 4, "sp", n, stream.child(f"mc{i}n{n}").generator()

@@ -26,8 +26,6 @@ from spcirc.brauer import (
     monte_carlo_twirl,
     represent,
     twirl,
-    twirl_matrix,
-    weingarten,
 )
 from spcirc.errors import CapacityError, DomainError
 from spcirc.sampler import RngStream, omega, sample_sp
@@ -173,7 +171,7 @@ def test_compose_matches_matrix_product_for_permutations():
         for _ in range(10):
             a, b = rng.choice(len(sigs), 2)
             a, b = sigs[a], sigs[b]
-            prod, loops = compose(a, b, -float(d)).single()
+            prod, loops, _ = compose(a, b, -float(d))
             assert loops == 0
             assert np.array_equal(
                 represent(prod, d, form="o"),
@@ -189,7 +187,7 @@ def test_compose_matches_matrix_product_for_the_orthogonal_form():
         reps = {s: represent(s, d, form="o") for s in enumerate_diagrams(t)}
         for a in reps:
             for b in reps:
-                prod, loops = compose(a, b, float(d)).single()
+                prod, loops, _ = compose(a, b, float(d))
                 assert np.allclose(d**loops * reps[prod], reps[a] @ reps[b])
     ident, swap, pi = enumerate_diagrams(2)
     assert np.array_equal(represent(swap, 4) @ represent(pi, 4), -represent(pi, 4))
@@ -205,33 +203,32 @@ def test_compose_is_exact(form):
             reps = {s: represent(s, d, form) for s in enumerate_diagrams(t)}
             for a in reps:
                 for b in reps:
-                    el = compose(a, b, delta)
-                    prod, _ = el.single()
-                    assert np.allclose(el.scalar_factor() * reps[prod], reps[a] @ reps[b],
+                    prod, loops, sign = compose(a, b, delta)
+                    assert np.allclose(sign * delta**loops * reps[prod], reps[a] @ reps[b],
                                        rtol=0, atol=1e-12), (a, b, d)
 
 
 def test_temperley_lieb_relations():
     ident, swap, pi = enumerate_diagrams(2)
     delta = -4.0
-    out, k = compose(swap, pi, delta).single()
+    out, k, _ = compose(swap, pi, delta)
     assert (out, k) == (pi, 0)
-    out, k = compose(pi, swap, delta).single()
+    out, k, _ = compose(pi, swap, delta)
     assert (out, k) == (pi, 0)
-    out, k = compose(pi, pi, delta).single()
+    out, k, sign = compose(pi, pi, delta)
     assert (out, k) == (pi, 1)
-    assert compose(pi, pi, delta).scalar_factor() == delta
-    out, k = compose(swap, swap, delta).single()
+    assert sign * delta**k == delta
+    out, k, _ = compose(swap, swap, delta)
     assert (out, k) == (ident, 0)
 
 
 @given(diagrams(), diagrams(), diagrams())
 def test_compose_associative(a, b, c):
     delta = -5.0
-    ab, k1 = compose(a, b, delta).single()
-    left, k2 = compose(ab, c, delta).single()
-    bc, k3 = compose(b, c, delta).single()
-    right, k4 = compose(a, bc, delta).single()
+    ab, k1, _ = compose(a, b, delta)
+    left, k2, _ = compose(ab, c, delta)
+    bc, k3, _ = compose(b, c, delta)
+    right, k4, _ = compose(a, bc, delta)
     assert left == right
     assert k1 + k2 == k3 + k4
 
@@ -239,8 +236,8 @@ def test_compose_associative(a, b, c):
 @given(permutation_diagrams())
 def test_identity_is_neutral(a):
     e = BrauerDiagram.identity(a.t)
-    assert compose(e, a, -4.0).single() == (a, 0)
-    assert compose(a, e, -4.0).single() == (a, 0)
+    assert compose(e, a, -4.0)[:2] == (a, 0)
+    assert compose(a, e, -4.0)[:2] == (a, 0)
 
 
 # -- Gram and Weingarten --------------------------------------------------------------
@@ -275,7 +272,7 @@ def test_gram_matches_dense_traces():
 
 def test_weingarten_t2_closed_form():
     for d in (4, 8, 16):
-        w = weingarten(2, d, "sp")
+        w = gram(2, d, "sp").inverse()
         closed = np.array(
             [[d - 1, -1, 1], [-1, d - 1, -1], [1, -1, d - 1]], dtype=float
         ) / (d * (d + 1) * (d - 2))
@@ -317,7 +314,7 @@ def test_twirl_fixes_commutant_elements():
     sigs = enumerate_diagrams(2)
     for i, sig in enumerate(sigs):
         res = twirl(represent(sig, d).astype(complex), 2, d, "sp")
-        vec = res.coefficient_vector()
+        vec = res.coefficients
         expected = np.zeros(3)
         expected[i] = 1.0
         assert np.allclose(vec.real, expected, atol=1e-10)
@@ -331,14 +328,14 @@ def test_twirl_output_commutes_with_group():
     a = gen.standard_normal((16, 16)) + 1j * gen.standard_normal((16, 16))
     x = a + a.conj().T
     res = twirl(x, 2, d, "sp")
-    y = twirl_matrix(res)
+    y = res.matrix
     for _ in range(5):
         s = sample_sp(d, gen)
         sk = np.kron(s, s)
         assert np.abs(sk @ y - y @ sk).max() <= 1e-9
     # projection is idempotent
     res2 = twirl(y, 2, d, "sp")
-    assert np.allclose(res2.coefficient_vector(), res.coefficient_vector(), atol=1e-10)
+    assert np.allclose(res2.coefficients, res.coefficients, atol=1e-10)
     assert res2.residual <= 1e-9
 
 
@@ -355,7 +352,7 @@ def test_twirl_preserves_trace():
     gen = RngStream(23, "brauer").generator()
     a = gen.standard_normal((16, 16))
     x = (a + a.T).astype(complex)
-    y = twirl_matrix(twirl(x, 2, d, "sp"))
+    y = twirl(x, 2, d, "sp").matrix
     assert np.trace(y) == pytest.approx(np.trace(x).real, abs=1e-9)
 
 
@@ -365,7 +362,7 @@ def test_twirl_superoperator_applies_the_twirl(t, d, group):
     gen = RngStream(29, "brauer").generator()
     x = gen.standard_normal((d**t, d**t))
     s = brauer.twirl_superoperator(t, d, group)
-    y = twirl_matrix(twirl(x.astype(complex), t, d, group))
+    y = twirl(x.astype(complex), t, d, group).matrix
     assert np.abs((s @ x.ravel()).reshape(x.shape) - y).max() <= 1e-10
 
 
@@ -415,7 +412,7 @@ def test_monte_carlo_twirl_converges():
     gen = RngStream(24, "brauer").generator()
     a = gen.standard_normal((16, 16)) + 1j * gen.standard_normal((16, 16))
     x = (a + a.conj().T) / 2
-    exact = twirl_matrix(twirl(x, 2, d, "sp"))
+    exact = twirl(x, 2, d, "sp").matrix
     approx = monte_carlo_twirl(x, 2, d, "sp", 2000, RngStream(25, "mc"))
     assert np.abs(approx - exact).max() <= 0.12
 
@@ -428,6 +425,6 @@ def test_orthogonal_twirl_route():
     a = gen.standard_normal((16, 16))
     x = (a + a.T).astype(complex)
     res = twirl(x, 2, d, "o")
-    y = twirl_matrix(res)
+    y = res.matrix
     approx = monte_carlo_twirl(x, 2, d, "o", 4000, RngStream(27, "mc"))
     assert np.abs(approx - y).max() <= 0.15

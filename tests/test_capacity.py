@@ -3,6 +3,8 @@ the bytes its call holds at once, and every check costs O(1) however large
 the request is."""
 
 import ast
+import contextlib
+import os
 import pathlib
 import time
 import tracemalloc
@@ -134,12 +136,47 @@ BOUNDED = {
 def test_peak_within_the_checked_bytes(name, counted):
     make, warm, size = BOUNDED[name]
     make(warm)()
-    brauer._REP_CACHE.clear()  # twirl's diagram table is part of what it holds
     call = make(size)
     counts_before = len(counted)
     peak = traced_peak(call)
     assert len(counted) > counts_before, "the call made no byte check"
     assert peak <= max(counted[counts_before:]) + UNCOUNTED
+
+
+def test_nothing_outlives_a_twirl():
+    brauer.twirl(np.eye(4), 2, 2, "o")  # warm
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        brauer.twirl(np.eye(1024), 2, 32, "o")
+        assert tracemalloc.get_traced_memory()[0] - start <= UNCOUNTED
+    finally:
+        tracemalloc.stop()
+
+
+def cli_inputs(tmp):
+    """A real 1024 x 1024 operator and an empty 14-qubit circuit."""
+    np.save(tmp / "x.npy", np.random.default_rng(2).standard_normal((1024, 1024)))
+    (tmp / "c.json").write_text('{"n": 14, "gates": []}')
+    return tmp
+
+
+# CLI runs whose whole peak, the loaded input and the printed envelope included,
+# stays within the bytes the run checks
+CLI_BOUNDED = {
+    "twirl": ["twirl", "--t", "2", "--d", "32", "--group", "o", "--input", "{tmp}/x.npy"],
+    "simulate-inline": ["simulate", "--circuit", "{tmp}/c.json"],
+}
+
+
+@pytest.mark.parametrize("name", CLI_BOUNDED)
+def test_cli_peak_within_the_checked_bytes(name, counted, tmp_path):
+    argv = [a.format(tmp=cli_inputs(tmp_path)) for a in CLI_BOUNDED[name]]
+    codes = []
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        peak = traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0]
+    assert peak <= max(counted) + UNCOUNTED
 
 
 @pytest.mark.parametrize("group", ["sp", "o", "so", "u"])
@@ -212,3 +249,4 @@ def test_capacity_errors_are_byte_bounds_or_count_caps():
     for module, func, names in found:
         assert (module, func) in ALLOWED, f"{module}.{func} raises CapacityError"
         assert ALLOWED[module, func] in names, (module, func, names)
+

@@ -27,10 +27,14 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def reject_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
 def run_json(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=reject_constant)
 
 
 def gp_config(tmp_path, **overrides):
@@ -381,10 +385,6 @@ def test_gp_summary_out_file(tmp_path, capsys):
     assert json.loads(out.read_text())["theory_name"] == "overlapping-states"
 
 
-def reject_constant(name):
-    raise AssertionError(f"{name} is not strict JSON")
-
-
 def test_gp_summary_is_strict_json_at_two_draws_per_batch(tmp_path, capsys):
     cfg = gp_config(tmp_path, samples=40, batches=20)
     code, out, err = run(["gp-summary", "--config", cfg, "--seed", "5", "--threads", "1"],
@@ -512,6 +512,8 @@ SAMPLING_FAILURES = [
                   "--thresholds=-0.5"], 1, id="concentration-negative-threshold"),
     pytest.param(["concentration", "--n", "4", "--samples", "40",
                   "--thresholds", "0.5,abc"], 1, id="concentration-unparsable-threshold"),
+    pytest.param(["concentration", "--n", "4", "--samples", "40",
+                  "--thresholds", "0.5,inf"], 1, id="concentration-infinite-threshold"),
     pytest.param(["concentration", "--n", "4", "--samples", "5",
                   "--thresholds", "0.5"], 1, id="concentration-samples-below-batches"),
     pytest.param(["concentration", "--n", "30", "--samples", "40",
@@ -601,10 +603,19 @@ def test_depth_has_no_threads_option(tmp_path, threads, capsys):
 
 def plan_inputs(tmp_path):
     """Input files for the cases below: circuits just and far past the
-    statevector bound, a directory, a file that is not .npy, a 9 x 9 operator
-    and a gp config with one draw per batch."""
+    statevector bound, circuits whose angle is not a finite float, a
+    directory, a file that is not .npy, a 9 x 9 operator, 16 x 16 operators
+    with a NaN or an infinite entry and a gp config with one draw per batch."""
     (tmp_path / "c24.json").write_text(json.dumps({"n": 24, "gates": []}))
     (tmp_path / "c1e18.json").write_text(json.dumps({"n": 10**18, "gates": []}))
+    for name, theta in [("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity"),
+                        ("1e400", str(10**400))]:
+        (tmp_path / f"theta{name}.json").write_text(
+            f'{{"n": 2, "gates": [{{"type": "rot", "pauli": "XY", "theta": {theta}}}]}}')
+    for name, value in [("nan", np.nan), ("inf", np.inf)]:
+        x = np.eye(16)
+        x[3, 5] = value
+        np.save(tmp_path / f"{name}16.npy", x)
     (tmp_path / "adir").mkdir()
     (tmp_path / "text.npy").write_text("not an array")
     np.save(tmp_path / "eye9.npy", np.eye(9))
@@ -619,6 +630,10 @@ PLAN_FAILURES = [
                   "--out", "{tmp}/d.csv"], 2, id="depth-n-over-budget"),
     pytest.param(["anticoncentration-depth", "--epsilon", "-1", "--out", "{tmp}/d.csv"], 1,
                  id="depth-negative-epsilon"),
+    pytest.param(["anticoncentration-depth", "--epsilon", "inf", "--out", "{tmp}/d.csv"], 1,
+                 id="depth-infinite-epsilon"),
+    pytest.param(["anticoncentration-depth", "--epsilon", "nan", "--out", "{tmp}/d.csv"], 1,
+                 id="depth-nan-epsilon"),
     pytest.param(["anticoncentration-depth", "--max-layers", "0", "--out", "{tmp}/d.csv"], 1,
                  id="depth-zero-max-layers"),
     pytest.param(["anticoncentration-depth", "--max-layers", "-1", "--out", "{tmp}/d.csv"], 1,
@@ -637,6 +652,12 @@ PLAN_FAILURES = [
     pytest.param(["simulate", "--circuit", "{tmp}/c24.json"], 2, id="simulate-n24"),
     pytest.param(["simulate", "--circuit", "{tmp}/c1e18.json"], 2, id="simulate-n1e18"),
     pytest.param(["simulate", "--circuit", "{tmp}/adir"], 1, id="simulate-circuit-directory"),
+    pytest.param(["simulate", "--circuit", "{tmp}/thetanan.json"], 1, id="simulate-theta-nan"),
+    pytest.param(["simulate", "--circuit", "{tmp}/thetainf.json"], 1, id="simulate-theta-inf"),
+    pytest.param(["simulate", "--circuit", "{tmp}/theta-inf.json"], 1,
+                 id="simulate-theta-minus-inf"),
+    pytest.param(["simulate", "--circuit", "{tmp}/theta1e400.json"], 1,
+                 id="simulate-theta-past-float-range"),
     pytest.param(["sample", "--group", "sp", "--d", "4", "--count", "2", "--seed", "1",
                   "--out", "{tmp}/missing/s.npy"], 1, id="sample-out-directory-missing"),
     pytest.param(["sample", "--group", "u", "--d", "16384", "--count", "1", "--seed", "1",
@@ -645,6 +666,10 @@ PLAN_FAILURES = [
                   "--input", "{tmp}/eye9.npy"], 1, id="twirl-sp-odd-d"),
     pytest.param(["twirl", "--t", "2", "--d", "3", "--group", "o",
                   "--input", "{tmp}/text.npy"], 1, id="twirl-input-not-npy"),
+    pytest.param(["twirl", "--t", "2", "--d", "4", "--group", "o",
+                  "--input", "{tmp}/nan16.npy"], 1, id="twirl-input-nan"),
+    pytest.param(["twirl", "--t", "2", "--d", "4", "--group", "sp",
+                  "--input", "{tmp}/inf16.npy"], 1, id="twirl-input-inf"),
     pytest.param(["twirl", "--t", "5", "--d", "4", "--group", "sp",
                   "--input", "{tmp}/eye9.npy"], 2, id="twirl-table-over-byte-limit"),
     pytest.param(["gp", "--config", "{tmp}/adir", "--seed", "1", "--threads", "1",
@@ -681,13 +706,13 @@ def test_plan_fails_like_the_run(tmp_path, template, code, capsys):
 
 
 def test_simulate_inline_amplitudes_byte_bound(tmp_path, capsys):
-    # about 410 B per amplitude printed inline: n = 21 fits, n = 22 needs --out
-    for n in (21, 22):
+    # about 150 B per amplitude printed inline: n = 22 fits, n = 23 needs --out
+    for n in (22, 23):
         (tmp_path / f"c{n}.json").write_text(json.dumps({"n": n, "gates": []}))
-    argv = ["simulate", "--circuit", str(tmp_path / "c22.json")]
+    argv = ["simulate", "--circuit", str(tmp_path / "c23.json")]
     assert_dry_run_exits_like_run(argv, 2, capsys)
     assert run(argv + ["--out", str(tmp_path / "a.npy"), "--dry-run"], capsys)[0] == 0
-    assert run(["simulate", "--circuit", str(tmp_path / "c21.json"), "--dry-run"], capsys)[0] == 0
+    assert run(["simulate", "--circuit", str(tmp_path / "c22.json"), "--dry-run"], capsys)[0] == 0
 
 
 def test_sample_byte_limit():
