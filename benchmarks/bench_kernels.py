@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from spcirc import kernels, lie_closure
+from spcirc import kernels, lie_closure, moment
 from spcirc.pauli import PauliString
 from spcirc.sampler import sample_sp, sample_sp_columns
 
@@ -62,22 +62,29 @@ def bench_pauli_rotation(n=14, rotations=100):
     return run
 
 
-def bench_transfer(n=12):
-    """One half brick layer of the label propagator on a fully labeled
-    vector: a gemm per block on bonds (1, 2), (3, 4), ..., the last block
-    first, alternating between two buffers."""
-    gen = np.random.default_rng(3)
-    size = 2 * 3 ** (n - 1)
-    v = gen.normal(size=size)
-    buffers = (np.empty(size), np.empty(size))
-    # qubit 1 carries 2 labels, every other qubit 3
-    blocks = [gen.normal(size=(9, 9)) for _ in range(n // 2 - 1)] + [gen.normal(size=(6, 6))]
+def bench_transfer(n=20):
+    """One half brick layer of the second-moment propagator: the block steps
+    of the odd-bond half on the tensor of two layers, recorded from a
+    ``moment.propagate`` call and replayed, each step's output the next
+    step's input."""
+    v = moment.propagate(moment.initial_label_vector(n), 2)
+    apply, steps = kernels.transfer_apply, []
+
+    def record(*args):
+        steps.append(args[1:])
+        return apply(*args)
+
+    kernels.transfer_apply = record
+    try:
+        moment.propagate(v, 1)
+    finally:
+        kernels.transfer_apply = apply
+    half = steps[: n // 2]  # bonds (1, 2), (3, 4), ..., (n - 1, n)
 
     def run():
-        cur = v
-        for k, t in enumerate(blocks):
-            din = t.shape[1]
-            cur = kernels.transfer_apply(cur, t, size // din, din, 1, out=buffers[k % 2])
+        cur = v.coeffs
+        for t, left, din, right in half:
+            cur = kernels.transfer_apply(cur, t, left, din, right)
 
     return run
 
@@ -108,7 +115,7 @@ def bench_haar_draw(d=256, k=None, draws=20):
 BENCHES = [
     ("apply_gate_2q (n=14, 100 gates)", bench_apply_gate),
     ("pauli_rotation (n=14, 100 rotations)", bench_pauli_rotation),
-    ("transfer_apply (n=12, half layer)", bench_transfer),
+    ("transfer_apply (n=20, half layer)", bench_transfer),
     ("lie closure (n=6, dim 2080)", bench_closure),
     ("sample_sp (d=256, 20 draws)", bench_haar_draw),
     ("sample_sp_columns (d=256, k=2, 20 draws)", lambda: bench_haar_draw(k=2)),

@@ -30,6 +30,7 @@ they need, and ``twirl`` returns the projected matrix with its coefficients.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -316,8 +317,11 @@ class GramMatrix:
 
 
 def check_gram(t: int, d: int, form: str = "sp") -> None:
-    """Checks of ``gram``: 1 <= t <= MAX_T, d >= 1, even d for the sp form,
-    and the diagonal entries d**t within the float64 range."""
+    """Checks of ``gram``: the form "sp" or "o", 1 <= t <= MAX_T, d >= 1,
+    even d for the sp form, and the diagonal entries d**t within the float64
+    range."""
+    if form not in ("sp", "o"):
+        raise DomainError(f"unknown form {form!r}; expected 'sp' or 'o'")
     _check_order(t)
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
@@ -371,12 +375,27 @@ def check_twirl(t: int, d: int, group: str = "sp") -> None:
     """Checks of ``gram``, and of ``twirl``'s bytes per entry of a d^t x d^t
     matrix: the (2t-1)!! float64 diagram matrices it builds, two complex
     temporaries of the operator's shape and 2 B for the smaller arrays."""
-    # SO(d) is left out: for even d <= 2t its invariants include the Levi-Civita
-    # tensor, which no Brauer diagram spans, so the O(d) twirl would be wrong.
-    if group not in ("sp", "o"):
-        raise DomainError(f"unknown group {group!r}")
+    # SO(d) is left out (check_gram takes only the sp and o forms): for even
+    # d <= 2t its invariants include the Levi-Civita tensor, which no Brauer
+    # diagram spans, so the O(d) twirl would be wrong.
     check_gram(t, d, group)
     check_bytes("the diagram table", 8 * double_factorial(2 * t - 1) + 34, d, 2 * t)
+
+
+def check_operator(x, t: int, d: int) -> None:
+    """Checks of ``twirl``'s operator: a numeric d^t x d^t array with finite
+    entries and d^t max|x_ij| within the float64 range. That product bounds
+    the Frobenius norm of x, and the norm bounds every output of the twirl:
+    it is an orthogonal projection, so the projected matrix and the
+    residual are at most the norm, and coefficient i at most the norm times
+    sqrt(Wg_ii), which is at most 1."""
+    dim = d**t
+    if np.shape(x) != (dim, dim) or np.asarray(x).dtype.kind not in "biufc":
+        raise DomainError(f"input must be a numeric array of shape {(dim, dim)}")
+    if not np.isfinite(x).all():
+        raise DomainError("input has a NaN or infinite entry")
+    if dim * float(np.abs(x).max(initial=0)) > sys.float_info.max:
+        raise DomainError(f"input entries past float64 max / {dim}: the twirl would overflow")
 
 
 def twirl(x: np.ndarray, t: int, d: int, group: str = "sp") -> TwirlResult:
@@ -387,18 +406,25 @@ def twirl(x: np.ndarray, t: int, d: int, group: str = "sp") -> TwirlResult:
     m_i = Tr[F(sigma_i)^T x] (matrices are real, so the transpose implements
     the Frobenius pairing used for the Gram matrix), and the projection
     sum_i c_i F(sigma_i). The coefficients are real when x is.
+
+    The sums run on x / s, s the power of two with |x / s| < 2, so no
+    partial sum overflows. Scaling by a power of two is exact, so the
+    outputs are those of the unscaled sums.
     """
     check_twirl(t, d, group)
-    dim = d**t
-    if x.shape != (dim, dim):
-        raise DomainError(f"operator shape {x.shape} != {(dim, dim)}")
+    check_operator(x, t, d)
+    s = math.ldexp(1.0, math.frexp(float(np.abs(x).max(initial=0)))[1] - 1)
     g, reps = _table(t, d, group)
-    m = np.array([np.sum(rep * x) for rep in reps])
+    # diagram entries are 0 or +-1, so only the sum of rep * x could overflow
+    m = np.array([np.sum(rep * x / s) for rep in reps])
     coeff = g.inverse() @ m
     matrix = sum(c * rep for c, rep in zip(coeff, reps))
     # distance from x to its projection; zero iff x already lies in the span
-    residual = float(np.linalg.norm(x - matrix))
-    return TwirlResult(t, d, group, g.diagrams, coeff, matrix, residual)
+    diff = x / s
+    diff -= matrix
+    residual = s * float(np.linalg.norm(diff))
+    matrix *= s
+    return TwirlResult(t, d, group, g.diagrams, s * coeff, matrix, residual)
 
 
 def twirl_superoperator(t: int, d: int, group: str = "sp") -> np.ndarray:

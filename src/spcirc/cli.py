@@ -164,11 +164,7 @@ def _plan_twirl(args):
     brauer.check_twirl(args.t, args.d, args.group)
     out = _out_path(args.out)
     x = np.load(args.input)
-    dim = args.d**args.t
-    if np.shape(x) != (dim, dim) or x.dtype.kind not in "biufc":
-        raise DomainError(f"input must be a numeric array of shape {(dim, dim)}")
-    if not np.isfinite(x).all():
-        raise DomainError("input has a NaN or infinite entry")
+    brauer.check_operator(x, args.t, args.d)
 
     def run():
         res = brauer.twirl(x, args.t, args.d, args.group)

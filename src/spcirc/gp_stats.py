@@ -37,6 +37,7 @@ The anticoncentration check reads S e_0 only (k = 1).
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -458,7 +459,11 @@ def moment_bound(tr_g: float, d: int, c, t: int) -> np.ndarray:
     if k < 1:
         raise DomainError(f"need t >= 2, got {t}")
     c = np.asarray(c, dtype=float)
-    return double_factorial(2 * k - 1) * (2.0 * tr_g / (d * c**2)) ** k
+    # from half of sqrt(float max / d) on, d c^2 could overflow; the bound is
+    # then at most 8 (2k-1)!! Tr_g / float max, and it is given as 0
+    vast = c >= math.sqrt(sys.float_info.max / d) / 2
+    bound = double_factorial(2 * k - 1) * (2.0 * tr_g / (d * np.where(vast, 1.0, c) ** 2)) ** k
+    return np.where(vast, 0.0, bound)
 
 
 def concentration_tail(
@@ -487,7 +492,9 @@ def concentration_tail(
     emp_se = _batch_se(hits, batches)
     if sigma_sq > 0:
         scale = math.sqrt(2.0 * sigma_sq)
-        gauss = np.array([math.erfc(c / scale) for c in thresholds])
+        # erfc is 0.0 in float64 from 27.3 on, and c / scale may overflow
+        gauss = np.array([math.erfc(c / scale) if c < 28 * scale else 0.0
+                          for c in thresholds])
     else:
         gauss = np.zeros_like(thresholds)
     return TailTable(

@@ -2,7 +2,7 @@
 
 Four kernels carry the package's inner loops: ``apply_gate_2q`` and
 ``pauli_rotation`` for the statevector simulator, ``transfer_apply`` for the
-second-moment label propagator and ``closure_round`` for the Lie closure.
+second-moment propagator's block steps and ``closure_round`` for the Lie closure.
 ``benchmarks/bench_kernels.py`` times each one on a representative workload.
 
 ``closure_round`` commutes a frontier of Pauli directions with a second set.
@@ -17,10 +17,10 @@ Conventions shared with the rest of the package:
   leftmost tensor factor) lives at dense bit position n - j (qubit 1 = MSB);
 - two-qubit gate matrices are 4x4 with index 2*b_a + b_b where b_a is the bit
   at ``pos_a`` and b_b the bit at ``pos_b``;
-- label vectors for the second-moment propagator are 1-D float64 arrays in
-  row-major qubit order; ``transfer_apply`` reads one as (L, din, R) and
-  writes the contracted axis first, as (dout, L, R). The propagator calls it
-  with R = 1, so each call is one gemm.
+- second-moment tensors are 1-D float64 arrays in row-major axis order;
+  ``transfer_apply`` reads one as (L, din, R) and writes (L, dout, R), so
+  the axes around the contracted ones stay in place. It is one gemm when
+  R = 1 and a stack of L gemms otherwise.
 """
 
 import numpy as np
@@ -63,17 +63,15 @@ def pauli_rotation(psi, x_dense, phases, theta):
 
 
 # ---------------------------------------------------------------------------
-# label-basis transfer contraction: out[o,l,r] = sum_i T[o,i] v[l,i,r]
+# block-step contraction: out[l,o,r] = sum_i T[o,i] v[l,i,r]
 
-def transfer_apply(v, T, L, din, R, out=None):
+def transfer_apply(v, T, L, din, R):
     """Contract matrix T (dout x din) into the middle axis of v (L, din, R)
-    and return the result flat in (dout, L, R) order: the contracted axis
-    moves to the front. ``out``, if given, is a 1-D float64 buffer of
-    dout * L * R entries that receives the result."""
-    x = v.reshape(L, din, R).transpose(1, 0, 2).reshape(din, L * R)
-    if out is not None:
-        out = out.reshape(T.shape[0], L * R)
-    return np.matmul(T, x, out=out).reshape(-1)
+    and return the result flat in (L, dout, R) order: the contracted axis
+    stays in place."""
+    if R == 1:  # one gemm; a stack of L matrix-vector products is far slower
+        return (v.reshape(L, din) @ T.T).reshape(-1)
+    return np.matmul(T, v.reshape(L, din, R)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,45 @@
 """Exact second-moment propagation for brick-layer circuits.
 
-The averaged two-copy operator E[rho (x) rho] of a brick-layer circuit stays
-inside a per-qubit product basis: qubit 1 carries {I, S}, every other qubit
-{I, S, B}, where (on the two copies of qubit J)
+After a block of a brick layer, the t = 2 twirl leaves the averaged two-copy
+operator E[rho (x) rho] of the block's two qubits in the span of its group's
+three Brauer diagrams Id, Swap and Pairing (``brauer.enumerate_diagrams(2)``
+order, with the block's form: symplectic for the SP(2) block on qubit 1,
+orthogonal elsewhere). Each diagram is a product of one-qubit factors on the
+two copies of each qubit: Id = I (x) I, Swap = Sw (x) Sw, and the pairing is
+P (x) P for O(4) and, since Omega = iY (x) I, a product as well for SP(2).
+The factors are read off ``brauer.represent`` with a rank-1 check.
 
-    S_J = XX + YY + ZZ,    B_J = XX - YY + ZZ.
+So E[rho (x) rho] is a dense tensor with one axis per block of the last half
+layer, indexed by the block's diagrams, plus one axis per edge qubit that the
+half did not touch, indexed by that qubit's factor. The next half layer turns
+this tensor into the next one by a chain of small contractions: each new
+block on bond (q, q + 1) weighs the factor of qubit q in one axis against the
+factor of qubit q + 1 in the next with a table W[a, b, tau], the projection of
+the exact twirl of that product onto the block's three diagrams. An axis
+whose other qubit is still pending passes through the contraction. The
+largest tensor has 3^(floor(n/2) + 1) coefficients.
 
-Each Haar block acts on this reduced space as a small transfer matrix
-derived here rather than transcribed from a table: the projection onto the
-label pairs of the block's exact t = 2 twirl superoperator (symplectic for
-the block on qubit 1, orthogonal elsewhere), the 256 x 256 matrix the dense
-oracle applies as well. The label basis is not orthogonal (S and B
-overlap), so the projection solves the normal equations of the label pairs.
+Before any block has acted, |0><0|^(x)2 per qubit lies outside every block
+span; such qubits carry the one-element factor "raw" and join a block the
+first time one touches them.
 
-Before any block has acted, |0><0|^(x)2 per qubit is outside the label span;
-such qubits carry the one-element bootstrap alphabet ("raw",) and enter the
-label basis the first time a block touches them. One full layer labels every
-qubit.
+The per-qubit label basis {I, S, B}, where (on the two copies of qubit J)
 
-Collision probability: z = sum_x E[p(x)^2] contracts the label vector
-against (x)_J sum_b |bb><bb|; per-label contraction values are computed from
-the dense 4x4 oracle, never hardcoded.
+    S_J = XX + YY + ZZ,    B_J = XX - YY + ZZ,
+
+spans every factor, and ``block_transfer`` gives the block transfer in that
+basis; the W tables and the label transfers come from one projection of the
+block superoperator, ``brauer.twirl_superoperator``, the 256 x 256 matrix the
+dense oracle applies as well.
+
+Collision probability: z = sum_x E[p(x)^2] contracts the tensor against
+(x)_J sum_b |bb><bb|; per-factor contraction values are computed from the
+dense 4x4 operators, never hardcoded.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,30 +71,30 @@ ALPHA_FIRST = ("I", "S")
 ALPHA_REST = ("I", "S", "B")
 ALPHA_RAW = ("raw",)
 
+# names of the t = 2 diagrams, in brauer.enumerate_diagrams(2) order
+DIAGRAMS = ("id", "swap", "pair")
+
 # per-qubit measurement functional sum_b |bb><bb| on the two copies
 _MEAS = np.zeros((4, 4))
 _MEAS[0, 0] = 1.0
 _MEAS[3, 3] = 1.0
 
-
-def label_gram(alphabet) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix of the per-qubit label operators."""
-    ops = [LABEL_OPS[a] for a in alphabet]
-    return np.array([[float(np.sum(x * y)) for y in ops] for x in ops])
+# Lazily filled, never at import: diagram factors, W tables, label transfers
+# and contraction values, keyed by what they are derived from.
+_TRANSFER_CACHE: dict = {}
 
 
-def contraction_values(alphabet) -> np.ndarray:
-    """Tr[label * sum_b |bb><bb|] per label, from the dense oracle."""
-    return np.array([float(np.sum(LABEL_OPS[a] * _MEAS)) for a in alphabet])
+def _cached(key, make):
+    if key not in _TRANSFER_CACHE:
+        _TRANSFER_CACHE[key] = make()
+    return _TRANSFER_CACHE[key]
 
 
-def z_haar(n: int) -> float:
-    """Collision probability of a globally Haar state family: 2/(d + 1)."""
-    return 2.0 / (2**n + 1)
+def _factor_name(group: str, diagram: str, side: int) -> str:
+    """Name of the one-qubit factor of ``diagram`` of a ``group`` block on
+    its first (side 0) or second (side 1) qubit, e.g. "sp2.pair.0"."""
+    return f"{group}.{diagram}.{side}"
 
-
-# ---------------------------------------------------------------------------
-# block transfer matrices
 
 def _copy_swap(x16: np.ndarray) -> np.ndarray:
     """Reorder a 16x16 two-qubit-two-copy operator between qubit-major
@@ -90,6 +105,65 @@ def _copy_swap(x16: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(16, 16))
 
 
+def _diagram_factors(group: str) -> dict:
+    """factor name -> 4x4 operator on the two copies of one qubit, for the
+    three diagrams of a ``group`` block. The diagram's copy-major matrix,
+    reordered qubit-major and regrouped as (qubit a entry, qubit b entry),
+    must have rank 1; its leading singular pair, split evenly and signed so
+    that the largest entry of the qubit-a factor is positive, gives the
+    factors."""
+    def make():
+        form = BLOCK_GROUPS[group]
+        out = {}
+        for name, sigma in zip(DIAGRAMS, brauer.enumerate_diagrams(2)):
+            x = _copy_swap(brauer.represent(sigma, 4, form))
+            m = x.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+            u, s, vt = np.linalg.svd(m)
+            if s[1] > 1e-12 * s[0]:
+                raise ConsistencyError(
+                    f"{group} diagram {sigma} is not a product over its two qubits "
+                    f"(second singular value {s[1]:.2e})"
+                )
+            scale = math.sqrt(s[0]) * np.sign(u[np.argmax(np.abs(u[:, 0])), 0])
+            out[_factor_name(group, name, 0)] = scale * u[:, 0].reshape(4, 4)
+            out[_factor_name(group, name, 1)] = scale * vt[0].reshape(4, 4)
+        return out
+
+    return _cached(("factors", group), make)
+
+
+def qubit_operator(name: str) -> np.ndarray:
+    """The 4x4 operator on the two copies of one qubit that ``name`` stands
+    for: a label of ``LABEL_OPS`` or a diagram factor (``_factor_name``)."""
+    if name in LABEL_OPS:
+        return LABEL_OPS[name]
+    group = name.split(".")[0]
+    factors = _diagram_factors(group) if group in BLOCK_GROUPS else {}
+    if name not in factors:
+        raise DomainError(f"unknown one-qubit operator {name!r}")
+    return factors[name]
+
+
+def label_gram(alphabet) -> np.ndarray:
+    """Hilbert-Schmidt Gram matrix of the per-qubit label operators."""
+    ops = [LABEL_OPS[a] for a in alphabet]
+    return np.array([[float(np.sum(x * y)) for y in ops] for x in ops])
+
+
+def contraction_values(alphabet) -> np.ndarray:
+    """Tr[op * sum_b |bb><bb|] per one-qubit operator name, from the dense
+    oracle."""
+    return np.array([float(np.sum(qubit_operator(a) * _MEAS)) for a in alphabet])
+
+
+def z_haar(n: int) -> float:
+    """Collision probability of a globally Haar state family: 2/(d + 1)."""
+    return 2.0 / (2**n + 1)
+
+
+# ---------------------------------------------------------------------------
+# block transfers: one projection of the block superoperator
+
 def _out_alphabets(group: str):
     if group == "sp2":
         return ALPHA_FIRST, ALPHA_REST
@@ -98,48 +172,50 @@ def _out_alphabets(group: str):
     raise DomainError(f"no label transfer for block group {group!r}")
 
 
-_TRANSFER_CACHE: dict = {}
-
-
-def _label_basis(alpha_a, alpha_b) -> np.ndarray:
-    """256 x (|alpha_a| |alpha_b|) matrix whose columns are the vec'd
-    copy-major operators of the label pairs, first factor outermost."""
+def _pair_columns(pairs) -> np.ndarray:
+    """256 x len(pairs) matrix whose columns are the vec'd copy-major
+    operators of the one-qubit operator pairs (first qubit, second qubit)."""
     return np.stack(
-        [_copy_swap(np.kron(LABEL_OPS[a], LABEL_OPS[b])).ravel()
-         for a in alpha_a for b in alpha_b],
+        [_copy_swap(np.kron(qubit_operator(a), qubit_operator(b))).ravel()
+         for a, b in pairs],
         axis=1,
     )
 
 
-def block_transfer(group: str, in_a, in_b) -> np.ndarray:
-    """Row-action transfer of one Haar block: entry [i, o] is the coefficient
-    of output label pair o in the exact twirl of input label pair i.
+def _project(group: str, pairs, out_pairs) -> np.ndarray:
+    """Row-action matrix of one Haar block: entry [i, o] is the coefficient
+    of product ``out_pairs[o]`` in the exact twirl of product ``pairs[i]``.
 
-    Derivation: a projection of the block superoperator S onto the label
-    pairs. S is ``brauer.twirl_superoperator`` of the block's group at t = 2
-    and d = 4, the 256 x 256 matrix the dense oracle applies to vec(X), X a
+    S is ``brauer.twirl_superoperator`` of the block's group at t = 2 and
+    d = 4, the 256 x 256 matrix the dense oracle applies to vec(X), X a
     16 x 16 copy-major two-copy operator of the block's two qubits. With
-    B_in and B_out the vec'd input and output pairs, C solves the normal
-    equations (B_out^T B_out) C = B_out^T S B_in, since the output labels
-    are not orthogonal. A residual B_out C - S B_in above 1e-10 is a
+    B_in and B_out the vec'd input and output products, C solves the normal
+    equations (B_out^T B_out) C = B_out^T S B_in, since the outputs need not
+    be orthogonal. A residual B_out C - S B_in above 1e-10 is a
     basis/ordering bug and raises ConsistencyError.
     """
-    key = (group, tuple(in_a), tuple(in_b))
-    if key in _TRANSFER_CACHE:
-        return _TRANSFER_CACHE[key]
-    b_out = _label_basis(*_out_alphabets(group))
-    y = brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group]) @ _label_basis(in_a, in_b)
+    b_out = _pair_columns(out_pairs)
+    y = brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group]) @ _pair_columns(pairs)
     c = np.linalg.solve(b_out.T @ b_out, b_out.T @ y)
     residual = np.abs(b_out @ c - y).max()
     if residual > 1e-10:
         raise ConsistencyError(
-            f"label re-expansion residual {residual:.2e} for {group} inputs "
-            f"{tuple(in_a)} x {tuple(in_b)}"
+            f"re-expansion residual {residual:.2e} for {group} inputs {tuple(pairs)}"
         )
     out = np.ascontiguousarray(c.T)
     out.setflags(write=False)
-    _TRANSFER_CACHE[key] = out
     return out
+
+
+def block_transfer(group: str, in_a, in_b) -> np.ndarray:
+    """Label-basis transfer of one Haar block: entry [i, o] is the
+    coefficient of output label pair o (``_out_alphabets``) in the exact
+    twirl of input label pair i, pairs lexicographic with the first qubit
+    outermost."""
+    key = ("labels", group, tuple(in_a), tuple(in_b))
+    return _cached(key, lambda: _project(
+        group, list(itertools.product(in_a, in_b)),
+        list(itertools.product(*_out_alphabets(group)))))
 
 
 @dataclass(frozen=True)
@@ -163,16 +239,66 @@ def derive_transfer(kind: str) -> TransferMatrix:
     return TransferMatrix(kind, entries, order)
 
 
+def block_alphabet(group: str) -> tuple:
+    """The axis a ``group`` block leaves: its diagrams, each as the pair of
+    its factors on the block's two qubits."""
+    return tuple((_factor_name(group, d, 0), _factor_name(group, d, 1)) for d in DIAGRAMS)
+
+
+def block_weights(group: str, pairs) -> np.ndarray:
+    """W table of one Haar block: entry [i, tau] is the coefficient of the
+    block's diagram tau in the exact twirl of the one-qubit operator pair
+    ``pairs[i]``."""
+    pairs = tuple(pairs)
+    return _cached(("weights", group, pairs),
+                   lambda: _project(group, pairs, block_alphabet(group)))
+
+
+def block_step(group: str, alpha_a: tuple, alpha_b: tuple | None):
+    """(matrix, output alphabets) of one block of a half layer.
+
+    The block's first qubit is the last qubit of the axis with alphabet
+    ``alpha_a`` and its second the first qubit of the next axis,
+    ``alpha_b``; ``alpha_b`` is None when one axis covers both. The matrix
+    maps the input axes to (a', tau, b'): tau indexes the block's diagrams,
+    and a' (b') is the input axis passed through when it covers a second
+    qubit, now restricted to that qubit. It is W[(a, b), tau] on the
+    diagonal of the passed-through axes.
+    """
+    def make():
+        if alpha_b is None:
+            w = block_weights(group, [(e[0], e[1]) for e in alpha_a])
+            return np.ascontiguousarray(w.T), (block_alphabet(group),)
+        na, nb = len(alpha_a), len(alpha_b)
+        w = block_weights(group, [(ea[-1], eb[0]) for ea in alpha_a for eb in alpha_b])
+        keep_a, keep_b = len(alpha_a[0]) == 2, len(alpha_b[0]) == 2
+        m = np.zeros((na if keep_a else 1, len(DIAGRAMS), nb if keep_b else 1, na, nb))
+        for a, b in itertools.product(range(na), range(nb)):
+            m[a if keep_a else 0, :, b if keep_b else 0, a, b] = w[a * nb + b]
+        outs = (((tuple((e[0],) for e in alpha_a),) if keep_a else ())
+                + (block_alphabet(group),)
+                + ((tuple((e[1],) for e in alpha_b),) if keep_b else ()))
+        m = m.reshape(-1, na * nb)
+        m.setflags(write=False)
+        return m, outs
+
+    return _cached(("step", group, alpha_a, alpha_b), make)
+
+
 # ---------------------------------------------------------------------------
-# label vectors and propagation
+# the diagram-basis tensor and its propagation
 
 @dataclass
 class LabelVector:
-    """Coefficients of E[rho (x) rho] over per-qubit label products.
+    """Coefficients of E[rho (x) rho] over products of per-axis operators.
 
-    ``alphabets[j]`` is the alphabet of qubit j + 1; coefficients are stored
-    flat in row-major qubit order. Qubits no block has touched yet hold the
-    bootstrap alphabet ("raw",).
+    ``alphabets[k]`` lists the index values of axis k; each is a tuple of
+    one-qubit operator names (``qubit_operator``), one per qubit the axis
+    covers, and the axes cover qubits 1..n in order. Coefficients are
+    stored flat, axis 0 outermost. A block axis covers two qubits and is
+    indexed by the block's diagrams (``block_alphabet``); a one-qubit axis
+    holds a diagram factor or, before any block has touched the qubit,
+    (("raw",),).
     """
 
     n: int
@@ -183,94 +309,79 @@ class LabelVector:
     def __post_init__(self):
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
         dims = self.dims()
-        if self.coeffs.shape != (int(np.prod(dims)),):
+        if self.coeffs.shape != (math.prod(dims),):
             raise DomainError(
                 f"coefficient length {self.coeffs.shape} != prod{dims}"
             )
+        covered = sum(len(a[0]) for a in self.alphabets)
+        if covered != self.n:
+            raise DomainError(f"the axes cover {covered} qubits, not n = {self.n}")
 
     def dims(self) -> tuple:
         return tuple(len(a) for a in self.alphabets)
 
 
-def _full_size(n: int) -> int:
-    """Coefficients of a fully labeled vector: {I, S} on qubit 1, {I, S, B}
-    on the rest. No label vector of the propagation is larger."""
-    return 2 * 3 ** (n - 1)
-
-
 def check_propagation(n: int, layers: int = 0) -> None:
     """Checks of ``propagate`` and the z contractions after it: n >= 2,
-    layers >= 0, and per coefficient of ``_full_size(n)`` the two float64
-    buffers (16 B) and ``collision_probability``'s partial sums (4 B)."""
+    layers >= 0, and per coefficient of the largest tensor,
+    3^(floor(n/2) + 1), three float64 arrays (24 B): the vector a layer
+    starts from, which its caller holds, and the input and output of one
+    block step. The z contraction's partial sums are smaller."""
     if layers < 0:
         raise DomainError(f"negative layer count {layers}")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    check_bytes(f"label propagation at n = {n}", 2 * 20, 3, n - 1)
+    check_bytes(f"second-moment propagation at n = {n}", 24, 3, n // 2 + 1)
 
 
 def initial_label_vector(n: int) -> LabelVector:
     """The pre-circuit two-copy state |0><0|^(x)2n: every qubit raw, z = 1."""
     check_propagation(n)
-    return LabelVector(n, (ALPHA_RAW,) * n, np.ones(1), layers=0)
+    return LabelVector(n, ((ALPHA_RAW,),) * n, np.ones(1), layers=0)
 
 
 def _half_layers(n: int) -> list:
     """The odd-bond and the even-bond halves of ``circuit.brick_layer(n)``,
-    each a set of disjoint blocks; the even half is empty at n = 2."""
+    each a set of disjoint blocks; the even half is empty at n = 2.
+
+    Each half lists its blocks in the order its chain of block steps walks
+    them: from an end whose qubit the half touches, so that no step holds
+    more axes than the half's output. A block that passes an edge qubit
+    through adds an axis, and one that meets a one-qubit axis at the far
+    end removes one.
+    """
     layer = circuit.brick_layer(n)
     halves = ([b for b in layer if b[0] % 2 == 1], [b for b in layer if b[0] % 2 == 0])
-    return [h for h in halves if h]
+    return [h[::-1] if h[0][0] != 1 and h[-1][0] + 1 == n else h for h in halves if h]
 
 
-def _half_layer_blocks(alphabets: tuple, half: list) -> list:
-    """One half layer as blocks that tile qubits 1..n: (row-action matrix,
-    output alphabets) per block, first qubit first. A qubit that no block of
-    the half touches (qubit 1 in the even half, qubit n in the half whose
-    last bond ends before it) is folded into its neighbour's block as an
-    identity factor, kron(I, T) or kron(T, I); on a raw qubit that factor
-    is 1 x 1."""
-    n = len(alphabets)
-    blocks = []
-    for k, (bond, group) in enumerate(half):
-        lo = 1 if k == 0 else bond
-        hi = n if k == len(half) - 1 else bond + 1
-        row = block_transfer(group, alphabets[bond - 1], alphabets[bond])
-        left = alphabets[lo - 1 : bond - 1]
-        right = alphabets[bond + 1 : hi]
-        if left:
-            row = np.kron(np.eye(math.prod(map(len, left))), row)
-        if right:
-            row = np.kron(row, np.eye(math.prod(map(len, right))))
-        blocks.append((row, left + _out_alphabets(group) + right))
-    return blocks
+def _apply_block(alphabets: list, coeffs: np.ndarray, bond: int, group: str) -> np.ndarray:
+    """One block step, a ``kernels.transfer_apply`` call that leaves the
+    axes around the block's input axes in place. Updates ``alphabets`` and
+    returns the new coefficients."""
+    starts = list(itertools.accumulate((len(a[0]) for a in alphabets), initial=1))
+    i = bisect.bisect_right(starts, bond) - 1  # the axis holding qubit ``bond``
+    width = 1 if starts[i + 1] > bond + 1 else 2  # axes the block reads
+    matrix, outs = block_step(group, alphabets[i], None if width == 1 else alphabets[i + 1])
+    dims = [len(a) for a in alphabets]
+    alphabets[i:i + width] = outs
+    return kernels.transfer_apply(
+        coeffs, matrix, math.prod(dims[:i]), math.prod(dims[i:i + width]),
+        math.prod(dims[i + width:]))
 
 
 def _layers(v: LabelVector):
-    """Yield ``v`` after each further brick layer, without end.
-
-    A half layer is the Kronecker product of its blocks. Each block is one
-    ``kernels.transfer_apply`` gemm that contracts the vector's trailing
-    qubits and writes them first, so walking the blocks from the last qubit
-    to the first leaves the qubits in their order. The passes alternate
-    between two buffers of ``_full_size(n)`` float64; a yielded vector is a
-    view into one of them and holds only until the next step.
-    """
-    buffers = (np.empty(_full_size(v.n)), np.empty(_full_size(v.n)))
+    """Yield ``v`` after each further brick layer, without end. Between
+    block steps only the step's input and output are held, besides what the
+    caller holds."""
     halves = _half_layers(v.n)
-    alphabets, cur, layers, passes = v.alphabets, v.coeffs, v.layers, 0
+    alphabets, coeffs, layers = list(v.alphabets), v.coeffs, v.layers
     while True:
         for half in halves:
-            blocks = _half_layer_blocks(alphabets, half)
-            for row, _ in reversed(blocks):
-                din, dout = row.shape
-                rest = cur.size // din
-                out = buffers[passes % 2][: dout * rest]
-                cur = kernels.transfer_apply(cur, row.T, rest, din, 1, out=out)
-                passes += 1
-            alphabets = sum((out_ab for _, out_ab in blocks), ())
+            for bond, group in half:
+                coeffs = _apply_block(alphabets, coeffs, bond, group)
         layers += 1
-        yield LabelVector(v.n, alphabets, cur, layers=layers)
+        yield LabelVector(v.n, tuple(alphabets), coeffs, layers=layers)
 
 
 def propagate(v: LabelVector, layers: int) -> LabelVector:
@@ -281,12 +392,18 @@ def propagate(v: LabelVector, layers: int) -> LabelVector:
     return v
 
 
+def _axis_values(alphabet: tuple) -> np.ndarray:
+    """z contraction value per index of an axis: the product over its qubits."""
+    return _cached(("z", alphabet), lambda: np.array(
+        [math.prod(contraction_values(entry)) for entry in alphabet]))
+
+
 def collision_probability(v: LabelVector) -> float:
     """z = sum_x E[p(x)^2]: contract against (x)_J sum_b |bb><bb|, the
-    trailing qubit of the contiguous vector first."""
+    trailing axis of the contiguous tensor first."""
     t = v.coeffs
     for alpha in reversed(v.alphabets):
-        t = t.reshape(-1, len(alpha)) @ contraction_values(alpha)
+        t = t.reshape(-1, len(alpha)) @ _axis_values(alpha)
     return float(t[0])
 
 

@@ -44,8 +44,8 @@ def test_the_check_sees_both_kinds_of_read():
 
 # module.name -> why that module-level container may be written by a function
 MODULE_STATE = {
-    "moment._TRANSFER_CACHE": "the depth sweep reads each of its few block transfers "
-                              "(at most 9 x 9) on every layer",
+    "moment._TRANSFER_CACHE": "every half layer reads its few block steps (at most "
+                              "27 x 9), derived once from the twirl superoperator",
 }
 MUTATORS = {"append", "extend", "insert", "update", "setdefault", "add", "pop", "popitem",
             "clear", "remove", "discard"}

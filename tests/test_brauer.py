@@ -371,6 +371,29 @@ def test_twirl_input_validation():
         twirl(np.eye(9, dtype=complex), 2, 4, "sp")
     with pytest.raises(DomainError):
         twirl(np.eye(16, dtype=complex), 2, 4, "nope")
+    with pytest.raises(DomainError, match="NaN"):
+        twirl(np.full((16, 16), np.nan), 2, 4, "o")
+
+
+def test_twirl_of_vast_entries():
+    """Up to float64 max / d^t the twirl is the scaled twirl of a small
+    input, bit for bit; past it the input is refused, before any sum
+    overflows (the pytest config turns RuntimeWarning into an error)."""
+    x = RngStream(31, "brauer").generator().standard_normal((16, 16))
+    small = twirl(x, 2, 4, "o")
+    big = twirl(x * 2.0**990, 2, 4, "o")
+    assert np.array_equal(big.coefficients, small.coefficients * 2.0**990)
+    assert np.array_equal(big.matrix, small.matrix * 2.0**990)
+    assert big.residual == small.residual * 2.0**990
+    flat = twirl(np.full((16, 16), 1e300), 2, 4, "o")
+    # every output is bounded by the Frobenius norm of the input, 1.6e301
+    assert np.abs(flat.coefficients).max() <= 1.6e301 and flat.residual <= 1.6e301
+    brauer.check_operator(np.full((16, 16), np.finfo(float).max / 16), 2, 4)
+    for bad in (np.full((16, 16), 1e308), np.full((16, 16), -1e308)):
+        with pytest.raises(DomainError, match="overflow"):
+            brauer.check_operator(bad, 2, 4)
+        with pytest.raises(DomainError, match="overflow"):
+            twirl(bad, 2, 4, "o")
 
 
 def test_twirl_table_byte_limit():
@@ -405,6 +428,12 @@ def test_gram_domain_checks():
         check_gram(6, 4, "sp")
     with pytest.raises(DomainError):
         check_twirl(2, 4, "nope")
+    # the orthogonal form is not a default for any other string
+    for form in ("nope", "so", "u", "", "SP"):
+        with pytest.raises(DomainError, match="unknown form"):
+            check_gram(2, 4, form)
+        with pytest.raises(DomainError, match="unknown form"):
+            gram(2, 4, form)
 
 
 def test_monte_carlo_twirl_converges():

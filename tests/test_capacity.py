@@ -50,7 +50,7 @@ def test_vast_sizes_are_refused_in_constant_time(nbytes, base, exponent):
 
 @pytest.mark.parametrize("check,inside", [
     (pauli.check_dense, 12),  # to_dense, to_dense_kron and circuit.to_unitary
-    (moment.check_propagation, 16),  # collision and anticoncentration-depth
+    (moment.check_propagation, 31),  # collision and anticoncentration-depth
     (lambda n: lie_closure.check_closure(n, 4**n), 12),
 ])
 def test_bounds(check, inside):
@@ -119,11 +119,12 @@ BOUNDED = {
     "apply": (lambda n: partial(circuit.apply, mixed_circuit(n), circuit.initial_state(n)),
               3, 16),
     "dense_second_moment": (lambda n: partial(moment.dense_second_moment, n, 1), 2, 5),
+    # from n = 6 on, an even n meets no block step that n = 6 has not derived
     "propagate": (lambda n: partial(moment.propagate, moment.initial_label_vector(n), 2),
-                  3, 12),
-    "collision_trace": (lambda n: partial(moment.collision_trace, n, 3), 3, 12),
+                  6, 20),
+    "collision_trace": (lambda n: partial(moment.collision_trace, n, 3), 6, 20),
     "depth_to_anticoncentrate": (lambda n: partial(moment.depth_to_anticoncentrate, n, 0.01, 3),
-                                 3, 12),
+                                 6, 20),
     "represent": (lambda d: partial(brauer.represent, brauer.enumerate_diagrams(2)[-1], d, "o"),
                   4, 64),
     "twirl": (lambda d: partial(brauer.twirl, np.eye(d * d, dtype=complex), 2, d, "o"), 2, 32),

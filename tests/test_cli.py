@@ -1,6 +1,7 @@
 """End-to-end CLI checks, run in-process through main()."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,6 +457,24 @@ def test_depth_sweep_csv_and_fit(tmp_path, capsys):
     assert trace[-1] == pytest.approx(0.4, abs=1e-9)
 
 
+def test_depth_sweep_matches_the_label_engine(tmp_path, capsys):
+    """The n = 2..16 sweep against the CSV the per-qubit label propagator
+    wrote (tests/data): the same n_L* column, and every z within 1e-12
+    relative plus one unit of the CSV's rounding to 15 decimals."""
+    out = tmp_path / "depth.csv"
+    run_json(["anticoncentration-depth", "--n-min", "2", "--n-max", "16",
+              "--out", str(out)], capsys)
+    with open(out, newline="") as f:
+        got = list(csv.DictReader(f))
+    with open(Path(__file__).parent / "data" / "depth_sweep_n2_16.csv", newline="") as f:
+        want = list(csv.DictReader(f))
+    assert [(r["n"], r["n_L_star"]) for r in got] == [(r["n"], r["n_L_star"]) for r in want]
+    for row, ref in zip(got, want):
+        z, z_ref = np.array(json.loads(row["z_trace"])), np.array(json.loads(ref["z_trace"]))
+        assert z.shape == z_ref.shape
+        assert np.all(np.abs(z - z_ref) <= 1e-12 * np.abs(z_ref) + 1e-15), row["n"]
+
+
 def test_depth_unreached_column_empty(tmp_path, capsys):
     out = tmp_path / "depth.csv"
     env = run_json(
@@ -491,7 +511,7 @@ def test_collision_zero_layers(capsys):
 
 
 def test_collision_capacity(capsys):
-    code, _, _ = run(["collision", "--n", "17", "--layers", "1"], capsys)
+    code, _, _ = run(["collision", "--n", "32", "--layers", "1"], capsys)
     assert code == 2
 
 
@@ -605,14 +625,15 @@ def plan_inputs(tmp_path):
     """Input files for the cases below: circuits just and far past the
     statevector bound, circuits whose angle is not a finite float, a
     directory, a file that is not .npy, a 9 x 9 operator, 16 x 16 operators
-    with a NaN or an infinite entry and a gp config with one draw per batch."""
+    with a NaN, an infinite or a 1e308 entry and a gp config with one draw
+    per batch."""
     (tmp_path / "c24.json").write_text(json.dumps({"n": 24, "gates": []}))
     (tmp_path / "c1e18.json").write_text(json.dumps({"n": 10**18, "gates": []}))
     for name, theta in [("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity"),
                         ("1e400", str(10**400))]:
         (tmp_path / f"theta{name}.json").write_text(
             f'{{"n": 2, "gates": [{{"type": "rot", "pauli": "XY", "theta": {theta}}}]}}')
-    for name, value in [("nan", np.nan), ("inf", np.inf)]:
+    for name, value in [("nan", np.nan), ("inf", np.inf), ("huge", 1e308)]:
         x = np.eye(16)
         x[3, 5] = value
         np.save(tmp_path / f"{name}16.npy", x)
@@ -626,7 +647,7 @@ def plan_inputs(tmp_path):
 PLAN_FAILURES = [
     pytest.param(["collision", "--n", "40", "--layers", "1"], 2, id="collision-n-over-budget"),
     pytest.param(["collision", "--n", "1", "--layers", "1"], 1, id="collision-one-qubit"),
-    pytest.param(["anticoncentration-depth", "--n-min", "17", "--n-max", "17",
+    pytest.param(["anticoncentration-depth", "--n-min", "32", "--n-max", "32",
                   "--out", "{tmp}/d.csv"], 2, id="depth-n-over-budget"),
     pytest.param(["anticoncentration-depth", "--epsilon", "-1", "--out", "{tmp}/d.csv"], 1,
                  id="depth-negative-epsilon"),
@@ -670,6 +691,8 @@ PLAN_FAILURES = [
                   "--input", "{tmp}/nan16.npy"], 1, id="twirl-input-nan"),
     pytest.param(["twirl", "--t", "2", "--d", "4", "--group", "sp",
                   "--input", "{tmp}/inf16.npy"], 1, id="twirl-input-inf"),
+    pytest.param(["twirl", "--t", "2", "--d", "4", "--group", "o",
+                  "--input", "{tmp}/huge16.npy"], 1, id="twirl-input-overflows"),
     pytest.param(["twirl", "--t", "5", "--d", "4", "--group", "sp",
                   "--input", "{tmp}/eye9.npy"], 2, id="twirl-table-over-byte-limit"),
     pytest.param(["gp", "--config", "{tmp}/adir", "--seed", "1", "--threads", "1",
@@ -732,7 +755,7 @@ def test_consistency_error_exits_three(monkeypatch, capsys):
     def broken(*args):
         raise ConsistencyError("re-expansion residual")
 
-    monkeypatch.setattr(moment, "block_transfer", broken)
+    monkeypatch.setattr(moment, "block_step", broken)
     code, _, err = run(["collision", "--n", "2", "--layers", "1"], capsys)
     assert code == 3 and "consistency" in err and "Traceback" not in err
 

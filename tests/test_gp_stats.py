@@ -432,6 +432,20 @@ def test_moment_bound_values():
     assert np.allclose(got, [1.0 / 16 / 0.0625, 1.0 / 16 / 0.25])
     with pytest.raises(DomainError):
         moment_bound(0.5, 4, 1.0, 1)
+    # a threshold whose square overflows gives the limit 0, without a warning
+    vast = moment_bound(0.5, 2**20, np.array([1e150, 1e308]), 4)
+    assert np.array_equal(vast, [0.0, 0.0])
+
+
+def test_concentration_vast_thresholds():
+    """Huge thresholds give 0.0 in every column and no overflow warning
+    (the pytest config turns RuntimeWarning into an error)."""
+    state = StateSpec.computational_basis(4, 0)
+    obs = PauliString.single(4, 2, "Y")
+    table = concentration_tail(state, obs, 40, [0.5, 1e200, 1e308], RngStream(4))
+    for column in (table.empirical, table.gaussian, table.bound_t2, table.bound_t4):
+        assert np.array_equal(column[1:], [0.0, 0.0])
+    assert table.gaussian[0] > 0 and table.bound_t2[0] > 0
 
 
 def test_concentration_tail_table():

@@ -9,7 +9,7 @@ expansion of the twirled input label a.
 import numpy as np
 import pytest
 
-from spcirc import circuit
+from spcirc import brauer, circuit, kernels
 from spcirc.errors import CapacityError, DomainError
 from spcirc.moment import (
     ALPHA_FIRST,
@@ -17,7 +17,9 @@ from spcirc.moment import (
     ALPHA_REST,
     LABEL_OPS,
     LabelVector,
+    block_alphabet,
     block_transfer,
+    block_weights,
     check_depth,
     check_propagation,
     collision_probability,
@@ -32,8 +34,10 @@ from spcirc.moment import (
     label_gram,
     monte_carlo_collision,
     propagate,
+    qubit_operator,
     z_haar,
 )
+from spcirc.kernels import transfer_apply
 from spcirc.sampler import RngStream
 
 # frozen reference: sp2 block transfer on labels (II, IS, IB, SI, SS, SB)
@@ -121,10 +125,10 @@ def test_initial_vector_collision_is_one():
         assert collision_probability(initial_label_vector(n)) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         initial_label_vector(1)
-    # the two propagation buffers fit the byte limit up to n = 16
-    check_propagation(16)
+    # three float64 copies of the largest tensor fit the byte limit up to n = 31
+    check_propagation(31)
     with pytest.raises(CapacityError):
-        initial_label_vector(17)
+        initial_label_vector(32)
 
 
 def test_n2_single_layer_hits_haar_value():
@@ -148,42 +152,83 @@ def test_fixed_point_is_haar_value():
         assert collision_probability(v) == pytest.approx(z_haar(n), abs=1e-10)
 
 
-def apply_block_reference(v, bond, group):
-    """One block on bond (bond, bond + 1), 1-based, as a stacked matmul over
-    the qubits left and right of the bond: the propagator's step before the
-    half layers became one gemm per block."""
-    in_a, in_b = v.alphabets[bond - 1], v.alphabets[bond]
+def apply_block_reference(ref, bond, group):
+    """One block on bond (bond, bond + 1), 1-based, on a per-qubit label
+    vector ``ref`` = (alphabets, coeffs): a stacked matmul over the qubits
+    left and right of the bond with the label-basis block transfer."""
+    alphabets, coeffs = ref
+    in_a, in_b = alphabets[bond - 1], alphabets[bond]
     row = block_transfer(group, in_a, in_b)
-    dims = v.dims()
+    dims = [len(a) for a in alphabets]
     left = int(np.prod(dims[: bond - 1], dtype=np.int64))
     right = int(np.prod(dims[bond + 1 :], dtype=np.int64))
-    out = np.matmul(row.T, v.coeffs.reshape(left, len(in_a) * len(in_b), right))
+    out = np.matmul(row.T, coeffs.reshape(left, len(in_a) * len(in_b), right))
     out_a = ALPHA_FIRST if group == "sp2" else ALPHA_REST
-    alphabets = v.alphabets[: bond - 1] + (out_a, ALPHA_REST) + v.alphabets[bond + 1 :]
-    return LabelVector(v.n, alphabets, out.reshape(-1), layers=v.layers)
+    alphabets = alphabets[: bond - 1] + (out_a, ALPHA_REST) + alphabets[bond + 1 :]
+    return alphabets, out.reshape(-1)
+
+
+def label_reference(n, layers):
+    """The per-qubit label propagation after each of ``layers`` layers."""
+    ref = ((ALPHA_RAW,) * n, np.ones(1))
+    for _ in range(layers):
+        for bond, group in circuit.brick_layer(n):
+            ref = apply_block_reference(ref, bond, group)
+        yield ref
+
+
+def label_expansion(name, alphabet):
+    """Coefficients of the one-qubit operator ``name`` over the labels of
+    ``alphabet``; the operator must lie in their span."""
+    basis = np.stack([LABEL_OPS[a].ravel() for a in alphabet], axis=1)
+    op = qubit_operator(name).ravel()
+    c = np.linalg.solve(basis.T @ basis, basis.T @ op)
+    assert np.abs(basis @ c - op).max() <= 1e-12, (name, alphabet)
+    return c
+
+
+def expand_to_labels(v, label_alphabets):
+    """The tensor ``v`` over per-qubit labels: each axis value, a product of
+    one-qubit operators, is replaced by the product of their label
+    expansions, and the axes are contracted one by one from the last."""
+    t = v.coeffs.reshape(v.dims())
+    qubit = v.n
+    for axis in reversed(range(len(v.alphabets))):
+        alphabet = v.alphabets[axis]
+        width = len(alphabet[0])
+        qubit -= width
+        alphas = label_alphabets[qubit : qubit + width]
+        rows = []
+        for entry in alphabet:
+            row = np.ones(1)
+            for name, alpha in zip(entry, alphas):
+                row = np.kron(row, label_expansion(name, alpha))
+            rows.append(row)
+        t = np.tensordot(t, np.array(rows), axes=([axis], [0]))
+        t = np.moveaxis(t, -1, axis)  # the label axis takes the axis's place
+    return t.reshape(-1)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_propagate_matches_per_block_reference(n):
-    """Every layer up to 20, including odd n and n = 2, where the half layers
-    fold the qubits no block touches into a neighbouring block."""
-    ref = LabelVector(n, (ALPHA_RAW,) * n, np.ones(1))
+    """Every layer up to 20, including odd n and n = 2, against the
+    per-qubit label propagation: the diagram-basis tensor, expanded into
+    per-qubit labels, equals the label vector."""
     v = initial_label_vector(n)
-    for layer in range(1, 21):
-        for bond, group in circuit.brick_layer(n):
-            ref = apply_block_reference(ref, bond, group)
+    for layer, (alphabets, coeffs) in enumerate(label_reference(n, 20), start=1):
         v = propagate(v, 1)
         assert v.layers == layer
-        assert v.alphabets == ref.alphabets
-        scale = np.abs(ref.coeffs).max()
-        assert np.abs(v.coeffs - ref.coeffs).max() <= 1e-12 * scale, (n, layer)
+        got = expand_to_labels(v, alphabets)
+        scale = np.abs(coeffs).max()
+        assert np.abs(got - coeffs).max() <= 1e-12 * scale, (n, layer)
 
 
-def collision_reference(v):
-    """z contracted one qubit at a time from qubit 1, one tensordot each: the
-    reverse order of ``collision_probability``, which starts at qubit n."""
-    t = v.coeffs.reshape(v.dims())
-    for alpha in v.alphabets:
+def collision_reference(alphabets, coeffs):
+    """z of a per-qubit label vector contracted one qubit at a time from
+    qubit 1, one tensordot each: the reverse order of
+    ``collision_probability``, which starts at the last axis."""
+    t = coeffs.reshape([len(a) for a in alphabets])
+    for alpha in alphabets:
         t = np.tensordot(contraction_values(alpha), t, axes=([0], [0]))
     return float(t)
 
@@ -191,11 +236,67 @@ def collision_reference(v):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_collision_matches_per_qubit_contraction(n):
     v = initial_label_vector(n)
+    refs = label_reference(n, 20)
+    ref = collision_reference((ALPHA_RAW,) * n, np.ones(1))
     for layer in range(21):
         if layer:
             v = propagate(v, 1)
-        ref = collision_reference(v)
+            ref = collision_reference(*next(refs))
         assert abs(collision_probability(v) - ref) <= 1e-13 * abs(ref), (n, layer)
+
+
+def test_largest_tensor_is_the_checked_size(monkeypatch):
+    """No block step holds more than 3^(floor(n/2) + 1) coefficients, the
+    size ``check_propagation`` counts, and from n = 3 some step does."""
+    steps = []
+
+    def record(x, t, left, din, right):
+        steps.append(left * max(din, t.shape[0]) * right)
+        return transfer_apply(x, t, left, din, right)
+
+    monkeypatch.setattr(kernels, "transfer_apply", record)
+    for n in range(2, 13):
+        steps.clear()
+        propagate(initial_label_vector(n), 4)
+        assert max(steps) <= 3 ** (n // 2 + 1), n
+        assert max(steps) == 3 ** (n // 2 + 1) or n == 2, n
+
+
+def test_diagram_factors_rebuild_the_diagrams():
+    """Each diagram's one-qubit factors, kron'd and reordered copy-major,
+    give ``brauer.represent`` of the diagram back."""
+    for group, form in (("sp2", "sp"), ("o4", "o")):
+        for entry, sigma in zip(block_alphabet(group), brauer.enumerate_diagrams(2)):
+            op = np.kron(qubit_operator(entry[0]), qubit_operator(entry[1]))
+            op = op.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+            assert np.abs(op - brauer.represent(sigma, 4, form)).max() <= 1e-12
+
+
+def test_block_weights_fix_the_diagrams():
+    """The twirl is a projection: a block's own diagrams are fixed points."""
+    for group in ("sp2", "o4"):
+        w = block_weights(group, block_alphabet(group))
+        assert np.abs(w - np.eye(3)).max() <= 1e-12
+
+
+def test_label_vector_checks_its_axes():
+    with pytest.raises(DomainError, match="cover"):
+        LabelVector(3, ((("raw",),),) * 2, np.ones(1))
+    with pytest.raises(DomainError, match="length"):
+        LabelVector(2, (block_alphabet("o4"),), np.ones(2))
+    with pytest.raises(DomainError):
+        qubit_operator("u9.id.0")
+
+
+def test_label_basis_input_propagates():
+    """A vector over per-qubit labels is a valid input as well: its layers
+    match the label propagation expanded back."""
+    (alphabets, coeffs), = label_reference(4, 1)
+    v = LabelVector(4, tuple(tuple((a,) for a in alpha) for alpha in alphabets), coeffs)
+    refs = list(label_reference(4, 3))
+    w = propagate(v, 2)
+    alphabets, coeffs = refs[-1]
+    assert np.abs(expand_to_labels(w, alphabets) - coeffs).max() <= 1e-12
 
 
 def test_propagate_layer_count_bookkeeping():
@@ -236,6 +337,13 @@ def test_depth_n2_is_one_layer():
     res = depth_to_anticoncentrate(2, epsilon=0.01)
     assert res.n_l_star == 1
     assert res.z_trace[0] == pytest.approx(1.0)
+
+
+def test_depth_past_the_label_engine():
+    """n_L* for n = 17..20, where the per-qubit label vector would not fit
+    the byte limit."""
+    stars = [depth_to_anticoncentrate(n, epsilon=0.01).n_l_star for n in range(17, 21)]
+    assert stars == [18, 18, 18, 18]
 
 
 def test_depth_unreached_within_budget():
