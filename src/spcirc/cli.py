@@ -86,6 +86,8 @@ def _out_path(path, suffix=""):
     """The file --out names (np.save appends ``suffix``), in an existing directory."""
     if path is None:
         return None
+    if not path:
+        raise DomainError("--out names no file: the path is empty")
     path = path if path.endswith(suffix) else path + suffix
     if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
         raise DomainError(f"cannot write {path}: not a file in an existing directory")

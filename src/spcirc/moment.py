@@ -4,10 +4,11 @@ After a block of a brick layer, the t = 2 twirl leaves the averaged two-copy
 operator E[rho (x) rho] of the block's two qubits in the span of its group's
 three Brauer diagrams Id, Swap and Pairing (``brauer.enumerate_diagrams(2)``
 order, with the block's form: symplectic for the SP(2) block on qubit 1,
-orthogonal elsewhere). Each diagram is a product of one-qubit factors on the
-two copies of each qubit: Id = I (x) I, Swap = Sw (x) Sw, and the pairing is
-P (x) P for O(4) and, since Omega = iY (x) I, a product as well for SP(2).
-The factors are read off ``brauer.represent`` with a rank-1 check.
+orthogonal elsewhere). The block's form is a product over its two qubits,
+Omega(4) = iY (x) I = Omega(2) (x) I(2) and I(4) = I(2) (x) I(2), so each
+diagram is a product of one-qubit factors on the two copies of each qubit,
+and each factor is the same diagram at d = 2: with the block's form on the
+first qubit and the orthogonal one on the second (``FACTORS``).
 
 So E[rho (x) rho] is a dense tensor with one axis per block of the last half
 layer, indexed by the block's diagrams, plus one axis per edge qubit that the
@@ -27,10 +28,11 @@ The per-qubit label basis {I, S, B}, where (on the two copies of qubit J)
 
     S_J = XX + YY + ZZ,    B_J = XX - YY + ZZ,
 
-spans every factor, and ``block_transfer`` gives the block transfer in that
-basis; the W tables and the label transfers come from one projection of the
-block superoperator, ``brauer.twirl_superoperator``, the 256 x 256 matrix the
-dense oracle applies as well.
+spans every factor. ``block_transfer`` is the one projection of the block
+superoperator, ``brauer.twirl_superoperator`` (the 256 x 256 matrix the dense
+oracle applies as well), onto products of one-qubit operators: onto the
+block's diagrams it gives the W tables, onto label pairs the label-basis
+transfer (``derive_transfer``).
 
 Collision probability: z = sum_x E[p(x)^2] contracts the tensor against
 (x)_J sum_b |bb><bb|; per-factor contraction values are computed from the
@@ -67,20 +69,23 @@ LABEL_OPS = {
     "raw": _E00,
 }
 
-ALPHA_FIRST = ("I", "S")
-ALPHA_REST = ("I", "S", "B")
-ALPHA_RAW = ("raw",)
+# one-qubit factors of the t = 2 diagrams: name -> (the diagram's place in
+# brauer.enumerate_diagrams(2), the form it carries at d = 2);
+# ``qubit_operator`` builds them on use, so import computes nothing
+FACTORS = {"id": (0, "o"), "swap": (1, "o"), "pair.sp": (2, "sp"), "pair.o": (2, "o")}
 
-# names of the t = 2 diagrams, in brauer.enumerate_diagrams(2) order
-DIAGRAMS = ("id", "swap", "pair")
+# per block group, the labels that span its factors on its first and second qubit
+LABEL_ALPHABETS = {"sp2": (("I", "S"), ("I", "S", "B")),
+                   "o4": (("I", "S", "B"), ("I", "S", "B"))}
+ALPHA_RAW = ("raw",)
 
 # per-qubit measurement functional sum_b |bb><bb| on the two copies
 _MEAS = np.zeros((4, 4))
 _MEAS[0, 0] = 1.0
 _MEAS[3, 3] = 1.0
 
-# Lazily filled, never at import: diagram factors, W tables, label transfers
-# and contraction values, keyed by what they are derived from.
+# Lazily filled, never at import: block transfers, block steps and z
+# contraction values, keyed by what they are derived from.
 _TRANSFER_CACHE: dict = {}
 
 
@@ -88,12 +93,6 @@ def _cached(key, make):
     if key not in _TRANSFER_CACHE:
         _TRANSFER_CACHE[key] = make()
     return _TRANSFER_CACHE[key]
-
-
-def _factor_name(group: str, diagram: str, side: int) -> str:
-    """Name of the one-qubit factor of ``diagram`` of a ``group`` block on
-    its first (side 0) or second (side 1) qubit, e.g. "sp2.pair.0"."""
-    return f"{group}.{diagram}.{side}"
 
 
 def _copy_swap(x16: np.ndarray) -> np.ndarray:
@@ -105,43 +104,15 @@ def _copy_swap(x16: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(16, 16))
 
 
-def _diagram_factors(group: str) -> dict:
-    """factor name -> 4x4 operator on the two copies of one qubit, for the
-    three diagrams of a ``group`` block. The diagram's copy-major matrix,
-    reordered qubit-major and regrouped as (qubit a entry, qubit b entry),
-    must have rank 1; its leading singular pair, split evenly and signed so
-    that the largest entry of the qubit-a factor is positive, gives the
-    factors."""
-    def make():
-        form = BLOCK_GROUPS[group]
-        out = {}
-        for name, sigma in zip(DIAGRAMS, brauer.enumerate_diagrams(2)):
-            x = _copy_swap(brauer.represent(sigma, 4, form))
-            m = x.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
-            u, s, vt = np.linalg.svd(m)
-            if s[1] > 1e-12 * s[0]:
-                raise ConsistencyError(
-                    f"{group} diagram {sigma} is not a product over its two qubits "
-                    f"(second singular value {s[1]:.2e})"
-                )
-            scale = math.sqrt(s[0]) * np.sign(u[np.argmax(np.abs(u[:, 0])), 0])
-            out[_factor_name(group, name, 0)] = scale * u[:, 0].reshape(4, 4)
-            out[_factor_name(group, name, 1)] = scale * vt[0].reshape(4, 4)
-        return out
-
-    return _cached(("factors", group), make)
-
-
 def qubit_operator(name: str) -> np.ndarray:
     """The 4x4 operator on the two copies of one qubit that ``name`` stands
-    for: a label of ``LABEL_OPS`` or a diagram factor (``_factor_name``)."""
+    for: a label of ``LABEL_OPS`` or a diagram factor of ``FACTORS``."""
     if name in LABEL_OPS:
         return LABEL_OPS[name]
-    group = name.split(".")[0]
-    factors = _diagram_factors(group) if group in BLOCK_GROUPS else {}
-    if name not in factors:
+    if name not in FACTORS:
         raise DomainError(f"unknown one-qubit operator {name!r}")
-    return factors[name]
+    place, form = FACTORS[name]
+    return brauer.represent(brauer.enumerate_diagrams(2)[place], 2, form)
 
 
 def label_gram(alphabet) -> np.ndarray:
@@ -164,12 +135,10 @@ def z_haar(n: int) -> float:
 # ---------------------------------------------------------------------------
 # block transfers: one projection of the block superoperator
 
-def _out_alphabets(group: str):
-    if group == "sp2":
-        return ALPHA_FIRST, ALPHA_REST
-    if group == "o4":
-        return ALPHA_REST, ALPHA_REST
-    raise DomainError(f"no label transfer for block group {group!r}")
+def block_alphabet(group: str) -> tuple:
+    """The axis a ``group`` block leaves: its diagrams, each as the pair of
+    its factors on the block's two qubits."""
+    return (("id", "id"), ("swap", "swap"), ("pair." + BLOCK_GROUPS[group], "pair.o"))
 
 
 def _pair_columns(pairs) -> np.ndarray:
@@ -182,9 +151,11 @@ def _pair_columns(pairs) -> np.ndarray:
     )
 
 
-def _project(group: str, pairs, out_pairs) -> np.ndarray:
+def block_transfer(group: str, pairs, out_pairs=None) -> np.ndarray:
     """Row-action matrix of one Haar block: entry [i, o] is the coefficient
-    of product ``out_pairs[o]`` in the exact twirl of product ``pairs[i]``.
+    of product ``out_pairs[o]`` in the exact twirl of product ``pairs[i]``,
+    each a pair of one-qubit operator names (first qubit, second qubit). The
+    outputs default to the block's diagrams (``block_alphabet``).
 
     S is ``brauer.twirl_superoperator`` of the block's group at t = 2 and
     d = 4, the 256 x 256 matrix the dense oracle applies to vec(X), X a
@@ -194,28 +165,23 @@ def _project(group: str, pairs, out_pairs) -> np.ndarray:
     be orthogonal. A residual B_out C - S B_in above 1e-10 is a
     basis/ordering bug and raises ConsistencyError.
     """
-    b_out = _pair_columns(out_pairs)
-    y = brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group]) @ _pair_columns(pairs)
-    c = np.linalg.solve(b_out.T @ b_out, b_out.T @ y)
-    residual = np.abs(b_out @ c - y).max()
-    if residual > 1e-10:
-        raise ConsistencyError(
-            f"re-expansion residual {residual:.2e} for {group} inputs {tuple(pairs)}"
-        )
-    out = np.ascontiguousarray(c.T)
-    out.setflags(write=False)
-    return out
+    pairs = tuple(pairs)
+    out_pairs = block_alphabet(group) if out_pairs is None else tuple(out_pairs)
 
+    def make():
+        b_out = _pair_columns(out_pairs)
+        y = brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group]) @ _pair_columns(pairs)
+        c = np.linalg.solve(b_out.T @ b_out, b_out.T @ y)
+        residual = np.abs(b_out @ c - y).max()
+        if residual > 1e-10:
+            raise ConsistencyError(
+                f"re-expansion residual {residual:.2e} for {group} inputs {pairs}"
+            )
+        out = np.ascontiguousarray(c.T)
+        out.setflags(write=False)
+        return out
 
-def block_transfer(group: str, in_a, in_b) -> np.ndarray:
-    """Label-basis transfer of one Haar block: entry [i, o] is the
-    coefficient of output label pair o (``_out_alphabets``) in the exact
-    twirl of input label pair i, pairs lexicographic with the first qubit
-    outermost."""
-    key = ("labels", group, tuple(in_a), tuple(in_b))
-    return _cached(key, lambda: _project(
-        group, list(itertools.product(in_a, in_b)),
-        list(itertools.product(*_out_alphabets(group)))))
+    return _cached(("transfer", group, pairs, out_pairs), make)
 
 
 @dataclass(frozen=True)
@@ -233,25 +199,11 @@ class TransferMatrix:
 
 
 def derive_transfer(kind: str) -> TransferMatrix:
-    out_a, out_b = _out_alphabets(kind)
-    entries = block_transfer(kind, out_a, out_b)
-    order = tuple(a + b for a in out_a for b in out_b)
-    return TransferMatrix(kind, entries, order)
-
-
-def block_alphabet(group: str) -> tuple:
-    """The axis a ``group`` block leaves: its diagrams, each as the pair of
-    its factors on the block's two qubits."""
-    return tuple((_factor_name(group, d, 0), _factor_name(group, d, 1)) for d in DIAGRAMS)
-
-
-def block_weights(group: str, pairs) -> np.ndarray:
-    """W table of one Haar block: entry [i, tau] is the coefficient of the
-    block's diagram tau in the exact twirl of the one-qubit operator pair
-    ``pairs[i]``."""
-    pairs = tuple(pairs)
-    return _cached(("weights", group, pairs),
-                   lambda: _project(group, pairs, block_alphabet(group)))
+    if kind not in LABEL_ALPHABETS:
+        raise DomainError(f"no label transfer for block group {kind!r}")
+    pairs = tuple(itertools.product(*LABEL_ALPHABETS[kind]))
+    return TransferMatrix(kind, block_transfer(kind, pairs, pairs),
+                          tuple(a + b for a, b in pairs))
 
 
 def block_step(group: str, alpha_a: tuple, alpha_b: tuple | None):
@@ -267,12 +219,12 @@ def block_step(group: str, alpha_a: tuple, alpha_b: tuple | None):
     """
     def make():
         if alpha_b is None:
-            w = block_weights(group, [(e[0], e[1]) for e in alpha_a])
+            w = block_transfer(group, [(e[0], e[1]) for e in alpha_a])
             return np.ascontiguousarray(w.T), (block_alphabet(group),)
         na, nb = len(alpha_a), len(alpha_b)
-        w = block_weights(group, [(ea[-1], eb[0]) for ea in alpha_a for eb in alpha_b])
+        w = block_transfer(group, [(ea[-1], eb[0]) for ea in alpha_a for eb in alpha_b])
         keep_a, keep_b = len(alpha_a[0]) == 2, len(alpha_b[0]) == 2
-        m = np.zeros((na if keep_a else 1, len(DIAGRAMS), nb if keep_b else 1, na, nb))
+        m = np.zeros((na if keep_a else 1, w.shape[1], nb if keep_b else 1, na, nb))
         for a, b in itertools.product(range(na), range(nb)):
             m[a if keep_a else 0, :, b if keep_b else 0, a, b] = w[a * nb + b]
         outs = (((tuple((e[0],) for e in alpha_a),) if keep_a else ())

@@ -625,8 +625,10 @@ def plan_inputs(tmp_path):
     """Input files for the cases below: circuits just and far past the
     statevector bound, circuits whose angle is not a finite float, a
     directory, a file that is not .npy, a 9 x 9 operator, 16 x 16 operators
-    with a NaN, an infinite or a 1e308 entry and a gp config with one draw
-    per batch."""
+    with a NaN, an infinite or a 1e308 entry, a gp config with one draw
+    per batch and, for the empty --out cases, a two-qubit circuit and a
+    valid gp config in valid/."""
+    (tmp_path / "c2.json").write_text(json.dumps({"n": 2, "gates": []}))
     (tmp_path / "c24.json").write_text(json.dumps({"n": 24, "gates": []}))
     (tmp_path / "c1e18.json").write_text(json.dumps({"n": 10**18, "gates": []}))
     for name, theta in [("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity"),
@@ -641,6 +643,8 @@ def plan_inputs(tmp_path):
     (tmp_path / "text.npy").write_text("not an array")
     np.save(tmp_path / "eye9.npy", np.eye(9))
     gp_config(tmp_path, samples=20, batches=20)
+    (tmp_path / "valid").mkdir()
+    gp_config(tmp_path / "valid")
     return tmp_path
 
 
@@ -702,6 +706,19 @@ PLAN_FAILURES = [
     pytest.param(["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5",
                   "--seed", "1", "--threads", "1"], 1,
                  id="concentration-samples-equal-batches"),
+    # an empty --out names no file, for every subcommand that takes one
+    pytest.param(["sample", "--group", "sp", "--d", "4", "--count", "2", "--seed", "1",
+                  "--out", ""], 1, id="sample-out-empty"),
+    pytest.param(["twirl", "--t", "2", "--d", "3", "--group", "o",
+                  "--input", "{tmp}/eye9.npy", "--out", ""], 1, id="twirl-out-empty"),
+    pytest.param(["simulate", "--circuit", "{tmp}/c2.json", "--out", ""], 1,
+                 id="simulate-out-empty"),
+    pytest.param(["gp", "--config", "{tmp}/valid/gp.json", "--seed", "1", "--threads", "1",
+                  "--out", ""], 1, id="gp-out-empty"),
+    pytest.param(["gp-summary", "--config", "{tmp}/valid/gp.json", "--seed", "1",
+                  "--threads", "1", "--out", ""], 1, id="gp-summary-out-empty"),
+    pytest.param(["anticoncentration-depth", "--n-min", "2", "--n-max", "3", "--out", ""], 1,
+                 id="depth-out-empty"),
     # sizes whose byte count is vast: refused in O(1), never printed in digits
     pytest.param(["collision", "--n", "1000000", "--layers", "1"], 2, id="collision-n1e6"),
     pytest.param(["collision", "--n", str(10**18), "--layers", "1"], 2, id="collision-n1e18"),

@@ -6,20 +6,25 @@ the documented lexicographic label order (II, IS, IB, SI, SS, SB), row a =
 expansion of the twirled input label a.
 """
 
+import os
+import subprocess
+import sys
+from itertools import product
+
 import numpy as np
 import pytest
 
-from spcirc import brauer, circuit, kernels
+import spcirc
+from spcirc import brauer, circuit, kernels, moment
 from spcirc.errors import CapacityError, DomainError
 from spcirc.moment import (
-    ALPHA_FIRST,
     ALPHA_RAW,
-    ALPHA_REST,
+    FACTORS,
+    LABEL_ALPHABETS,
     LABEL_OPS,
     LabelVector,
     block_alphabet,
     block_transfer,
-    block_weights,
     check_depth,
     check_propagation,
     collision_probability,
@@ -38,7 +43,9 @@ from spcirc.moment import (
     z_haar,
 )
 from spcirc.kernels import transfer_apply
-from spcirc.sampler import RngStream
+from spcirc.sampler import BLOCK_GROUPS, RngStream
+
+_, ALPHA_REST = LABEL_ALPHABETS["sp2"]
 
 # frozen reference: sp2 block transfer on labels (II, IS, IB, SI, SS, SB)
 TAU_SP2 = np.array(
@@ -158,13 +165,12 @@ def apply_block_reference(ref, bond, group):
     left and right of the bond with the label-basis block transfer."""
     alphabets, coeffs = ref
     in_a, in_b = alphabets[bond - 1], alphabets[bond]
-    row = block_transfer(group, in_a, in_b)
+    row = block_transfer(group, product(in_a, in_b), product(*LABEL_ALPHABETS[group]))
     dims = [len(a) for a in alphabets]
     left = int(np.prod(dims[: bond - 1], dtype=np.int64))
     right = int(np.prod(dims[bond + 1 :], dtype=np.int64))
     out = np.matmul(row.T, coeffs.reshape(left, len(in_a) * len(in_b), right))
-    out_a = ALPHA_FIRST if group == "sp2" else ALPHA_REST
-    alphabets = alphabets[: bond - 1] + (out_a, ALPHA_REST) + alphabets[bond + 1 :]
+    alphabets = alphabets[: bond - 1] + LABEL_ALPHABETS[group] + alphabets[bond + 1 :]
     return alphabets, out.reshape(-1)
 
 
@@ -275,8 +281,60 @@ def test_diagram_factors_rebuild_the_diagrams():
 def test_block_weights_fix_the_diagrams():
     """The twirl is a projection: a block's own diagrams are fixed points."""
     for group in ("sp2", "o4"):
-        w = block_weights(group, block_alphabet(group))
+        w = block_transfer(group, block_alphabet(group))
         assert np.abs(w - np.eye(3)).max() <= 1e-12
+
+
+def copy_major(a, b):
+    """The product of one-qubit operators ``a`` (first qubit) and ``b`` as a
+    16 x 16 copy-major two-copy operator of the block's two qubits."""
+    op = np.kron(qubit_operator(a), qubit_operator(b))
+    return op.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+
+
+@pytest.mark.parametrize("group", ["sp2", "o4"])
+def test_block_transfer_matches_the_gram_inverse_twirl(group):
+    """Every W-table row against ``brauer.twirl``, which projects through
+    the inverse Gram matrix of the diagrams rather than through the
+    superoperator's normal equations."""
+    names = list(LABEL_OPS) + list(FACTORS)
+    for a, b in product(names, names):
+        w = block_transfer(group, [(a, b)])
+        c = brauer.twirl(copy_major(a, b), 2, 4, BLOCK_GROUPS[group]).coefficients
+        assert np.abs(w[0] - c).max() <= 1e-12, (group, a, b)
+
+
+def test_the_cache_stops_growing():
+    """Past n = 6 a depth sweep meets no block step, transfer or z
+    contraction that the sweeps over n = 2..6 have not cached."""
+    for n in range(2, 7):
+        depth_to_anticoncentrate(n)
+    keys = set(moment._TRANSFER_CACHE)
+    for n in range(7, 25):
+        depth_to_anticoncentrate(n)
+    assert set(moment._TRANSFER_CACHE) - keys == set()
+
+
+def test_import_computes_nothing():
+    """Importing the module builds no diagram and fills no cache; the
+    wrapped ``brauer.represent`` does see the calls made on first use."""
+    code = (
+        "import sys\n"
+        "from spcirc import brauer\n"
+        "assert 'spcirc.moment' not in sys.modules\n"
+        "calls = []\n"
+        "represent = brauer.represent\n"
+        "brauer.represent = lambda *a, **k: calls.append(a) or represent(*a, **k)\n"
+        "from spcirc import moment\n"
+        "assert calls == [] and moment._TRANSFER_CACHE == {}, (calls, moment._TRANSFER_CACHE)\n"
+        "moment.qubit_operator('pair.sp')\n"
+        "assert len(calls) == 1, calls\n"
+    )
+    src = os.path.dirname(os.path.dirname(spcirc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 def test_label_vector_checks_its_axes():
