@@ -250,7 +250,8 @@ def _load_gp_config(path: str):
         if field in s:
             check_range(n, s[field])
     observable = PauliString.from_label(data["observable"])
-    gp_stats.check_gp(n, samples, observable, data.get("batches", gp_stats.DEFAULT_BATCHES))
+    gp_stats.check_gp(n, samples, observable, data.get("batches", gp_stats.DEFAULT_BATCHES),
+                      len(data["states"]))
     states = [_GP_STATES[s["kind"]][2](n, **{key: v for key, v in s.items() if key != "kind"})
               for s in data["states"]]
     return data, states, observable
@@ -277,13 +278,10 @@ def _plan_gp(args, report):
 
 
 def _gp_values_csv(summary, out):
-    rows = [
-        (k, j, "%.17g" % summary.values[k, j])
-        for k in range(summary.sample_count)
-        for j in range(len(summary.state_labels))
-    ]
+    values = summary.values
+    rows = ((k, j, "%.17g" % values[k, j]) for k, j in np.ndindex(values.shape))
     _write_csv(out, ["sample_id", "state_id", "value"], rows)
-    return {"path": out, "rows": len(rows)}
+    return {"path": out, "rows": values.size}
 
 
 def _gp_summary_payload(summary, out):

@@ -31,7 +31,11 @@ U e_j = w_j and U e_{d/2+j} = -J w_j. For Haar S, SU is Haar again, and
 S psi = (SU) E c with E = [e_0 .. e_{k-1} | e_{d/2} .. e_{d/2+k-1}]: each
 draw is the d x 2k matrix Q = (SU) E from ``sample_sp_columns`` and
 S psi = Q c, at O(d k^2) cost instead of the O(d^3) of a full Haar matrix.
-The anticoncentration check reads S e_0 only (k = 1).
+The observable enters once per draw, through its 2k x 2k compression
+M = Q^dag O Q: every sampled value is C(rho) = sum_w w c^dag M c over the
+spectrum, and the Pauli's dense action is built once per run. The
+anticoncentration check is the same loop on |0> (k = 1, c = e_0) with
+M = Q[x]^dag Q[x], so M[0, 0] = |<x|S|0>|^2.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brauer import double_factorial
-from .circuit import check_basis_index, pauli_apply
-from .errors import CapacityError, DomainError
+from .circuit import check_basis_index
+from .errors import CapacityError, DomainError, check_bytes
 from .moment import z_haar
 from .pauli import PauliString, in_sp_algebra
 from .sampler import DEFAULT_TOL, RngStream, sample_sp_columns
@@ -204,12 +208,15 @@ def select_theorem(states) -> tuple:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _batch_sizes(total: int, batches: int):
-    base, extra = divmod(total, batches)
-    return [base + (1 if b < extra else 0) for b in range(batches)]
+# Bytes a sampled run holds per draw and state, 8 B each: the batch chunks,
+# their concatenation, a centred copy of it and one power of that copy
+# (``run_gp_experiment``; the tail experiments hold less). A hit table adds
+# 1 B per draw and threshold (or alpha).
+SAMPLE_BYTES = 32
 
 
-def _check_sampling(n: int, n_samples: int, batches: int) -> None:
+def _check_sampling(n: int, n_samples: int, batches: int, states: int = 1,
+                    cuts: int = 0) -> None:
     if n < 1:
         raise DomainError(f"need at least one qubit, got n = {n}")
     if batches < 2:
@@ -218,6 +225,8 @@ def _check_sampling(n: int, n_samples: int, batches: int) -> None:
         raise DomainError(f"need at least {batches} samples, got {n_samples}")
     if n > SAMPLING_LIMIT:
         raise CapacityError(f"dense sampling capped at n <= {SAMPLING_LIMIT}")
+    check_bytes(f"sampling {states} states at {cuts} thresholds",
+                n_samples * (SAMPLE_BYTES * states + cuts))
 
 
 # The two state range checks, this one and ``circuit.check_basis_index``,
@@ -234,9 +243,10 @@ def check_flip_qubit(n: int, flip_qubit: int) -> None:
 # allocates or samples.
 
 def check_gp(n: int, n_samples: int, observable: PauliString,
-             batches: int = DEFAULT_BATCHES) -> None:
-    """Domain and capacity checks of ``run_gp_experiment``."""
-    _check_sampling(n, n_samples, batches)
+             batches: int = DEFAULT_BATCHES, states: int = 1, cuts: int = 0) -> None:
+    """Domain and capacity checks of ``run_gp_experiment`` on ``states``
+    states (and of ``concentration_tail`` with ``cuts`` thresholds)."""
+    _check_sampling(n, n_samples, batches, states, cuts)
     # each batch's sample covariance needs one degree of freedom
     if n_samples < 2 * batches:
         raise DomainError(
@@ -260,48 +270,31 @@ def check_concentration(n: int, n_samples: int, thresholds, observable: PauliStr
     thresholds = np.asarray(thresholds, dtype=float)
     if not np.all((thresholds > 0) & np.isfinite(thresholds)):
         raise DomainError("thresholds must be positive and finite")
-    check_gp(n, n_samples, observable, batches)
+    check_gp(n, n_samples, observable, batches, cuts=thresholds.size)
     return thresholds
 
 
 def check_anticoncentration(n: int, n_samples: int, alpha_grid, x_index: int,
                             batches: int = DEFAULT_BATCHES) -> np.ndarray:
     """Checks of ``anticoncentration_check``; returns the alphas as an array."""
-    check_basis_index(n, x_index)
-    _check_sampling(n, n_samples, batches)
     alphas = np.asarray(alpha_grid, dtype=float)
+    check_basis_index(n, x_index)
+    _check_sampling(n, n_samples, batches, cuts=alphas.size)
     if not np.all((alphas >= 0) & (alphas <= 1)):
         raise DomainError("alpha values must lie in [0, 1]")
     return alphas
 
 
-def _batch_se(values: np.ndarray, batches: int):
-    """Standard error of the mean over the last axis, whose samples come in
-    the batch order of ``_batch_sizes``, from the spread of batch means."""
-    edges = np.cumsum([0] + _batch_sizes(values.shape[-1], batches))
-    means = np.stack(
-        [values[..., edges[b]: edges[b + 1]].mean(axis=-1) for b in range(batches)]
-    )
-    return means.std(axis=0, ddof=1) / math.sqrt(batches)
+def _batch_se(per_batch) -> np.ndarray:
+    """Standard error of a mean from its value in each batch (leading axis)."""
+    return np.std(per_batch, axis=0, ddof=1) / math.sqrt(len(per_batch))
 
 
-def _run_batches(total, batches, threads, rng_stream, worker):
-    """worker(count, generator) -> array; batch b draws from child stream b,
-    so results do not depend on the thread schedule."""
-    sizes = _batch_sizes(total, batches)
-
-    def run(b):
-        return worker(sizes[b], rng_stream.child(b).generator())
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(batches)))
-    return [run(b) for b in range(batches)]
-
-
-def _quaternionic_conj(v: np.ndarray) -> np.ndarray:
-    """J v = Omega conj(v)."""
-    return np.conj(_omega_apply(v))
+def _tail(chunks, thresholds: np.ndarray) -> tuple:
+    """(Pr(value >= t) for each threshold t, its batch SE) over 1-d chunks."""
+    hits = [c >= thresholds[:, None] for c in chunks]
+    total = sum(h.shape[1] for h in hits)
+    return sum(h.sum(axis=1) for h in hits) / total, _batch_se([h.mean(axis=1) for h in hits])
 
 
 def symplectic_frame(vectors) -> np.ndarray:
@@ -319,34 +312,55 @@ def symplectic_frame(vectors) -> np.ndarray:
         if norm <= DEFAULT_TOL * np.linalg.norm(v):
             continue
         ws.append(r / norm)
-        frame = np.column_stack(ws + [-_quaternionic_conj(w) for w in ws])
+        frame = np.column_stack(ws + [-np.conj(_omega_apply(w)) for w in ws])
     return frame
 
 
 def _frame_coefficients(states) -> tuple:
-    """(k, coefficients): the first k quaternionic columns of a draw carry
-    every state, and coefficients[j] lists (weight, F^dag psi) over state j's
-    spectrum."""
-    frame = symplectic_frame([v for s in states for v in s.vectors.T])
-    adjoint = frame.conj().T
-    coefficients = [[(w, adjoint @ v) for w, v in zip(s.weights, s.vectors.T)]
-                    for s in states]
-    return frame.shape[1] // 2, coefficients
+    """(k, coefficients, weights): the first k quaternionic columns of a draw
+    carry every state. Row i of ``coefficients`` (r x 2k) is F^dag psi_i over
+    the states' spectral vectors in order, and row j of ``weights``
+    (states x r) holds state j's spectral weights on its own vectors."""
+    vectors = np.concatenate([s.vectors for s in states], axis=1)
+    frame = symplectic_frame(vectors.T)
+    owner = np.repeat(np.arange(len(states)), [s.weights.size for s in states])
+    weights = np.zeros((len(states), owner.size))
+    weights[owner, np.arange(owner.size)] = np.concatenate([s.weights for s in states])
+    return frame.shape[1] // 2, (frame.conj().T @ vectors).T, weights
 
 
-def _observable_values(k, coefficients, observable, count, gen) -> np.ndarray:
-    """C(rho_j) for ``count`` Haar draws of k quaternionic columns each."""
-    d = 2**observable.n
-    out = np.empty((count, len(coefficients)))
-    for i in range(count):
-        q = sample_sp_columns(d, k, gen)
-        for j, spec in enumerate(coefficients):
-            acc = 0.0
-            for wgt, c in spec:
-                phi = q @ c
-                acc += wgt * float(np.real(np.vdot(phi, pauli_apply(observable, phi))))
-            out[i, j] = acc
-    return out
+def _pauli_compression(observable: PauliString):
+    """Q -> Q^dag P Q, with P's dense action built once: (P Q)[s] = phases[s ^ x] Q[s ^ x]."""
+    x, phases = observable.dense_action()
+    source = np.arange(phases.size) ^ x
+    phases = phases[source][:, None]
+    return lambda q: q.conj().T @ (phases * q[source])
+
+
+def _sample(d: int, frame: tuple, compress, n_samples: int, batches: int, rng,
+            threads: int) -> list:
+    """Per-batch chunks (draws x states) of sum_w w c^dag M c over each
+    state's spectrum, for ``frame = _frame_coefficients(states)`` and M the
+    2k x 2k compression ``compress(Q)`` of the observable to a draw Q of k
+    quaternionic columns. Batch b draws from child stream b, so the values do
+    not depend on the thread schedule."""
+    k, coefficients, weights = frame
+    stream = rng_stream(rng)
+    base, extra = divmod(n_samples, batches)
+    sizes = [base + (b < extra) for b in range(batches)]
+
+    def run(b):
+        gen = stream.child(b).generator()
+        out = np.empty((sizes[b], len(weights)))
+        for i in range(sizes[b]):
+            m = compress(sample_sp_columns(d, k, gen))
+            out[i] = weights @ np.einsum("ri,ij,rj->r", coefficients.conj(), m, coefficients).real
+        return out
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(batches)))
+    return [run(b) for b in range(batches)]
 
 
 @dataclass
@@ -378,28 +392,18 @@ def run_gp_experiment(
     states = list(states)
     if not states:
         raise DomainError("need at least one state")
-    n = states[0].n
+    n, m = states[0].n, len(states)
     if any(s.n != n for s in states):
         raise DomainError("states must share n")
-    check_gp(n, n_samples, observable, batches)
-    stream = rng_stream(rng)
-    k, coefficients = _frame_coefficients(states)
-    chunks = _run_batches(
-        n_samples, batches, threads, stream,
-        lambda count, gen: _observable_values(k, coefficients, observable, count, gen),
-    )
-    values = np.concatenate(chunks, axis=0)
-    batch_means = np.stack([c.mean(axis=0) for c in chunks])
-    batch_covs = np.stack([np.cov(c, rowvar=False).reshape(len(states), len(states))
-                           for c in chunks])
+    check_gp(n, n_samples, observable, batches, m)
+    chunks = _sample(2**n, _frame_coefficients(states), _pauli_compression(observable),
+                     n_samples, batches, rng, threads)
+    values = np.concatenate(chunks)
     mean = values.mean(axis=0)
-    cov = np.cov(values, rowvar=False).reshape(len(states), len(states))
-    mean_se = batch_means.std(axis=0, ddof=1) / math.sqrt(batches)
-    cov_se = batch_covs.std(axis=0, ddof=1) / math.sqrt(batches)
+    cov = np.cov(values, rowvar=False).reshape(m, m)
     centered = values - mean
     m2 = (centered**2).mean(axis=0)
     m4 = (centered**4).mean(axis=0)
-    ratio = m4 / (3.0 * m2**2)
     name, theory = select_theorem(states)
     return GPSummary(
         n=n,
@@ -407,13 +411,13 @@ def run_gp_experiment(
         state_labels=tuple(s.label for s in states),
         observable=str(observable),
         mean_vector=mean,
-        mean_se=mean_se,
+        mean_se=_batch_se([c.mean(axis=0) for c in chunks]),
         covariance=cov,
-        covariance_se=cov_se,
+        covariance_se=_batch_se([np.cov(c, rowvar=False).reshape(m, m) for c in chunks]),
         theory_name=name,
         theory_covariance=theory,
         exact_covariance=exact_covariance(states),
-        fourth_moment_ratio=ratio,
+        fourth_moment_ratio=m4 / (3.0 * m2**2),
         values=values,
     )
 
@@ -480,16 +484,12 @@ def concentration_tail(
     thresholds = check_concentration(
         state.n, n_samples, thresholds, observable, batches
     )
-    summary = run_gp_experiment(
-        [state], observable, n_samples, rng, batches=batches, threads=threads
-    )
-    c_vals = np.abs(summary.values[:, 0])
     d = 2**state.n
+    chunks = _sample(d, _frame_coefficients([state]), _pauli_compression(observable),
+                     n_samples, batches, rng, threads)
+    emp, emp_se = _tail([np.abs(c[:, 0]) for c in chunks], thresholds)
     tr_g = algebra_overlap(state, state)
     sigma_sq = 2.0 * tr_g / d
-    hits = c_vals[None, :] >= thresholds[:, None]
-    emp = hits.mean(axis=1)
-    emp_se = _batch_se(hits, batches)
     if sigma_sq > 0:
         scale = math.sqrt(2.0 * sigma_sq)
         # erfc is 0.0 in float64 from 27.3 on, and c / scale may overflow
@@ -538,29 +538,24 @@ def anticoncentration_check(
     floor, plus the collision estimate z = d*mean(p^2) vs 2/(d+1)."""
     alphas = check_anticoncentration(n, n_samples, alpha_grid, x_index, batches)
     d = 2**n
-
-    def worker(count, gen):
-        probs = np.empty(count)
-        for k in range(count):
-            # column 0 of the draw is S e_0
-            probs[k] = float(abs(sample_sp_columns(d, 1, gen)[x_index, 0]) ** 2)
-        return probs
-
-    stream = rng_stream(rng)
-    chunks = _run_batches(n_samples, batches, threads, stream, worker)
-    probs = np.concatenate(chunks)
-    hits = probs[None, :] >= (alphas[:, None] / d)
-    emp = hits.mean(axis=1)
+    # the state |0> has the frame E and c = e_0, and M = Q[x]^dag Q[x] has
+    # M[0, 0] = |<x|S|0>|^2
+    chunks = _sample(d, _frame_coefficients([StateSpec.computational_basis(n, 0)]),
+                     lambda q: np.outer(q[x_index].conj(), q[x_index]),
+                     n_samples, batches, rng, threads)
+    probs = [c[:, 0] for c in chunks]
+    emp, emp_se = _tail(probs, alphas / d)
+    # d is a power of two, so d p^2 scales exactly
+    z = [d * p**2 for p in probs]
     return AnticoncentrationTable(
         n=n,
         x_index=x_index,
         sample_count=n_samples,
         alphas=alphas,
         empirical=emp,
-        empirical_se=_batch_se(hits, batches),
+        empirical_se=emp_se,
         bound=(1.0 - alphas) ** 2 / 2.0,
-        z_estimate=d * float((probs**2).mean()),
-        # d is a power of two, so scaling before the batch means is exact
-        z_se=float(_batch_se(d * probs**2, batches)),
+        z_estimate=float(np.concatenate(z).mean()),
+        z_se=float(_batch_se([b.mean() for b in z])),
         z_haar=z_haar(n),
     )

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import spcirc
-from spcirc import brauer, circuit, cli, lie_closure, moment, pauli
+from spcirc import brauer, circuit, cli, gp_stats, lie_closure, moment, pauli
 from spcirc.errors import MEMORY_LIMIT, CapacityError, check_bytes
 from spcirc.pauli import PauliString
+from spcirc.sampler import RngStream
 
 # -- check_bytes ---------------------------------------------------------------------
 
@@ -82,7 +83,7 @@ def counted(monkeypatch):
         counts.append(nbytes * base**exponent)
         check_bytes(what, nbytes, base, exponent)
 
-    for module in (brauer, circuit, cli, lie_closure, moment, pauli):
+    for module in (brauer, circuit, cli, gp_stats, lie_closure, moment, pauli):
         monkeypatch.setattr(module, "check_bytes", record)
     return counts
 
@@ -111,6 +112,15 @@ def pauli_string(n):
     return PauliString.from_label(("XYZ" * n)[:n])
 
 
+Y2 = PauliString.single(3, 2, "Y")
+CUTS = np.linspace(0.02, 1.0, 32)
+
+
+def gp_pair(n):
+    return [gp_stats.StateSpec.computational_basis(n, 0),
+            gp_stats.StateSpec.superposition_pair(n, 2)]
+
+
 # name -> (the call at size n, its inputs built; n to warm caches at; n where arrays dominate)
 BOUNDED = {
     "to_dense": (lambda n: partial(pauli.to_dense, pauli_string(n)), 3, 10),
@@ -130,6 +140,13 @@ BOUNDED = {
     "twirl": (lambda d: partial(brauer.twirl, np.eye(d * d, dtype=complex), 2, d, "o"), 2, 32),
     "twirl_superoperator": (lambda d: partial(brauer.twirl_superoperator, 2, d, "o"), 2, 6),
     "closure": (lambda n: partial(lie_closure.closure, commuting_set(n), 4**n), 3, 10),
+    # the sampled experiments, sized by their sample count
+    "run_gp_experiment": (lambda s: partial(gp_stats.run_gp_experiment, gp_pair(3), Y2, s,
+                                            RngStream(1)), 40, 2500),
+    "concentration_tail": (lambda s: partial(gp_stats.concentration_tail, gp_pair(3)[1], Y2, s,
+                                             CUTS, RngStream(1)), 40, 1500),
+    "anticoncentration_check": (lambda s: partial(gp_stats.anticoncentration_check, 3, s,
+                                                  CUTS, RngStream(1)), 40, 1500),
 }
 
 
@@ -142,6 +159,24 @@ def test_peak_within_the_checked_bytes(name, counted):
     peak = traced_peak(call)
     assert len(counted) > counts_before, "the call made no byte check"
     assert peak <= max(counted[counts_before:]) + UNCOUNTED
+
+
+def test_sample_counts_are_refused_before_any_draw():
+    obs = PauliString.single(6, 2, "Y")
+    inside = MEMORY_LIMIT // (2 * gp_stats.SAMPLE_BYTES)
+    gp_stats.check_gp(6, inside, obs, states=2)
+    gp_stats.check_anticoncentration(6, MEMORY_LIMIT // (gp_stats.SAMPLE_BYTES + 2),
+                                     [0.1, 0.2], 0)
+    over = [partial(gp_stats.check_gp, 6, inside + 1, obs, states=2),
+            partial(gp_stats.check_concentration, 6, 10**9, [0.5], obs),
+            partial(gp_stats.check_anticoncentration, 6, 10**9, [0.5], 0),
+            partial(gp_stats.check_anticoncentration, 6, 10**4000, [0.5], 0)]
+    for check in over:
+        def refused():
+            with pytest.raises(CapacityError, match="sampling") as error:
+                check()
+            assert len(str(error.value)) < 300
+        assert traced_peak(refused) <= UNCOUNTED
 
 
 def test_nothing_outlives_a_twirl():

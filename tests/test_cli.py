@@ -340,6 +340,25 @@ def test_gp_csv_reproducible(tmp_path, capsys):
     float(first[2])
 
 
+@pytest.mark.parametrize("argv", [
+    ["gp", "--config", "{cfg}", "--seed", "9", "--out", "{out}"],
+    ["gp-summary", "--config", "{cfg}", "--seed", "9"],
+    ["concentration", "--n", "3", "--samples", "60", "--thresholds", "0.1,0.3", "--seed", "9"],
+    ["anticoncentration", "--n", "3", "--samples", "60", "--alphas", "0,0.5", "--seed", "9"],
+], ids=lambda argv: argv[0])
+def test_threads_give_identical_payloads(tmp_path, argv, capsys):
+    """Batch b draws from child stream b whatever the thread schedule."""
+    cfg = gp_config(tmp_path)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"values{threads}.csv"
+        args = [a.format(cfg=cfg, out=out) for a in argv] + ["--threads", threads]
+        payload = run_json(args, capsys)["payload"]
+        payload.pop("path", None)
+        outputs.append((json.dumps(payload), out.read_bytes() if out.exists() else b""))
+    assert outputs[0] == outputs[1]
+
+
 def test_gp_rejects_unknown_config_field(tmp_path, capsys):
     cfg = gp_config(tmp_path, extra_knob=3)
     code, _, err = run(
@@ -626,8 +645,8 @@ def plan_inputs(tmp_path):
     statevector bound, circuits whose angle is not a finite float, a
     directory, a file that is not .npy, a 9 x 9 operator, 16 x 16 operators
     with a NaN, an infinite or a 1e308 entry, a gp config with one draw
-    per batch and, for the empty --out cases, a two-qubit circuit and a
-    valid gp config in valid/."""
+    per batch, one with 10**8 draws in vast/ and, for the empty --out
+    cases, a two-qubit circuit and a valid gp config in valid/."""
     (tmp_path / "c2.json").write_text(json.dumps({"n": 2, "gates": []}))
     (tmp_path / "c24.json").write_text(json.dumps({"n": 24, "gates": []}))
     (tmp_path / "c1e18.json").write_text(json.dumps({"n": 10**18, "gates": []}))
@@ -645,6 +664,8 @@ def plan_inputs(tmp_path):
     gp_config(tmp_path, samples=20, batches=20)
     (tmp_path / "valid").mkdir()
     gp_config(tmp_path / "valid")
+    (tmp_path / "vast").mkdir()
+    gp_config(tmp_path / "vast", samples=10**8)
     return tmp_path
 
 
@@ -734,6 +755,13 @@ PLAN_FAILURES = [
                  id="gram-d1e160"),
     pytest.param(["concentration", "--n", str(10**18), "--samples", "20", "--thresholds", "0.5",
                   "--seed", "1", "--threads", "1"], 2, id="concentration-n1e18"),
+    # sample counts whose values alone pass the byte bound: refused before any draw
+    pytest.param(["gp-summary", "--config", "{tmp}/vast/gp.json", "--seed", "1"], 2,
+                 id="gp-summary-samples-1e8"),
+    pytest.param(["concentration", "--n", "4", "--samples", str(10**9), "--thresholds", "0.5",
+                  "--seed", "1"], 2, id="concentration-samples-1e9"),
+    pytest.param(["anticoncentration", "--n", "4", "--samples", str(10**9), "--alphas", "0.5",
+                  "--seed", "1"], 2, id="anticoncentration-samples-1e9"),
 ]
 
 

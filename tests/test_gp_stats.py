@@ -12,12 +12,14 @@ import pytest
 from scipy import integrate
 from scipy.stats import ks_2samp
 
+from spcirc import gp_stats
 from spcirc.circuit import pauli_apply
 from spcirc.errors import CapacityError, DomainError
 from spcirc.gp_stats import (
     StateSpec,
     _frame_coefficients,
-    _observable_values,
+    _pauli_compression,
+    _sample,
     algebra_overlap,
     anticoncentration_check,
     concentration_tail,
@@ -188,6 +190,13 @@ def test_select_theorem_branches():
     assert cov[0, 1] == pytest.approx(2.0 * (-0.5) / d)
 
 
+def sampled_values(states, obs, count, stream):
+    """``count`` draws of C(rho_j) from the sampling loop, all in one batch:
+    the draws of ``stream.child(0)``."""
+    frame = _frame_coefficients(states)
+    return _sample(2**obs.n, frame, _pauli_compression(obs), count, 1, stream, 1)[0]
+
+
 # -- the column frame ---------------------------------------------------------------
 
 def test_symplectic_frame_spans_the_states_and_extends_to_a_symplectic_unitary():
@@ -207,12 +216,12 @@ def test_symplectic_frame_spans_the_states_and_extends_to_a_symplectic_unitary()
 def test_symplectic_frame_drops_dependent_vectors():
     gen = np.random.default_rng(42)
     states = degenerate_family(4, gen)
-    k, coefficients = _frame_coefficients(states)
+    k, _, weights = _frame_coefficients(states)
     assert k == 1
-    assert [len(spec) for spec in coefficients] == [1, 1, 1]
+    assert [np.count_nonzero(row) for row in weights] == [1, 1, 1]
     # a full basis needs every column, in the canonical order
     basis = [StateSpec.computational_basis(2, x) for x in range(4)]
-    k, _ = _frame_coefficients(basis)
+    k = _frame_coefficients(basis)[0]
     assert k == 2
     assert np.array_equal(
         symplectic_frame([s.statevector for s in basis]), np.eye(4)
@@ -226,9 +235,7 @@ def test_degenerate_states_share_one_column():
     n = 4
     states = degenerate_family(n, gen)
     obs = PauliString.single(n, 2, "Y")
-    values = _observable_values(
-        *_frame_coefficients(states), obs, 50, RngStream(44).generator()
-    )
+    values = sampled_values(states, obs, 50, RngStream(44))
     assert np.abs(values[:, 1] + values[:, 0]).max() <= 1e-12
     assert np.std(values[:, 0]) > 0.01
 
@@ -241,10 +248,10 @@ def test_column_draws_preserve_overlaps_and_twisted_overlaps():
     pure = degenerate_family(n, gen)[:1] + [random_pure(n, gen) for _ in range(2)]
     rho = 0.6 * pure[0].density_matrix() + 0.4 * pure[1].density_matrix()
     states = pure + [StateSpec.from_density(n, rho)]
-    k, coefficients = _frame_coefficients(states)
+    k, coefficients, _ = _frame_coefficients(states)
     assert k == 3
     vecs = [v for s in states for v in s.vectors.T]
-    coeffs = [c for spec in coefficients for _, c in spec]
+    coeffs = list(coefficients)
     assert len(vecs) == len(coeffs) == 5
     om = omega(d)
     draws = RngStream(46).generator()
@@ -263,9 +270,7 @@ def test_mixed_state_value_is_linear_in_the_state():
     rho = 0.7 * a.density_matrix() + 0.3 * b.density_matrix()
     states = [a, b, StateSpec.from_density(n, rho)]
     obs = PauliString.single(n, 2, "Y")
-    values = _observable_values(
-        *_frame_coefficients(states), obs, 40, RngStream(48).generator()
-    )
+    values = sampled_values(states, obs, 40, RngStream(48))
     assert np.abs(values[:, 2] - (0.7 * values[:, 0] + 0.3 * values[:, 1])).max() <= 1e-12
 
 
@@ -275,10 +280,8 @@ def test_full_frame_reproduces_the_dense_draw():
     n, d = 3, 8
     states = [StateSpec.computational_basis(n, x) for x in range(d)]
     obs = PauliString.single(n, 2, "Y")
-    values = _observable_values(
-        *_frame_coefficients(states), obs, 5, RngStream(49).generator()
-    )
-    dense = RngStream(49).generator()
+    values = sampled_values(states, obs, 5, RngStream(49))
+    dense = RngStream(49).child(0).generator()
     for row in values:
         s = sample_sp(d, dense)
         want = [np.real(np.vdot(s[:, x], pauli_apply(obs, s[:, x]))) for x in range(d)]
@@ -512,6 +515,29 @@ def test_concentration_threshold_validation():
         concentration_tail(state, obs, 100, [0.0, 0.5], RngStream(0))
 
 
+@pytest.fixture
+def sampled_chunks(monkeypatch):
+    """The per-batch chunks each sampling loop call returns, in call order."""
+    calls, sample = [], gp_stats._sample
+
+    def record(*args):
+        calls.append(sample(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(gp_stats, "_sample", record)
+    return calls
+
+
+def test_concentration_samples_the_gp_values(sampled_chunks):
+    state = StateSpec.superposition_pair(4, 2)
+    obs = PauliString.single(4, 2, "Y")
+    table = concentration_tail(state, obs, 60, [0.1, 0.3], RngStream(24), batches=6)
+    gp = run_gp_experiment([state], obs, 60, RngStream(24), batches=6)
+    assert np.array_equal(np.concatenate(sampled_chunks[0]), gp.values)
+    hits = np.abs(gp.values[:, 0]) >= np.array([[0.1], [0.3]])
+    assert np.array_equal(table.empirical, hits.mean(axis=1))
+
+
 # -- anti-concentration -----------------------------------------------------------
 
 def test_anticoncentration_table():
@@ -536,6 +562,16 @@ def test_anticoncentration_reproducible_and_schedule_independent():
     assert (a.z_estimate, a.z_se) == (b.z_estimate, b.z_se)
     c = anticoncentration_check(*args, RngStream(33), x_index=5, threads=1)
     assert c.z_estimate != a.z_estimate
+
+
+def test_anticoncentration_reads_one_entry_of_each_draw(sampled_chunks):
+    n, d, x = 4, 16, 5
+    anticoncentration_check(n, 30, [0.5], RngStream(34), x_index=x, batches=3)
+    assert [len(chunk) for chunk in sampled_chunks[0]] == [10, 10, 10]
+    for b, chunk in enumerate(sampled_chunks[0]):
+        gen = RngStream(34).child(b).generator()
+        want = [abs(sample_sp_columns(d, 1, gen)[x, 0]) ** 2 for _ in range(len(chunk))]
+        assert np.abs(chunk[:, 0] - want).max() <= 1e-15
 
 
 def test_anticoncentration_validation():
