@@ -19,7 +19,8 @@ overlaps). The runner picks the reference whose preconditions hold at
 threshold 1/(log2 d)^2 and always reports the exact formula alongside.
 
 Error bars everywhere come from batching (20 batches by default), not from
-Gaussianity assumptions: the Gaussianity itself is under test.
+Gaussianity assumptions: the Gaussianity itself is under test. The batches
+run in order in one thread; batch b draws from child stream b of the seed.
 
 Sampling reads S only on the span of the states. Once per run, every
 spectral vector psi is Gram-Schmidted in pairs under the antiunitary
@@ -42,19 +43,17 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .brauer import double_factorial
 from .circuit import check_basis_index
-from .errors import CapacityError, DomainError, check_bytes
+from .errors import DomainError, check_bytes
 from .moment import z_haar
 from .pauli import PauliString, in_sp_algebra
 from .sampler import DEFAULT_TOL, RngStream, sample_sp_columns
 
-SAMPLING_LIMIT = 12
 DEFAULT_BATCHES = 20
 
 
@@ -173,14 +172,10 @@ def algebra_overlap(a: StateSpec, b: StateSpec) -> float:
 
 def _pair_matrices(states):
     """(Tr[rho_j rho_j'], Tr[Omega rho_j Omega rho_j'^T]) over every pair."""
-    m = len(states)
-    t = np.empty((m, m))
-    w = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            t[i, j], w[i, j] = _overlaps(states[i], states[j])
-            t[j, i], w[j, i] = t[i, j], w[i, j]
-    return t, w
+    pairs = np.empty((len(states), len(states), 2))
+    for i, j in zip(*np.triu_indices(len(states))):
+        pairs[i, j] = pairs[j, i] = _overlaps(states[i], states[j])
+    return pairs[..., 0], pairs[..., 1]
 
 
 def exact_covariance(states) -> np.ndarray:
@@ -208,25 +203,42 @@ def select_theorem(states) -> tuple:
 # ---------------------------------------------------------------------------
 # sampling
 
-# Bytes a sampled run holds per draw and state, 8 B each: the batch chunks,
-# their concatenation, a centred copy of it and one power of that copy
-# (``run_gp_experiment``; the tail experiments hold less). A hit table adds
-# 1 B per draw and threshold (or alpha).
-SAMPLE_BYTES = 32
+# Bytes a sampled run holds: per draw and state, the values, a centred copy
+# and one power of it (plus 1 B per draw for a hit mask); per batch, the
+# reference cycles its generator and its covariance leave until the cyclic
+# collector runs (about 110 B); per batch, state pair and threshold (or alpha),
+# a batch statistic and two temporaries of its standard error; per amplitude
+# and spectral vector, the vector and its share of the frame or of one draw's
+# Gaussian, QR and compression temporaries (a frame has at most one
+# quaternionic column per vector); and per amplitude once, the Pauli's dense
+# action.
+SAMPLE_BYTES, CYCLE_BYTES, BATCH_BYTES, VECTOR_BYTES, ACTION_BYTES = 24, 128, 24, 144, 48
 
 
-def _check_sampling(n: int, n_samples: int, batches: int, states: int = 1,
-                    cuts: int = 0) -> None:
+def _check_sampling(n: int, n_samples: int, batches: int, vectors: int, states: int = 1,
+                    cuts: int = 0, observable: PauliString | None = None) -> None:
+    """Domain and byte checks of a sampled run on ``states`` states of ``vectors``
+    spectral vectors in all, and of its ``observable`` unless None."""
     if n < 1:
         raise DomainError(f"need at least one qubit, got n = {n}")
     if batches < 2:
         raise DomainError(f"batch error bars need at least 2 batches, got {batches}")
     if n_samples < batches:
         raise DomainError(f"need at least {batches} samples, got {n_samples}")
-    if n > SAMPLING_LIMIT:
-        raise CapacityError(f"dense sampling capped at n <= {SAMPLING_LIMIT}")
-    check_bytes(f"sampling {states} states at {cuts} thresholds",
-                n_samples * (SAMPLE_BYTES * states + cuts))
+    held = (n_samples * (SAMPLE_BYTES * states + 1)
+            + batches * (CYCLE_BYTES + BATCH_BYTES * (states**2 + cuts)))
+    # what does not grow with d is rounded up per amplitude: 2**n is never computed
+    check_bytes(f"sampling {states} states at {cuts} thresholds at n = {n}",
+                VECTOR_BYTES * vectors + ACTION_BYTES + -(-held >> n), 2, n)
+    if observable is None:
+        return
+    if observable.n != n:
+        raise DomainError("observable size mismatch")
+    if observable.phase_exp % 2:
+        raise DomainError("observable must be Hermitian")
+    if not in_sp_algebra(observable):
+        raise DomainError("observable must lie in i*sp(d/2); the Gaussian-process "
+                          "theorems do not cover other Paulis")
 
 
 # The two state range checks, this one and ``circuit.check_basis_index``,
@@ -243,34 +255,27 @@ def check_flip_qubit(n: int, flip_qubit: int) -> None:
 # allocates or samples.
 
 def check_gp(n: int, n_samples: int, observable: PauliString,
-             batches: int = DEFAULT_BATCHES, states: int = 1, cuts: int = 0) -> None:
+             batches: int = DEFAULT_BATCHES, states: int = 1,
+             vectors: int | None = None) -> None:
     """Domain and capacity checks of ``run_gp_experiment`` on ``states``
-    states (and of ``concentration_tail`` with ``cuts`` thresholds)."""
-    _check_sampling(n, n_samples, batches, states, cuts)
+    states with ``vectors`` spectral vectors in all (one per pure state)."""
+    _check_sampling(n, n_samples, batches, vectors or states, states, observable=observable)
     # each batch's sample covariance needs one degree of freedom
     if n_samples < 2 * batches:
         raise DomainError(
             f"the batch covariances need at least two draws per batch: "
             f"{n_samples} samples for {batches} batches"
         )
-    if observable.n != n:
-        raise DomainError("observable size mismatch")
-    if observable.phase_exp % 2:
-        raise DomainError("observable must be Hermitian")
-    if not in_sp_algebra(observable):
-        raise DomainError(
-            "observable must lie in i*sp(d/2); the Gaussian-process theorems "
-            "do not cover other Paulis"
-        )
 
 
 def check_concentration(n: int, n_samples: int, thresholds, observable: PauliString,
-                        batches: int = DEFAULT_BATCHES) -> np.ndarray:
-    """Checks of ``concentration_tail``; returns the thresholds as an array."""
+                        batches: int = DEFAULT_BATCHES, vectors: int = 1) -> np.ndarray:
+    """Checks of ``concentration_tail`` on a state of ``vectors`` spectral vectors
+    (one draw per batch suffices); returns the thresholds as an array."""
     thresholds = np.asarray(thresholds, dtype=float)
     if not np.all((thresholds > 0) & np.isfinite(thresholds)):
         raise DomainError("thresholds must be positive and finite")
-    check_gp(n, n_samples, observable, batches, cuts=thresholds.size)
+    _check_sampling(n, n_samples, batches, vectors, cuts=thresholds.size, observable=observable)
     return thresholds
 
 
@@ -279,22 +284,34 @@ def check_anticoncentration(n: int, n_samples: int, alpha_grid, x_index: int,
     """Checks of ``anticoncentration_check``; returns the alphas as an array."""
     alphas = np.asarray(alpha_grid, dtype=float)
     check_basis_index(n, x_index)
-    _check_sampling(n, n_samples, batches, cuts=alphas.size)
+    _check_sampling(n, n_samples, batches, 1, cuts=alphas.size)
     if not np.all((alphas >= 0) & (alphas <= 1)):
         raise DomainError("alpha values must lie in [0, 1]")
     return alphas
 
 
-def _batch_se(per_batch) -> np.ndarray:
-    """Standard error of a mean from its value in each batch (leading axis)."""
-    return np.std(per_batch, axis=0, ddof=1) / math.sqrt(len(per_batch))
+def _batch_rows(n_samples: int, batches: int):
+    """Each batch's rows, in order; the first n_samples % batches take one more."""
+    base, extra = divmod(n_samples, batches)
+    return (slice(b * base + min(b, extra), (b + 1) * base + min(b + 1, extra))
+            for b in range(batches))
 
 
-def _tail(chunks, thresholds: np.ndarray) -> tuple:
-    """(Pr(value >= t) for each threshold t, its batch SE) over 1-d chunks."""
-    hits = [c >= thresholds[:, None] for c in chunks]
-    total = sum(h.shape[1] for h in hits)
-    return sum(h.sum(axis=1) for h in hits) / total, _batch_se([h.mean(axis=1) for h in hits])
+def _batch_se(values: np.ndarray, batches: int, statistic, shape=()) -> np.ndarray:
+    """Standard error of ``statistic``, an array of ``shape``, from its value
+    on each batch's rows of ``values``."""
+    rows = _batch_rows(len(values), batches)
+    per_batch = np.fromiter((statistic(values[r]) for r in rows), (float, shape), batches)
+    return np.std(per_batch, axis=0, ddof=1) / math.sqrt(batches)
+
+
+def _tail(values: np.ndarray, thresholds: np.ndarray, batches: int) -> tuple:
+    """(Pr(value >= t) for each threshold t, its batch SE) over 1-d values.
+    One threshold at a time, so a hit mask costs 1 B per value."""
+    def hit_rate(v):
+        return np.array([np.count_nonzero(v >= t) for t in thresholds]) / len(v)
+
+    return hit_rate(values), _batch_se(values, batches, hit_rate, thresholds.shape)
 
 
 def symplectic_frame(vectors) -> np.ndarray:
@@ -337,30 +354,21 @@ def _pauli_compression(observable: PauliString):
     return lambda q: q.conj().T @ (phases * q[source])
 
 
-def _sample(d: int, frame: tuple, compress, n_samples: int, batches: int, rng,
-            threads: int) -> list:
-    """Per-batch chunks (draws x states) of sum_w w c^dag M c over each
-    state's spectrum, for ``frame = _frame_coefficients(states)`` and M the
-    2k x 2k compression ``compress(Q)`` of the observable to a draw Q of k
-    quaternionic columns. Batch b draws from child stream b, so the values do
-    not depend on the thread schedule."""
+def _sample(d: int, frame: tuple, compress, n_samples: int, batches: int, rng) -> np.ndarray:
+    """Values (draws x states) of sum_w w c^dag M c over each state's
+    spectrum, for ``frame = _frame_coefficients(states)`` and M the 2k x 2k
+    compression ``compress(Q)`` of the observable to a draw Q of k
+    quaternionic columns. Batch b draws its rows from child stream b."""
     k, coefficients, weights = frame
+    conj = coefficients.conj()
     stream = rng_stream(rng)
-    base, extra = divmod(n_samples, batches)
-    sizes = [base + (b < extra) for b in range(batches)]
-
-    def run(b):
+    values = np.empty((n_samples, len(weights)))
+    for b, rows in enumerate(_batch_rows(n_samples, batches)):
         gen = stream.child(b).generator()
-        out = np.empty((sizes[b], len(weights)))
-        for i in range(sizes[b]):
+        for i in range(rows.start, rows.stop):
             m = compress(sample_sp_columns(d, k, gen))
-            out[i] = weights @ np.einsum("ri,ij,rj->r", coefficients.conj(), m, coefficients).real
-        return out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(batches)))
-    return [run(b) for b in range(batches)]
+            values[i] = weights @ np.einsum("ri,ij,rj->r", conj, m, coefficients).real
+    return values
 
 
 @dataclass
@@ -386,7 +394,6 @@ def run_gp_experiment(
     n_samples: int,
     rng,
     batches: int = DEFAULT_BATCHES,
-    threads: int = 1,
 ) -> GPSummary:
     """Sample C(rho_j) = Tr[S rho_j S^dag O] over Haar-symplectic S."""
     states = list(states)
@@ -395,10 +402,9 @@ def run_gp_experiment(
     n, m = states[0].n, len(states)
     if any(s.n != n for s in states):
         raise DomainError("states must share n")
-    check_gp(n, n_samples, observable, batches, m)
-    chunks = _sample(2**n, _frame_coefficients(states), _pauli_compression(observable),
-                     n_samples, batches, rng, threads)
-    values = np.concatenate(chunks)
+    check_gp(n, n_samples, observable, batches, m, sum(s.weights.size for s in states))
+    values = _sample(2**n, _frame_coefficients(states), _pauli_compression(observable),
+                     n_samples, batches, rng)
     mean = values.mean(axis=0)
     cov = np.cov(values, rowvar=False).reshape(m, m)
     centered = values - mean
@@ -411,9 +417,10 @@ def run_gp_experiment(
         state_labels=tuple(s.label for s in states),
         observable=str(observable),
         mean_vector=mean,
-        mean_se=_batch_se([c.mean(axis=0) for c in chunks]),
+        mean_se=_batch_se(values, batches, lambda v: v.mean(axis=0), (m,)),
         covariance=cov,
-        covariance_se=_batch_se([np.cov(c, rowvar=False).reshape(m, m) for c in chunks]),
+        covariance_se=_batch_se(values, batches,
+                                lambda v: np.cov(v, rowvar=False).reshape(m, m), (m, m)),
         theory_name=name,
         theory_covariance=theory,
         exact_covariance=exact_covariance(states),
@@ -477,26 +484,22 @@ def concentration_tail(
     thresholds,
     rng,
     batches: int = DEFAULT_BATCHES,
-    threads: int = 1,
 ) -> TailTable:
     """Empirical Pr(|C| >= c) with the Gaussian erfc reference and the
     t = 2, 4 moment bounds."""
     thresholds = check_concentration(
-        state.n, n_samples, thresholds, observable, batches
+        state.n, n_samples, thresholds, observable, batches, state.weights.size
     )
     d = 2**state.n
-    chunks = _sample(d, _frame_coefficients([state]), _pauli_compression(observable),
-                     n_samples, batches, rng, threads)
-    emp, emp_se = _tail([np.abs(c[:, 0]) for c in chunks], thresholds)
+    values = _sample(d, _frame_coefficients([state]), _pauli_compression(observable),
+                     n_samples, batches, rng)
+    emp, emp_se = _tail(np.abs(values[:, 0]), thresholds, batches)
     tr_g = algebra_overlap(state, state)
     sigma_sq = 2.0 * tr_g / d
-    if sigma_sq > 0:
-        scale = math.sqrt(2.0 * sigma_sq)
-        # erfc is 0.0 in float64 from 27.3 on, and c / scale may overflow
-        gauss = np.array([math.erfc(c / scale) if c < 28 * scale else 0.0
-                          for c in thresholds])
-    else:
-        gauss = np.zeros_like(thresholds)
+    # erfc is 0.0 in float64 from 27.3 on, and c / scale may overflow; a state
+    # with no spread (scale 0) has no tail at any positive threshold
+    scale = math.sqrt(2.0 * max(sigma_sq, 0.0))
+    gauss = np.array([math.erfc(c / scale) if c < 28 * scale else 0.0 for c in thresholds])
     return TailTable(
         thresholds=thresholds,
         empirical=emp,
@@ -532,7 +535,6 @@ def anticoncentration_check(
     rng,
     x_index: int = 0,
     batches: int = DEFAULT_BATCHES,
-    threads: int = 1,
 ) -> AnticoncentrationTable:
     """Pr(p_S(x) >= alpha/d) over Haar-symplectic S against the (1-alpha)^2/2
     floor, plus the collision estimate z = d*mean(p^2) vs 2/(d+1)."""
@@ -540,13 +542,12 @@ def anticoncentration_check(
     d = 2**n
     # the state |0> has the frame E and c = e_0, and M = Q[x]^dag Q[x] has
     # M[0, 0] = |<x|S|0>|^2
-    chunks = _sample(d, _frame_coefficients([StateSpec.computational_basis(n, 0)]),
-                     lambda q: np.outer(q[x_index].conj(), q[x_index]),
-                     n_samples, batches, rng, threads)
-    probs = [c[:, 0] for c in chunks]
-    emp, emp_se = _tail(probs, alphas / d)
+    probs = _sample(d, _frame_coefficients([StateSpec.computational_basis(n, 0)]),
+                    lambda q: np.outer(q[x_index].conj(), q[x_index]),
+                    n_samples, batches, rng)[:, 0]
+    emp, emp_se = _tail(probs, alphas / d, batches)
     # d is a power of two, so d p^2 scales exactly
-    z = [d * p**2 for p in probs]
+    z = d * probs**2
     return AnticoncentrationTable(
         n=n,
         x_index=x_index,
@@ -555,7 +556,7 @@ def anticoncentration_check(
         empirical=emp,
         empirical_se=emp_se,
         bound=(1.0 - alphas) ** 2 / 2.0,
-        z_estimate=float(np.concatenate(z).mean()),
-        z_se=float(_batch_se([b.mean() for b in z])),
+        z_estimate=float(z.mean()),
+        z_se=float(_batch_se(z, batches, np.mean)),
         z_haar=z_haar(n),
     )

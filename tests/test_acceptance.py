@@ -42,7 +42,7 @@ def gp_run_n8():
     obs = PauliString.single(8, 2, "Y")
     started = time.monotonic()
     summary = gp_stats.run_gp_experiment(
-        states, obs, 10_000, RngStream(814, "acceptance-gp"), threads=1
+        states, obs, 10_000, RngStream(814, "acceptance-gp")
     )
     return summary, time.monotonic() - started
 

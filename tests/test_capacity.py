@@ -114,6 +114,7 @@ def pauli_string(n):
 
 Y2 = PauliString.single(3, 2, "Y")
 CUTS = np.linspace(0.02, 1.0, 32)
+GP = gp_stats.run_gp_experiment
 
 
 def gp_pair(n):
@@ -141,12 +142,26 @@ BOUNDED = {
     "twirl_superoperator": (lambda d: partial(brauer.twirl_superoperator, 2, d, "o"), 2, 6),
     "closure": (lambda n: partial(lie_closure.closure, commuting_set(n), 4**n), 3, 10),
     # the sampled experiments, sized by their sample count
-    "run_gp_experiment": (lambda s: partial(gp_stats.run_gp_experiment, gp_pair(3), Y2, s,
-                                            RngStream(1)), 40, 2500),
+    "run_gp_experiment": (lambda s: partial(GP, gp_pair(3), Y2, s, RngStream(1)), 40, 2500),
     "concentration_tail": (lambda s: partial(gp_stats.concentration_tail, gp_pair(3)[1], Y2, s,
                                              CUTS, RngStream(1)), 40, 1500),
     "anticoncentration_check": (lambda s: partial(gp_stats.anticoncentration_check, 3, s,
                                                   CUTS, RngStream(1)), 40, 1500),
+    # ... at the most batches they allow: two draws per batch for the GP
+    # covariances, one for the tails
+    "run_gp_experiment-batches": (lambda s: partial(GP, gp_pair(3), Y2, s, RngStream(1),
+                                                    batches=s // 2), 40, 2000),
+    "concentration_tail-batches": (lambda s: partial(gp_stats.concentration_tail, gp_pair(3)[1],
+                                                     Y2, s, CUTS, RngStream(1), batches=s),
+                                   40, 2000),
+    "anticoncentration_check-batches": (lambda s: partial(gp_stats.anticoncentration_check, 3,
+                                                          s, CUTS, RngStream(1), batches=s),
+                                        40, 2000),
+    # ... and by n, at 40 draws
+    "run_gp_experiment-n": (lambda n: partial(GP, gp_pair(n), PauliString.single(n, 2, "Y"), 40,
+                                              RngStream(1)), 3, 14),
+    "anticoncentration_check-n": (lambda n: partial(gp_stats.anticoncentration_check, n, 40,
+                                                    CUTS, RngStream(1)), 3, 14),
 }
 
 
@@ -163,11 +178,18 @@ def test_peak_within_the_checked_bytes(name, counted):
 
 def test_sample_counts_are_refused_before_any_draw():
     obs = PauliString.single(6, 2, "Y")
-    inside = MEMORY_LIMIT // (2 * gp_stats.SAMPLE_BYTES)
+    # at n = 6 and 20 batches, the most draws that fit: the limit less what
+    # the amplitudes and the batches hold, over the bytes per draw
+    amplitudes = 2**6 * (2 * gp_stats.VECTOR_BYTES + gp_stats.ACTION_BYTES)
+    batches = 20 * (gp_stats.CYCLE_BYTES + gp_stats.BATCH_BYTES * 2**2)
+    inside = (MEMORY_LIMIT - amplitudes - batches) // (2 * gp_stats.SAMPLE_BYTES + 1)
     gp_stats.check_gp(6, inside, obs, states=2)
-    gp_stats.check_anticoncentration(6, MEMORY_LIMIT // (gp_stats.SAMPLE_BYTES + 2),
-                                     [0.1, 0.2], 0)
+    amplitudes = 2**6 * (gp_stats.VECTOR_BYTES + gp_stats.ACTION_BYTES)
+    batches = 20 * (gp_stats.CYCLE_BYTES + gp_stats.BATCH_BYTES * (1 + 2))
+    alphas = (MEMORY_LIMIT - amplitudes - batches) // (gp_stats.SAMPLE_BYTES + 1)
+    gp_stats.check_anticoncentration(6, alphas, [0.1, 0.2], 0)
     over = [partial(gp_stats.check_gp, 6, inside + 1, obs, states=2),
+            partial(gp_stats.check_anticoncentration, 6, alphas + 1, [0.1, 0.2], 0),
             partial(gp_stats.check_concentration, 6, 10**9, [0.5], obs),
             partial(gp_stats.check_anticoncentration, 6, 10**9, [0.5], 0),
             partial(gp_stats.check_anticoncentration, 6, 10**4000, [0.5], 0)]
@@ -249,7 +271,6 @@ ALLOWED = {
     ("errors", "check_bytes"): "MEMORY_LIMIT",
     ("brauer", "_check_order"): "MAX_T",  # diagrams enumerated
     ("pauli", "enumerate_sp_basis"): "BASIS_LIMIT",  # Pauli strings enumerated
-    ("gp_stats", "_check_sampling"): "SAMPLING_LIMIT",  # one draw per worker thread
     ("lie_closure", "check_closure"): "max_dim",  # the --max-dim budget
     # not memory: the Gram entries d**t must be float64 numbers
     ("brauer", "check_gram"): "float_info",

@@ -278,16 +278,54 @@ def circuit_file(tmp_path, n):
     return str(spec)
 
 
-def test_simulate_dry_run_allocates_nothing_large(tmp_path, capsys):
-    argv = ["simulate", "--circuit", circuit_file(tmp_path, 20), "--dry-run"]
+def dry_run_peak(argv, capsys) -> int:
+    """The traced peak of a dry run of ``argv``, which must exit 0."""
     tracemalloc.start()
     try:
-        code = main(argv)
+        code = main(argv + ["--dry-run"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0, capsys.readouterr().err
-    assert peak < 2**20  # the initial state alone would be 16 * 2**20 bytes
+    return peak
+
+
+def test_simulate_dry_run_allocates_nothing_large(tmp_path, capsys):
+    argv = ["simulate", "--circuit", circuit_file(tmp_path, 20)]
+    assert dry_run_peak(argv, capsys) < 2**20  # the initial state alone would be 16 * 2**20 bytes
+
+
+# The first n the sampling byte bound refuses at 40 draws: for one pure state
+# (the tail subcommands) and for the two states of gp_config
+ONE_STATE_REFUSED_N = 23
+TWO_STATES_REFUSED_N = 22
+
+SAMPLED_AT_N20 = {
+    "gp": ["gp", "--config", "{cfg}", "--seed", "1", "--out", "{tmp}/o.csv"],
+    "gp-summary": ["gp-summary", "--config", "{cfg}", "--seed", "1"],
+    "concentration": ["concentration", "--n", "20", "--samples", "40", "--thresholds", "0.5",
+                      "--state", "pair", "--seed", "1"],
+    "anticoncentration": ["anticoncentration", "--n", "20", "--samples", "40", "--alphas",
+                          "0.5", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", SAMPLED_AT_N20)
+def test_sampled_dry_run_allocates_nothing_large(tmp_path, command, capsys):
+    """The plan checks the run's bytes without building a d-sized state."""
+    cfg = gp_config(tmp_path, n=20, observable="IY" + "I" * 18)
+    argv = [a.format(cfg=cfg, tmp=tmp_path) for a in SAMPLED_AT_N20[command]]
+    assert dry_run_peak(argv, capsys) < 2**20  # one state alone would be 16 * 2**20 bytes
+
+
+def test_sampled_byte_bound_admits_the_n_below_the_first_refused(tmp_path, capsys):
+    cfg = gp_config(tmp_path, n=TWO_STATES_REFUSED_N - 1, observable="IY" + "I" * 19)
+    assert run(["gp-summary", "--config", cfg, "--seed", "1", "--dry-run"], capsys)[0] == 0
+    n = str(ONE_STATE_REFUSED_N - 1)
+    assert run(["anticoncentration", "--n", n, "--samples", "40", "--alphas", "0.5",
+                "--seed", "1", "--dry-run"], capsys)[0] == 0
+    assert run(["concentration", "--n", n, "--samples", "40", "--thresholds", "0.5",
+                "--seed", "1", "--dry-run"], capsys)[0] == 0
 
 
 def test_simulate_state_out_of_range(tmp_path, capsys):
@@ -347,7 +385,8 @@ def test_gp_csv_reproducible(tmp_path, capsys):
     ["anticoncentration", "--n", "3", "--samples", "60", "--alphas", "0,0.5", "--seed", "9"],
 ], ids=lambda argv: argv[0])
 def test_threads_give_identical_payloads(tmp_path, argv, capsys):
-    """Batch b draws from child stream b whatever the thread schedule."""
+    """--threads has no effect: sampling runs in one thread. The option stays
+    parsed while the benchmark passes --threads 1 and compares payloads."""
     cfg = gp_config(tmp_path)
     outputs = []
     for threads in ("1", "2"):
@@ -555,7 +594,7 @@ SAMPLING_FAILURES = [
                   "--thresholds", "0.5,inf"], 1, id="concentration-infinite-threshold"),
     pytest.param(["concentration", "--n", "4", "--samples", "5",
                   "--thresholds", "0.5"], 1, id="concentration-samples-below-batches"),
-    pytest.param(["concentration", "--n", "30", "--samples", "40",
+    pytest.param(["concentration", "--n", str(ONE_STATE_REFUSED_N), "--samples", "40",
                   "--thresholds", "0.5"], 2, id="concentration-n-over-limit"),
     pytest.param(["concentration", "--n", "0", "--samples", "40",
                   "--thresholds", "0.5"], 1, id="concentration-no-qubits"),
@@ -566,11 +605,11 @@ SAMPLING_FAILURES = [
                   "--alphas", "1.5"], 1, id="anticoncentration-alpha-above-one"),
     pytest.param(["anticoncentration", "--n", "3", "--samples", "5",
                   "--alphas", "0.5"], 1, id="anticoncentration-samples-below-batches"),
-    pytest.param(["anticoncentration", "--n", "13", "--samples", "40",
+    pytest.param(["anticoncentration", "--n", str(ONE_STATE_REFUSED_N), "--samples", "40",
                   "--alphas", "0.5"], 2, id="anticoncentration-n-over-limit"),
     pytest.param(["anticoncentration", "--n", "3", "--samples", "40",
                   "--alphas", "0.5", "--x", "8"], 1, id="anticoncentration-x-out-of-range"),
-    pytest.param(["anticoncentration", "--n", "13", "--samples", "40",
+    pytest.param(["anticoncentration", "--n", str(ONE_STATE_REFUSED_N), "--samples", "40",
                   "--alphas", "0.5", "--x=-1"], 1,
                  id="anticoncentration-x-out-of-range-over-limit"),
 ]
@@ -585,16 +624,17 @@ def test_sampling_dry_run_fails_like_the_run(argv, code, capsys):
     "overrides,code",
     [
         pytest.param({"samples": 20, "batches": 30}, 1, id="samples-below-batches"),
-        pytest.param({"n": 13, "observable": "I" + "Y" + "I" * 11}, 2, id="n-over-limit"),
+        pytest.param({"n": TWO_STATES_REFUSED_N, "observable": "IY" + "I" * 20}, 2,
+                     id="n-over-limit"),
         pytest.param({"states": [{"kind": "computational_basis", "x": 8}]}, 1,
                      id="x-out-of-range"),
         pytest.param({"states": [{"kind": "superposition_pair", "flip_qubit": 4}]}, 1,
                      id="flip-qubit-out-of-range"),
-        pytest.param({"n": 13, "observable": "I" + "Y" + "I" * 11,
+        pytest.param({"n": ONE_STATE_REFUSED_N, "observable": "IY" + "I" * 21,
                       "states": [{"kind": "computational_basis", "x": -1}]}, 1,
                      id="x-out-of-range-over-limit"),
-        pytest.param({"n": 13, "observable": "I" + "Y" + "I" * 11,
-                      "states": [{"kind": "superposition_pair", "flip_qubit": 14}]}, 1,
+        pytest.param({"n": ONE_STATE_REFUSED_N, "observable": "IY" + "I" * 21,
+                      "states": [{"kind": "superposition_pair", "flip_qubit": 24}]}, 1,
                      id="flip-qubit-out-of-range-over-limit"),
         pytest.param({"observable": "IY"}, 1, id="observable-size"),
         pytest.param({"n": 3.0}, 1, id="float-n"),
@@ -724,8 +764,9 @@ PLAN_FAILURES = [
                   "--out", "{tmp}/o.csv"], 1, id="gp-config-directory"),
     pytest.param(["gp-summary", "--config", "{tmp}/gp.json", "--seed", "1",
                   "--threads", "1"], 1, id="gp-summary-samples-equal-batches"),
+    # a tail needs one draw per batch, not the two of a batch covariance
     pytest.param(["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5",
-                  "--seed", "1", "--threads", "1"], 1,
+                  "--seed", "1", "--threads", "1"], 0,
                  id="concentration-samples-equal-batches"),
     # an empty --out names no file, for every subcommand that takes one
     pytest.param(["sample", "--group", "sp", "--d", "4", "--count", "2", "--seed", "1",
@@ -755,6 +796,8 @@ PLAN_FAILURES = [
                  id="gram-d1e160"),
     pytest.param(["concentration", "--n", str(10**18), "--samples", "20", "--thresholds", "0.5",
                   "--seed", "1", "--threads", "1"], 2, id="concentration-n1e18"),
+    pytest.param(["anticoncentration", "--n", str(10**18), "--samples", "40", "--alphas", "0.5",
+                  "--seed", "1"], 2, id="anticoncentration-n1e18"),
     # sample counts whose values alone pass the byte bound: refused before any draw
     pytest.param(["gp-summary", "--config", "{tmp}/vast/gp.json", "--seed", "1"], 2,
                  id="gp-summary-samples-1e8"),
@@ -819,10 +862,11 @@ def test_value_error_inside_the_run_is_not_hidden(monkeypatch, capsys):
 def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(spcirc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, spcirc.cli; print('scipy' in sys.modules, 'jsonschema' in sys.modules)"
+    code = ("import sys, spcirc.cli; print([m in sys.modules for m in "
+            "('scipy', 'jsonschema', 'concurrent.futures')])")
     out = subprocess.run([sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[False, False, False]"
 
 
 # -- fuzzed dry-run contract ----------------------------------------------------------

@@ -194,7 +194,7 @@ def sampled_values(states, obs, count, stream):
     """``count`` draws of C(rho_j) from the sampling loop, all in one batch:
     the draws of ``stream.child(0)``."""
     frame = _frame_coefficients(states)
-    return _sample(2**obs.n, frame, _pauli_compression(obs), count, 1, stream, 1)[0]
+    return _sample(2**obs.n, frame, _pauli_compression(obs), count, 1, stream)
 
 
 # -- the column frame ---------------------------------------------------------------
@@ -374,16 +374,16 @@ def test_gp_wick_pairings(gp_run):
     assert np.abs(emp - theory).max() <= 0.35 * scale
 
 
-def test_gp_reproducible_and_schedule_independent():
+def test_gp_reproducible():
+    """The same seed gives the same values and a different seed others."""
     states = fig_family(3)
     obs = PauliString.single(3, 2, "Y")
-    a = run_gp_experiment(states, obs, 200, RngStream(11), threads=1)
-    b = run_gp_experiment(states, obs, 200, RngStream(11), threads=1)
-    c = run_gp_experiment(states, obs, 200, RngStream(11), threads=2)
+    a = run_gp_experiment(states, obs, 200, RngStream(11))
+    b = run_gp_experiment(states, obs, 200, RngStream(11))
     assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
-    d = run_gp_experiment(states, obs, 200, RngStream(12), threads=1)
-    assert not np.array_equal(a.values, d.values)
+    assert np.array_equal(a.covariance_se, b.covariance_se)
+    c = run_gp_experiment(states, obs, 200, RngStream(12))
+    assert not np.array_equal(a.values, c.values)
 
 
 def test_gp_input_validation():
@@ -403,9 +403,13 @@ def test_gp_input_validation():
 
 
 def test_gp_capacity():
-    states = [StateSpec.computational_basis(13, 0)]
+    """A byte bound, not a qubit cap: two pure states fit at n = 21 and not
+    at n = 22, and a run refuses a vast sample count before its first draw."""
+    gp_stats.check_gp(21, 40, PauliString.single(21, 2, "Y"), states=2)
     with pytest.raises(CapacityError):
-        run_gp_experiment(states, PauliString.single(13, 2, "Y"), 40, RngStream(0))
+        gp_stats.check_gp(22, 40, PauliString.single(22, 2, "Y"), states=2)
+    with pytest.raises(CapacityError):
+        run_gp_experiment(fig_family(3), PauliString.single(3, 2, "Y"), 10**9, RngStream(0))
 
 
 def test_rng_stream_coercion():
@@ -515,9 +519,15 @@ def test_concentration_threshold_validation():
         concentration_tail(state, obs, 100, [0.0, 0.5], RngStream(0))
 
 
+def test_batch_rows_split_the_draws_in_order():
+    """The first n_samples % batches batches take one draw more."""
+    rows = list(gp_stats._batch_rows(10, 4))
+    assert [(r.start, r.stop) for r in rows] == [(0, 3), (3, 6), (6, 8), (8, 10)]
+
+
 @pytest.fixture
-def sampled_chunks(monkeypatch):
-    """The per-batch chunks each sampling loop call returns, in call order."""
+def sample_calls(monkeypatch):
+    """The values each sampling loop call returns, in call order."""
     calls, sample = [], gp_stats._sample
 
     def record(*args):
@@ -528,12 +538,12 @@ def sampled_chunks(monkeypatch):
     return calls
 
 
-def test_concentration_samples_the_gp_values(sampled_chunks):
+def test_concentration_samples_the_gp_values(sample_calls):
     state = StateSpec.superposition_pair(4, 2)
     obs = PauliString.single(4, 2, "Y")
     table = concentration_tail(state, obs, 60, [0.1, 0.3], RngStream(24), batches=6)
     gp = run_gp_experiment([state], obs, 60, RngStream(24), batches=6)
-    assert np.array_equal(np.concatenate(sampled_chunks[0]), gp.values)
+    assert np.array_equal(sample_calls[0], gp.values)
     hits = np.abs(gp.values[:, 0]) >= np.array([[0.1], [0.3]])
     assert np.array_equal(table.empirical, hits.mean(axis=1))
 
@@ -553,22 +563,23 @@ def test_anticoncentration_table():
     assert table.sample_count == 2000 and table.x_index == 0
 
 
-def test_anticoncentration_reproducible_and_schedule_independent():
+def test_anticoncentration_reproducible():
+    """The same seed gives the same table and a different seed another."""
     args = (4, 200, [0.0, 0.5, 1.0])
-    a = anticoncentration_check(*args, RngStream(32), x_index=5, threads=1)
-    b = anticoncentration_check(*args, RngStream(32), x_index=5, threads=2)
+    a = anticoncentration_check(*args, RngStream(32), x_index=5)
+    b = anticoncentration_check(*args, RngStream(32), x_index=5)
     for field in ("empirical", "empirical_se", "bound"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert (a.z_estimate, a.z_se) == (b.z_estimate, b.z_se)
-    c = anticoncentration_check(*args, RngStream(33), x_index=5, threads=1)
+    c = anticoncentration_check(*args, RngStream(33), x_index=5)
     assert c.z_estimate != a.z_estimate
 
 
-def test_anticoncentration_reads_one_entry_of_each_draw(sampled_chunks):
+def test_anticoncentration_reads_one_entry_of_each_draw(sample_calls):
     n, d, x = 4, 16, 5
     anticoncentration_check(n, 30, [0.5], RngStream(34), x_index=x, batches=3)
-    assert [len(chunk) for chunk in sampled_chunks[0]] == [10, 10, 10]
-    for b, chunk in enumerate(sampled_chunks[0]):
+    assert sample_calls[0].shape == (30, 1)
+    for b, chunk in enumerate(np.split(sample_calls[0], 3)):
         gen = RngStream(34).child(b).generator()
         want = [abs(sample_sp_columns(d, 1, gen)[x, 0]) ** 2 for _ in range(len(chunk))]
         assert np.abs(chunk[:, 0] - want).max() <= 1e-15
@@ -580,7 +591,7 @@ def test_anticoncentration_validation():
     with pytest.raises(DomainError):
         anticoncentration_check(3, 100, [0.5], RngStream(0), x_index=8)
     with pytest.raises(CapacityError):
-        anticoncentration_check(13, 100, [0.5], RngStream(0))
+        anticoncentration_check(23, 100, [0.5], RngStream(0))
 
 
 # -- state construction guards ----------------------------------------------------
