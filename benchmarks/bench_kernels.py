@@ -89,11 +89,11 @@ def bench_transfer(n=20):
     return run
 
 
-def bench_closure(n=6):
+def bench_closure(n=10):
     gens = lie_closure.theorem1_generators(n)
 
     def run():
-        lie_closure.closure(gens)
+        lie_closure.closure(gens, 4**n)
 
     return run
 
@@ -116,7 +116,7 @@ BENCHES = [
     ("apply_gate_2q (n=14, 100 gates)", bench_apply_gate),
     ("pauli_rotation (n=14, 100 rotations)", bench_pauli_rotation),
     ("transfer_apply (n=20, half layer)", bench_transfer),
-    ("lie closure (n=6, dim 2080)", bench_closure),
+    ("lie closure (theorem1, n=10, dim 524800)", bench_closure),
     ("sample_sp (d=256, 20 draws)", bench_haar_draw),
     ("sample_sp_columns (d=256, k=2, 20 draws)", lambda: bench_haar_draw(k=2)),
 ]

@@ -163,9 +163,16 @@ def classify(n: int, x: np.ndarray, z: np.ndarray) -> str:
     return "other"
 
 
-# Bytes per direction a closure may hold: one ``seen`` flag for each of the
-# 4**n directions and, in the worst case, an int64 x and z mask for each.
-_BYTES_PER_DIRECTION = 1 + 16
+# Bytes a closure may hold, per direction of the 4**n table: one ``seen`` flag,
+# an int64 x and z mask, and in the worst case one round's fresh keys in
+# blocks plus their concatenation (8 B each; the split into x and z reuses
+# the concatenation). ``classify`` comes after the last round and holds less:
+# about 17 B per direction of an sp or so closure, at most 4**n / 2 of them.
+# Plus one block of ``kernels.closure_round``, for which tracemalloc measured
+# at most 27.5 B per pair when every pair anticommutes. Measured the same
+# way, a theorem1 closure peaks at 1.9 MiB at n = 8 and 21.6 MiB at n = 10.
+_BYTES_PER_DIRECTION = 1 + 16 + 16
+_BLOCK_BYTES = 32 * kernels.CHUNK_PAIRS
 
 
 def check_closure(n: int, max_dim: int) -> None:
@@ -177,7 +184,9 @@ def check_closure(n: int, max_dim: int) -> None:
     # 4**n > max_dim, compared by bit length so that an absurd n costs nothing
     if 2 * n >= max_dim.bit_length():
         raise CapacityError(f"4**{n} directions exceed the budget {max_dim}")
-    check_bytes(f"the closure table at n = {n}", _BYTES_PER_DIRECTION, 4, n)
+    # the block is rounded up per direction: 4**n is never computed
+    check_bytes(f"the closure table at n = {n}",
+                _BYTES_PER_DIRECTION + -(-_BLOCK_BYTES >> 2 * n), 4, n)
 
 
 def closure(g: GeneratorSet, max_dim: int = MAX_DIM_DEFAULT) -> ClosureResult:

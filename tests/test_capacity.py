@@ -141,6 +141,8 @@ BOUNDED = {
     "twirl": (lambda d: partial(brauer.twirl, np.eye(d * d, dtype=complex), 2, d, "o"), 2, 32),
     "twirl_superoperator": (lambda d: partial(brauer.twirl_superoperator, 2, d, "o"), 2, 6),
     "closure": (lambda n: partial(lie_closure.closure, commuting_set(n), 4**n), 3, 10),
+    "closure-theorem1": (lambda n: partial(lie_closure.closure, lie_closure.theorem1_generators(n),
+                                           4**n), 3, 10),
     # the sampled experiments, sized by their sample count
     "run_gp_experiment": (lambda s: partial(GP, gp_pair(3), Y2, s, RngStream(1)), 40, 2500),
     "concentration_tail": (lambda s: partial(gp_stats.concentration_tail, gp_pair(3)[1], Y2, s,

@@ -2,10 +2,11 @@
 closure round."""
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 from spcirc import kernels
-from spcirc.lie_closure import theorem1_generators
+from spcirc.lie_closure import prop2_generators, so_chain_generators, theorem1_generators
 from spcirc.pauli import PauliString, to_dense
 
 
@@ -91,30 +92,83 @@ def assert_round_matches_reference(new_x, new_z, all_x, all_z, seen, n):
     return found_x, found_z
 
 
-def test_closure_round_matches_python_loop_on_theorem1_rounds():
-    for n in (3, 4):
-        gens = theorem1_generators(n).generators
-        all_x = np.array([p.x_mask for p in gens], dtype=np.int64)
-        all_z = np.array([p.z_mask for p in gens], dtype=np.int64)
-        seen = np.zeros(4**n, dtype=bool)
-        seen[(all_x << n) | all_z] = True
-        new_x, new_z = all_x, all_z
-        rounds = repeated = 0
-        while new_x.size:
-            # commutator directions hit more than once within this round
-            pairs = [((xi ^ xj) << n) | (zi ^ zj)
-                     for xi, zi in zip(new_x.tolist(), new_z.tolist())
-                     for xj, zj in zip(all_x.tolist(), all_z.tolist())
-                     if (bin(xi & zj).count("1") + bin(zi & xj).count("1")) & 1]
-            repeated += len(pairs) - len(set(pairs))
-            new_x, new_z = assert_round_matches_reference(
-                new_x, new_z, all_x, all_z, seen, n
-            )
+def mask_arrays(gens):
+    return (np.array([p.x_mask for p in gens], dtype=np.int64),
+            np.array([p.z_mask for p in gens], dtype=np.int64))
+
+
+def rounds_against_reference(g, grow_basis):
+    """Run closure rounds from g's generators until one finds nothing, each
+    round checked against the reference. The frontier meets the generators,
+    as ``closure`` runs it, or with ``grow_basis`` every direction found so
+    far. Returns the round count, the commutator directions hit more than
+    once within a round, and the directions found in all."""
+    n = g.n
+    gen_x, gen_z = mask_arrays(g.generators)
+    seen = np.zeros(4**n, dtype=bool)
+    seen[(gen_x << n) | gen_z] = True
+    all_x, all_z = new_x, new_z = gen_x, gen_z
+    rounds = repeated = 0
+    while new_x.size:
+        pairs = [((xi ^ xj) << n) | (zi ^ zj)
+                 for xi, zi in zip(new_x.tolist(), new_z.tolist())
+                 for xj, zj in zip(all_x.tolist(), all_z.tolist())
+                 if (bin(xi & zj).count("1") + bin(zi & xj).count("1")) & 1]
+        repeated += len(pairs) - len(set(pairs))
+        new_x, new_z = assert_round_matches_reference(new_x, new_z, all_x, all_z, seen, n)
+        if grow_basis:
             all_x = np.concatenate([all_x, new_x])
             all_z = np.concatenate([all_z, new_z])
-            rounds += 1
+        rounds += 1
+    return rounds, repeated, int(seen.sum())
+
+
+def test_closure_round_matches_python_loop_on_theorem1_rounds():
+    for n, grow_basis in [(3, True), (4, True), (3, False), (4, False), (5, False), (6, False)]:
+        rounds, repeated, dim = rounds_against_reference(theorem1_generators(n), grow_basis)
         assert rounds >= 2 and repeated > 0, (n, rounds, repeated)
-        assert all_x.size == 2**n * (2**n + 1) // 2
+        assert dim == 2**n * (2**n + 1) // 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("make,dim", [
+    (prop2_generators, lambda d: d * d - 1),
+    (so_chain_generators, lambda d: d * (d - 1) // 2),
+], ids=["prop2", "so-chain"])
+def test_closure_round_matches_python_loop_on_family_rounds(make, dim, n):
+    rounds, repeated, found = rounds_against_reference(make(n), grow_basis=False)
+    assert rounds >= 2 and repeated > 0, (rounds, repeated)
+    assert found == dim(2**n)
+
+
+def test_closure_round_matches_python_loop_at_twelve_qubits():
+    """Keys use all 24 bits: random frontier directions, some with qubit 1
+    (bit 11) set in both x and z, against the theorem1 generators, with part
+    of the commutators already seen."""
+    n = 12
+    gen = np.random.default_rng(12)
+    gen_x, gen_z = mask_arrays(theorem1_generators(n).generators)
+    new_x, new_z = gen.integers(0, 2**n, size=(2, 300), dtype=np.int64)
+    new_x[::3] |= 1 << 11
+    new_z[::3] |= 1 << 11
+    seen = np.zeros(4**n, dtype=bool)
+    seen[(gen_x << n) | gen_z] = True
+    pair_keys = ((new_x[:, None] ^ gen_x) << n) | (new_z[:, None] ^ gen_z)
+    seen[gen.choice(pair_keys.ravel(), size=pair_keys.size // 3)] = True
+    found_x, found_z = assert_round_matches_reference(new_x, new_z, gen_x, gen_z, seen, n)
+    assert found_x.size > 1000 and (found_x & found_z & (1 << 11)).any()
+
+
+def test_closure_round_returns_int64_empties():
+    n = 3
+    gen_x, gen_z = mask_arrays(theorem1_generators(n).generators)
+    none = np.empty(0, dtype=np.int64)
+    seen = np.zeros(4**n, dtype=bool)
+    for args in [(none, none, gen_x, gen_z), (gen_x, gen_z, none, none)]:
+        found_x, found_z = kernels.closure_round(*args, seen, n)
+        assert found_x.size == found_z.size == 0
+        assert found_x.dtype == found_z.dtype == np.int64
+    assert not seen.any()
 
 
 def test_closure_round_keeps_first_of_repeats_within_one_frontier_entry():

@@ -1,6 +1,8 @@
 """Closure dimensions against the frozen family values, and the
 generator-bracket closure against the closure over the whole basis."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,8 @@ def test_capacity_budget():
 
 
 def test_check_closure_byte_bound():
-    # the seen table and worst-case mask arrays: 17 * 4**n bytes against 1 GiB
+    # the seen table, the mask arrays and a round's output, 33 * 4**n bytes,
+    # and one block against 1 GiB
     check_closure(12, 4**12)
     with pytest.raises(CapacityError):
         check_closure(13, 4**13)
@@ -214,6 +217,14 @@ def test_classify_on_known_bases(n):
 def test_theorem1_n9():
     res = closure(theorem1_generators(9), max_dim=4**9)
     assert (res.dimension, res.classification) == (131328, "sp")
+
+
+def test_theorem1_discovery_order_at_n8():
+    # the directions in discovery order, as little-endian int64 x then z masks
+    res = closure(theorem1_generators(8), max_dim=4**8)
+    masks = res.x_masks.astype("<i8").tobytes() + res.z_masks.astype("<i8").tobytes()
+    assert hashlib.sha256(masks).hexdigest() == (
+        "60c6aa4583f9844dafcc5a79b1feeaf6b7fdc6b75105b2f67b03e8dddc515cdd")
 
 
 # -- translation-invariant nearest-neighbour sets ------------------------------------
