@@ -93,7 +93,7 @@ def bench_closure(n=10):
     gens = lie_closure.theorem1_generators(n)
 
     def run():
-        lie_closure.closure(gens, 4**n)
+        lie_closure.closure(gens)
 
     return run
 

@@ -86,7 +86,7 @@ def transfer_apply(v, T, L, din, R):
 CHUNK_PAIRS = 1 << 15
 
 
-def closure_round(new_x, new_z, all_x, all_z, seen, n):
+def closure_round(new, n, basis, seen):
     """Commute each frontier direction with each basis direction; return the
     fresh commutator directions.
 
@@ -97,22 +97,19 @@ def closure_round(new_x, new_z, all_x, all_z, seen, n):
     direction key1 ^ key2. The frontier is processed in blocks of about
     ``CHUNK_PAIRS`` (frontier, basis) pairs. ``lie_closure.check_closure``
     admits n <= 12, so a key uses at most 24 bits, and a key with its
-    position in a block fits one int64 for the dedup. Returns (found_x,
-    found_z) in row-major (frontier, basis) order, each direction at its
-    first occurrence.
+    position in a block fits one int64 for the dedup. Returns the fresh keys
+    in row-major (frontier, basis) order, each at its first occurrence.
     """
-    g = all_x.size
-    if new_x.size == 0 or g == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    basis_keys = (all_x << n) | all_z
-    basis_swap = (all_z << n) | all_x
-    rows = max(1, CHUNK_PAIRS // g)
+    if new.size == 0 or basis.size == 0:
+        return np.empty(0, dtype=np.int64)
+    basis_swap = ((basis & ((1 << n) - 1)) << n) | (basis >> n)
+    rows = max(1, CHUNK_PAIRS // basis.size)
     found = []
-    for start in range(0, new_x.size, rows):
-        keys = (new_x[start:start + rows, None] << n) | new_z[start:start + rows, None]
-        odd = np.bitwise_count(keys & basis_swap)
+    for start in range(0, new.size, rows):
+        block = new[start:start + rows, None]
+        odd = np.bitwise_count(block & basis_swap)
         odd &= 1
-        keys = (keys ^ basis_keys).ravel()[np.flatnonzero(odd.view(bool))]
+        keys = (block ^ basis).ravel()[np.flatnonzero(odd.view(bool))]
         fresh = np.flatnonzero(~seen[keys])
         # first occurrence of each fresh key: sort (key, position) packed in
         # one int64 and keep the head of each run of equal keys
@@ -122,8 +119,4 @@ def closure_round(new_x, new_z, all_x, all_z, seen, n):
         keys = keys[np.sort(tagged[head] & 0xFFFFFFFF)]
         seen[keys] = True
         found.append(keys)
-    keys = np.concatenate(found)
-    del found  # free the blocks before the split allocates found_x
-    found_x = keys >> n
-    keys &= (1 << n) - 1
-    return found_x, keys
+    return np.concatenate(found)

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, DomainError, check_bytes
+from .errors import DomainError, check_bytes
 from .pauli import PauliString
-
-MAX_DIM_DEFAULT = 4 ** 7
 
 
 @dataclass(frozen=True)
@@ -48,23 +46,22 @@ class GeneratorSet:
 
 @dataclass(frozen=True, eq=False)
 class ClosureResult:
-    """The closure's directions as int64 x and z mask arrays, in discovery
+    """The closure's directions as int64 keys (x << n) | z, in discovery
     order; ``basis`` builds the ``PauliString`` objects on request."""
 
     n: int
-    x_masks: np.ndarray
-    z_masks: np.ndarray
+    keys: np.ndarray
     iterations: int
     classification: str
 
     @property
     def dimension(self) -> int:
-        return int(self.x_masks.size)
+        return int(self.keys.size)
 
     @property
     def basis(self) -> tuple[PauliString, ...]:
-        return tuple(PauliString(self.n, x, z, 0)
-                     for x, z in zip(self.x_masks.tolist(), self.z_masks.tolist()))
+        mask = (1 << self.n) - 1
+        return tuple(PauliString(self.n, k >> self.n, k & mask, 0) for k in self.keys.tolist())
 
 
 def _chain(n, spec_pairs):
@@ -132,64 +129,70 @@ def so_chain_generators(n: int, start: int = 1) -> GeneratorSet:
     return GeneratorSet(n, _chain(n, spec), "so-chain")
 
 
-def sp_directions(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``pauli.in_sp_algebra`` over mask arrays: a direction is in sp(d/2) iff
-    (first factor non-identity) + (Y count on the other qubits) is odd."""
+def sp_directions(keys: np.ndarray, n: int) -> np.ndarray:
+    """``pauli.in_sp_algebra`` over keys (x << n) | z: a direction is in
+    sp(d/2) iff (first factor non-identity) + (Y count on the other qubits)
+    is odd."""
+    x, z = keys >> n, keys & ((1 << n) - 1)
     return ((np.bitwise_count((x & z) >> 1) + ((x | z) & 1)) & 1).astype(bool)
 
 
-def antisymmetric_directions(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+def antisymmetric_directions(keys: np.ndarray, n: int) -> np.ndarray:
     """Directions with an odd Y count, i.e. P^T = -P."""
-    return (np.bitwise_count(x & z) & 1).astype(bool)
+    return (np.bitwise_count((keys >> n) & keys) & 1).astype(bool)
 
 
-def classify(n: int, x: np.ndarray, z: np.ndarray) -> str:
-    """Map a commutator-closed set of directions, given by its mask arrays, to
+# Keys per block of ``classify``'s rules: their int64 temporaries, 32 KiB
+# each, stay well below what a closure round has already held.
+_RULE_KEYS = 1 << 12
+
+
+def classify(n: int, keys: np.ndarray) -> str:
+    """Map a commutator-closed set of directions, given by their keys, to
     sp | su | so | other.
 
     sp: dimension d(d+1)/2 with every member an sp direction; su: dimension
-    d**2 - 1; so: dimension d(d-1)/2 with every member antisymmetric.
+    d**2 - 1; so: dimension d(d-1)/2 with every member antisymmetric. The
+    rules run over blocks of keys, so their temporaries stay block-sized.
     """
     d = 2 ** n
-    dim = x.size
+    dim = keys.size
+
+    def every(rule):
+        return all(rule(keys[i:i + _RULE_KEYS], n).all() for i in range(0, dim, _RULE_KEYS))
+
     if dim == 0:
         return "other"
-    if dim == d * (d + 1) // 2 and sp_directions(x, z).all():
+    if dim == d * (d + 1) // 2 and every(sp_directions):
         return "sp"
     if dim == d * d - 1:
         return "su"
-    if dim == d * (d - 1) // 2 and antisymmetric_directions(x, z).all():
+    if dim == d * (d - 1) // 2 and every(antisymmetric_directions):
         return "so"
     return "other"
 
 
 # Bytes a closure may hold, per direction of the 4**n table: one ``seen`` flag,
-# an int64 x and z mask, and in the worst case one round's fresh keys in
-# blocks plus their concatenation (8 B each; the split into x and z reuses
-# the concatenation). ``classify`` comes after the last round and holds less:
-# about 17 B per direction of an sp or so closure, at most 4**n / 2 of them.
-# Plus one block of ``kernels.closure_round``, for which tracemalloc measured
-# at most 27.5 B per pair when every pair anticommutes. Measured the same
-# way, a theorem1 closure peaks at 1.9 MiB at n = 8 and 21.6 MiB at n = 10.
-_BYTES_PER_DIRECTION = 1 + 16 + 16
+# a slot for its int64 key, and in the worst case one round's fresh keys in
+# blocks plus their concatenation (8 B each). Plus one block of
+# ``kernels.closure_round``, for which tracemalloc measured at most 27.5 B per
+# pair when every pair anticommutes; ``classify`` comes after the last round
+# and holds less than one such block. Measured the same way, a theorem1
+# closure peaks at 1.3 MiB at n = 8, 11.2 MiB at n = 10 and 44.3 MiB at n = 11.
+_BYTES_PER_DIRECTION = 1 + 8 + 16
 _BLOCK_BYTES = 32 * kernels.CHUNK_PAIRS
 
 
-def check_closure(n: int, max_dim: int) -> None:
+def check_closure(n: int) -> None:
     """Checks of ``closure``, made before any generator or table is built."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if max_dim < 1:
-        raise DomainError(f"need max_dim >= 1, got {max_dim}")
-    # 4**n > max_dim, compared by bit length so that an absurd n costs nothing
-    if 2 * n >= max_dim.bit_length():
-        raise CapacityError(f"4**{n} directions exceed the budget {max_dim}")
     # the block is rounded up per direction: 4**n is never computed
     check_bytes(f"the closure table at n = {n}",
                 _BYTES_PER_DIRECTION + -(-_BLOCK_BYTES >> 2 * n), 4, n)
 
 
-def closure(g: GeneratorSet, max_dim: int = MAX_DIM_DEFAULT) -> ClosureResult:
+def closure(g: GeneratorSet) -> ClosureResult:
     """Smallest commutator-closed set of Pauli directions containing g.
 
     Breadth-first search over right-normed brackets: round k commutes the
@@ -199,25 +202,21 @@ def closure(g: GeneratorSet, max_dim: int = MAX_DIM_DEFAULT) -> ClosureResult:
     deterministic given the generator order.
     """
     n = g.n
-    check_closure(n, max_dim)
+    check_closure(n)
+    gens = np.array([(p.x_mask << n) | p.z_mask for p in g.generators], dtype=np.int64)
     seen = np.zeros(4 ** n, dtype=bool)
-    gen_x = np.array([p.x_mask for p in g.generators], dtype=np.int64)
-    gen_z = np.array([p.z_mask for p in g.generators], dtype=np.int64)
-    seen[(gen_x << n) | gen_z] = True
+    seen[gens] = True
 
     # room for every direction; only the pages that get written are touched
-    xs = np.empty(4 ** n, dtype=np.int64)
-    zs = np.empty(4 ** n, dtype=np.int64)
-    start, count = 0, gen_x.size
-    xs[:count], zs[:count] = gen_x, gen_z
+    keys = np.empty(4 ** n, dtype=np.int64)
+    start, count = 0, gens.size
+    keys[:count] = gens
     iterations = 0
     while start < count:
-        found_x, found_z = kernels.closure_round(
-            xs[start:count], zs[start:count], gen_x, gen_z, seen, n
-        )
+        found = kernels.closure_round(keys[start:count], n, gens, seen)
         iterations += 1
-        start, count = count, count + found_x.size
-        xs[start:count], zs[start:count] = found_x, found_z
+        start, count = count, count + found.size
+        keys[start:count] = found
 
-    xs, zs = xs[:count], zs[:count]
-    return ClosureResult(n, xs, zs, iterations, classify(n, xs, zs))
+    keys = keys[:count]
+    return ClosureResult(n, keys, iterations, classify(n, keys))

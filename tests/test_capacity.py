@@ -52,7 +52,7 @@ def test_vast_sizes_are_refused_in_constant_time(nbytes, base, exponent):
 @pytest.mark.parametrize("check,inside", [
     (pauli.check_dense, 12),  # to_dense, to_dense_kron and circuit.to_unitary
     (moment.check_propagation, 31),  # collision and anticoncentration-depth
-    (lambda n: lie_closure.check_closure(n, 4**n), 12),
+    (lambda n: lie_closure.check_closure(n), 12),
 ])
 def test_bounds(check, inside):
     check(inside)
@@ -140,9 +140,9 @@ BOUNDED = {
                   4, 64),
     "twirl": (lambda d: partial(brauer.twirl, np.eye(d * d, dtype=complex), 2, d, "o"), 2, 32),
     "twirl_superoperator": (lambda d: partial(brauer.twirl_superoperator, 2, d, "o"), 2, 6),
-    "closure": (lambda n: partial(lie_closure.closure, commuting_set(n), 4**n), 3, 10),
-    "closure-theorem1": (lambda n: partial(lie_closure.closure, lie_closure.theorem1_generators(n),
-                                           4**n), 3, 10),
+    "closure": (lambda n: partial(lie_closure.closure, commuting_set(n)), 3, 10),
+    "closure-theorem1": (lambda n: partial(lie_closure.closure,
+                                           lie_closure.theorem1_generators(n)), 3, 10),
     # the sampled experiments, sized by their sample count
     "run_gp_experiment": (lambda s: partial(GP, gp_pair(3), Y2, s, RngStream(1)), 40, 2500),
     "concentration_tail": (lambda s: partial(gp_stats.concentration_tail, gp_pair(3)[1], Y2, s,
@@ -273,7 +273,6 @@ ALLOWED = {
     ("errors", "check_bytes"): "MEMORY_LIMIT",
     ("brauer", "_check_order"): "MAX_T",  # diagrams enumerated
     ("pauli", "enumerate_sp_basis"): "BASIS_LIMIT",  # Pauli strings enumerated
-    ("lie_closure", "check_closure"): "max_dim",  # the --max-dim budget
     # not memory: the Gram entries d**t must be float64 numbers
     ("brauer", "check_gram"): "float_info",
 }

@@ -106,7 +106,7 @@ def test_closure_custom_requires_file(capsys):
 
 
 def test_closure_capacity_exit_code(capsys):
-    code, _, err = run(["closure", "--set", "theorem1", "--n", "9"], capsys)
+    code, _, err = run(["closure", "--set", "theorem1", "--n", "13"], capsys)
     assert code == 2
     assert "capacity" in err
 
@@ -120,9 +120,8 @@ def test_bad_arguments_exit_one_with_usage(capsys):
 
 
 def test_dry_run_skips_work(capsys):
-    # the real run of this closure takes about 15 s; the dry run only plans it
-    env = run_json(["closure", "--set", "theorem1", "--n", "8",
-                    "--max-dim", "65536", "--dry-run"], capsys)
+    # the dry run only plans this closure, whose real run takes about 5 s
+    env = run_json(["closure", "--set", "theorem1", "--n", "12", "--dry-run"], capsys)
     assert env["payload"] == {"validated": True, "dry_run": True}
     assert env["wall_clock_s"] < 5.0
 
@@ -684,7 +683,8 @@ def plan_inputs(tmp_path):
     """Input files for the cases below: circuits just and far past the
     statevector bound, circuits whose angle is not a finite float, a
     directory, a file that is not .npy, a 9 x 9 operator, 16 x 16 operators
-    with a NaN, an infinite or a 1e308 entry, a gp config with one draw
+    with a NaN, an infinite or a 1e308 entry, a .npy whose header alone
+    claims a 2**20 x 2**20 operator, a gp config with one draw
     per batch, one with 10**8 draws in vast/ and, for the empty --out
     cases, a two-qubit circuit and a valid gp config in valid/."""
     (tmp_path / "c2.json").write_text(json.dumps({"n": 2, "gates": []}))
@@ -701,6 +701,10 @@ def plan_inputs(tmp_path):
     (tmp_path / "adir").mkdir()
     (tmp_path / "text.npy").write_text("not an array")
     np.save(tmp_path / "eye9.npy", np.eye(9))
+    with open(tmp_path / "vast.npy", "wb") as f:
+        np.lib.format.write_array_header_1_0(
+            f, {"descr": "<f8", "fortran_order": False, "shape": (2**20, 2**20)})
+        f.write(bytes(64))
     gp_config(tmp_path, samples=20, batches=20)
     (tmp_path / "valid").mkdir()
     gp_config(tmp_path / "valid")
@@ -724,7 +728,9 @@ PLAN_FAILURES = [
                  id="depth-zero-max-layers"),
     pytest.param(["anticoncentration-depth", "--max-layers", "-1", "--out", "{tmp}/d.csv"], 1,
                  id="depth-negative-max-layers"),
-    pytest.param(["closure", "--set", "theorem1", "--n", "8"], 2, id="closure-default-cap"),
+    # the byte rule is the closure's only cap, and --max-dim has no effect
+    pytest.param(["closure", "--set", "theorem1", "--n", "8"], 0, id="closure-n8-needs-no-cap"),
+    pytest.param(["closure", "--set", "theorem1", "--n", "13"], 2, id="closure-n13-over-budget"),
     pytest.param(["closure", "--set", "theorem1", "--n", "3", "--max-dim", "-1"], 1,
                  id="closure-negative-cap"),
     pytest.param(["closure", "--set", "theorem1", "--n", "3", "--max-dim", "0"], 1,
@@ -760,6 +766,8 @@ PLAN_FAILURES = [
                   "--input", "{tmp}/huge16.npy"], 1, id="twirl-input-overflows"),
     pytest.param(["twirl", "--t", "5", "--d", "4", "--group", "sp",
                   "--input", "{tmp}/eye9.npy"], 2, id="twirl-table-over-byte-limit"),
+    pytest.param(["twirl", "--t", "2", "--d", "4", "--group", "o",
+                  "--input", "{tmp}/vast.npy"], 1, id="twirl-input-header-vast"),
     pytest.param(["gp", "--config", "{tmp}/adir", "--seed", "1", "--threads", "1",
                   "--out", "{tmp}/o.csv"], 1, id="gp-config-directory"),
     pytest.param(["gp-summary", "--config", "{tmp}/gp.json", "--seed", "1",
@@ -805,6 +813,17 @@ PLAN_FAILURES = [
                   "--seed", "1"], 2, id="concentration-samples-1e9"),
     pytest.param(["anticoncentration", "--n", "4", "--samples", str(10**9), "--alphas", "0.5",
                   "--seed", "1"], 2, id="anticoncentration-samples-1e9"),
+    # a seed numpy would refuse only once the run draws
+    pytest.param(["sample", "--group", "sp", "--d", "4", "--count", "1", "--seed", "-1",
+                  "--out", "{tmp}/s.npy"], 1, id="sample-seed-negative"),
+    pytest.param(["gp", "--config", "{tmp}/valid/gp.json", "--seed", "-1",
+                  "--out", "{tmp}/o.csv"], 1, id="gp-seed-negative"),
+    pytest.param(["gp-summary", "--config", "{tmp}/valid/gp.json", "--seed", "-5"], 1,
+                 id="gp-summary-seed-negative"),
+    pytest.param(["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5",
+                  "--seed", "-1"], 1, id="concentration-seed-negative"),
+    pytest.param(["anticoncentration", "--n", "3", "--samples", "20", "--alphas", "0.5",
+                  "--seed", "-1"], 1, id="anticoncentration-seed-negative"),
 ]
 
 
@@ -878,7 +897,7 @@ def test_cli_import_leaves_scipy_out():
 BAD = st.sampled_from([0, -1, -5, 10**6, 10**18])
 BAD_COUNT = st.sampled_from([0, -1, -5])
 THREADS = (st.sampled_from([1, 2]), st.sampled_from([-1, 0]))
-SEED = (st.just(1), None)
+SEED = (st.just(1), st.sampled_from([-1, -5]))
 FUZZ = {
     "closure": {"--set": (st.sampled_from(["theorem1", "prop2", "so-chain"]), None),
                 "--n": (st.integers(2, 4), BAD), "--max-dim": (st.integers(16, 256), BAD)},

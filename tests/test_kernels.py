@@ -67,34 +67,34 @@ def test_transfer_apply_matches_einsum():
         assert np.allclose(kernels.transfer_apply(v, T, L, din, R), expected, atol=1e-12)
 
 
-def closure_round_reference(new_x, new_z, all_x, all_z, seen, n):
-    """Frontier-major double loop: each anticommuting pair whose commutator
-    direction is unseen is recorded and marked seen on the spot."""
+def closure_round_reference(new, n, basis, seen):
+    """Frontier-major double loop over (x, z) masks: each anticommuting pair
+    whose commutator direction is unseen is recorded and marked seen on the
+    spot."""
     found = []
-    for xi, zi in zip(new_x.tolist(), new_z.tolist()):
-        for xj, zj in zip(all_x.tolist(), all_z.tolist()):
+    for ki in new.tolist():
+        for kj in basis.tolist():
+            xi, zi, xj, zj = ki >> n, ki & (2**n - 1), kj >> n, kj & (2**n - 1)
             if (bin(xi & zj).count("1") + bin(zi & xj).count("1")) & 1:
-                x3, z3 = xi ^ xj, zi ^ zj
-                key = (x3 << n) | z3
+                key = ((xi ^ xj) << n) | (zi ^ zj)
                 if not seen[key]:
                     seen[key] = True
-                    found.append((x3, z3))
+                    found.append(key)
     return found
 
 
-def assert_round_matches_reference(new_x, new_z, all_x, all_z, seen, n):
+def assert_round_matches_reference(new, n, basis, seen):
     ref_seen = seen.copy()
-    expected = closure_round_reference(new_x, new_z, all_x, all_z, ref_seen, n)
-    found_x, found_z = kernels.closure_round(new_x, new_z, all_x, all_z, seen, n)
-    assert found_x.dtype == found_z.dtype == np.int64
-    assert list(zip(found_x.tolist(), found_z.tolist())) == expected
+    expected = closure_round_reference(new, n, basis, ref_seen)
+    found = kernels.closure_round(new, n, basis, seen)
+    assert found.dtype == np.int64
+    assert found.tolist() == expected
     assert np.array_equal(seen, ref_seen)
-    return found_x, found_z
+    return found
 
 
-def mask_arrays(gens):
-    return (np.array([p.x_mask for p in gens], dtype=np.int64),
-            np.array([p.z_mask for p in gens], dtype=np.int64))
+def keys(gens):
+    return np.array([(p.x_mask << p.n) | p.z_mask for p in gens], dtype=np.int64)
 
 
 def rounds_against_reference(g, grow_basis):
@@ -104,21 +104,17 @@ def rounds_against_reference(g, grow_basis):
     far. Returns the round count, the commutator directions hit more than
     once within a round, and the directions found in all."""
     n = g.n
-    gen_x, gen_z = mask_arrays(g.generators)
+    basis = new = keys(g.generators)
     seen = np.zeros(4**n, dtype=bool)
-    seen[(gen_x << n) | gen_z] = True
-    all_x, all_z = new_x, new_z = gen_x, gen_z
+    seen[basis] = True
     rounds = repeated = 0
-    while new_x.size:
-        pairs = [((xi ^ xj) << n) | (zi ^ zj)
-                 for xi, zi in zip(new_x.tolist(), new_z.tolist())
-                 for xj, zj in zip(all_x.tolist(), all_z.tolist())
-                 if (bin(xi & zj).count("1") + bin(zi & xj).count("1")) & 1]
+    while new.size:
+        pairs = [ki ^ kj for ki in new.tolist() for kj in basis.tolist()
+                 if bin(ki & (((kj & (2**n - 1)) << n) | (kj >> n))).count("1") & 1]
         repeated += len(pairs) - len(set(pairs))
-        new_x, new_z = assert_round_matches_reference(new_x, new_z, all_x, all_z, seen, n)
+        new = assert_round_matches_reference(new, n, basis, seen)
         if grow_basis:
-            all_x = np.concatenate([all_x, new_x])
-            all_z = np.concatenate([all_z, new_z])
+            basis = np.concatenate([basis, new])
         rounds += 1
     return rounds, repeated, int(seen.sum())
 
@@ -147,58 +143,53 @@ def test_closure_round_matches_python_loop_at_twelve_qubits():
     of the commutators already seen."""
     n = 12
     gen = np.random.default_rng(12)
-    gen_x, gen_z = mask_arrays(theorem1_generators(n).generators)
+    gens = keys(theorem1_generators(n).generators)
     new_x, new_z = gen.integers(0, 2**n, size=(2, 300), dtype=np.int64)
     new_x[::3] |= 1 << 11
     new_z[::3] |= 1 << 11
+    new = (new_x << n) | new_z
     seen = np.zeros(4**n, dtype=bool)
-    seen[(gen_x << n) | gen_z] = True
-    pair_keys = ((new_x[:, None] ^ gen_x) << n) | (new_z[:, None] ^ gen_z)
+    seen[gens] = True
+    pair_keys = new[:, None] ^ gens
     seen[gen.choice(pair_keys.ravel(), size=pair_keys.size // 3)] = True
-    found_x, found_z = assert_round_matches_reference(new_x, new_z, gen_x, gen_z, seen, n)
-    assert found_x.size > 1000 and (found_x & found_z & (1 << 11)).any()
+    found = assert_round_matches_reference(new, n, gens, seen)
+    both = (1 << (n + 11)) | (1 << 11)
+    assert found.size > 1000 and ((found & both) == both).any()
 
 
 def test_closure_round_returns_int64_empties():
     n = 3
-    gen_x, gen_z = mask_arrays(theorem1_generators(n).generators)
+    gens = keys(theorem1_generators(n).generators)
     none = np.empty(0, dtype=np.int64)
     seen = np.zeros(4**n, dtype=bool)
-    for args in [(none, none, gen_x, gen_z), (gen_x, gen_z, none, none)]:
-        found_x, found_z = kernels.closure_round(*args, seen, n)
-        assert found_x.size == found_z.size == 0
-        assert found_x.dtype == found_z.dtype == np.int64
+    for new, basis in [(none, gens), (gens, none)]:
+        found = kernels.closure_round(new, n, basis, seen)
+        assert found.size == 0 and found.dtype == np.int64
     assert not seen.any()
 
 
 def test_closure_round_keeps_first_of_repeats_within_one_frontier_entry():
     n = 2
     # a basis that lists Z1 twice: X1 meets it twice in one frontier entry
-    all_x = np.array([0b10, 0b00, 0b00, 0b01], dtype=np.int64)
-    all_z = np.array([0b00, 0b10, 0b10, 0b01], dtype=np.int64)
-    new_x = np.array([0b10, 0b01], dtype=np.int64)
-    new_z = np.array([0b00, 0b00], dtype=np.int64)
+    basis = np.array([0b10_00, 0b00_10, 0b00_10, 0b01_01], dtype=np.int64)
+    new = np.array([0b10_00, 0b01_00], dtype=np.int64)
     seen = np.zeros(4**n, dtype=bool)
-    seen[(all_x << n) | all_z] = True
-    found_x, _ = assert_round_matches_reference(new_x, new_z, all_x, all_z, seen, n)
-    assert found_x.size == 2
+    seen[basis] = True
+    found = assert_round_matches_reference(new, n, basis, seen)
+    assert found.size == 2
 
 
 def test_closure_round_is_chunk_size_independent(monkeypatch):
     # chunks of one and of a few frontier rows: dedup across chunks goes
     # through ``seen``, so every round must still match the reference
     n = 4
-    gens = theorem1_generators(n).generators
-    gen_x = np.array([p.x_mask for p in gens], dtype=np.int64)
-    gen_z = np.array([p.z_mask for p in gens], dtype=np.int64)
-    for chunk_pairs in (1, 3 * gen_x.size + 1):
+    gens = keys(theorem1_generators(n).generators)
+    for chunk_pairs in (1, 3 * gens.size + 1):
         monkeypatch.setattr(kernels, "CHUNK_PAIRS", chunk_pairs)
         seen = np.zeros(4**n, dtype=bool)
-        seen[(gen_x << n) | gen_z] = True
-        new_x, new_z, total = gen_x, gen_z, gen_x.size
-        while new_x.size:
-            new_x, new_z = assert_round_matches_reference(
-                new_x, new_z, gen_x, gen_z, seen, n
-            )
-            total += new_x.size
+        seen[gens] = True
+        new, total = gens, gens.size
+        while new.size:
+            new = assert_round_matches_reference(new, n, gens, seen)
+            total += new.size
         assert total == 2**n * (2**n + 1) // 2

@@ -25,17 +25,19 @@ GP_CONFIG = {
 
 
 @pytest.mark.parametrize(
-    "argv,span",
+    "argv,span,sums",
     [
         pytest.param(["collision", "--n", "3", "--layers", "2"],
-                     "kernels.transfer_apply", id="collision"),
+                     "kernels.transfer_apply", {}, id="collision"),
+        # each of the 36 directions of the n = 3 closure is in one round's
+        # frontier, and every frontier meets the 7 generators
         pytest.param(["closure", "--set", "theorem1", "--n", "3"],
-                     "kernels.closure_round", id="closure"),
+                     "kernels.closure_round", {"pairs": 36 * 7}, id="closure"),
         pytest.param(["gp-summary", "--config", "gp.json", "--seed", "1"],
-                     "gp_stats.run_gp_experiment", id="gp-summary"),
+                     "gp_stats.run_gp_experiment", {}, id="gp-summary"),
     ],
 )
-def test_traced_run_writes_spans(tmp_path, argv, span):
+def test_traced_run_writes_spans(tmp_path, argv, span, sums):
     (tmp_path / "gp.json").write_text(json.dumps(GP_CONFIG))
     src = os.path.dirname(os.path.dirname(spcirc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -48,3 +50,5 @@ def test_traced_run_writes_spans(tmp_path, argv, span):
     doc = json.loads(spans.read_text())
     names = {s[1] for s in doc["spans"]}
     assert {"cli.main", span} <= names
+    for key, total in sums.items():  # the work counters perfbench sums per span
+        assert sum(s[6][key] for s in doc["spans"] if s[1] == span) == total

@@ -112,25 +112,17 @@ def test_generator_validation():
 
 
 def test_capacity_budget():
+    # the byte rule is the closure's only cap: n = 13 is refused before any table
     with pytest.raises(CapacityError):
-        closure(theorem1_generators(8), max_dim=4**7)
+        closure(theorem1_generators(13))
 
 
 def test_check_closure_byte_bound():
-    # the seen table, the mask arrays and a round's output, 33 * 4**n bytes,
-    # and one block against 1 GiB
-    check_closure(12, 4**12)
+    # the seen table, the keys and a round's output, 25 * 4**n bytes, and one
+    # block against 1 GiB
+    check_closure(12)
     with pytest.raises(CapacityError):
-        check_closure(13, 4**13)
-
-
-@pytest.mark.parametrize("max_dim", [0, -5])
-def test_check_closure_rejects_a_cap_below_one(max_dim):
-    # malformed input, not a capacity question, even where 4**n exceeds the cap
-    with pytest.raises(DomainError, match="max_dim"):
-        check_closure(3, max_dim)
-    with pytest.raises(DomainError, match="max_dim"):
-        closure(theorem1_generators(3), max_dim=max_dim)
+        check_closure(13)
 
 
 # -- the closure over the whole basis, as an oracle ---------------------------------
@@ -139,25 +131,22 @@ def closure_over_basis(g):
     """Direction set of the closure by commuting each round's frontier with
     every direction found so far."""
     n = g.n
-    all_x = np.array([p.x_mask for p in g.generators], dtype=np.int64)
-    all_z = np.array([p.z_mask for p in g.generators], dtype=np.int64)
+    found = new = keys(g.generators)
     seen = np.zeros(4**n, dtype=bool)
-    seen[(all_x << n) | all_z] = True
-    new_x, new_z = all_x, all_z
-    while new_x.size:
-        new_x, new_z = kernels.closure_round(new_x, new_z, all_x, all_z, seen, n)
-        all_x = np.concatenate([all_x, new_x])
-        all_z = np.concatenate([all_z, new_z])
-    return all_x, all_z
+    seen[found] = True
+    while new.size:
+        new = kernels.closure_round(new, n, found, seen)
+        found = np.concatenate([found, new])
+    return found
 
 
 def assert_matches_basis_closure(g):
     res = closure(g)
-    ox, oz = closure_over_basis(g)
-    got = set(zip(res.x_masks.tolist(), res.z_masks.tolist()))
-    assert got == set(zip(ox.tolist(), oz.tolist())), g.label
-    assert res.dimension == ox.size == len(got)
-    assert res.classification == classify(g.n, ox, oz)
+    expected = closure_over_basis(g)
+    got = set(res.keys.tolist())
+    assert got == set(expected.tolist()), g.label
+    assert res.dimension == expected.size == len(got)
+    assert res.classification == classify(g.n, expected)
     return res
 
 
@@ -180,19 +169,18 @@ def test_random_generator_sets_match_basis_closure():
     assert len(kinds) >= 2, kinds
 
 
-# -- classification over mask arrays -------------------------------------------------
+# -- classification over keys --------------------------------------------------------
 
-def masks(paulis):
-    return (np.array([p.x_mask for p in paulis], dtype=np.int64),
-            np.array([p.z_mask for p in paulis], dtype=np.int64))
+def keys(paulis):
+    return np.array([(p.x_mask << p.n) | p.z_mask for p in paulis], dtype=np.int64)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_vectorised_rules_match_per_object_rules(n):
     paulis = [PauliString(n, k >> n, k & (2**n - 1)) for k in range(1, 4**n)]
-    x, z = masks(paulis)
-    assert sp_directions(x, z).tolist() == [in_sp_algebra(p) for p in paulis]
-    assert antisymmetric_directions(x, z).tolist() == [p.y_count % 2 == 1 for p in paulis]
+    assert sp_directions(keys(paulis), n).tolist() == [in_sp_algebra(p) for p in paulis]
+    assert (antisymmetric_directions(keys(paulis), n).tolist()
+            == [p.y_count % 2 == 1 for p in paulis])
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -201,28 +189,29 @@ def test_classify_on_known_bases(n):
     everything = [PauliString(n, k >> n, k & (d - 1)) for k in range(1, 4**n)]
     sp = enumerate_sp_basis(n)
     so = [p for p in everything if p.y_count % 2 == 1]
-    assert classify(n, *masks(sp)) == "sp"
+    assert classify(n, keys(sp)) == "sp"
     # sp(1) = su(2): at n = 1 the rule for sp comes first
-    assert classify(n, *masks(everything)) == ("su" if n > 1 else "sp")
-    assert classify(n, *masks(so)) == "so"
-    assert classify(n, *masks([])) == "other"
+    assert classify(n, keys(everything)) == ("su" if n > 1 else "sp")
+    assert classify(n, keys(so)) == "so"
+    assert classify(n, keys([])) == "other"
     # the right sizes with one member outside the algebra
     symmetric = [p for p in everything if p.y_count % 2 == 0]
-    assert classify(n, *masks(so[:-1] + symmetric[:1])) == "other"
+    assert classify(n, keys(so[:-1] + symmetric[:1])) == "other"
     if n > 1:
         outside_sp = next(p for p in everything if not in_sp_algebra(p))
-        assert classify(n, *masks(sp[:-1] + [outside_sp])) == "other"
+        assert classify(n, keys(sp[:-1] + [outside_sp])) == "other"
 
 
 def test_theorem1_n9():
-    res = closure(theorem1_generators(9), max_dim=4**9)
+    res = closure(theorem1_generators(9))
     assert (res.dimension, res.classification) == (131328, "sp")
 
 
 def test_theorem1_discovery_order_at_n8():
     # the directions in discovery order, as little-endian int64 x then z masks
-    res = closure(theorem1_generators(8), max_dim=4**8)
-    masks = res.x_masks.astype("<i8").tobytes() + res.z_masks.astype("<i8").tobytes()
+    res = closure(theorem1_generators(8))
+    x, z = res.keys >> 8, res.keys & (2**8 - 1)
+    masks = x.astype("<i8").tobytes() + z.astype("<i8").tobytes()
     assert hashlib.sha256(masks).hexdigest() == (
         "60c6aa4583f9844dafcc5a79b1feeaf6b7fdc6b75105b2f67b03e8dddc515cdd")
 
