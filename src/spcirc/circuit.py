@@ -259,8 +259,9 @@ def circuit_from_json(source) -> CircuitSpec:
     data = json.loads(source) if isinstance(source, (str, bytes)) else source
     read_fields(data, "circuit document", {"n": int, "gates": list},
                 {"seed": int, "layers": int})
-    if data.get("layers", 0) < 0:
-        raise DomainError("bad circuit document: layers must be at least 0")
+    for field in ("seed", "layers"):
+        if data.get(field, 0) < 0:
+            raise DomainError(f"bad circuit document: {field} must be at least 0")
     for k, g in enumerate(data["gates"]):
         where = f"circuit document: gates[{k}]"
         kind = read_kind(g, where, "type", _GATE_FIELDS)

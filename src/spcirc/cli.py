@@ -6,8 +6,9 @@ identical config + seed reproduce byte-identical CSV/NPY payloads. Every
 subcommand first builds a plan, which reads the inputs and makes every domain
 and capacity check of the run; --dry-run stops there, so a dry run fails
 exactly when the real run would. Results are wrapped in a JSON envelope on
-stdout: the echoed config, a build id, wall-clock seconds, and the payload
-(inline JSON or the path of the file written).
+stdout: the config (every parsed option, plus what the plan read from the
+inputs), a build id, wall-clock seconds, and the payload (inline JSON or the
+path of the file written).
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import argparse
 import csv
 import json
 import os
-import subprocess
 import sys
 import time
+import zlib
 from functools import partial
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from . import __version__, brauer, circuit, gp_stats, lie_closure, moment
 from .errors import (CapacityError, ConsistencyError, DomainError, check_bytes, read_fields,
                      read_kind)
 from .pauli import PauliString
-from .sampler import SAMPLERS, RngStream
+from .sampler import SAMPLERS, RngStream, check_sample
 
 SCHEMA_VERSION = 1
 
@@ -41,17 +42,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_id() -> str:
-    here = Path(__file__).resolve().parent
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=here, capture_output=True, text=True, timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"spcirc-{__version__}"
+    """spcirc-<version>+<crc32 of the package's .py files in name order>: it
+    names the exact code that ran, inside a checkout or not."""
+    crc = 0
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        crc = zlib.crc32(path.read_bytes(), crc)
+    return f"spcirc-{__version__}+{crc:08x}"
 
 
 def _payload(result, *fields) -> dict:
@@ -95,9 +91,9 @@ def _out_path(path, suffix=""):
 
 
 # ---------------------------------------------------------------------------
-# subcommand plans; each parses its arguments, reads its inputs and makes
-# every domain and capacity check, allocating nothing large, and returns
-# (config echo, extra dry-run fields, run) where run() computes the payload
+# subcommand plans; each reads its inputs and makes every domain and capacity
+# check, allocating nothing large, and returns (what it adds to the config
+# echo, extra dry-run fields, run) where run() computes the payload
 
 _GENERATOR_SETS = {
     "theorem1": lie_closure.theorem1_generators,
@@ -107,15 +103,15 @@ _GENERATOR_SETS = {
 
 
 def _plan_closure(args):
-    config = {"set": args.set, "n": args.n, "max_dim": args.max_dim}
     lie_closure.check_closure(args.n)
+    added = {}
     if args.set == "custom":
         if not args.generators:
             raise DomainError("--set custom needs --generators FILE")
         labels = json.loads(Path(args.generators).read_text())
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise DomainError("generators file must be a JSON list of Pauli labels")
-        config["generators"] = labels
+        added["generators"] = labels  # in place of the file path
         gens = lie_closure.GeneratorSet(
             args.n, tuple(PauliString.from_label(s) for s in labels), "custom"
         )
@@ -127,24 +123,10 @@ def _plan_closure(args):
         return _payload(res, "dimension", "classification", ("basis_count", "dimension"),
                         "iterations")
 
-    return config, {}, run
-
-
-def check_sample(group: str, d: int, count: int) -> None:
-    """Checks of ``sample``: per entry of a d x d matrix, 16 B for each output
-    draw and 80 B for one draw (sp's Gaussian blocks, image, copy, Q and R)."""
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
-    if group == "sp" and d % 2:
-        raise DomainError(f"symplectic dimension must be even, got {d}")
-    if d < 1:
-        raise DomainError(f"dimension must be positive, got {d}")
-    check_bytes("the sample array with one draw", 16 * count + 80, d, 2)
+    return added, {}, run
 
 
 def _plan_sample(args):
-    config = {"group": args.group, "d": args.d, "count": args.count,
-              "seed": args.seed, "out": args.out}
     check_sample(args.group, args.d, args.count)
     path = _out_path(args.out, ".npy")
 
@@ -157,12 +139,10 @@ def _plan_sample(args):
         np.save(path, out)
         return {"path": path, "shape": list(out.shape), "dtype": "complex128"}
 
-    return config, {}, run
+    return {}, {}, run
 
 
 def _plan_twirl(args):
-    config = {"t": args.t, "d": args.d, "group": args.group,
-              "input": args.input, "out": args.out}
     brauer.check_twirl(args.t, args.d, args.group)
     out = _out_path(args.out)
     x = np.load(args.input, mmap_mode="r")  # the shape is checked before any read
@@ -179,11 +159,10 @@ def _plan_twirl(args):
             return {"path": out}
         return payload
 
-    return config, {}, run
+    return {}, {}, run
 
 
 def _plan_gram(args):
-    config = {"t": args.t, "d": args.d, "group": args.group}
     brauer.check_gram(args.t, args.d, args.group)
 
     def run():
@@ -196,11 +175,10 @@ def _plan_gram(args):
             "inverse": g.inverse().tolist(),
         }
 
-    return config, {}, run
+    return {}, {}, run
 
 
 def _plan_simulate(args):
-    config = {"circuit": args.circuit, "state": args.state, "out": args.out}
     circ = circuit.circuit_from_json(Path(args.circuit).read_text())
     circuit.check_statevector(circ.n)
     if not args.out:  # the inline amplitudes as lists of floats: about 150 B each
@@ -216,7 +194,7 @@ def _plan_simulate(args):
         amps = [[float(a.real), float(a.imag)] for a in out_state.amplitudes]
         return {"n": circ.n, "amplitudes": amps, "norm": out_state.norm()}
 
-    return config, {"n": circ.n, "gates": circ.gate_count()}, run
+    return {}, {"n": circ.n, "gates": circ.gate_count()}, run
 
 
 _GP_FIELDS = {"schema_version": int, "n": int, "observable": str, "samples": int,
@@ -261,10 +239,7 @@ def _load_gp_config(path: str):
 def _plan_gp(args, report):
     """Plan shared by ``gp`` and ``gp-summary``; ``report(summary, out)`` turns
     the finished run into the payload."""
-    config = {"config": args.config, "seed": args.seed, "out": args.out,
-              "threads": args.threads}
     data, states, observable = _load_gp_config(args.config)
-    config["resolved"] = data
     out = _out_path(args.out)
 
     def run():
@@ -274,7 +249,7 @@ def _plan_gp(args, report):
         )
         return report(summary, out)
 
-    return config, {"states": len(states)}, run
+    return {"resolved": data}, {"states": len(states)}, run
 
 
 def _gp_values_csv(summary, out):
@@ -297,9 +272,6 @@ def _gp_summary_payload(summary, out):
 
 
 def _plan_concentration(args):
-    config = {"n": args.n, "samples": args.samples, "seed": args.seed,
-              "thresholds": args.thresholds, "state": args.state,
-              "observable": args.observable, "threads": args.threads}
     thresholds = _float_list(args.thresholds, "threshold")
     obs = (PauliString.from_label(args.observable) if args.observable
            else PauliString.single(args.n, min(2, args.n), "Y"))
@@ -316,12 +288,10 @@ def _plan_concentration(args):
                         ("gaussian_tail", "gaussian"), "bound_t2", "bound_t4",
                         "sigma_squared")
 
-    return config, {}, run
+    return {}, {}, run
 
 
 def _plan_anticoncentration(args):
-    config = {"n": args.n, "samples": args.samples, "alphas": args.alphas,
-              "seed": args.seed, "x": args.x, "threads": args.threads}
     alphas = _float_list(args.alphas, "alpha")
     gp_stats.check_anticoncentration(args.n, args.samples, alphas, args.x)
 
@@ -331,12 +301,10 @@ def _plan_anticoncentration(args):
         return _payload(table, "n", "x_index", "alphas", "empirical", "empirical_se",
                         "bound", "z_estimate", "z_se", "z_haar")
 
-    return config, {}, run
+    return {}, {}, run
 
 
 def _plan_depth(args):
-    config = {"n_min": args.n_min, "n_max": args.n_max, "epsilon": args.epsilon,
-              "max_layers": args.max_layers, "out": args.out}
     if args.n_max < args.n_min:
         raise DomainError(f"bad n range [{args.n_min}, {args.n_max}]")
     for n in (args.n_min, args.n_max):
@@ -361,11 +329,10 @@ def _plan_depth(args):
             payload["unreached"] = unreached
         return payload
 
-    return config, {}, run
+    return {}, {}, run
 
 
 def _plan_collision(args):
-    config = {"n": args.n, "layers": args.layers}
     moment.check_propagation(args.n, args.layers)
 
     def run():
@@ -377,7 +344,7 @@ def _plan_collision(args):
             "z_haar": moment.z_haar(args.n),
         }
 
-    return config, {}, run
+    return {}, {}, run
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +464,18 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         try:
-            config, info, run = args.plan(args)
+            added, info, run = args.plan(args)
         except DomainError:
             raise
         except (OSError, ValueError, OverflowError) as e:  # an unreadable or malformed input
             raise DomainError(f"{type(e).__name__}: {e}") from e
         payload = {"validated": True, **info, "dry_run": True} if args.dry_run else run()
+        config = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "plan", "dry_run")}
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
-            "config": config,
+            "config": {**config, **added},
             "build_id": _build_id(),
             "wall_clock_s": round(time.monotonic() - started, 6),
             "payload": payload,

@@ -218,5 +218,6 @@ def closure(g: GeneratorSet) -> ClosureResult:
         start, count = count, count + found.size
         keys[start:count] = found
 
-    keys = keys[:count]
+    # shrink the buffer in place to the keys found (no view of it is left)
+    keys.resize(count, refcheck=False)
     return ClosureResult(n, keys, iterations, classify(n, keys))

@@ -28,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, check_bytes
+from .errors import DomainError, check_bytes
 
 _KINDS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _MASKS = {v: k for k, v in _KINDS.items()}
@@ -41,8 +41,6 @@ DENSE_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-BASIS_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -197,16 +195,29 @@ def in_sp_algebra(p: PauliString) -> bool:
     return rest_y % 2 == 1
 
 
+# Bytes ``enumerate_sp_basis`` holds per entry of the 4**n table, of which the
+# d(d+1)/2 directions are a little over half: per direction one PauliString
+# (the object, its __dict__ and two mask ints past the small-int cache) and
+# its list slot. tracemalloc measured 112 B per direction at n = 8, 145 B at
+# n = 9, 161 B at n = 10 and 168 B (84 B per table entry) at n = 11, so
+# n = 11 is admitted and n = 12 refused.
+_BASIS_BYTES = 96
+
+
+def check_basis(n: int) -> None:
+    """Checks of ``enumerate_sp_basis``."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    check_bytes(f"the sp basis at n = {n}", _BASIS_BYTES, 4, n)
+
+
 def enumerate_sp_basis(n: int) -> list[PauliString]:
     """All d(d+1)/2 Pauli directions spanning sp(d/2), d = 2**n.
 
     Ordered by the (x, z) masks of the trailing n-1 qubits, with first-factor
     order X, Y, Z for the symmetric-rest strings.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if n > BASIS_LIMIT:
-        raise CapacityError(f"n = {n} exceeds the basis enumeration limit {BASIS_LIMIT}")
+    check_basis(n)
     out = []
     for rest in range(4 ** (n - 1)):
         xr = rest & ((1 << (n - 1)) - 1)

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_bytes
 
 DEFAULT_TOL = 1e-10
 
@@ -146,6 +146,20 @@ def sample_sp(d: int, rng) -> np.ndarray:
 # group -> Haar sampler, called as sampler(d, rng)
 SAMPLERS = {"sp": sample_sp, "o": sample_orthogonal,
             "so": partial(sample_orthogonal, special=True), "u": sample_unitary}
+
+
+def check_sample(group: str, d: int, count: int) -> None:
+    """Checks of ``count`` draws from ``SAMPLERS[group]``: per entry of a d x d
+    matrix, 16 B for each output draw and 80 B for one draw (sp's Gaussian
+    blocks, image, copy, Q and R)."""
+    if count < 1:
+        raise DomainError(f"count must be positive, got {count}")
+    if group == "sp" and d % 2:
+        raise DomainError(f"symplectic dimension must be even, got {d}")
+    if d < 1:
+        raise DomainError(f"dimension must be positive, got {d}")
+    check_bytes("the sample array with one draw", 16 * count + 80, d, 2)
+
 
 # brick-layer block group -> its SAMPLERS key; every block is 4 x 4
 BLOCK_GROUPS = {"sp2": "sp", "so4": "so", "o4": "o", "u4": "u"}

@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package reads another module's
-underscore name, so each module's private helpers can change freely, and no
-function keeps hidden state in a module-level container."""
+underscore name, so each module's private helpers can change freely, no
+function keeps hidden state in a module-level container, and no module
+imports what would start a process or load OpenSSL."""
 
 import ast
 import pathlib
@@ -40,6 +41,34 @@ def test_no_module_reads_another_modules_private_names():
 def test_the_check_sees_both_kinds_of_read():
     tree = ast.parse("from . import brauer\nfrom .pauli import _X, Y\nbrauer._cache.clear()\n")
     assert foreign_private_reads(tree) == ["pauli._X", "brauer._cache"]
+
+
+# a run is one process: no subprocess; and no hashlib, whose OpenSSL costs
+# megabytes of RSS at start-up (the build id is a zlib.crc32)
+BANNED_IMPORTS = {"subprocess", "hashlib"}
+
+
+def imported_modules(tree) -> set:
+    """Top-level names of the modules ``import`` and ``from ... import`` read."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_subprocess_or_hashlib():
+    found = {path.stem: imported_modules(ast.parse(path.read_text())) & BANNED_IMPORTS
+             for path in sorted(SRC.glob("*.py"))}
+    assert {stem: names for stem, names in found.items() if names} == {}
+
+
+def test_the_import_check_sees_both_forms():
+    tree = ast.parse("import os, subprocess as sp\nfrom hashlib import sha256\n"
+                     "from . import pauli\n")
+    assert imported_modules(tree) == {"os", "subprocess", "hashlib"}
 
 
 # module.name -> why that module-level container may be written by a function

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spcirc
-from spcirc import brauer, circuit, cli, gp_stats, lie_closure, moment, pauli
+from spcirc import brauer, circuit, cli, gp_stats, lie_closure, moment, pauli, sampler
 from spcirc.errors import MEMORY_LIMIT, CapacityError, check_bytes
 from spcirc.pauli import PauliString
 from spcirc.sampler import RngStream
@@ -51,6 +51,7 @@ def test_vast_sizes_are_refused_in_constant_time(nbytes, base, exponent):
 
 @pytest.mark.parametrize("check,inside", [
     (pauli.check_dense, 12),  # to_dense, to_dense_kron and circuit.to_unitary
+    (pauli.check_basis, 11),  # enumerate_sp_basis
     (moment.check_propagation, 31),  # collision and anticoncentration-depth
     (lambda n: lie_closure.check_closure(n), 12),
 ])
@@ -83,7 +84,7 @@ def counted(monkeypatch):
         counts.append(nbytes * base**exponent)
         check_bytes(what, nbytes, base, exponent)
 
-    for module in (brauer, circuit, cli, gp_stats, lie_closure, moment, pauli):
+    for module in (brauer, circuit, cli, gp_stats, lie_closure, moment, pauli, sampler):
         monkeypatch.setattr(module, "check_bytes", record)
     return counts
 
@@ -140,6 +141,8 @@ BOUNDED = {
                   4, 64),
     "twirl": (lambda d: partial(brauer.twirl, np.eye(d * d, dtype=complex), 2, d, "o"), 2, 32),
     "twirl_superoperator": (lambda d: partial(brauer.twirl_superoperator, 2, d, "o"), 2, 6),
+    # from n = 9 on, the masks pass the small-int cache
+    "enumerate_sp_basis": (lambda n: partial(pauli.enumerate_sp_basis, n), 3, 9),
     "closure": (lambda n: partial(lie_closure.closure, commuting_set(n)), 3, 10),
     "closure-theorem1": (lambda n: partial(lie_closure.closure,
                                            lie_closure.theorem1_generators(n)), 3, 10),
@@ -272,7 +275,6 @@ SRC = pathlib.Path(spcirc.__file__).parent
 ALLOWED = {
     ("errors", "check_bytes"): "MEMORY_LIMIT",
     ("brauer", "_check_order"): "MAX_T",  # diagrams enumerated
-    ("pauli", "enumerate_sp_basis"): "BASIS_LIMIT",  # Pauli strings enumerated
     # not memory: the Gram entries d**t must be float64 numbers
     ("brauer", "check_gram"): "float_info",
 }

@@ -243,6 +243,15 @@ def test_json_validation():
             circuit_from_json(json.dumps(doc))
 
 
+def test_json_negative_seed_is_refused_by_name():
+    # refused before numpy's SeedSequence sees it, with or without a Haar block
+    haar = {"type": "haar", "qubits": [1, 2], "group": "sp2"}
+    for gates in ([haar], []):
+        with pytest.raises(DomainError, match="seed must be at least 0"):
+            circuit_from_json({"n": 2, "gates": gates, "seed": -1})
+    assert circuit_from_json({"n": 2, "gates": [haar], "seed": 0}).seed == 0
+
+
 # -- Pauli action helpers -------------------------------------------------------------
 
 def test_pauli_apply_matches_dense():

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -17,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spcirc
-from spcirc import brauer, circuit, lie_closure, moment
-from spcirc.cli import check_sample, main
+from spcirc import brauer, circuit, cli, lie_closure, moment
+from spcirc.cli import main
 from spcirc.errors import MEMORY_LIMIT, CapacityError, ConsistencyError, DomainError
-from spcirc.sampler import symplectic_defect
+from spcirc.sampler import check_sample, symplectic_defect
 
 
 def run(argv, capsys):
@@ -63,10 +65,24 @@ def test_envelope_structure(capsys):
     env = run_json(["closure", "--set", "theorem1", "--n", "2"], capsys)
     assert env["schema_version"] == 1
     assert env["command"] == "closure"
-    assert env["config"] == {"set": "theorem1", "n": 2, "max_dim": 4**7}
-    assert isinstance(env["build_id"], str) and env["build_id"]
+    assert env["config"] == {"set": "theorem1", "n": 2, "generators": None, "max_dim": 4**7}
+    assert re.fullmatch(r"spcirc-0\.1\.0\+[0-9a-f]{8}", env["build_id"])
     assert env["wall_clock_s"] >= 0.0
     assert env["payload"]["dimension"] == 10
+
+
+def test_config_echoes_every_parsed_option(tmp_path, capsys):
+    argv = ["concentration", "--n", "3", "--samples", "40", "--thresholds", "0.5",
+            "--seed", "1", "--dry-run"]
+    assert run_json(argv, capsys)["config"] == {
+        "seed": 1, "threads": 1, "n": 3, "samples": 40, "thresholds": "0.5",
+        "state": "basis", "observable": None}
+    # and what the plan read: the gp config as resolved
+    cfg = gp_config(tmp_path)
+    assert run_json(["gp-summary", "--config", cfg, "--seed", "2", "--dry-run"],
+                    capsys)["config"] == {
+        "seed": 2, "threads": 1, "config": cfg, "out": None,
+        "resolved": json.loads(Path(cfg).read_text())}
 
 
 # -- closure ---------------------------------------------------------------------
@@ -681,10 +697,10 @@ def test_depth_has_no_threads_option(tmp_path, threads, capsys):
 
 def plan_inputs(tmp_path):
     """Input files for the cases below: circuits just and far past the
-    statevector bound, circuits whose angle is not a finite float, a
-    directory, a file that is not .npy, a 9 x 9 operator, 16 x 16 operators
-    with a NaN, an infinite or a 1e308 entry, a .npy whose header alone
-    claims a 2**20 x 2**20 operator, a gp config with one draw
+    statevector bound, circuits whose angle is not a finite float, a circuit
+    with a negative seed, a directory, a file that is not .npy, a 9 x 9
+    operator, 16 x 16 operators with a NaN, an infinite or a 1e308 entry, a
+    .npy whose header alone claims a 2**20 x 2**20 operator, a gp config with one draw
     per batch, one with 10**8 draws in vast/ and, for the empty --out
     cases, a two-qubit circuit and a valid gp config in valid/."""
     (tmp_path / "c2.json").write_text(json.dumps({"n": 2, "gates": []}))
@@ -698,6 +714,8 @@ def plan_inputs(tmp_path):
         x = np.eye(16)
         x[3, 5] = value
         np.save(tmp_path / f"{name}16.npy", x)
+    (tmp_path / "seed-1.json").write_text(json.dumps(
+        {"n": 2, "gates": [{"type": "haar", "qubits": [1, 2], "group": "sp2"}], "seed": -1}))
     (tmp_path / "adir").mkdir()
     (tmp_path / "text.npy").write_text("not an array")
     np.save(tmp_path / "eye9.npy", np.eye(9))
@@ -744,6 +762,7 @@ PLAN_FAILURES = [
     pytest.param(["simulate", "--circuit", "{tmp}/c24.json"], 2, id="simulate-n24"),
     pytest.param(["simulate", "--circuit", "{tmp}/c1e18.json"], 2, id="simulate-n1e18"),
     pytest.param(["simulate", "--circuit", "{tmp}/adir"], 1, id="simulate-circuit-directory"),
+    pytest.param(["simulate", "--circuit", "{tmp}/seed-1.json"], 1, id="simulate-seed-negative"),
     pytest.param(["simulate", "--circuit", "{tmp}/thetanan.json"], 1, id="simulate-theta-nan"),
     pytest.param(["simulate", "--circuit", "{tmp}/thetainf.json"], 1, id="simulate-theta-inf"),
     pytest.param(["simulate", "--circuit", "{tmp}/theta-inf.json"], 1,
@@ -878,14 +897,44 @@ def test_value_error_inside_the_run_is_not_hidden(monkeypatch, capsys):
     assert run(["closure", "--set", "theorem1", "--n", "2", "--dry-run"], capsys)[0] == 0
 
 
-def test_cli_import_leaves_scipy_out():
-    src = os.path.dirname(os.path.dirname(spcirc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, spcirc.cli; print([m in sys.modules for m in "
-            "('scipy', 'jsonschema', 'concurrent.futures')])")
+def fresh(code, path=os.path.dirname(os.path.dirname(spcirc.__file__))):
+    """What ``python -c code`` prints, run with ``path`` first on the import path."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(path), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False, False]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    code = ("import sys, spcirc.cli; print([m in sys.modules for m in "
+            "('scipy', 'jsonschema', 'concurrent.futures')])")
+    assert fresh(code) == "[False, False, False]"
+
+
+def test_cli_run_starts_no_process():
+    """Neither the import nor a run loads subprocess; a closure, which seeds no
+    generator (numpy's seeding loads hashlib), leaves hashlib and its OpenSSL
+    out too."""
+    code = ("import contextlib, io, sys, spcirc.cli\n"
+            "imported = 'subprocess' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    spcirc.cli.main(['closure', '--set', 'theorem1', '--n', '3'])\n"
+            "print([imported, 'subprocess' in sys.modules, 'hashlib' in sys.modules])")
+    assert fresh(code) == "[False, False, False]"
+
+
+def test_build_id_names_the_package_sources(tmp_path):
+    """One tree gives one id, wherever it lies; a one-byte edit changes it."""
+    shutil.copytree(os.path.dirname(spcirc.__file__), tmp_path / "spcirc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    code = "import spcirc.cli; print(spcirc.cli._build_id())"
+    first, again = fresh(code, tmp_path), fresh(code, tmp_path)
+    assert re.fullmatch(r"spcirc-0\.1\.0\+[0-9a-f]{8}", first)
+    assert first == again == cli._build_id()
+    module = tmp_path / "spcirc" / "errors.py"
+    module.write_bytes(module.read_bytes() + b"\n")
+    assert fresh(code, tmp_path) != first
 
 
 # -- fuzzed dry-run contract ----------------------------------------------------------

@@ -2,6 +2,7 @@
 generator-bracket closure against the closure over the whole basis."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,20 @@ def test_classify_on_known_bases(n):
 def test_theorem1_n9():
     res = closure(theorem1_generators(9))
     assert (res.dimension, res.classification) == (131328, "sp")
+
+
+def test_result_holds_only_its_keys():
+    # the 4**n key buffer shrinks to the keys found: the 524 800 directions of
+    # sp(512) hold 4.0 MiB, not the 8 MiB of the buffer
+    closure(theorem1_generators(3))  # warm
+    tracemalloc.start()
+    try:
+        res = closure(theorem1_generators(10))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert res.keys.base is None and res.keys.nbytes == 8 * res.dimension == 8 * 524800
+    assert held <= res.keys.nbytes + 64 * 1024
 
 
 def test_theorem1_discovery_order_at_n8():

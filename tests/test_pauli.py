@@ -191,8 +191,9 @@ def test_enumerate_sp_basis():
 
 
 def test_enumerate_sp_basis_limit():
+    # the first n the byte rule refuses
     with pytest.raises(CapacityError):
-        enumerate_sp_basis(11)
+        enumerate_sp_basis(12)
 
 
 def test_iz_only_members_are_z_leading():
