@@ -56,8 +56,7 @@ def bench_pauli_rotation(n=14, rotations=100):
     def run():
         work = psi.copy()
         for p, theta in labels:
-            xd, phases = p.dense_action()
-            kernels.pauli_rotation(work, xd, phases, theta)
+            kernels.pauli_rotation(work, *p.dense_action(), theta)
 
     return run
 

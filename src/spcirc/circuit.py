@@ -184,8 +184,7 @@ def _apply_inplace(circ: CircuitSpec, amp: np.ndarray, check_norm: bool) -> None
     n = circ.n
     for g in circ.gates:
         if isinstance(g, Rotation):
-            xd, phases = g.generator.dense_action()
-            kernels.pauli_rotation(amp, xd, phases, g.theta)
+            kernels.pauli_rotation(amp, *g.generator.dense_action(), g.theta)
         else:
             if g.matrix is None:
                 raise DomainError(
@@ -200,8 +199,8 @@ def _apply_inplace(circ: CircuitSpec, amp: np.ndarray, check_norm: bool) -> None
 
 
 def check_statevector(n: int) -> None:
-    """Capacity check of ``apply``: per amplitude the working state (16 B) and
-    one gate's temporaries, at most three complex and two index vectors."""
+    """Capacity check of ``apply``: per amplitude the input and working states
+    and one gate's temporaries, 72 B by tracemalloc at n = 16."""
     check_bytes(f"the statevector at n = {n}", 80, 2, n)
 
 
@@ -216,23 +215,19 @@ def apply(circ: CircuitSpec, psi: StateVector) -> StateVector:
 
 
 def to_unitary(circ: CircuitSpec) -> np.ndarray:
-    """Dense (2^n, 2^n) matrix of the whole circuit."""
-    check_dense(circ.n)  # the columns and their transposed copy
-    d = 2**circ.n
-    cols = np.eye(d, dtype=complex)  # column k of the identity, as row k
-    for k in range(d):
-        _apply_inplace(circ, cols[k], check_norm=False)
-    return np.ascontiguousarray(cols.T)
+    """Dense (2^n, 2^n) matrix of the whole circuit, applied once to the identity."""
+    check_dense(circ.n)
+    u = np.eye(2**circ.n, dtype=complex)
+    _apply_inplace(circ, u, check_norm=False)
+    return u
 
 
 def pauli_apply(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """Dense P|v> without materializing the matrix."""
     if vec.shape != (2**p.n,):
         raise DomainError(f"vector length {vec.shape} != 2**{p.n}")
-    xd, phases = p.dense_action()
-    out = np.empty_like(vec, dtype=complex)
-    out[np.arange(2**p.n) ^ xd] = phases * vec
-    return out
+    source, phases = p.dense_action()
+    return phases * vec[source]
 
 
 def pauli_expectation(psi: StateVector, p: PauliString) -> complex:

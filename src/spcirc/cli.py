@@ -314,11 +314,10 @@ def _plan_depth(args):
     def run():
         results = [moment.depth_to_anticoncentrate(n, args.epsilon, args.max_layers)
                    for n in range(args.n_min, args.n_max + 1)]
-        rows = []
-        for res in results:
-            star = "" if res.n_l_star is None else res.n_l_star
-            rows.append((res.n, star, json.dumps([round(z, 15) for z in res.z_trace])))
-        _write_csv(out, ["n", "n_L_star", "z_trace"], rows)
+        # json.dumps writes each z by repr, which round-trips float64
+        _write_csv(out, ["n", "n_L_star", "z_trace"],
+                   [(r.n, "" if r.n_l_star is None else r.n_l_star, json.dumps(r.z_trace))
+                    for r in results])
         payload = {"path": out}
         reached = [(r.n, r.n_l_star) for r in results if r.n_l_star is not None]
         if len(reached) >= 2:

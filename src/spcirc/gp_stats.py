@@ -347,11 +347,9 @@ def _frame_coefficients(states) -> tuple:
 
 
 def _pauli_compression(observable: PauliString):
-    """Q -> Q^dag P Q, with P's dense action built once: (P Q)[s] = phases[s ^ x] Q[s ^ x]."""
-    x, phases = observable.dense_action()
-    source = np.arange(phases.size) ^ x
-    phases = phases[source][:, None]
-    return lambda q: q.conj().T @ (phases * q[source])
+    """Q -> Q^dag P Q, with P's gather pair built once: (P Q)[s] = phases[s] Q[source[s]]."""
+    source, phases = observable.dense_action()
+    return lambda q: q.conj().T @ (phases[:, None] * q[source])
 
 
 def _sample(d: int, frame: tuple, compress, n_samples: int, batches: int, rng) -> np.ndarray:

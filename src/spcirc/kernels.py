@@ -15,8 +15,10 @@ for their temporaries to stay in cache.
 
 Conventions shared with the rest of the package:
 
-- statevectors are 1-D complex arrays of length 2**n; qubit j (1-based,
-  leftmost tensor factor) lives at dense bit position n - j (qubit 1 = MSB);
+- amplitudes run along axis 0 of a complex array and further axes are a
+  batch; qubit j (1-based, leftmost factor) is dense bit n - j (qubit 1 = MSB);
+- a Pauli P acts by its gather pair ``PauliString.dense_action()``:
+  (P psi)[s] = phases[s] * psi[source[s]];
 - two-qubit gate matrices are 4x4 with index 2*b_a + b_b where b_a is the bit
   at ``pos_a`` and b_b the bit at ``pos_b``;
 - second-moment tensors are 1-D float64 arrays in row-major axis order;
@@ -32,35 +34,38 @@ HAS_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# two-qubit dense gate on a statevector
+# two-qubit dense gate on the amplitude axis
 
 def apply_gate_2q(psi, gate, pos_a, pos_b):
-    """Apply a 4x4 gate in place at dense bit positions (pos_a, pos_b)."""
-    n = psi.size.bit_length() - 1
+    """Apply a 4x4 gate in place at dense bit positions (pos_a, pos_b) of axis 0
+    of the C-contiguous psi, holding one copy of psi at a time: the product
+    goes into psi with the gate's axes in front and is then moved back."""
+    if not psi.flags.c_contiguous:
+        raise ValueError("apply_gate_2q writes in place into a C-contiguous array")
+    n = psi.shape[0].bit_length() - 1
     # axis k of the (2,)*n view corresponds to dense bit position n-1-k
-    ax_a = n - 1 - pos_a
-    ax_b = n - 1 - pos_b
-    v = psi.reshape((2,) * n)
-    v = np.moveaxis(v, (ax_a, ax_b), (0, 1))
-    shape = v.shape
-    out = (gate @ v.reshape(4, -1)).reshape(shape)
-    psi[:] = np.moveaxis(out, (0, 1), (ax_a, ax_b)).reshape(-1)
+    ax_a, ax_b = n - 1 - pos_a, n - 1 - pos_b
+    shape = (2,) * n + psi.shape[1:]
+    np.matmul(gate, np.moveaxis(psi.reshape(shape), (ax_a, ax_b), (0, 1)).reshape(4, -1),
+              out=psi.reshape(4, -1))
+    psi[...] = np.moveaxis(psi.reshape(shape), (0, 1), (ax_a, ax_b)).reshape(psi.shape)
 
 
 # ---------------------------------------------------------------------------
-# exp(i theta P) on a statevector, P a Hermitian Pauli given by its dense action
+# exp(i theta P) on the amplitude axis, P a Hermitian Pauli by its gather pair
 
-def pauli_rotation(psi, x_dense, phases, theta):
-    """In-place exp(i*theta*P)|psi> with P[r^x, r] = phases[r], the pair
-    ``PauliString.dense_action`` returns."""
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    if x_dense == 0:
+def pauli_rotation(psi, source, phases, theta):
+    """In-place exp(i*theta*P) psi with (P psi)[s] = phases[s] * psi[source[s]],
+    the pair ``PauliString.dense_action`` returns. Holds one copy of psi."""
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    phases = phases.reshape(phases.shape + (1,) * (psi.ndim - 1))
+    if source[0] == 0:  # x = 0: P is diagonal
         psi *= cos_t + 1j * sin_t * phases
     else:
-        ppsi = (phases * psi)[np.arange(psi.size) ^ x_dense]
+        ppsi = psi[source]
+        np.multiply(phases, ppsi, out=ppsi)
         psi *= cos_t
-        psi += 1j * sin_t * ppsi
+        psi += np.multiply(1j * sin_t, ppsi, out=ppsi)
     return psi
 
 

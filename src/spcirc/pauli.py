@@ -129,20 +129,16 @@ class PauliString:
         """The same string with the phase stripped."""
         return PauliString(self.n, self.x_mask, self.z_mask, 0)
 
-    def dense_masks(self) -> tuple[int, int]:
-        """(x, z) masks re-indexed to dense bit positions (qubit j -> n-j)."""
-        xd = zd = 0
-        for j in range(self.n):
-            xd |= ((self.x_mask >> j) & 1) << (self.n - 1 - j)
-            zd |= ((self.z_mask >> j) & 1) << (self.n - 1 - j)
-        return xd, zd
-
-    def dense_action(self) -> tuple[int, np.ndarray]:
-        """(x, phases) with P|r> = phases[r] |r ^ x> on dense indices r:
-        phases[r] = i**(phase_exp + y_count) * (-1)**popcount(z_dense & r)."""
-        xd, zd = self.dense_masks()
+    def dense_action(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gather pair (source, phases): (P v)[s] = phases[s] * v[source[s]]
+        along axis 0 of v, with source[s] = s ^ x_dense and
+        phases[s] = i**(phase_exp + y_count) * (-1)**popcount(z_dense & source[s]).
+        source[0] is x_dense, so it is 0 exactly when P is diagonal."""
+        # the dense masks: qubit j -> bit n - j, each mask's n-bit string reversed
+        xd, zd = (int(f"{m:0{self.n}b}"[::-1], 2) for m in (self.x_mask, self.z_mask))
+        source = np.arange(2**self.n) ^ xd
         base = 1j ** ((self.phase_exp + self.y_count) % 4)
-        return xd, base * (1.0 - 2.0 * (np.bitwise_count(np.arange(2**self.n) & zd) & 1))
+        return source, base * (1.0 - 2.0 * (np.bitwise_count(source & zd) & 1))
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
@@ -244,14 +240,12 @@ def check_dense(n: int) -> None:
 
 
 def to_dense(p: PauliString) -> np.ndarray:
-    """Dense 2**n x 2**n matrix, built in O(4**n) from the mask action
-    (``PauliString.dense_action``)."""
+    """Dense 2**n x 2**n matrix, built in O(4**n) from the gather pair
+    (``PauliString.dense_action``): row s holds phases[s] in column source[s]."""
     check_dense(p.n)
-    d = 2 ** p.n
-    xd, phases = p.dense_action()
-    idx = np.arange(d)
-    m = np.zeros((d, d), dtype=complex)
-    m[idx ^ xd, idx] = phases
+    source, phases = p.dense_action()
+    m = np.zeros((source.size, source.size), dtype=complex)
+    np.put_along_axis(m, source[:, None], phases[:, None], axis=1)
     return m
 
 

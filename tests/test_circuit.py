@@ -28,7 +28,14 @@ from spcirc.circuit import (
 from spcirc.errors import CapacityError, DomainError
 from spcirc.lie_closure import theorem1_generators
 from spcirc.pauli import PauliString, to_dense
-from spcirc.sampler import RngStream, is_symplectic, is_unitary, omega, symplectic_defect
+from spcirc.sampler import (
+    RngStream,
+    is_symplectic,
+    is_unitary,
+    omega,
+    sample_block,
+    symplectic_defect,
+)
 
 
 def rot(label, theta):
@@ -78,6 +85,26 @@ def test_apply_equals_unitary_action():
     u = to_unitary(circ)
     out = apply(circ, StateVector(3, psi))
     assert np.allclose(out.amplitudes, u @ psi, atol=1e-11)
+
+
+def unitary_by_columns(circ):
+    """The per-column definition: column k is the circuit applied to |k>."""
+    return np.column_stack([apply(circ, initial_state(circ.n, k)).amplitudes
+                            for k in range(2**circ.n)])
+
+
+def test_one_pass_unitary_matches_the_column_definition():
+    gen = RngStream(33, "circuit").generator()
+    for n in range(1, 7):
+        gates = [rot("".join(gen.choice(list("IXYZ"), size=n)), float(gen.uniform(-3, 3)))
+                 for _ in range(2 * n)]
+        if n >= 2:  # blocks on neighbours and on qubits apart, either way round
+            for group in ("sp2", "o4", "sp2"):
+                i, j = map(int, gen.choice(np.arange(1, n + 1), size=2, replace=False))
+                gates.append(HaarBlock((i, j), group, sample_block(group, gen)))
+            gates += build_bricklayer(n, 1, gen).gates
+        circ = CircuitSpec(n, gates)
+        assert np.allclose(to_unitary(circ), unitary_by_columns(circ), rtol=0, atol=1e-12), n
 
 
 def test_norm_preserved():

@@ -548,6 +548,17 @@ def test_depth_sweep_matches_the_label_engine(tmp_path, capsys):
         assert np.all(np.abs(z - z_ref) <= 1e-12 * np.abs(z_ref) + 1e-15), row["n"]
 
 
+def test_depth_sweep_writes_the_trace_in_full_precision(tmp_path, capsys):
+    out = tmp_path / "depth.csv"
+    run_json(["anticoncentration-depth", "--n-min", "20", "--n-max", "20",
+              "--out", str(out)], capsys)
+    with open(out, newline="") as f:
+        (row,) = csv.DictReader(f)
+    trace = json.loads(row["z_trace"])
+    assert len(trace) == int(row["n_L_star"]) + 1
+    assert trace == moment.collision_trace(20, len(trace) - 1)
+
+
 def test_depth_unreached_column_empty(tmp_path, capsys):
     out = tmp_path / "depth.csv"
     env = run_json(
@@ -746,6 +757,15 @@ PLAN_FAILURES = [
                  id="depth-zero-max-layers"),
     pytest.param(["anticoncentration-depth", "--max-layers", "-1", "--out", "{tmp}/d.csv"], 1,
                  id="depth-negative-max-layers"),
+    # layer counts past sys.maxsize, which itertools.islice refuses
+    pytest.param(["collision", "--n", "3", "--layers", "99999999999999999999"], 1,
+                 id="collision-layers-past-maxsize"),
+    pytest.param(["anticoncentration-depth", "--max-layers", "99999999999999999999",
+                  "--out", "{tmp}/d.csv"], 1, id="depth-max-layers-past-maxsize"),
+    # a target below the rounding of the propagated z would read as unreached
+    pytest.param(["anticoncentration-depth", "--n-min", "10", "--n-max", "12",
+                  "--epsilon", "1e-14", "--out", "{tmp}/d.csv"], 1,
+                 id="depth-epsilon-below-resolution"),
     # the byte rule is the closure's only cap, and --max-dim has no effect
     pytest.param(["closure", "--set", "theorem1", "--n", "8"], 0, id="closure-n8-needs-no-cap"),
     pytest.param(["closure", "--set", "theorem1", "--n", "13"], 2, id="closure-n13-over-budget"),

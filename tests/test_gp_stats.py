@@ -80,10 +80,10 @@ def projection_overlap(a, b):
     r = np.arange(d)
     total = 0.0
     for p in enumerate_sp_basis(a.n):
-        xd, phases = p.dense_action()
-        # Tr[P rho] = sum_r P[r^x, r] rho[r, r^x]
-        total += (np.real(np.sum(phases * ra[r, r ^ xd]))
-                  * np.real(np.sum(phases * rb[r, r ^ xd])))
+        source, phases = p.dense_action()
+        # Tr[P rho] = sum_r (P rho)[r, r] = sum_r phases[r] rho[source[r], r]
+        total += (np.real(np.sum(phases * ra[source, r]))
+                  * np.real(np.sum(phases * rb[source, r])))
     return total / d
 
 

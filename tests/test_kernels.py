@@ -16,6 +16,17 @@ def random_state(n, seed):
     return v / np.linalg.norm(v)
 
 
+def random_batch(n, shape, seed):
+    gen = np.random.default_rng(seed)
+    return gen.standard_normal((2**n,) + shape) + 1j * gen.standard_normal((2**n,) + shape)
+
+
+def columns(batch):
+    """Each vector of a batch along axis 0, as its own contiguous array."""
+    flat = batch.reshape(batch.shape[0], -1)
+    return [np.ascontiguousarray(flat[:, k]) for k in range(flat.shape[1])]
+
+
 def embed_gate(gate, n, pos_a, pos_b):
     """Dense 2**n unitary with `gate` on bit positions (pos_a, pos_b)."""
     d = 2**n
@@ -49,11 +60,46 @@ def test_pauli_rotation_matches_expm():
     theta = 0.37
     for label in ["XYZ", "ZZI", "IIY", "YIY", "ZIZ"]:
         p = PauliString.from_label(label)
-        xd, phases = p.dense_action()
         psi = random_state(3, 7)
         expected = expm(1j * theta * to_dense(p)) @ psi
-        got = kernels.pauli_rotation(psi.copy(), xd, phases, theta)
+        got = kernels.pauli_rotation(psi.copy(), *p.dense_action(), theta)
         assert np.allclose(got, expected, atol=1e-12), label
+
+
+# -- the batch axis: axes after the first are independent vectors ------------
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_apply_gate_on_a_batch_equals_single_vector_calls(shape):
+    gen = np.random.default_rng(44)
+    gate = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+    # (n-1, n-2) leaves the gate's axes in front and (n-2, n-1) swaps them
+    for n, pa, pb in [(2, 1, 0), (2, 0, 1), (4, 3, 2), (4, 2, 3), (4, 0, 3), (5, 1, 3)]:
+        batch = random_batch(n, shape, 45 + n)
+        singles = columns(batch)
+        kernels.apply_gate_2q(batch, gate, pa, pb)
+        for k, (vec, got) in enumerate(zip(singles, columns(batch))):
+            kernels.apply_gate_2q(vec, gate, pa, pb)
+            # to rounding: the gemm may sum in another order at another width
+            assert np.allclose(got, vec, rtol=1e-14, atol=1e-14), (n, pa, pb, k)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_pauli_rotation_on_a_batch_equals_single_vector_calls(shape):
+    theta = -1.1
+    for label in ["XYZI", "ZZIZ", "IIYI", "-YIXY", "IIII"]:
+        source, phases = PauliString.from_label(label).dense_action()
+        batch = random_batch(4, shape, 46)
+        singles = columns(batch)
+        assert kernels.pauli_rotation(batch, source, phases, theta) is batch
+        for k, (vec, got) in enumerate(zip(singles, columns(batch))):
+            kernels.pauli_rotation(vec, source, phases, theta)
+            assert np.array_equal(got, vec), (label, k)
+
+
+def test_apply_gate_refuses_an_array_it_cannot_write_in_place():
+    batch = random_batch(3, (2,), 47)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels.apply_gate_2q(batch[:, 0], np.eye(4, dtype=complex), 1, 0)
 
 
 def test_transfer_apply_matches_einsum():

@@ -422,6 +422,24 @@ def test_depth_max_layers_validation(max_layers):
         depth_to_anticoncentrate(3, epsilon=0.01, max_layers=max_layers)
 
 
+def test_layer_counts_past_maxsize_are_refused_by_name():
+    with pytest.raises(DomainError, match="sys.maxsize"):
+        check_depth(3, 0.01, sys.maxsize + 1)
+    with pytest.raises(DomainError, match="sys.maxsize"):
+        check_propagation(3, sys.maxsize + 1)
+    check_propagation(3, sys.maxsize)
+
+
+def test_depth_refuses_an_epsilon_below_the_resolution():
+    """epsilon/2 must exceed max_layers * n * 2**-52, so the bound moves
+    with the layer budget and with n."""
+    check_depth(10, 0.01, 500)
+    check_depth(10, 1e-13, 20)  # 20 * 10 * 2**-52 = 4.4e-14
+    for n, epsilon, max_layers in [(10, 1e-14, 500), (10, 1e-13, 25), (12, 1e-12, 200)]:
+        with pytest.raises(DomainError, match="resolution"):
+            check_depth(n, epsilon, max_layers)
+
+
 def test_fit_log_depth_recovers_exact_data():
     ns = np.array([2, 4, 8, 16])
     depths = 3.0 * np.log(ns) + 1.5

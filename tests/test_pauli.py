@@ -50,8 +50,8 @@ def test_label_qubit_one_is_leftmost():
     p = PauliString.from_label("XI")
     assert p.factor(1) == "X" and p.factor(2) == "I"
     assert p.x_mask == 1 and p.z_mask == 0
-    # dense masks flip to qubit 1 = MSB
-    assert p.dense_masks() == (2, 0)
+    # dense masks flip to qubit 1 = MSB: source[0] is the dense x mask
+    assert p.dense_action()[0][0] == 2
 
 
 def test_bad_labels_rejected():
@@ -84,6 +84,20 @@ def test_dense_matches_kron_exhaustive_n2():
 @given(pauli_strings(max_n=3))
 def test_dense_matches_kron_property(p):
     assert np.allclose(to_dense(p), to_dense_kron(p), atol=0)
+
+
+def test_gather_pair_reproduces_the_kronecker_matrix():
+    """Row s of P holds phases[s] in column source[s], and nothing else."""
+    gen = np.random.default_rng(6)
+    strings = list(all_strings(2, phases=range(4))) + [
+        PauliString(n, *map(int, gen.integers(0, 2**n, size=2)), int(gen.integers(4)))
+        for n in (1, 3, 4, 5) for _ in range(12)]
+    for p in strings:
+        source, phases = p.dense_action()
+        d = 2**p.n
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(d), source] = phases
+        assert np.array_equal(m, to_dense_kron(p)), p
 
 
 def test_dense_limit():
