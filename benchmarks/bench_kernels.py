@@ -37,8 +37,8 @@ def bench_apply_gate(n=14, gates=100):
 
     def run():
         work = psi.copy()
-        for g, (a, b) in zip(qr, pos):
-            kernels.apply_gate_2q(work, g, int(a), int(b))
+        for g, legs in zip(qr, pos):
+            kernels.apply_gate(work, g, legs)
 
     return run
 
@@ -112,7 +112,7 @@ def bench_haar_draw(d=256, k=None, draws=20):
 
 
 BENCHES = [
-    ("apply_gate_2q (n=14, 100 gates)", bench_apply_gate),
+    ("apply_gate (n=14, 100 2-leg gates)", bench_apply_gate),
     ("pauli_rotation (n=14, 100 rotations)", bench_pauli_rotation),
     ("transfer_apply (n=20, half layer)", bench_transfer),
     ("lie closure (theorem1, n=10, dim 524800)", bench_closure),

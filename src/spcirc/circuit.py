@@ -193,7 +193,7 @@ def _apply_inplace(circ: CircuitSpec, amp: np.ndarray, check_norm: bool) -> None
                 )
             i, j = g.qubits
             gate = np.ascontiguousarray(g.matrix, dtype=complex)
-            kernels.apply_gate_2q(amp, gate, n - i, n - j)
+            kernels.apply_gate(amp, gate, (n - i, n - j))
         if check_norm and abs(np.linalg.norm(amp) - 1.0) > 1e-12:
             raise DomainError("statevector norm drifted past 1e-12")
 

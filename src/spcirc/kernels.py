@@ -1,7 +1,7 @@
 """Hot numerical kernels, vectorized with numpy.
 
-Four kernels carry the package's inner loops: ``apply_gate_2q`` and
-``pauli_rotation`` for the statevector simulator, ``transfer_apply`` for the
+Four kernels carry the package's inner loops: ``apply_gate`` and
+``pauli_rotation`` on the amplitude axis, ``transfer_apply`` for the
 second-moment propagator's block steps and ``closure_round`` for the Lie closure.
 ``benchmarks/bench_kernels.py`` times each one on a representative workload.
 
@@ -15,12 +15,12 @@ for their temporaries to stay in cache.
 
 Conventions shared with the rest of the package:
 
-- amplitudes run along axis 0 of a complex array and further axes are a
-  batch; qubit j (1-based, leftmost factor) is dense bit n - j (qubit 1 = MSB);
+- amplitudes run along axis 0 of an array and further axes are a batch;
+  qubit j (1-based, leftmost factor) is dense bit n - j (qubit 1 = MSB);
 - a Pauli P acts by its gather pair ``PauliString.dense_action()``:
   (P psi)[s] = phases[s] * psi[source[s]];
-- two-qubit gate matrices are 4x4 with index 2*b_a + b_b where b_a is the bit
-  at ``pos_a`` and b_b the bit at ``pos_b``;
+- a gate on k legs at dense bit positions (p_1, ..., p_k) is 2**k x 2**k with
+  index sum_m b_m * 2**(k - m), b_m the bit at p_m (2*b_a + b_b for k = 2);
 - second-moment tensors are 1-D float64 arrays in row-major axis order;
   ``transfer_apply`` reads one as (L, din, R) and writes (L, dout, R), so
   the axes around the contracted ones stay in place. It is one gemm when
@@ -34,21 +34,23 @@ HAS_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# two-qubit dense gate on the amplitude axis
+# k-leg dense gate on axis 0
 
-def apply_gate_2q(psi, gate, pos_a, pos_b):
-    """Apply a 4x4 gate in place at dense bit positions (pos_a, pos_b) of axis 0
-    of the C-contiguous psi, holding one copy of psi at a time: the product
-    goes into psi with the gate's axes in front and is then moved back."""
+def apply_gate(psi, gate, positions):
+    """Apply a 2**k x 2**k gate in place at the k distinct dense bit
+    ``positions`` of axis 0 of the C-contiguous psi, holding one copy of psi
+    at a time: the product goes into psi with the gate's legs in front and
+    is then moved back. A repeated position raises ValueError."""
     if not psi.flags.c_contiguous:
-        raise ValueError("apply_gate_2q writes in place into a C-contiguous array")
+        raise ValueError("apply_gate writes in place into a C-contiguous array")
     n = psi.shape[0].bit_length() - 1
-    # axis k of the (2,)*n view corresponds to dense bit position n-1-k
-    ax_a, ax_b = n - 1 - pos_a, n - 1 - pos_b
+    # axis a of the (2,)*n view corresponds to dense bit position n-1-a
+    axes = [n - 1 - p for p in positions]
+    legs = range(len(axes))
     shape = (2,) * n + psi.shape[1:]
-    np.matmul(gate, np.moveaxis(psi.reshape(shape), (ax_a, ax_b), (0, 1)).reshape(4, -1),
-              out=psi.reshape(4, -1))
-    psi[...] = np.moveaxis(psi.reshape(shape), (0, 1), (ax_a, ax_b)).reshape(psi.shape)
+    np.matmul(gate, np.moveaxis(psi.reshape(shape), axes, legs).reshape(len(gate), -1),
+              out=psi.reshape(len(gate), -1))
+    psi[...] = np.moveaxis(psi.reshape(shape), legs, axes).reshape(psi.shape)
 
 
 # ---------------------------------------------------------------------------

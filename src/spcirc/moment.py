@@ -274,14 +274,18 @@ class LabelVector:
         return tuple(len(a) for a in self.alphabets)
 
 
+def _check_layers(layers: int) -> None:
+    if not 0 <= layers <= sys.maxsize:
+        raise DomainError(f"layer count {layers} outside 0..{sys.maxsize} (sys.maxsize)")
+
+
 def check_propagation(n: int, layers: int = 0) -> None:
     """Checks of ``propagate`` and the z contractions after it: n >= 2, layers
     within what ``itertools.islice`` takes, and per coefficient of the largest
     tensor, 3^(floor(n/2) + 1), three float64 arrays (24 B): the vector a layer
     starts from, which its caller holds, and the input and output of one block
     step. The z contraction's partial sums are smaller."""
-    if not 0 <= layers <= sys.maxsize:
-        raise DomainError(f"layer count {layers} outside 0..{sys.maxsize} (sys.maxsize)")
+    _check_layers(layers)
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     check_bytes(f"second-moment propagation at n = {n}", 24, 3, n // 2 + 1)
@@ -439,34 +443,25 @@ def fit_log_depth(ns, depths) -> LogFit:
 
 def dense_second_moment(n: int, layers: int) -> np.ndarray:
     """E[rho (x) rho] after the given layer count, built by composing exact
-    per-block twirl superoperators on the full 4^n-dimensional space."""
+    per-block twirl superoperators on the full 4^n-dimensional space: each
+    acts as an 8-leg ``kernels.apply_gate`` on the operator's 4n bits."""
+    _check_layers(layers)
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    # per entry: three float64 copies of the operator (m, its moved copy and the
-    # product) and 8 B, which bound the 256 x 256 block superoperators from n = 5
-    check_bytes(f"the dense second moment at n = {n}", 32, 16, n)
+    # per entry: two float64 copies of the operator (m and the copy the gate
+    # step moves) and 8 B, which bound the 256 x 256 block superoperators from n = 5
+    check_bytes(f"the dense second moment at n = {n}", 24, 16, n)
     dim = 4**n
     m = np.zeros((dim, dim))
     m[0, 0] = 1.0
-    # axes: rows (copy1 qubits 1..n, copy2 qubits 1..n), then columns likewise
-    shape = (2,) * (4 * n)
     supers = {group: brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group])
               for _, group in circuit.brick_layer(n)}
+    # the 4n bits, most significant first: rows (copy 1 qubits 1..n, copy 2
+    # qubits 1..n), then columns likewise; a block acts on qubits i, i + 1 of each
     for _ in range(layers):
         for i, group in circuit.brick_layer(n):
-            s = supers[group]
-            axes = [
-                i - 1, i,                     # rows, copy 1
-                n + i - 1, n + i,             # rows, copy 2
-                2 * n + i - 1, 2 * n + i,     # cols, copy 1
-                3 * n + i - 1, 3 * n + i,     # cols, copy 2
-            ]
-            t = np.moveaxis(m.reshape(shape), axes, range(8))
-            rest = t.shape[8:]
-            flat = np.ascontiguousarray(t.reshape(256, -1))
-            flat = s @ flat
-            t = np.moveaxis(flat.reshape((2,) * 8 + rest), range(8), axes)
-            m = t.reshape(dim, dim)
+            legs = [4 * n - 1 - (k * n + q) for k in range(4) for q in (i - 1, i)]
+            kernels.apply_gate(m.reshape(-1), supers[group], legs)
     return m
 
 
@@ -479,6 +474,8 @@ def dense_collision(m: np.ndarray, n: int) -> float:
 
 def monte_carlo_collision(n: int, layers: int, n_samples: int, rng):
     """Sampled z over brick-layer circuits; returns (mean, standard error)."""
+    if n_samples < 2:
+        raise DomainError(f"the standard error needs at least 2 samples, got {n_samples}")
     gen = as_generator(rng)
     psi0 = circuit.initial_state(n)
     vals = np.empty(n_samples)
@@ -487,5 +484,4 @@ def monte_carlo_collision(n: int, layers: int, n_samples: int, rng):
         amp = circuit.apply(circ, psi0).amplitudes
         p = np.abs(amp) ** 2
         vals[k] = float(np.sum(p * p))
-    se = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return float(vals.mean()), se
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))

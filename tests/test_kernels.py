@@ -27,33 +27,64 @@ def columns(batch):
     return [np.ascontiguousarray(flat[:, k]) for k in range(flat.shape[1])]
 
 
-def embed_gate(gate, n, pos_a, pos_b):
-    """Dense 2**n unitary with `gate` on bit positions (pos_a, pos_b)."""
-    d = 2**n
-    u = np.zeros((d, d), dtype=complex)
-    rest = [p for p in range(n - 1, -1, -1) if p not in (pos_a, pos_b)]
-    for col in range(d):
-        ba = (col >> pos_a) & 1
-        bb = (col >> pos_b) & 1
-        base = col & ~((1 << pos_a) | (1 << pos_b))
-        for out in range(4):
-            row = base | ((out >> 1) << pos_a) | ((out & 1) << pos_b)
-            u[row, col] = gate[out, 2 * ba + bb]
-    del rest
+def random_gate(k, gen):
+    return gen.standard_normal((2**k, 2**k)) + 1j * gen.standard_normal((2**k, 2**k))
+
+
+def embed_gate(gate, n, positions):
+    """Dense 2**n unitary with `gate` on the bit positions, the first the
+    most significant bit of the gate's index."""
+    k = len(positions)
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    rest = ~sum(1 << p for p in positions)
+    for col in range(2**n):
+        bits = sum(((col >> p) & 1) << (k - 1 - m) for m, p in enumerate(positions))
+        for out in range(2**k):
+            row = (col & rest) | sum(((out >> (k - 1 - m)) & 1) << p
+                                     for m, p in enumerate(positions))
+            u[row, col] = gate[out, bits]
     return u
+
+
+# (n, positions) for k = 1, 2 and 3 legs, adjacent and not, ascending and
+# descending: (n-1, ..., n-k) leaves the legs in front and any other order moves them
+GATE_CASES = [
+    (2, (1,)), (3, (0,)), (4, (2,)),
+    (2, (1, 0)), (2, (0, 1)), (3, (2, 0)), (4, (3, 2)), (4, (2, 3)), (4, (1, 3)),
+    (4, (0, 2)), (4, (0, 3)), (5, (1, 3)),
+    (3, (2, 1, 0)), (3, (0, 1, 2)), (4, (1, 0, 2)), (5, (4, 1, 2)), (5, (0, 2, 4)),
+    (6, (5, 3, 0)),
+]
 
 
 # -- oracle agreement ---------------------------------------------------------
 
 def test_apply_gate_matches_dense_embedding():
     gen = np.random.default_rng(41)
-    gate = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-    for n, pa, pb in [(2, 1, 0), (3, 2, 0), (4, 1, 3), (4, 0, 2)]:
+    for n, positions in GATE_CASES:
+        gate = random_gate(len(positions), gen)
         psi = random_state(n, 42 + n)
-        expected = embed_gate(gate, n, pa, pb) @ psi
+        expected = embed_gate(gate, n, positions) @ psi
         got = psi.copy()
-        kernels.apply_gate_2q(got, gate, pa, pb)
-        assert np.allclose(got, expected, atol=1e-12), (n, pa, pb)
+        kernels.apply_gate(got, gate, positions)
+        assert np.allclose(got, expected, atol=1e-12), (n, positions)
+
+
+def test_apply_gate_on_eight_legs_matches_einsum():
+    """The dense second-moment oracle's case: a float64 256 x 256 gate on
+    eight legs, two per group of bits, each pair descending."""
+    gen = np.random.default_rng(48)
+    n, positions = 10, (9, 8, 6, 5, 4, 3, 1, 0)
+    gate = gen.standard_normal((256, 256))
+    psi = gen.standard_normal(2**n)
+    axes = [n - 1 - p for p in positions]
+    outs = list(range(n, n + 8))
+    result = [outs[axes.index(a)] if a in axes else a for a in range(n)]
+    expected = np.einsum(gate.reshape((2,) * 16), outs + axes,
+                         psi.reshape((2,) * n), list(range(n)), result).reshape(-1)
+    got = psi.copy()
+    kernels.apply_gate(got, gate, positions)
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_pauli_rotation_matches_expm():
@@ -71,16 +102,15 @@ def test_pauli_rotation_matches_expm():
 @pytest.mark.parametrize("shape", [(5,), (2, 3)])
 def test_apply_gate_on_a_batch_equals_single_vector_calls(shape):
     gen = np.random.default_rng(44)
-    gate = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-    # (n-1, n-2) leaves the gate's axes in front and (n-2, n-1) swaps them
-    for n, pa, pb in [(2, 1, 0), (2, 0, 1), (4, 3, 2), (4, 2, 3), (4, 0, 3), (5, 1, 3)]:
+    for n, positions in GATE_CASES:
+        gate = random_gate(len(positions), gen)
         batch = random_batch(n, shape, 45 + n)
         singles = columns(batch)
-        kernels.apply_gate_2q(batch, gate, pa, pb)
+        kernels.apply_gate(batch, gate, positions)
         for k, (vec, got) in enumerate(zip(singles, columns(batch))):
-            kernels.apply_gate_2q(vec, gate, pa, pb)
+            kernels.apply_gate(vec, gate, positions)
             # to rounding: the gemm may sum in another order at another width
-            assert np.allclose(got, vec, rtol=1e-14, atol=1e-14), (n, pa, pb, k)
+            assert np.allclose(got, vec, rtol=1e-14, atol=1e-14), (n, positions, k)
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 3)])
@@ -97,9 +127,17 @@ def test_pauli_rotation_on_a_batch_equals_single_vector_calls(shape):
 
 
 def test_apply_gate_refuses_an_array_it_cannot_write_in_place():
-    batch = random_batch(3, (2,), 47)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        kernels.apply_gate_2q(batch[:, 0], np.eye(4, dtype=complex), 1, 0)
+    for n, positions in GATE_CASES:
+        batch = random_batch(n, (2,), 47)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels.apply_gate(batch[:, 0], np.eye(2 ** len(positions), dtype=complex), positions)
+
+
+def test_apply_gate_refuses_a_repeated_position():
+    psi = random_state(3, 49)
+    with pytest.raises(ValueError, match="repeated"):
+        kernels.apply_gate(psi, np.eye(8, dtype=complex), (2, 0, 2))
+    assert np.array_equal(psi, random_state(3, 49))
 
 
 def test_transfer_apply_matches_einsum():

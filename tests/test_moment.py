@@ -381,12 +381,26 @@ def test_dense_zero_layers():
     assert dense_collision(m, 3) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("layers", [-1, sys.maxsize + 1, 10**30])
+def test_dense_layer_counts_out_of_range_are_refused_before_any_allocation(
+        layers, checked_only):
+    checked_only(moment)  # a byte check reached would raise Checked
+    with pytest.raises(DomainError, match="sys.maxsize"):
+        dense_second_moment(2, layers)
+
+
 def test_monte_carlo_agrees():
     n, layers = 3, 2
     z = collision_probability(propagate(initial_label_vector(n), layers))
     est, se = monte_carlo_collision(n, layers, 1500, RngStream(51, "mc"))
     assert abs(est - z) <= 5 * se
     assert se < 0.05
+
+
+@pytest.mark.parametrize("n_samples", [-1, 0, 1])
+def test_monte_carlo_needs_two_samples_for_its_error_bar(n_samples):
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        monte_carlo_collision(2, 1, n_samples, RngStream(51, "mc"))
 
 
 # -- anti-concentration depth -------------------------------------------------------------
