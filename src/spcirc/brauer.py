@@ -449,6 +449,8 @@ def monte_carlo_twirl(
     """Empirical mean of S^(x)t x (S^(x)t)^dag over Haar samples."""
     if group not in SAMPLERS:
         raise DomainError(f"unknown group {group!r}")
+    if n_samples < 1:
+        raise DomainError(f"the mean needs at least 1 sample, got {n_samples}")
     gen = as_generator(rng)
     acc = np.zeros((d**t, d**t), dtype=complex)
     for _ in range(n_samples):

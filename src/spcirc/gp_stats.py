@@ -52,7 +52,7 @@ from .circuit import check_basis_index
 from .errors import DomainError, check_bytes
 from .moment import z_haar
 from .pauli import PauliString, in_sp_algebra
-from .sampler import DEFAULT_TOL, RngStream, sample_sp_columns
+from .sampler import DEFAULT_TOL, RngStream, apply_omega, sample_sp_columns
 
 DEFAULT_BATCHES = 20
 
@@ -132,12 +132,6 @@ class StateSpec:
         return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
-def _omega_apply(v: np.ndarray) -> np.ndarray:
-    """Omega v for Omega = [[0, I], [-I, 0]] = iY (x) I^(x)(n-1), along axis 0."""
-    m = v.shape[0] // 2
-    return np.concatenate([v[m:], -v[:m]])
-
-
 # ---------------------------------------------------------------------------
 # overlaps
 
@@ -147,7 +141,7 @@ def _overlaps(a: StateSpec, b: StateSpec) -> tuple:
     if a.n != b.n:
         raise DomainError("state size mismatch")
     plain = np.abs(a.vectors.conj().T @ b.vectors) ** 2
-    twisted = np.abs(a.vectors.T @ _omega_apply(b.vectors)) ** 2
+    twisted = np.abs(a.vectors.T @ apply_omega(b.vectors)) ** 2
     return (float(a.weights @ plain @ b.weights),
             -float(a.weights @ twisted @ b.weights))
 
@@ -329,7 +323,7 @@ def symplectic_frame(vectors) -> np.ndarray:
         if norm <= DEFAULT_TOL * np.linalg.norm(v):
             continue
         ws.append(r / norm)
-        frame = np.column_stack(ws + [-np.conj(_omega_apply(w)) for w in ws])
+        frame = np.column_stack(ws + [-np.conj(apply_omega(w)) for w in ws])
     return frame
 
 

@@ -11,7 +11,7 @@ generators only therefore reaches exactly the directions whose span is the
 closure, and the dimension is their count: O(dim * |G|) commutators, not the
 O(dim**2) of commuting with the whole basis. The generator families are the
 symplectic-universal chain set, the SU-universal local set, and the
-orthogonal Y/XY/YX chain.
+orthogonal Y/XY/YX chain. Membership in sp and so is ``pauli.in_algebra``'s.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, check_bytes
-from .pauli import PauliString
+from .pauli import RULE_KEYS, PauliString, in_algebra
 
 
 @dataclass(frozen=True)
@@ -129,45 +129,29 @@ def so_chain_generators(n: int, start: int = 1) -> GeneratorSet:
     return GeneratorSet(n, _chain(n, spec), "so-chain")
 
 
-def sp_directions(keys: np.ndarray, n: int) -> np.ndarray:
-    """``pauli.in_sp_algebra`` over keys (x << n) | z: a direction is in
-    sp(d/2) iff (first factor non-identity) + (Y count on the other qubits)
-    is odd."""
-    x, z = keys >> n, keys & ((1 << n) - 1)
-    return ((np.bitwise_count((x & z) >> 1) + ((x | z) & 1)) & 1).astype(bool)
-
-
-def antisymmetric_directions(keys: np.ndarray, n: int) -> np.ndarray:
-    """Directions with an odd Y count, i.e. P^T = -P."""
-    return (np.bitwise_count((keys >> n) & keys) & 1).astype(bool)
-
-
-# Keys per block of ``classify``'s rules: their int64 temporaries, 32 KiB
-# each, stay well below what a closure round has already held.
-_RULE_KEYS = 1 << 12
-
-
 def classify(n: int, keys: np.ndarray) -> str:
     """Map a commutator-closed set of directions, given by their keys, to
     sp | su | so | other.
 
-    sp: dimension d(d+1)/2 with every member an sp direction; su: dimension
-    d**2 - 1; so: dimension d(d-1)/2 with every member antisymmetric. The
-    rules run over blocks of keys, so their temporaries stay block-sized.
+    sp: dimension d(d+1)/2 with every member in ``pauli.in_algebra``'s "sp"
+    form; su: dimension d**2 - 1; so: dimension d(d-1)/2 with every member in
+    its "o" form. The rules run over blocks of keys, so their temporaries stay
+    block-sized.
     """
     d = 2 ** n
     dim = keys.size
 
-    def every(rule):
-        return all(rule(keys[i:i + _RULE_KEYS], n).all() for i in range(0, dim, _RULE_KEYS))
+    def every(form):
+        return all(in_algebra(keys[i:i + RULE_KEYS], n, form).all()
+                   for i in range(0, dim, RULE_KEYS))
 
     if dim == 0:
         return "other"
-    if dim == d * (d + 1) // 2 and every(sp_directions):
+    if dim == d * (d + 1) // 2 and every("sp"):
         return "sp"
     if dim == d * d - 1:
         return "su"
-    if dim == d * (d - 1) // 2 and every(antisymmetric_directions):
+    if dim == d * (d - 1) // 2 and every("o"):
         return "so"
     return "other"
 

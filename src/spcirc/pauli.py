@@ -14,11 +14,12 @@ Kronecker product of the factors.
 Dense convention: qubit 1 is the most significant bit of the 2**n index
 (plain Kronecker order), so mask bit j-1 maps to dense bit position n-j.
 
-The symplectic form is Omega = i Y (x) I^(x)(n-1); a Pauli P generates a
-direction of sp(d/2) (i.e. iP is a member) iff either its first factor is in
-{X, Y, Z} and the remaining factors carry an even number of Y's, or the first
-factor is I and the remaining factors carry an odd number of Y's. This is
-equivalent to the dense condition P^T Omega = -Omega P.
+The symplectic form is the PauliString ``symplectic_form(n)``,
+Omega = iY (x) I^(x)(n-1), whose dense matrix is ``sampler.omega(2**n)``. The
+algebra of a form F is {M : M^T F = -F M}; "sp" names F = Omega and "o" names
+F = I. For a Pauli P, P^T = (-1)**y(P) P and P F = +-F P, so iP is a member
+iff y(P) + [P anticommutes with F] is odd: ``in_algebra`` reads this off keys
+(x << n) | z with one popcount, ``in_sp_algebra`` off one PauliString.
 """
 
 from __future__ import annotations
@@ -118,10 +119,6 @@ class PauliString:
     def y_count(self) -> int:
         return int(self.x_mask & self.z_mask).bit_count()
 
-    @property
-    def weight(self) -> int:
-        return int(self.x_mask | self.z_mask).bit_count()
-
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
 
@@ -177,26 +174,45 @@ def is_symmetric(p: PauliString) -> bool:
     return p.y_count % 2 == 0
 
 
-def in_sp_algebra(p: PauliString) -> bool:
-    """True iff iP is a member of sp(d/2) w.r.t. Omega = iY (x) I^(n-1).
+def symplectic_form(n: int) -> PauliString:
+    """Omega = iY (x) I^(x)(n-1), the form of sp(d/2)."""
+    return PauliString(n, 1, 1, 1)
 
-    First factor in {X, Y, Z} with an even Y-count on the rest, or first
-    factor I with an odd Y-count on the rest. For n = 1 this reduces to
-    p in {X, Y, Z} (the sp(1) = su(2) convention).
-    """
-    first_nontrivial = (p.x_mask | p.z_mask) & 1
-    rest_y = int((p.x_mask & p.z_mask) >> 1).bit_count()
-    if first_nontrivial:
-        return rest_y % 2 == 0
-    return rest_y % 2 == 1
+
+# form name -> the PauliString F whose algebra {M : M^T F = -F M} it names
+# (the names of ``brauer``'s forms)
+FORMS = {"sp": symplectic_form, "o": PauliString.identity}
+
+# Keys per block when ``in_algebra`` runs over many keys: its int64
+# temporaries, 32 KiB each, stay block-sized.
+RULE_KEYS = 1 << 12
+
+
+def in_algebra(keys: np.ndarray, n: int, form: str) -> np.ndarray:
+    """Which directions, given as int64 keys (x << n) | z, lie in the algebra
+    of ``form``: y(P) + [P anticommutes with F] is odd. The Y count is
+    popcount((k >> n) & k) and the anticommutation parity popcount(k & swap_F)
+    with swap_F = (z_F << n) | x_F, as in ``kernels.closure_round``; one
+    popcount of their xor gives the sum's parity."""
+    f = FORMS[form](n)
+    swap = (f.z_mask << n) | f.x_mask
+    return (np.bitwise_count(((keys >> n) & keys) ^ (keys & swap)) & 1).astype(bool)
+
+
+def in_sp_algebra(p: PauliString) -> bool:
+    """True iff iP is a member of sp(d/2) w.r.t. ``symplectic_form``: the
+    Y count plus [P anticommutes with Omega] is odd. For n = 1 this is
+    p in {X, Y, Z} (the sp(1) = su(2) convention)."""
+    return (p.y_count + (not commutes(p, symplectic_form(p.n)))) % 2 == 1
 
 
 # Bytes ``enumerate_sp_basis`` holds per entry of the 4**n table, of which the
 # d(d+1)/2 directions are a little over half: per direction one PauliString
 # (the object, its __dict__ and two mask ints past the small-int cache) and
-# its list slot. tracemalloc measured 112 B per direction at n = 8, 145 B at
-# n = 9, 161 B at n = 10 and 168 B (84 B per table entry) at n = 11, so
-# n = 11 is admitted and n = 12 refused.
+# its list slot; the keys pass the rule in blocks of ``RULE_KEYS``.
+# tracemalloc measured 116 B per direction at n = 8, 145 B at n = 9, 161 B at
+# n = 10 and 168 B (84 B per table entry) at n = 11, so n = 11 is admitted
+# and n = 12 refused.
 _BASIS_BYTES = 96
 
 
@@ -208,23 +224,16 @@ def check_basis(n: int) -> None:
 
 
 def enumerate_sp_basis(n: int) -> list[PauliString]:
-    """All d(d+1)/2 Pauli directions spanning sp(d/2), d = 2**n.
-
-    Ordered by the (x, z) masks of the trailing n-1 qubits, with first-factor
-    order X, Y, Z for the symmetric-rest strings.
-    """
+    """All d(d+1)/2 Pauli directions spanning sp(d/2), d = 2**n, in
+    ascending key (x << n) | z order: the keys 0 .. 4**n - 1 that pass
+    ``in_algebra``'s "sp" rule, in blocks."""
     check_basis(n)
+    mask = (1 << n) - 1
     out = []
-    for rest in range(4 ** (n - 1)):
-        xr = rest & ((1 << (n - 1)) - 1)
-        zr = rest >> (n - 1)
-        y_rest = int(xr & zr).bit_count()
-        if y_rest % 2 == 0:
-            for kind in "XYZ":
-                xb, zb = _MASKS[kind]
-                out.append(PauliString(n, (xr << 1) | xb, (zr << 1) | zb, 0))
-        else:
-            out.append(PauliString(n, xr << 1, zr << 1, 0))
+    for start in range(0, 4**n, RULE_KEYS):
+        keys = np.arange(start, min(start + RULE_KEYS, 4**n), dtype=np.int64)
+        out += [PauliString(n, k >> n, k & mask, 0)
+                for k in keys[in_algebra(keys, n, "sp")].tolist()]
     return out
 
 

@@ -446,6 +446,13 @@ def test_monte_carlo_twirl_converges():
     assert np.abs(approx - exact).max() <= 0.12
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_monte_carlo_twirl_needs_a_sample(n_samples):
+    # refused before the d**t x d**t accumulator, which at d = 10**6 could not be held
+    with pytest.raises(DomainError, match="at least 1 sample"):
+        monte_carlo_twirl(np.eye(4), 2, 10**6, "sp", n_samples, RngStream(25, "mc"))
+
+
 def test_orthogonal_twirl_route():
     # twirling over O keeps the o-form contraction coefficients real and
     # reproduces a projector: same dual-route structure as sp

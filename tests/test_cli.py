@@ -712,8 +712,10 @@ def plan_inputs(tmp_path):
     with a negative seed, a directory, a file that is not .npy, a 9 x 9
     operator, 16 x 16 operators with a NaN, an infinite or a 1e308 entry, a
     .npy whose header alone claims a 2**20 x 2**20 operator, a gp config with one draw
-    per batch, one with 10**8 draws in vast/ and, for the empty --out
-    cases, a two-qubit circuit and a valid gp config in valid/."""
+    per batch, one with 10**8 draws in vast/, ones with schema version 2, 10
+    draws and one batch in schema2/, samples10/ and batches1/, a generators
+    file that holds one string and, for the empty --out cases, a two-qubit
+    circuit and a valid gp config in valid/."""
     (tmp_path / "c2.json").write_text(json.dumps({"n": 2, "gates": []}))
     (tmp_path / "c24.json").write_text(json.dumps({"n": 24, "gates": []}))
     (tmp_path / "c1e18.json").write_text(json.dumps({"n": 10**18, "gates": []}))
@@ -739,6 +741,11 @@ def plan_inputs(tmp_path):
     gp_config(tmp_path / "valid")
     (tmp_path / "vast").mkdir()
     gp_config(tmp_path / "vast", samples=10**8)
+    for name, overrides in [("schema2", {"schema_version": 2}), ("samples10", {"samples": 10}),
+                            ("batches1", {"batches": 1})]:
+        (tmp_path / name).mkdir()
+        gp_config(tmp_path / name, **overrides)
+    (tmp_path / "gens-string.json").write_text(json.dumps("XY"))
     return tmp_path
 
 
@@ -811,6 +818,14 @@ PLAN_FAILURES = [
                   "--out", "{tmp}/o.csv"], 1, id="gp-config-directory"),
     pytest.param(["gp-summary", "--config", "{tmp}/gp.json", "--seed", "1",
                   "--threads", "1"], 1, id="gp-summary-samples-equal-batches"),
+    pytest.param(["gp-summary", "--config", "{tmp}/schema2/gp.json", "--seed", "1",
+                  "--threads", "1"], 1, id="gp-summary-schema-version-2"),
+    pytest.param(["gp-summary", "--config", "{tmp}/samples10/gp.json", "--seed", "1",
+                  "--threads", "1"], 1, id="gp-summary-samples-10"),
+    pytest.param(["gp-summary", "--config", "{tmp}/batches1/gp.json", "--seed", "1",
+                  "--threads", "1"], 1, id="gp-summary-one-batch"),
+    pytest.param(["closure", "--set", "custom", "--n", "2",
+                  "--generators", "{tmp}/gens-string.json"], 1, id="closure-generators-string"),
     # a tail needs one draw per batch, not the two of a batch covariance
     pytest.param(["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5",
                   "--seed", "1", "--threads", "1"], 0,

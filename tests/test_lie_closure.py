@@ -11,20 +11,20 @@ from spcirc import kernels
 from spcirc.errors import CapacityError, DomainError
 from spcirc.lie_closure import (
     GeneratorSet,
-    antisymmetric_directions,
     check_closure,
     classify,
     closure,
     prop2_generators,
     so_chain_generators,
-    sp_directions,
     theorem1_generators,
 )
 from spcirc.pauli import (
     PauliString,
     commutator,
     enumerate_sp_basis,
+    in_algebra,
     in_sp_algebra,
+    is_symmetric,
     sp_dimension,
 )
 
@@ -178,10 +178,11 @@ def keys(paulis):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_vectorised_rules_match_per_object_rules(n):
+    # the key rule of each form against its per-object rule
     paulis = [PauliString(n, k >> n, k & (2**n - 1)) for k in range(1, 4**n)]
-    assert sp_directions(keys(paulis), n).tolist() == [in_sp_algebra(p) for p in paulis]
-    assert (antisymmetric_directions(keys(paulis), n).tolist()
-            == [p.y_count % 2 == 1 for p in paulis])
+    per_object = {"sp": in_sp_algebra, "o": lambda p: not is_symmetric(p)}
+    for form, rule in per_object.items():
+        assert in_algebra(keys(paulis), n, form).tolist() == list(map(rule, paulis)), form
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -7,18 +7,21 @@ from hypothesis import strategies as st
 
 from spcirc.errors import CapacityError, DomainError
 from spcirc.pauli import (
+    FORMS,
     PauliString,
     commutator,
     commutes,
     enumerate_sp_basis,
+    in_algebra,
     in_sp_algebra,
     is_symmetric,
     multiply,
     sp_dimension,
+    symplectic_form,
     to_dense,
     to_dense_kron,
 )
-from spcirc.sampler import omega
+from spcirc.sampler import apply_omega, omega
 
 
 def all_strings(n, phases=(0,)):
@@ -168,23 +171,28 @@ def test_commutator_direction():
 
 # -- symplectic algebra membership ----------------------------------------------
 
-def dense_in_sp(p):
-    om = omega(2**p.n)
+def dense_in_algebra(p, form):
+    """M^T F = -F M for M = iP, with F = omega(d) for "sp" and F = I for "o"."""
+    f = omega(2**p.n) if form == "sp" else np.eye(2**p.n)
     m = 1j * to_dense(p)
-    return np.allclose(m.T @ om, -om @ m, atol=1e-12)
+    return np.allclose(m.T @ f, -f @ m, atol=1e-12)
 
 
 def test_omega_dense_is_canonical_block_form():
     for n in (1, 2, 3):
-        assert np.array_equal(to_dense(PauliString(n, 1, 1, 1)).real, omega(2**n))
+        assert np.array_equal(to_dense(symplectic_form(n)).real, omega(2**n))
+        assert np.array_equal(apply_omega(np.eye(2**n)), omega(2**n))
 
 
 def test_in_sp_algebra_matches_dense_exhaustive():
+    # the per-object rule and the key rule of both forms, on every Pauli
     for n in (1, 2, 3):
-        for p in all_strings(n):
-            if p.is_identity():
-                continue
-            assert in_sp_algebra(p) == dense_in_sp(p), p.to_label()
+        paulis = list(all_strings(n))
+        keys = np.array([(p.x_mask << n) | p.z_mask for p in paulis], dtype=np.int64)
+        for form in FORMS:
+            dense = [dense_in_algebra(p, form) for p in paulis]
+            assert in_algebra(keys, n, form).tolist() == dense, (n, form)
+        assert [in_sp_algebra(p) for p in paulis] == [dense_in_algebra(p, "sp") for p in paulis]
 
 
 def test_sp_member_count():
