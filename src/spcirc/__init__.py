@@ -6,14 +6,13 @@ statistics, and a second-moment label propagator.
 
 __version__ = "0.1.0"
 
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import CapacityError, DomainError
 from .pauli import PauliString, enumerate_sp_basis, sp_dimension
 from .sampler import RngStream, sample_orthogonal, sample_sp, sample_unitary
 
 __all__ = [
     "__version__",
     "CapacityError",
-    "ConsistencyError",
     "DomainError",
     "PauliString",
     "enumerate_sp_basis",

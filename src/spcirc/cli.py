@@ -1,14 +1,13 @@
 """Command-line interface: every experiment behind one entry point.
 
-Exit codes: 0 success, 1 domain/config error (with usage), 2 capacity error,
-3 failed internal cross-check. Stochastic subcommands require --seed;
-identical config + seed reproduce byte-identical CSV/NPY payloads. Every
-subcommand first builds a plan, which reads the inputs and makes every domain
-and capacity check of the run; --dry-run stops there, so a dry run fails
-exactly when the real run would. Results are wrapped in a JSON envelope on
-stdout: the config (every parsed option, plus what the plan read from the
-inputs), a build id, wall-clock seconds, and the payload (inline JSON or the
-path of the file written).
+Exit codes: 0 success, 1 domain/config error (with usage), 2 capacity error.
+Stochastic subcommands require --seed; identical config + seed reproduce
+byte-identical CSV/NPY payloads. Every subcommand first builds a plan, which
+reads the inputs and makes every domain and capacity check of the run;
+--dry-run stops there, so a dry run fails exactly when the real run would.
+Results are wrapped in a JSON envelope on stdout: the config (every parsed
+option, plus what the plan read from the inputs), a build id, wall-clock
+seconds, and the payload (inline JSON or the path of the file written).
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, brauer, circuit, gp_stats, lie_closure, moment
-from .errors import (CapacityError, ConsistencyError, DomainError, check_bytes, read_fields,
-                     read_kind)
+from .errors import CapacityError, DomainError, check_bytes, read_fields, read_kind
 from .pauli import PauliString
 from .sampler import SAMPLERS, RngStream, check_sample
 
@@ -488,9 +486,6 @@ def main(argv=None) -> int:
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
         return 2
-    except ConsistencyError as e:
-        print(f"consistency error: {e}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

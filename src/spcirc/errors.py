@@ -1,10 +1,10 @@
 """Error taxonomy shared by the library and the CLI.
 
 DomainError maps to CLI exit code 1 (bad parameters, mismatched sizes),
-CapacityError to exit code 2 (request exceeds a byte or count budget),
-ConsistencyError to exit code 3. ``read_fields`` and ``read_kind`` check the
-keys and value types of a JSON input document, the one check the CLI's JSON
-inputs get before the domain checks of the library.
+CapacityError to exit code 2 (request exceeds a byte or count budget).
+``read_fields`` and ``read_kind`` check the keys and value types of a JSON
+input document, the one check the CLI's JSON inputs get before the domain
+checks of the library.
 """
 
 # Bytes one call may hold at once.
@@ -17,11 +17,6 @@ class DomainError(ValueError):
 
 class CapacityError(RuntimeError):
     """Request exceeds a configured memory/size budget."""
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed (e.g. a basis re-expansion residual);
-    indicates a bug, not bad user input."""
 
 
 def check_bytes(what: str, nbytes: int, base: int = 1, exponent: int = 0) -> None:

@@ -169,11 +169,6 @@ def commutator(a: PauliString, b: PauliString) -> PauliString | None:
     return PauliString(a.n, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask, 0)
 
 
-def is_symmetric(p: PauliString) -> bool:
-    """True iff P^T = P, i.e. the Y-count is even."""
-    return p.y_count % 2 == 0
-
-
 def symplectic_form(n: int) -> PauliString:
     """Omega = iY (x) I^(x)(n-1), the form of sp(d/2)."""
     return PauliString(n, 1, 1, 1)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import spcirc
 from spcirc import brauer, circuit, cli, lie_closure, moment
 from spcirc.cli import main
-from spcirc.errors import MEMORY_LIMIT, CapacityError, ConsistencyError, DomainError
+from spcirc.errors import MEMORY_LIMIT, CapacityError, DomainError
 from spcirc.sampler import check_sample, symplectic_defect
 
 
@@ -910,15 +910,6 @@ def test_sample_byte_limit():
         check_sample("sp", 3346, 1)
     with pytest.raises(CapacityError):
         check_sample("u", 2**13, 1)  # the output alone is 1 GiB, its QR more
-
-
-def test_consistency_error_exits_three(monkeypatch, capsys):
-    def broken(*args):
-        raise ConsistencyError("re-expansion residual")
-
-    monkeypatch.setattr(moment, "block_step", broken)
-    code, _, err = run(["collision", "--n", "2", "--layers", "1"], capsys)
-    assert code == 3 and "consistency" in err and "Traceback" not in err
 
 
 def test_value_error_inside_the_run_is_not_hidden(monkeypatch, capsys):

@@ -24,7 +24,6 @@ from spcirc.pauli import (
     enumerate_sp_basis,
     in_algebra,
     in_sp_algebra,
-    is_symmetric,
     sp_dimension,
 )
 
@@ -180,7 +179,8 @@ def keys(paulis):
 def test_vectorised_rules_match_per_object_rules(n):
     # the key rule of each form against its per-object rule
     paulis = [PauliString(n, k >> n, k & (2**n - 1)) for k in range(1, 4**n)]
-    per_object = {"sp": in_sp_algebra, "o": lambda p: not is_symmetric(p)}
+    # iP is in so(d) iff P^T = -P, i.e. the Y count is odd
+    per_object = {"sp": in_sp_algebra, "o": lambda p: p.y_count % 2 == 1}
     for form, rule in per_object.items():
         assert in_algebra(keys(paulis), n, form).tolist() == list(map(rule, paulis)), form
 

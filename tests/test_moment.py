@@ -9,6 +9,7 @@ expansion of the twirled input label a.
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -157,6 +158,10 @@ def test_fixed_point_is_haar_value():
     for n in (3, 4):
         v = propagate(initial_label_vector(n), 60)
         assert collision_probability(v) == pytest.approx(z_haar(n), abs=1e-10)
+    # exact W tables: z stays on z_haar, with no drift linear in the layer count
+    for n in (2, 4, 8, 12, 16):
+        v = propagate(initial_label_vector(n), 1000)
+        assert abs(collision_probability(v) / z_haar(n) - 1) <= 1e-14, n
 
 
 def apply_block_reference(ref, bond, group):
@@ -302,6 +307,40 @@ def test_block_transfer_matches_the_gram_inverse_twirl(group):
         w = block_transfer(group, [(a, b)])
         c = brauer.twirl(copy_major(a, b), 2, 4, BLOCK_GROUPS[group]).coefficients
         assert np.abs(w[0] - c).max() <= 1e-12, (group, a, b)
+
+
+def fraction_solve(g, h):
+    """h g^-1 in exact rationals, g symmetric and invertible: Gauss-Jordan
+    elimination on the rows [g | h^T]."""
+    k = len(g)
+    rows = [[Fraction(x) for x in g[i]] + [Fraction(h[i])] for i in range(k)]
+    for c in range(k):
+        p = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[k] for row in rows]
+
+
+@pytest.mark.parametrize("group", ["sp2", "o4"])
+def test_block_transfer_is_the_exact_rational_rounded_once(group, monkeypatch):
+    """Every W-table row, bit for bit, against the Weingarten coefficients
+    H G^-1 solved in Fractions from the same integer one-qubit overlaps;
+    derived afresh, with neither the block superoperator nor a linear solve."""
+    monkeypatch.setattr(moment, "_TRANSFER_CACHE", {})
+    monkeypatch.setattr(brauer, "twirl_superoperator", None)
+    monkeypatch.setattr(np.linalg, "solve", None)
+    names = list(LABEL_OPS) + list(FACTORS)
+    ops = {a: qubit_operator(a) for a in names}
+    overlap = {(a, b): int(np.sum(ops[a] * ops[b])) for a in names for b in names}
+    diagrams = block_alphabet(group)
+    g = [[overlap[s[0], t[0]] * overlap[s[1], t[1]] for t in diagrams] for s in diagrams]
+    for a, b in product(names, names):
+        w = block_transfer(group, [(a, b)])[0]
+        c = fraction_solve(g, [overlap[a, s[0]] * overlap[b, s[1]] for s in diagrams])
+        assert [x.hex() for x in w] == [float(x).hex() for x in c], (group, a, b)
 
 
 def test_the_cache_stops_growing():

@@ -14,7 +14,6 @@ from spcirc.pauli import (
     enumerate_sp_basis,
     in_algebra,
     in_sp_algebra,
-    is_symmetric,
     multiply,
     sp_dimension,
     symplectic_form,
@@ -115,9 +114,11 @@ def test_hermitian_iff_even_phase():
 
 
 def test_symmetric_iff_even_y_count():
+    # P^T = P iff iP is not in so(d), the algebra of the "o" form
     for p in all_strings(2):
         m = to_dense(p)
-        assert np.allclose(m, m.T) == is_symmetric(p)
+        key = np.array([(p.x_mask << 2) | p.z_mask])
+        assert np.allclose(m, m.T) == (p.y_count % 2 == 0) == (not in_algebra(key, 2, "o")[0])
 
 
 # -- product and commutator ----------------------------------------------------
