@@ -1,7 +1,8 @@
 """Numerics toolkit for random quantum circuits with compact symplectic
 blocks: Pauli-string algebra, Lie closures, Haar samplers for SP(d/2) and
 friends, exact diagram twirls, circuit simulation, Gaussian-process
-statistics, and a second-moment label propagator.
+statistics, and an exact second-moment propagator in the Brauer-diagram
+basis.
 """
 
 __version__ = "0.1.0"

@@ -284,9 +284,12 @@ def gram_entry(mu: BrauerDiagram, nu: BrauerDiagram, d: int, form: str = "sp") -
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramMatrix:
-    """Gram matrix of diagram representatives plus its (pseudo)inverse."""
+    """Gram matrix of diagram representatives and its Weingarten matrix, the
+    inverse when regular and the pseudo-inverse when singular (``pseudo``:
+    d <= 2t - 2 for the symplectic form, d < t for the orthogonal one). Both
+    are computed by ``gram``."""
 
     t: int
     d: int
@@ -294,26 +297,11 @@ class GramMatrix:
     diagrams: tuple
     entries: np.ndarray
     pseudo: bool
-    _inverse: np.ndarray | None = None
+    weingarten: np.ndarray
 
     @property
     def delta(self) -> float:
         return -float(self.d) if self.form == "sp" else float(self.d)
-
-    def inverse(self) -> np.ndarray:
-        """Inverse when regular, pseudo-inverse when the Gram matrix is
-        singular (``pseudo``: d <= 2t - 2 for the symplectic form, d < t for
-        the orthogonal one): eigenvalues below 1e-12 of the largest are
-        dropped."""
-        if self._inverse is None:
-            if self.pseudo:
-                vals, vecs = np.linalg.eigh(self.entries)
-                keep = np.abs(vals) > 1e-12 * np.abs(vals).max()
-                inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-                self._inverse = (vecs * inv_vals) @ vecs.T
-            else:
-                self._inverse = np.linalg.inv(self.entries)
-        return self._inverse
 
 
 def check_gram(t: int, d: int, form: str = "sp") -> None:
@@ -341,7 +329,14 @@ def gram(t: int, d: int, form: str = "sp") -> GramMatrix:
             entries[i, j] = entries[j, i] = gram_entry(diagrams[i], diagrams[j], d, form)
     # the diagram matrices are linearly dependent exactly at these d
     pseudo = d <= 2 * t - 2 if form == "sp" else d < t
-    return GramMatrix(t, d, form, diagrams, entries, pseudo)
+    if pseudo:  # drop the eigenvalues below 1e-12 of the largest
+        vals, vecs = np.linalg.eigh(entries)
+        keep = np.abs(vals) > 1e-12 * np.abs(vals).max()
+        inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+        weingarten = (vecs * inv_vals) @ vecs.T
+    else:
+        weingarten = np.linalg.inv(entries)
+    return GramMatrix(t, d, form, diagrams, entries, pseudo, weingarten)
 
 
 def asymptotic_decomposition(g: GramMatrix) -> tuple[float, np.ndarray]:
@@ -417,7 +412,7 @@ def twirl(x: np.ndarray, t: int, d: int, group: str = "sp") -> TwirlResult:
     g, reps = _table(t, d, group)
     # diagram entries are 0 or +-1, so only the sum of rep * x could overflow
     m = np.array([np.sum(rep * x / s) for rep in reps])
-    coeff = g.inverse() @ m
+    coeff = g.weingarten @ m
     matrix = sum(c * rep for c, rep in zip(coeff, reps))
     # distance from x to its projection; zero iff x already lies in the span
     diff = x / s
@@ -440,7 +435,7 @@ def twirl_superoperator(t: int, d: int, group: str = "sp") -> np.ndarray:
                 d, 2 * t)
     g, reps = _table(t, d, group)
     f = np.stack([r.ravel() for r in reps], axis=1)
-    return f @ g.inverse() @ f.T
+    return f @ g.weingarten @ f.T
 
 
 def monte_carlo_twirl(

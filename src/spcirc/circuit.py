@@ -5,6 +5,9 @@ Two families: parametrized Pauli-rotation circuits over a generator set
 2-qubit blocks where the bond containing qubit 1 carries an SP(2) block and
 every other bond an O(4) block, which keeps the composite in SP(d/2).
 
+Every Haar block holds its drawn 4x4 matrix: the builders and the JSON
+reader draw each block before the CircuitSpec is made.
+
 Statevector layout follows kernels: qubit j (1-based, leftmost tensor
 factor) sits at dense bit position n - j.
 """
@@ -36,13 +39,13 @@ class Rotation:
 class HaarBlock:
     """A 4x4 block on ``qubits`` = (i, j), 1-based, i the leftmost factor.
 
-    ``matrix`` is the resolved Haar draw; None means not yet resolved
-    (serialized circuits resolve from their seed in gate order).
+    ``matrix`` is the block's Haar draw from ``group``; serialized circuits
+    draw it from their seed in gate order.
     """
 
     qubits: tuple
     group: str
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
 
 
 @dataclass
@@ -74,13 +77,10 @@ class CircuitSpec:
                 i, j = g.qubits
                 if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
                     raise DomainError(f"block qubits {g.qubits} out of range")
-                if g.matrix is not None and g.matrix.shape != (4, 4):
-                    raise DomainError(f"block matrix shape {g.matrix.shape}")
+                if np.shape(g.matrix) != (4, 4):
+                    raise DomainError(f"block matrix shape {np.shape(g.matrix)}, not (4, 4)")
             else:
                 raise DomainError(f"unknown gate {g!r}")
-
-    def gate_count(self) -> int:
-        return len(self.gates)
 
 
 @dataclass
@@ -95,13 +95,6 @@ class StateVector:
                 f"amplitude count {self.amplitudes.shape} != (2**{self.n},)"
             )
 
-    @classmethod
-    def basis(cls, n: int, index: int = 0) -> "StateVector":
-        check_basis_index(n, index)
-        amp = np.zeros(2**n, dtype=complex)
-        amp[index] = 1.0
-        return cls(n, amp)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -113,7 +106,11 @@ def check_basis_index(n: int, index: int) -> None:
 
 
 def initial_state(n: int, index: int = 0) -> StateVector:
-    return StateVector.basis(n, index)
+    """The computational basis state |index>."""
+    check_basis_index(n, index)
+    amp = np.zeros(2**n, dtype=complex)
+    amp[index] = 1.0
+    return StateVector(n, amp)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +183,6 @@ def _apply_inplace(circ: CircuitSpec, amp: np.ndarray, check_norm: bool) -> None
         if isinstance(g, Rotation):
             kernels.pauli_rotation(amp, *g.generator.dense_action(), g.theta)
         else:
-            if g.matrix is None:
-                raise DomainError(
-                    f"unresolved Haar block on {g.qubits}; build with an rng "
-                    "or load from JSON with a seed"
-                )
             i, j = g.qubits
             gate = np.ascontiguousarray(g.matrix, dtype=complex)
             kernels.apply_gate(amp, gate, (n - i, n - j))
@@ -247,7 +239,7 @@ _GATE_FIELDS = {
 
 
 def circuit_from_json(source) -> CircuitSpec:
-    """Parse {n, gates, seed?, layers?}; Haar blocks are resolved from the seed
+    """Parse {n, gates, seed?, layers?}; Haar blocks are drawn from the seed
     in gate order, so the same document always yields the same circuit. Key
     and type errors are reported here; CircuitSpec and sample_block check the
     values."""

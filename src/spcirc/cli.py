@@ -170,7 +170,7 @@ def _plan_gram(args):
             "entries": g.entries.tolist(),
             "pseudo_inverse": g.pseudo,
             "delta": g.delta,
-            "inverse": g.inverse().tolist(),
+            "inverse": g.weingarten.tolist(),
         }
 
     return {}, {}, run
@@ -192,7 +192,7 @@ def _plan_simulate(args):
         amps = [[float(a.real), float(a.imag)] for a in out_state.amplitudes]
         return {"n": circ.n, "amplitudes": amps, "norm": out_state.norm()}
 
-    return {}, {"n": circ.n, "gates": circ.gate_count()}, run
+    return {}, {"n": circ.n, "gates": len(circ.gates)}, run
 
 
 _GP_FIELDS = {"schema_version": int, "n": int, "observable": str, "samples": int,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, check_bytes
-from .pauli import RULE_KEYS, PauliString, in_algebra
+from .pauli import RULE_KEYS, PauliString, in_algebra, sp_dimension
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def classify(n: int, keys: np.ndarray) -> str:
 
     if dim == 0:
         return "other"
-    if dim == d * (d + 1) // 2 and every("sp"):
+    if dim == sp_dimension(n) and every("sp"):
         return "sp"
     if dim == d * d - 1:
         return "su"

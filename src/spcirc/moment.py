@@ -378,12 +378,16 @@ def collision_probability(v: LabelVector) -> float:
     return float(t[0])
 
 
+def _z_trace(n: int):
+    """z after 0, 1, 2, ... brick layers from the initial state, without end."""
+    v = initial_label_vector(n)
+    return map(collision_probability, itertools.chain([v], _layers(v)))
+
+
 def collision_trace(n: int, layers: int) -> list:
     """[z(0 layers), z(1), ..., z(layers)]."""
     check_propagation(n, layers)
-    v = initial_label_vector(n)
-    steps = itertools.islice(_layers(v), layers)
-    return [collision_probability(v)] + [collision_probability(w) for w in steps]
+    return list(itertools.islice(_z_trace(n), layers + 1))
 
 
 @dataclass(frozen=True)
@@ -419,11 +423,10 @@ def depth_to_anticoncentrate(
     check_depth(n, epsilon, max_layers)
     target = epsilon / 2**n
     zh = z_haar(n)
-    v = initial_label_vector(n)
-    trace = [collision_probability(v)]
+    zs = _z_trace(n)
+    trace = [next(zs)]
     hit = None
-    for layer, w in enumerate(itertools.islice(_layers(v), max_layers), start=1):
-        z = collision_probability(w)
+    for layer, z in enumerate(itertools.islice(zs, max_layers), start=1):
         trace.append(z)
         if abs(zh - z) < target:
             hit = layer

@@ -272,7 +272,7 @@ def test_gram_matches_dense_traces():
 
 def test_weingarten_t2_closed_form():
     for d in (4, 8, 16):
-        w = gram(2, d, "sp").inverse()
+        w = gram(2, d, "sp").weingarten
         closed = np.array(
             [[d - 1, -1, 1], [-1, d - 1, -1], [1, -1, d - 1]], dtype=float
         ) / (d * (d + 1) * (d - 2))
@@ -283,7 +283,7 @@ def test_gram_pseudo_inverse_at_small_d():
     g = gram(2, 2, "sp")
     assert g.pseudo
     assert abs(np.linalg.det(g.entries)) < 1e-9
-    w = g.inverse()
+    w = g.weingarten
     assert np.allclose(g.entries @ w @ g.entries, g.entries, atol=1e-9)
     assert np.allclose(w @ g.entries @ w, w, atol=1e-9)
 

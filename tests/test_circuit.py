@@ -189,11 +189,15 @@ def test_haar_block_groups():
 
 def test_gate_validation():
     with pytest.raises(DomainError):
-        CircuitSpec(2, (HaarBlock((1, 3), "sp2"),))
+        CircuitSpec(2, (HaarBlock((1, 3), "sp2", np.eye(4)),))
     with pytest.raises(DomainError):
-        CircuitSpec(2, (HaarBlock((1, 1), "sp2"),))
+        CircuitSpec(2, (HaarBlock((1, 1), "sp2", np.eye(4)),))
     with pytest.raises(DomainError):
-        CircuitSpec(2, (HaarBlock((1, 2), "su4"),))
+        CircuitSpec(2, (HaarBlock((1, 2), "su4", np.eye(4)),))
+    # a block without its 4x4 draw is refused when the circuit is built
+    for matrix in (None, np.eye(2)):
+        with pytest.raises(DomainError, match="shape"):
+            CircuitSpec(12, [HaarBlock((1, 2), "o4", matrix)])
     with pytest.raises(DomainError):
         CircuitSpec(2, (rot("XIX", 0.1),))
     with pytest.raises(DomainError):
