@@ -128,7 +128,8 @@ def rotation_block(gens: GeneratorSet, thetas) -> CircuitSpec:
 
 
 def theorem1_gate_count(n: int) -> int:
-    return 3 * n - 2
+    """One angle per theorem-1 generator."""
+    return len(theorem1_generators(n).generators)
 
 
 def build_theorem1_block(n: int, thetas) -> CircuitSpec:

@@ -357,8 +357,7 @@ def _int_at_least(low: int):
     return integer
 
 
-def _subcommand(sub, name: str, plan, help: str, stochastic: bool = False,
-                threaded: bool = False):
+def _subcommand(sub, name: str, plan, help: str, stochastic: bool = False):
     """A subparser whose ``plan`` main() calls, with the shared options."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(plan=plan)
@@ -367,10 +366,6 @@ def _subcommand(sub, name: str, plan, help: str, stochastic: bool = False,
     if stochastic:
         p.add_argument("--seed", type=_int_at_least(0), required=True,
                        help="RNG seed, at least 0 (required: no silent entropy)")
-    if threaded:
-        p.add_argument("--threads", type=_int_at_least(1), default=1,
-                       help="no effect: sampling runs in one thread. Parsed (K >= 1) and "
-                            "echoed until the benchmark stops passing it")
     return p
 
 
@@ -415,17 +410,20 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output .npy amplitudes")
 
     p = _subcommand(sub, "gp", partial(_plan_gp, report=_gp_values_csv),
-                    "Gaussian-process samples to CSV", stochastic=True, threaded=True)
+                    "Gaussian-process samples to CSV", stochastic=True)
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="CSV path")
 
     p = _subcommand(sub, "gp-summary", partial(_plan_gp, report=_gp_summary_payload),
-                    "GP summary statistics as JSON", stochastic=True, threaded=True)
+                    "GP summary statistics as JSON", stochastic=True)
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
+                   help="no effect: sampling runs in one thread. Parsed (K >= 1) and "
+                        "echoed until the benchmark stops passing it")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="write the JSON here instead of inline")
 
     p = _subcommand(sub, "concentration", _plan_concentration,
-                    "tail probabilities vs bounds", stochastic=True, threaded=True)
+                    "tail probabilities vs bounds", stochastic=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--thresholds", required=True, help="comma-separated c values")
@@ -433,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--observable", help="Pauli label; default Y on qubit 2")
 
     p = _subcommand(sub, "anticoncentration", _plan_anticoncentration,
-                    "Pr(p >= alpha/d) vs the floor", stochastic=True, threaded=True)
+                    "Pr(p >= alpha/d) vs the floor", stochastic=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--alphas", required=True, help="comma-separated alpha values")

@@ -198,15 +198,16 @@ def select_theorem(states) -> tuple:
 # sampling
 
 # Bytes a sampled run holds: per draw and state, the values, a centred copy
-# and one power of it (plus 1 B per draw for a hit mask); per batch, the
-# reference cycles its generator and its covariance leave until the cyclic
-# collector runs (about 110 B); per batch, state pair and threshold (or alpha),
-# a batch statistic and two temporaries of its standard error; per amplitude
-# and spectral vector, the vector and its share of the frame or of one draw's
-# Gaussian, QR and compression temporaries (a frame has at most one
-# quaternionic column per vector); and per amplitude once, the Pauli's dense
-# action.
-SAMPLE_BYTES, CYCLE_BYTES, BATCH_BYTES, VECTOR_BYTES, ACTION_BYTES = 24, 128, 24, 144, 48
+# and one power of it (plus 1 B per draw for a hit mask); per batch, the tuples
+# it frees onto CPython's tuple free list, which keeps up to 2000 of each
+# length until a full gc.collect() (tracemalloc: a 56 B pair from the draws
+# and a 48 B singleton from the batch covariance); per batch, state pair and
+# threshold (or alpha), a batch statistic and two temporaries of its standard
+# error; per amplitude and spectral vector, the vector and its share of the
+# frame or of one draw's Gaussian, QR and compression temporaries (a frame has
+# at most one quaternionic column per vector); and per amplitude once, the
+# Pauli's dense action.
+SAMPLE_BYTES, FREE_LIST_BYTES, BATCH_BYTES, VECTOR_BYTES, ACTION_BYTES = 24, 128, 24, 144, 48
 
 
 def _check_sampling(n: int, n_samples: int, batches: int, vectors: int, states: int = 1,
@@ -220,7 +221,7 @@ def _check_sampling(n: int, n_samples: int, batches: int, vectors: int, states: 
     if n_samples < batches:
         raise DomainError(f"need at least {batches} samples, got {n_samples}")
     held = (n_samples * (SAMPLE_BYTES * states + 1)
-            + batches * (CYCLE_BYTES + BATCH_BYTES * (states**2 + cuts)))
+            + batches * (FREE_LIST_BYTES + BATCH_BYTES * (states**2 + cuts)))
     # what does not grow with d is rounded up per amplitude: 2**n is never computed
     check_bytes(f"sampling {states} states at {cuts} thresholds at n = {n}",
                 VECTOR_BYTES * vectors + ACTION_BYTES + -(-held >> n), 2, n)
@@ -346,17 +347,21 @@ def _pauli_compression(observable: PauliString):
     return lambda q: q.conj().T @ (phases[:, None] * q[source])
 
 
-def _sample(d: int, frame: tuple, compress, n_samples: int, batches: int, rng) -> np.ndarray:
+def _sample(d: int, frame: tuple, compress, n_samples: int, batches: int,
+            rng: RngStream) -> np.ndarray:
     """Values (draws x states) of sum_w w c^dag M c over each state's
     spectrum, for ``frame = _frame_coefficients(states)`` and M the 2k x 2k
     compression ``compress(Q)`` of the observable to a draw Q of k
-    quaternionic columns. Batch b draws its rows from child stream b."""
+    quaternionic columns. Batch b draws its rows from child stream b of
+    ``rng``, so an int seed or a bare Generator is refused before any draw."""
+    if not isinstance(rng, RngStream):
+        raise DomainError(f"a sampled run needs an RngStream, got {type(rng).__name__}: "
+                          "batch b draws from its child stream b")
     k, coefficients, weights = frame
     conj = coefficients.conj()
-    stream = rng_stream(rng)
     values = np.empty((n_samples, len(weights)))
     for b, rows in enumerate(_batch_rows(n_samples, batches)):
-        gen = stream.child(b).generator()
+        gen = rng.child(b).generator()
         for i in range(rows.start, rows.stop):
             m = compress(sample_sp_columns(d, k, gen))
             values[i] = weights @ np.einsum("ri,ij,rj->r", conj, m, coefficients).real
@@ -384,7 +389,7 @@ def run_gp_experiment(
     states,
     observable: PauliString,
     n_samples: int,
-    rng,
+    rng: RngStream,
     batches: int = DEFAULT_BATCHES,
 ) -> GPSummary:
     """Sample C(rho_j) = Tr[S rho_j S^dag O] over Haar-symplectic S."""
@@ -418,17 +423,6 @@ def run_gp_experiment(
         exact_covariance=exact_covariance(states),
         fourth_moment_ratio=m4 / (3.0 * m2**2),
         values=values,
-    )
-
-
-def rng_stream(rng) -> RngStream:
-    if isinstance(rng, RngStream):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return RngStream(int(rng))
-    raise DomainError(
-        "batched experiments need an integer seed or an RngStream (a bare "
-        "Generator cannot be split reproducibly)"
     )
 
 
@@ -474,7 +468,7 @@ def concentration_tail(
     observable: PauliString,
     n_samples: int,
     thresholds,
-    rng,
+    rng: RngStream,
     batches: int = DEFAULT_BATCHES,
 ) -> TailTable:
     """Empirical Pr(|C| >= c) with the Gaussian erfc reference and the
@@ -524,7 +518,7 @@ def anticoncentration_check(
     n: int,
     n_samples: int,
     alpha_grid,
-    rng,
+    rng: RngStream,
     x_index: int = 0,
     batches: int = DEFAULT_BATCHES,
 ) -> AnticoncentrationTable:

@@ -114,16 +114,13 @@ def prop2_generators(n: int) -> GeneratorSet:
     return GeneratorSet(n, _chain(n, spec), "prop2")
 
 
-def so_chain_generators(n: int, start: int = 1) -> GeneratorSet:
-    """{Y_i} with {X_i Y_{i+1}, Y_i X_{i+1}} on qubits start..n; closure so(2**m).
-
-    With start = 1 the closure has dimension d(d-1)/2; with start = 2 it is
-    the so(d/2) sub-chain on the trailing qubits.
-    """
-    if n < start:
-        raise DomainError(f"need n >= start = {start}, got {n}")
-    spec = [[(i, "Y")] for i in range(start, n + 1)]
-    for i in range(start, n):
+def so_chain_generators(n: int) -> GeneratorSet:
+    """{Y_i} with {X_i Y_{i+1}, Y_i X_{i+1}} on qubits 1..n; its closure is
+    so(d), of dimension d(d-1)/2."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    spec = [[(i, "Y")] for i in range(1, n + 1)]
+    for i in range(1, n):
         spec.append([(i, "X"), (i + 1, "Y")])
         spec.append([(i, "Y"), (i + 1, "X")])
     return GeneratorSet(n, _chain(n, spec), "so-chain")

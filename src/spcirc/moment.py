@@ -418,20 +418,17 @@ def check_depth(n: int, epsilon: float, max_layers: int) -> None:
 def depth_to_anticoncentrate(
     n: int, epsilon: float = 0.01, max_layers: int = 500
 ) -> DepthResult:
-    """Smallest layer count with |z_haar - z| < epsilon/d; None if unreached
-    within max_layers. z_trace starts at depth 0."""
+    """Smallest layer count, 0 included, with |z_haar - z| < epsilon/d; None
+    if unreached within max_layers. z_trace runs from depth 0 to that count."""
     check_depth(n, epsilon, max_layers)
     target = epsilon / 2**n
     zh = z_haar(n)
-    zs = _z_trace(n)
-    trace = [next(zs)]
-    hit = None
-    for layer, z in enumerate(itertools.islice(zs, max_layers), start=1):
+    trace = []
+    for layer, z in enumerate(itertools.islice(_z_trace(n), max_layers + 1)):
         trace.append(z)
         if abs(zh - z) < target:
-            hit = layer
-            break
-    return DepthResult(n, epsilon, hit, tuple(trace))
+            return DepthResult(n, epsilon, layer, tuple(trace))
+    return DepthResult(n, epsilon, None, tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -182,30 +182,33 @@ def sample_block(group: str, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # predicates
 
-def symplectic_defect(m: np.ndarray, form: np.ndarray | None = None) -> float:
-    """max-norm of M^T Omega M - Omega."""
-    d = m.shape[0]
-    if d % 2:
-        raise DomainError(f"symplectic predicate needs even dimension, got {d}")
-    om = omega(d) if form is None else form
-    return float(np.abs(m.T @ om @ m - om).max())
-
-
-def is_symplectic(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return symplectic_defect(m) <= tol
-
-
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    d = m.shape[0]
-    return float(np.abs(m.conj().T @ m - np.eye(d)).max()) <= tol
-
-
-def is_in_sp_algebra_dense(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Algebra membership: M^T Omega = -Omega M and M anti-Hermitian."""
+def symplectic_defect(m: np.ndarray) -> float:
+    """max-norm of M^T Omega M - Omega, for Omega = omega(d)."""
     d = m.shape[0]
     if d % 2:
         raise DomainError(f"symplectic predicate needs even dimension, got {d}")
     om = omega(d)
-    if np.abs(m.T @ om + om @ m).max() > tol:
+    return float(np.abs(m.T @ om @ m - om).max())
+
+
+def is_symplectic(m: np.ndarray) -> bool:
+    """symplectic_defect(M) <= DEFAULT_TOL."""
+    return symplectic_defect(m) <= DEFAULT_TOL
+
+
+def is_unitary(m: np.ndarray) -> bool:
+    """max-norm of M^dag M - I at most DEFAULT_TOL."""
+    d = m.shape[0]
+    return float(np.abs(m.conj().T @ m - np.eye(d)).max()) <= DEFAULT_TOL
+
+
+def is_in_sp_algebra_dense(m: np.ndarray) -> bool:
+    """Algebra membership: M^T Omega = -Omega M and M anti-Hermitian, each
+    to DEFAULT_TOL in max-norm."""
+    d = m.shape[0]
+    if d % 2:
+        raise DomainError(f"symplectic predicate needs even dimension, got {d}")
+    om = omega(d)
+    if np.abs(m.T @ om + om @ m).max() > DEFAULT_TOL:
         return False
-    return bool(np.abs(m + m.conj().T).max() <= tol)
+    return bool(np.abs(m + m.conj().T).max() <= DEFAULT_TOL)

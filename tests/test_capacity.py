@@ -186,11 +186,11 @@ def test_sample_counts_are_refused_before_any_draw():
     # at n = 6 and 20 batches, the most draws that fit: the limit less what
     # the amplitudes and the batches hold, over the bytes per draw
     amplitudes = 2**6 * (2 * gp_stats.VECTOR_BYTES + gp_stats.ACTION_BYTES)
-    batches = 20 * (gp_stats.CYCLE_BYTES + gp_stats.BATCH_BYTES * 2**2)
+    batches = 20 * (gp_stats.FREE_LIST_BYTES + gp_stats.BATCH_BYTES * 2**2)
     inside = (MEMORY_LIMIT - amplitudes - batches) // (2 * gp_stats.SAMPLE_BYTES + 1)
     gp_stats.check_gp(6, inside, obs, states=2)
     amplitudes = 2**6 * (gp_stats.VECTOR_BYTES + gp_stats.ACTION_BYTES)
-    batches = 20 * (gp_stats.CYCLE_BYTES + gp_stats.BATCH_BYTES * (1 + 2))
+    batches = 20 * (gp_stats.FREE_LIST_BYTES + gp_stats.BATCH_BYTES * (1 + 2))
     alphas = (MEMORY_LIMIT - amplitudes - batches) // (gp_stats.SAMPLE_BYTES + 1)
     gp_stats.check_anticoncentration(6, alphas, [0.1, 0.2], 0)
     over = [partial(gp_stats.check_gp, 6, inside + 1, obs, states=2),

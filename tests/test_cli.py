@@ -75,7 +75,7 @@ def test_config_echoes_every_parsed_option(tmp_path, capsys):
     argv = ["concentration", "--n", "3", "--samples", "40", "--thresholds", "0.5",
             "--seed", "1", "--dry-run"]
     assert run_json(argv, capsys)["config"] == {
-        "seed": 1, "threads": 1, "n": 3, "samples": 40, "thresholds": "0.5",
+        "seed": 1, "n": 3, "samples": 40, "thresholds": "0.5",
         "state": "basis", "observable": None}
     # and what the plan read: the gp config as resolved
     cfg = gp_config(tmp_path)
@@ -367,23 +367,11 @@ def test_gp_csv_reproducible(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     out_c = tmp_path / "c.csv"
-    env = run_json(
-        ["gp", "--config", cfg, "--seed", "9", "--out", str(out_a),
-         "--threads", "1"],
-        capsys,
-    )
+    env = run_json(["gp", "--config", cfg, "--seed", "9", "--out", str(out_a)], capsys)
     assert env["payload"]["rows"] == 120  # 60 samples x 2 states
-    run_json(
-        ["gp", "--config", cfg, "--seed", "9", "--out", str(out_b),
-         "--threads", "2"],
-        capsys,
-    )
+    run_json(["gp", "--config", cfg, "--seed", "9", "--out", str(out_b)], capsys)
     assert out_a.read_bytes() == out_b.read_bytes()
-    run_json(
-        ["gp", "--config", cfg, "--seed", "10", "--out", str(out_c),
-         "--threads", "1"],
-        capsys,
-    )
+    run_json(["gp", "--config", cfg, "--seed", "10", "--out", str(out_c)], capsys)
     assert out_a.read_bytes() != out_c.read_bytes()
     lines = out_a.read_text().splitlines()
     assert lines[0] == "sample_id,state_id,value"
@@ -400,13 +388,16 @@ def test_gp_csv_reproducible(tmp_path, capsys):
     ["anticoncentration", "--n", "3", "--samples", "60", "--alphas", "0,0.5", "--seed", "9"],
 ], ids=lambda argv: argv[0])
 def test_threads_give_identical_payloads(tmp_path, argv, capsys):
-    """--threads has no effect: sampling runs in one thread. The option stays
-    parsed while the benchmark passes --threads 1 and compares payloads."""
+    """Sampling runs in one thread, so two runs of one config and seed give
+    one payload. gp-summary still parses --threads, which has no effect,
+    while the benchmark passes --threads 1 and compares payloads."""
     cfg = gp_config(tmp_path)
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"values{threads}.csv"
-        args = [a.format(cfg=cfg, out=out) for a in argv] + ["--threads", threads]
+        args = [a.format(cfg=cfg, out=out) for a in argv]
+        if argv[0] == "gp-summary":
+            args += ["--threads", threads]
         payload = run_json(args, capsys)["payload"]
         payload.pop("path", None)
         outputs.append((json.dumps(payload), out.read_bytes() if out.exists() else b""))
@@ -474,7 +465,7 @@ def test_gp_summary_is_strict_json_at_two_draws_per_batch(tmp_path, capsys):
 def test_concentration_command(capsys):
     env = run_json(
         ["concentration", "--n", "2", "--samples", "40",
-         "--thresholds", "0.3,0.6,0.9", "--seed", "4", "--threads", "1"],
+         "--thresholds", "0.3,0.6,0.9", "--seed", "4"],
         capsys,
     )
     p = env["payload"]
@@ -497,7 +488,7 @@ def test_concentration_empty_thresholds(capsys):
 def test_anticoncentration_command(capsys):
     env = run_json(
         ["anticoncentration", "--n", "2", "--samples", "40",
-         "--alphas", "0,0.5,1", "--seed", "8", "--threads", "1"],
+         "--alphas", "0,0.5,1", "--seed", "8"],
         capsys,
     )
     p = env["payload"]
@@ -528,6 +519,13 @@ def test_depth_sweep_csv_and_fit(tmp_path, capsys):
     trace = json.loads(n2[2].strip('"'))
     assert trace[0] == pytest.approx(1.0)
     assert trace[-1] == pytest.approx(0.4, abs=1e-9)
+
+
+def test_depth_sweep_reports_depth_zero(tmp_path, capsys):
+    out = tmp_path / "depth.csv"
+    run_json(["anticoncentration-depth", "--n-min", "2", "--n-max", "2", "--epsilon", "3",
+              "--out", str(out)], capsys)
+    assert out.read_text().splitlines()[1] == "2,0,[1.0]"
 
 
 def test_depth_sweep_matches_the_label_engine(tmp_path, capsys):
@@ -643,7 +641,7 @@ SAMPLING_FAILURES = [
 
 @pytest.mark.parametrize("argv,code", SAMPLING_FAILURES)
 def test_sampling_dry_run_fails_like_the_run(argv, code, capsys):
-    assert_dry_run_exits_like_run(argv + ["--seed", "1", "--threads", "1"], code, capsys)
+    assert_dry_run_exits_like_run(argv + ["--seed", "1"], code, capsys)
 
 
 @pytest.mark.parametrize(
@@ -672,12 +670,11 @@ def test_sampling_dry_run_fails_like_the_run(argv, code, capsys):
 @pytest.mark.parametrize("command", ["gp", "gp-summary"])
 def test_gp_dry_run_fails_like_the_run(tmp_path, command, overrides, code, capsys):
     cfg = gp_config(tmp_path, **overrides)
-    argv = [command, "--config", cfg, "--seed", "1", "--threads", "1",
-            "--out", str(tmp_path / "o.out")]
+    argv = [command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o.out")]
     assert_dry_run_exits_like_run(argv, code, capsys)
 
 
-THREADED = [
+SAMPLED = [
     ["gp", "--config", "{cfg}", "--seed", "1", "--out", "{tmp}/o.csv"],
     ["gp-summary", "--config", "{cfg}", "--seed", "1"],
     ["concentration", "--n", "3", "--samples", "40", "--thresholds", "0.5",
@@ -688,22 +685,33 @@ THREADED = [
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-@pytest.mark.parametrize("template", THREADED, ids=[t[0] for t in THREADED])
+@pytest.mark.parametrize("template", SAMPLED, ids=[t[0] for t in SAMPLED])
 def test_threads_below_one_rejected(tmp_path, template, threads, capsys):
+    """gp-summary refuses a thread count below one; the other sampled
+    subcommands take no --threads at all, and the message says which."""
     cfg = gp_config(tmp_path)
     argv = [a.format(cfg=cfg, tmp=tmp_path) for a in template]
     assert_dry_run_exits_like_run(argv + ["--threads", threads], 1, capsys)
-    # the same command with one thread runs
-    assert run(argv + ["--threads", "1"], capsys)[0] == 0
+    why = "must be at least 1" if argv[0] == "gp-summary" else "unrecognized arguments"
+    assert why in run(argv + ["--threads", threads], capsys)[2]
+    # the same command runs with the one thread count it takes, if any
+    assert run(argv + (["--threads", "1"] if argv[0] == "gp-summary" else []), capsys)[0] == 0
 
 
 @pytest.mark.parametrize("threads", ["1", "0", "-3"])
 def test_depth_has_no_threads_option(tmp_path, threads, capsys):
-    """The depth sweep runs serially; --threads is an unknown option there."""
-    argv = ["anticoncentration-depth", "--n-min", "2", "--n-max", "3",
-            "--out", str(tmp_path / "d.csv")]
-    assert_dry_run_exits_like_run(argv + ["--threads", threads], 1, capsys)
-    assert "threads" not in run_json(argv, capsys)["config"]
+    """The depth sweep and sampling run serially, so --threads is an unknown
+    option on every subcommand but gp-summary, which parses and echoes it
+    with no effect while the benchmark passes --threads 1."""
+    cfg = gp_config(tmp_path)
+    depth = ["anticoncentration-depth", "--n-min", "2", "--n-max", "3",
+             "--out", "{tmp}/d.csv"]
+    for template in [depth] + [t for t in SAMPLED if t[0] != "gp-summary"]:
+        argv = [a.format(cfg=cfg, tmp=tmp_path) for a in template]
+        assert_dry_run_exits_like_run(argv + ["--threads", threads], 1, capsys)
+        assert "threads" not in run_json(argv, capsys)["config"]
+    summary = ["gp-summary", "--config", cfg, "--seed", "1", "--threads", "1"]
+    assert run_json(summary, capsys)["config"]["threads"] == 1
 
 
 def plan_inputs(tmp_path):
@@ -814,8 +822,8 @@ PLAN_FAILURES = [
                   "--input", "{tmp}/eye9.npy"], 2, id="twirl-table-over-byte-limit"),
     pytest.param(["twirl", "--t", "2", "--d", "4", "--group", "o",
                   "--input", "{tmp}/vast.npy"], 1, id="twirl-input-header-vast"),
-    pytest.param(["gp", "--config", "{tmp}/adir", "--seed", "1", "--threads", "1",
-                  "--out", "{tmp}/o.csv"], 1, id="gp-config-directory"),
+    pytest.param(["gp", "--config", "{tmp}/adir", "--seed", "1", "--out", "{tmp}/o.csv"], 1,
+                 id="gp-config-directory"),
     pytest.param(["gp-summary", "--config", "{tmp}/gp.json", "--seed", "1",
                   "--threads", "1"], 1, id="gp-summary-samples-equal-batches"),
     pytest.param(["gp-summary", "--config", "{tmp}/schema2/gp.json", "--seed", "1",
@@ -828,7 +836,7 @@ PLAN_FAILURES = [
                   "--generators", "{tmp}/gens-string.json"], 1, id="closure-generators-string"),
     # a tail needs one draw per batch, not the two of a batch covariance
     pytest.param(["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5",
-                  "--seed", "1", "--threads", "1"], 0,
+                  "--seed", "1"], 0,
                  id="concentration-samples-equal-batches"),
     # an empty --out names no file, for every subcommand that takes one
     pytest.param(["sample", "--group", "sp", "--d", "4", "--count", "2", "--seed", "1",
@@ -837,8 +845,8 @@ PLAN_FAILURES = [
                   "--input", "{tmp}/eye9.npy", "--out", ""], 1, id="twirl-out-empty"),
     pytest.param(["simulate", "--circuit", "{tmp}/c2.json", "--out", ""], 1,
                  id="simulate-out-empty"),
-    pytest.param(["gp", "--config", "{tmp}/valid/gp.json", "--seed", "1", "--threads", "1",
-                  "--out", ""], 1, id="gp-out-empty"),
+    pytest.param(["gp", "--config", "{tmp}/valid/gp.json", "--seed", "1", "--out", ""], 1,
+                 id="gp-out-empty"),
     pytest.param(["gp-summary", "--config", "{tmp}/valid/gp.json", "--seed", "1",
                   "--threads", "1", "--out", ""], 1, id="gp-summary-out-empty"),
     pytest.param(["anticoncentration-depth", "--n-min", "2", "--n-max", "3", "--out", ""], 1,
@@ -857,7 +865,7 @@ PLAN_FAILURES = [
     pytest.param(["gram", "--t", "2", "--d", str(10**160), "--group", "o"], 2,
                  id="gram-d1e160"),
     pytest.param(["concentration", "--n", str(10**18), "--samples", "20", "--thresholds", "0.5",
-                  "--seed", "1", "--threads", "1"], 2, id="concentration-n1e18"),
+                  "--seed", "1"], 2, id="concentration-n1e18"),
     pytest.param(["anticoncentration", "--n", str(10**18), "--samples", "40", "--alphas", "0.5",
                   "--seed", "1"], 2, id="anticoncentration-n1e18"),
     # sample counts whose values alone pass the byte bound: refused before any draw
@@ -971,7 +979,6 @@ def test_build_id_names_the_package_sources(tmp_path):
 # valid, long run, so counts go out of range only through 0 and negatives.
 BAD = st.sampled_from([0, -1, -5, 10**6, 10**18])
 BAD_COUNT = st.sampled_from([0, -1, -5])
-THREADS = (st.sampled_from([1, 2]), st.sampled_from([-1, 0]))
 SEED = (st.just(1), st.sampled_from([-1, -5]))
 FUZZ = {
     "closure": {"--set": (st.sampled_from(["theorem1", "prop2", "so-chain"]), None),
@@ -993,11 +1000,11 @@ FUZZ = {
         "--thresholds": (st.sampled_from(["0.1,0.5", "1e6"]),
                          st.sampled_from(["0", "-0.5", "x", ""])),
         "--state": (st.sampled_from(["basis", "pair"]), None),
-        "--threads": THREADS, "--seed": SEED},
+        "--seed": SEED},
     "anticoncentration": {
         "--n": (st.integers(1, 4), BAD), "--samples": (st.integers(20, 40), BAD_COUNT),
         "--alphas": (st.sampled_from(["0,0.5,1", "0.2"]), st.sampled_from(["1.5", "-0.1", "x"])),
-        "--x": (st.integers(0, 1), BAD), "--threads": THREADS, "--seed": SEED},
+        "--x": (st.integers(0, 1), BAD), "--seed": SEED},
 }
 
 

@@ -25,7 +25,6 @@ from spcirc.gp_stats import (
     concentration_tail,
     exact_covariance,
     moment_bound,
-    rng_stream,
     run_gp_experiment,
     select_theorem,
     state_overlap,
@@ -412,12 +411,20 @@ def test_gp_capacity():
         run_gp_experiment(fig_family(3), PauliString.single(3, 2, "Y"), 10**9, RngStream(0))
 
 
-def test_rng_stream_coercion():
-    assert rng_stream(5) == RngStream(5)
-    s = RngStream(3, "x")
-    assert rng_stream(s) is s
-    with pytest.raises(DomainError):
-        rng_stream(np.random.default_rng(0))
+@pytest.mark.parametrize("rng", [5, np.random.default_rng(0)], ids=["int", "generator"])
+def test_sampled_runs_refuse_anything_but_a_stream(rng, monkeypatch):
+    """Batch b draws from child stream b, which an int seed or a bare
+    Generator does not give: each sampled run refuses both before any draw."""
+    def draw(*args):
+        raise AssertionError("drew before refusing the generator")
+
+    monkeypatch.setattr(gp_stats, "sample_sp_columns", draw)
+    state, obs = StateSpec.computational_basis(3, 0), PauliString.single(3, 2, "Y")
+    for run in (lambda: run_gp_experiment([state], obs, 40, rng),
+                lambda: concentration_tail(state, obs, 40, [0.5], rng),
+                lambda: anticoncentration_check(3, 40, [0.5], rng)):
+        with pytest.raises(DomainError, match="needs an RngStream"):
+            run()
 
 
 def test_wick_on_synthetic_gaussian():

@@ -450,6 +450,15 @@ def test_depth_n2_is_one_layer():
     assert res.z_trace[0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n,epsilon", [(2, 3.0), (3, 7.0)])
+def test_depth_can_be_zero(n, epsilon):
+    """z(0) = 1 is within epsilon/d of z_haar = 2/(d + 1) once epsilon exceeds
+    d(d - 1)/(d + 1): the search stops before the first layer."""
+    res = depth_to_anticoncentrate(n, epsilon=epsilon, max_layers=5)
+    assert res.n_l_star == 0
+    assert res.z_trace == (1.0,)
+
+
 def test_depth_past_the_label_engine():
     """n_L* for n = 17..20, where the per-qubit label vector would not fit
     the byte limit."""

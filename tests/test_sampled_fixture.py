@@ -44,7 +44,7 @@ ANTICONCENTRATION = ["anticoncentration", "--n", "6", "--samples", "400", "--x",
 def payload(argv) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(argv + ["--threads", "1"]) == 0
+        assert main(argv) == 0
     return json.loads(out.getvalue())["payload"]
 
 
