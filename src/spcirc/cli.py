@@ -1,6 +1,7 @@
 """Command-line interface: every experiment behind one entry point.
 
-Exit codes: 0 success, 1 domain/config error (with usage), 2 capacity error.
+Exit codes: 0 success, 1 domain/config error (with usage) or an output that
+cannot be written, 2 capacity error.
 Stochastic subcommands require --seed; identical config + seed reproduce
 byte-identical CSV/NPY payloads. Every subcommand first builds a plan, which
 reads the inputs and makes every domain and capacity check of the run;
@@ -77,13 +78,15 @@ def _float_list(text: str, what: str) -> list:
 
 
 def _out_path(path, suffix=""):
-    """The file --out names (np.save appends ``suffix``), in an existing directory."""
+    """The file --out names (np.save appends ``suffix``), in an existing
+    directory once symbolic links are resolved; a link loop resolves to a link."""
     if path is None:
         return None
     if not path:
         raise DomainError("--out names no file: the path is empty")
     path = path if path.endswith(suffix) else path + suffix
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+    real = os.path.realpath(path)
+    if os.path.isdir(path) or os.path.islink(real) or not os.path.isdir(os.path.dirname(real)):
         raise DomainError(f"cannot write {path}: not a file in an existing directory")
     return path
 
@@ -464,7 +467,10 @@ def main(argv=None) -> int:
             raise
         except (OSError, ValueError, OverflowError) as e:  # an unreadable or malformed input
             raise DomainError(f"{type(e).__name__}: {e}") from e
-        payload = {"validated": True, **info, "dry_run": True} if args.dry_run else run()
+        try:
+            payload = {"validated": True, **info, "dry_run": True} if args.dry_run else run()
+        except OSError as e:  # an output that cannot be written
+            raise DomainError(f"{type(e).__name__}: {e}") from e
         config = {key: value for key, value in vars(args).items()
                   if key not in ("command", "plan", "dry_run")}
         envelope = {

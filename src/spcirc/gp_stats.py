@@ -68,7 +68,7 @@ class StateSpec:
 
     Give exactly one of ``statevector`` (one column of weight 1) and
     ``density`` (validated, then diagonalised once; weights at or below
-    1e-12 are dropped).
+    1e-12 are dropped). Either must have finite entries.
     """
 
     n: int
@@ -86,7 +86,9 @@ class StateSpec:
             v = np.ascontiguousarray(self.statevector, dtype=complex)
             if v.shape != (d,):
                 raise DomainError(f"statevector shape {v.shape}")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+            if not np.isfinite(v).all():
+                raise DomainError("statevector has a non-finite entry")
+            if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
                 raise DomainError("statevector is not normalized")
             self.statevector = v
             self.weights, self.vectors = np.ones(1), v[:, None]
@@ -94,12 +96,14 @@ class StateSpec:
         rho = np.asarray(self.density, dtype=complex)
         if rho.shape != (d, d):
             raise DomainError(f"density shape {rho.shape}")
-        if abs(np.trace(rho) - 1.0) > 1e-10:
+        if not np.isfinite(rho).all():
+            raise DomainError("density has a non-finite entry")
+        if abs(np.trace(rho) - 1.0) > DEFAULT_TOL:
             raise DomainError("density trace != 1")
-        if np.abs(rho - rho.conj().T).max() > 1e-10:
+        if np.abs(rho - rho.conj().T).max() > DEFAULT_TOL:
             raise DomainError("density is not Hermitian")
         vals, vecs = np.linalg.eigh(rho)
-        if vals.min() < -1e-10:
+        if vals.min() < -DEFAULT_TOL:
             raise DomainError("density is not positive semidefinite")
         self.density = rho
         keep = vals > 1e-12

@@ -28,11 +28,16 @@ The per-qubit label basis {I, S, B}, where (on the two copies of qubit J)
 
     S_J = XX + YY + ZZ,    B_J = XX - YY + ZZ,
 
-spans every factor. ``block_transfer`` twirls products of one-qubit operators
-by the Weingarten formula, whose terms factorise over the two qubits into
-integer overlaps of one-qubit operators: onto the block's diagrams it gives
-the W tables, exact rationals rounded once, and onto label pairs the
-label-basis transfer (``derive_transfer``).
+spans every factor: id = I, swap = (I + S)/2, pair.sp = (S - I)/2 and
+pair.o = (I + B)/2, exactly. These eight one-qubit operators, their integer
+overlaps and their z contraction values are read-only constants built at
+import, so the module keeps no state. ``block_transfer`` twirls products of
+one-qubit operators by the Weingarten formula, whose terms factorise over
+the two qubits into those overlaps: onto the block's diagrams it gives the W
+tables, exact rationals rounded once, and onto label pairs the label-basis
+transfer (``derive_transfer``). A run derives one brick layer's block steps
+once per distinct set of input axes, at most twice: for the first layer and
+for the steady one.
 
 Collision probability: z = sum_x E[p(x)^2] contracts the tensor against
 (x)_J sum_b |bb><bb|; per-factor contraction values are computed from the
@@ -55,56 +60,46 @@ from .pauli import DENSE_1Q
 from .sampler import BLOCK_GROUPS, as_generator
 
 
-def _two_copy(p: str) -> np.ndarray:
-    m = DENSE_1Q[p]
-    return np.kron(m, m).real
+_XX, _YY, _ZZ = (np.kron(DENSE_1Q[p], DENSE_1Q[p]).real for p in "XYZ")
+_I, _S, _B = np.eye(4), _XX + _YY + _ZZ, _XX - _YY + _ZZ
+_RAW = np.diag([1.0, 0.0, 0.0, 0.0])
 
-
-_E00 = np.zeros((4, 4))
-_E00[0, 0] = 1.0
-
-LABEL_OPS = {
-    "I": np.eye(4),
-    "S": _two_copy("X") + _two_copy("Y") + _two_copy("Z"),
-    "B": _two_copy("X") - _two_copy("Y") + _two_copy("Z"),
-    "raw": _E00,
-}
-
-# one-qubit factors of the t = 2 diagrams: name -> (the diagram's place in
-# brauer.enumerate_diagrams(2), the form it carries at d = 2);
-# ``qubit_operator`` builds them on use, so import computes nothing
-FACTORS = {"id": (0, "o"), "swap": (1, "o"), "pair.sp": (2, "sp"), "pair.o": (2, "o")}
+# every one-qubit operator the engine names, stacked read-only because the
+# dicts below share it: the labels, then the factors of the t = 2 diagrams
+# (``brauer.enumerate_diagrams(2)`` order) as exact label combinations, each
+# the d = 2 diagram with the form its name gives
+_NAMES = ("I", "S", "B", "raw", "id", "swap", "pair.sp", "pair.o")
+_OPS = np.stack([_I, _S, _B, _RAW, _I, (_I + _S) / 2, (_S - _I) / 2, (_I + _B) / 2])
+_OPS.flags.writeable = False
+_INDEX = {a: i for i, a in enumerate(_NAMES)}
+LABEL_OPS = dict(zip(_NAMES[:4], _OPS[:4]))
+FACTORS = dict(zip(_NAMES[4:], _OPS[4:]))
 
 # per block group, the labels that span its factors on its first and second qubit
 LABEL_ALPHABETS = {"sp2": (("I", "S"), ("I", "S", "B")),
                    "o4": (("I", "S", "B"), ("I", "S", "B"))}
 ALPHA_RAW = ("raw",)
 
-# per-qubit measurement functional sum_b |bb><bb| on the two copies
-_MEAS = np.zeros((4, 4))
-_MEAS[0, 0] = 1.0
-_MEAS[3, 3] = 1.0
-
-# Lazily filled, never at import: block transfers, block steps and z
-# contraction values, keyed by what they are derived from.
-_TRANSFER_CACHE: dict = {}
+# Hilbert-Schmidt overlaps <x, y> = Tr[x^T y] of all the operators, integers
+# because their entries are, and their z contraction values against the
+# measurement functional sum_b |bb><bb| on the two copies: <00|op|00> + <11|op|11>
+_OVERLAPS = np.einsum("aij,bij->ab", _OPS, _OPS).astype(np.int64)
+_Z = tuple((_OPS[:, 0, 0] + _OPS[:, 3, 3]).tolist())
 
 
-def _cached(key, make):
-    if key not in _TRANSFER_CACHE:
-        _TRANSFER_CACHE[key] = make()
-    return _TRANSFER_CACHE[key]
+def _indices(names) -> list:
+    """Places of the named operators in ``_OPS``; an unknown name is refused."""
+    try:
+        return [_INDEX[a] for a in names]
+    except KeyError as e:
+        raise DomainError(f"unknown one-qubit operator {e.args[0]!r}") from None
 
 
 def qubit_operator(name: str) -> np.ndarray:
-    """The 4x4 operator on the two copies of one qubit that ``name`` stands
-    for: a label of ``LABEL_OPS`` or a diagram factor of ``FACTORS``."""
-    if name in LABEL_OPS:
-        return LABEL_OPS[name]
-    if name not in FACTORS:
-        raise DomainError(f"unknown one-qubit operator {name!r}")
-    place, form = FACTORS[name]
-    return brauer.represent(brauer.enumerate_diagrams(2)[place], 2, form)
+    """The read-only 4x4 operator on the two copies of one qubit that
+    ``name`` stands for: a label of ``LABEL_OPS`` or a diagram factor of
+    ``FACTORS``."""
+    return _OPS[_indices([name])[0]]
 
 
 def label_gram(alphabet) -> np.ndarray:
@@ -113,9 +108,9 @@ def label_gram(alphabet) -> np.ndarray:
 
 
 def contraction_values(alphabet) -> np.ndarray:
-    """Tr[op * sum_b |bb><bb|] per one-qubit operator name, from the dense
-    oracle."""
-    return np.array([float(np.sum(qubit_operator(a) * _MEAS)) for a in alphabet])
+    """Tr[op * sum_b |bb><bb|] per one-qubit operator name, read from the
+    values computed at import from the 4x4 operators."""
+    return np.array([_Z[i] for i in _indices(alphabet)])
 
 
 def z_haar(n: int) -> float:
@@ -134,18 +129,8 @@ def block_alphabet(group: str) -> tuple:
 
 def _overlaps(rows, cols) -> np.ndarray:
     """Hilbert-Schmidt overlaps <x, y> = Tr[x^T y] of the one-qubit operators
-    named by ``rows`` and ``cols`` (``qubit_operator``), read from one table
-    of all of them. Their entries are integers, so the overlaps are exact."""
-    def make():
-        names = tuple(LABEL_OPS) + tuple(FACTORS)
-        ops = np.stack([qubit_operator(a).ravel() for a in names])
-        return {a: i for i, a in enumerate(names)}, (ops @ ops.T).astype(np.int64)
-
-    index, table = _cached(("overlaps",), make)
-    unknown = {*rows, *cols} - index.keys()
-    if unknown:
-        raise DomainError(f"unknown one-qubit operator {min(unknown)!r}")
-    return table[np.ix_([index[a] for a in rows], [index[a] for a in cols])]
+    named by ``rows`` and ``cols`` (``qubit_operator``), exact integers."""
+    return _OVERLAPS.take(_indices(rows), 0).take(_indices(cols), 1)
 
 
 def _pair_overlaps(rows, cols) -> np.ndarray:
@@ -162,6 +147,12 @@ def _adjugate(g: np.ndarray) -> tuple:
     return adj, g[0] @ adj[0]
 
 
+# (adj(G), det(G)) of the integer Gram matrix G of each group's diagrams
+_DIAGRAM_ADJUGATES = {
+    group: _adjugate(_pair_overlaps(block_alphabet(group), block_alphabet(group)))
+    for group in LABEL_ALPHABETS}
+
+
 def block_transfer(group: str, pairs, out_pairs=None) -> np.ndarray:
     """Row-action matrix of one Haar block: entry [i, o] is the coefficient
     of product ``out_pairs[o]`` in the exact twirl of product ``pairs[i]``,
@@ -175,28 +166,23 @@ def block_transfer(group: str, pairs, out_pairs=None) -> np.ndarray:
     H_sigma = <a, f1_sigma><b, f2_sigma> and G_sigma,tau = <f1_sigma, f1_tau>
     <f2_sigma, f2_tau>. So H adj(G) / det(G) is the exact rational, rounded
     once; label outputs expand each factor over the labels I, S, B by their
-    integer Gram matrix L and are rounded once too.
+    integer Gram matrix L and are rounded once too. Each call derives its
+    table afresh from the overlap constants; a run calls it once per block
+    step of each layer it plans (``_layers``).
     """
-    pairs = tuple(pairs)
-    out_pairs = block_alphabet(group) if out_pairs is None else tuple(out_pairs)
-
-    def make():
-        diagrams = block_alphabet(group)
-        adj, det = _adjugate(_pair_overlaps(diagrams, diagrams))
-        num = _pair_overlaps(pairs, diagrams) @ adj
-        if out_pairs != diagrams:
-            # each factor's label coefficients are <f, l> adj(L) / det(L)
-            labels = ("I", "S", "B")
-            adj_l, det_l = _adjugate(_overlaps(labels, labels))
-            first, second = (_overlaps([d[k] for d in diagrams], labels) @ adj_l
-                             for k in (0, 1))
-            i, j = np.array([[labels.index(a), labels.index(b)] for a, b in out_pairs]).T
-            num, det = num @ (first[:, i] * second[:, j]), det * det_l**2
-        out = num / det
-        out.setflags(write=False)
-        return out
-
-    return _cached(("transfer", group, pairs, out_pairs), make)
+    diagrams = block_alphabet(group)
+    out_pairs = diagrams if out_pairs is None else tuple(out_pairs)
+    h = _pair_overlaps(tuple(pairs), diagrams)  # refuses a group without factors first
+    adj, det = _DIAGRAM_ADJUGATES[group]
+    num = h @ adj
+    if out_pairs != diagrams:
+        # each factor's label coefficients are <f, l> adj(L) / det(L)
+        labels = ("I", "S", "B")
+        adj_l, det_l = _adjugate(_overlaps(labels, labels))
+        first, second = (_overlaps([d[k] for d in diagrams], labels) @ adj_l for k in (0, 1))
+        i, j = np.array([[labels.index(a), labels.index(b)] for a, b in out_pairs]).T
+        num, det = num @ (first[:, i] * second[:, j]), det * det_l**2
+    return num / det
 
 
 @dataclass(frozen=True)
@@ -232,24 +218,19 @@ def block_step(group: str, alpha_a: tuple, alpha_b: tuple | None):
     qubit, now restricted to that qubit. It is W[(a, b), tau] on the
     diagonal of the passed-through axes.
     """
-    def make():
-        if alpha_b is None:
-            w = block_transfer(group, [(e[0], e[1]) for e in alpha_a])
-            return np.ascontiguousarray(w.T), (block_alphabet(group),)
-        na, nb = len(alpha_a), len(alpha_b)
-        w = block_transfer(group, [(ea[-1], eb[0]) for ea in alpha_a for eb in alpha_b])
-        keep_a, keep_b = len(alpha_a[0]) == 2, len(alpha_b[0]) == 2
-        m = np.zeros((na if keep_a else 1, w.shape[1], nb if keep_b else 1, na, nb))
-        for a, b in itertools.product(range(na), range(nb)):
-            m[a if keep_a else 0, :, b if keep_b else 0, a, b] = w[a * nb + b]
-        outs = (((tuple((e[0],) for e in alpha_a),) if keep_a else ())
-                + (block_alphabet(group),)
-                + ((tuple((e[1],) for e in alpha_b),) if keep_b else ()))
-        m = m.reshape(-1, na * nb)
-        m.setflags(write=False)
-        return m, outs
-
-    return _cached(("step", group, alpha_a, alpha_b), make)
+    if alpha_b is None:
+        w = block_transfer(group, [(e[0], e[1]) for e in alpha_a])
+        return np.ascontiguousarray(w.T), (block_alphabet(group),)
+    na, nb = len(alpha_a), len(alpha_b)
+    w = block_transfer(group, [(ea[-1], eb[0]) for ea in alpha_a for eb in alpha_b])
+    keep_a, keep_b = len(alpha_a[0]) == 2, len(alpha_b[0]) == 2
+    m = np.zeros((na if keep_a else 1, w.shape[1], nb if keep_b else 1, na, nb))
+    a, b = np.divmod(np.arange(na * nb), nb)  # the input index (a, b) of each row of w
+    m[a if keep_a else 0, :, b if keep_b else 0, a, b] = w
+    outs = (((tuple((e[0],) for e in alpha_a),) if keep_a else ())
+            + (block_alphabet(group),)
+            + ((tuple((e[1],) for e in alpha_b),) if keep_b else ()))
+    return m.reshape(-1, na * nb), outs
 
 
 # ---------------------------------------------------------------------------
@@ -326,33 +307,42 @@ def _half_layers(n: int) -> list:
     return [h[::-1] if h[0][0] != 1 and h[-1][0] + 1 == n else h for h in halves if h]
 
 
-def _apply_block(alphabets: list, coeffs: np.ndarray, bond: int, group: str) -> np.ndarray:
-    """One block step, a ``kernels.transfer_apply`` call that leaves the
-    axes around the block's input axes in place. Updates ``alphabets`` and
-    returns the new coefficients."""
-    starts = list(itertools.accumulate((len(a[0]) for a in alphabets), initial=1))
-    i = bisect.bisect_right(starts, bond) - 1  # the axis holding qubit ``bond``
-    width = 1 if starts[i + 1] > bond + 1 else 2  # axes the block reads
-    matrix, outs = block_step(group, alphabets[i], None if width == 1 else alphabets[i + 1])
-    dims = [len(a) for a in alphabets]
-    alphabets[i:i + width] = outs
-    return kernels.transfer_apply(
-        coeffs, matrix, math.prod(dims[:i]), math.prod(dims[i:i + width]),
-        math.prod(dims[i + width:]))
+def _layer_steps(n: int, alphabets: tuple) -> tuple:
+    """(steps, output axes) of one brick layer on a tensor with axes
+    ``alphabets``: each step is a block's (matrix, left, din, right), the
+    arguments of a ``kernels.transfer_apply`` call that leaves the axes
+    around the block's input axes in place."""
+    alphabets, steps = list(alphabets), []
+    for half in _half_layers(n):
+        for bond, group in half:
+            starts = list(itertools.accumulate((len(a[0]) for a in alphabets), initial=1))
+            i = bisect.bisect_right(starts, bond) - 1  # the axis holding qubit ``bond``
+            width = 1 if starts[i + 1] > bond + 1 else 2  # axes the block reads
+            matrix, outs = block_step(group, alphabets[i],
+                                      None if width == 1 else alphabets[i + 1])
+            dims = [len(a) for a in alphabets]
+            steps.append((matrix, math.prod(dims[:i]), math.prod(dims[i:i + width]),
+                          math.prod(dims[i + width:])))
+            alphabets[i:i + width] = outs
+    return steps, tuple(alphabets)
 
 
 def _layers(v: LabelVector):
-    """Yield ``v`` after each further brick layer, without end. Between
-    block steps only the step's input and output are held, besides what the
-    caller holds."""
-    halves = _half_layers(v.n)
-    alphabets, coeffs, layers = list(v.alphabets), v.coeffs, v.layers
+    """Yield ``v`` after each further brick layer, without end. A layer's
+    steps are derived once per distinct set of input axes, held by this run
+    alone: the first layer's and, from the second layer on, the steady
+    one's. Between block steps only the step's input and output are held,
+    besides what the caller holds."""
+    plans = {}
+    alphabets, coeffs, layers = v.alphabets, v.coeffs, v.layers
     while True:
-        for half in halves:
-            for bond, group in half:
-                coeffs = _apply_block(alphabets, coeffs, bond, group)
+        if alphabets not in plans:
+            plans[alphabets] = _layer_steps(v.n, alphabets)
+        steps, alphabets = plans[alphabets]
+        for step in steps:
+            coeffs = kernels.transfer_apply(coeffs, *step)
         layers += 1
-        yield LabelVector(v.n, tuple(alphabets), coeffs, layers=layers)
+        yield LabelVector(v.n, alphabets, coeffs, layers=layers)
 
 
 def propagate(v: LabelVector, layers: int) -> LabelVector:
@@ -365,8 +355,7 @@ def propagate(v: LabelVector, layers: int) -> LabelVector:
 
 def _axis_values(alphabet: tuple) -> np.ndarray:
     """z contraction value per index of an axis: the product over its qubits."""
-    return _cached(("z", alphabet), lambda: np.array(
-        [math.prod(contraction_values(entry)) for entry in alphabet]))
+    return np.array([math.prod([_Z[i] for i in _indices(entry)]) for entry in alphabet])
 
 
 def collision_probability(v: LabelVector) -> float:

@@ -72,11 +72,7 @@ def test_the_import_check_sees_both_forms():
 
 
 # module.name -> why that module-level container may be written by a function
-MODULE_STATE = {
-    "moment._TRANSFER_CACHE": "every half layer reads its few block steps (at most "
-                              "27 x 9), derived once from one table of one-qubit "
-                              "overlaps",
-}
+MODULE_STATE = {}
 MUTATORS = {"append", "extend", "insert", "update", "setdefault", "add", "pop", "popitem",
             "clear", "remove", "discard"}
 

@@ -897,6 +897,37 @@ def test_plan_fails_like_the_run(tmp_path, template, code, capsys):
     assert time.monotonic() - started < 5.0
 
 
+OUT_COMMANDS = [
+    pytest.param(["anticoncentration-depth", "--n-min", "2", "--n-max", "3", "--out"],
+                 "out.csv", id="depth"),
+    pytest.param(["sample", "--group", "sp", "--d", "4", "--count", "1", "--seed", "1",
+                  "--out"], "s.npy", id="sample"),
+]
+
+
+@pytest.mark.parametrize("target", ["missing/x", "{name}"], ids=["dangling", "loop"])
+@pytest.mark.parametrize("argv,name", OUT_COMMANDS)
+def test_out_through_a_broken_symlink(tmp_path, argv, name, target, capsys):
+    """An --out link whose target directory is missing, or that points at
+    itself, fails in the plan."""
+    (tmp_path / name).symlink_to(tmp_path / target.format(name=name))
+    assert_dry_run_exits_like_run(argv + [str(tmp_path / name)], 1, capsys)
+
+
+@pytest.mark.parametrize("argv,name", OUT_COMMANDS)
+def test_output_write_error_is_reported(tmp_path, argv, name, monkeypatch, capsys):
+    """An OSError while the run writes its output exits 1 with an error
+    line, as one while the plan reads its inputs does."""
+    def full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_csv", full)
+    monkeypatch.setattr(np, "save", full)
+    code, _, err = run(argv + [str(tmp_path / name)], capsys)
+    assert code == 1 and err.startswith("error: OSError: [Errno 28]"), err
+    assert "Traceback" not in err
+
+
 def test_simulate_inline_amplitudes_byte_bound(tmp_path, capsys):
     # about 150 B per amplitude printed inline: n = 22 fits, n = 23 needs --out
     for n in (22, 23):

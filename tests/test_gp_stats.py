@@ -628,3 +628,21 @@ def test_state_spec_validation():
     a, b = StateSpec.computational_basis(2, 0), StateSpec.computational_basis(2, 0)
     assert a == a and a != b
     assert [b, a].index(a) == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_state_spec_refuses_non_finite_entries(value):
+    """Refused before the norm, trace and eigenvalue checks: a NaN passes
+    every ``> tol`` comparison, and ``eigh`` would raise LinAlgError."""
+    v = np.eye(4, dtype=complex)[0]
+    v[0] = value
+    with pytest.raises(DomainError, match="non-finite"):
+        StateSpec(2, statevector=v)
+    with pytest.raises(DomainError, match="non-finite"):
+        StateSpec.from_statevector(2, v)
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = rho[1, 0] = value
+    with pytest.raises(DomainError, match="non-finite"):
+        StateSpec(2, density=rho)
+    with pytest.raises(DomainError, match="non-finite"):
+        StateSpec.from_density(2, rho)

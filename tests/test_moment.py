@@ -329,7 +329,6 @@ def test_block_transfer_is_the_exact_rational_rounded_once(group, monkeypatch):
     """Every W-table row, bit for bit, against the Weingarten coefficients
     H G^-1 solved in Fractions from the same integer one-qubit overlaps;
     derived afresh, with neither the block superoperator nor a linear solve."""
-    monkeypatch.setattr(moment, "_TRANSFER_CACHE", {})
     monkeypatch.setattr(brauer, "twirl_superoperator", None)
     monkeypatch.setattr(np.linalg, "solve", None)
     names = list(LABEL_OPS) + list(FACTORS)
@@ -343,20 +342,29 @@ def test_block_transfer_is_the_exact_rational_rounded_once(group, monkeypatch):
         assert [x.hex() for x in w] == [float(x).hex() for x in c], (group, a, b)
 
 
-def test_the_cache_stops_growing():
-    """Past n = 6 a depth sweep meets no block step, transfer or z
-    contraction that the sweeps over n = 2..6 have not cached."""
-    for n in range(2, 7):
-        depth_to_anticoncentrate(n)
-    keys = set(moment._TRANSFER_CACHE)
-    for n in range(7, 25):
-        depth_to_anticoncentrate(n)
-    assert set(moment._TRANSFER_CACHE) - keys == set()
+def test_a_run_derives_each_layer_once(monkeypatch):
+    """A run derives the block steps of its first and of its steady layer,
+    whatever its layer count."""
+    calls = []
+    step = moment.block_step
+
+    def record(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(moment, "block_step", record)
+    counts = []
+    for layers in (5, 50):
+        calls.clear()
+        propagate(initial_label_vector(8), layers)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
 
 
 def test_import_computes_nothing():
-    """Importing the module builds no diagram and fills no cache; the
-    wrapped ``brauer.represent`` does see the calls made on first use."""
+    """Importing the module builds no diagram, and neither does reading a
+    diagram factor: the factors are read-only constants built from the
+    label operators."""
     code = (
         "import sys\n"
         "from spcirc import brauer\n"
@@ -365,9 +373,15 @@ def test_import_computes_nothing():
         "represent = brauer.represent\n"
         "brauer.represent = lambda *a, **k: calls.append(a) or represent(*a, **k)\n"
         "from spcirc import moment\n"
-        "assert calls == [] and moment._TRANSFER_CACHE == {}, (calls, moment._TRANSFER_CACHE)\n"
-        "moment.qubit_operator('pair.sp')\n"
-        "assert len(calls) == 1, calls\n"
+        "assert calls == [], calls\n"
+        "op = moment.qubit_operator('pair.sp')\n"
+        "assert calls == [], calls\n"
+        "try:\n"
+        "    op[0, 0] = 5.0\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a shared operator took a write')\n"
     )
     src = os.path.dirname(os.path.dirname(spcirc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
