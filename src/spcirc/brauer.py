@@ -33,12 +33,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, check_bytes
-from .sampler import SAMPLERS, as_generator, omega
+from .sampler import SAMPLERS, as_generator, double_factorial, omega
 
 MAX_T = 5
 
@@ -128,10 +128,6 @@ def _all_pairings(items):
         rest = items[1:i] + items[i + 1:]
         for tail in _all_pairings(rest):
             yield [(first, items[i])] + tail
-
-
-def double_factorial(k: int) -> int:
-    return reduce(int.__mul__, range(k, 0, -2), 1)
 
 
 def _check_order(t: int) -> None:

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, check_bytes, has_type, read_fields, read_kind
+from .errors import (DomainError, check_basis_index, check_bytes, has_type, read_fields,
+                     read_kind)
 from .lie_closure import GeneratorSet, prop2_generators, theorem1_generators
 from .pauli import PauliString, check_dense
-from .sampler import BLOCK_GROUPS, RngStream, as_generator, sample_block
+from .sampler import BLOCK_GROUPS, RngStream, as_generator, brick_layer, sample_block
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,6 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def check_basis_index(n: int, index: int) -> None:
-    """0 <= index < 2**n, decided by bit length."""
-    if not (index >= 0 and int(index).bit_length() <= n):
-        raise DomainError(f"basis index {index} out of range for n = {n}")
-
-
 def initial_state(n: int, index: int = 0) -> StateVector:
     """The computational basis state |index>."""
     check_basis_index(n, index)
@@ -154,13 +149,6 @@ def concat(circuits) -> CircuitSpec:
     if any(c.n != n for c in circuits):
         raise DomainError("qubit count mismatch in concat")
     return CircuitSpec(n, [g for c in circuits for g in c.gates])
-
-
-def brick_layer(n: int) -> list:
-    """The (bond, group) blocks of one brick layer in gate order: odd bonds
-    (1,2), (3,4), ... then even bonds (2,3), (4,5), ..., bond i joining qubits
-    i and i + 1; the bond containing qubit 1 is SP(2), every other O(4)."""
-    return [(i, "sp2" if i == 1 else "o4") for start in (1, 2) for i in range(start, n, 2)]
 
 
 def build_bricklayer(n: int, layers: int, rng) -> CircuitSpec:

@@ -9,12 +9,18 @@ reads the inputs and makes every domain and capacity check of the run;
 Results are wrapped in a JSON envelope on stdout: the config (every parsed
 option, plus what the plan read from the inputs), a build id, wall-clock
 seconds, and the payload (inline JSON or the path of the file written).
+
+Importing this module registers the package's other modules without
+executing them (``_register_lazily``), so a run executes only the modules
+its subcommand reads: a closure ``errors``, ``pauli``, ``kernels`` and
+``lie_closure``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import os
 import sys
@@ -25,10 +31,31 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, brauer, circuit, gp_stats, lie_closure, moment
-from .errors import CapacityError, DomainError, check_bytes, read_fields, read_kind
-from .pauli import PauliString
-from .sampler import SAMPLERS, RngStream, check_sample
+from . import __version__
+from .errors import (CapacityError, DomainError, check_basis_index, check_bytes, read_fields,
+                     read_kind)
+
+
+def _register_lazily() -> None:
+    """Put every other module of the package, not yet imported, in
+    ``sys.modules`` and on the package without executing it: LazyLoader
+    executes a module when one of its attributes is first read."""
+    package, here = sys.modules[__package__], Path(__file__)
+    for path in sorted(here.parent.glob("*.py")):
+        name = f"{__package__}.{path.stem}"
+        if path.stem in ("__init__", here.stem) or name in sys.modules:
+            continue
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        setattr(package, path.stem, module)
+        spec.loader.exec_module(module)
+
+
+_register_lazily()
+# bound without executing: each runs when the plan first reads from it
+from . import brauer, circuit, gp_stats, lie_closure, moment, pauli, sampler  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -96,11 +123,9 @@ def _out_path(path, suffix=""):
 # check, allocating nothing large, and returns (what it adds to the config
 # echo, extra dry-run fields, run) where run() computes the payload
 
-_GENERATOR_SETS = {
-    "theorem1": lie_closure.theorem1_generators,
-    "prop2": lie_closure.prop2_generators,
-    "so-chain": lie_closure.so_chain_generators,
-}
+# --set value -> the lie_closure function that builds it
+_GENERATOR_SETS = {"theorem1": "theorem1_generators", "prop2": "prop2_generators",
+                   "so-chain": "so_chain_generators"}
 
 
 def _plan_closure(args):
@@ -114,10 +139,10 @@ def _plan_closure(args):
             raise DomainError("generators file must be a JSON list of Pauli labels")
         added["generators"] = labels  # in place of the file path
         gens = lie_closure.GeneratorSet(
-            args.n, tuple(PauliString.from_label(s) for s in labels), "custom"
+            args.n, tuple(pauli.PauliString.from_label(s) for s in labels), "custom"
         )
     else:
-        gens = _GENERATOR_SETS[args.set](args.n)
+        gens = getattr(lie_closure, _GENERATOR_SETS[args.set])(args.n)
 
     def run():
         res = lie_closure.closure(gens)
@@ -128,12 +153,12 @@ def _plan_closure(args):
 
 
 def _plan_sample(args):
-    check_sample(args.group, args.d, args.count)
+    sampler.check_sample(args.group, args.d, args.count)
     path = _out_path(args.out, ".npy")
 
     def run():
-        gen = RngStream(args.seed, "sample").generator()
-        draw = SAMPLERS[args.group]
+        gen = sampler.RngStream(args.seed, "sample").generator()
+        draw = sampler.SAMPLERS[args.group]
         out = np.empty((args.count, args.d, args.d), dtype=complex)
         for k in range(args.count):
             out[k] = draw(args.d, gen)
@@ -184,7 +209,7 @@ def _plan_simulate(args):
     circuit.check_statevector(circ.n)
     if not args.out:  # the inline amplitudes as lists of floats: about 150 B each
         check_bytes(f"the inline amplitudes at n = {circ.n}", 160, 2, circ.n)
-    circuit.check_basis_index(circ.n, args.state)
+    check_basis_index(circ.n, args.state)
     out = _out_path(args.out, ".npy")
 
     def run():
@@ -200,14 +225,16 @@ def _plan_simulate(args):
 
 _GP_FIELDS = {"schema_version": int, "n": int, "observable": str, "samples": int,
               "states": list}
-# state kind -> (its one optional field, that field's range check, the
-# StateSpec constructor taking it)
-_GP_STATES = {
-    "computational_basis": ("x", circuit.check_basis_index,
-                            gp_stats.StateSpec.computational_basis),
-    "superposition_pair": ("flip_qubit", gp_stats.check_flip_qubit,
-                           gp_stats.StateSpec.superposition_pair),
-}
+
+
+def _gp_states() -> dict:
+    """State kind -> (its one optional field, that field's range check, the
+    StateSpec constructor taking it)."""
+    return {
+        "computational_basis": ("x", check_basis_index, gp_stats.StateSpec.computational_basis),
+        "superposition_pair": ("flip_qubit", gp_stats.check_flip_qubit,
+                               gp_stats.StateSpec.superposition_pair),
+    }
 
 
 def _load_gp_config(path: str):
@@ -216,6 +243,7 @@ def _load_gp_config(path: str):
     come before check_gp, whose capacity check would otherwise hide them."""
     data = read_fields(json.loads(Path(path).read_text()), "gp config",
                        _GP_FIELDS, {"batches": int})
+    kinds = _gp_states()
     n, samples = data["n"], data["samples"]
     if data["schema_version"] != SCHEMA_VERSION:
         raise DomainError(f"bad gp config: schema_version must be {SCHEMA_VERSION}")
@@ -224,15 +252,15 @@ def _load_gp_config(path: str):
                           f"got n = {n}, samples = {samples}, {len(data['states'])} states")
     for k, s in enumerate(data["states"]):
         where = f"gp config: states[{k}]"
-        field, check_range, _ = _GP_STATES[read_kind(s, where, "kind", _GP_STATES)]
+        field, check_range, _ = kinds[read_kind(s, where, "kind", kinds)]
         read_fields(s, where, {"kind": str}, {field: int})
         if field in s:
             check_range(n, s[field])
-    observable = PauliString.from_label(data["observable"])
+    observable = pauli.PauliString.from_label(data["observable"])
     gp_stats.check_gp(n, samples, observable, data.get("batches", gp_stats.DEFAULT_BATCHES),
                       len(data["states"]))
     # the run builds the states: a plan allocates nothing d-sized
-    states = [partial(_GP_STATES[s["kind"]][2], n, **{k: v for k, v in s.items() if k != "kind"})
+    states = [partial(kinds[s["kind"]][2], n, **{k: v for k, v in s.items() if k != "kind"})
               for s in data["states"]]
     return data, states, observable
 
@@ -245,7 +273,8 @@ def _plan_gp(args, report):
 
     def run():
         summary = gp_stats.run_gp_experiment(
-            [make() for make in states], observable, data["samples"], RngStream(args.seed, "gp"),
+            [make() for make in states], observable, data["samples"],
+            sampler.RngStream(args.seed, "gp"),
             batches=data.get("batches", gp_stats.DEFAULT_BATCHES),
         )
         return report(summary, out)
@@ -274,8 +303,8 @@ def _gp_summary_payload(summary, out):
 
 def _plan_concentration(args):
     thresholds = _float_list(args.thresholds, "threshold")
-    obs = (PauliString.from_label(args.observable) if args.observable
-           else PauliString.single(args.n, min(2, args.n), "Y"))
+    obs = (pauli.PauliString.from_label(args.observable) if args.observable
+           else pauli.PauliString.single(args.n, min(2, args.n), "Y"))
     gp_stats.check_concentration(args.n, args.samples, thresholds, obs)
     if args.state == "pair":
         gp_stats.check_flip_qubit(args.n, 2)
@@ -283,7 +312,7 @@ def _plan_concentration(args):
     def run():
         state = (gp_stats.StateSpec.computational_basis(args.n, 0) if args.state == "basis"
                  else gp_stats.StateSpec.superposition_pair(args.n))
-        rng = RngStream(args.seed, "concentration")
+        rng = sampler.RngStream(args.seed, "concentration")
         table = gp_stats.concentration_tail(state, obs, args.samples, thresholds, rng)
         return _payload(table, "thresholds", "empirical", "empirical_se",
                         ("gaussian_tail", "gaussian"), "bound_t2", "bound_t4",
@@ -297,7 +326,7 @@ def _plan_anticoncentration(args):
     gp_stats.check_anticoncentration(args.n, args.samples, alphas, args.x)
 
     def run():
-        rng = RngStream(args.seed, "anticoncentration")
+        rng = sampler.RngStream(args.seed, "anticoncentration")
         table = gp_stats.anticoncentration_check(args.n, args.samples, alphas, rng, x_index=args.x)
         return _payload(table, "n", "x_index", "alphas", "empirical", "empirical_se",
                         "bound", "z_estimate", "z_se", "z_haar")
@@ -387,7 +416,8 @@ def build_parser() -> _Parser:
 
     p = _subcommand(sub, "sample", _plan_sample, "Haar samples from sp/o/so/u",
                     stochastic=True)
-    p.add_argument("--group", required=True, choices=list(SAMPLERS))
+    p.add_argument("--group", required=True,
+                   help="Haar group, a key of sampler.SAMPLERS: sp, o, so or u")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True, help="output .npy path")

@@ -31,6 +31,12 @@ def check_bytes(what: str, nbytes: int, base: int = 1, exponent: int = 0) -> Non
         raise CapacityError(f"{what} needs {size} bytes; the limit is {MEMORY_LIMIT}")
 
 
+def check_basis_index(n: int, index: int) -> None:
+    """0 <= index < 2**n, decided by bit length, so it allocates nothing."""
+    if not (index >= 0 and int(index).bit_length() <= n):
+        raise DomainError(f"basis index {index} out of range for n = {n}")
+
+
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
                list: "a list", dict: "an object"}
 

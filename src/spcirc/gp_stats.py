@@ -47,12 +47,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brauer import double_factorial
-from .circuit import check_basis_index
-from .errors import DomainError, check_bytes
-from .moment import z_haar
+from .errors import DomainError, check_basis_index, check_bytes
 from .pauli import PauliString, in_sp_algebra
-from .sampler import DEFAULT_TOL, RngStream, apply_omega, sample_sp_columns
+from .sampler import (DEFAULT_TOL, RngStream, apply_omega, double_factorial, sample_sp_columns,
+                      z_haar)
 
 DEFAULT_BATCHES = 20
 
@@ -240,7 +238,7 @@ def _check_sampling(n: int, n_samples: int, batches: int, vectors: int, states: 
                           "theorems do not cover other Paulis")
 
 
-# The two state range checks, this one and ``circuit.check_basis_index``,
+# The two state range checks, this one and ``errors.check_basis_index``,
 # allocate nothing (not even 2**n), so a GP config can make them before its
 # capacity check.
 

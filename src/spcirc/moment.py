@@ -37,7 +37,7 @@ the two qubits into those overlaps: onto the block's diagrams it gives the W
 tables, exact rationals rounded once, and onto label pairs the label-basis
 transfer (``derive_transfer``). A run derives one brick layer's block steps
 once per distinct set of input axes, at most twice: for the first layer and
-for the steady one.
+for the steady one, and a block step the two share once.
 
 Collision probability: z = sum_x E[p(x)^2] contracts the tensor against
 (x)_J sum_b |bb><bb|; per-factor contraction values are computed from the
@@ -54,10 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import brauer, circuit, kernels
+from . import kernels
 from .errors import DomainError, check_bytes
 from .pauli import DENSE_1Q
-from .sampler import BLOCK_GROUPS, as_generator
+from .sampler import BLOCK_GROUPS, as_generator, brick_layer, z_haar
 
 
 _XX, _YY, _ZZ = (np.kron(DENSE_1Q[p], DENSE_1Q[p]).real for p in "XYZ")
@@ -111,11 +111,6 @@ def contraction_values(alphabet) -> np.ndarray:
     """Tr[op * sum_b |bb><bb|] per one-qubit operator name, read from the
     values computed at import from the 4x4 operators."""
     return np.array([_Z[i] for i in _indices(alphabet)])
-
-
-def z_haar(n: int) -> float:
-    """Collision probability of a globally Haar state family: 2/(d + 1)."""
-    return 2.0 / (2**n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +288,7 @@ def initial_label_vector(n: int) -> LabelVector:
 
 
 def _half_layers(n: int) -> list:
-    """The odd-bond and the even-bond halves of ``circuit.brick_layer(n)``,
+    """The odd-bond and the even-bond halves of ``sampler.brick_layer(n)``,
     each a set of disjoint blocks; the even half is empty at n = 2.
 
     Each half lists its blocks in the order its chain of block steps walks
@@ -302,24 +297,27 @@ def _half_layers(n: int) -> list:
     through adds an axis, and one that meets a one-qubit axis at the far
     end removes one.
     """
-    layer = circuit.brick_layer(n)
+    layer = brick_layer(n)
     halves = ([b for b in layer if b[0] % 2 == 1], [b for b in layer if b[0] % 2 == 0])
     return [h[::-1] if h[0][0] != 1 and h[-1][0] + 1 == n else h for h in halves if h]
 
 
-def _layer_steps(n: int, alphabets: tuple) -> tuple:
+def _layer_steps(n: int, alphabets: tuple, blocks: dict) -> tuple:
     """(steps, output axes) of one brick layer on a tensor with axes
     ``alphabets``: each step is a block's (matrix, left, din, right), the
     arguments of a ``kernels.transfer_apply`` call that leaves the axes
-    around the block's input axes in place."""
+    around the block's input axes in place. ``blocks`` holds the run's
+    ``block_step`` results by their arguments, so each is derived once."""
     alphabets, steps = list(alphabets), []
     for half in _half_layers(n):
         for bond, group in half:
             starts = list(itertools.accumulate((len(a[0]) for a in alphabets), initial=1))
             i = bisect.bisect_right(starts, bond) - 1  # the axis holding qubit ``bond``
             width = 1 if starts[i + 1] > bond + 1 else 2  # axes the block reads
-            matrix, outs = block_step(group, alphabets[i],
-                                      None if width == 1 else alphabets[i + 1])
+            key = (group, alphabets[i], None if width == 1 else alphabets[i + 1])
+            if key not in blocks:
+                blocks[key] = block_step(*key)
+            matrix, outs = blocks[key]
             dims = [len(a) for a in alphabets]
             steps.append((matrix, math.prod(dims[:i]), math.prod(dims[i:i + width]),
                           math.prod(dims[i + width:])))
@@ -331,13 +329,14 @@ def _layers(v: LabelVector):
     """Yield ``v`` after each further brick layer, without end. A layer's
     steps are derived once per distinct set of input axes, held by this run
     alone: the first layer's and, from the second layer on, the steady
-    one's. Between block steps only the step's input and output are held,
-    besides what the caller holds."""
-    plans = {}
+    one's; a block step the two share is derived once. Between block steps
+    only the step's input and output are held, besides what the caller
+    holds."""
+    plans, blocks = {}, {}
     alphabets, coeffs, layers = v.alphabets, v.coeffs, v.layers
     while True:
         if alphabets not in plans:
-            plans[alphabets] = _layer_steps(v.n, alphabets)
+            plans[alphabets] = _layer_steps(v.n, alphabets, blocks)
         steps, alphabets = plans[alphabets]
         for step in steps:
             coeffs = kernels.transfer_apply(coeffs, *step)
@@ -346,7 +345,7 @@ def _layers(v: LabelVector):
 
 
 def propagate(v: LabelVector, layers: int) -> LabelVector:
-    """Apply ``layers`` full brick layers (``circuit.brick_layer``)."""
+    """Apply ``layers`` full brick layers (``sampler.brick_layer``)."""
     check_propagation(v.n, layers)
     for v in itertools.islice(_layers(v), layers):
         pass
@@ -443,12 +442,15 @@ def fit_log_depth(ns, depths) -> LogFit:
 
 
 # ---------------------------------------------------------------------------
-# dense oracles (test surface; exponential in n)
+# dense oracles (test surface; exponential in n). They import ``brauer`` and
+# ``circuit`` in their bodies, so the propagator runs without either module.
 
 def dense_second_moment(n: int, layers: int) -> np.ndarray:
     """E[rho (x) rho] after the given layer count, built by composing exact
     per-block twirl superoperators on the full 4^n-dimensional space: each
     acts as an 8-leg ``kernels.apply_gate`` on the operator's 4n bits."""
+    from . import brauer
+
     _check_layers(layers)
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -459,11 +461,11 @@ def dense_second_moment(n: int, layers: int) -> np.ndarray:
     m = np.zeros((dim, dim))
     m[0, 0] = 1.0
     supers = {group: brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group])
-              for _, group in circuit.brick_layer(n)}
+              for _, group in brick_layer(n)}
     # the 4n bits, most significant first: rows (copy 1 qubits 1..n, copy 2
     # qubits 1..n), then columns likewise; a block acts on qubits i, i + 1 of each
     for _ in range(layers):
-        for i, group in circuit.brick_layer(n):
+        for i, group in brick_layer(n):
             legs = [4 * n - 1 - (k * n + q) for k in range(4) for q in (i - 1, i)]
             kernels.apply_gate(m.reshape(-1), supers[group], legs)
     return m
@@ -478,6 +480,8 @@ def dense_collision(m: np.ndarray, n: int) -> float:
 
 def monte_carlo_collision(n: int, layers: int, n_samples: int, rng):
     """Sampled z over brick-layer circuits; returns (mean, standard error)."""
+    from . import circuit
+
     if n_samples < 2:
         raise DomainError(f"the standard error needs at least 2 samples, got {n_samples}")
     gen = as_generator(rng)

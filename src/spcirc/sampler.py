@@ -15,10 +15,16 @@ Omega' = I_{d/2} (x) [[0,1],[-1,0]]. A fixed perfect-shuffle permutation
 block form Omega = [[0, I], [-I, 0]], which on qubits equals iY (x) I.
 sample_sp_columns stops the factorization after the first k quaternionic
 columns, for experiments that read S on a few vectors only.
+
+The brick-layer schedule of Haar blocks (``brick_layer``), the Haar
+collision probability (``z_haar``) and the pairing count
+(``double_factorial``) live here too, so that ``circuit``, ``moment``,
+``gp_stats`` and ``brauer`` share them without importing one another.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from functools import partial
@@ -63,6 +69,18 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise DomainError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+
+
+def double_factorial(k: int) -> int:
+    """k (k - 2) (k - 4) ... down to 1 or 2, and 1 for k <= 0: at k = 2t - 1
+    the number of pairings of 2t items, which counts both the Brauer diagrams
+    of order t and the Gaussian moment E[g^2t] / E[g^2]^t."""
+    return math.prod(range(k, 0, -2))
+
+
+def z_haar(n: int) -> float:
+    """Collision probability of a globally Haar state family: 2/(d + 1)."""
+    return 2.0 / (2**n + 1)
 
 
 def omega(d: int) -> np.ndarray:
@@ -158,6 +176,8 @@ def check_sample(group: str, d: int, count: int) -> None:
     """Checks of ``count`` draws from ``SAMPLERS[group]``: per entry of a d x d
     matrix, 16 B for each output draw and 80 B for one draw (sp's Gaussian
     blocks, image, copy, Q and R)."""
+    if group not in SAMPLERS:
+        raise DomainError(f"unknown group {group!r}; expected one of {tuple(SAMPLERS)}")
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     if group == "sp" and d % 2:
@@ -169,6 +189,13 @@ def check_sample(group: str, d: int, count: int) -> None:
 
 # brick-layer block group -> its SAMPLERS key; every block is 4 x 4
 BLOCK_GROUPS = {"sp2": "sp", "so4": "so", "o4": "o", "u4": "u"}
+
+
+def brick_layer(n: int) -> list:
+    """The (bond, group) blocks of one brick layer in gate order: odd bonds
+    (1,2), (3,4), ... then even bonds (2,3), (4,5), ..., bond i joining qubits
+    i and i + 1; the bond containing qubit 1 is SP(2), every other O(4)."""
+    return [(i, "sp2" if i == 1 else "o4") for start in (1, 2) for i in range(start, n, 2)]
 
 
 def sample_block(group: str, rng) -> np.ndarray:

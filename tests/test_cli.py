@@ -806,6 +806,8 @@ PLAN_FAILURES = [
                  id="simulate-theta-past-float-range"),
     pytest.param(["sample", "--group", "sp", "--d", "4", "--count", "2", "--seed", "1",
                   "--out", "{tmp}/missing/s.npy"], 1, id="sample-out-directory-missing"),
+    pytest.param(["sample", "--group", "x", "--d", "4", "--count", "1", "--seed", "1",
+                  "--out", "{tmp}/s.npy"], 1, id="sample-group-unknown"),
     pytest.param(["sample", "--group", "u", "--d", "16384", "--count", "1", "--seed", "1",
                   "--out", "{tmp}/s.npy"], 2, id="sample-over-byte-limit"),
     pytest.param(["twirl", "--t", "2", "--d", "3", "--group", "sp",
@@ -975,6 +977,49 @@ def test_cli_import_leaves_scipy_out():
     code = ("import sys, spcirc.cli; print([m in sys.modules for m in "
             "('scipy', 'jsonschema', 'concurrent.futures')])")
     assert fresh(code) == "[False, False, False]"
+
+
+# the spcirc modules a process has executed; a module registered without
+# executing is a LazyLoader subclass of ModuleType until it is first read
+EXECUTED = ("sorted(k[7:] for k, m in sys.modules.items() "
+            "if k.startswith('spcirc.') and type(m) is types.ModuleType)")
+
+
+@pytest.mark.parametrize("argv,executed", [
+    pytest.param(["closure", "--set", "theorem1", "--n", "3"],
+                 ["cli", "errors", "kernels", "lie_closure", "pauli"], id="closure"),
+    pytest.param(["anticoncentration-depth", "--n-min", "2", "--n-max", "4",
+                  "--out", "{tmp}/d.csv"],
+                 ["cli", "errors", "kernels", "moment", "pauli", "sampler"], id="depth"),
+    pytest.param(["gp-summary", "--config", "{tmp}/gp.json", "--seed", "1"],
+                 ["cli", "errors", "gp_stats", "pauli", "sampler"], id="gp-summary"),
+])
+def test_a_subcommand_executes_only_the_modules_it_reads(tmp_path, argv, executed):
+    """Importing the CLI registers every module of the package, which the
+    benchmark's tracer looks up in sys.modules, and executes none of them
+    beyond errors; a run then executes what its subcommand reads."""
+    gp_config(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = ("import contextlib, io, os, sys, types, spcirc.cli\n"
+            "names = [f[:-3] for f in os.listdir(os.path.dirname(spcirc.__file__))\n"
+            "         if f.endswith('.py') and f != '__init__.py']\n"
+            "print(all('spcirc.' + m in sys.modules for m in names), " + EXECUTED + ")\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = spcirc.cli.main({argv!r})\n"
+            "print(code, " + EXECUTED + ")")
+    assert fresh(code).splitlines() == [f"True {['cli', 'errors']}", f"0 {executed}"]
+
+
+def test_moment_oracles_import_what_they_use():
+    """The dense oracles import brauer and circuit in their bodies, which a
+    process that imported only spcirc.moment has not executed."""
+    code = ("import sys, numpy as np\n"
+            "from spcirc import moment\n"
+            "before = [m in sys.modules for m in ('spcirc.brauer', 'spcirc.circuit')]\n"
+            "m = moment.dense_second_moment(2, 1)\n"
+            "z, _ = moment.monte_carlo_collision(2, 1, 2, np.random.default_rng(0))\n"
+            "print(before, round(moment.dense_collision(m, 2), 12), 0 < z <= 1)")
+    assert fresh(code) == "[False, False] 0.4 True"
 
 
 def test_cli_run_starts_no_process():

@@ -361,6 +361,21 @@ def test_a_run_derives_each_layer_once(monkeypatch):
     assert counts[0] == counts[1], counts
 
 
+def test_a_run_derives_each_block_step_once(monkeypatch):
+    """A block step that the first and the steady layer share is derived once
+    per run: no two calls of ``block_step`` take the same arguments."""
+    calls = []
+    step = moment.block_step
+
+    def record(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(moment, "block_step", record)
+    propagate(initial_label_vector(14), 3)
+    assert calls and len(calls) == len(set(calls)), (len(calls), len(set(calls)))
+
+
 def test_import_computes_nothing():
     """Importing the module builds no diagram, and neither does reading a
     diagram factor: the factors are read-only constants built from the
