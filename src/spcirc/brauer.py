@@ -105,20 +105,6 @@ class BrauerDiagram:
         return "".join(f"({a},{b})" for a, b in self.pairing)
 
 
-def diagram_from_string(text: str) -> BrauerDiagram:
-    """Parse the canonical "(1,3)(2,4)" form."""
-    body = text.replace(" ", "")
-    if not (body.startswith("(") and body.endswith(")")):
-        raise DomainError(f"bad diagram string {text!r}")
-    pairs = []
-    for chunk in body[1:-1].split(")("):
-        left, _, right = chunk.partition(",")
-        if not (left.isdigit() and right.isdigit()):
-            raise DomainError(f"bad diagram string {text!r}")
-        pairs.append((int(left), int(right)))
-    return BrauerDiagram.from_pairs(len(pairs), pairs)
-
-
 def _all_pairings(items):
     if not items:
         yield []
@@ -333,13 +319,6 @@ def gram(t: int, d: int, form: str = "sp") -> GramMatrix:
     else:
         weingarten = np.linalg.inv(entries)
     return GramMatrix(t, d, form, diagrams, entries, pseudo, weingarten)
-
-
-def asymptotic_decomposition(g: GramMatrix) -> tuple[float, np.ndarray]:
-    """Split W = d^t (I + B/d) into the leading scalar and the bounded part."""
-    lead = float(g.d) ** g.t
-    b = g.d * (g.entries / lead - np.eye(len(g.diagrams)))
-    return lead, b
 
 
 def _table(t: int, d: int, form: str):

@@ -122,11 +122,6 @@ def rotation_block(gens: GeneratorSet, thetas) -> CircuitSpec:
     return CircuitSpec(gens.n, gates)
 
 
-def theorem1_gate_count(n: int) -> int:
-    """One angle per theorem-1 generator."""
-    return len(theorem1_generators(n).generators)
-
-
 def build_theorem1_block(n: int, thetas) -> CircuitSpec:
     """One block of the symplectic-universal chain family: 3n - 2 rotations,
     one independent angle each."""

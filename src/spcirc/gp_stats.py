@@ -122,14 +122,6 @@ class StateSpec:
         v[0] = v[1 << (n - flip_qubit)] = 1.0 / math.sqrt(2.0)
         return cls(n, statevector=v, label=f"pair[q{flip_qubit}]")
 
-    @classmethod
-    def from_statevector(cls, n: int, vec, label: str = "pure") -> "StateSpec":
-        return cls(n, statevector=np.asarray(vec, dtype=complex), label=label)
-
-    @classmethod
-    def from_density(cls, n: int, rho, label: str = "mixed") -> "StateSpec":
-        return cls(n, density=np.asarray(rho, dtype=complex), label=label)
-
     def density_matrix(self) -> np.ndarray:
         return (self.vectors * self.weights) @ self.vectors.conj().T
 
@@ -137,7 +129,7 @@ class StateSpec:
 # ---------------------------------------------------------------------------
 # overlaps
 
-def _overlaps(a: StateSpec, b: StateSpec) -> tuple:
+def overlaps(a: StateSpec, b: StateSpec) -> tuple:
     """(Tr[rho_a rho_b], Tr[Omega rho_a Omega rho_b^T]) from the spectra:
     (sum w w' |v^dag v'|^2, -sum w w' |v^T Omega v'|^2)."""
     if a.n != b.n:
@@ -148,19 +140,9 @@ def _overlaps(a: StateSpec, b: StateSpec) -> tuple:
             -float(a.weights @ twisted @ b.weights))
 
 
-def state_overlap(a: StateSpec, b: StateSpec) -> float:
-    """Tr[rho_a rho_b]."""
-    return _overlaps(a, b)[0]
-
-
-def twisted_overlap(a: StateSpec, b: StateSpec) -> float:
-    """Tr[Omega rho_a Omega rho_b^T]; for pure states -|psi^T Omega phi|^2."""
-    return _overlaps(a, b)[1]
-
-
 def algebra_overlap(a: StateSpec, b: StateSpec) -> float:
     """Tr_g[rho_a rho_b] = (Tr[rho_a rho_b] + Tr[Omega rho_a Omega rho_b^T])/2."""
-    return 0.5 * sum(_overlaps(a, b))
+    return 0.5 * sum(overlaps(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +152,7 @@ def _pair_matrices(states):
     """(Tr[rho_j rho_j'], Tr[Omega rho_j Omega rho_j'^T]) over every pair."""
     pairs = np.empty((len(states), len(states), 2))
     for i, j in zip(*np.triu_indices(len(states))):
-        pairs[i, j] = pairs[j, i] = _overlaps(states[i], states[j])
+        pairs[i, j] = pairs[j, i] = overlaps(states[i], states[j])
     return pairs[..., 0], pairs[..., 1]
 
 

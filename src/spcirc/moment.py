@@ -102,17 +102,6 @@ def qubit_operator(name: str) -> np.ndarray:
     return _OPS[_indices([name])[0]]
 
 
-def label_gram(alphabet) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix of the per-qubit label operators."""
-    return _overlaps(alphabet, alphabet).astype(float)
-
-
-def contraction_values(alphabet) -> np.ndarray:
-    """Tr[op * sum_b |bb><bb|] per one-qubit operator name, read from the
-    values computed at import from the 4x4 operators."""
-    return np.array([_Z[i] for i in _indices(alphabet)])
-
-
 # ---------------------------------------------------------------------------
 # block transfers: the Weingarten formula on one-qubit overlaps
 

@@ -170,7 +170,7 @@ def test_criterion_06_symplectic_membership():
         n = int(gen.integers(2, 7))
         blocks = [
             circuit.build_theorem1_block(
-                n, random_thetas(circuit.theorem1_gate_count(n))
+                n, random_thetas(len(lie_closure.theorem1_generators(n).generators))
             )
             for _ in range(int(gen.integers(1, 4)))
         ]

@@ -14,11 +14,9 @@ from hypothesis import strategies as st
 from spcirc import brauer
 from spcirc.brauer import (
     BrauerDiagram,
-    asymptotic_decomposition,
     check_gram,
     check_twirl,
     compose,
-    diagram_from_string,
     double_factorial,
     enumerate_diagrams,
     gram,
@@ -79,12 +77,7 @@ def test_t2_order_is_identity_swap_contraction():
     assert not sigs[2].is_permutation()
 
 
-def test_string_round_trip():
-    for t in (2, 3):
-        for sig in enumerate_diagrams(t):
-            assert diagram_from_string(str(sig)) == sig
-    with pytest.raises(DomainError):
-        diagram_from_string("(1,2(3,4)")
+def test_pairs_that_do_not_partition_the_items_are_refused():
     with pytest.raises(DomainError):
         BrauerDiagram.from_pairs(2, [(1, 2), (2, 3)])
 
@@ -295,16 +288,6 @@ def test_pseudo_inverse_exactly_when_singular(form):
         for d in range(2, 10, 2) if form == "sp" else range(1, 10):
             g = gram(t, d, form)
             assert g.pseudo == (np.linalg.matrix_rank(g.entries) < len(g.diagrams)), (t, d)
-
-
-def test_asymptotic_split():
-    g = gram(2, 4, "sp")
-    lead, b = asymptotic_decomposition(g)
-    assert lead == 16.0
-    assert np.array_equal(b, np.array([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], dtype=float))
-    for t in (2, 3, 4):
-        _, b = asymptotic_decomposition(gram(t, 16, "sp"))
-        assert np.abs(b).max() <= 1.0
 
 
 # -- twirl -----------------------------------------------------------------------------

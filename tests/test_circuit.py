@@ -22,7 +22,6 @@ from spcirc.circuit import (
     initial_state,
     pauli_apply,
     pauli_expectation,
-    theorem1_gate_count,
     to_unitary,
 )
 from spcirc.errors import CapacityError, DomainError
@@ -108,7 +107,7 @@ def test_one_pass_unitary_matches_the_column_definition():
 
 
 def test_norm_preserved():
-    circ = build_theorem1_block(3, np.linspace(0.1, 0.9, theorem1_gate_count(3)))
+    circ = build_theorem1_block(3, np.linspace(0.1, 0.9, len(theorem1_generators(3).generators)))
     out = apply(circ, initial_state(3, 5))
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -117,7 +116,7 @@ def test_norm_preserved():
 
 def test_theorem1_block_is_symplectic():
     for n in (2, 3, 4):
-        k = theorem1_gate_count(n)
+        k = len(theorem1_generators(n).generators)
         assert k == 3 * n - 2
         thetas = np.linspace(0.2, 1.1, k)
         u = to_unitary(build_theorem1_block(n, thetas))
@@ -129,7 +128,7 @@ def test_stacked_theorem1_blocks_stay_symplectic():
     n = 3
     gen = RngStream(33, "circuit").generator()
     blocks = [
-        build_theorem1_block(n, gen.uniform(0, 2 * np.pi, theorem1_gate_count(n)))
+        build_theorem1_block(n, gen.uniform(0, 2 * np.pi, len(theorem1_generators(n).generators)))
         for _ in range(6)
     ]
     u = to_unitary(concat(blocks))

@@ -223,7 +223,7 @@ def test_gram_pseudo_inverse_at_small_d(capsys):
 
 def test_twirl_swap_coefficients(tmp_path, capsys):
     swap = brauer.represent(
-        brauer.diagram_from_string("(1,4)(2,3)"), 4, form="sp"
+        brauer.BrauerDiagram.from_pairs(2, [(1, 4), (2, 3)]), 4, form="sp"
     )
     path = tmp_path / "swap.npy"
     np.save(path, swap)

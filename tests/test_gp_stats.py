@@ -25,11 +25,10 @@ from spcirc.gp_stats import (
     concentration_tail,
     exact_covariance,
     moment_bound,
+    overlaps,
     run_gp_experiment,
     select_theorem,
-    state_overlap,
     symplectic_frame,
-    twisted_overlap,
     wick_fourth_moments,
 )
 from spcirc.pauli import PauliString, enumerate_sp_basis
@@ -48,7 +47,7 @@ def fig_family(n):
 
 def random_pure(n, gen):
     v = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
-    return StateSpec.from_statevector(n, v / np.linalg.norm(v))
+    return StateSpec(n, statevector=v / np.linalg.norm(v))
 
 
 def j_image(v):
@@ -61,7 +60,7 @@ def random_mixed(n, gen):
     d = 2**n
     a = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
     rho = a @ a.conj().T
-    return StateSpec.from_density(n, rho / np.trace(rho).real)
+    return StateSpec(n, density=rho / np.trace(rho).real)
 
 
 def given_density(s):
@@ -90,7 +89,7 @@ def degenerate_family(n, gen):
     """psi_1, J psi_1 and a combination of the two: one quaternionic column."""
     psi = random_pure(n, gen).statevector
     mix = (psi + 1j * j_image(psi)) / math.sqrt(2.0)
-    return [StateSpec.from_statevector(n, v) for v in (psi, j_image(psi), mix)]
+    return [StateSpec(n, statevector=v) for v in (psi, j_image(psi), mix)]
 
 
 # -- overlaps -----------------------------------------------------------------
@@ -110,8 +109,8 @@ def test_overlap_routes_agree_on_random_pure_states():
         fast = algebra_overlap(a, b)
         assert fast == pytest.approx(projection_overlap(a, b), abs=1e-10)
         # the same states given as density matrices hit the same number
-        ad = StateSpec.from_density(n, a.density_matrix())
-        bd = StateSpec.from_density(n, b.density_matrix())
+        ad = StateSpec(n, density=a.density_matrix())
+        bd = StateSpec(n, density=b.density_matrix())
         assert algebra_overlap(ad, bd) == pytest.approx(fast, abs=1e-10)
     # full-rank mixed states, against each other and against pure ones
     for n in (2, 3, 4):
@@ -126,7 +125,7 @@ def test_overlap_routes_agree_on_random_pure_states():
 
 def test_maximally_mixed_has_zero_algebra_overlap():
     n = 3
-    mixed = StateSpec.from_density(n, np.eye(2**n) / 2**n)
+    mixed = StateSpec(n, density=np.eye(2**n) / 2**n)
     assert algebra_overlap(mixed, mixed) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -134,19 +133,19 @@ def test_twisted_overlap_frozen_values():
     b00 = StateSpec.computational_basis(2, 0)
     b01 = StateSpec.computational_basis(2, 1)
     b10 = StateSpec.computational_basis(2, 2)
-    assert twisted_overlap(b00, b01) == pytest.approx(0.0, abs=1e-12)
-    assert twisted_overlap(b00, b10) == pytest.approx(-1.0, abs=1e-12)
+    assert overlaps(b00, b01)[1] == pytest.approx(0.0, abs=1e-12)
+    assert overlaps(b00, b10)[1] == pytest.approx(-1.0, abs=1e-12)
     assert algebra_overlap(b00, b10) == pytest.approx(-0.5, abs=1e-12)
     # dense route agrees with the pure-state shortcut
-    d00 = StateSpec.from_density(2, b00.density_matrix())
-    d10 = StateSpec.from_density(2, b10.density_matrix())
-    assert twisted_overlap(d00, d10) == pytest.approx(-1.0, abs=1e-12)
+    d00 = StateSpec(2, density=b00.density_matrix())
+    d10 = StateSpec(2, density=b10.density_matrix())
+    assert overlaps(d00, d10)[1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_overlap_size_mismatch():
     a = StateSpec.computational_basis(2, 0)
     b = StateSpec.computational_basis(3, 0)
-    for fn in (state_overlap, twisted_overlap, algebra_overlap):
+    for fn in (overlaps, algebra_overlap):
         with pytest.raises(DomainError):
             fn(a, b)
 
@@ -246,7 +245,7 @@ def test_column_draws_preserve_overlaps_and_twisted_overlaps():
     n, d = 4, 16
     pure = degenerate_family(n, gen)[:1] + [random_pure(n, gen) for _ in range(2)]
     rho = 0.6 * pure[0].density_matrix() + 0.4 * pure[1].density_matrix()
-    states = pure + [StateSpec.from_density(n, rho)]
+    states = pure + [StateSpec(n, density=rho)]
     k, coefficients, _ = _frame_coefficients(states)
     assert k == 3
     vecs = [v for s in states for v in s.vectors.T]
@@ -267,7 +266,7 @@ def test_mixed_state_value_is_linear_in_the_state():
     n = 3
     a, b = StateSpec.computational_basis(n, 0), random_pure(n, gen)
     rho = 0.7 * a.density_matrix() + 0.3 * b.density_matrix()
-    states = [a, b, StateSpec.from_density(n, rho)]
+    states = [a, b, StateSpec(n, density=rho)]
     obs = PauliString.single(n, 2, "Y")
     values = sampled_values(states, obs, 40, RngStream(48))
     assert np.abs(values[:, 2] - (0.7 * values[:, 0] + 0.3 * values[:, 1])).max() <= 1e-12
@@ -325,7 +324,7 @@ def test_gp_run_with_a_mixed_state_past_n8():
     v = v - np.vdot(u, v) * u
     v /= np.linalg.norm(v)
     rho = 0.75 * np.outer(u, u.conj()) + 0.25 * np.outer(v, v.conj())
-    states = [StateSpec.computational_basis(n, 0), StateSpec.from_density(n, rho)]
+    states = [StateSpec.computational_basis(n, 0), StateSpec(n, density=rho)]
     run = run_gp_experiment(states, PauliString.single(n, 2, "Y"), 40, RngStream(54))
     assert run.values.shape == (40, 2)
     om = omega(d)
@@ -509,7 +508,7 @@ def test_gaussian_tail_matches_scipy_erfc():
 
 def test_concentration_tail_mixed_state_is_degenerate():
     n = 2
-    mixed = StateSpec.from_density(n, np.eye(4) / 4)
+    mixed = StateSpec(n, density=np.eye(4) / 4)
     obs = PauliString.single(n, 2, "Y")
     with np.errstate(invalid="ignore"):
         table = concentration_tail(mixed, obs, 100, [0.1, 0.5], RngStream(1))
@@ -605,21 +604,21 @@ def test_anticoncentration_validation():
 
 def test_state_spec_validation():
     with pytest.raises(DomainError):
-        StateSpec.from_statevector(2, np.ones(4))
+        StateSpec(2, statevector=np.ones(4))
     with pytest.raises(DomainError):
         StateSpec.computational_basis(2, 4)
     with pytest.raises(DomainError):
         StateSpec.superposition_pair(3, 4)
     with pytest.raises(DomainError):
-        StateSpec.from_density(2, np.eye(4))  # trace 4
+        StateSpec(2, density=np.eye(4))  # trace 4
     rho = np.eye(4) / 4
     rho = rho.astype(complex)
     rho[0, 1] = 0.3
     with pytest.raises(DomainError):
-        StateSpec.from_density(2, rho)  # not Hermitian
+        StateSpec(2, density=rho)  # not Hermitian
     bad = np.diag([0.7, 0.5, -0.2, 0.0]).astype(complex)
     with pytest.raises(DomainError):
-        StateSpec.from_density(2, bad)  # negative weight
+        StateSpec(2, density=bad)  # negative weight
     with pytest.raises(DomainError):
         StateSpec(2)
     with pytest.raises(DomainError):  # one description of the state, not two
@@ -638,11 +637,7 @@ def test_state_spec_refuses_non_finite_entries(value):
     v[0] = value
     with pytest.raises(DomainError, match="non-finite"):
         StateSpec(2, statevector=v)
-    with pytest.raises(DomainError, match="non-finite"):
-        StateSpec.from_statevector(2, v)
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 1] = rho[1, 0] = value
     with pytest.raises(DomainError, match="non-finite"):
         StateSpec(2, density=rho)
-    with pytest.raises(DomainError, match="non-finite"):
-        StateSpec.from_density(2, rho)

@@ -30,14 +30,12 @@ from spcirc.moment import (
     check_propagation,
     collision_probability,
     collision_trace,
-    contraction_values,
     dense_collision,
     dense_second_moment,
     depth_to_anticoncentrate,
     derive_transfer,
     fit_log_depth,
     initial_label_vector,
-    label_gram,
     monte_carlo_collision,
     propagate,
     qubit_operator,
@@ -80,18 +78,29 @@ def test_label_operators_closed_forms():
     assert raw[0, 0] == 1.0 and np.count_nonzero(raw) == 1
 
 
+def overlaps(names):
+    """Hilbert-Schmidt overlaps Tr[x^T y] of the named one-qubit operators."""
+    ops = np.array([qubit_operator(a) for a in names])
+    return np.einsum("aij,bij->ab", ops, ops)
+
+
+def z_values(names):
+    """<00|op|00> + <11|op|11> of each named one-qubit operator."""
+    return np.array([qubit_operator(a)[0, 0] + qubit_operator(a)[3, 3] for a in names])
+
+
 def test_label_gram_frozen():
-    g2 = label_gram(("I", "S"))
+    g2 = overlaps(("I", "S"))
     assert np.allclose(g2, np.diag([4.0, 12.0]), atol=1e-12)
-    g3 = label_gram(("I", "S", "B"))
+    g3 = overlaps(("I", "S", "B"))
     assert np.allclose(
         g3, np.array([[4, 0, 0], [0, 12, 4], [0, 4, 12]], dtype=float), atol=1e-12
     )
 
 
 def test_contraction_values_from_dense():
-    assert np.allclose(contraction_values(ALPHA_REST), [2.0, 2.0, 2.0])
-    assert np.allclose(contraction_values(("raw",)), [1.0])
+    assert np.allclose(z_values(ALPHA_REST), [2.0, 2.0, 2.0])
+    assert np.allclose(z_values(("raw",)), [1.0])
 
 
 # -- the sp2 and o4 transfers ----------------------------------------------------
@@ -240,7 +249,7 @@ def collision_reference(alphabets, coeffs):
     ``collision_probability``, which starts at the last axis."""
     t = coeffs.reshape([len(a) for a in alphabets])
     for alpha in alphabets:
-        t = np.tensordot(contraction_values(alpha), t, axes=([0], [0]))
+        t = np.tensordot(z_values(alpha), t, axes=([0], [0]))
     return float(t)
 
 

@@ -1,0 +1,121 @@
+"""Every public name of ``spcirc`` has a reader.
+
+A public name is a top-level function, class or constant of a module in
+``src/spcirc`` whose name has no leading underscore, or such a method of a
+public class. It counts as read when a node of the package outside its own
+definition loads it: as a name, as an attribute, as an import alias, or as a
+string constant equal to it (``cli`` looks up generator sets and
+``ClosureResult.dimension`` by name). Matching is by bare name, so a method
+counts as read wherever an attribute of that name is loaded.
+
+A public name that no package code reads is kept only as a key of
+``ORACLES``, whose value says what reads it instead: a test that uses it as an
+oracle, a release criterion, a README section, an open ROADMAP item or the
+benchmark. A key that is no longer public, or that package code now reads,
+fails too, so the list stays exact.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+import spcirc
+
+SRC = pathlib.Path(spcirc.__file__).parent
+
+ORACLES = {
+    # oracles of the release criteria (tests/test_acceptance.py) and the tests
+    "brauer.BrauerDiagram.mirror": "test_brauer.py::test_mirror_is_dense_transpose",
+    "brauer.monte_carlo_twirl": "criterion 4",
+    "circuit.build_theorem1_block": "criterion 6",
+    "circuit.build_prop2_block": "criterion 6",
+    "circuit.concat": "criterion 6",
+    "circuit.to_unitary": "criterion 6",
+    "circuit.circuit_to_json": "test_circuit.py::test_json_round_trip_rotations_and_blocks",
+    "gp_stats.StateSpec.density_matrix": "test_gp_stats.py::test_twisted_overlap_frozen_values",
+    "moment.LABEL_OPS": "test_moment.py::test_label_operators_closed_forms",
+    "moment.FACTORS": "test_moment.py::test_block_transfer_matches_the_gram_inverse_twirl",
+    "moment.qubit_operator": "test_moment.py::test_diagram_factors_rebuild_the_diagrams",
+    "moment.derive_transfer": "criterion 5",
+    "moment.collision_trace": "test_moment.py::test_z_decreases_towards_haar",
+    "moment.dense_second_moment": "criterion 10",
+    "moment.dense_collision": "criterion 10",
+    "moment.monte_carlo_collision": "test_moment.py::test_monte_carlo_agrees",
+    "pauli.commutator": "test_pauli.py::test_commutator_direction",
+    "pauli.enumerate_sp_basis": "test_pauli.py::test_enumerate_sp_basis",
+    "pauli.to_dense": "test_pauli.py::test_multiply_matches_dense_exhaustive_n2",
+    "pauli.to_dense_kron": "test_pauli.py::test_dense_matches_kron_exhaustive_n2",
+    "sampler.is_symplectic": "test_sampler.py::test_sample_sp_membership",
+    "sampler.is_unitary": "test_sampler.py::test_sample_unitary_membership",
+    "sampler.is_in_sp_algebra_dense": "test_sampler.py::test_is_in_sp_algebra_dense",
+    # documented
+    "brauer.compose": "README, Conventions",
+    # open ROADMAP items
+    "circuit.pauli_expectation": "ROADMAP item 2",
+    "gp_stats.wick_fourth_moments": "ROADMAP item 6",
+    # the benchmark
+    "kernels.HAS_NUMBA": "perfbench/run.py",
+}
+
+
+def _reads(tree):
+    """Every name the nodes under ``tree`` load, with repeats."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _public(module: str, tree):
+    """(qualified name, bare name, definition node) of each public name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                continue
+            yield f"{module}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{module}.{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield f"{module}.{name.id}", name.id, node
+
+
+def unread(trees: dict) -> set:
+    """Qualified public names of the modules ``trees`` (stem -> ast) that no
+    node outside their own definition reads."""
+    loads = Counter(name for tree in trees.values() for name in _reads(tree))
+    return {
+        qualified
+        for module, tree in trees.items()
+        for qualified, name, node in _public(module, tree)
+        if loads[name] == Counter(_reads(node))[name]
+    }
+
+
+def test_every_public_name_has_a_reader():
+    found = unread({path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")})
+    assert found == set(ORACLES), (
+        f"read by no package code and not in ORACLES: {sorted(found - set(ORACLES))}; "
+        f"in ORACLES but no longer public or now read: {sorted(set(ORACLES) - found)}"
+    )
+
+
+def test_the_check_sees_each_kind_of_read():
+    trees = {
+        "a": ast.parse("def f(): pass\ndef g(): return g()\nX, Y = 1, 2\n"
+                       "class C:\n    def m(self): pass\n    def k(self): pass\n"
+                       "    def _h(self): pass\n"),
+        "b": ast.parse("from .a import f\nvalue = getattr(C, 'Y')\nC().m()\n"),
+    }
+    # g reads only itself, and _h is private
+    assert unread(trees) == {"a.g", "a.X", "a.C.k", "b.value"}
