@@ -56,7 +56,7 @@ def bench_pauli_rotation(n=14, rotations=100):
     def run():
         work = psi.copy()
         for p, theta in labels:
-            kernels.pauli_rotation(work, *p.dense_action(), theta)
+            kernels.pauli_rotation(work, p.x_mask, p.z_mask, p.phase, theta)
 
     return run
 

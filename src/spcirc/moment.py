@@ -418,16 +418,19 @@ class LogFit:
 
 
 def fit_log_depth(ns, depths) -> LogFit:
-    ns = np.asarray(ns, dtype=float)
-    depths = np.asarray(depths, dtype=float)
-    if ns.size < 2:
-        raise DomainError("need at least two points to fit")
-    a, b = np.polyfit(np.log(ns), depths, 1)
-    pred = a * np.log(ns) + b
-    ss_res = float(np.sum((depths - pred) ** 2))
-    ss_tot = float(np.sum((depths - depths.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return LogFit(float(a), float(b), r2)
+    """The least-squares line in closed form over x = log(n): with centred
+    xc and yc, a = (xc.yc)/(xc.xc), b = mean(y) - a*mean(x) and R^2 = 1 -
+    |yc - a*xc|^2/(yc.yc). No LAPACK routine runs, so a depth sweep never
+    loads one."""
+    if len(set(ns)) < 2:
+        raise DomainError("need at least two distinct n to fit")
+    x = np.log(np.asarray(ns, dtype=float))
+    y = np.asarray(depths, dtype=float)
+    xc, yc = x - x.mean(), y - y.mean()
+    a = float(np.dot(xc, yc)) / float(np.dot(xc, xc))
+    ss_tot = float(np.dot(yc, yc))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum((yc - a * xc) ** 2)) / ss_tot
+    return LogFit(a, float(y.mean() - a * x.mean()), r2)
 
 
 # ---------------------------------------------------------------------------

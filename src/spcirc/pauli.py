@@ -126,6 +126,11 @@ class PauliString:
         """The same string with the phase stripped."""
         return PauliString(self.n, self.x_mask, self.z_mask, 0)
 
+    @property
+    def phase(self) -> complex:
+        """The scalar c with P = c * X^x Z^z, i**(phase_exp + y_count)."""
+        return 1j ** ((self.phase_exp + self.y_count) % 4)
+
     def dense_action(self) -> tuple[np.ndarray, np.ndarray]:
         """The gather pair (source, phases): (P v)[s] = phases[s] * v[source[s]]
         along axis 0 of v, with source[s] = s ^ x_dense and
@@ -134,8 +139,7 @@ class PauliString:
         # the dense masks: qubit j -> bit n - j, each mask's n-bit string reversed
         xd, zd = (int(f"{m:0{self.n}b}"[::-1], 2) for m in (self.x_mask, self.z_mask))
         source = np.arange(2**self.n) ^ xd
-        base = 1j ** ((self.phase_exp + self.y_count) % 4)
-        return source, base * (1.0 - 2.0 * (np.bitwise_count(source & zd) & 1))
+        return source, self.phase * (1.0 - 2.0 * (np.bitwise_count(source & zd) & 1))
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:

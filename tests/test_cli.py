@@ -546,6 +546,19 @@ def test_depth_sweep_matches_the_label_engine(tmp_path, capsys):
         assert np.all(np.abs(z - z_ref) <= 1e-12 * np.abs(z_ref) + 1e-15), row["n"]
 
 
+def test_depth_sweep_calls_no_least_squares_solver(tmp_path, capsys, monkeypatch):
+    """The log-depth fit is a closed-form line: the benchmark's n = 4..14
+    sweep runs with numpy's least-squares routines disabled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least-squares solver was called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    env = run_json(["anticoncentration-depth", "--n-min", "4", "--n-max", "14",
+                    "--out", str(tmp_path / "depth.csv")], capsys)
+    assert env["payload"]["fit"]["r_squared"] == pytest.approx(0.98797239452873, rel=1e-12)
+
+
 def test_depth_sweep_writes_the_trace_in_full_precision(tmp_path, capsys):
     out = tmp_path / "depth.csv"
     run_json(["anticoncentration-depth", "--n-min", "20", "--n-max", "20",

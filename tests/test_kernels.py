@@ -88,13 +88,20 @@ def test_apply_gate_on_eight_legs_matches_einsum():
 
 
 def test_pauli_rotation_matches_expm():
-    theta = 0.37
-    for label in ["XYZ", "ZZI", "IIY", "YIY", "ZIZ"]:
-        p = PauliString.from_label(label)
-        psi = random_state(3, 7)
+    """Fixed labels, then seeded strings of every mask pattern: flips on runs
+    of neighbouring axes, signs on x and non-x axes, both Hermitian phases."""
+    gen = np.random.default_rng(36)
+    strings = [PauliString.from_label(label) for label in ["XYZ", "ZZI", "IIY", "YIY", "ZIZ"]]
+    for _ in range(60):
+        n = int(gen.integers(1, 6))
+        strings.append(PauliString(n, int(gen.integers(2**n)), int(gen.integers(2**n)),
+                                   2 * int(gen.integers(2))))
+    for p in strings:
+        theta = gen.uniform(-np.pi, np.pi)
+        psi = random_state(p.n, int(gen.integers(1000)))
         expected = expm(1j * theta * to_dense(p)) @ psi
-        got = kernels.pauli_rotation(psi.copy(), *p.dense_action(), theta)
-        assert np.allclose(got, expected, atol=1e-12), label
+        got = kernels.pauli_rotation(psi.copy(), p.x_mask, p.z_mask, p.phase, theta)
+        assert np.allclose(got, expected, atol=1e-13), p
 
 
 # -- the batch axis: axes after the first are independent vectors ------------
@@ -117,12 +124,13 @@ def test_apply_gate_on_a_batch_equals_single_vector_calls(shape):
 def test_pauli_rotation_on_a_batch_equals_single_vector_calls(shape):
     theta = -1.1
     for label in ["XYZI", "ZZIZ", "IIYI", "-YIXY", "IIII"]:
-        source, phases = PauliString.from_label(label).dense_action()
+        p = PauliString.from_label(label)
+        masks = (p.x_mask, p.z_mask, p.phase)
         batch = random_batch(4, shape, 46)
         singles = columns(batch)
-        assert kernels.pauli_rotation(batch, source, phases, theta) is batch
+        assert kernels.pauli_rotation(batch, *masks, theta) is batch
         for k, (vec, got) in enumerate(zip(singles, columns(batch))):
-            kernels.pauli_rotation(vec, source, phases, theta)
+            kernels.pauli_rotation(vec, *masks, theta)
             assert np.array_equal(got, vec), (label, k)
 
 

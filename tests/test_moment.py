@@ -6,11 +6,13 @@ the documented lexicographic label order (II, IS, IB, SI, SS, SB), row a =
 expansion of the twirled input label a.
 """
 
+import csv
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -549,3 +551,31 @@ def test_fit_log_depth_recovers_exact_data():
     assert fit.r_squared == pytest.approx(1.0)
     with pytest.raises(DomainError):
         fit_log_depth([3], [1.0])
+
+
+def polyfit_oracle(ns, depths):
+    """(a, b, R^2) of the same line by numpy's least-squares polyfit."""
+    x, y = np.log(np.asarray(ns, dtype=float)), np.asarray(depths, dtype=float)
+    a, b = np.polyfit(x, y, 1)
+    ss_res = np.sum((y - (a * x + b)) ** 2)
+    return a, b, 1.0 - ss_res / np.sum((y - y.mean()) ** 2)
+
+
+def test_fit_log_depth_matches_polyfit():
+    """On the n_L* of the committed n = 2..16 sweep and on seeded data."""
+    with open(Path(__file__).parent / "data" / "depth_sweep_n2_16.csv", newline="") as f:
+        cases = [tuple(zip(*[(int(r["n"]), int(r["n_L_star"])) for r in csv.DictReader(f)]))]
+    gen = np.random.default_rng(36)
+    for size in (2, 3, 11, 40):
+        ns = gen.choice(np.arange(2, 10**4), size=size, replace=False)
+        cases.append((ns, 5.0 * np.log(ns) + gen.normal(scale=2.0, size=size)))
+    for ns, depths in cases:
+        fit = fit_log_depth(ns, depths)
+        np.testing.assert_allclose([fit.a, fit.b, fit.r_squared],
+                                   polyfit_oracle(ns, depths), rtol=1e-12)
+
+
+def test_fit_log_depth_refuses_equal_n():
+    for ns, depths in [([3, 3], [1, 2]), ([5, 5, 5], [1.0, 2.0, 4.0]), ([], [])]:
+        with pytest.raises(DomainError):
+            fit_log_depth(ns, depths)
