@@ -1,8 +1,8 @@
 """Time the package kernels on representative workloads.
 
-Runs each public kernel once to warm caches, then prints the best of
-``--repeats`` wall-clock times per kernel. End-to-end CLI timings live in
-``perfbench/``.
+Runs each public kernel, and a circuit of theorem1 rotations, once to warm
+caches, then prints the best of ``--repeats`` wall-clock times per row.
+End-to-end CLI timings live in ``perfbench/``.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -13,8 +13,7 @@ import time
 
 import numpy as np
 
-from spcirc import kernels, lie_closure, moment
-from spcirc.pauli import PauliString
+from spcirc import circuit, kernels, lie_closure, moment
 from spcirc.sampler import sample_sp, sample_sp_columns
 
 
@@ -43,20 +42,17 @@ def bench_apply_gate(n=14, gates=100):
     return run
 
 
-def bench_pauli_rotation(n=14, rotations=100):
+def bench_theorem1_apply(n=14, blocks=3):
+    """``circuit.apply`` over ``blocks`` theorem1 blocks of 3n - 2 rotations
+    each, every rotation a ``PauliString.apply``."""
     gen = np.random.default_rng(2)
-    labels = []
-    for _ in range(rotations):
-        body = "".join(gen.choice(list("IXYZ"), size=n))
-        p = PauliString.from_label(body if set(body) != {"I"} else "X" + body[1:])
-        labels.append((p, gen.uniform(-math.pi, math.pi)))
-    psi = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
-    psi /= np.linalg.norm(psi)
+    circ = circuit.concat([circuit.build_theorem1_block(n, gen.uniform(-math.pi, math.pi,
+                                                                       3 * n - 2))
+                           for _ in range(blocks)])
+    psi = circuit.initial_state(n)
 
     def run():
-        work = psi.copy()
-        for p, theta in labels:
-            kernels.pauli_rotation(work, p.x_mask, p.z_mask, p.phase, theta)
+        circuit.apply(circ, psi)
 
     return run
 
@@ -113,7 +109,7 @@ def bench_haar_draw(d=256, k=None, draws=20):
 
 BENCHES = [
     ("apply_gate (n=14, 100 2-leg gates)", bench_apply_gate),
-    ("pauli_rotation (n=14, 100 rotations)", bench_pauli_rotation),
+    ("circuit.apply (theorem1, n=14, 3 blocks)", bench_theorem1_apply),
     ("transfer_apply (n=20, half layer)", bench_transfer),
     ("lie closure (theorem1, n=10, dim 524800)", bench_closure),
     ("sample_sp (d=256, 20 draws)", bench_haar_draw),

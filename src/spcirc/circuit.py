@@ -9,7 +9,9 @@ Every Haar block holds its drawn 4x4 matrix: the builders and the JSON
 reader draw each block before the CircuitSpec is made.
 
 Statevector layout follows kernels: qubit j (1-based, leftmost tensor
-factor) sits at dense bit position n - j.
+factor) sits at dense bit position n - j. A rotation is
+cos(theta) psi + i sin(theta) P psi with P psi from ``PauliString.apply``,
+and a Haar block is ``kernels.apply_gate`` on its two bits.
 """
 
 from __future__ import annotations
@@ -161,12 +163,19 @@ def build_bricklayer(n: int, layers: int, rng) -> CircuitSpec:
 # ---------------------------------------------------------------------------
 # simulation
 
+def _rotate(amp: np.ndarray, p: PauliString, theta: float) -> None:
+    """In place exp(i theta P) amp for a Hermitian P, along axis 0 of amp.
+    P amp lives only in this call, so it is freed before the next gate."""
+    turned = p.apply(amp, 1j * np.sin(theta))
+    amp *= np.cos(theta)
+    amp += turned
+
+
 def _apply_inplace(circ: CircuitSpec, amp: np.ndarray, check_norm: bool) -> None:
     n = circ.n
     for g in circ.gates:
         if isinstance(g, Rotation):
-            p = g.generator
-            kernels.pauli_rotation(amp, p.x_mask, p.z_mask, p.phase, g.theta)
+            _rotate(amp, g.generator, g.theta)
         else:
             i, j = g.qubits
             gate = np.ascontiguousarray(g.matrix, dtype=complex)
@@ -176,10 +185,11 @@ def _apply_inplace(circ: CircuitSpec, amp: np.ndarray, check_norm: bool) -> None
 
 
 def check_statevector(n: int) -> None:
-    """Capacity check of ``apply``: per amplitude the input and working states
-    and one gate's temporaries. tracemalloc measures 36 B at n = 16 beside
-    the caller's input: the working state and one rotation's flipped copy."""
-    check_bytes(f"the statevector at n = {n}", 80, 2, n)
+    """Capacity check of ``apply``: per amplitude the caller's input (16 B)
+    and a working state and one rotation's P psi (16 B each) with a little
+    slack. tracemalloc measures 36 B at n = 16 and 32 B at n = 20 beside
+    the input."""
+    check_bytes(f"the statevector at n = {n}", 56, 2, n)
 
 
 def apply(circ: CircuitSpec, psi: StateVector) -> StateVector:
@@ -204,8 +214,7 @@ def pauli_apply(p: PauliString, vec: np.ndarray) -> np.ndarray:
     """Dense P|v> without materializing the matrix."""
     if vec.shape != (2**p.n,):
         raise DomainError(f"vector length {vec.shape} != 2**{p.n}")
-    source, phases = p.dense_action()
-    return phases * vec[source]
+    return p.apply(vec)
 
 
 def pauli_expectation(psi: StateVector, p: PauliString) -> complex:

@@ -34,9 +34,9 @@ draw is the d x 2k matrix Q = (SU) E from ``sample_sp_columns`` and
 S psi = Q c, at O(d k^2) cost instead of the O(d^3) of a full Haar matrix.
 The observable enters once per draw, through its 2k x 2k compression
 M = Q^dag O Q: every sampled value is C(rho) = sum_w w c^dag M c over the
-spectrum, and the Pauli's dense action is built once per run. The
-anticoncentration check is the same loop on |0> (k = 1, c = e_0) with
-M = Q[x]^dag Q[x], so M[0, 0] = |<x|S|0>|^2.
+spectrum, with O Q from ``PauliString.apply``. The anticoncentration
+check is the same loop on |0> (k = 1, c = e_0) with M = Q[x]^dag Q[x], so
+M[0, 0] = |<x|S|0>|^2.
 """
 
 from __future__ import annotations
@@ -189,9 +189,8 @@ def select_theorem(states) -> tuple:
 # threshold (or alpha), a batch statistic and two temporaries of its standard
 # error; per amplitude and spectral vector, the vector and its share of the
 # frame or of one draw's Gaussian, QR and compression temporaries (a frame has
-# at most one quaternionic column per vector); and per amplitude once, the
-# Pauli's dense action.
-SAMPLE_BYTES, FREE_LIST_BYTES, BATCH_BYTES, VECTOR_BYTES, ACTION_BYTES = 24, 128, 24, 144, 48
+# at most one quaternionic column per vector).
+SAMPLE_BYTES, FREE_LIST_BYTES, BATCH_BYTES, VECTOR_BYTES = 24, 128, 24, 144
 
 
 def _check_sampling(n: int, n_samples: int, batches: int, vectors: int, states: int = 1,
@@ -208,7 +207,7 @@ def _check_sampling(n: int, n_samples: int, batches: int, vectors: int, states: 
             + batches * (FREE_LIST_BYTES + BATCH_BYTES * (states**2 + cuts)))
     # what does not grow with d is rounded up per amplitude: 2**n is never computed
     check_bytes(f"sampling {states} states at {cuts} thresholds at n = {n}",
-                VECTOR_BYTES * vectors + ACTION_BYTES + -(-held >> n), 2, n)
+                VECTOR_BYTES * vectors + -(-held >> n), 2, n)
     if observable is None:
         return
     if observable.n != n:
@@ -326,9 +325,8 @@ def _frame_coefficients(states) -> tuple:
 
 
 def _pauli_compression(observable: PauliString):
-    """Q -> Q^dag P Q, with P's gather pair built once: (P Q)[s] = phases[s] Q[source[s]]."""
-    source, phases = observable.dense_action()
-    return lambda q: q.conj().T @ (phases[:, None] * q[source])
+    """Q -> Q^dag P Q, with P Q from ``PauliString.apply``."""
+    return lambda q: q.conj().T @ observable.apply(q)
 
 
 def _sample(d: int, frame: tuple, compress, n_samples: int, batches: int,

@@ -1,9 +1,10 @@
 """Hot numerical kernels, vectorized with numpy.
 
-Four kernels carry the package's inner loops: ``apply_gate`` and
-``pauli_rotation`` on the amplitude axis, ``transfer_apply`` for the
-second-moment propagator's block steps and ``closure_round`` for the Lie closure.
-``benchmarks/bench_kernels.py`` times each one on a representative workload.
+Three kernels carry the package's inner loops: ``apply_gate`` on the
+amplitude axis, ``transfer_apply`` for the second-moment propagator's block
+steps and ``closure_round`` for the Lie closure.
+``benchmarks/bench_kernels.py`` times each kernel, and a circuit of
+rotations, on a representative workload.
 
 ``closure_round`` commutes a frontier of Pauli directions with a second set.
 ``lie_closure.closure`` passes the generators as that set: the algebra they
@@ -17,12 +18,9 @@ Conventions shared with the rest of the package:
 
 - amplitudes run along axis 0 of an array and further axes are a batch;
   qubit j (1-based, leftmost factor) is dense bit n - j (qubit 1 = MSB);
-- a rotation exp(i theta P) acts by P's masks on the (2,)*n view of axis 0,
-  where mask bit k is axis k: a flip along the x axes and a sign from the z
-  axes (``pauli_rotation``). A gather pair
-  ``PauliString.dense_action()``, (P psi)[s] = phases[s] * psi[source[s]],
-  remains only for ``circuit.pauli_apply``, the dense matrix and the GP
-  compression;
+- a Pauli string acts by its masks on the (2,)*n view of axis 0, where mask
+  bit k is axis k: a flip along the x axes and a sign from the z axes
+  (``PauliString.apply``);
 - a gate on k legs at dense bit positions (p_1, ..., p_k) is 2**k x 2**k with
   index sum_m b_m * 2**(k - m), b_m the bit at p_m (2*b_a + b_b for k = 2);
 - second-moment tensors are 1-D float64 arrays in row-major axis order;
@@ -30,8 +28,6 @@ Conventions shared with the rest of the package:
   the axes around the contracted ones stay in place. It is one gemm when
   R = 1 and a stack of L gemms otherwise.
 """
-
-import itertools
 
 import numpy as np
 
@@ -57,50 +53,6 @@ def apply_gate(psi, gate, positions):
     np.matmul(gate, np.moveaxis(psi.reshape(shape), axes, legs).reshape(len(gate), -1),
               out=psi.reshape(len(gate), -1))
     psi[...] = np.moveaxis(psi.reshape(shape), legs, axes).reshape(psi.shape)
-
-
-# ---------------------------------------------------------------------------
-# exp(i theta P) on the amplitude axis, P a Hermitian Pauli by its masks
-
-def pauli_rotation(psi, x_mask, z_mask, phase, theta):
-    """In-place exp(i*theta*P) psi for P = phase * X^x Z^z, where bit k of
-    each mask names axis k of the (2,)*n view of axis 0 (qubit k + 1, dense
-    bit n - 1 - k) and phase is a fourth root of unity that makes P Hermitian:
-    (P psi)[s] = phase * (-1)**popcount(z & (s ^ x)) * psi[s ^ x].
-
-    P psi is psi flipped along the x axes, times a sign. The axes are split
-    into two halves, and the sign is the product of one vector per half, of
-    at most 2**ceil(n/2) entries, so it costs at most one extra pass and
-    O(sqrt(2**n)) memory whatever the weight of z. Holds one copy of psi."""
-    n = psi.shape[0].bit_length() - 1
-    shape, flips, signs = [], [], []
-    for axes in (range(n // 2), range(n // 2, n)):
-        start = len(shape)
-        # each run of neighbouring axes with equal x bits is merged into one
-        # axis, since flipping every bit of a run reverses the merged axis
-        for x, run in itertools.groupby(axes, lambda k: x_mask >> k & 1):
-            flips += [len(shape)] * x
-            shape.append(2 ** len(list(run)))
-        # the half's masks over its own index, the first axis most significant
-        x_half = z_half = 0
-        for k in axes:
-            x_half = x_half << 1 | x_mask >> k & 1
-            z_half = z_half << 1 | z_mask >> k & 1
-        if z_half:
-            source = np.arange(2 ** len(axes)) ^ x_half
-            signs.append((1.0 - 2.0 * (np.bitwise_count(source & z_half) & 1), start, len(shape)))
-    # each half's sign over its own merged axes, broadcast over the rest
-    signs = [sign.reshape(shape[start:end] + [1] * (len(shape) - end + psi.ndim - 1))
-             for sign, start, end in signs]
-    flipped = np.flip(psi.reshape(tuple(shape) + psi.shape[1:]), flips)
-    coef = 1j * np.sin(theta) * phase
-    ppsi = np.multiply(flipped, coef * signs[0] if signs else coef)
-    for sign in signs[1:]:
-        ppsi *= sign
-    ppsi = ppsi.reshape(psi.shape)
-    psi *= np.cos(theta)
-    psi += ppsi
-    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ matrix is M(x, z) = i**y * X^x Z^z with y = popcount(x & z), which equals the
 Kronecker product of the factors.
 
 Dense convention: qubit 1 is the most significant bit of the 2**n index
-(plain Kronecker order), so mask bit j-1 maps to dense bit position n-j.
+(plain Kronecker order), so mask bit j-1 maps to dense bit position n-j and
+to axis j-1 of the (2,)*n view of an amplitude axis. ``PauliString.apply``
+is the one action of a string on amplitudes; the dense matrix, statevector
+expectations, circuit rotations and the GP compression all go through it.
 
 The symplectic form is the PauliString ``symplectic_form(n)``,
 Omega = iY (x) I^(x)(n-1), whose dense matrix is ``sampler.omega(2**n)``. The
@@ -24,6 +27,7 @@ iff y(P) + [P anticommutes with F] is odd: ``in_algebra`` reads this off keys
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import reduce
 
@@ -131,15 +135,44 @@ class PauliString:
         """The scalar c with P = c * X^x Z^z, i**(phase_exp + y_count)."""
         return 1j ** ((self.phase_exp + self.y_count) % 4)
 
-    def dense_action(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gather pair (source, phases): (P v)[s] = phases[s] * v[source[s]]
-        along axis 0 of v, with source[s] = s ^ x_dense and
-        phases[s] = i**(phase_exp + y_count) * (-1)**popcount(z_dense & source[s]).
-        source[0] is x_dense, so it is 0 exactly when P is diagonal."""
-        # the dense masks: qubit j -> bit n - j, each mask's n-bit string reversed
-        xd, zd = (int(f"{m:0{self.n}b}"[::-1], 2) for m in (self.x_mask, self.z_mask))
-        source = np.arange(2**self.n) ^ xd
-        return source, self.phase * (1.0 - 2.0 * (np.bitwise_count(source & zd) & 1))
+    def apply(self, v: np.ndarray, scale: complex = 1) -> np.ndarray:
+        """scale * P v along axis 0 of v, whose further axes are a batch; v is
+        not written. Read on the (2,)*n view of axis 0, where axis k is mask
+        bit k (qubit k + 1, dense bit n - 1 - k), (P v)[s] =
+        phase * (-1)**popcount(z & (s ^ x)) * v[s ^ x].
+
+        P v is v reversed along the x axes, times a sign. The axes are split
+        into two halves, and the sign is the product of one vector per half,
+        of at most 2**ceil(n/2) entries, so it costs at most one extra pass
+        and O(sqrt(2**n)) memory whatever the weight of z. The result is the
+        only array the size of v that it allocates."""
+        n = self.n
+        shape, index, signs = [], [], []
+        for axes in (range(n // 2), range(n // 2, n)):
+            start = len(shape)
+            # each run of neighbouring axes with equal x bits is merged into one
+            # axis, since flipping every bit of a run reverses the merged axis
+            for x, run in itertools.groupby(axes, lambda k: self.x_mask >> k & 1):
+                shape.append(2 ** len(list(run)))
+                index.append(slice(None, None, -1) if x else slice(None))
+            # the half's masks over its own index, the first axis most significant
+            x_half = z_half = 0
+            for k in axes:
+                x_half = x_half << 1 | self.x_mask >> k & 1
+                z_half = z_half << 1 | self.z_mask >> k & 1
+            if z_half:
+                source = np.arange(2 ** len(axes)) ^ x_half
+                signs.append((1.0 - 2.0 * (np.bitwise_count(source & z_half) & 1), start, len(shape)))
+        # each half's sign over its own merged axes, broadcast over the rest
+        signs = [sign.reshape(shape[start:end] + [1] * (len(shape) - end + v.ndim - 1))
+                 for sign, start, end in signs]
+        # basic slicing reverses the x axes without np.flip's per-call axis tuples
+        flipped = v.reshape(tuple(shape) + v.shape[1:])[tuple(index)]
+        coef = scale * self.phase
+        out = np.multiply(flipped, coef * signs[0] if signs else coef)
+        for sign in signs[1:]:
+            out *= sign
+        return out.reshape(v.shape)
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
@@ -248,13 +281,9 @@ def check_dense(n: int) -> None:
 
 
 def to_dense(p: PauliString) -> np.ndarray:
-    """Dense 2**n x 2**n matrix, built in O(4**n) from the gather pair
-    (``PauliString.dense_action``): row s holds phases[s] in column source[s]."""
+    """Dense 2**n x 2**n matrix in O(4**n): P applied to the identity."""
     check_dense(p.n)
-    source, phases = p.dense_action()
-    m = np.zeros((source.size, source.size), dtype=complex)
-    np.put_along_axis(m, source[:, None], phases[:, None], axis=1)
-    return m
+    return p.apply(np.eye(2**p.n))
 
 
 def to_dense_kron(p: PauliString) -> np.ndarray:

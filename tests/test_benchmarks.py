@@ -20,7 +20,7 @@ def load_script():
 # (bench function, toy sizes): every function, and each variant the script times
 TOY = [
     ("bench_apply_gate", {"n": 4, "gates": 3}),
-    ("bench_pauli_rotation", {"n": 4, "rotations": 3}),
+    ("bench_theorem1_apply", {"n": 4, "blocks": 2}),
     ("bench_transfer", {"n": 6}),
     ("bench_closure", {"n": 3}),
     ("bench_haar_draw", {"d": 8, "draws": 1}),

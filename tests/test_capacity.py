@@ -51,6 +51,7 @@ def test_vast_sizes_are_refused_in_constant_time(nbytes, base, exponent):
 
 @pytest.mark.parametrize("check,inside", [
     (pauli.check_dense, 12),  # to_dense, to_dense_kron and circuit.to_unitary
+    (circuit.check_statevector, 24),  # circuit.apply and simulate
     (pauli.check_basis, 11),  # enumerate_sp_basis
     (moment.check_propagation, 31),  # collision and anticoncentration-depth
     (lambda n: lie_closure.check_closure(n), 12),
@@ -185,11 +186,11 @@ def test_sample_counts_are_refused_before_any_draw():
     obs = PauliString.single(6, 2, "Y")
     # at n = 6 and 20 batches, the most draws that fit: the limit less what
     # the amplitudes and the batches hold, over the bytes per draw
-    amplitudes = 2**6 * (2 * gp_stats.VECTOR_BYTES + gp_stats.ACTION_BYTES)
+    amplitudes = 2**6 * 2 * gp_stats.VECTOR_BYTES
     batches = 20 * (gp_stats.FREE_LIST_BYTES + gp_stats.BATCH_BYTES * 2**2)
     inside = (MEMORY_LIMIT - amplitudes - batches) // (2 * gp_stats.SAMPLE_BYTES + 1)
     gp_stats.check_gp(6, inside, obs, states=2)
-    amplitudes = 2**6 * (gp_stats.VECTOR_BYTES + gp_stats.ACTION_BYTES)
+    amplitudes = 2**6 * gp_stats.VECTOR_BYTES
     batches = 20 * (gp_stats.FREE_LIST_BYTES + gp_stats.BATCH_BYTES * (1 + 2))
     alphas = (MEMORY_LIMIT - amplitudes - batches) // (gp_stats.SAMPLE_BYTES + 1)
     gp_stats.check_anticoncentration(6, alphas, [0.1, 0.2], 0)

@@ -11,6 +11,7 @@ from spcirc.circuit import (
     HaarBlock,
     Rotation,
     StateVector,
+    _rotate,
     apply,
     build_bricklayer,
     build_prop2_block,
@@ -26,7 +27,7 @@ from spcirc.circuit import (
 )
 from spcirc.errors import CapacityError, DomainError
 from spcirc.lie_closure import theorem1_generators
-from spcirc.pauli import PauliString, to_dense
+from spcirc.pauli import PauliString, to_dense, to_dense_kron
 from spcirc.sampler import (
     RngStream,
     is_symplectic,
@@ -42,7 +43,11 @@ def rot(label, theta):
 
 
 def dense_rotation(label, theta, n):
-    return expm(1j * theta * to_dense(PauliString.from_label(label)))
+    return expm(1j * theta * to_dense_kron(PauliString.from_label(label)))
+
+
+def random_batch(n, shape, gen):
+    return gen.standard_normal((2**n,) + shape) + 1j * gen.standard_normal((2**n,) + shape)
 
 
 # -- conventions ------------------------------------------------------------
@@ -69,6 +74,39 @@ def test_rotation_matches_expm(label):
     theta = 0.42
     circ = CircuitSpec(2, (rot(label, theta),))
     assert np.allclose(to_unitary(circ), dense_rotation(label, theta, 2), atol=1e-12)
+
+
+def test_rotation_on_a_state_matches_expm():
+    """Fixed labels, then seeded strings of every mask pattern: flips on runs
+    of neighbouring axes, signs on x and non-x axes, both Hermitian phases."""
+    gen = np.random.default_rng(36)
+    strings = [PauliString.from_label(label) for label in ["XYZ", "ZZI", "IIY", "YIY", "ZIZ"]]
+    for _ in range(60):
+        n = int(gen.integers(1, 6))
+        strings.append(PauliString(n, int(gen.integers(2**n)), int(gen.integers(2**n)),
+                                   2 * int(gen.integers(2))))
+    for p in strings:
+        theta = gen.uniform(-np.pi, np.pi)
+        psi = random_batch(p.n, (), gen)
+        psi /= np.linalg.norm(psi)
+        expected = expm(1j * theta * to_dense_kron(p)) @ psi
+        got = apply(CircuitSpec(p.n, [Rotation(p, theta)]), StateVector(p.n, psi)).amplitudes
+        assert np.allclose(got, expected, atol=1e-13), p
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_rotation_on_a_batch_equals_single_vector_calls(shape):
+    theta = -1.1
+    gen = np.random.default_rng(46)
+    for label in ["XYZI", "ZZIZ", "IIYI", "-YIXY", "IIII"]:
+        p = PauliString.from_label(label)
+        batch = random_batch(4, shape, gen)
+        flat = batch.reshape(16, -1)
+        singles = [np.ascontiguousarray(flat[:, k]) for k in range(flat.shape[1])]
+        _rotate(batch, p, theta)
+        for k, vec in enumerate(singles):
+            _rotate(vec, p, theta)
+            assert np.array_equal(flat[:, k], vec), (label, k)
 
 
 def test_rotation_requires_hermitian_generator():
@@ -204,10 +242,10 @@ def test_gate_validation():
 
 
 def test_capacity_limits():
-    # 80 B per amplitude against 1 GiB: the statevector bound is n = 23
-    check_statevector(23)
+    # 56 B per amplitude against 1 GiB: the statevector bound is n = 24
+    check_statevector(24)
     with pytest.raises(CapacityError):
-        check_statevector(24)
+        check_statevector(25)
     with pytest.raises(CapacityError):
         to_unitary(CircuitSpec(13, ()))
 
@@ -289,7 +327,7 @@ def test_pauli_apply_matches_dense():
     for label in ["XYZ", "IIZ", "YII", "-iZXY", "III"]:
         p = PauliString.from_label(label)
         v = gen.standard_normal(8) + 1j * gen.standard_normal(8)
-        assert np.allclose(pauli_apply(p, v), to_dense(p) @ v, atol=1e-12)
+        assert np.allclose(pauli_apply(p, v), to_dense_kron(p) @ v, atol=1e-12)
 
 
 def test_pauli_expectation():

@@ -31,7 +31,7 @@ from spcirc.gp_stats import (
     symplectic_frame,
     wick_fourth_moments,
 )
-from spcirc.pauli import PauliString, enumerate_sp_basis
+from spcirc.pauli import PauliString, enumerate_sp_basis, to_dense_kron
 from spcirc.sampler import RngStream, omega, sample_sp, sample_sp_columns
 
 
@@ -72,17 +72,14 @@ def given_density(s):
 
 def projection_overlap(a, b):
     """Oracle Tr_g[rho_a rho_b] = (1/d) sum_P Tr[P rho_a] Tr[P rho_b] over the
-    d(d+1)/2 sp basis directions, from dense density matrices: O(4^n d)."""
-    d = 2**a.n
+    d(d+1)/2 sp basis directions, from dense density matrices: O(4^n d^2)."""
     ra, rb = given_density(a), given_density(b)
-    r = np.arange(d)
     total = 0.0
     for p in enumerate_sp_basis(a.n):
-        source, phases = p.dense_action()
-        # Tr[P rho] = sum_r (P rho)[r, r] = sum_r phases[r] rho[source[r], r]
-        total += (np.real(np.sum(phases * ra[source, r]))
-                  * np.real(np.sum(phases * rb[source, r])))
-    return total / d
+        # Tr[P rho] = sum_ij P[i, j] rho[j, i], P from Kronecker products
+        m = to_dense_kron(p)
+        total += np.real(np.sum(m * ra.T)) * np.real(np.sum(m * rb.T))
+    return total / 2**a.n
 
 
 def degenerate_family(n, gen):

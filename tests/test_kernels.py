@@ -3,11 +3,9 @@ closure round."""
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from spcirc import kernels
 from spcirc.lie_closure import prop2_generators, so_chain_generators, theorem1_generators
-from spcirc.pauli import PauliString, to_dense
 
 
 def random_state(n, seed):
@@ -87,23 +85,6 @@ def test_apply_gate_on_eight_legs_matches_einsum():
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
-def test_pauli_rotation_matches_expm():
-    """Fixed labels, then seeded strings of every mask pattern: flips on runs
-    of neighbouring axes, signs on x and non-x axes, both Hermitian phases."""
-    gen = np.random.default_rng(36)
-    strings = [PauliString.from_label(label) for label in ["XYZ", "ZZI", "IIY", "YIY", "ZIZ"]]
-    for _ in range(60):
-        n = int(gen.integers(1, 6))
-        strings.append(PauliString(n, int(gen.integers(2**n)), int(gen.integers(2**n)),
-                                   2 * int(gen.integers(2))))
-    for p in strings:
-        theta = gen.uniform(-np.pi, np.pi)
-        psi = random_state(p.n, int(gen.integers(1000)))
-        expected = expm(1j * theta * to_dense(p)) @ psi
-        got = kernels.pauli_rotation(psi.copy(), p.x_mask, p.z_mask, p.phase, theta)
-        assert np.allclose(got, expected, atol=1e-13), p
-
-
 # -- the batch axis: axes after the first are independent vectors ------------
 
 @pytest.mark.parametrize("shape", [(5,), (2, 3)])
@@ -118,20 +99,6 @@ def test_apply_gate_on_a_batch_equals_single_vector_calls(shape):
             kernels.apply_gate(vec, gate, positions)
             # to rounding: the gemm may sum in another order at another width
             assert np.allclose(got, vec, rtol=1e-14, atol=1e-14), (n, positions, k)
-
-
-@pytest.mark.parametrize("shape", [(5,), (2, 3)])
-def test_pauli_rotation_on_a_batch_equals_single_vector_calls(shape):
-    theta = -1.1
-    for label in ["XYZI", "ZZIZ", "IIYI", "-YIXY", "IIII"]:
-        p = PauliString.from_label(label)
-        masks = (p.x_mask, p.z_mask, p.phase)
-        batch = random_batch(4, shape, 46)
-        singles = columns(batch)
-        assert kernels.pauli_rotation(batch, *masks, theta) is batch
-        for k, (vec, got) in enumerate(zip(singles, columns(batch))):
-            kernels.pauli_rotation(vec, *masks, theta)
-            assert np.array_equal(got, vec), (label, k)
 
 
 def test_apply_gate_refuses_an_array_it_cannot_write_in_place():

@@ -52,8 +52,8 @@ def test_label_qubit_one_is_leftmost():
     p = PauliString.from_label("XI")
     assert p.factor(1) == "X" and p.factor(2) == "I"
     assert p.x_mask == 1 and p.z_mask == 0
-    # dense masks flip to qubit 1 = MSB: source[0] is the dense x mask
-    assert p.dense_action()[0][0] == 2
+    # qubit 1 is the most significant dense bit: X on it takes e_0 to e_2
+    assert np.array_equal(p.apply(np.eye(4)[:, 0]), np.eye(4)[:, 2])
 
 
 def test_bad_labels_rejected():
@@ -88,18 +88,27 @@ def test_dense_matches_kron_property(p):
     assert np.allclose(to_dense(p), to_dense_kron(p), atol=0)
 
 
-def test_gather_pair_reproduces_the_kronecker_matrix():
-    """Row s of P holds phases[s] in column source[s], and nothing else."""
+def test_apply_to_the_identity_is_the_kronecker_matrix():
+    """P applied to each basis vector is P's column, exactly."""
     gen = np.random.default_rng(6)
     strings = list(all_strings(2, phases=range(4))) + [
         PauliString(n, *map(int, gen.integers(0, 2**n, size=2)), int(gen.integers(4)))
         for n in (1, 3, 4, 5) for _ in range(12)]
     for p in strings:
-        source, phases = p.dense_action()
-        d = 2**p.n
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(d), source] = phases
-        assert np.array_equal(m, to_dense_kron(p)), p
+        assert np.array_equal(p.apply(np.eye(2**p.n)), to_dense_kron(p)), p
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_apply_on_a_batch_equals_one_call_per_column(shape):
+    gen = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        batch = gen.standard_normal((2**n,) + shape) + 1j * gen.standard_normal((2**n,) + shape)
+        flat = batch.reshape(2**n, -1)
+        for p in all_strings(n, phases=range(4)):
+            got = p.apply(batch, 0.5 - 2j).reshape(2**n, -1)
+            for k in range(flat.shape[1]):
+                column = np.ascontiguousarray(flat[:, k])
+                assert np.array_equal(got[:, k], p.apply(column, 0.5 - 2j)), (p, k)
 
 
 def test_dense_limit():
