@@ -46,8 +46,8 @@ def bench_theorem1_apply(n=14, blocks=3):
     """``circuit.apply`` over ``blocks`` theorem1 blocks of 3n - 2 rotations
     each, every rotation a ``PauliString.apply``."""
     gen = np.random.default_rng(2)
-    circ = circuit.concat([circuit.build_theorem1_block(n, gen.uniform(-math.pi, math.pi,
-                                                                       3 * n - 2))
+    gens = lie_closure.theorem1_generators(n)
+    circ = circuit.concat([circuit.rotation_block(gens, gen.uniform(-math.pi, math.pi, 3 * n - 2))
                            for _ in range(blocks)])
     psi = circuit.initial_state(n)
 

@@ -25,7 +25,6 @@ import numpy as np
 from . import kernels
 from .errors import (DomainError, check_basis_index, check_bytes, has_type, read_fields,
                      read_kind)
-from .lie_closure import GeneratorSet, prop2_generators, theorem1_generators
 from .pauli import PauliString, check_dense
 from .sampler import BLOCK_GROUPS, RngStream, as_generator, brick_layer, sample_block
 
@@ -113,8 +112,9 @@ def initial_state(n: int, index: int = 0) -> StateVector:
 # ---------------------------------------------------------------------------
 # builders
 
-def rotation_block(gens: GeneratorSet, thetas) -> CircuitSpec:
-    """One rotation per generator, in enumeration order."""
+def rotation_block(gens, thetas) -> CircuitSpec:
+    """One rotation per generator of the ``lie_closure.GeneratorSet`` ``gens``,
+    in enumeration order, one independent angle each."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.shape != (len(gens.generators),):
         raise DomainError(
@@ -122,19 +122,6 @@ def rotation_block(gens: GeneratorSet, thetas) -> CircuitSpec:
         )
     gates = [Rotation(g, float(t)) for g, t in zip(gens.generators, thetas)]
     return CircuitSpec(gens.n, gates)
-
-
-def build_theorem1_block(n: int, thetas) -> CircuitSpec:
-    """One block of the symplectic-universal chain family: 3n - 2 rotations,
-    one independent angle each."""
-    return rotation_block(theorem1_generators(n), thetas)
-
-
-def build_prop2_block(n: int, thetas) -> CircuitSpec:
-    """One block over the bond family (3n - 2 rotations). For n >= 3 the
-    family is unitary-universal and generic angles leave the symplectic
-    group; at n = 2 it generates sp(2) and every block is exactly symplectic."""
-    return rotation_block(prop2_generators(n), thetas)
 
 
 def concat(circuits) -> CircuitSpec:
@@ -187,8 +174,9 @@ def _apply_inplace(circ: CircuitSpec, amp: np.ndarray, check_norm: bool) -> None
 def check_statevector(n: int) -> None:
     """Capacity check of ``apply``: per amplitude the caller's input (16 B)
     and a working state and one rotation's P psi (16 B each) with a little
-    slack. tracemalloc measures 36 B at n = 16 and 32 B at n = 20 beside
-    the input."""
+    slack. Beside the input, tracemalloc measures 36.1 B at n = 16 and
+    32.3 B at n = 20: those two arrays and about 270 KiB of numpy's
+    iteration buffers."""
     check_bytes(f"the statevector at n = {n}", 56, 2, n)
 
 

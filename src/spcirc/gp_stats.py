@@ -11,6 +11,8 @@ The identity 2 Tr_g[rho rho'] = Tr[rho rho'] + Tr[Omega rho Omega rho'^T] is
 bilinear, so it holds for every state through its spectrum
 rho = sum_k w_k |v_k><v_k|: the first term is sum w w' |v^dag v'|^2 and the
 twisted one -sum w w' |v^T Omega v'|^2, at O(d r r') for ranks r and r'.
+Omega = ``pauli.symplectic_form(n)`` acts here, and in the frame below,
+through ``PauliString.apply``.
 
 The exact finite-d covariance is 2 Tr_g/(d + 1); the large-d theory
 references are Tr[rho rho']/d (overlapping states with small twisted
@@ -48,9 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_basis_index, check_bytes
-from .pauli import PauliString, in_sp_algebra
-from .sampler import (DEFAULT_TOL, RngStream, apply_omega, double_factorial, sample_sp_columns,
-                      z_haar)
+from .pauli import PauliString, in_sp_algebra, symplectic_form
+from .sampler import DEFAULT_TOL, RngStream, double_factorial, sample_sp_columns, z_haar
 
 DEFAULT_BATCHES = 20
 
@@ -135,7 +136,7 @@ def overlaps(a: StateSpec, b: StateSpec) -> tuple:
     if a.n != b.n:
         raise DomainError("state size mismatch")
     plain = np.abs(a.vectors.conj().T @ b.vectors) ** 2
-    twisted = np.abs(a.vectors.T @ apply_omega(b.vectors)) ** 2
+    twisted = np.abs(a.vectors.T @ symplectic_form(b.n).apply(b.vectors)) ** 2
     return (float(a.weights @ plain @ b.weights),
             -float(a.weights @ twisted @ b.weights))
 
@@ -298,6 +299,7 @@ def symplectic_frame(vectors) -> np.ndarray:
     times its norm adds nothing. F^T Omega F = Omega_2k, so F = U E for a symplectic
     unitary U and E the columns e_0 .. e_{k-1}, e_{d/2} .. e_{d/2+k-1}."""
     ws = []
+    form = symplectic_form(len(vectors[0]).bit_length() - 1)
     frame = np.empty((vectors[0].shape[0], 0), dtype=complex)
     for v in vectors:
         r = v
@@ -307,7 +309,7 @@ def symplectic_frame(vectors) -> np.ndarray:
         if norm <= DEFAULT_TOL * np.linalg.norm(v):
             continue
         ws.append(r / norm)
-        frame = np.column_stack(ws + [-np.conj(apply_omega(w)) for w in ws])
+        frame = np.column_stack(ws + [np.conj(form.apply(w, -1)) for w in ws])
     return frame
 
 

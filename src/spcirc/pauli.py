@@ -18,7 +18,8 @@ is the one action of a string on amplitudes; the dense matrix, statevector
 expectations, circuit rotations and the GP compression all go through it.
 
 The symplectic form is the PauliString ``symplectic_form(n)``,
-Omega = iY (x) I^(x)(n-1), whose dense matrix is ``sampler.omega(2**n)``. The
+Omega = iY (x) I^(x)(n-1), whose dense matrix is ``sampler.omega(2**n)``;
+Omega acts on vectors through ``PauliString.apply`` like any other string. The
 algebra of a form F is {M : M^T F = -F M}; "sp" names F = Omega and "o" names
 F = I. For a Pauli P, P^T = (-1)**y(P) P and P F = +-F P, so iP is a member
 iff y(P) + [P anticommutes with F] is odd: ``in_algebra`` reads this off keys
@@ -27,7 +28,6 @@ iff y(P) + [P anticommutes with F] is odd: ``in_algebra`` reads this off keys
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 
@@ -141,37 +141,29 @@ class PauliString:
         bit k (qubit k + 1, dense bit n - 1 - k), (P v)[s] =
         phase * (-1)**popcount(z & (s ^ x)) * v[s ^ x].
 
-        P v is v reversed along the x axes, times a sign. The axes are split
-        into two halves, and the sign is the product of one vector per half,
-        of at most 2**ceil(n/2) entries, so it costs at most one extra pass
-        and O(sqrt(2**n)) memory whatever the weight of z. The result is the
-        only array the size of v that it allocates."""
-        n = self.n
-        shape, index, signs = [], [], []
-        for axes in (range(n // 2), range(n // 2, n)):
-            start = len(shape)
-            # each run of neighbouring axes with equal x bits is merged into one
-            # axis, since flipping every bit of a run reverses the merged axis
-            for x, run in itertools.groupby(axes, lambda k: self.x_mask >> k & 1):
-                shape.append(2 ** len(list(run)))
-                index.append(slice(None, None, -1) if x else slice(None))
-            # the half's masks over its own index, the first axis most significant
-            x_half = z_half = 0
-            for k in axes:
-                x_half = x_half << 1 | self.x_mask >> k & 1
-                z_half = z_half << 1 | self.z_mask >> k & 1
-            if z_half:
-                source = np.arange(2 ** len(axes)) ^ x_half
-                signs.append((1.0 - 2.0 * (np.bitwise_count(source & z_half) & 1), start, len(shape)))
-        # each half's sign over its own merged axes, broadcast over the rest
-        signs = [sign.reshape(shape[start:end] + [1] * (len(shape) - end + v.ndim - 1))
-                 for sign, start, end in signs]
-        # basic slicing reverses the x axes without np.flip's per-call axis tuples
-        flipped = v.reshape(tuple(shape) + v.shape[1:])[tuple(index)]
+        P v is v reversed along the x axes, times a sign: one multiply by the
+        scalar and the two-entry sign of the first z axis, then an in-place
+        negation of the half of each later z axis whose source bit is 1. The
+        result is the only array the size of v that it allocates."""
+        n, x = self.n, self.x_mask
+        # basic slicing reverses the x axes without np.flip's per-call axis
+        # tuples; the index tuple is built from a list, whose exact length
+        # leaves no oversized tuple on CPython's free list
+        index = tuple([slice(None, None, -1) if x >> k & 1 else slice(None) for k in range(n)])
+        flipped = v.reshape((2,) * n + v.shape[1:])[index]
+
+        def source_one(k):  # along axis k, broadcast: where the source bit s_k ^ x_k is 1
+            bit = x >> k & 1
+            return np.array([bit == 1, bit == 0]).reshape((2,) + (1,) * (n - 2 - k + v.ndim))
+
+        z_axes = [k for k in range(n) if self.z_mask >> k & 1]
         coef = scale * self.phase
-        out = np.multiply(flipped, coef * signs[0] if signs else coef)
-        for sign in signs[1:]:
-            out *= sign
+        if z_axes:
+            coef = coef * np.where(source_one(z_axes[0]), -1.0, 1.0)
+        out = np.multiply(flipped, coef)
+        # a mask rather than a strided half view keeps numpy from buffering
+        for k in z_axes[1:]:
+            np.negative(out, out=out, where=source_one(k))
         return out.reshape(v.shape)
 
 

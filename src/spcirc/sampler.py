@@ -94,12 +94,6 @@ def omega(d: int) -> np.ndarray:
     return out
 
 
-def apply_omega(v: np.ndarray) -> np.ndarray:
-    """Omega v for Omega = [[0, I], [-I, 0]] = iY (x) I^(x)(n-1), along axis 0."""
-    m = v.shape[0] // 2
-    return np.concatenate([v[m:], -v[:m]])
-
-
 def _gauged_q(a: np.ndarray) -> np.ndarray:
     """Q of the QR of a Ginibre matrix, its columns rephased so that the
     diagonal of R is positive (a zero diagonal has probability zero)."""

@@ -168,10 +168,9 @@ def test_criterion_06_symplectic_membership():
     defects_ok = 0
     for _ in range(500):
         n = int(gen.integers(2, 7))
+        gens = lie_closure.theorem1_generators(n)
         blocks = [
-            circuit.build_theorem1_block(
-                n, random_thetas(len(lie_closure.theorem1_generators(n).generators))
-            )
+            circuit.rotation_block(gens, random_thetas(len(gens.generators)))
             for _ in range(int(gen.integers(1, 4)))
         ]
         u = circuit.to_unitary(circuit.concat(blocks))
@@ -191,7 +190,8 @@ def test_criterion_06_symplectic_membership():
         bond_defects[n] = []
         for _ in range(50):
             blocks = [
-                circuit.build_prop2_block(n, random_thetas(bond_count[n]))
+                circuit.rotation_block(lie_closure.prop2_generators(n),
+                                       random_thetas(bond_count[n]))
                 for _ in range(3)
             ]
             u = circuit.to_unitary(circuit.concat(blocks))

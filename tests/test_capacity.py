@@ -101,7 +101,8 @@ def traced_peak(call) -> int:
 
 def mixed_circuit(n):
     """A rotation block and a brick layer: both kinds of gate."""
-    return circuit.concat([circuit.build_theorem1_block(n, np.linspace(0.1, 1.0, 3 * n - 2)),
+    return circuit.concat([circuit.rotation_block(lie_closure.theorem1_generators(n),
+                                                  np.linspace(0.1, 1.0, 3 * n - 2)),
                            circuit.build_bricklayer(n, 1, np.random.default_rng(1))])
 
 

@@ -14,8 +14,6 @@ from spcirc.circuit import (
     _rotate,
     apply,
     build_bricklayer,
-    build_prop2_block,
-    build_theorem1_block,
     check_statevector,
     circuit_from_json,
     circuit_to_json,
@@ -23,10 +21,11 @@ from spcirc.circuit import (
     initial_state,
     pauli_apply,
     pauli_expectation,
+    rotation_block,
     to_unitary,
 )
 from spcirc.errors import CapacityError, DomainError
-from spcirc.lie_closure import theorem1_generators
+from spcirc.lie_closure import prop2_generators, theorem1_generators
 from spcirc.pauli import PauliString, to_dense, to_dense_kron
 from spcirc.sampler import (
     RngStream,
@@ -145,7 +144,8 @@ def test_one_pass_unitary_matches_the_column_definition():
 
 
 def test_norm_preserved():
-    circ = build_theorem1_block(3, np.linspace(0.1, 0.9, len(theorem1_generators(3).generators)))
+    circ = rotation_block(theorem1_generators(3),
+                          np.linspace(0.1, 0.9, len(theorem1_generators(3).generators)))
     out = apply(circ, initial_state(3, 5))
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -157,7 +157,7 @@ def test_theorem1_block_is_symplectic():
         k = len(theorem1_generators(n).generators)
         assert k == 3 * n - 2
         thetas = np.linspace(0.2, 1.1, k)
-        u = to_unitary(build_theorem1_block(n, thetas))
+        u = to_unitary(rotation_block(theorem1_generators(n), thetas))
         assert is_unitary(u)
         assert is_symplectic(u)
 
@@ -166,7 +166,8 @@ def test_stacked_theorem1_blocks_stay_symplectic():
     n = 3
     gen = RngStream(33, "circuit").generator()
     blocks = [
-        build_theorem1_block(n, gen.uniform(0, 2 * np.pi, len(theorem1_generators(n).generators)))
+        rotation_block(theorem1_generators(n),
+                       gen.uniform(0, 2 * np.pi, len(theorem1_generators(n).generators)))
         for _ in range(6)
     ]
     u = to_unitary(concat(blocks))
@@ -179,7 +180,7 @@ def test_prop2_block_breaks_symplecticity_at_n3():
     violations = 0
     for _ in range(20):
         blocks = [
-            build_prop2_block(3, gen.uniform(0, 2 * np.pi, 7)) for _ in range(3)
+            rotation_block(prop2_generators(3), gen.uniform(0, 2 * np.pi, 7)) for _ in range(3)
         ]
         if symplectic_defect(to_unitary(concat(blocks))) > 0.1:
             violations += 1
@@ -192,7 +193,7 @@ def test_prop2_block_is_symplectic_at_n2():
     gen = RngStream(35, "circuit").generator()
     for _ in range(5):
         blocks = [
-            build_prop2_block(2, gen.uniform(0, 2 * np.pi, 4)) for _ in range(4)
+            rotation_block(prop2_generators(2), gen.uniform(0, 2 * np.pi, 4)) for _ in range(4)
         ]
         assert symplectic_defect(to_unitary(concat(blocks))) <= 1e-10
 

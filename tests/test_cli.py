@@ -268,7 +268,7 @@ def test_twirl_shape_and_missing_file(tmp_path, capsys):
 # -- simulate --------------------------------------------------------------------
 
 def test_simulate_matches_direct_apply(tmp_path, capsys):
-    circ = circuit.build_theorem1_block(2, [0.3, -0.2, 0.5, 1.1])
+    circ = circuit.rotation_block(lie_closure.theorem1_generators(2), [0.3, -0.2, 0.5, 1.1])
     spec = tmp_path / "circ.json"
     spec.write_text(json.dumps(circuit.circuit_to_json(circ)))
     env = run_json(["simulate", "--circuit", str(spec)], capsys)
@@ -288,7 +288,8 @@ def test_simulate_matches_direct_apply(tmp_path, capsys):
 
 def circuit_file(tmp_path, n):
     spec = tmp_path / "circ.json"
-    circ = circuit.build_theorem1_block(n, np.linspace(0.1, 1.0, 3 * n - 2))
+    circ = circuit.rotation_block(lie_closure.theorem1_generators(n),
+                                  np.linspace(0.1, 1.0, 3 * n - 2))
     spec.write_text(json.dumps(circuit.circuit_to_json(circ)))
     return str(spec)
 
@@ -1006,12 +1007,15 @@ EXECUTED = ("sorted(k[7:] for k, m in sys.modules.items() "
                  ["cli", "errors", "kernels", "moment", "pauli", "sampler"], id="depth"),
     pytest.param(["gp-summary", "--config", "{tmp}/gp.json", "--seed", "1"],
                  ["cli", "errors", "gp_stats", "pauli", "sampler"], id="gp-summary"),
+    pytest.param(["simulate", "--circuit", "{tmp}/circ.json"],
+                 ["circuit", "cli", "errors", "pauli", "sampler"], id="simulate"),
 ])
 def test_a_subcommand_executes_only_the_modules_it_reads(tmp_path, argv, executed):
     """Importing the CLI registers every module of the package, which the
     benchmark's tracer looks up in sys.modules, and executes none of them
     beyond errors; a run then executes what its subcommand reads."""
     gp_config(tmp_path)
+    circuit_file(tmp_path, 3)
     argv = [a.format(tmp=tmp_path) for a in argv]
     code = ("import contextlib, io, os, sys, types, spcirc.cli\n"
             "names = [f[:-3] for f in os.listdir(os.path.dirname(spcirc.__file__))\n"

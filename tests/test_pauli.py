@@ -1,5 +1,7 @@
 """Pauli-string algebra against dense matrix oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,7 +22,7 @@ from spcirc.pauli import (
     to_dense,
     to_dense_kron,
 )
-from spcirc.sampler import apply_omega, omega
+from spcirc.sampler import omega
 
 
 def all_strings(n, phases=(0,)):
@@ -89,9 +91,11 @@ def test_dense_matches_kron_property(p):
 
 
 def test_apply_to_the_identity_is_the_kronecker_matrix():
-    """P applied to each basis vector is P's column, exactly."""
+    """P applied to each basis vector is P's column, exactly. Every string and
+    phase at n = 3 puts the folded first z axis and the negated later ones at
+    every position."""
     gen = np.random.default_rng(6)
-    strings = list(all_strings(2, phases=range(4))) + [
+    strings = list(all_strings(2, phases=range(4))) + list(all_strings(3, phases=range(4))) + [
         PauliString(n, *map(int, gen.integers(0, 2**n, size=2)), int(gen.integers(4)))
         for n in (1, 3, 4, 5) for _ in range(12)]
     for p in strings:
@@ -109,6 +113,21 @@ def test_apply_on_a_batch_equals_one_call_per_column(shape):
             for k in range(flat.shape[1]):
                 column = np.ascontiguousarray(flat[:, k])
                 assert np.array_equal(got[:, k], p.apply(column, 0.5 - 2j)), (p, k)
+
+
+def test_apply_allocates_only_its_output():
+    """The all-Y string reverses and signs every axis; beside its input,
+    ``apply`` holds its output and at most 64 KiB."""
+    n = 16
+    v = np.ones(2**n, dtype=complex)
+    p = PauliString(n, 2**n - 1, 2**n - 1)
+    tracemalloc.start()
+    try:
+        p.apply(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= v.nbytes + 64 * 1024
 
 
 def test_dense_limit():
@@ -191,7 +210,6 @@ def dense_in_algebra(p, form):
 def test_omega_dense_is_canonical_block_form():
     for n in (1, 2, 3):
         assert np.array_equal(to_dense(symplectic_form(n)).real, omega(2**n))
-        assert np.array_equal(apply_omega(np.eye(2**n)), omega(2**n))
 
 
 def test_in_sp_algebra_matches_dense_exhaustive():

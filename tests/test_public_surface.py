@@ -27,8 +27,7 @@ ORACLES = {
     # oracles of the release criteria (tests/test_acceptance.py) and the tests
     "brauer.BrauerDiagram.mirror": "test_brauer.py::test_mirror_is_dense_transpose",
     "brauer.monte_carlo_twirl": "criterion 4",
-    "circuit.build_theorem1_block": "criterion 6",
-    "circuit.build_prop2_block": "criterion 6",
+    "circuit.rotation_block": "criterion 6",
     "circuit.concat": "criterion 6",
     "circuit.to_unitary": "criterion 6",
     "circuit.circuit_to_json": "test_circuit.py::test_json_round_trip_rotations_and_blocks",
