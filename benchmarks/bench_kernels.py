@@ -113,7 +113,9 @@ BENCHES = [
     ("transfer_apply (n=20, half layer)", bench_transfer),
     ("lie closure (theorem1, n=10, dim 524800)", bench_closure),
     ("sample_sp (d=256, 20 draws)", bench_haar_draw),
+    ("sample_sp (d=1024, 1 draw)", lambda: bench_haar_draw(d=1024, draws=1)),
     ("sample_sp_columns (d=256, k=2, 20 draws)", lambda: bench_haar_draw(k=2)),
+    ("sample_sp_columns (d=65536, k=2, 5 draws)", lambda: bench_haar_draw(d=65536, k=2, draws=5)),
 ]
 
 

@@ -2,19 +2,16 @@
 
 All samplers are Ginibre + QR with an explicit gauge fixing (triangular-factor
 diagonal normalized), which makes the distribution exactly Haar rather than
-merely unitary.
+merely unitary; the symplectic one computes its QR by Gram-Schmidt.
 
-The symplectic sampler draws a (d/2) x (d/2) matrix of standard-normal
-quaternions, maps each quaternion a+bi+cj+dk to the 2x2 complex block
-[[a+bi, c+di], [-c+di, a-bi]], and QR-factorizes the d x d complex image with
-the R-diagonal gauge-fixed to positive reals. Positive-diagonal QR is unique,
-so the complex factorization coincides with the quaternionic one and Q is a
-quaternionic unitary: exactly symplectic w.r.t. the paired form
-Omega' = I_{d/2} (x) [[0,1],[-1,0]]. A fixed perfect-shuffle permutation
-(old 2k -> new k, old 2k+1 -> new k + d/2) then conjugates to the canonical
-block form Omega = [[0, I], [-I, 0]], which on qubits equals iY (x) I.
-sample_sp_columns stops the factorization after the first k quaternionic
-columns, for experiments that read S on a few vectors only.
+The symplectic sampler draws a (d/2) x k matrix of standard-normal
+quaternions a + bi + cj + dk, takes the image [a + bi; -c + di] of each column
+and orthonormalizes the images in pairs (w, -J w) by ``symplectic_frame``,
+where J w = Omega conj(w) for Omega = [[0, I], [-I, 0]] (on qubits iY (x) I).
+This is the QR of the quaternionic Gaussian with the R-diagonal positive
+(Mezzadri, arXiv:math-ph/0609050), which is unique, so the 2k columns are
+those of a Haar S in SP(d/2); k < d/2 serves experiments that read S on a few
+vectors only.
 
 The brick-layer schedule of Haar blocks (``brick_layer``), the Haar
 collision probability (``z_haar``) and the pairing count
@@ -117,43 +114,64 @@ def sample_orthogonal(d: int, rng, special: bool = False) -> np.ndarray:
     return q
 
 
-def _shuffle_perm(d: int) -> np.ndarray:
-    # new index k takes old index 2k; new k + d/2 takes old 2k + 1
-    m = d // 2
-    inv = np.empty(d, dtype=np.intp)
-    inv[:m] = 2 * np.arange(m)
-    inv[m:] = 2 * np.arange(m) + 1
-    return inv
+FRAME_BLOCK = 32  # vectors that matrix products project off the finished pairs at once
+
+
+def symplectic_frame(vectors) -> np.ndarray:
+    """Orthonormal F = [w_1 .. w_k | -J w_1 .. -J w_k] whose span holds every
+    vector and its J-image, -J taking the halves (u, v) of w to (-conj(v),
+    conj(u)). Each vector, in order, is projected off the finished pairs
+    twice, a block of ``FRAME_BLOCK`` at a time by matrix products first; one
+    whose residual is at most ``DEFAULT_TOL`` times its norm adds nothing.
+    F^T Omega F = Omega_2k, so F = U E for a symplectic unitary U and E the
+    columns e_0 .. e_{k-1}, e_{d/2} .. e_{d/2+k-1}."""
+    count, d = len(vectors), len(vectors[0])
+    out = np.empty((d, 2 * count), dtype=complex)
+    w, jw = out[:, :count], out[:, count:]
+    # a block's vectors in the even rows; kept pair j moves to rows 2j, 2j + 1
+    # as w, -J w, and its conjugate to the same rows of ``conj``
+    pairs = np.empty((2 * min(count, FRAME_BLOCK), d), dtype=complex)
+    conj = np.empty_like(pairs)
+    k = 0
+    for start in range(0, count, FRAME_BLOCK):
+        chunk = vectors[start:start + FRAME_BLOCK]
+        block = pairs[:2 * len(chunk):2]
+        block[:] = chunk
+        norms = [math.sqrt(np.vdot(v, v).real) for v in block]
+        for f in (w[:, :k], jw[:, :k]) * 2 if k else ():  # conjugates stay block-sized
+            block -= (block.conj() @ f).conj() @ f.T
+        j = 0
+        for i, norm in enumerate(norms):
+            r = pairs[2 * i]
+            for _ in range(2 if j else 0):
+                r -= (conj[:2 * j] @ r) @ pairs[:2 * j]
+            residual = math.sqrt(np.vdot(r, r).real)
+            if residual > DEFAULT_TOL * norm:
+                unit = np.multiply(r, 1 / residual, out=pairs[2 * j]).reshape(2, -1)
+                np.conjugate(unit, out=conj[2 * j].reshape(2, -1))
+                np.multiply(unit[::-1], [[-1 + 0j], [1 + 0j]], out=conj[2 * j + 1].reshape(2, -1))
+                np.conjugate(conj[2 * j + 1], out=pairs[2 * j + 1])
+                j += 1
+        w[:, k:k + j], jw[:, k:k + j] = pairs[0:2 * j:2].T, pairs[1:2 * j:2].T
+        k += j
+    return out if k == count else np.concatenate((w[:, :k], jw[:, :k]), axis=1)
 
 
 def sample_sp_columns(d: int, k: int, rng) -> np.ndarray:
     """Columns [S e_0 .. S e_{k-1} | S e_m .. S e_{m+k-1}] (m = d/2) of a Haar
-    S in SP(d/2), as a d x 2k complex matrix, at O(d k^2) cost.
-
-    The first k quaternionic columns of the QR factor depend only on the first
-    k quaternionic columns of the Gaussian, so a thin QR of a (d/2) x k
-    quaternionic Gaussian gives them exactly (Mezzadri, arXiv:math-ph/0609050).
-    Rows take the perfect shuffle; columns come out ordered [even | odd], the
-    images of e_j and e_{m+j}. The result Q satisfies Q^dag Q = I and
-    Q^T omega(d) Q = omega(2k). At k = m this is the full Haar matrix.
-    """
+    S in SP(d/2) as a d x 2k complex matrix Q, at O(d k^2) cost: the first k
+    quaternionic columns of the QR factor depend only on those of the
+    Gaussian. Q^dag Q = I and Q^T omega(d) Q = omega(2k); at k = m this is
+    the full Haar matrix."""
     if d % 2 or d < 2:
         raise DomainError(f"SP sampler needs even d >= 2, got {d}")
     m = d // 2
     if not 1 <= k <= m:
         raise DomainError(f"need 1 <= k <= d/2 = {m} quaternionic columns, got {k}")
-    g = as_generator(rng)
-    qa = g.standard_normal((m, k))
-    qb = g.standard_normal((m, k))
-    qc = g.standard_normal((m, k))
-    qd = g.standard_normal((m, k))
-    a = np.empty((d, 2 * k), dtype=complex)
-    a[0::2, 0::2] = qa + 1j * qb
-    a[0::2, 1::2] = qc + 1j * qd
-    a[1::2, 0::2] = -qc + 1j * qd
-    a[1::2, 1::2] = qa - 1j * qb
-    q = _gauged_q(a)
-    return q[np.ix_(_shuffle_perm(d), _shuffle_perm(2 * k))]
+    q = as_generator(rng).standard_normal((4, m, k))  # the blocks a, b, c, d in turn
+    images = np.concatenate((q[0] + 1j * q[1], -q[2] + 1j * q[3])).T
+    del q  # freed before the frame is built
+    return symplectic_frame(images)
 
 
 def sample_sp(d: int, rng) -> np.ndarray:
@@ -168,8 +186,9 @@ SAMPLERS = {"sp": sample_sp, "o": sample_orthogonal,
 
 def check_sample(group: str, d: int, count: int) -> None:
     """Checks of ``count`` draws from ``SAMPLERS[group]``: per entry of a d x d
-    matrix, 16 B for each output draw and 80 B for one draw (sp's Gaussian
-    blocks, image, copy, Q and R)."""
+    matrix, 16 B for each output draw and 80 B for one draw (the Ginibre
+    matrix, Q and R, or sp's Gaussian blocks, their images and the
+    Gram-Schmidt's block rows; tracemalloc: 30 B for sp at d = 512)."""
     if group not in SAMPLERS:
         raise DomainError(f"unknown group {group!r}; expected one of {tuple(SAMPLERS)}")
     if count < 1:

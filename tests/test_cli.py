@@ -560,6 +560,23 @@ def test_depth_sweep_calls_no_least_squares_solver(tmp_path, capsys, monkeypatch
     assert env["payload"]["fit"]["r_squared"] == pytest.approx(0.98797239452873, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gp-summary", "--config", "{cfg}", "--seed", "9"],
+    ["concentration", "--n", "3", "--samples", "40", "--thresholds", "0.5",
+     "--state", "pair", "--seed", "9"],
+    ["anticoncentration", "--n", "3", "--samples", "40", "--alphas", "0.5", "--seed", "9"],
+], ids=lambda argv: argv[0])
+def test_sampled_runs_call_no_qr(tmp_path, argv, capsys, monkeypatch):
+    """Each Haar-symplectic draw is a Gram-Schmidt in pairs: the sampled runs,
+    gp-summary on the criterion-7 pair among them, finish with numpy's QR
+    disabled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a QR factorization was called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    run_json([a.format(cfg=gp_config(tmp_path)) for a in argv], capsys)
+
+
 def test_depth_sweep_writes_the_trace_in_full_precision(tmp_path, capsys):
     out = tmp_path / "depth.csv"
     run_json(["anticoncentration-depth", "--n-min", "20", "--n-max", "20",

@@ -28,11 +28,17 @@ from spcirc.gp_stats import (
     overlaps,
     run_gp_experiment,
     select_theorem,
-    symplectic_frame,
     wick_fourth_moments,
 )
 from spcirc.pauli import PauliString, enumerate_sp_basis, to_dense_kron
-from spcirc.sampler import RngStream, omega, sample_sp, sample_sp_columns
+from spcirc.sampler import (
+    FRAME_BLOCK,
+    RngStream,
+    omega,
+    sample_sp,
+    sample_sp_columns,
+    symplectic_frame,
+)
 
 
 def fig_family(n):
@@ -221,6 +227,24 @@ def test_symplectic_frame_drops_dependent_vectors():
     assert np.array_equal(
         symplectic_frame([s.statevector for s in basis]), np.eye(4)
     )
+
+
+def test_symplectic_frame_drops_a_dependent_vector_in_a_later_block():
+    # the dependent vector mixes a vector of its own block, one of the first
+    # block and the J image of another, so both projections must remove it
+    gen = np.random.default_rng(49)
+    n, d, count = 7, 128, FRAME_BLOCK + 8
+    vecs = [random_pure(n, gen).statevector for _ in range(count)]
+    dependent = FRAME_BLOCK + 3
+    vecs[dependent] = 0.3 * vecs[FRAME_BLOCK + 1] - 0.5j * vecs[4] + 0.8 * j_image(vecs[20])
+    frame = symplectic_frame(vecs)
+    assert frame.shape == (d, 2 * (count - 1))
+    assert np.abs(frame.conj().T @ frame - np.eye(2 * (count - 1))).max() <= 1e-12
+    assert np.abs(frame.T @ omega(d) @ frame - omega(2 * (count - 1))).max() <= 1e-12
+    proj = frame @ frame.conj().T
+    for v in vecs:
+        assert np.abs(proj @ v - v).max() <= 1e-12
+        assert np.abs(proj @ j_image(v) - j_image(v)).max() <= 1e-12
 
 
 def test_degenerate_states_share_one_column():

@@ -54,6 +54,35 @@ def test_sample_sp_columns_is_a_symplectic_isometry(d, k):
         assert np.abs(q.T @ omega(d) @ q - omega(2 * k)).max() <= 1e-12
 
 
+def mezzadri_columns(d, k, gen):
+    """The first k quaternionic columns by Mezzadri's recipe on the same four
+    (d/2, k) Gaussian blocks: the interleaved 2 x 2 complex image of each
+    quaternion, numpy's QR, the R-diagonal gauge, and the perfect shuffle to
+    the block form omega(d)."""
+    qa, qb, qc, qd = (gen.standard_normal((d // 2, k)) for _ in range(4))
+    a = np.empty((d, 2 * k), dtype=complex)
+    a[0::2, 0::2] = qa + 1j * qb
+    a[0::2, 1::2] = qc + 1j * qd
+    a[1::2, 0::2] = -qc + 1j * qd
+    a[1::2, 1::2] = qa - 1j * qb
+    q, r = np.linalg.qr(a)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    def shuffle(size):  # new index j takes old 2j, new j + size/2 takes old 2j + 1
+        return np.concatenate((np.arange(0, size, 2), np.arange(1, size, 2)))
+
+    return q[np.ix_(shuffle(d), shuffle(2 * k))]
+
+
+# (128, 40) and (256, 128) cross a block of symplectic_frame
+@pytest.mark.parametrize("d,k", [(2, 1), (4, 2), (16, 3), (256, 2), (128, 40), (256, 128)])
+def test_sample_sp_columns_is_the_gauged_qr_of_the_quaternionic_gaussian(d, k):
+    for seed in range(3):
+        want = mezzadri_columns(d, k, RngStream(seed, "mezzadri").generator())
+        got = sample_sp_columns(d, k, RngStream(seed, "mezzadri").generator())
+        assert np.abs(got - want).max() <= 1e-13
+
+
 def test_sample_sp_is_the_full_column_draw():
     for d in (4, 16):
         a = sample_sp(d, RngStream(16, "columns").generator())
