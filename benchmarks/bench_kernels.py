@@ -1,7 +1,8 @@
 """Time the package kernels on representative workloads.
 
-Runs each public kernel, and a circuit of theorem1 rotations, once to warm
-caches, then prints the best of ``--repeats`` wall-clock times per row.
+Runs each public kernel, a circuit of theorem1 rotations and a z readout
+once to warm caches, then prints the best of ``--repeats`` wall-clock times
+per row.
 End-to-end CLI timings live in ``perfbench/``.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 5]
@@ -84,6 +85,16 @@ def bench_transfer(n=20):
     return run
 
 
+def bench_collision(n=20):
+    """One z readout of the tensor after two layers."""
+    v = moment.propagate(moment.initial_label_vector(n), 2)
+
+    def run():
+        moment.collision_probability(v)
+
+    return run
+
+
 def bench_closure(n=10):
     gens = lie_closure.theorem1_generators(n)
 
@@ -111,6 +122,7 @@ BENCHES = [
     ("apply_gate (n=14, 100 2-leg gates)", bench_apply_gate),
     ("circuit.apply (theorem1, n=14, 3 blocks)", bench_theorem1_apply),
     ("transfer_apply (n=20, half layer)", bench_transfer),
+    ("collision_probability (n=20)", bench_collision),
     ("lie closure (theorem1, n=10, dim 524800)", bench_closure),
     ("sample_sp (d=256, 20 draws)", bench_haar_draw),
     ("sample_sp (d=1024, 1 draw)", lambda: bench_haar_draw(d=1024, draws=1)),

@@ -8,7 +8,7 @@ orthogonal elsewhere). The block's form is a product over its two qubits,
 Omega(4) = iY (x) I = Omega(2) (x) I(2) and I(4) = I(2) (x) I(2), so each
 diagram is a product of one-qubit factors on the two copies of each qubit,
 and each factor is the same diagram at d = 2: with the block's form on the
-first qubit and the orthogonal one on the second (``FACTORS``).
+first qubit and the orthogonal one on the second (``block_alphabet``).
 
 So E[rho (x) rho] is a dense tensor with one axis per block of the last half
 layer, indexed by the block's diagrams, plus one axis per edge qubit that the
@@ -29,19 +29,19 @@ The per-qubit label basis {I, S, B}, where (on the two copies of qubit J)
     S_J = XX + YY + ZZ,    B_J = XX - YY + ZZ,
 
 spans every factor: id = I, swap = (I + S)/2, pair.sp = (S - I)/2 and
-pair.o = (I + B)/2, exactly. These eight one-qubit operators, their integer
-overlaps and their z contraction values are read-only constants built at
-import, so the module keeps no state. ``block_transfer`` twirls products of
-one-qubit operators by the Weingarten formula, whose terms factorise over
-the two qubits into those overlaps: onto the block's diagrams it gives the W
-tables, exact rationals rounded once, and onto label pairs the label-basis
-transfer (``derive_transfer``). A run derives one brick layer's block steps
-once per distinct set of input axes, at most twice: for the first layer and
-for the steady one, and a block step the two share once.
-
-Collision probability: z = sum_x E[p(x)^2] contracts the tensor against
-(x)_J sum_b |bb><bb|; per-factor contraction values are computed from the
-dense 4x4 operators, never hardcoded.
+pair.o = (I + B)/2, exactly. These one-qubit operators, the pre-circuit
+factor raw and the measurement functional meas = sum_b |bb><bb| are the
+rows of one read-only table built at import, with their integer overlaps,
+so the module keeps no state (``qubit_operator`` reads it). Every number
+the engine uses comes from one rule, products over qubits of those overlaps
+(``_product``): the Weingarten formula twirls products of one-qubit
+operators in ``block_transfer``, which gives the W tables onto the block's
+diagrams, exact rationals rounded once, and onto label pairs the
+label-basis transfer (``derive_transfer``); and the collision probability
+z = sum_x E[p(x)^2] contracts the tensor against meas on every qubit. A run
+derives one brick layer's block steps once per distinct set of input axes,
+at most twice: for the first layer and for the steady one, and a block step
+the two share once.
 """
 
 from __future__ import annotations
@@ -62,18 +62,17 @@ from .sampler import BLOCK_GROUPS, as_generator, brick_layer, z_haar
 
 _XX, _YY, _ZZ = (np.kron(DENSE_1Q[p], DENSE_1Q[p]).real for p in "XYZ")
 _I, _S, _B = np.eye(4), _XX + _YY + _ZZ, _XX - _YY + _ZZ
-_RAW = np.diag([1.0, 0.0, 0.0, 0.0])
 
-# every one-qubit operator the engine names, stacked read-only because the
-# dicts below share it: the labels, then the factors of the t = 2 diagrams
-# (``brauer.enumerate_diagrams(2)`` order) as exact label combinations, each
-# the d = 2 diagram with the form its name gives
-_NAMES = ("I", "S", "B", "raw", "id", "swap", "pair.sp", "pair.o")
-_OPS = np.stack([_I, _S, _B, _RAW, _I, (_I + _S) / 2, (_S - _I) / 2, (_I + _B) / 2])
+# every one-qubit operator the engine names, on the two copies of a qubit: the
+# labels (rows 0..2, which ``block_transfer`` relies on), the pre-circuit factor,
+# the factors of the t = 2 diagrams (``brauer.enumerate_diagrams(2)`` order) as
+# exact label combinations, each the d = 2 diagram with the form its name gives,
+# and the measurement functional sum_b |bb><bb|
+_NAMES = ("I", "S", "B", "raw", "id", "swap", "pair.sp", "pair.o", "meas")
+_OPS = np.stack([_I, _S, _B, np.diag([1.0, 0.0, 0.0, 0.0]), _I, (_I + _S) / 2,
+                 (_S - _I) / 2, (_I + _B) / 2, np.diag([1.0, 0.0, 0.0, 1.0])])
 _OPS.flags.writeable = False
 _INDEX = {a: i for i, a in enumerate(_NAMES)}
-LABEL_OPS = dict(zip(_NAMES[:4], _OPS[:4]))
-FACTORS = dict(zip(_NAMES[4:], _OPS[4:]))
 
 # per block group, the labels that span its factors on its first and second qubit
 LABEL_ALPHABETS = {"sp2": (("I", "S"), ("I", "S", "B")),
@@ -81,10 +80,8 @@ LABEL_ALPHABETS = {"sp2": (("I", "S"), ("I", "S", "B")),
 ALPHA_RAW = ("raw",)
 
 # Hilbert-Schmidt overlaps <x, y> = Tr[x^T y] of all the operators, integers
-# because their entries are, and their z contraction values against the
-# measurement functional sum_b |bb><bb| on the two copies: <00|op|00> + <11|op|11>
+# because their entries are; against meas, <00|op|00> + <11|op|11>
 _OVERLAPS = np.einsum("aij,bij->ab", _OPS, _OPS).astype(np.int64)
-_Z = tuple((_OPS[:, 0, 0] + _OPS[:, 3, 3]).tolist())
 
 
 def _indices(names) -> list:
@@ -97,9 +94,21 @@ def _indices(names) -> list:
 
 def qubit_operator(name: str) -> np.ndarray:
     """The read-only 4x4 operator on the two copies of one qubit that
-    ``name`` stands for: a label of ``LABEL_OPS`` or a diagram factor of
-    ``FACTORS``."""
+    ``name`` stands for: a label I, S or B, the pre-circuit factor raw, a
+    diagram factor id, swap, pair.sp or pair.o, or the measurement
+    functional meas."""
     return _OPS[_indices([name])[0]]
+
+
+def _product(rows, cols, table=_OVERLAPS) -> np.ndarray:
+    """Entry [r, c] is the product over qubits k of table[rows[r][k],
+    cols[c][k]], each row and column a tuple of one-qubit operator names
+    (``qubit_operator``), one per qubit. On ``_OVERLAPS`` it is the overlap
+    <x, y> of the products x = (x)_k rows[r][k] and y = (x)_k cols[c][k],
+    an exact integer."""
+    names = [a for e in (*rows, *cols) for a in e]
+    idx = np.array(_indices(names)).reshape(len(rows) + len(cols), -1)
+    return table[idx[:len(rows), None], idx[len(rows):]].prod(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +116,11 @@ def qubit_operator(name: str) -> np.ndarray:
 
 def block_alphabet(group: str) -> tuple:
     """The axis a ``group`` block leaves: its diagrams, each as the pair of
-    its factors on the block's two qubits."""
+    its factors on the block's two qubits. A group without a second-moment
+    table is refused."""
+    if group not in LABEL_ALPHABETS:
+        raise DomainError(f"no second-moment table for block group {group!r}")
     return (("id", "id"), ("swap", "swap"), ("pair." + BLOCK_GROUPS[group], "pair.o"))
-
-
-def _overlaps(rows, cols) -> np.ndarray:
-    """Hilbert-Schmidt overlaps <x, y> = Tr[x^T y] of the one-qubit operators
-    named by ``rows`` and ``cols`` (``qubit_operator``), exact integers."""
-    return _OVERLAPS.take(_indices(rows), 0).take(_indices(cols), 1)
-
-
-def _pair_overlaps(rows, cols) -> np.ndarray:
-    """<a (x) b, a' (x) b'> = <a, a'><b, b'> for products of one-qubit
-    operators, each a pair of names (first qubit, second qubit)."""
-    return (_overlaps([p[0] for p in rows], [p[0] for p in cols])
-            * _overlaps([p[1] for p in rows], [p[1] for p in cols]))
 
 
 def _adjugate(g: np.ndarray) -> tuple:
@@ -133,7 +132,7 @@ def _adjugate(g: np.ndarray) -> tuple:
 
 # (adj(G), det(G)) of the integer Gram matrix G of each group's diagrams
 _DIAGRAM_ADJUGATES = {
-    group: _adjugate(_pair_overlaps(block_alphabet(group), block_alphabet(group)))
+    group: _adjugate(_product(block_alphabet(group), block_alphabet(group)))
     for group in LABEL_ALPHABETS}
 
 
@@ -151,21 +150,19 @@ def block_transfer(group: str, pairs, out_pairs=None) -> np.ndarray:
     <f2_sigma, f2_tau>. So H adj(G) / det(G) is the exact rational, rounded
     once; label outputs expand each factor over the labels I, S, B by their
     integer Gram matrix L and are rounded once too. Each call derives its
-    table afresh from the overlap constants; a run calls it once per block
-    step of each layer it plans (``_layers``).
+    table afresh from the overlap constants; a run calls it once per distinct
+    block step (``_layer_steps``).
     """
     diagrams = block_alphabet(group)
     out_pairs = diagrams if out_pairs is None else tuple(out_pairs)
-    h = _pair_overlaps(tuple(pairs), diagrams)  # refuses a group without factors first
     adj, det = _DIAGRAM_ADJUGATES[group]
-    num = h @ adj
+    num = _product(tuple(pairs), diagrams) @ adj
     if out_pairs != diagrams:
-        # each factor's label coefficients are <f, l> adj(L) / det(L)
-        labels = ("I", "S", "B")
-        adj_l, det_l = _adjugate(_overlaps(labels, labels))
-        first, second = (_overlaps([d[k] for d in diagrams], labels) @ adj_l for k in (0, 1))
-        i, j = np.array([[labels.index(a), labels.index(b)] for a, b in out_pairs]).T
-        num, det = num @ (first[:, i] * second[:, j]), det * det_l**2
+        # row f of ``expand`` is det(L) times the label coefficients <f, l> adj(L) / det(L)
+        labels = (("I",), ("S",), ("B",))
+        adj_l, det_l = _adjugate(_product(labels, labels))
+        expand = _OVERLAPS[:, :3] @ adj_l
+        num, det = num @ _product(diagrams, out_pairs, expand), det * det_l**2
     return num / det
 
 
@@ -178,7 +175,6 @@ class TransferMatrix:
     lower-numbered qubit, e.g. II, IS, IB, SI, SS, SB for sp2.
     """
 
-    kind: str
     entries: np.ndarray
     basis_order: tuple
 
@@ -187,8 +183,7 @@ def derive_transfer(kind: str) -> TransferMatrix:
     if kind not in LABEL_ALPHABETS:
         raise DomainError(f"no label transfer for block group {kind!r}")
     pairs = tuple(itertools.product(*LABEL_ALPHABETS[kind]))
-    return TransferMatrix(kind, block_transfer(kind, pairs, pairs),
-                          tuple(a + b for a, b in pairs))
+    return TransferMatrix(block_transfer(kind, pairs, pairs), tuple(a + b for a, b in pairs))
 
 
 def block_step(group: str, alpha_a: tuple, alpha_b: tuple | None):
@@ -341,17 +336,16 @@ def propagate(v: LabelVector, layers: int) -> LabelVector:
     return v
 
 
-def _axis_values(alphabet: tuple) -> np.ndarray:
-    """z contraction value per index of an axis: the product over its qubits."""
-    return np.array([math.prod([_Z[i] for i in _indices(entry)]) for entry in alphabet])
-
-
 def collision_probability(v: LabelVector) -> float:
-    """z = sum_x E[p(x)^2]: contract against (x)_J sum_b |bb><bb|, the
-    trailing axis of the contiguous tensor first."""
-    t = v.coeffs
+    """z = sum_x E[p(x)^2]: contract against meas on every qubit, the trailing
+    axis of the contiguous tensor first. Each index of an axis weighs the
+    overlap of its product with meas on the axis's qubits; the weights are
+    derived once per distinct alphabet."""
+    weights, t = {}, v.coeffs
     for alpha in reversed(v.alphabets):
-        t = t.reshape(-1, len(alpha)) @ _axis_values(alpha)
+        if alpha not in weights:
+            weights[alpha] = _product(alpha, [("meas",) * len(alpha[0])])[:, 0].astype(float)
+        t = t.reshape(-1, len(alpha)) @ weights[alpha]
     return float(t[0])
 
 

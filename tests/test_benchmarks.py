@@ -22,6 +22,7 @@ TOY = [
     ("bench_apply_gate", {"n": 4, "gates": 3}),
     ("bench_theorem1_apply", {"n": 4, "blocks": 2}),
     ("bench_transfer", {"n": 6}),
+    ("bench_collision", {"n": 4}),
     ("bench_closure", {"n": 3}),
     ("bench_haar_draw", {"d": 8, "draws": 1}),
     ("bench_haar_draw", {"d": 8, "k": 2, "draws": 1}),

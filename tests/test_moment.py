@@ -22,9 +22,7 @@ from spcirc import brauer, circuit, kernels, moment
 from spcirc.errors import CapacityError, DomainError
 from spcirc.moment import (
     ALPHA_RAW,
-    FACTORS,
     LABEL_ALPHABETS,
-    LABEL_OPS,
     LabelVector,
     block_alphabet,
     block_transfer,
@@ -47,6 +45,9 @@ from spcirc.kernels import transfer_apply
 from spcirc.sampler import BLOCK_GROUPS, RngStream
 
 _, ALPHA_REST = LABEL_ALPHABETS["sp2"]
+
+# every one-qubit operator the engine names
+NAMES = ("I", "S", "B", "raw", "id", "swap", "pair.sp", "pair.o", "meas")
 
 # frozen reference: sp2 block transfer on labels (II, IS, IB, SI, SS, SB)
 TAU_SP2 = np.array(
@@ -74,9 +75,9 @@ def test_label_operators_closed_forms():
     for i in range(2):
         for j in range(2):
             swap4[i * 2 + j, j * 2 + i] = 1.0
-    assert np.allclose((np.eye(4) + LABEL_OPS["S"]) / 2, swap4, atol=1e-12)
-    assert np.allclose((np.eye(4) + LABEL_OPS["B"]) / 2, bell_projector_pair(), atol=1e-12)
-    raw = LABEL_OPS["raw"]
+    assert np.allclose((np.eye(4) + qubit_operator("S")) / 2, swap4, atol=1e-12)
+    assert np.allclose((np.eye(4) + qubit_operator("B")) / 2, bell_projector_pair(), atol=1e-12)
+    raw = qubit_operator("raw")
     assert raw[0, 0] == 1.0 and np.count_nonzero(raw) == 1
 
 
@@ -103,6 +104,19 @@ def test_label_gram_frozen():
 def test_contraction_values_from_dense():
     assert np.allclose(z_values(ALPHA_REST), [2.0, 2.0, 2.0])
     assert np.allclose(z_values(("raw",)), [1.0])
+
+
+def test_measurement_row_is_the_z_functional():
+    """The measurement functional is diag(1, 0, 0, 1), its overlap with each
+    named operator is <00|op|00> + <11|op|11>, and the z of a one-entry
+    tensor, over one two-qubit axis or two one-qubit axes, is the product of
+    those values."""
+    assert np.array_equal(qubit_operator("meas"), np.diag([1.0, 0.0, 0.0, 1.0]))
+    assert np.array_equal(overlaps(("meas",) + NAMES)[0, 1:], z_values(NAMES))
+    for a, b in product(NAMES, NAMES):
+        want = z_values((a,))[0] * z_values((b,))[0]
+        for alphabets in ((((a, b),),), (((a,),), ((b,),))):
+            assert collision_probability(LabelVector(2, alphabets, np.ones(1))) == want, (a, b)
 
 
 # -- the sp2 and o4 transfers ----------------------------------------------------
@@ -202,7 +216,7 @@ def label_reference(n, layers):
 def label_expansion(name, alphabet):
     """Coefficients of the one-qubit operator ``name`` over the labels of
     ``alphabet``; the operator must lie in their span."""
-    basis = np.stack([LABEL_OPS[a].ravel() for a in alphabet], axis=1)
+    basis = np.stack([qubit_operator(a).ravel() for a in alphabet], axis=1)
     op = qubit_operator(name).ravel()
     c = np.linalg.solve(basis.T @ basis, basis.T @ op)
     assert np.abs(basis @ c - op).max() <= 1e-12, (name, alphabet)
@@ -294,6 +308,13 @@ def test_diagram_factors_rebuild_the_diagrams():
             assert np.abs(op - brauer.represent(sigma, 4, form)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("group", ["so4", "u4", "xx"])
+def test_a_group_without_a_second_moment_table_is_refused(group):
+    for call in (lambda: block_alphabet(group), lambda: block_transfer(group, [("I", "I")])):
+        with pytest.raises(DomainError, match=f"block group '{group}'"):
+            call()
+
+
 def test_block_weights_fix_the_diagrams():
     """The twirl is a projection: a block's own diagrams are fixed points."""
     for group in ("sp2", "o4"):
@@ -313,7 +334,7 @@ def test_block_transfer_matches_the_gram_inverse_twirl(group):
     """Every W-table row against ``brauer.twirl``, which projects through
     the inverse Gram matrix of the diagrams rather than through the
     superoperator's normal equations."""
-    names = list(LABEL_OPS) + list(FACTORS)
+    names = NAMES
     for a, b in product(names, names):
         w = block_transfer(group, [(a, b)])
         c = brauer.twirl(copy_major(a, b), 2, 4, BLOCK_GROUPS[group]).coefficients
@@ -342,7 +363,7 @@ def test_block_transfer_is_the_exact_rational_rounded_once(group, monkeypatch):
     derived afresh, with neither the block superoperator nor a linear solve."""
     monkeypatch.setattr(brauer, "twirl_superoperator", None)
     monkeypatch.setattr(np.linalg, "solve", None)
-    names = list(LABEL_OPS) + list(FACTORS)
+    names = NAMES
     ops = {a: qubit_operator(a) for a in names}
     overlap = {(a, b): int(np.sum(ops[a] * ops[b])) for a in names for b in names}
     diagrams = block_alphabet(group)

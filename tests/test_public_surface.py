@@ -32,8 +32,6 @@ ORACLES = {
     "circuit.to_unitary": "criterion 6",
     "circuit.circuit_to_json": "test_circuit.py::test_json_round_trip_rotations_and_blocks",
     "gp_stats.StateSpec.density_matrix": "test_gp_stats.py::test_twisted_overlap_frozen_values",
-    "moment.LABEL_OPS": "test_moment.py::test_label_operators_closed_forms",
-    "moment.FACTORS": "test_moment.py::test_block_transfer_matches_the_gram_inverse_twirl",
     "moment.qubit_operator": "test_moment.py::test_diagram_factors_rebuild_the_diagrams",
     "moment.derive_transfer": "criterion 5",
     "moment.collision_trace": "test_moment.py::test_z_decreases_towards_haar",
