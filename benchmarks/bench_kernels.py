@@ -2,7 +2,7 @@
 
 Runs each public kernel, a circuit of theorem1 rotations and a z readout
 once to warm caches, then prints the best of ``--repeats`` wall-clock times
-per row.
+per row, to three significant figures (µs below 1 ms).
 End-to-end CLI timings live in ``perfbench/``.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 5]
@@ -25,6 +25,14 @@ def best_of(fn, repeats):
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def three_figures(t):
+    """``t`` seconds to three significant figures, in µs below 1 ms, else in ms."""
+    t = float(f"{t:.3g}")
+    power, unit = (6, "µs") if t < 1e-3 else (3, "ms")
+    decimals = max(0, 2 - power - math.floor(math.log10(t)))
+    return f"{t * 10**power:.{decimals}f} {unit}"
 
 
 def bench_apply_gate(n=14, gates=100):
@@ -143,9 +151,9 @@ def main():
         rows.append((name, best_of(run, args.repeats)))
 
     width = max(len(name) for name, _ in rows)
-    print(f"{'kernel':<{width}}  {'best':>10}")
+    print(f"{'kernel':<{width}}  {'best':>9}")
     for name, t in rows:
-        print(f"{name:<{width}}  {t*1e3:>8.2f}ms")
+        print(f"{name:<{width}}  {three_figures(t):>9}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,28 +85,12 @@ class CircuitSpec:
                 raise DomainError(f"unknown gate {g!r}")
 
 
-@dataclass
-class StateVector:
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (2**self.n,):
-            raise DomainError(
-                f"amplitude count {self.amplitudes.shape} != (2**{self.n},)"
-            )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def initial_state(n: int, index: int = 0) -> StateVector:
-    """The computational basis state |index>."""
+def initial_state(n: int, index: int = 0) -> np.ndarray:
+    """The amplitudes of the computational basis state |index>."""
     check_basis_index(n, index)
     amp = np.zeros(2**n, dtype=complex)
     amp[index] = 1.0
-    return StateVector(n, amp)
+    return amp
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +164,15 @@ def check_statevector(n: int) -> None:
     check_bytes(f"the statevector at n = {n}", 56, 2, n)
 
 
-def apply(circ: CircuitSpec, psi: StateVector) -> StateVector:
-    if circ.n != psi.n:
-        raise DomainError(f"circuit n = {circ.n} vs state n = {psi.n}")
+def apply(circ: CircuitSpec, psi: np.ndarray) -> np.ndarray:
+    """The amplitudes of circ|psi> as a new complex array; psi is not written."""
     check_statevector(circ.n)
-    amp = psi.amplitudes.copy()
+    amp = np.array(psi, dtype=complex)
+    if amp.shape != (2**circ.n,):
+        raise DomainError(f"amplitude shape {amp.shape} != ({2**circ.n},) for n = {circ.n}")
     unit = abs(np.linalg.norm(amp) - 1.0) <= 1e-12
     _apply_inplace(circ, amp, check_norm=unit)
-    return StateVector(circ.n, amp)
+    return amp
 
 
 def to_unitary(circ: CircuitSpec) -> np.ndarray:
@@ -205,11 +190,9 @@ def pauli_apply(p: PauliString, vec: np.ndarray) -> np.ndarray:
     return p.apply(vec)
 
 
-def pauli_expectation(psi: StateVector, p: PauliString) -> complex:
-    """<psi|P|psi>; real when P is Hermitian."""
-    if p.n != psi.n:
-        raise DomainError(f"operator n = {p.n} vs state n = {psi.n}")
-    return complex(np.vdot(psi.amplitudes, pauli_apply(p, psi.amplitudes)))
+def pauli_expectation(psi: np.ndarray, p: PauliString) -> complex:
+    """<psi|P|psi> for the amplitudes psi; real when P is Hermitian."""
+    return complex(np.vdot(psi, pauli_apply(p, psi)))
 
 
 # ---------------------------------------------------------------------------

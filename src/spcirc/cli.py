@@ -213,12 +213,13 @@ def _plan_simulate(args):
     out = _out_path(args.out, ".npy")
 
     def run():
-        out_state = circuit.apply(circ, circuit.initial_state(circ.n, args.state))
+        amp = circuit.apply(circ, circuit.initial_state(circ.n, args.state))
+        norm = float(np.linalg.norm(amp))
         if out:
-            np.save(out, out_state.amplitudes)
-            return {"path": out, "n": circ.n, "norm": out_state.norm()}
-        amps = [[float(a.real), float(a.imag)] for a in out_state.amplitudes]
-        return {"n": circ.n, "amplitudes": amps, "norm": out_state.norm()}
+            np.save(out, amp)
+            return {"path": out, "n": circ.n, "norm": norm}
+        amps = [[float(a.real), float(a.imag)] for a in amp]
+        return {"n": circ.n, "amplitudes": amps, "norm": norm}
 
     return {}, {"n": circ.n, "gates": len(circ.gates)}, run
 

@@ -475,7 +475,7 @@ def monte_carlo_collision(n: int, layers: int, n_samples: int, rng):
     vals = np.empty(n_samples)
     for k in range(n_samples):
         circ = circuit.build_bricklayer(n, layers, gen)
-        amp = circuit.apply(circ, psi0).amplitudes
+        amp = circuit.apply(circ, psi0)
         p = np.abs(amp) ** 2
         vals[k] = float(np.sum(p * p))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))

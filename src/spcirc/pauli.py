@@ -167,18 +167,6 @@ class PauliString:
         return out.reshape(v.shape)
 
 
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact product a*b including the accumulated i**k phase."""
-    if a.n != b.n:
-        raise DomainError(f"size mismatch: {a.n} vs {b.n}")
-    x3 = a.x_mask ^ b.x_mask
-    z3 = a.z_mask ^ b.z_mask
-    y3 = int(x3 & z3).bit_count()
-    swaps = int(a.z_mask & b.x_mask).bit_count()
-    phase = (a.phase_exp + b.phase_exp + a.y_count + b.y_count - y3 + 2 * swaps) % 4
-    return PauliString(a.n, x3, z3, phase)
-
-
 def commutes(a: PauliString, b: PauliString) -> bool:
     if a.n != b.n:
         raise DomainError(f"size mismatch: {a.n} vs {b.n}")

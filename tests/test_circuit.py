@@ -10,7 +10,6 @@ from spcirc.circuit import (
     CircuitSpec,
     HaarBlock,
     Rotation,
-    StateVector,
     _rotate,
     apply,
     build_bricklayer,
@@ -55,8 +54,8 @@ def test_y_rotation_convention():
     # exp(i theta Y)|0> = cos(theta)|0> - sin(theta)|1>
     theta = 0.3
     out = apply(CircuitSpec(1, (rot("Y", theta),)), initial_state(1))
-    assert out.amplitudes[0] == pytest.approx(np.cos(theta))
-    assert out.amplitudes[1] == pytest.approx(-np.sin(theta))
+    assert out[0] == pytest.approx(np.cos(theta))
+    assert out[1] == pytest.approx(-np.sin(theta))
 
 
 def test_z1_rotation_phases():
@@ -89,7 +88,7 @@ def test_rotation_on_a_state_matches_expm():
         psi = random_batch(p.n, (), gen)
         psi /= np.linalg.norm(psi)
         expected = expm(1j * theta * to_dense_kron(p)) @ psi
-        got = apply(CircuitSpec(p.n, [Rotation(p, theta)]), StateVector(p.n, psi)).amplitudes
+        got = apply(CircuitSpec(p.n, [Rotation(p, theta)]), psi)
         assert np.allclose(got, expected, atol=1e-13), p
 
 
@@ -119,13 +118,27 @@ def test_apply_equals_unitary_action():
     psi = gen.standard_normal(8) + 1j * gen.standard_normal(8)
     psi /= np.linalg.norm(psi)
     u = to_unitary(circ)
-    out = apply(circ, StateVector(3, psi))
-    assert np.allclose(out.amplitudes, u @ psi, atol=1e-11)
+    out = apply(circ, psi)
+    assert np.allclose(out, u @ psi, atol=1e-11)
+
+
+def test_apply_copies_the_amplitudes_and_refuses_other_shapes():
+    circ = CircuitSpec(2, (rot("XY", 0.4),))
+    psi = np.array([0.0, 1.0, 0.0, 0.0])
+    out = apply(circ, psi)
+    assert out.dtype == complex and out.shape == (4,)
+    assert np.array_equal(psi, [0.0, 1.0, 0.0, 0.0])
+    assert np.allclose(out, to_unitary(circ)[:, 1], atol=1e-12)
+    for bad in (np.zeros(8, dtype=complex), np.zeros((4, 1), dtype=complex)):
+        with pytest.raises(DomainError, match=r"\(4,\)"):
+            apply(circ, bad)
+    with pytest.raises(DomainError):
+        pauli_expectation(initial_state(3), PauliString.from_label("ZI"))
 
 
 def unitary_by_columns(circ):
     """The per-column definition: column k is the circuit applied to |k>."""
-    return np.column_stack([apply(circ, initial_state(circ.n, k)).amplitudes
+    return np.column_stack([apply(circ, initial_state(circ.n, k))
                             for k in range(2**circ.n)])
 
 
@@ -147,7 +160,7 @@ def test_norm_preserved():
     circ = rotation_block(theorem1_generators(3),
                           np.linspace(0.1, 0.9, len(theorem1_generators(3).generators)))
     out = apply(circ, initial_state(3, 5))
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- builders ------------------------------------------------------------------
@@ -255,7 +268,7 @@ def test_basis_state_bounds():
     with pytest.raises(DomainError):
         initial_state(2, 4)
     s = initial_state(2, 3)
-    assert s.amplitudes[3] == 1.0
+    assert s[3] == 1.0
 
 
 # -- JSON round trip ----------------------------------------------------------------

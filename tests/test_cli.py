@@ -273,7 +273,7 @@ def test_simulate_matches_direct_apply(tmp_path, capsys):
     spec.write_text(json.dumps(circuit.circuit_to_json(circ)))
     env = run_json(["simulate", "--circuit", str(spec)], capsys)
     got = np.array([complex(re, im) for re, im in env["payload"]["amplitudes"]])
-    want = circuit.apply(circ, circuit.initial_state(2)).amplitudes
+    want = circuit.apply(circ, circuit.initial_state(2))
     assert np.abs(got - want).max() <= 1e-12
     assert env["payload"]["norm"] == pytest.approx(1.0)
 
@@ -282,7 +282,7 @@ def test_simulate_matches_direct_apply(tmp_path, capsys):
         ["simulate", "--circuit", str(spec), "--state", "2", "--out", str(out)],
         capsys,
     )
-    want2 = circuit.apply(circ, circuit.initial_state(2, 2)).amplitudes
+    want2 = circuit.apply(circ, circuit.initial_state(2, 2))
     assert np.abs(np.load(out) - want2).max() <= 1e-12
 
 

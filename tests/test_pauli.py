@@ -16,7 +16,6 @@ from spcirc.pauli import (
     enumerate_sp_basis,
     in_algebra,
     in_sp_algebra,
-    multiply,
     sp_dimension,
     symplectic_form,
     to_dense,
@@ -149,32 +148,7 @@ def test_symmetric_iff_even_y_count():
         assert np.allclose(m, m.T) == (p.y_count % 2 == 0) == (not in_algebra(key, 2, "o")[0])
 
 
-# -- product and commutator ----------------------------------------------------
-
-def test_multiply_matches_dense_exhaustive_n2():
-    strings = list(all_strings(2, phases=(0, 1)))
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        a, b = rng.choice(len(strings), 2)
-        a, b = strings[a], strings[b]
-        assert np.allclose(to_dense(multiply(a, b)), to_dense(a) @ to_dense(b))
-
-
-@given(pauli_strings(max_n=3), pauli_strings(max_n=3))
-def test_multiply_property(a, b):
-    if a.n != b.n:
-        with pytest.raises(DomainError):
-            multiply(a, b)
-        return
-    assert np.allclose(to_dense(multiply(a, b)), to_dense(a) @ to_dense(b))
-
-
-@given(pauli_strings(max_n=3), pauli_strings(max_n=3), pauli_strings(max_n=3))
-def test_multiply_associative(a, b, c):
-    if not (a.n == b.n == c.n):
-        return
-    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
-
+# -- commutator ---------------------------------------------------------------
 
 def test_commutes_matches_dense():
     for a in all_strings(2):

@@ -3,10 +3,12 @@
 A public name is a top-level function, class or constant of a module in
 ``src/spcirc`` whose name has no leading underscore, or such a method of a
 public class. It counts as read when a node of the package outside its own
-definition loads it: as a name, as an attribute, as an import alias, or as a
-string constant equal to it (``cli`` looks up generator sets and
-``ClosureResult.dimension`` by name). Matching is by bare name, so a method
-counts as read wherever an attribute of that name is loaded.
+definition loads it. A module-level name ``m.name`` is read as a bare name in
+``m``, as ``from .m import name``, as the attribute ``m.name``, or as a string
+constant equal to ``name`` (``cli`` looks up generator sets and
+``ClosureResult.dimension`` by name). So ``np.multiply`` reads no
+``pauli.multiply``. A method is matched by bare name: it counts as read
+wherever an attribute or a string constant of that name is loaded.
 
 A public name that no package code reads is kept only as a key of
 ``ORACLES``, whose value says what reads it instead: a test that uses it as an
@@ -40,7 +42,7 @@ ORACLES = {
     "moment.monte_carlo_collision": "test_moment.py::test_monte_carlo_agrees",
     "pauli.commutator": "test_pauli.py::test_commutator_direction",
     "pauli.enumerate_sp_basis": "test_pauli.py::test_enumerate_sp_basis",
-    "pauli.to_dense": "test_pauli.py::test_multiply_matches_dense_exhaustive_n2",
+    "pauli.to_dense": "test_pauli.py::test_commutes_matches_dense",
     "pauli.to_dense_kron": "test_pauli.py::test_dense_matches_kron_exhaustive_n2",
     "sampler.is_symplectic": "test_sampler.py::test_sample_sp_membership",
     "sampler.is_unitary": "test_sampler.py::test_sample_unitary_membership",
@@ -55,47 +57,60 @@ ORACLES = {
 }
 
 
-def _reads(tree):
-    """Every name the nodes under ``tree`` load, with repeats."""
+def _reads(tree, module: str):
+    """(where, name) of every load under ``tree`` in ``module``, with repeats.
+    ``where`` is the module a module-level name is read from: ``module`` for a
+    bare name, ``m`` for ``m.name`` and ``from .m import name``. Every
+    attribute also yields (".", attr), which reads methods, and every string
+    constant ("", value), which reads any name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            yield module, node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2]
+            yield ".", node.attr
+            if isinstance(node.value, ast.Name):
+                yield node.value.id, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                yield node.module.rpartition(".")[2], alias.name
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+            yield "", node.value
 
 
 def _public(module: str, tree):
-    """(qualified name, bare name, definition node) of each public name."""
+    """(qualified name, read key, definition node) of each public name; the
+    key is (module, name) for a module-level name and (".", name) for a
+    method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if node.name.startswith("_"):
                 continue
-            yield f"{module}.{node.name}", node.name, node
+            yield f"{module}.{node.name}", (module, node.name), node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{module}.{node.name}.{item.name}", item.name, item
+                        yield f"{module}.{node.name}.{item.name}", (".", item.name), item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name) and not name.id.startswith("_"):
-                        yield f"{module}.{name.id}", name.id, node
+                        yield f"{module}.{name.id}", (module, name.id), node
 
 
 def unread(trees: dict) -> set:
     """Qualified public names of the modules ``trees`` (stem -> ast) that no
     node outside their own definition reads."""
-    loads = Counter(name for tree in trees.values() for name in _reads(tree))
+    loads = Counter(read for module, tree in trees.items() for read in _reads(tree, module))
+
+    def count(reads, key):
+        return reads[key] + reads["", key[1]]
+
     return {
         qualified
         for module, tree in trees.items()
-        for qualified, name, node in _public(module, tree)
-        if loads[name] == Counter(_reads(node))[name]
+        for qualified, key, node in _public(module, tree)
+        if count(loads, key) == count(Counter(_reads(node, module)), key)
     }
 
 
@@ -109,10 +124,12 @@ def test_every_public_name_has_a_reader():
 
 def test_the_check_sees_each_kind_of_read():
     trees = {
-        "a": ast.parse("def f(): pass\ndef g(): return g()\nX, Y = 1, 2\n"
+        "a": ast.parse("def f(): pass\ndef g(): return g()\nX, Y, Z, W = 1, 2, 3, 4\n"
+                       "V = Z\n"
                        "class C:\n    def m(self): pass\n    def k(self): pass\n"
                        "    def _h(self): pass\n"),
-        "b": ast.parse("from .a import f\nvalue = getattr(C, 'Y')\nC().m()\n"),
+        "b": ast.parse("from .a import C, f\nfrom . import a\nvalue = getattr(C, 'Y')\n"
+                       "C().m()\nprint(a.W, V)\nnp.g(np.X)\n"),
     }
-    # g reads only itself, and _h is private
-    assert unread(trees) == {"a.g", "a.X", "a.C.k", "b.value"}
+    # g reads only itself, _h is private, V in b is not a's V, and np.g is not a.g
+    assert unread(trees) == {"a.g", "a.X", "a.V", "a.C.k", "b.value"}
