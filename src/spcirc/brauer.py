@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, DomainError, check_bytes
-from .sampler import SAMPLERS, as_generator, double_factorial, omega
+from .sampler import SAMPLERS, double_factorial, omega
 
 MAX_T = 5
 
@@ -414,17 +414,16 @@ def twirl_superoperator(t: int, d: int, group: str = "sp") -> np.ndarray:
 
 
 def monte_carlo_twirl(
-    x: np.ndarray, t: int, d: int, group: str, n_samples: int, rng
+    x: np.ndarray, t: int, d: int, group: str, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Empirical mean of S^(x)t x (S^(x)t)^dag over Haar samples."""
     if group not in SAMPLERS:
         raise DomainError(f"unknown group {group!r}")
     if n_samples < 1:
         raise DomainError(f"the mean needs at least 1 sample, got {n_samples}")
-    gen = as_generator(rng)
     acc = np.zeros((d**t, d**t), dtype=complex)
     for _ in range(n_samples):
-        s = SAMPLERS[group](d, gen)
+        s = SAMPLERS[group](d, rng)
         big = s
         for _ in range(t - 1):
             big = np.kron(big, s)

@@ -26,7 +26,7 @@ from . import kernels
 from .errors import (DomainError, check_basis_index, check_bytes, has_type, read_fields,
                      read_kind)
 from .pauli import PauliString, check_dense
-from .sampler import BLOCK_GROUPS, RngStream, as_generator, brick_layer, sample_block
+from .sampler import BLOCK_GROUPS, RngStream, brick_layer, sample_block
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,13 @@ def concat(circuits) -> CircuitSpec:
     return CircuitSpec(n, [g for c in circuits for g in c.gates])
 
 
-def build_bricklayer(n: int, layers: int, rng) -> CircuitSpec:
+def build_bricklayer(n: int, layers: int, rng: np.random.Generator) -> CircuitSpec:
     """``layers`` brick layers of Haar 2-qubit blocks, drawn in gate order."""
     if n < 2:
         raise DomainError(f"brick-layer needs n >= 2, got {n}")
     if layers < 0:
         raise DomainError(f"negative layer count {layers}")
-    gen = as_generator(rng)
-    gates = [HaarBlock((i, i + 1), group, sample_block(group, gen))
+    gates = [HaarBlock((i, i + 1), group, sample_block(group, rng))
              for _ in range(layers) for i, group in brick_layer(n)]
     return CircuitSpec(n, gates, layers=layers)
 

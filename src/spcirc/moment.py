@@ -57,7 +57,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, check_bytes
 from .pauli import DENSE_1Q
-from .sampler import BLOCK_GROUPS, as_generator, brick_layer, z_haar
+from .sampler import BLOCK_GROUPS, brick_layer, z_haar
 
 
 _XX, _YY, _ZZ = (np.kron(DENSE_1Q[p], DENSE_1Q[p]).real for p in "XYZ")
@@ -464,17 +464,16 @@ def dense_collision(m: np.ndarray, n: int) -> float:
     return float(np.real(m[idx, idx].sum()))
 
 
-def monte_carlo_collision(n: int, layers: int, n_samples: int, rng):
+def monte_carlo_collision(n: int, layers: int, n_samples: int, rng: np.random.Generator):
     """Sampled z over brick-layer circuits; returns (mean, standard error)."""
     from . import circuit
 
     if n_samples < 2:
         raise DomainError(f"the standard error needs at least 2 samples, got {n_samples}")
-    gen = as_generator(rng)
     psi0 = circuit.initial_state(n)
     vals = np.empty(n_samples)
     for k in range(n_samples):
-        circ = circuit.build_bricklayer(n, layers, gen)
+        circ = circuit.build_bricklayer(n, layers, rng)
         amp = circuit.apply(circ, psi0)
         p = np.abs(amp) ** 2
         vals[k] = float(np.sum(p * p))

@@ -2,7 +2,8 @@
 
 All samplers are Ginibre + QR with an explicit gauge fixing (triangular-factor
 diagonal normalized), which makes the distribution exactly Haar rather than
-merely unitary; the symplectic one computes its QR by Gram-Schmidt.
+merely unitary; the symplectic one computes its QR by Gram-Schmidt. Each
+draws from the numpy Generator it is given, which an ``RngStream`` seed makes.
 
 The symplectic sampler draws a (d/2) x k matrix of standard-normal
 quaternions a + bi + cj + dk, takes the image [a + bi; -c + di] of each column
@@ -35,37 +36,33 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible substream: identical (seed, stream_id) -> identical draws.
+    """A seed: identical (seed, stream_id) -> identical draws from each fresh
+    ``generator()``, the stream every sampler reads.
 
-    stream_id may be an int, a short string label (hashed to a stable uint32
-    via crc32, so labels survive process restarts), or a tuple of either.
+    stream_id may be a non-negative int, a short string label (hashed to a
+    stable uint32 via crc32, so labels survive process restarts), or a tuple
+    of either; it is kept as a tuple.
     """
 
     seed: int
     stream_id: int | str | tuple = 0
 
-    def _key(self) -> tuple:
+    def __post_init__(self):
         sid = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
-        return tuple(
-            zlib.crc32(s.encode()) if isinstance(s, str) else int(s) for s in sid
-        )
+        for v in (self.seed, *(s for s in sid if not isinstance(s, str))):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+                raise DomainError(f"an RngStream seed, and each id that is not a label, "
+                                  f"must be a non-negative integer; got {v!r}")
+        object.__setattr__(self, "stream_id", sid)
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=self._key())
-        )
+        key = tuple(zlib.crc32(s.encode()) if isinstance(s, str) else int(s)
+                    for s in self.stream_id)
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(self.seed, spawn_key=key)))
 
     def child(self, k: int | str) -> "RngStream":
-        sid = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
-        return RngStream(self.seed, sid + (k,))
-
-
-def as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise DomainError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+        return RngStream(self.seed, self.stream_id + (k,))
 
 
 def double_factorial(k: int) -> int:
@@ -99,16 +96,15 @@ def _gauged_q(a: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def sample_unitary(d: int, rng) -> np.ndarray:
+def sample_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar U(d): complex Ginibre, QR, R-diagonal phase gauge."""
-    g = as_generator(rng)
-    a = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / np.sqrt(2)
+    a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     return _gauged_q(a)
 
 
-def sample_orthogonal(d: int, rng, special: bool = False) -> np.ndarray:
+def sample_orthogonal(d: int, rng: np.random.Generator, special: bool = False) -> np.ndarray:
     """Haar O(d); with special=True, Haar SO(d) by flipping one column sign."""
-    q = _gauged_q(as_generator(rng).standard_normal((d, d)))
+    q = _gauged_q(rng.standard_normal((d, d)))
     if special and np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
@@ -157,7 +153,7 @@ def symplectic_frame(vectors) -> np.ndarray:
     return out if k == count else np.concatenate((w[:, :k], jw[:, :k]), axis=1)
 
 
-def sample_sp_columns(d: int, k: int, rng) -> np.ndarray:
+def sample_sp_columns(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Columns [S e_0 .. S e_{k-1} | S e_m .. S e_{m+k-1}] (m = d/2) of a Haar
     S in SP(d/2) as a d x 2k complex matrix Q, at O(d k^2) cost: the first k
     quaternionic columns of the QR factor depend only on those of the
@@ -168,13 +164,13 @@ def sample_sp_columns(d: int, k: int, rng) -> np.ndarray:
     m = d // 2
     if not 1 <= k <= m:
         raise DomainError(f"need 1 <= k <= d/2 = {m} quaternionic columns, got {k}")
-    q = as_generator(rng).standard_normal((4, m, k))  # the blocks a, b, c, d in turn
+    q = rng.standard_normal((4, m, k))  # the blocks a, b, c, d in turn
     images = np.concatenate((q[0] + 1j * q[1], -q[2] + 1j * q[3])).T
     del q  # freed before the frame is built
     return symplectic_frame(images)
 
 
-def sample_sp(d: int, rng) -> np.ndarray:
+def sample_sp(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar SP(d/2) as a d x d complex matrix, symplectic w.r.t. omega(d)."""
     return sample_sp_columns(d, d // 2, rng)
 
@@ -211,7 +207,7 @@ def brick_layer(n: int) -> list:
     return [(i, "sp2" if i == 1 else "o4") for start in (1, 2) for i in range(start, n, 2)]
 
 
-def sample_block(group: str, rng) -> np.ndarray:
+def sample_block(group: str, rng: np.random.Generator) -> np.ndarray:
     """4x4 complex Haar block for the brick-layer circuit families."""
     if group not in BLOCK_GROUPS:
         raise DomainError(f"unknown block group {group!r}; expected one of "

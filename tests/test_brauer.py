@@ -394,7 +394,7 @@ def test_twirl_table_byte_limit():
 def test_special_orthogonal_twirl_is_refused():
     # SO(2) fixes J = [[0, 1], [-1, 0]], which the O(2) twirl would send to 0
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.allclose(monte_carlo_twirl(j, 1, 2, "so", 5, RngStream(28, "mc")), j)
+    assert np.allclose(monte_carlo_twirl(j, 1, 2, "so", 5, RngStream(28, "mc").generator()), j)
     with pytest.raises(DomainError):
         check_twirl(1, 2, "so")
     with pytest.raises(DomainError):
@@ -425,7 +425,7 @@ def test_monte_carlo_twirl_converges():
     a = gen.standard_normal((16, 16)) + 1j * gen.standard_normal((16, 16))
     x = (a + a.conj().T) / 2
     exact = twirl(x, 2, d, "sp").matrix
-    approx = monte_carlo_twirl(x, 2, d, "sp", 2000, RngStream(25, "mc"))
+    approx = monte_carlo_twirl(x, 2, d, "sp", 2000, RngStream(25, "mc").generator())
     assert np.abs(approx - exact).max() <= 0.12
 
 
@@ -433,7 +433,7 @@ def test_monte_carlo_twirl_converges():
 def test_monte_carlo_twirl_needs_a_sample(n_samples):
     # refused before the d**t x d**t accumulator, which at d = 10**6 could not be held
     with pytest.raises(DomainError, match="at least 1 sample"):
-        monte_carlo_twirl(np.eye(4), 2, 10**6, "sp", n_samples, RngStream(25, "mc"))
+        monte_carlo_twirl(np.eye(4), 2, 10**6, "sp", n_samples, RngStream(25, "mc").generator())
 
 
 def test_orthogonal_twirl_route():
@@ -445,5 +445,5 @@ def test_orthogonal_twirl_route():
     x = (a + a.T).astype(complex)
     res = twirl(x, 2, d, "o")
     y = res.matrix
-    approx = monte_carlo_twirl(x, 2, d, "o", 4000, RngStream(27, "mc"))
+    approx = monte_carlo_twirl(x, 2, d, "o", 4000, RngStream(27, "mc").generator())
     assert np.abs(approx - y).max() <= 0.15

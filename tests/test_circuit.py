@@ -114,7 +114,7 @@ def test_rotation_requires_hermitian_generator():
 
 def test_apply_equals_unitary_action():
     gen = RngStream(31, "circuit").generator()
-    circ = build_bricklayer(3, 2, RngStream(32, "circuit"))
+    circ = build_bricklayer(3, 2, RngStream(32, "circuit").generator())
     psi = gen.standard_normal(8) + 1j * gen.standard_normal(8)
     psi /= np.linalg.norm(psi)
     u = to_unitary(circ)
@@ -213,7 +213,7 @@ def test_prop2_block_is_symplectic_at_n2():
 
 def test_bricklayer_structure_and_symplecticity():
     for n, layers in [(2, 1), (3, 2), (4, 2), (5, 1)]:
-        circ = build_bricklayer(n, layers, RngStream(36, (n, layers)))
+        circ = build_bricklayer(n, layers, RngStream(36, (n, layers)).generator())
         bonds_per_layer = (n + 1) // 2 - 1 + n // 2  # odd start + even start
         assert len(circ.gates) == layers * bonds_per_layer
         for g in circ.gates:
@@ -225,11 +225,11 @@ def test_bricklayer_structure_and_symplecticity():
 
 
 def test_haar_block_groups():
-    sp_block = build_bricklayer(2, 1, RngStream(37, "b"))
+    sp_block = build_bricklayer(2, 1, RngStream(37, "b").generator())
     assert sp_block.gates[0].group == "sp2"
     assert is_symplectic(to_unitary(sp_block))
     # an o4 block away from qubit 1 is real orthogonal on its factor
-    circ = build_bricklayer(3, 1, RngStream(38, "b"))
+    circ = build_bricklayer(3, 1, RngStream(38, "b").generator())
     o_gate = [g for g in circ.gates if g.group == "o4"]
     assert o_gate and np.allclose(o_gate[0].matrix.imag, 0, atol=1e-12)
     m = o_gate[0].matrix.real

@@ -1151,3 +1151,51 @@ def test_fuzzed_dry_run_exits_like_the_run(tmp_path_factory, template):
     assert real in (0, 1, 2, 3), real_err
     assert dry == real, (dry_err, real_err)
     assert "Traceback" not in dry_err + real_err
+
+
+# -- boundary-value grid --------------------------------------------------------------
+
+# Per subcommand: a valid argv, then its numeric options, 26 in all (every
+# other option holds its valid value).
+GRID = {
+    "closure": (["--set", "theorem1", "--n", "3", "--max-dim", "16"], ["--n", "--max-dim"]),
+    "sample": (["--group", "sp", "--d", "4", "--count", "2", "--seed", "1",
+                "--out", "{tmp}/s.npy"], ["--d", "--count", "--seed"]),
+    "twirl": (["--t", "1", "--d", "4", "--group", "sp", "--input", "{tmp}/x.npy"],
+              ["--t", "--d"]),
+    "gram": (["--t", "2", "--d", "4", "--group", "sp"], ["--t", "--d"]),
+    "simulate": (["--circuit", "{tmp}/c.json", "--state", "0"], ["--state"]),
+    "gp": (["--config", "{tmp}/gp.json", "--seed", "1", "--out", "{tmp}/o.csv"], ["--seed"]),
+    "gp-summary": (["--config", "{tmp}/gp.json", "--seed", "1", "--threads", "1"],
+                   ["--seed", "--threads"]),
+    "concentration": (["--n", "3", "--samples", "40", "--thresholds", "0.5", "--seed", "1"],
+                      ["--n", "--samples", "--seed"]),
+    "anticoncentration": (["--n", "3", "--samples", "40", "--alphas", "0.5", "--x", "0",
+                           "--seed", "1"], ["--n", "--samples", "--x", "--seed"]),
+    "anticoncentration-depth": (["--n-min", "2", "--n-max", "3", "--epsilon", "0.01",
+                                 "--max-layers", "50", "--out", "{tmp}/d.csv"],
+                                ["--n-min", "--n-max", "--epsilon", "--max-layers"]),
+    "collision": (["--n", "3", "--layers", "2"], ["--n", "--layers"]),
+}
+GRID_CASES = [(cmd, option) for cmd, (_, options) in GRID.items() for option in options]
+BOUNDARY_VALUES = ["-1", "0", "1e30", str(10**30), "nan", "inf", "-inf", ""]
+
+
+@pytest.mark.parametrize("cmd,option", GRID_CASES, ids=[" ".join(c) for c in GRID_CASES])
+def test_boundary_values_exit_cleanly_and_the_dry_run_refuses_like_the_run(
+        tmp_path, cmd, option):
+    """Every numeric option at each boundary value: the dry run exits 0, 1 or
+    2 with no exception and a refusal says so first; a refused value is
+    refused with the same code by the real run."""
+    np.save(tmp_path / "x.npy", np.eye(4))
+    (tmp_path / "c.json").write_text(json.dumps({"n": 2, "gates": []}))
+    gp_config(tmp_path)
+    valid, _ = GRID[cmd]
+    for value in BOUNDARY_VALUES:
+        argv = [cmd] + [f"{o}={value if o == option else v.format(tmp=tmp_path)}"
+                        for o, v in zip(valid[::2], valid[1::2])]
+        dry, err = quiet_main(argv + ["--dry-run"])
+        assert dry in (0, 1, 2), (value, err)
+        if dry:
+            assert err.startswith(("error:", "capacity error:")), (value, err)
+            assert quiet_main(argv)[0] == dry, (value, err)

@@ -492,7 +492,7 @@ def test_dense_layer_counts_out_of_range_are_refused_before_any_allocation(
 def test_monte_carlo_agrees():
     n, layers = 3, 2
     z = collision_probability(propagate(initial_label_vector(n), layers))
-    est, se = monte_carlo_collision(n, layers, 1500, RngStream(51, "mc"))
+    est, se = monte_carlo_collision(n, layers, 1500, RngStream(51, "mc").generator())
     assert abs(est - z) <= 5 * se
     assert se < 0.05
 
@@ -500,7 +500,7 @@ def test_monte_carlo_agrees():
 @pytest.mark.parametrize("n_samples", [-1, 0, 1])
 def test_monte_carlo_needs_two_samples_for_its_error_bar(n_samples):
     with pytest.raises(DomainError, match="at least 2 samples"):
-        monte_carlo_collision(2, 1, n_samples, RngStream(51, "mc"))
+        monte_carlo_collision(2, 1, n_samples, RngStream(51, "mc").generator())
 
 
 # -- anti-concentration depth -------------------------------------------------------------

@@ -11,11 +11,11 @@ import pytest
 from spcirc.errors import DomainError
 from spcirc.sampler import (
     RngStream,
-    as_generator,
     is_in_sp_algebra_dense,
     is_symplectic,
     is_unitary,
     omega,
+    sample_block,
     sample_orthogonal,
     sample_sp,
     sample_sp_columns,
@@ -209,9 +209,44 @@ def test_rng_stream_children_independent():
     assert not np.array_equal(k0, k1)
 
 
-def test_as_generator_accepts_stream_and_generator():
-    g = as_generator(RngStream(1))
-    assert isinstance(g, np.random.Generator)
-    assert as_generator(g) is g
-    with pytest.raises(DomainError):
-        as_generator(12345)
+@pytest.mark.parametrize("seed,stream_id", [
+    (0, 2.7), (0, True), (0, -3), (0, (1, 2.0)), (-1, 0), (1.5, 0),
+], ids=["float-id", "bool-id", "negative-id", "float-in-tuple", "negative-seed", "float-seed"])
+def test_rng_stream_refuses_an_id_that_would_alias_another_stream(seed, stream_id):
+    # int() would map 2.7 to 2 and True to 1; numpy alone would refuse -1 only on a draw
+    with pytest.raises(DomainError, match="non-negative integer"):
+        RngStream(seed, stream_id)
+
+
+def test_rng_stream_accepts_numpy_integers_and_keeps_its_id_as_a_tuple():
+    a = RngStream(np.int64(3), (np.int32(2), "a"))
+    assert a.stream_id == (2, "a") and RngStream(3, "a").stream_id == ("a",)
+    assert a.child("b") == RngStream(3, (2, "a", "b"))
+    assert np.array_equal(a.generator().standard_normal(4),
+                          RngStream(3, (2, "a")).generator().standard_normal(4))
+
+
+def test_a_seed_is_not_a_stream():
+    """A sampler draws from the Generator it is given; handed the seed
+    itself, it refuses rather than replay the seed's first draws each call."""
+    seed = RngStream(1, "x")
+    with pytest.raises(AttributeError, match="standard_normal"):
+        sample_block("o4", seed)
+    gen = seed.generator()
+    assert not np.array_equal(sample_block("o4", gen), sample_block("o4", gen))
+
+
+def test_the_numpy_stream_is_pinned():
+    """The words and normals of one seed, as numpy 2.4 draws them: a numpy
+    that changes PCG64, SeedSequence or the normal sampler fails here once,
+    by name, rather than re-rolling every statistical test at once."""
+    gen = RngStream(0, "pin").generator()
+    assert isinstance(gen.bit_generator, np.random.PCG64)
+    words = [int(w) for w in gen.bit_generator.random_raw(4)]
+    normals = RngStream(0, "pin").generator().standard_normal(4)
+    why = f"numpy {np.__version__} changed the stream of RngStream(0, 'pin')"
+    assert words == [0x6a7d7a322017b2f0, 0x4754ac5725ce9d75,
+                     0xc4a9ec207e0723f0, 0x7b298869194737aa], why
+    assert np.allclose(normals, [0.887051206401129, -0.334758492711894,
+                                 -0.3943694733797945, -1.5602588493425145],
+                       rtol=1e-15, atol=0), why
