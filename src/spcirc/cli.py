@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import importlib.util
 import json
 import os
@@ -171,6 +172,9 @@ def _plan_sample(args):
 def _plan_twirl(args):
     brauer.check_twirl(args.t, args.d, args.group)
     out = _out_path(args.out)
+    with open(args.input, "rb") as f:  # np.load tries anything else as a pickle
+        if f.read(6) != np.lib.format.MAGIC_PREFIX:
+            raise DomainError(f"{args.input} is not a plain .npy array")
     x = np.load(args.input, mmap_mode="r")  # the shape is checked before any read
     brauer.check_operator(x, args.t, args.d)
 
@@ -496,7 +500,7 @@ def main(argv=None) -> int:
             added, info, run = args.plan(args)
         except DomainError:
             raise
-        except (OSError, ValueError, OverflowError) as e:  # an unreadable or malformed input
+        except (OSError, ValueError, OverflowError, RecursionError) as e:  # a malformed input
             raise DomainError(f"{type(e).__name__}: {e}") from e
         try:
             payload = {"validated": True, **info, "dry_run": True} if args.dry_run else run()
@@ -523,5 +527,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """main() in a process of its own, then gc.freeze() to spare the collections at
+    exit; not inside main(), where it would keep an in-process caller's cycles alive."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

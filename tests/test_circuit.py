@@ -1,5 +1,6 @@
 """Circuit builders and the dense simulator against expm/kron oracles."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -27,6 +28,7 @@ from spcirc.errors import CapacityError, DomainError
 from spcirc.lie_closure import prop2_generators, theorem1_generators
 from spcirc.pauli import PauliString, to_dense, to_dense_kron
 from spcirc.sampler import (
+    BLOCK_GROUPS,
     RngStream,
     is_symplectic,
     is_unitary,
@@ -253,6 +255,46 @@ def test_gate_validation():
         CircuitSpec(2, (rot("XIX", 0.1),))
     with pytest.raises(DomainError):
         CircuitSpec(0, ())
+
+
+def test_a_block_that_is_not_unitary_is_refused_when_the_circuit_is_built():
+    gen = RngStream(46, "circuit").generator()
+    drawn = sample_block("o4", gen)
+    stretched = drawn.copy()
+    stretched[:, 0] *= 1 + 1e-8
+    nan = drawn.copy()
+    nan[2, 3] = np.nan
+    for matrix in (2 * np.eye(4), stretched, nan):
+        with pytest.raises(DomainError, match=r"block on qubits \(2, 3\) is not unitary"):
+            CircuitSpec(3, [rot("XYZ", 0.2), HaarBlock((2, 3), "o4", matrix)])
+    # rounding far below the 1e-12 bound passes
+    close = drawn.copy()
+    close[:, 1] *= 1 + 5e-15
+    assert 0 < np.abs(close.conj().T @ close - np.eye(4)).max() <= 1e-12
+    assert CircuitSpec(3, [HaarBlock((2, 3), "o4", close)]).gates[0].matrix is close
+
+
+def test_mixed_circuits_of_every_block_group_are_unitary():
+    gen = RngStream(47, "circuit").generator()
+    for n in (2, 3, 5):
+        gates = []
+        for group in BLOCK_GROUPS:
+            i, j = map(int, gen.choice(np.arange(1, n + 1), size=2, replace=False))
+            gates.append(HaarBlock((i, j), group, sample_block(group, gen)))
+            gates.append(rot("".join(gen.choice(list("IXYZ"), size=n)), float(gen.uniform(-3, 3))))
+        u = to_unitary(CircuitSpec(n, gates))
+        assert np.abs(u.conj().T @ u - np.eye(2**n)).max() <= 1e-12, n
+
+
+def test_a_circuit_cannot_change_after_it_is_built():
+    gates = [rot("XY", 0.4)]
+    circ = CircuitSpec(2, gates)
+    assert circ.gates == (gates[0],) and isinstance(circ.gates, tuple)
+    gates.append(HaarBlock((1, 2), "sp2", 2 * np.eye(4)))  # the caller's list is not read again
+    assert len(circ.gates) == 1
+    for field, value in (("gates", gates), ("n", 3), ("seed", 1), ("layers", 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(circ, field, value)
 
 
 def test_capacity_limits():

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -263,6 +264,39 @@ def test_twirl_shape_and_missing_file(tmp_path, capsys):
         capsys,
     )
     assert code == 1
+
+
+def npy_header_cut_short():
+    buf = io.BytesIO()
+    np.save(buf, np.eye(2, dtype=complex))
+    return buf.getvalue()[:20]
+
+
+MALFORMED_FILES = {
+    "empty": b"",
+    "random": np.random.default_rng(46).bytes(64),
+    "npy-header-cut": npy_header_cut_short(),
+    "nested-100000": b"[" * 100_000 + b"]" * 100_000,
+}
+FILE_OPTIONS = {
+    "twirl": ["twirl", "--t", "1", "--d", "2", "--group", "sp", "--input"],
+    "simulate": ["simulate", "--circuit"],
+    "gp-summary": ["gp-summary", "--seed", "1", "--config"],
+    "closure": ["closure", "--set", "custom", "--n", "2", "--generators"],
+}
+
+
+@pytest.mark.parametrize("dry", [True, False], ids=["dry", "run"])
+@pytest.mark.parametrize("content", MALFORMED_FILES)
+@pytest.mark.parametrize("command", FILE_OPTIONS)
+def test_a_malformed_input_file_exits_one_without_a_traceback(tmp_path, command, content, dry):
+    path = tmp_path / "input"
+    path.write_bytes(MALFORMED_FILES[content])
+    code, err = quiet_main(FILE_OPTIONS[command] + [str(path)] + ["--dry-run"] * dry)
+    assert code == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err and "allow_pickle" not in err, err
+    if command == "twirl" and content != "npy-header-cut":
+        assert f"{path} is not a plain .npy array" in err
 
 
 # -- simulate --------------------------------------------------------------------
@@ -993,6 +1027,19 @@ def test_value_error_inside_the_run_is_not_hidden(monkeypatch, capsys):
     with pytest.raises(ValueError, match="bug"):
         main(["closure", "--set", "theorem1", "--n", "2"])
     assert run(["closure", "--set", "theorem1", "--n", "2", "--dry-run"], capsys)[0] == 0
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(["closure", "--set", "theorem1", "--n", "3"], capsys)[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_process_entry_freezes_after_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.entry() == 3 and calls == ["main", "freeze"]
 
 
 def fresh(code, path=os.path.dirname(os.path.dirname(spcirc.__file__))):
