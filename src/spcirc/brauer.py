@@ -16,9 +16,9 @@ Every diagram computation reads one table, ``BrauerDiagram.links``, and
 glued diagrams are traced by one walker, ``_walk``. A strand through m form
 edges, s of them left against their orientation, has the matrix
 (-1)^s M^m. A closed strand is a loop worth its trace: d for the orthogonal
-form, and for the symplectic one 0 if m is odd (the trace of an odd omega
-power), else (-1)^(s + m/2) d. Gram entries glue two diagrams on all 2t
-items, so every strand is a loop; diagonals are d^t for every diagram.
+form, and (-1)^(s + m/2) d for the symplectic one, whose loops have even m.
+Gram entries glue two diagrams on all 2t items, so every strand is a loop;
+diagonals are d^t for every diagram.
 Diagram products glue one diagram's bra column onto the other's ket column,
 and are exact for both forms: the open strands give the product diagram and
 its sign, the loops powers of delta.
@@ -256,13 +256,9 @@ def gram_entry(mu: BrauerDiagram, nu: BrauerDiagram, d: int, form: str = "sp") -
         if seen[0][start]:
             continue
         _, m, s = _walk(tables, glue, 0, start, seen)
-        if form == "sp":
-            if m % 2:
-                return 0.0
-            sign = -1.0 if (s + m // 2) % 2 else 1.0
-            value *= sign * d
-        else:
-            value *= d
+        # the loop alternates mu's and nu's edges, so it has an even number of
+        # edges and of column crossings, and the form edges m are even too
+        value *= -d if form == "sp" and (s + m // 2) % 2 else d
     return value
 
 

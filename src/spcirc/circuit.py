@@ -1,13 +1,13 @@
 """Circuit families and dense statevector simulation.
 
 Two families: parametrized Pauli-rotation circuits over a generator set
-(each gate is exp(+i theta P)), and brick-layer circuits of Haar-random
-2-qubit blocks where the bond containing qubit 1 carries an SP(2) block and
-every other bond an O(4) block, which keeps the composite in SP(d/2).
+(each gate is exp(+i theta P)), and brick layers of Haar-random 2-qubit
+blocks (``sampler.brick_layer``), whose composite lies in SP(d/2).
 
 Every Haar block holds its drawn 4x4 matrix: the builders and the JSON
 reader draw each block before the CircuitSpec is made, which checks each
-gate once (a block must be unitary to 1e-12), so running it checks nothing.
+gate once (a block must be unitary to 1e-12) and keeps a read-only copy of
+each block's matrix, so running it checks nothing and nothing can change it.
 
 Statevector layout follows kernels: qubit j (1-based, leftmost tensor
 factor) sits at dense bit position n - j. A rotation is
@@ -42,8 +42,8 @@ class Rotation:
 class HaarBlock:
     """A 4x4 block on ``qubits`` = (i, j), 1-based, i the leftmost factor.
 
-    ``matrix`` is the block's Haar draw from ``group``; serialized circuits
-    draw it from their seed in gate order.
+    ``matrix`` is the block's Haar draw from ``group``, a read-only copy once
+    a circuit holds it; serialized circuits draw it from their seed in gate order.
     """
 
     qubits: tuple
@@ -59,9 +59,9 @@ class CircuitSpec:
     layers: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
         if self.n < 1:
             raise DomainError(f"need n >= 1, got {self.n}")
+        gates = []
         for g in self.gates:
             if isinstance(g, Rotation):
                 if g.generator.n != self.n:
@@ -84,8 +84,12 @@ class CircuitSpec:
                     raise DomainError(f"block matrix shape {m.shape}, not (4, 4)")
                 if not np.abs(m.conj().T @ m - np.eye(4)).max() <= 1e-12:  # NaN fails too
                     raise DomainError(f"block on qubits {g.qubits} is not unitary to 1e-12")
+                g = HaarBlock(g.qubits, g.group, m.astype(complex))  # the circuit's own copy
+                g.matrix.flags.writeable = False
             else:
                 raise DomainError(f"unknown gate {g!r}")
+            gates.append(g)
+        object.__setattr__(self, "gates", tuple(gates))
 
 
 def initial_state(n: int, index: int = 0) -> np.ndarray:
@@ -128,8 +132,8 @@ def build_bricklayer(n: int, layers: int, rng: np.random.Generator) -> CircuitSp
         raise DomainError(f"brick-layer needs n >= 2, got {n}")
     if layers < 0:
         raise DomainError(f"negative layer count {layers}")
-    gates = [HaarBlock((i, i + 1), group, sample_block(group, rng))
-             for _ in range(layers) for i, group in brick_layer(n)]
+    gates = [HaarBlock(qubits, group, sample_block(group, rng))
+             for _ in range(layers) for half in brick_layer(n) for qubits, group in half]
     return CircuitSpec(n, gates, layers=layers)
 
 

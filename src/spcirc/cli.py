@@ -156,9 +156,10 @@ def _plan_closure(args):
 def _plan_sample(args):
     sampler.check_sample(args.group, args.d, args.count)
     path = _out_path(args.out, ".npy")
+    rng = sampler.RngStream(args.seed, "sample")
 
     def run():
-        gen = sampler.RngStream(args.seed, "sample").generator()
+        gen = rng.generator()
         draw = sampler.SAMPLERS[args.group]
         out = np.empty((args.count, args.d, args.d), dtype=complex)
         for k in range(args.count):
@@ -275,11 +276,11 @@ def _plan_gp(args, report):
     the finished run into the payload."""
     data, states, observable = _load_gp_config(args.config)
     out = _out_path(args.out)
+    rng = sampler.RngStream(args.seed, "gp")
 
     def run():
         summary = gp_stats.run_gp_experiment(
-            [make() for make in states], observable, data["samples"],
-            sampler.RngStream(args.seed, "gp"),
+            [make() for make in states], observable, data["samples"], rng,
             batches=data.get("batches", gp_stats.DEFAULT_BATCHES),
         )
         return report(summary, out)
@@ -313,11 +314,11 @@ def _plan_concentration(args):
     gp_stats.check_concentration(args.n, args.samples, thresholds, obs)
     if args.state == "pair":
         gp_stats.check_flip_qubit(args.n, 2)
+    rng = sampler.RngStream(args.seed, "concentration")
 
     def run():
         state = (gp_stats.StateSpec.computational_basis(args.n, 0) if args.state == "basis"
                  else gp_stats.StateSpec.superposition_pair(args.n))
-        rng = sampler.RngStream(args.seed, "concentration")
         table = gp_stats.concentration_tail(state, obs, args.samples, thresholds, rng)
         return _payload(table, "thresholds", "empirical", "empirical_se",
                         ("gaussian_tail", "gaussian"), "bound_t2", "bound_t4",
@@ -329,9 +330,9 @@ def _plan_concentration(args):
 def _plan_anticoncentration(args):
     alphas = _float_list(args.alphas, "alpha")
     gp_stats.check_anticoncentration(args.n, args.samples, alphas, args.x)
+    rng = sampler.RngStream(args.seed, "anticoncentration")
 
     def run():
-        rng = sampler.RngStream(args.seed, "anticoncentration")
         table = gp_stats.anticoncentration_check(args.n, args.samples, alphas, rng, x_index=args.x)
         return _payload(table, "n", "x_index", "alphas", "empirical", "empirical_se",
                         "bound", "z_estimate", "z_se", "z_haar")
@@ -401,7 +402,7 @@ def _subcommand(sub, name: str, plan, help: str, stochastic: bool = False):
     p.add_argument("--dry-run", action="store_true",
                    help="make every check of the run without computing")
     if stochastic:
-        p.add_argument("--seed", type=_int_at_least(0), required=True,
+        p.add_argument("--seed", type=int, required=True,
                        help="RNG seed, at least 0 (required: no silent entropy)")
     return p
 
@@ -431,7 +432,7 @@ def build_parser() -> _Parser:
                     "exact t-th moment twirl of a dense operator")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--group", required=True, choices=["sp", "o"])
+    p.add_argument("--group", required=True, help="invariant form: sp or o")
     p.add_argument("--input", required=True, help=".npy dense operator, shape (d^t, d^t)")
     p.add_argument("--out", help="write the coefficient JSON here")
 
@@ -439,7 +440,7 @@ def build_parser() -> _Parser:
                     "diagram Gram matrix and its (pseudo)inverse")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--group", required=True, choices=["sp", "o"])
+    p.add_argument("--group", required=True, help="invariant form: sp or o")
 
     p = _subcommand(sub, "simulate", _plan_simulate,
                     "apply a CircuitSpec JSON to a basis state")

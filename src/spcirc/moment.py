@@ -272,18 +272,13 @@ def initial_label_vector(n: int) -> LabelVector:
 
 
 def _half_layers(n: int) -> list:
-    """The odd-bond and the even-bond halves of ``sampler.brick_layer(n)``,
-    each a set of disjoint blocks; the even half is empty at n = 2.
-
-    Each half lists its blocks in the order its chain of block steps walks
-    them: from an end whose qubit the half touches, so that no step holds
-    more axes than the half's output. A block that passes an edge qubit
-    through adds an axis, and one that meets a one-qubit axis at the far
-    end removes one.
+    """The halves of ``sampler.brick_layer(n)`` that hold a gate, each in the
+    order its chain of block steps walks it: from an end whose qubit the half
+    touches, so that no step holds more axes than the half's output. A block
+    that passes an edge qubit through adds an axis, and one that meets a
+    one-qubit axis at the far end removes one.
     """
-    layer = brick_layer(n)
-    halves = ([b for b in layer if b[0] % 2 == 1], [b for b in layer if b[0] % 2 == 0])
-    return [h[::-1] if h[0][0] != 1 and h[-1][0] + 1 == n else h for h in halves if h]
+    return [h[::-1] if h[0][0][0] != 1 and h[-1][0][1] == n else h for h in brick_layer(n) if h]
 
 
 def _layer_steps(n: int, alphabets: tuple, blocks: dict) -> tuple:
@@ -294,10 +289,10 @@ def _layer_steps(n: int, alphabets: tuple, blocks: dict) -> tuple:
     ``block_step`` results by their arguments, so each is derived once."""
     alphabets, steps = list(alphabets), []
     for half in _half_layers(n):
-        for bond, group in half:
+        for (q, r), group in half:
             starts = list(itertools.accumulate((len(a[0]) for a in alphabets), initial=1))
-            i = bisect.bisect_right(starts, bond) - 1  # the axis holding qubit ``bond``
-            width = 1 if starts[i + 1] > bond + 1 else 2  # axes the block reads
+            i = bisect.bisect_right(starts, q) - 1  # the axis holding qubit q
+            width = 1 if starts[i + 1] > r else 2  # axes the block reads, up to qubit r
             key = (group, alphabets[i], None if width == 1 else alphabets[i + 1])
             if key not in blocks:
                 blocks[key] = block_step(*key)
@@ -446,13 +441,14 @@ def dense_second_moment(n: int, layers: int) -> np.ndarray:
     dim = 4**n
     m = np.zeros((dim, dim))
     m[0, 0] = 1.0
+    layer = [gate for half in brick_layer(n) for gate in half]
     supers = {group: brauer.twirl_superoperator(2, 4, BLOCK_GROUPS[group])
-              for _, group in brick_layer(n)}
+              for _, group in layer}
     # the 4n bits, most significant first: rows (copy 1 qubits 1..n, copy 2
-    # qubits 1..n), then columns likewise; a block acts on qubits i, i + 1 of each
+    # qubits 1..n), then columns likewise: qubit q of part k is bit (4 - k) n - q
     for _ in range(layers):
-        for i, group in brick_layer(n):
-            legs = [4 * n - 1 - (k * n + q) for k in range(4) for q in (i - 1, i)]
+        for qubits, group in layer:
+            legs = [(4 - k) * n - q for k in range(4) for q in qubits]
             kernels.apply_gate(m.reshape(-1), supers[group], legs)
     return m
 

@@ -200,11 +200,13 @@ def check_sample(group: str, d: int, count: int) -> None:
 BLOCK_GROUPS = {"sp2": "sp", "so4": "so", "o4": "o", "u4": "u"}
 
 
-def brick_layer(n: int) -> list:
-    """The (bond, group) blocks of one brick layer in gate order: odd bonds
-    (1,2), (3,4), ... then even bonds (2,3), (4,5), ..., bond i joining qubits
-    i and i + 1; the bond containing qubit 1 is SP(2), every other O(4)."""
-    return [(i, "sp2" if i == 1 else "o4") for start in (1, 2) for i in range(start, n, 2)]
+def brick_layer(n: int) -> tuple:
+    """One brick layer as its two half layers, each a tuple of disjoint
+    ((q, q + 1), group) gates in gate order: the odd half (1, 2), (3, 4), ...
+    then the even half (2, 3), (4, 5), ..., empty at n = 2. The gate on
+    qubit 1 is SP(2), every other O(4)."""
+    return tuple(tuple(((q, q + 1), "sp2" if q == 1 else "o4") for q in range(start, n, 2))
+                 for start in (1, 2))
 
 
 def sample_block(group: str, rng: np.random.Generator) -> np.ndarray:

@@ -252,7 +252,8 @@ def test_gram_t2_frozen():
 
 
 def test_gram_matches_dense_traces():
-    for t, d, form in [(2, 4, "sp"), (2, 4, "o"), (3, 4, "sp"), (2, 8, "sp")]:
+    for t, d, form in [(2, 4, "sp"), (2, 4, "o"), (3, 4, "sp"), (2, 8, "sp"), (4, 2, "sp"),
+                       (3, 6, "sp")]:
         sigs = enumerate_diagrams(t)
         dense = [represent(s, d, form) for s in sigs]
         for i, mu in enumerate(sigs):

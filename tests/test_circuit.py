@@ -271,7 +271,7 @@ def test_a_block_that_is_not_unitary_is_refused_when_the_circuit_is_built():
     close = drawn.copy()
     close[:, 1] *= 1 + 5e-15
     assert 0 < np.abs(close.conj().T @ close - np.eye(4)).max() <= 1e-12
-    assert CircuitSpec(3, [HaarBlock((2, 3), "o4", close)]).gates[0].matrix is close
+    assert np.array_equal(CircuitSpec(3, [HaarBlock((2, 3), "o4", close)]).gates[0].matrix, close)
 
 
 def test_mixed_circuits_of_every_block_group_are_unitary():
@@ -295,6 +295,22 @@ def test_a_circuit_cannot_change_after_it_is_built():
     for field, value in (("gates", gates), ("n", 3), ("seed", 1), ("layers", 2)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(circ, field, value)
+
+
+def test_a_built_block_is_a_read_only_copy():
+    """A block checked when its circuit is built cannot be changed afterwards:
+    the circuit's matrix refuses writes, and the caller's array stays its own."""
+    circ = build_bricklayer(3, 1, RngStream(47, "frozen").generator())
+    with pytest.raises(ValueError, match="read-only"):
+        circ.gates[0].matrix[:] = 2 * np.eye(4)
+    drawn = sample_block("o4", RngStream(47, "drawn").generator())
+    original = drawn.copy()
+    circ = CircuitSpec(3, [HaarBlock((2, 3), "o4", drawn)])
+    drawn[:] = 2 * np.eye(4)  # the caller's array is neither aliased nor frozen
+    assert np.array_equal(circ.gates[0].matrix, original)
+    assert circ.gates[0].matrix.dtype == complex
+    psi = apply(circ, initial_state(3))
+    assert abs(np.linalg.norm(psi) - 1) <= 1e-12
 
 
 def test_capacity_limits():
@@ -331,6 +347,17 @@ def test_json_round_trip_rotations_and_blocks():
     text = circuit_to_json(circ)
     again = circuit_from_json(text)
     assert np.allclose(to_unitary(circ), to_unitary(again), atol=1e-12)
+
+
+def test_json_round_trip_keeps_layers():
+    """A seeded brick-layer document with ``layers`` reads back as itself."""
+    gates = [{"type": "haar", "qubits": [1, 2], "group": "sp2"},
+             {"type": "haar", "qubits": [2, 3], "group": "o4"}] * 2
+    src = {"n": 3, "gates": gates, "seed": 9, "layers": 2}
+    circ = circuit_from_json(json.dumps(src))
+    assert circ.layers == 2 and circuit_to_json(circ) == src
+    again = circuit_from_json(json.dumps(circuit_to_json(circ)))
+    assert np.array_equal(to_unitary(circ), to_unitary(again))
 
 
 def test_json_same_seed_same_unitary():

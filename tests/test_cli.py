@@ -782,13 +782,14 @@ def test_depth_has_no_threads_option(tmp_path, threads, capsys):
 def plan_inputs(tmp_path):
     """Input files for the cases below: circuits just and far past the
     statevector bound, circuits whose angle is not a finite float, a circuit
-    with a negative seed, a directory, a file that is not .npy, a 9 x 9
-    operator, 16 x 16 operators with a NaN, an infinite or a 1e308 entry, a
-    .npy whose header alone claims a 2**20 x 2**20 operator, a gp config with one draw
-    per batch, one with 10**8 draws in vast/, ones with schema version 2, 10
-    draws and one batch in schema2/, samples10/ and batches1/, a generators
-    file that holds one string and, for the empty --out cases, a two-qubit
-    circuit and a valid gp config in valid/."""
+    with a negative seed, one with an unknown block group, a directory, a
+    file that is not .npy, a 9 x 9 operator, 16 x 16 operators with a NaN,
+    an infinite or a 1e308 entry, a .npy whose header alone claims a
+    2**20 x 2**20 operator, a gp config with one draw per batch, one with
+    10**8 draws in vast/, ones with schema version 2, 10 draws and one batch
+    in schema2/, samples10/ and batches1/, a generators file that holds one
+    string and, for the empty --out cases, a two-qubit circuit and a valid
+    gp config in valid/."""
     (tmp_path / "c2.json").write_text(json.dumps({"n": 2, "gates": []}))
     (tmp_path / "c24.json").write_text(json.dumps({"n": 24, "gates": []}))
     (tmp_path / "c1e18.json").write_text(json.dumps({"n": 10**18, "gates": []}))
@@ -802,6 +803,8 @@ def plan_inputs(tmp_path):
         np.save(tmp_path / f"{name}16.npy", x)
     (tmp_path / "seed-1.json").write_text(json.dumps(
         {"n": 2, "gates": [{"type": "haar", "qubits": [1, 2], "group": "sp2"}], "seed": -1}))
+    (tmp_path / "x9.json").write_text(json.dumps(
+        {"n": 2, "gates": [{"type": "haar", "qubits": [1, 2], "group": "x9"}], "seed": 1}))
     (tmp_path / "adir").mkdir()
     (tmp_path / "text.npy").write_text("not an array")
     np.save(tmp_path / "eye9.npy", np.eye(9))
@@ -863,6 +866,7 @@ PLAN_FAILURES = [
     pytest.param(["simulate", "--circuit", "{tmp}/c1e18.json"], 2, id="simulate-n1e18"),
     pytest.param(["simulate", "--circuit", "{tmp}/adir"], 1, id="simulate-circuit-directory"),
     pytest.param(["simulate", "--circuit", "{tmp}/seed-1.json"], 1, id="simulate-seed-negative"),
+    pytest.param(["simulate", "--circuit", "{tmp}/x9.json"], 1, id="simulate-block-group-unknown"),
     pytest.param(["simulate", "--circuit", "{tmp}/thetanan.json"], 1, id="simulate-theta-nan"),
     pytest.param(["simulate", "--circuit", "{tmp}/thetainf.json"], 1, id="simulate-theta-inf"),
     pytest.param(["simulate", "--circuit", "{tmp}/theta-inf.json"], 1,
@@ -962,6 +966,33 @@ def test_plan_fails_like_the_run(tmp_path, template, code, capsys):
     started = time.monotonic()
     assert_dry_run_exits_like_run([a.format(tmp=tmp) for a in template], code, capsys)
     assert time.monotonic() - started < 5.0
+
+
+@pytest.mark.parametrize("command", ["gram", "twirl"])
+def test_an_unknown_form_is_refused_by_check_gram(tmp_path, command, capsys):
+    """--group is checked by ``brauer.check_gram`` alone, on the dry run and
+    the real run alike."""
+    argv = [command, "--t", "2", "--d", "4", "--group", "x"]
+    if command == "twirl":
+        np.save(tmp_path / "x.npy", np.eye(16))
+        argv += ["--input", str(tmp_path / "x.npy")]
+    for extra in (["--dry-run"], []):
+        code, _, err = run(argv + extra, capsys)
+        assert code == 1 and err == "error: unknown form 'x'; expected 'sp' or 'o'\n", err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--group", "sp", "--d", "4", "--count", "1", "--out", "{tmp}/s.npy"],
+    ["gp-summary", "--config", "{tmp}/gp.json"],
+    ["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5"],
+    ["anticoncentration", "--n", "3", "--samples", "20", "--alphas", "0.5"],
+], ids=["sample", "gp-summary", "concentration", "anticoncentration"])
+def test_a_negative_seed_is_refused_by_the_rng_stream(tmp_path, argv, capsys):
+    gp_config(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--seed", "-1"]
+    for extra in (["--dry-run"], []):
+        code, _, err = run(argv + extra, capsys)
+        assert code == 1 and err.startswith("error: an RngStream seed"), err
 
 
 OUT_COMMANDS = [
@@ -1089,6 +1120,22 @@ def test_a_subcommand_executes_only_the_modules_it_reads(tmp_path, argv, execute
             f"    code = spcirc.cli.main({argv!r})\n"
             "print(code, " + EXECUTED + ")")
     assert fresh(code).splitlines() == [f"True {['cli', 'errors']}", f"0 {executed}"]
+
+
+def test_a_sampled_dry_run_loads_no_numpy_random(tmp_path):
+    """Each stochastic plan builds its RngStream, which checks the seed, and
+    leaves the Generator to the run, so a dry run never loads numpy.random."""
+    gp_config(tmp_path)
+    runs = [["sample", "--group", "sp", "--d", "4", "--count", "1", "--out",
+             str(tmp_path / "s.npy")],
+            ["gp-summary", "--config", str(tmp_path / "gp.json")],
+            ["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5"],
+            ["anticoncentration", "--n", "3", "--samples", "20", "--alphas", "0.5"]]
+    code = ("import contextlib, io, sys, spcirc.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [spcirc.cli.main(a + ['--seed', '1', '--dry-run']) for a in {runs!r}]\n"
+            "print(codes, 'numpy.random' in sys.modules)")
+    assert fresh(code) == "[0, 0, 0, 0] False"
 
 
 def test_moment_oracles_import_what_they_use():

@@ -208,8 +208,9 @@ def label_reference(n, layers):
     """The per-qubit label propagation after each of ``layers`` layers."""
     ref = ((ALPHA_RAW,) * n, np.ones(1))
     for _ in range(layers):
-        for bond, group in circuit.brick_layer(n):
-            ref = apply_block_reference(ref, bond, group)
+        for half in circuit.brick_layer(n):
+            for (bond, _), group in half:
+                ref = apply_block_reference(ref, bond, group)
         yield ref
 
 

@@ -11,6 +11,7 @@ import pytest
 from spcirc.errors import DomainError
 from spcirc.sampler import (
     RngStream,
+    brick_layer,
     is_in_sp_algebra_dense,
     is_symplectic,
     is_unitary,
@@ -22,6 +23,24 @@ from spcirc.sampler import (
     sample_unitary,
     symplectic_defect,
 )
+
+
+def test_brick_layer_is_two_halves_that_cover_each_bond_once():
+    """One layer is two half layers of ((q, q + 1), group) gates: the gates
+    of a half are disjoint, the halves share no bond and together hold each
+    bond once, odd bonds first, and SP(2) sits exactly on (1, 2)."""
+    for n in range(2, 10):
+        halves = brick_layer(n)
+        assert isinstance(halves, tuple) and len(halves) == 2
+        for half in halves:
+            qubits = [q for pair, _ in half for q in pair]
+            assert len(qubits) == len(set(qubits)), (n, half)
+        pairs = [pair for pair, _ in halves[0] + halves[1]]
+        assert pairs == [(q, q + 1) for q in (*range(1, n, 2), *range(2, n, 2))]
+        groups = {pair: group for pair, group in halves[0] + halves[1]}
+        assert [pair for pair, group in groups.items() if group == "sp2"] == [(1, 2)]
+        assert set(groups.values()) <= {"sp2", "o4"}
+    assert brick_layer(2) == ((((1, 2), "sp2"),), ())
 
 
 def test_omega_square():
