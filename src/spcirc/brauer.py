@@ -35,9 +35,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .errors import CapacityError, DomainError, check_bytes
+from .errors import CapacityError, DomainError, check_bytes, np
 from .sampler import SAMPLERS, double_factorial, omega
 
 MAX_T = 5

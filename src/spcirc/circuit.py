@@ -21,10 +21,8 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
-from .errors import (DomainError, check_basis_index, check_bytes, has_type, read_fields,
+from .errors import (DomainError, check_basis_index, check_bytes, has_type, np, read_fields,
                      read_kind)
 from .pauli import PauliString, check_dense
 from .sampler import BLOCK_GROUPS, RngStream, brick_layer, sample_block

@@ -10,10 +10,14 @@ Results are wrapped in a JSON envelope on stdout: the config (every parsed
 option, plus what the plan read from the inputs), a build id, wall-clock
 seconds, and the payload (inline JSON or the path of the file written).
 
-Importing this module registers the package's other modules without
-executing them (``_register_lazily``), so a run executes only the modules
-its subcommand reads: a closure ``errors``, ``pauli``, ``kernels`` and
-``lie_closure``.
+Importing this module registers numpy, unless the process has imported it
+already, and the package's other modules without executing them
+(``_register_lazily``), so a run executes only the modules its subcommand
+reads: a closure ``errors``, ``pauli``, ``kernels`` and ``lie_closure``.
+numpy runs at its first use, in the run, so the dry runs and refusals of
+``closure``, ``sample``, ``gram``, ``gp``, ``gp-summary``, ``concentration``,
+``anticoncentration``, ``anticoncentration-depth`` and ``collision`` never
+load it; the plans of ``twirl`` and ``simulate`` read arrays.
 """
 
 from __future__ import annotations
@@ -30,33 +34,38 @@ import zlib
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .errors import (CapacityError, DomainError, check_basis_index, check_bytes, read_fields,
-                     read_kind)
 
 
 def _register_lazily() -> None:
-    """Put every other module of the package, not yet imported, in
-    ``sys.modules`` and on the package without executing it: LazyLoader
-    executes a module when one of its attributes is first read."""
-    package, here = sys.modules[__package__], Path(__file__)
-    for path in sorted(here.parent.glob("*.py")):
-        name = f"{__package__}.{path.stem}"
-        if path.stem in ("__init__", here.stem) or name in sys.modules:
+    """Put numpy and every other module of the package, those not yet
+    imported, in ``sys.modules`` without executing them, and each module of
+    the package on the package too: LazyLoader executes a module when one of
+    its attributes is first read. Only the CLI registers numpy so, since
+    LazyLoader is not thread-safe: a library caller, who may run threads,
+    keeps the numpy that its own ``import`` executes."""
+    here = Path(__file__)
+    stems = [path.stem for path in sorted(here.parent.glob("*.py"))
+             if path.stem not in ("__init__", here.stem)]
+    for name in ["numpy", *(f"{__package__}.{stem}" for stem in stems)]:
+        if name in sys.modules:
             continue
         spec = importlib.util.find_spec(name)
         spec.loader = importlib.util.LazyLoader(spec.loader)
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
-        setattr(package, path.stem, module)
+        package, _, stem = name.rpartition(".")
+        if package:
+            setattr(sys.modules[package], stem, module)
         spec.loader.exec_module(module)
 
 
 _register_lazily()
-# bound without executing: each runs when the plan first reads from it
+# bound without executing: each runs when the plan first reads from it, and
+# numpy when the run does (``errors.np``)
 from . import brauer, circuit, gp_stats, lie_closure, moment, pauli, sampler  # noqa: E402
+from .errors import (CapacityError, DomainError, check_basis_index, check_bytes,  # noqa: E402
+                     np, read_fields, read_kind)
 
 SCHEMA_VERSION = 1
 
@@ -132,9 +141,9 @@ _GENERATOR_SETS = {"theorem1": "theorem1_generators", "prop2": "prop2_generators
 def _plan_closure(args):
     lie_closure.check_closure(args.n)
     added = {}
+    if (args.set == "custom") != (args.generators is not None):
+        raise DomainError("--generators FILE goes with --set custom, and only with it")
     if args.set == "custom":
-        if not args.generators:
-            raise DomainError("--set custom needs --generators FILE")
         labels = json.loads(Path(args.generators).read_text())
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise DomainError("generators file must be a JSON list of Pauli labels")

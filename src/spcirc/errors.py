@@ -5,7 +5,19 @@ CapacityError to exit code 2 (request exceeds a byte or count budget).
 ``read_fields`` and ``read_kind`` check the keys and value types of a JSON
 input document, the one check the CLI's JSON inputs get before the domain
 checks of the library.
+
+This module also binds ``np``, the numpy every other module of the package
+imports from here (``from .errors import np``).
 """
+
+import importlib
+import sys
+
+# ``spcirc.cli`` registers numpy without executing it, so that a plan that
+# reads no array never loads it. On Python 3.11 an ``import numpy`` statement
+# reads the registered module's ``__spec__``, which executes numpy; a lookup
+# in ``sys.modules`` reads no attribute, so numpy runs at its first use.
+np = sys.modules.get("numpy") or importlib.import_module("numpy")
 
 # Bytes one call may hold at once.
 MEMORY_LIMIT = 2**30

@@ -45,9 +45,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import DomainError, check_basis_index, check_bytes
+from .errors import DomainError, check_basis_index, check_bytes, np
 from .pauli import PauliString, in_sp_algebra, symplectic_form
 from .sampler import (DEFAULT_TOL, RngStream, double_factorial, sample_sp_columns,
                       symplectic_frame, z_haar)
@@ -66,7 +64,8 @@ class StateSpec:
 
     Give exactly one of ``statevector`` (one column of weight 1) and
     ``density`` (validated, then diagonalised once; weights at or below
-    1e-12 are dropped). Either must have finite entries.
+    1e-12 are dropped). Either must have finite entries; the spec keeps a
+    read-only copy, so a later write to the caller's array changes nothing.
     """
 
     n: int
@@ -81,7 +80,8 @@ class StateSpec:
         if (self.statevector is None) == (self.density is None):
             raise DomainError("state needs exactly one of a statevector and a density matrix")
         if self.statevector is not None:
-            v = np.ascontiguousarray(self.statevector, dtype=complex)
+            v = np.array(self.statevector, dtype=complex)
+            v.flags.writeable = False
             if v.shape != (d,):
                 raise DomainError(f"statevector shape {v.shape}")
             if not np.isfinite(v).all():
@@ -91,7 +91,8 @@ class StateSpec:
             self.statevector = v
             self.weights, self.vectors = np.ones(1), v[:, None]
             return
-        rho = np.asarray(self.density, dtype=complex)
+        rho = np.array(self.density, dtype=complex)
+        rho.flags.writeable = False
         if rho.shape != (d, d):
             raise DomainError(f"density shape {rho.shape}")
         if not np.isfinite(rho).all():
@@ -248,25 +249,23 @@ def check_gp(n: int, n_samples: int, observable: PauliString,
 
 
 def check_concentration(n: int, n_samples: int, thresholds, observable: PauliString,
-                        batches: int = DEFAULT_BATCHES, vectors: int = 1) -> np.ndarray:
+                        batches: int = DEFAULT_BATCHES, vectors: int = 1) -> None:
     """Checks of ``concentration_tail`` on a state of ``vectors`` spectral vectors
-    (one draw per batch suffices); returns the thresholds as an array."""
-    thresholds = np.asarray(thresholds, dtype=float)
-    if not np.all((thresholds > 0) & np.isfinite(thresholds)):
+    (one draw per batch suffices); the thresholds are a sequence of floats."""
+    thresholds = [float(c) for c in thresholds]
+    if not all(c > 0 and math.isfinite(c) for c in thresholds):
         raise DomainError("thresholds must be positive and finite")
-    _check_sampling(n, n_samples, batches, vectors, cuts=thresholds.size, observable=observable)
-    return thresholds
+    _check_sampling(n, n_samples, batches, vectors, cuts=len(thresholds), observable=observable)
 
 
 def check_anticoncentration(n: int, n_samples: int, alpha_grid, x_index: int,
-                            batches: int = DEFAULT_BATCHES) -> np.ndarray:
-    """Checks of ``anticoncentration_check``; returns the alphas as an array."""
-    alphas = np.asarray(alpha_grid, dtype=float)
+                            batches: int = DEFAULT_BATCHES) -> None:
+    """Checks of ``anticoncentration_check``; the alphas are a sequence of floats."""
+    alphas = [float(a) for a in alpha_grid]
     check_basis_index(n, x_index)
-    _check_sampling(n, n_samples, batches, 1, cuts=alphas.size)
-    if not np.all((alphas >= 0) & (alphas <= 1)):
+    _check_sampling(n, n_samples, batches, 1, cuts=len(alphas))
+    if not all(0 <= a <= 1 for a in alphas):
         raise DomainError("alpha values must lie in [0, 1]")
-    return alphas
 
 
 def _batch_rows(n_samples: int, batches: int):
@@ -437,9 +436,8 @@ def concentration_tail(
 ) -> TailTable:
     """Empirical Pr(|C| >= c) with the Gaussian erfc reference and the
     t = 2, 4 moment bounds."""
-    thresholds = check_concentration(
-        state.n, n_samples, thresholds, observable, batches, state.weights.size
-    )
+    check_concentration(state.n, n_samples, thresholds, observable, batches, state.weights.size)
+    thresholds = np.asarray(thresholds, dtype=float)
     d = 2**state.n
     values = _sample(d, _frame_coefficients([state]), _pauli_compression(observable),
                      n_samples, batches, rng)
@@ -488,7 +486,8 @@ def anticoncentration_check(
 ) -> AnticoncentrationTable:
     """Pr(p_S(x) >= alpha/d) over Haar-symplectic S against the (1-alpha)^2/2
     floor, plus the collision estimate z = d*mean(p^2) vs 2/(d+1)."""
-    alphas = check_anticoncentration(n, n_samples, alpha_grid, x_index, batches)
+    check_anticoncentration(n, n_samples, alpha_grid, x_index, batches)
+    alphas = np.asarray(alpha_grid, dtype=float)
     d = 2**n
     # the state |0> has the frame E and c = e_0, and M = Q[x]^dag Q[x] has
     # M[0, 0] = |<x|S|0>|^2

@@ -29,7 +29,7 @@ Conventions shared with the rest of the package:
   R = 1 and a stack of L gemms otherwise.
 """
 
-import numpy as np
+from .errors import np
 
 # Kept for tools that report the machine they ran on; no kernel is compiled.
 HAS_NUMBA = False

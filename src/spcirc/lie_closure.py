@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
-from .errors import DomainError, check_bytes
+from .errors import DomainError, check_bytes, np
 from .pauli import RULE_KEYS, PauliString, in_algebra, sp_dimension
 
 

@@ -31,9 +31,10 @@ The per-qubit label basis {I, S, B}, where (on the two copies of qubit J)
 spans every factor: id = I, swap = (I + S)/2, pair.sp = (S - I)/2 and
 pair.o = (I + B)/2, exactly. These one-qubit operators, the pre-circuit
 factor raw and the measurement functional meas = sum_b |bb><bb| are the
-rows of one read-only table built at import, with their integer overlaps,
-so the module keeps no state (``qubit_operator`` reads it). Every number
-the engine uses comes from one rule, products over qubits of those overlaps
+rows of one read-only table, built with their integer overlaps at its
+first use (``_tables``), so the module keeps no state and importing it runs
+no numpy (``qubit_operator`` reads the table). Every number the engine uses
+comes from one rule, products over qubits of those overlaps
 (``_product``): the Weingarten formula twirls products of one-qubit
 operators in ``block_transfer``, which gives the W tables onto the block's
 diagrams, exact rationals rounded once, and onto label pairs the
@@ -51,17 +52,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
 
 from . import kernels
-from .errors import DomainError, check_bytes
-from .pauli import DENSE_1Q
+from .errors import DomainError, check_bytes, np
+from .pauli import dense_1q
 from .sampler import BLOCK_GROUPS, brick_layer, z_haar
 
-
-_XX, _YY, _ZZ = (np.kron(DENSE_1Q[p], DENSE_1Q[p]).real for p in "XYZ")
-_I, _S, _B = np.eye(4), _XX + _YY + _ZZ, _XX - _YY + _ZZ
 
 # every one-qubit operator the engine names, on the two copies of a qubit: the
 # labels (rows 0..2, which ``block_transfer`` relies on), the pre-circuit factor,
@@ -69,9 +66,6 @@ _I, _S, _B = np.eye(4), _XX + _YY + _ZZ, _XX - _YY + _ZZ
 # exact label combinations, each the d = 2 diagram with the form its name gives,
 # and the measurement functional sum_b |bb><bb|
 _NAMES = ("I", "S", "B", "raw", "id", "swap", "pair.sp", "pair.o", "meas")
-_OPS = np.stack([_I, _S, _B, np.diag([1.0, 0.0, 0.0, 0.0]), _I, (_I + _S) / 2,
-                 (_S - _I) / 2, (_I + _B) / 2, np.diag([1.0, 0.0, 0.0, 1.0])])
-_OPS.flags.writeable = False
 _INDEX = {a: i for i, a in enumerate(_NAMES)}
 
 # per block group, the labels that span its factors on its first and second qubit
@@ -79,13 +73,27 @@ LABEL_ALPHABETS = {"sp2": (("I", "S"), ("I", "S", "B")),
                    "o4": (("I", "S", "B"), ("I", "S", "B"))}
 ALPHA_RAW = ("raw",)
 
-# Hilbert-Schmidt overlaps <x, y> = Tr[x^T y] of all the operators, integers
-# because their entries are; against meas, <00|op|00> + <11|op|11>
-_OVERLAPS = np.einsum("aij,bij->ab", _OPS, _OPS).astype(np.int64)
+
+@cache
+def _tables() -> tuple:
+    """(ops, overlaps, adjugates), built at the first use: the read-only stack
+    of the ``_NAMES`` operators; their Hilbert-Schmidt overlaps <x, y> =
+    Tr[x^T y], integers because their entries are (against meas,
+    <00|op|00> + <11|op|11>); and per block group (adj(G), det(G)) of the
+    integer Gram matrix G of its diagrams."""
+    xx, yy, zz = (np.kron(dense_1q(p), dense_1q(p)).real for p in "XYZ")
+    i, s, b = np.eye(4), xx + yy + zz, xx - yy + zz
+    ops = np.stack([i, s, b, np.diag([1.0, 0.0, 0.0, 0.0]), i, (i + s) / 2,
+                    (s - i) / 2, (i + b) / 2, np.diag([1.0, 0.0, 0.0, 1.0])])
+    ops.flags.writeable = False
+    overlaps = np.einsum("aij,bij->ab", ops, ops).astype(np.int64)
+    diagrams = {group: block_alphabet(group) for group in LABEL_ALPHABETS}
+    adjugates = {group: _adjugate(_product(d, d, overlaps)) for group, d in diagrams.items()}
+    return ops, overlaps, adjugates
 
 
 def _indices(names) -> list:
-    """Places of the named operators in ``_OPS``; an unknown name is refused."""
+    """Places of the named operators in ``_NAMES``; an unknown name is refused."""
     try:
         return [_INDEX[a] for a in names]
     except KeyError as e:
@@ -97,15 +105,15 @@ def qubit_operator(name: str) -> np.ndarray:
     ``name`` stands for: a label I, S or B, the pre-circuit factor raw, a
     diagram factor id, swap, pair.sp or pair.o, or the measurement
     functional meas."""
-    return _OPS[_indices([name])[0]]
+    return _tables()[0][_indices([name])[0]]
 
 
-def _product(rows, cols, table=_OVERLAPS) -> np.ndarray:
+def _product(rows, cols, table) -> np.ndarray:
     """Entry [r, c] is the product over qubits k of table[rows[r][k],
     cols[c][k]], each row and column a tuple of one-qubit operator names
-    (``qubit_operator``), one per qubit. On ``_OVERLAPS`` it is the overlap
-    <x, y> of the products x = (x)_k rows[r][k] and y = (x)_k cols[c][k],
-    an exact integer."""
+    (``qubit_operator``), one per qubit. On the overlaps (``_tables``) it is
+    the overlap <x, y> of the products x = (x)_k rows[r][k] and
+    y = (x)_k cols[c][k], an exact integer."""
     names = [a for e in (*rows, *cols) for a in e]
     idx = np.array(_indices(names)).reshape(len(rows) + len(cols), -1)
     return table[idx[:len(rows), None], idx[len(rows):]].prod(axis=-1)
@@ -130,12 +138,6 @@ def _adjugate(g: np.ndarray) -> tuple:
     return adj, g[0] @ adj[0]
 
 
-# (adj(G), det(G)) of the integer Gram matrix G of each group's diagrams
-_DIAGRAM_ADJUGATES = {
-    group: _adjugate(_product(block_alphabet(group), block_alphabet(group)))
-    for group in LABEL_ALPHABETS}
-
-
 def block_transfer(group: str, pairs, out_pairs=None) -> np.ndarray:
     """Row-action matrix of one Haar block: entry [i, o] is the coefficient
     of product ``out_pairs[o]`` in the exact twirl of product ``pairs[i]``,
@@ -155,13 +157,14 @@ def block_transfer(group: str, pairs, out_pairs=None) -> np.ndarray:
     """
     diagrams = block_alphabet(group)
     out_pairs = diagrams if out_pairs is None else tuple(out_pairs)
-    adj, det = _DIAGRAM_ADJUGATES[group]
-    num = _product(tuple(pairs), diagrams) @ adj
+    _, overlaps, adjugates = _tables()
+    adj, det = adjugates[group]
+    num = _product(tuple(pairs), diagrams, overlaps) @ adj
     if out_pairs != diagrams:
         # row f of ``expand`` is det(L) times the label coefficients <f, l> adj(L) / det(L)
         labels = (("I",), ("S",), ("B",))
-        adj_l, det_l = _adjugate(_product(labels, labels))
-        expand = _OVERLAPS[:, :3] @ adj_l
+        adj_l, det_l = _adjugate(_product(labels, labels, overlaps))
+        expand = overlaps[:, :3] @ adj_l
         num, det = num @ _product(diagrams, out_pairs, expand), det * det_l**2
     return num / det
 
@@ -339,7 +342,8 @@ def collision_probability(v: LabelVector) -> float:
     weights, t = {}, v.coeffs
     for alpha in reversed(v.alphabets):
         if alpha not in weights:
-            weights[alpha] = _product(alpha, [("meas",) * len(alpha[0])])[:, 0].astype(float)
+            weights[alpha] = _product(alpha, [("meas",) * len(alpha[0])],
+                                      _tables()[1])[:, 0].astype(float)
         t = t.reshape(-1, len(alpha)) @ weights[alpha]
     return float(t[0])
 

@@ -31,21 +31,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
-from .errors import DomainError, check_bytes
+from .errors import DomainError, check_bytes, np
 
 _KINDS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _MASKS = {v: k for k, v in _KINDS.items()}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 
-# dense 2 x 2 matrix of each single-qubit Pauli
-DENSE_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# rows of the dense 2 x 2 matrix of each single-qubit Pauli
+_DENSE_1Q = {"I": ((1, 0), (0, 1)), "X": ((0, 1), (1, 0)),
+             "Y": ((0, -1j), (1j, 0)), "Z": ((1, 0), (0, -1))}
+
+
+def dense_1q(kind: str) -> np.ndarray:
+    """The dense 2 x 2 matrix of the single-qubit Pauli ``kind``, built per
+    call, so that importing the module runs no numpy."""
+    return np.array(_DENSE_1Q[kind], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -269,5 +269,5 @@ def to_dense(p: PauliString) -> np.ndarray:
 def to_dense_kron(p: PauliString) -> np.ndarray:
     """Same matrix via literal Kronecker products (slow oracle path)."""
     check_dense(p.n)
-    factors = [DENSE_1Q[p.factor(j)] for j in range(1, p.n + 1)]
+    factors = [dense_1q(p.factor(j)) for j in range(1, p.n + 1)]
     return (1j ** p.phase_exp) * reduce(np.kron, factors)

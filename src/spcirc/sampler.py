@@ -23,13 +23,12 @@ collision probability (``z_haar``) and the pairing count
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
-from .errors import DomainError, check_bytes
+from .errors import DomainError, check_bytes, np
 
 DEFAULT_TOL = 1e-10
 
@@ -50,7 +49,7 @@ class RngStream:
     def __post_init__(self):
         sid = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
         for v in (self.seed, *(s for s in sid if not isinstance(s, str))):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
                 raise DomainError(f"an RngStream seed, and each id that is not a label, "
                                   f"must be a non-negative integer; got {v!r}")
         object.__setattr__(self, "stream_id", sid)

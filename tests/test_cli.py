@@ -1138,6 +1138,66 @@ def test_a_sampled_dry_run_loads_no_numpy_random(tmp_path):
     assert fresh(code) == "[0, 0, 0, 0] False"
 
 
+def test_dry_runs_and_refusals_load_no_numpy(tmp_path):
+    """The CLI registers numpy without executing it, and no plan below reads
+    an array, so neither their dry runs nor a refused input load numpy."""
+    gp_config(tmp_path)
+    runs = [["closure", "--set", "theorem1", "--n", "8", "--dry-run"],
+            ["collision", "--n", "6", "--layers", "3", "--dry-run"],
+            ["anticoncentration-depth", "--n-min", "2", "--n-max", "8",
+             "--out", str(tmp_path / "d.csv"), "--dry-run"],
+            ["gp", "--config", str(tmp_path / "gp.json"), "--out", str(tmp_path / "gp.csv"),
+             "--seed", "1", "--dry-run"],
+            ["gp-summary", "--config", str(tmp_path / "gp.json"), "--seed", "1", "--dry-run"],
+            ["sample", "--group", "sp", "--d", "4", "--count", "1",
+             "--out", str(tmp_path / "s.npy"), "--seed", "1", "--dry-run"],
+            ["gram", "--t", "2", "--d", "4", "--group", "sp", "--dry-run"],
+            ["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5",
+             "--seed", "1", "--dry-run"],
+            ["anticoncentration", "--n", "3", "--samples", "20", "--alphas", "0.5",
+             "--seed", "1", "--dry-run"]]
+    refused = ["closure", "--set", "theorem1", "--n", "0"]
+    code = ("import contextlib, io, sys, spcirc.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    seen = [(a[0], spcirc.cli.main(a), 'numpy._core' in sys.modules)\n"
+            f"            for a in {runs + [refused]!r}]\n"
+            "print(seen)")
+    want = [(a[0], 0, False) for a in runs] + [("closure", 1, False)]
+    assert fresh(code) == str(want)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["closure", "--set", "theorem1", "--n", "3"], id="closure"),
+    pytest.param(["anticoncentration-depth", "--n-min", "2", "--n-max", "4",
+                  "--out", "{tmp}/d.csv"], id="depth"),
+    pytest.param(["gp-summary", "--config", "{tmp}/gp.json", "--seed", "1"], id="gp-summary"),
+])
+def test_a_run_loads_numpy_once_as_a_plain_module(tmp_path, argv):
+    """A real run executes numpy at its first use, and every module it
+    executed then holds that one numpy, no longer a lazy module, so a read of
+    ``np.<name>`` in a loop costs what it does after ``import numpy``."""
+    gp_config(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = ("import contextlib, io, sys, types, spcirc.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = spcirc.cli.main({argv!r})\n"
+            "nps = [m.np for k, m in sys.modules.items()\n"
+            "       if k.startswith('spcirc.') and type(m) is types.ModuleType]\n"
+            "print(code, len(nps) > 3, all(np is sys.modules['numpy'] and "
+            "type(np) is types.ModuleType for np in nps))")
+    assert fresh(code) == "0 True True"
+
+
+def test_a_library_import_loads_numpy_eagerly():
+    """Only the CLI registers numpy lazily; ``from spcirc import moment``
+    executes it like any ``import numpy``."""
+    code = ("import sys, types\n"
+            "from spcirc import moment\n"
+            "print('numpy._core' in sys.modules, type(moment.np) is types.ModuleType)")
+    assert fresh(code) == "True True"
+
+
 def test_moment_oracles_import_what_they_use():
     """The dense oracles import brauer and circuit in their bodies, which a
     process that imported only spcirc.moment has not executed."""

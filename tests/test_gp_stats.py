@@ -662,3 +662,21 @@ def test_state_spec_refuses_non_finite_entries(value):
     rho[0, 1] = rho[1, 0] = value
     with pytest.raises(DomainError, match="non-finite"):
         StateSpec(2, density=rho)
+
+
+def test_state_spec_keeps_its_own_read_only_arrays():
+    """A later write to the caller's array leaves the state as it was
+    validated: the spec holds read-only copies, as CircuitSpec does."""
+    v = np.zeros(4, dtype=complex)
+    v[0] = 1.0
+    pure = StateSpec(2, statevector=v)
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    mixed = StateSpec(2, density=rho)
+    v[:] = 2.0
+    rho[:] = 7.0
+    assert np.linalg.norm(pure.vectors) == 1.0
+    assert np.array_equal(pure.statevector, np.eye(4)[0])
+    assert np.array_equal(mixed.density, np.diag([0.5, 0.5, 0.0, 0.0]))
+    for held in (pure.statevector, pure.vectors, mixed.density):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0

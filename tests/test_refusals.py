@@ -1,5 +1,6 @@
 """Refusals of bad arguments that no other test reaches: one table of
-(call, the DomainError message it raises)."""
+(call, the DomainError message it raises), and the CLI options that only
+make sense together."""
 
 import re
 
@@ -8,6 +9,7 @@ import pytest
 
 from spcirc.brauer import BrauerDiagram, compose, monte_carlo_twirl, represent
 from spcirc.circuit import CircuitSpec, build_bricklayer, circuit_to_json, concat, rotation_block
+from spcirc.cli import main
 from spcirc.errors import DomainError, read_fields, read_kind
 from spcirc.gp_stats import StateSpec, run_gp_experiment
 from spcirc.lie_closure import prop2_generators, so_chain_generators, theorem1_generators
@@ -73,3 +75,16 @@ def test_a_bad_argument_is_refused_with_its_message(call, message):
 def test_one_line_is_none_for_a_diagram_that_is_no_permutation():
     assert BrauerDiagram.from_pairs(2, [(1, 2), (3, 4)]).one_line() is None
     assert BrauerDiagram.from_permutation((2, 1)).one_line() == (2, 1)
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+def test_a_generators_file_needs_the_custom_set(tmp_path, capsys, dry_run):
+    """A named set would ignore the file, yet the envelope would echo its
+    path; the dry run refuses it as the run does, with exit 1."""
+    labels = tmp_path / "g.json"
+    labels.write_text('["XI", "ZZ"]')
+    argv = ["closure", "--set", "theorem1", "--n", "2", "--generators", str(labels), *dry_run]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--generators FILE goes with --set custom, and only with it" in captured.err
