@@ -265,19 +265,14 @@ class GramMatrix:
     """Gram matrix of diagram representatives and its Weingarten matrix, the
     inverse when regular and the pseudo-inverse when singular (``pseudo``:
     d <= 2t - 2 for the symplectic form, d < t for the orthogonal one). Both
-    are computed by ``gram``."""
+    are computed by ``gram``. ``delta`` is the parameter of B_t(delta): -d
+    for the symplectic form, d for the orthogonal one."""
 
-    t: int
-    d: int
-    form: str
+    delta: float
     diagrams: tuple
     entries: np.ndarray
     pseudo: bool
     weingarten: np.ndarray
-
-    @property
-    def delta(self) -> float:
-        return -float(self.d) if self.form == "sp" else float(self.d)
 
 
 def check_gram(t: int, d: int, form: str = "sp") -> None:
@@ -312,7 +307,8 @@ def gram(t: int, d: int, form: str = "sp") -> GramMatrix:
         weingarten = (vecs * inv_vals) @ vecs.T
     else:
         weingarten = np.linalg.inv(entries)
-    return GramMatrix(t, d, form, diagrams, entries, pseudo, weingarten)
+    return GramMatrix(-float(d) if form == "sp" else float(d), diagrams, entries, pseudo,
+                      weingarten)
 
 
 def _table(t: int, d: int, form: str):
@@ -326,9 +322,6 @@ class TwirlResult:
     """Projection of an operator onto the diagram span: the coefficients in
     ``diagrams`` order and the projected matrix sum_i c_i F(sigma_i)."""
 
-    t: int
-    d: int
-    group: str
     diagrams: tuple
     coefficients: np.ndarray
     matrix: np.ndarray
@@ -388,7 +381,7 @@ def twirl(x: np.ndarray, t: int, d: int, group: str = "sp") -> TwirlResult:
     diff -= matrix
     residual = s * float(np.linalg.norm(diff))
     matrix *= s
-    return TwirlResult(t, d, group, g.diagrams, s * coeff, matrix, residual)
+    return TwirlResult(g.diagrams, s * coeff, matrix, residual)
 
 
 def twirl_superoperator(t: int, d: int, group: str = "sp") -> np.ndarray:

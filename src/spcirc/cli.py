@@ -148,9 +148,7 @@ def _plan_closure(args):
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise DomainError("generators file must be a JSON list of Pauli labels")
         added["generators"] = labels  # in place of the file path
-        gens = lie_closure.GeneratorSet(
-            args.n, tuple(pauli.PauliString.from_label(s) for s in labels), "custom"
-        )
+        gens = lie_closure.GeneratorSet(args.n, tuple(map(pauli.PauliString.from_label, labels)))
     else:
         gens = getattr(lie_closure, _GENERATOR_SETS[args.set])(args.n)
 

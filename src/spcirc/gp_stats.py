@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .errors import DomainError, check_basis_index, check_bytes, np
 from .pauli import PauliString, in_sp_algebra, symplectic_form
@@ -58,55 +58,55 @@ DEFAULT_BATCHES = 20
 
 @dataclass(eq=False)
 class StateSpec:
-    """A state in the experiment family, held as its spectrum: ``weights``
-    (r,) and orthonormal columns ``vectors`` (d x r) with
-    rho = vectors diag(weights) vectors^dag.
+    """A state in the experiment family on n >= 1 qubits, held as its
+    spectrum: ``weights`` (r,) and orthonormal columns ``vectors`` (d x r)
+    with rho = vectors diag(weights) vectors^dag.
 
     Give exactly one of ``statevector`` (one column of weight 1) and
     ``density`` (validated, then diagonalised once; weights at or below
-    1e-12 are dropped). Either must have finite entries; the spec keeps a
-    read-only copy, so a later write to the caller's array changes nothing.
+    1e-12 are dropped). Either must have finite entries. The spec keeps only
+    the spectrum, read-only, and not the input array, so a later write to
+    the caller's array changes nothing.
     """
 
     n: int
-    statevector: np.ndarray | None = None
-    density: np.ndarray | None = None
+    statevector: InitVar[np.ndarray | None] = None
+    density: InitVar[np.ndarray | None] = None
     label: str = ""
     weights: np.ndarray = field(init=False, repr=False)
     vectors: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, statevector, density):
+        if self.n < 1:
+            raise DomainError(f"need n >= 1, got {self.n}")
         d = 2**self.n
-        if (self.statevector is None) == (self.density is None):
+        if (statevector is None) == (density is None):
             raise DomainError("state needs exactly one of a statevector and a density matrix")
-        if self.statevector is not None:
-            v = np.array(self.statevector, dtype=complex)
-            v.flags.writeable = False
+        if statevector is not None:
+            v = np.array(statevector, dtype=complex)
             if v.shape != (d,):
                 raise DomainError(f"statevector shape {v.shape}")
             if not np.isfinite(v).all():
                 raise DomainError("statevector has a non-finite entry")
             if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
                 raise DomainError("statevector is not normalized")
-            self.statevector = v
             self.weights, self.vectors = np.ones(1), v[:, None]
-            return
-        rho = np.array(self.density, dtype=complex)
-        rho.flags.writeable = False
-        if rho.shape != (d, d):
-            raise DomainError(f"density shape {rho.shape}")
-        if not np.isfinite(rho).all():
-            raise DomainError("density has a non-finite entry")
-        if abs(np.trace(rho) - 1.0) > DEFAULT_TOL:
-            raise DomainError("density trace != 1")
-        if np.abs(rho - rho.conj().T).max() > DEFAULT_TOL:
-            raise DomainError("density is not Hermitian")
-        vals, vecs = np.linalg.eigh(rho)
-        if vals.min() < -DEFAULT_TOL:
-            raise DomainError("density is not positive semidefinite")
-        self.density = rho
-        keep = vals > 1e-12
-        self.weights, self.vectors = vals[keep], vecs[:, keep]
+        else:
+            rho = np.asarray(density, dtype=complex)
+            if rho.shape != (d, d):
+                raise DomainError(f"density shape {rho.shape}")
+            if not np.isfinite(rho).all():
+                raise DomainError("density has a non-finite entry")
+            if abs(np.trace(rho) - 1.0) > DEFAULT_TOL:
+                raise DomainError("density trace != 1")
+            if np.abs(rho - rho.conj().T).max() > DEFAULT_TOL:
+                raise DomainError("density is not Hermitian")
+            vals, vecs = np.linalg.eigh(rho)
+            if vals.min() < -DEFAULT_TOL:
+                raise DomainError("density is not positive semidefinite")
+            keep = vals > 1e-12
+            self.weights, self.vectors = vals[keep], vecs[:, keep]
+        self.weights.flags.writeable = self.vectors.flags.writeable = False
 
     @classmethod
     def computational_basis(cls, n: int, x: int = 0) -> "StateSpec":
@@ -466,7 +466,6 @@ def concentration_tail(
 class AnticoncentrationTable:
     n: int
     x_index: int
-    sample_count: int
     alphas: np.ndarray
     empirical: np.ndarray
     empirical_se: np.ndarray
@@ -500,7 +499,6 @@ def anticoncentration_check(
     return AnticoncentrationTable(
         n=n,
         x_index=x_index,
-        sample_count=n_samples,
         alphas=alphas,
         empirical=emp,
         empirical_se=emp_se,

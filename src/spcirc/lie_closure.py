@@ -27,7 +27,6 @@ from .pauli import RULE_KEYS, PauliString, in_algebra, sp_dimension
 class GeneratorSet:
     n: int
     generators: tuple[PauliString, ...]
-    label: str = "custom"
 
     def __post_init__(self):
         seen = set()
@@ -91,7 +90,7 @@ def theorem1_generators(n: int) -> GeneratorSet:
         spec.append([(i, "Y"), (i + 1, "X")])
     spec.append([(1, "X")])
     spec.append([(1, "Z"), (2, "Z")])
-    return GeneratorSet(n, _chain(n, spec), "theorem1")
+    return GeneratorSet(n, _chain(n, spec))
 
 
 def prop2_generators(n: int) -> GeneratorSet:
@@ -109,7 +108,7 @@ def prop2_generators(n: int) -> GeneratorSet:
         spec.append([(i, "Y")])
         spec.append([(i + 1, "Y")])
         spec.append([(i, "X"), (i + 1, "X")])
-    return GeneratorSet(n, _chain(n, spec), "prop2")
+    return GeneratorSet(n, _chain(n, spec))
 
 
 def so_chain_generators(n: int) -> GeneratorSet:
@@ -121,7 +120,7 @@ def so_chain_generators(n: int) -> GeneratorSet:
     for i in range(1, n):
         spec.append([(i, "X"), (i + 1, "Y")])
         spec.append([(i, "Y"), (i + 1, "X")])
-    return GeneratorSet(n, _chain(n, spec), "so-chain")
+    return GeneratorSet(n, _chain(n, spec))
 
 
 def classify(n: int, keys: np.ndarray) -> str:

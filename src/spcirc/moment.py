@@ -222,19 +222,18 @@ def block_step(group: str, alpha_a: tuple, alpha_b: tuple | None):
 class LabelVector:
     """Coefficients of E[rho (x) rho] over products of per-axis operators.
 
-    ``alphabets[k]`` lists the index values of axis k; each is a tuple of
-    one-qubit operator names (``qubit_operator``), one per qubit the axis
-    covers, and the axes cover qubits 1..n in order. Coefficients are
-    stored flat, axis 0 outermost. A block axis covers two qubits and is
-    indexed by the block's diagrams (``block_alphabet``); a one-qubit axis
-    holds a diagram factor or, before any block has touched the qubit,
-    (("raw",),).
+    The state is the axes and the coefficients; the qubit count ``n`` is
+    derived from the axes. ``alphabets[k]`` lists the index values of axis
+    k; each is a tuple of one-qubit operator names (``qubit_operator``), one
+    per qubit the axis covers, and the axes cover qubits 1..n in order.
+    Coefficients are stored flat, axis 0 outermost. A block axis covers two
+    qubits and is indexed by the block's diagrams (``block_alphabet``); a
+    one-qubit axis holds a diagram factor or, before any block has touched
+    the qubit, (("raw",),).
     """
 
-    n: int
     alphabets: tuple
     coeffs: np.ndarray
-    layers: int = 0
 
     def __post_init__(self):
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
@@ -243,9 +242,10 @@ class LabelVector:
             raise DomainError(
                 f"coefficient length {self.coeffs.shape} != prod{dims}"
             )
-        covered = sum(len(a[0]) for a in self.alphabets)
-        if covered != self.n:
-            raise DomainError(f"the axes cover {covered} qubits, not n = {self.n}")
+
+    @property
+    def n(self) -> int:
+        return sum(len(a[0]) for a in self.alphabets)
 
     def dims(self) -> tuple:
         return tuple(len(a) for a in self.alphabets)
@@ -271,7 +271,7 @@ def check_propagation(n: int, layers: int = 0) -> None:
 def initial_label_vector(n: int) -> LabelVector:
     """The pre-circuit two-copy state |0><0|^(x)2n: every qubit raw, z = 1."""
     check_propagation(n)
-    return LabelVector(n, ((ALPHA_RAW,),) * n, np.ones(1), layers=0)
+    return LabelVector(((ALPHA_RAW,),) * n, np.ones(1))
 
 
 def _half_layers(n: int) -> list:
@@ -315,15 +315,14 @@ def _layers(v: LabelVector):
     only the step's input and output are held, besides what the caller
     holds."""
     plans, blocks = {}, {}
-    alphabets, coeffs, layers = v.alphabets, v.coeffs, v.layers
+    alphabets, coeffs = v.alphabets, v.coeffs
     while True:
         if alphabets not in plans:
             plans[alphabets] = _layer_steps(v.n, alphabets, blocks)
         steps, alphabets = plans[alphabets]
         for step in steps:
             coeffs = kernels.transfer_apply(coeffs, *step)
-        layers += 1
-        yield LabelVector(v.n, alphabets, coeffs, layers=layers)
+        yield LabelVector(alphabets, coeffs)
 
 
 def propagate(v: LabelVector, layers: int) -> LabelVector:
@@ -334,17 +333,23 @@ def propagate(v: LabelVector, layers: int) -> LabelVector:
     return v
 
 
+@cache
+def _z_weights(alpha: tuple) -> np.ndarray:
+    """Read-only weights of an axis with alphabet ``alpha`` in z: entry i is
+    the overlap of product ``alpha[i]`` with meas on the axis's qubits."""
+    weights = _product(alpha, [("meas",) * len(alpha[0])], _tables()[1])[:, 0].astype(float)
+    weights.flags.writeable = False
+    return weights
+
+
 def collision_probability(v: LabelVector) -> float:
     """z = sum_x E[p(x)^2]: contract against meas on every qubit, the trailing
     axis of the contiguous tensor first. Each index of an axis weighs the
     overlap of its product with meas on the axis's qubits; the weights are
-    derived once per distinct alphabet."""
-    weights, t = {}, v.coeffs
+    derived once per distinct alphabet in a process (``_z_weights``)."""
+    t = v.coeffs
     for alpha in reversed(v.alphabets):
-        if alpha not in weights:
-            weights[alpha] = _product(alpha, [("meas",) * len(alpha[0])],
-                                      _tables()[1])[:, 0].astype(float)
-        t = t.reshape(-1, len(alpha)) @ weights[alpha]
+        t = t.reshape(-1, len(alpha)) @ _z_weights(alpha)
     return float(t[0])
 
 
@@ -363,7 +368,6 @@ def collision_trace(n: int, layers: int) -> list:
 @dataclass(frozen=True)
 class DepthResult:
     n: int
-    epsilon: float
     n_l_star: int | None
     z_trace: tuple
 
@@ -397,8 +401,8 @@ def depth_to_anticoncentrate(
     for layer, z in enumerate(itertools.islice(_z_trace(n), max_layers + 1)):
         trace.append(z)
         if abs(zh - z) < target:
-            return DepthResult(n, epsilon, layer, tuple(trace))
-    return DepthResult(n, epsilon, None, tuple(trace))
+            return DepthResult(n, layer, tuple(trace))
+    return DepthResult(n, None, tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,8 @@ class PauliString:
         """One non-identity factor ``kind`` on 1-based ``qubit``."""
         if not 1 <= qubit <= n:
             raise DomainError(f"qubit {qubit} outside 1..{n}")
+        if kind not in _MASKS:
+            raise DomainError(f"unknown Pauli kind {kind!r}; expected I, X, Y or Z")
         x, z = _MASKS[kind]
         bit = 1 << (qubit - 1)
         return cls(n, x * bit, z * bit, 0)
@@ -206,6 +208,8 @@ def in_algebra(keys: np.ndarray, n: int, form: str) -> np.ndarray:
     popcount((k >> n) & k) and the anticommutation parity popcount(k & swap_F)
     with swap_F = (z_F << n) | x_F, as in ``kernels.closure_round``; one
     popcount of their xor gives the sum's parity."""
+    if form not in FORMS:
+        raise DomainError(f"unknown form {form!r}; expected 'sp' or 'o'")
     f = FORMS[form](n)
     swap = (f.z_mask << n) | f.x_mask
     return (np.bitwise_count(((keys >> n) & keys) ^ (keys & swap)) & 1).astype(bool)

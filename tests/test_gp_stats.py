@@ -51,9 +51,13 @@ def fig_family(n):
     ]
 
 
-def random_pure(n, gen):
+def random_vector(n, gen):
     v = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
-    return StateSpec(n, statevector=v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
+
+
+def random_pure(n, gen):
+    return StateSpec(n, statevector=random_vector(n, gen))
 
 
 def j_image(v):
@@ -61,36 +65,37 @@ def j_image(v):
     return omega(v.shape[0]) @ v.conj()
 
 
-def random_mixed(n, gen):
+def random_density(n, gen):
     """Full-rank density matrix A A^dag / Tr[A A^dag] for a Gaussian A."""
     d = 2**n
     a = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
     rho = a @ a.conj().T
-    return StateSpec(n, density=rho / np.trace(rho).real)
+    return rho / np.trace(rho).real
 
 
-def given_density(s):
-    """The state's density matrix as given, not rebuilt from its spectrum."""
-    if s.density is not None:
-        return s.density
-    return np.outer(s.statevector, s.statevector.conj())
+def basis_density(n):
+    """|0><0| on n qubits."""
+    rho = np.zeros((2**n, 2**n))
+    rho[0, 0] = 1.0
+    return rho
 
 
-def projection_overlap(a, b):
+def projection_overlap(ra, rb):
     """Oracle Tr_g[rho_a rho_b] = (1/d) sum_P Tr[P rho_a] Tr[P rho_b] over the
-    d(d+1)/2 sp basis directions, from dense density matrices: O(4^n d^2)."""
-    ra, rb = given_density(a), given_density(b)
+    d(d+1)/2 sp basis directions, from dense density matrices as given, not
+    rebuilt from a spectrum: O(4^n d^2)."""
+    d = len(ra)
     total = 0.0
-    for p in enumerate_sp_basis(a.n):
+    for p in enumerate_sp_basis(d.bit_length() - 1):
         # Tr[P rho] = sum_ij P[i, j] rho[j, i], P from Kronecker products
         m = to_dense_kron(p)
         total += np.real(np.sum(m * ra.T)) * np.real(np.sum(m * rb.T))
-    return total / 2**a.n
+    return total / d
 
 
 def degenerate_family(n, gen):
     """psi_1, J psi_1 and a combination of the two: one quaternionic column."""
-    psi = random_pure(n, gen).statevector
+    psi = random_vector(n, gen)
     mix = (psi + 1j * j_image(psi)) / math.sqrt(2.0)
     return [StateSpec(n, statevector=v) for v in (psi, j_image(psi), mix)]
 
@@ -101,28 +106,35 @@ def test_basis_state_algebra_overlap_is_half():
     for n in (2, 3, 4):
         s = StateSpec.computational_basis(n, 0)
         assert algebra_overlap(s, s) == pytest.approx(0.5, abs=1e-12)
-        assert projection_overlap(s, s) == pytest.approx(0.5, abs=1e-12)
+        assert projection_overlap(basis_density(n), basis_density(n)) == pytest.approx(
+            0.5, abs=1e-12)
 
 
 def test_overlap_routes_agree_on_random_pure_states():
     gen = np.random.default_rng(2024)
     n = 3
     for _ in range(6):
-        a, b = random_pure(n, gen), random_pure(n, gen)
+        u, w = random_vector(n, gen), random_vector(n, gen)
+        a, b = StateSpec(n, statevector=u), StateSpec(n, statevector=w)
         fast = algebra_overlap(a, b)
-        assert fast == pytest.approx(projection_overlap(a, b), abs=1e-10)
+        assert fast == pytest.approx(
+            projection_overlap(np.outer(u, u.conj()), np.outer(w, w.conj())), abs=1e-10
+        )
         # the same states given as density matrices hit the same number
         ad = StateSpec(n, density=a.density_matrix())
         bd = StateSpec(n, density=b.density_matrix())
         assert algebra_overlap(ad, bd) == pytest.approx(fast, abs=1e-10)
     # full-rank mixed states, against each other and against pure ones
     for n in (2, 3, 4):
-        a, b, c = random_mixed(n, gen), random_mixed(n, gen), random_pure(n, gen)
-        assert a.weights.shape == (2**n,)
-        assert np.abs(a.density_matrix() - a.density).max() <= 1e-12
-        for x, y in ((a, a), (a, b), (a, c), (c, b)):
-            assert algebra_overlap(x, y) == pytest.approx(
-                projection_overlap(x, y), abs=1e-10
+        ra, rb, w = random_density(n, gen), random_density(n, gen), random_vector(n, gen)
+        given = [ra, rb, np.outer(w, w.conj())]
+        states = [StateSpec(n, density=ra), StateSpec(n, density=rb),
+                  StateSpec(n, statevector=w)]
+        assert states[0].weights.shape == (2**n,)
+        assert np.abs(states[0].density_matrix() - ra).max() <= 1e-12
+        for i, j in ((0, 0), (0, 1), (0, 2), (2, 1)):
+            assert algebra_overlap(states[i], states[j]) == pytest.approx(
+                projection_overlap(given[i], given[j]), abs=1e-10
             )
 
 
@@ -203,7 +215,7 @@ def sampled_values(states, obs, count, stream):
 def test_symplectic_frame_spans_the_states_and_extends_to_a_symplectic_unitary():
     gen = np.random.default_rng(41)
     n, d = 3, 8
-    vecs = [random_pure(n, gen).statevector for _ in range(3)]
+    vecs = [random_vector(n, gen) for _ in range(3)]
     frame = symplectic_frame(vecs)
     assert frame.shape == (d, 6)
     assert np.abs(frame.conj().T @ frame - np.eye(6)).max() <= 1e-12
@@ -225,7 +237,7 @@ def test_symplectic_frame_drops_dependent_vectors():
     k = _frame_coefficients(basis)[0]
     assert k == 2
     assert np.array_equal(
-        symplectic_frame([s.statevector for s in basis]), np.eye(4)
+        symplectic_frame([s.vectors[:, 0] for s in basis]), np.eye(4)
     )
 
 
@@ -234,7 +246,7 @@ def test_symplectic_frame_drops_a_dependent_vector_in_a_later_block():
     # block and the J image of another, so both projections must remove it
     gen = np.random.default_rng(49)
     n, d, count = 7, 128, FRAME_BLOCK + 8
-    vecs = [random_pure(n, gen).statevector for _ in range(count)]
+    vecs = [random_vector(n, gen) for _ in range(count)]
     dependent = FRAME_BLOCK + 3
     vecs[dependent] = 0.3 * vecs[FRAME_BLOCK + 1] - 0.5j * vecs[4] + 0.8 * j_image(vecs[20])
     frame = symplectic_frame(vecs)
@@ -319,7 +331,7 @@ def test_column_path_matches_dense_sampler_in_distribution():
     for i in range(count):
         s = sample_sp(d, dense_gen)
         for j, st in enumerate(states):
-            phi = s @ st.statevector
+            phi = s @ st.vectors[:, 0]
             dense[i, j] = np.real(np.vdot(phi, pauli_apply(obs, phi)))
     for j in range(len(states)):
         assert ks_2samp(column[:, j], dense[:, j]).pvalue > 0.01
@@ -341,7 +353,7 @@ def test_gp_run_with_a_mixed_state_past_n8():
     # the exact covariance comes from the spectra at any n the sampler takes
     n, d = 9, 512
     gen = np.random.default_rng(53)
-    u, v = random_pure(n, gen).statevector, random_pure(n, gen).statevector
+    u, v = random_vector(n, gen), random_vector(n, gen)
     v = v - np.vdot(u, v) * u
     v /= np.linalg.norm(v)
     rho = 0.75 * np.outer(u, u.conj()) + 0.25 * np.outer(v, v.conj())
@@ -349,7 +361,7 @@ def test_gp_run_with_a_mixed_state_past_n8():
     run = run_gp_experiment(states, PauliString.single(n, 2, "Y"), 40, RngStream(54))
     assert run.values.shape == (40, 2)
     om = omega(d)
-    dense = [given_density(s) for s in states]
+    dense = [basis_density(n), rho]
     want = np.array([[np.trace(a @ b).real + np.trace(om @ a @ om @ b.T).real
                       for b in dense] for a in dense]) / (d + 1)
     assert np.abs(run.exact_covariance - want).max() <= 1e-12
@@ -587,7 +599,7 @@ def test_anticoncentration_table():
     assert np.allclose(table.bound, (1.0 - table.alphas) ** 2 / 2.0)
     assert np.all(table.empirical >= table.bound)
     assert abs(table.z_estimate - table.z_haar) <= 5.0 * table.z_se
-    assert table.sample_count == 2000 and table.x_index == 0
+    assert table.x_index == 0
 
 
 def test_anticoncentration_reproducible():
@@ -666,7 +678,7 @@ def test_state_spec_refuses_non_finite_entries(value):
 
 def test_state_spec_keeps_its_own_read_only_arrays():
     """A later write to the caller's array leaves the state as it was
-    validated: the spec holds read-only copies, as CircuitSpec does."""
+    validated: the spec keeps only its spectrum, read-only."""
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
     pure = StateSpec(2, statevector=v)
@@ -675,8 +687,8 @@ def test_state_spec_keeps_its_own_read_only_arrays():
     v[:] = 2.0
     rho[:] = 7.0
     assert np.linalg.norm(pure.vectors) == 1.0
-    assert np.array_equal(pure.statevector, np.eye(4)[0])
-    assert np.array_equal(mixed.density, np.diag([0.5, 0.5, 0.0, 0.0]))
-    for held in (pure.statevector, pure.vectors, mixed.density):
+    assert np.array_equal(pure.vectors[:, 0], np.eye(4)[0])
+    assert np.array_equal(mixed.density_matrix(), np.diag([0.5, 0.5, 0.0, 0.0]))
+    for held in (pure.weights, pure.vectors, mixed.weights, mixed.vectors):
         with pytest.raises(ValueError, match="read-only"):
             held[0] = 0.0

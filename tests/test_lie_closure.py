@@ -79,7 +79,7 @@ def test_closure_is_commutator_closed_and_idempotent():
             c = commutator(a, b)
             if c is not None:
                 assert (c.x_mask, c.z_mask) in directions
-    again = closure(GeneratorSet(2, res.basis, "rerun"))
+    again = closure(GeneratorSet(2, res.basis))
     assert again.dimension == res.dimension
     assert again.iterations == 1
 
@@ -144,7 +144,7 @@ def assert_matches_basis_closure(g):
     res = closure(g)
     expected = closure_over_basis(g)
     got = set(res.keys.tolist())
-    assert got == set(expected.tolist()), g.label
+    assert got == set(expected.tolist()), [str(p) for p in g.generators]
     assert res.dimension == expected.size == len(got)
     assert res.classification == classify(g.n, expected)
     return res

@@ -116,7 +116,7 @@ def test_measurement_row_is_the_z_functional():
     for a, b in product(NAMES, NAMES):
         want = z_values((a,))[0] * z_values((b,))[0]
         for alphabets in ((((a, b),),), (((a,),), ((b,),))):
-            assert collision_probability(LabelVector(2, alphabets, np.ones(1))) == want, (a, b)
+            assert collision_probability(LabelVector(alphabets, np.ones(1))) == want, (a, b)
 
 
 # -- the sp2 and o4 transfers ----------------------------------------------------
@@ -254,7 +254,6 @@ def test_propagate_matches_per_block_reference(n):
     v = initial_label_vector(n)
     for layer, (alphabets, coeffs) in enumerate(label_reference(n, 20), start=1):
         v = propagate(v, 1)
-        assert v.layers == layer
         got = expand_to_labels(v, alphabets)
         scale = np.abs(coeffs).max()
         assert np.abs(got - coeffs).max() <= 1e-12 * scale, (n, layer)
@@ -439,10 +438,8 @@ def test_import_computes_nothing():
 
 
 def test_label_vector_checks_its_axes():
-    with pytest.raises(DomainError, match="cover"):
-        LabelVector(3, ((("raw",),),) * 2, np.ones(1))
     with pytest.raises(DomainError, match="length"):
-        LabelVector(2, (block_alphabet("o4"),), np.ones(2))
+        LabelVector((block_alphabet("o4"),), np.ones(2))
     with pytest.raises(DomainError):
         qubit_operator("u9.id.0")
 
@@ -451,18 +448,36 @@ def test_label_basis_input_propagates():
     """A vector over per-qubit labels is a valid input as well: its layers
     match the label propagation expanded back."""
     (alphabets, coeffs), = label_reference(4, 1)
-    v = LabelVector(4, tuple(tuple((a,) for a in alpha) for alpha in alphabets), coeffs)
+    v = LabelVector(tuple(tuple((a,) for a in alpha) for alpha in alphabets), coeffs)
     refs = list(label_reference(4, 3))
     w = propagate(v, 2)
     alphabets, coeffs = refs[-1]
     assert np.abs(expand_to_labels(w, alphabets) - coeffs).max() <= 1e-12
 
 
-def test_propagate_layer_count_bookkeeping():
+def test_label_vector_derives_its_qubit_count():
+    """n is the number of qubits the axes cover, before and after layers."""
+    assert LabelVector((block_alphabet("o4"), (("raw",),)), np.ones(3)).n == 3
     v = propagate(initial_label_vector(3), 2)
-    assert v.layers == 2
-    w = propagate(v, 1)
-    assert w.layers == 3
+    assert v.n == 3
+    assert propagate(v, 1).n == 3
+
+
+def test_z_weights_are_derived_once_per_alphabet(monkeypatch):
+    """Once a run has met every alphabet, a longer trace derives no z weight
+    again: no ``_product`` call against meas. Block steps still call
+    ``_product`` through ``block_transfer``; those are not counted."""
+    collision_trace(8, 1)
+    calls = []
+    product = moment._product
+
+    def counted(rows, cols, table):
+        calls.extend(c for c in cols if "meas" in c)
+        return product(rows, cols, table)
+
+    monkeypatch.setattr(moment, "_product", counted)
+    collision_trace(8, 40)
+    assert calls == []
 
 
 # -- dense oracle cross-checks ----------------------------------------------------------

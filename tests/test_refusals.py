@@ -14,7 +14,7 @@ from spcirc.errors import DomainError, read_fields, read_kind
 from spcirc.gp_stats import StateSpec, run_gp_experiment
 from spcirc.lie_closure import prop2_generators, so_chain_generators, theorem1_generators
 from spcirc.moment import dense_second_moment, derive_transfer
-from spcirc.pauli import PauliString, check_basis, commutes
+from spcirc.pauli import PauliString, check_basis, commutes, in_algebra
 from spcirc.sampler import RngStream, is_in_sp_algebra_dense, sample_block, symplectic_defect
 
 
@@ -42,6 +42,7 @@ REFUSALS = [
     ("StateSpec-statevector", lambda: StateSpec(2, statevector=np.ones(3)),
      "statevector shape (3,)"),
     ("StateSpec-density", lambda: StateSpec(2, density=np.eye(2)), "density shape (2, 2)"),
+    ("StateSpec-n", lambda: StateSpec(0, statevector=np.array([1.0])), "need n >= 1, got 0"),
     ("run_gp_experiment", lambda: run_gp_experiment(
         [StateSpec.computational_basis(2, 0), StateSpec.computational_basis(3, 0)],
         PauliString.from_label("IY"), 20, RngStream(47)), "states must share n"),
@@ -50,6 +51,10 @@ REFUSALS = [
     ("derive_transfer", lambda: derive_transfer("u4"),
      "no label transfer for block group 'u4'"),
     ("dense_second_moment", lambda: dense_second_moment(1, 1), "need n >= 2, got 1"),
+    ("PauliString.single-kind", lambda: PauliString.single(3, 1, "W"),
+     "unknown Pauli kind 'W'"),
+    ("in_algebra-form", lambda: in_algebra(np.arange(4, dtype=np.int64), 1, "u"),
+     "unknown form 'u'"),
     ("commutes", lambda: commutes(PauliString.from_label("X"), PauliString.from_label("XX")),
      "size mismatch: 1 vs 2"),
     ("check_basis", lambda: check_basis(0), "need n >= 1, got 0"),
