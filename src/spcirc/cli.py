@@ -13,11 +13,11 @@ seconds, and the payload (inline JSON or the path of the file written).
 Importing this module registers numpy, unless the process has imported it
 already, and the package's other modules without executing them
 (``_register_lazily``), so a run executes only the modules its subcommand
-reads: a closure ``errors``, ``pauli``, ``kernels`` and ``lie_closure``.
-numpy runs at its first use, in the run, so the dry runs and refusals of
-``closure``, ``sample``, ``gram``, ``gp``, ``gp-summary``, ``concentration``,
-``anticoncentration``, ``anticoncentration-depth`` and ``collision`` never
-load it; the plans of ``twirl`` and ``simulate`` read arrays.
+reads: a closure ``errors``, ``pauli``, ``kernels`` and ``lie_closure`` and
+no numpy. numpy runs at its first use, in the run, so the dry runs and
+refusals of ``closure``, ``sample``, ``gram``, ``gp``, ``gp-summary``,
+``concentration``, ``anticoncentration``, ``anticoncentration-depth`` and
+``collision`` never load it; the plans of ``twirl`` and ``simulate`` do.
 """
 
 from __future__ import annotations
@@ -88,12 +88,12 @@ def _build_id() -> str:
 
 def _payload(result, *fields) -> dict:
     """A result dataclass as a JSON payload; each field is a name or a
-    (payload key, name) pair, and numpy arrays become lists."""
+    (payload key, name) pair, and numpy values (by ``tolist``) become lists."""
     out = {}
     for field in fields:
         key, name = field if isinstance(field, tuple) else (field, field)
         value = getattr(result, name)
-        out[key] = value.tolist() if isinstance(value, np.ndarray) else value
+        out[key] = value.tolist() if hasattr(value, "tolist") else value
     return out
 
 
@@ -139,7 +139,7 @@ _GENERATOR_SETS = {"theorem1": "theorem1_generators", "prop2": "prop2_generators
 
 
 def _plan_closure(args):
-    lie_closure.check_closure(args.n)
+    lie_closure.check_closure(args.n)  # before a set is built, so a vast n costs O(1)
     added = {}
     if (args.set == "custom") != (args.generators is not None):
         raise DomainError("--generators FILE goes with --set custom, and only with it")
@@ -151,6 +151,7 @@ def _plan_closure(args):
         gens = lie_closure.GeneratorSet(args.n, tuple(map(pauli.PauliString.from_label, labels)))
     else:
         gens = getattr(lie_closure, _GENERATOR_SETS[args.set])(args.n)
+    lie_closure.check_closure(args.n, len(gens.generators))
 
     def run():
         res = lie_closure.closure(gens)

@@ -1,4 +1,4 @@
-"""Hot numerical kernels, vectorized with numpy.
+"""Hot numerical kernels: numpy arrays, and Python integers as bit sets.
 
 Three kernels carry the package's inner loops: ``apply_gate`` on the
 amplitude axis, ``transfer_apply`` for the second-moment propagator's block
@@ -6,13 +6,12 @@ steps and ``closure_round`` for the Lie closure.
 ``benchmarks/bench_kernels.py`` times each kernel, and a circuit of
 rotations, on a representative workload.
 
-``closure_round`` commutes a frontier of Pauli directions with a second set.
-``lie_closure.closure`` passes the generators as that set: the algebra they
-generate is spanned by right-normed brackets [g1, [g2, ... [g(k-1), gk]]],
-and a commutator of two directions is one direction or zero, so a round
-costs |frontier| * |G| parity tests rather than |frontier| * dim. Each
-direction is one int64 key, and the pairs are taken in blocks small enough
-for their temporaries to stay in cache.
+``closure_round`` commutes a frontier of Pauli directions with the
+generators: the algebra they generate is spanned by right-normed brackets
+[g1, [g2, ... [g(k-1), gk]]], and a commutator of two directions is one
+direction or zero, so a round needs no other direction. A set of directions
+is one 4**n-bit integer, and a round costs a few passes over 4**n bits per
+generator, in C, whatever the frontier's size; it loads no numpy.
 
 Conventions shared with the rest of the package:
 
@@ -70,44 +69,27 @@ def transfer_apply(v, T, L, din, R):
 # ---------------------------------------------------------------------------
 # one breadth-first round of Lie-closure commutators over Pauli directions
 
-# (frontier, basis) pairs per block, so that one block's int64 temporaries
-# (256 KiB each) sit in a core's L2 cache. Theorem1 closures at n = 10 and 11
-# take about as long with 2**14 to 2**17 pairs per block, and about 1.2x as
-# long with 2**13 or 2**20.
-CHUNK_PAIRS = 1 << 15
+class Directions(int):
+    """A set of Pauli directions as one 4**n-bit integer: bit k stands for
+    the direction with key k = (x << n) | z. ``size`` counts them."""
+    size = property(int.bit_count)
 
 
 def closure_round(new, n, basis, seen):
-    """Commute each frontier direction with each basis direction; return the
-    fresh commutator directions.
+    """Commute each direction of the frontier ``new`` with each generator of
+    the ``lie_closure.ClosureBasis``; return the fresh commutator directions,
+    those not in ``seen``, as ``Directions``.
 
-    A direction is one int64 key (x << n) | z, the index into ``seen``, a
-    bool array of length 4**n that is updated in place. Two directions
-    anticommute iff popcount(key1 & swap2) is odd, where swap2 = (z2 << n) | x2
-    (it counts x1 & z2 and z1 & x2 at once), and their commutator is then the
-    direction key1 ^ key2. The frontier is processed in blocks of about
-    ``CHUNK_PAIRS`` (frontier, basis) pairs. ``lie_closure.check_closure``
-    admits n <= 12, so a key uses at most 24 bits, and a key with its
-    position in a block fits one int64 for the dedup. Returns the fresh keys
-    in row-major (frontier, basis) order, each at its first occurrence.
-    """
-    if new.size == 0 or basis.size == 0:
-        return np.empty(0, dtype=np.int64)
-    basis_swap = ((basis & ((1 << n) - 1)) << n) | (basis >> n)
-    rows = max(1, CHUNK_PAIRS // basis.size)
-    found = []
-    for start in range(0, new.size, rows):
-        block = new[start:start + rows, None]
-        odd = np.bitwise_count(block & basis_swap)
-        odd &= 1
-        keys = (block ^ basis).ravel()[np.flatnonzero(odd.view(bool))]
-        fresh = np.flatnonzero(~seen[keys])
-        # first occurrence of each fresh key: sort (key, position) packed in
-        # one int64 and keep the head of each run of equal keys
-        tagged = np.sort((keys[fresh] << 32) | fresh)
-        head = np.ones(tagged.size, dtype=bool)
-        np.not_equal(tagged[1:] >> 32, tagged[:-1] >> 32, out=head[1:])
-        keys = keys[np.sort(tagged[head] & 0xFFFFFFFF)]
-        seen[keys] = True
-        found.append(keys)
-    return np.concatenate(found)
+    The commutator of k and g is the direction k ^ g when they anticommute,
+    so a generator's commutators are the translation T_g(new) = {k ^ g} of
+    the frontier, restricted to the directions that anticommute with g (a set
+    T_g maps to itself). Each translation is built from the one before, one
+    swap of 2**b-bit blocks per key bit b that differs. ``n`` is not read."""
+    out, moved = 0, new
+    for anticommuting_g, swaps in basis:
+        for shift, ones in swaps:
+            high = moved & ones
+            moved = (high >> shift) | ((moved ^ high) << shift)
+        out |= moved & anticommuting_g
+    # out & ~seen: ~ makes a negative integer, and & on one costs about 6x
+    return Directions(out ^ (out & seen))

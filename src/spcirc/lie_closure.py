@@ -8,19 +8,22 @@ single direction, so every right-normed bracket is, up to a factor, one
 direction, and distinct directions are linearly independent. A breadth-first
 search that starts from G and commutes each newly found direction with the
 generators only therefore reaches exactly the directions whose span is the
-closure, and the dimension is their count: O(dim * |G|) commutators, not the
-O(dim**2) of commuting with the whole basis. The generator families are the
-symplectic-universal chain set, the SU-universal local set, and the
+closure, and the dimension is their count. Every set of directions is one
+4**n-bit integer, and a round meets the frontier with all of G at once in
+operations on such sets (``kernels.closure_round``). The generator families
+are the symplectic-universal chain set, the SU-universal local set, and the
 orthogonal Y/XY/YX chain. Membership in sp and so is ``pauli.in_algebra``'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from . import kernels
 from .errors import DomainError, check_bytes, np
-from .pauli import RULE_KEYS, PauliString, in_algebra, sp_dimension
+from .pauli import FORMS, PauliString, sp_dimension
 
 
 @dataclass(frozen=True)
@@ -43,17 +46,23 @@ class GeneratorSet:
 
 @dataclass(frozen=True, eq=False)
 class ClosureResult:
-    """The closure's directions as int64 keys (x << n) | z, in discovery
-    order; ``basis`` builds the ``PauliString`` objects on request."""
+    """The closure's directions as one 4**n-bit set, bit k for the direction
+    with key k = (x << n) | z. ``keys`` (int64) and ``basis`` list them in
+    ascending key order; both are built on request, and only they run numpy."""
 
     n: int
-    keys: np.ndarray
+    directions: int
     iterations: int
     classification: str
 
     @property
     def dimension(self) -> int:
-        return int(self.keys.size)
+        return self.directions.bit_count()
+
+    @property
+    def keys(self) -> np.ndarray:
+        packed = self.directions.to_bytes(-(-4**self.n // 8), "little")
+        return np.flatnonzero(np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little"))
 
     @property
     def basis(self) -> tuple[PauliString, ...]:
@@ -123,51 +132,97 @@ def so_chain_generators(n: int) -> GeneratorSet:
     return GeneratorSet(n, _chain(n, spec))
 
 
-def classify(n: int, keys: np.ndarray) -> str:
-    """Map a commutator-closed set of directions, given by their keys, to
+def key_bit(n: int, b: int) -> int:
+    """The keys below 4**n with bit b set, as one set: 2**b set bits every
+    2**(b + 1), tiled by doubling."""
+    keys, period = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+    while period < 4**n:
+        keys |= keys << period
+        period <<= 1
+    return keys
+
+
+def anticommuting(n: int, key: int, bits: list) -> int:
+    """The directions that anticommute with the direction ``key``, given the
+    ``key_bit`` sets: k anticommutes iff popcount(k & swap) is odd, where
+    swap = (z << n) | x, so the set is the symmetric difference of the key
+    bits set in swap."""
+    swap = ((key & ((1 << n) - 1)) << n) | (key >> n)
+    return reduce(xor, (bits[b] for b in range(2 * n) if swap >> b & 1), 0)
+
+
+class ClosureBasis(tuple):
+    """Per generator, on a path from key 0: the directions it anticommutes
+    with, and a (2**b, key_bit(n, b)) pair per key bit b in which it differs
+    from the generator before it. ``size`` counts the generators."""
+    size = property(len)
+
+
+def closure_basis(n: int, keys: list) -> ClosureBasis:
+    """The ``ClosureBasis`` of the generators with these keys, on a greedy
+    nearest-neighbour path, which keeps the swaps of a round few."""
+    bits = [key_bit(n, b) for b in range(2 * n)]
+    out, here, left = [], 0, list(keys)
+    while left:
+        g = min(left, key=lambda k: (k ^ here).bit_count())
+        left.remove(g)
+        out.append((anticommuting(n, g, bits),
+                    tuple((1 << b, bits[b]) for b in range(2 * n) if (g ^ here) >> b & 1)))
+        here = g
+    return ClosureBasis(out)
+
+
+def classify(n: int, directions: int) -> str:
+    """Map a commutator-closed set of directions, given as a 4**n-bit set, to
     sp | su | so | other.
 
     sp: dimension d(d+1)/2 with every member in ``pauli.in_algebra``'s "sp"
     form; su: dimension d**2 - 1; so: dimension d(d-1)/2 with every member in
-    its "o" form. The rules run over blocks of keys, so their temporaries stay
-    block-sized.
+    its "o" form. A form has exactly that many members, so the set passes iff
+    it equals them: the directions with an odd Y count popcount(x & z),
+    symmetric difference those that anticommute with F.
     """
     d = 2 ** n
-    dim = keys.size
+    dim = directions.bit_count()
 
-    def every(form):
-        return all(in_algebra(keys[i:i + RULE_KEYS], n, form).all()
-                   for i in range(0, dim, RULE_KEYS))
+    def members(form):
+        bits = [key_bit(n, b) for b in range(2 * n)]
+        f = FORMS[form](n)
+        y_odd = reduce(xor, (bits[n + j] & bits[j] for j in range(n)), 0)
+        return y_odd ^ anticommuting(n, (f.x_mask << n) | f.z_mask, bits)
 
     if dim == 0:
         return "other"
-    if dim == sp_dimension(n) and every("sp"):
+    if dim == sp_dimension(n) and directions == members("sp"):
         return "sp"
     if dim == d * d - 1:
         return "su"
-    if dim == d * (d - 1) // 2 and every("o"):
+    if dim == d * (d - 1) // 2 and directions == members("o"):
         return "so"
     return "other"
 
 
-# Bytes a closure may hold, per direction of the 4**n table: one ``seen`` flag,
-# a slot for its int64 key, and in the worst case one round's fresh keys in
-# blocks plus their concatenation (8 B each). Plus one block of
-# ``kernels.closure_round``, for which tracemalloc measured at most 27.5 B per
-# pair when every pair anticommutes; ``classify`` comes after the last round
-# and holds less than one such block. Measured the same way, a theorem1
-# closure peaks at 1.3 MiB at n = 8, 11.2 MiB at n = 10 and 44.3 MiB at n = 11.
-_BYTES_PER_DIRECTION = 1 + 8 + 16
-_BLOCK_BYTES = 32 * kernels.CHUNK_PAIRS
+# Sets of 4**n bits a closure holds at once, besides one per generator and
+# one per key bit: seen, the frontier, the round's union, the moving
+# translation and the four temporaries of a block swap. In 30-bit digits of
+# 4 B a set costs 16/15 bit per table entry. ``ClosureResult.keys`` holds
+# 8 B per direction, 1 B per entry unpacked and its packed copy: 73 bits,
+# counted on top, a bound for a caller who keeps one closure's keys while
+# running the next. tracemalloc measured theorem1 closures at 49.6, 59.8 and
+# 65.1 sets at n = 8, 10 and 11 (49.1, 59.7 and 65.1 counted; the rest is
+# small objects), and their keys, half the table, at 41 sets more.
+_FIXED_SETS = 8
+_KEY_BITS = 73
 
 
-def check_closure(n: int) -> None:
-    """Checks of ``closure``, made before any generator or table is built."""
+def check_closure(n: int, size: int | None = None) -> None:
+    """Checks of ``closure`` for ``size`` generators, before any set is built;
+    None stands for 3n - 2, the size of each named set, for a plan's check."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    # the block is rounded up per direction: 4**n is never computed
-    check_bytes(f"the closure table at n = {n}",
-                _BYTES_PER_DIRECTION + -(-_BLOCK_BYTES >> 2 * n), 4, n)
+    sets = (3 * n - 2 if size is None else size) + 2 * n + _FIXED_SETS
+    # in whole bytes per table entry, rounded up: 4**n is never computed
+    check_bytes(f"the closure sets at n = {n}", -(-(16 * sets + 15 * _KEY_BITS) // 120), 4, n)
 
 
 def closure(g: GeneratorSet) -> ClosureResult:
@@ -176,26 +231,22 @@ def closure(g: GeneratorSet) -> ClosureResult:
     Breadth-first search over right-normed brackets: round k commutes the
     directions first found in round k-1 (the generators in round 1) with the
     generators only; ``iterations`` counts rounds until one finds no new
-    direction. Directions are listed in discovery order, which is
-    deterministic given the generator order.
+    direction. Every set is a 4**n-bit integer (``kernels.Directions``).
     """
     n = g.n
-    check_closure(n)
-    gens = np.array([(p.x_mask << n) | p.z_mask for p in g.generators], dtype=np.int64)
-    seen = np.zeros(4 ** n, dtype=bool)
-    seen[gens] = True
-
-    # room for every direction; only the pages that get written are touched
-    keys = np.empty(4 ** n, dtype=np.int64)
-    start, count = 0, gens.size
-    keys[:count] = gens
+    check_closure(n, len(g.generators))
+    keys = [(p.x_mask << n) | p.z_mask for p in g.generators]
+    # glibc serves a block larger than the largest mapped block freed so far
+    # from fresh pages, and unmaps free heap past twice that: one freed block
+    # of _FIXED_SETS sets keeps the rounds' sets on reused pages (at n = 12,
+    # 445 000 page faults fewer and 1.15x faster); other allocators free it
+    bytes(_FIXED_SETS * -(-4**n // 8))
+    basis = closure_basis(n, keys)
+    new = seen = kernels.Directions(sum(1 << k for k in keys))  # the keys are distinct
     iterations = 0
-    while start < count:
-        found = kernels.closure_round(keys[start:count], n, gens, seen)
+    while new:
+        new = kernels.closure_round(new, n, basis, seen)
+        seen |= new
         iterations += 1
-        start, count = count, count + found.size
-        keys[start:count] = found
-
-    # shrink the buffer in place to the keys found (no view of it is left)
-    keys.resize(count, refcheck=False)
-    return ClosureResult(n, keys, iterations, classify(n, keys))
+    del basis, new  # freed before classify builds its sets
+    return ClosureResult(n, seen, iterations, classify(n, seen))

@@ -76,7 +76,9 @@ class PauliString:
         if not 1 <= qubit <= n:
             raise DomainError(f"qubit {qubit} outside 1..{n}")
         if kind not in _MASKS:
-            raise DomainError(f"unknown Pauli kind {kind!r}; expected I, X, Y or Z")
+            raise DomainError(f"unknown Pauli kind {kind!r}; expected X, Y or Z")
+        if kind == "I":
+            raise DomainError("a single factor is X, Y or Z, not the identity I")
         x, z = _MASKS[kind]
         bit = 1 << (qubit - 1)
         return cls(n, x * bit, z * bit, 0)
@@ -206,7 +208,7 @@ def in_algebra(keys: np.ndarray, n: int, form: str) -> np.ndarray:
     """Which directions, given as int64 keys (x << n) | z, lie in the algebra
     of ``form``: y(P) + [P anticommutes with F] is odd. The Y count is
     popcount((k >> n) & k) and the anticommutation parity popcount(k & swap_F)
-    with swap_F = (z_F << n) | x_F, as in ``kernels.closure_round``; one
+    with swap_F = (z_F << n) | x_F, as in ``lie_closure.anticommuting``; one
     popcount of their xor gives the sum's parity."""
     if form not in FORMS:
         raise DomainError(f"unknown form {form!r}; expected 'sp' or 'o'")

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spcirc
-from spcirc import brauer, circuit, cli, lie_closure, moment
+from spcirc import brauer, circuit, cli, lie_closure, moment, pauli
 from spcirc.cli import main
 from spcirc.errors import MEMORY_LIMIT, CapacityError, DomainError
 from spcirc.sampler import check_sample, symplectic_defect
@@ -1167,8 +1167,41 @@ def test_dry_runs_and_refusals_load_no_numpy(tmp_path):
     assert fresh(code) == str(want)
 
 
+def test_a_closure_run_loads_no_numpy(tmp_path):
+    """A closure is rounds over Python integers, and its payload holds plain
+    values, so a real run, named set or custom, never loads numpy."""
+    (tmp_path / "gens.json").write_text(json.dumps(["YII", "IYI", "IIY", "XII", "ZZI",
+                                                    "IXY", "IYX"]))
+    runs = [["closure", "--set", "theorem1", "--n", "8"],
+            ["closure", "--set", "custom", "--n", "3", "--generators",
+             str(tmp_path / "gens.json")]]
+    code = ("import contextlib, io, json, sys, spcirc.cli\n"
+            "seen = []\n"
+            f"for a in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        code = spcirc.cli.main(a)\n"
+            "    p = json.loads(out.getvalue())['payload']\n"
+            "    seen.append((code, p['dimension'], p['classification'], "
+            "'numpy._core' in sys.modules))\n"
+            "print(seen)")
+    assert fresh(code) == str([(0, 32896, "sp", False), (0, 36, "sp", False)])
+
+
+def test_a_custom_set_too_large_for_the_closure_is_refused_before_the_run(tmp_path, capsys):
+    """The byte rule counts one set per generator, so 400 generators at n = 12
+    (19 B per direction of the table past 1 GiB) exit 2 on the dry run and the
+    real run alike, where theorem1's 34 are admitted."""
+    labels = [pauli.PauliString(12, k >> 12, k & 4095).to_label() for k in range(1, 401)]
+    (tmp_path / "gens.json").write_text(json.dumps(labels))
+    argv = ["closure", "--set", "custom", "--n", "12", "--generators", str(tmp_path / "gens.json")]
+    for extra in (["--dry-run"], []):
+        code, _, err = run(argv + extra, capsys)
+        assert code == 2 and "the closure sets at n = 12" in err
+    assert run(["closure", "--set", "theorem1", "--n", "12", "--dry-run"], capsys)[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
-    pytest.param(["closure", "--set", "theorem1", "--n", "3"], id="closure"),
+    pytest.param(["collision", "--n", "3", "--layers", "2"], id="collision"),
     pytest.param(["anticoncentration-depth", "--n-min", "2", "--n-max", "4",
                   "--out", "{tmp}/d.csv"], id="depth"),
     pytest.param(["gp-summary", "--config", "{tmp}/gp.json", "--seed", "1"], id="gp-summary"),

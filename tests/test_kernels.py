@@ -4,7 +4,7 @@ closure round."""
 import numpy as np
 import pytest
 
-from spcirc import kernels
+from spcirc import kernels, lie_closure
 from spcirc.lie_closure import prop2_generators, so_chain_generators, theorem1_generators
 
 
@@ -127,55 +127,70 @@ def test_transfer_apply_matches_einsum():
 
 
 def closure_round_reference(new, n, basis, seen):
-    """Frontier-major double loop over (x, z) masks: each anticommuting pair
-    whose commutator direction is unseen is recorded and marked seen on the
-    spot."""
-    found = []
-    for ki in new.tolist():
-        for kj in basis.tolist():
+    """Double loop over (x, z) masks with set semantics: the commutator
+    directions of the anticommuting (frontier, basis) pairs that are not in
+    ``seen``."""
+    found = set()
+    for ki in new:
+        for kj in basis:
             xi, zi, xj, zj = ki >> n, ki & (2**n - 1), kj >> n, kj & (2**n - 1)
             if (bin(xi & zj).count("1") + bin(zi & xj).count("1")) & 1:
                 key = ((xi ^ xj) << n) | (zi ^ zj)
-                if not seen[key]:
-                    seen[key] = True
-                    found.append(key)
+                if key not in seen:
+                    found.add(key)
     return found
+
+
+def as_set(keys):
+    """Keys as one integer with bit k set for key k (through a bit string, so
+    that a large key costs no shift of a large integer)."""
+    keys = set(keys)
+    bits = ["0"] * (max(keys, default=0) + 1)
+    for k in keys:
+        bits[-1 - k] = "1"
+    return int("".join(bits), 2)
+
+
+def members(directions):
+    return {k for k, bit in enumerate(reversed(bin(directions)[2:])) if bit == "1"}
 
 
 def assert_round_matches_reference(new, n, basis, seen):
-    ref_seen = seen.copy()
-    expected = closure_round_reference(new, n, basis, ref_seen)
-    found = kernels.closure_round(new, n, basis, seen)
-    assert found.dtype == np.int64
-    assert found.tolist() == expected
-    assert np.array_equal(seen, ref_seen)
-    return found
+    """One kernel round on the sets of these keys against the reference;
+    returns the fresh keys."""
+    expected = closure_round_reference(new, n, basis, seen)
+    found = kernels.closure_round(kernels.Directions(as_set(new)), n,
+                                  lie_closure.closure_basis(n, basis), as_set(seen))
+    assert isinstance(found, kernels.Directions) and found.size == len(expected)
+    assert members(found) == expected
+    return expected
 
 
 def keys(gens):
-    return np.array([(p.x_mask << p.n) | p.z_mask for p in gens], dtype=np.int64)
+    return [(p.x_mask << p.n) | p.z_mask for p in gens]
 
 
 def rounds_against_reference(g, grow_basis):
     """Run closure rounds from g's generators until one finds nothing, each
-    round checked against the reference. The frontier meets the generators,
-    as ``closure`` runs it, or with ``grow_basis`` every direction found so
-    far. Returns the round count, the commutator directions hit more than
-    once within a round, and the directions found in all."""
+    round checked against the reference, and ``seen`` grown by each round's
+    directions. The frontier meets the generators, as ``closure`` runs it, or
+    with ``grow_basis`` every direction found so far. Returns the round count,
+    the commutator directions hit more than once within a round, and the
+    directions found in all."""
     n = g.n
     basis = new = keys(g.generators)
-    seen = np.zeros(4**n, dtype=bool)
-    seen[basis] = True
+    seen = set(basis)
     rounds = repeated = 0
-    while new.size:
-        pairs = [ki ^ kj for ki in new.tolist() for kj in basis.tolist()
+    while new:
+        pairs = [ki ^ kj for ki in new for kj in basis
                  if bin(ki & (((kj & (2**n - 1)) << n) | (kj >> n))).count("1") & 1]
         repeated += len(pairs) - len(set(pairs))
-        new = assert_round_matches_reference(new, n, basis, seen)
+        new = sorted(assert_round_matches_reference(new, n, basis, seen))
+        seen |= set(new)
         if grow_basis:
-            basis = np.concatenate([basis, new])
+            basis = basis + new
         rounds += 1
-    return rounds, repeated, int(seen.sum())
+    return rounds, repeated, len(seen)
 
 
 def test_closure_round_matches_python_loop_on_theorem1_rounds():
@@ -206,49 +221,33 @@ def test_closure_round_matches_python_loop_at_twelve_qubits():
     new_x, new_z = gen.integers(0, 2**n, size=(2, 300), dtype=np.int64)
     new_x[::3] |= 1 << 11
     new_z[::3] |= 1 << 11
-    new = (new_x << n) | new_z
-    seen = np.zeros(4**n, dtype=bool)
-    seen[gens] = True
-    pair_keys = new[:, None] ^ gens
-    seen[gen.choice(pair_keys.ravel(), size=pair_keys.size // 3)] = True
+    new = ((new_x << n) | new_z).tolist()
+    pair_keys = (np.array(new)[:, None] ^ np.array(gens)).ravel()
+    seen = set(gens) | set(gen.choice(pair_keys, size=pair_keys.size // 3).tolist())
     found = assert_round_matches_reference(new, n, gens, seen)
     both = (1 << (n + 11)) | (1 << 11)
-    assert found.size > 1000 and ((found & both) == both).any()
+    assert len(found) > 1000 and any(k & both == both for k in found)
 
 
-def test_closure_round_returns_int64_empties():
+def test_closure_round_returns_empty_sets():
     n = 3
     gens = keys(theorem1_generators(n).generators)
-    none = np.empty(0, dtype=np.int64)
-    seen = np.zeros(4**n, dtype=bool)
-    for new, basis in [(none, gens), (gens, none)]:
-        found = kernels.closure_round(new, n, basis, seen)
-        assert found.size == 0 and found.dtype == np.int64
-    assert not seen.any()
+    for new, basis in [([], gens), (gens, [])]:
+        found = assert_round_matches_reference(new, n, basis, set())
+        assert found == set()
 
 
-def test_closure_round_keeps_first_of_repeats_within_one_frontier_entry():
+def test_closure_round_finds_a_repeated_commutator_once():
     n = 2
     # a basis that lists Z1 twice: X1 meets it twice in one frontier entry
-    basis = np.array([0b10_00, 0b00_10, 0b00_10, 0b01_01], dtype=np.int64)
-    new = np.array([0b10_00, 0b01_00], dtype=np.int64)
-    seen = np.zeros(4**n, dtype=bool)
-    seen[basis] = True
-    found = assert_round_matches_reference(new, n, basis, seen)
-    assert found.size == 2
+    basis = [0b10_00, 0b00_10, 0b00_10, 0b01_01]
+    found = assert_round_matches_reference([0b10_00, 0b01_00], n, basis, set(basis))
+    assert len(found) == 2
 
 
-def test_closure_round_is_chunk_size_independent(monkeypatch):
-    # chunks of one and of a few frontier rows: dedup across chunks goes
-    # through ``seen``, so every round must still match the reference
-    n = 4
-    gens = keys(theorem1_generators(n).generators)
-    for chunk_pairs in (1, 3 * gens.size + 1):
-        monkeypatch.setattr(kernels, "CHUNK_PAIRS", chunk_pairs)
-        seen = np.zeros(4**n, dtype=bool)
-        seen[gens] = True
-        new, total = gens, gens.size
-        while new.size:
-            new = assert_round_matches_reference(new, n, gens, seen)
-            total += new.size
-        assert total == 2**n * (2**n + 1) // 2
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_key_bits_and_set_sizes(n):
+    for b in range(2 * n):
+        assert lie_closure.key_bit(n, b) == as_set(k for k in range(4**n) if k >> b & 1)
+    assert kernels.Directions(as_set([1, 2, 3])).size == 3
+    assert lie_closure.closure_basis(n, [1, 2, 3]).size == 3

@@ -1,5 +1,5 @@
 """Closure dimensions against the frozen family values, and the
-generator-bracket closure against the closure over the whole basis."""
+generator-bracket closure against a plain-Python closure over the whole basis."""
 
 import hashlib
 import tracemalloc
@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spcirc import kernels
 from spcirc.errors import CapacityError, DomainError
 from spcirc.lie_closure import (
     GeneratorSet,
@@ -128,25 +127,36 @@ def test_check_closure_byte_bound():
 # -- the closure over the whole basis, as an oracle ---------------------------------
 
 def closure_over_basis(g):
-    """Direction set of the closure by commuting each round's frontier with
-    every direction found so far."""
-    n = g.n
-    found = new = keys(g.generators)
-    seen = np.zeros(4**n, dtype=bool)
-    seen[found] = True
-    while new.size:
-        new = kernels.closure_round(new, n, found, seen)
-        found = np.concatenate([found, new])
-    return found
+    """Direction set of the closure, as (x, z) mask pairs: each round's
+    frontier is commuted with every direction found so far, one
+    ``pauli.commutator`` per unordered pair."""
+    found = {(p.x_mask, p.z_mask): p for p in g.generators}
+    older, new = [], list(found.values())
+    while new:
+        fresh = {}
+        for i, a in enumerate(new):
+            for b in older + new[i + 1:]:
+                c = commutator(a, b)
+                if c is not None and (c.x_mask, c.z_mask) not in found:
+                    fresh[c.x_mask, c.z_mask] = c
+        found.update(fresh)
+        older += new
+        new = list(fresh.values())
+    return set(found)
+
+
+def as_set(n, masks):
+    """(x, z) mask pairs as the 4**n-bit set ``classify`` reads."""
+    return sum(1 << ((x << n) | z) for x, z in set(masks))
 
 
 def assert_matches_basis_closure(g):
     res = closure(g)
     expected = closure_over_basis(g)
-    got = set(res.keys.tolist())
-    assert got == set(expected.tolist()), [str(p) for p in g.generators]
-    assert res.dimension == expected.size == len(got)
-    assert res.classification == classify(g.n, expected)
+    got = {(p.x_mask, p.z_mask) for p in res.basis}
+    assert got == expected, [str(p) for p in g.generators]
+    assert res.dimension == len(expected)
+    assert res.classification == classify(g.n, as_set(g.n, expected))
     return res
 
 
@@ -185,23 +195,29 @@ def test_vectorised_rules_match_per_object_rules(n):
         assert in_algebra(keys(paulis), n, form).tolist() == list(map(rule, paulis)), form
 
 
+def directions(paulis):
+    return sum(1 << ((p.x_mask << p.n) | p.z_mask) for p in paulis)
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_classify_on_known_bases(n):
+    # the sets classify compares with are in_algebra's members: a set of the
+    # right size passes, and the same set with one member swapped fails
     d = 2**n
     everything = [PauliString(n, k >> n, k & (d - 1)) for k in range(1, 4**n)]
     sp = enumerate_sp_basis(n)
     so = [p for p in everything if p.y_count % 2 == 1]
-    assert classify(n, keys(sp)) == "sp"
+    assert classify(n, directions(sp)) == "sp"
     # sp(1) = su(2): at n = 1 the rule for sp comes first
-    assert classify(n, keys(everything)) == ("su" if n > 1 else "sp")
-    assert classify(n, keys(so)) == "so"
-    assert classify(n, keys([])) == "other"
+    assert classify(n, directions(everything)) == ("su" if n > 1 else "sp")
+    assert classify(n, directions(so)) == "so"
+    assert classify(n, 0) == "other"
     # the right sizes with one member outside the algebra
     symmetric = [p for p in everything if p.y_count % 2 == 0]
-    assert classify(n, keys(so[:-1] + symmetric[:1])) == "other"
+    assert classify(n, directions(so[:-1] + symmetric[:1])) == "other"
     if n > 1:
         outside_sp = next(p for p in everything if not in_sp_algebra(p))
-        assert classify(n, keys(sp[:-1] + [outside_sp])) == "other"
+        assert classify(n, directions(sp[:-1] + [outside_sp])) == "other"
 
 
 def test_theorem1_n9():
@@ -210,8 +226,9 @@ def test_theorem1_n9():
 
 
 def test_result_holds_only_its_keys():
-    # the 4**n key buffer shrinks to the keys found: the 524 800 directions of
-    # sp(512) hold 4.0 MiB, not the 8 MiB of the buffer
+    # the result holds its directions as one 4**n-bit set: the 524 800
+    # directions of sp(512) take 128 KiB (and CPython's 30 bits per 4-byte
+    # digit), not the 4 MiB of their int64 keys
     closure(theorem1_generators(3))  # warm
     tracemalloc.start()
     try:
@@ -219,17 +236,28 @@ def test_result_holds_only_its_keys():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert res.keys.base is None and res.keys.nbytes == 8 * res.dimension == 8 * 524800
-    assert held <= res.keys.nbytes + 64 * 1024
+    assert res.dimension == 524800
+    assert held <= 4**10 // 8 * 16 // 15 + 64 * 1024
 
 
 def test_theorem1_discovery_order_at_n8():
-    # the directions in discovery order, as little-endian int64 x then z masks
+    # the directions in ascending key order, as little-endian int64 x then z
+    # masks; the pin is the sorted keys of the breadth-first engine that
+    # listed them in discovery order, so the set is unchanged
     res = closure(theorem1_generators(8))
+    assert res.keys.dtype == np.int64 and (np.diff(res.keys) > 0).all()
     x, z = res.keys >> 8, res.keys & (2**8 - 1)
     masks = x.astype("<i8").tobytes() + z.astype("<i8").tobytes()
     assert hashlib.sha256(masks).hexdigest() == (
-        "60c6aa4583f9844dafcc5a79b1feeaf6b7fdc6b75105b2f67b03e8dddc515cdd")
+        "f4b9cc087f801b4faf11b7a2aae7248b6a42b26eb579c5ad5c6a312a708ef81a")
+
+
+def test_a_library_caller_reads_keys_and_basis():
+    res = closure(prop2_generators(3))
+    keys = res.keys
+    assert keys.tolist() == sorted(set(keys.tolist())) and keys.size == res.dimension == 63
+    assert [(p.x_mask << 3) | p.z_mask for p in res.basis] == keys.tolist()
+    assert res.basis[0].phase_exp == 0 and res.directions == sum(1 << k for k in keys.tolist())
 
 
 # -- translation-invariant nearest-neighbour sets ------------------------------------

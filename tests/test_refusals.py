@@ -53,6 +53,8 @@ REFUSALS = [
     ("dense_second_moment", lambda: dense_second_moment(1, 1), "need n >= 2, got 1"),
     ("PauliString.single-kind", lambda: PauliString.single(3, 1, "W"),
      "unknown Pauli kind 'W'"),
+    ("PauliString.single-identity", lambda: PauliString.single(3, 1, "I"),
+     "a single factor is X, Y or Z, not the identity I"),
     ("in_algebra-form", lambda: in_algebra(np.arange(4, dtype=np.int64), 1, "u"),
      "unknown form 'u'"),
     ("commutes", lambda: commutes(PauliString.from_label("X"), PauliString.from_label("XX")),
