@@ -12,18 +12,16 @@ closure, and the dimension is their count. Every set of directions is one
 4**n-bit integer, and a round meets the frontier with all of G at once in
 operations on such sets (``kernels.closure_round``). The generator families
 are the symplectic-universal chain set, the SU-universal local set, and the
-orthogonal Y/XY/YX chain. Membership in sp and so is ``pauli.in_algebra``'s.
+orthogonal Y/XY/YX chain. Keys, sets and member sets are ``pauli``'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import xor
 
 from . import kernels
-from .errors import DomainError, check_bytes, np
-from .pauli import FORMS, PauliString, sp_dimension
+from .errors import DomainError, check_bytes
+from .pauli import PauliString, anticommuting, key_bit, members, sp_dimension
 
 
 @dataclass(frozen=True)
@@ -47,8 +45,7 @@ class GeneratorSet:
 @dataclass(frozen=True, eq=False)
 class ClosureResult:
     """The closure's directions as one 4**n-bit set, bit k for the direction
-    with key k = (x << n) | z. ``keys`` (int64) and ``basis`` list them in
-    ascending key order; both are built on request, and only they run numpy."""
+    with key k = ``PauliString.key``; ``pauli.strings`` lists them."""
 
     n: int
     directions: int
@@ -58,16 +55,6 @@ class ClosureResult:
     @property
     def dimension(self) -> int:
         return self.directions.bit_count()
-
-    @property
-    def keys(self) -> np.ndarray:
-        packed = self.directions.to_bytes(-(-4**self.n // 8), "little")
-        return np.flatnonzero(np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little"))
-
-    @property
-    def basis(self) -> tuple[PauliString, ...]:
-        mask = (1 << self.n) - 1
-        return tuple(PauliString(self.n, k >> self.n, k & mask, 0) for k in self.keys.tolist())
 
 
 def _chain(n, spec_pairs):
@@ -132,25 +119,6 @@ def so_chain_generators(n: int) -> GeneratorSet:
     return GeneratorSet(n, _chain(n, spec))
 
 
-def key_bit(n: int, b: int) -> int:
-    """The keys below 4**n with bit b set, as one set: 2**b set bits every
-    2**(b + 1), tiled by doubling."""
-    keys, period = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
-    while period < 4**n:
-        keys |= keys << period
-        period <<= 1
-    return keys
-
-
-def anticommuting(n: int, key: int, bits: list) -> int:
-    """The directions that anticommute with the direction ``key``, given the
-    ``key_bit`` sets: k anticommutes iff popcount(k & swap) is odd, where
-    swap = (z << n) | x, so the set is the symmetric difference of the key
-    bits set in swap."""
-    swap = ((key & ((1 << n) - 1)) << n) | (key >> n)
-    return reduce(xor, (bits[b] for b in range(2 * n) if swap >> b & 1), 0)
-
-
 class ClosureBasis(tuple):
     """Per generator, on a path from key 0: the directions it anticommutes
     with, and a (2**b, key_bit(n, b)) pair per key bit b in which it differs
@@ -176,28 +144,20 @@ def classify(n: int, directions: int) -> str:
     """Map a commutator-closed set of directions, given as a 4**n-bit set, to
     sp | su | so | other.
 
-    sp: dimension d(d+1)/2 with every member in ``pauli.in_algebra``'s "sp"
-    form; su: dimension d**2 - 1; so: dimension d(d-1)/2 with every member in
-    its "o" form. A form has exactly that many members, so the set passes iff
-    it equals them: the directions with an odd Y count popcount(x & z),
-    symmetric difference those that anticommute with F.
+    sp: dimension d(d+1)/2 with every member in ``pauli.members(n, "sp")``;
+    su: dimension d**2 - 1; so: dimension d(d-1)/2 with every member in
+    ``members(n, "o")``. A form has exactly that many members, so the set
+    passes iff it equals them.
     """
     d = 2 ** n
     dim = directions.bit_count()
-
-    def members(form):
-        bits = [key_bit(n, b) for b in range(2 * n)]
-        f = FORMS[form](n)
-        y_odd = reduce(xor, (bits[n + j] & bits[j] for j in range(n)), 0)
-        return y_odd ^ anticommuting(n, (f.x_mask << n) | f.z_mask, bits)
-
     if dim == 0:
         return "other"
-    if dim == sp_dimension(n) and directions == members("sp"):
+    if dim == sp_dimension(n) and directions == members(n, "sp"):
         return "sp"
     if dim == d * d - 1:
         return "su"
-    if dim == d * (d - 1) // 2 and directions == members("o"):
+    if dim == d * (d - 1) // 2 and directions == members(n, "o"):
         return "so"
     return "other"
 
@@ -205,8 +165,8 @@ def classify(n: int, directions: int) -> str:
 # Sets of 4**n bits a closure holds at once, besides one per generator and
 # one per key bit: seen, the frontier, the round's union, the moving
 # translation and the four temporaries of a block swap. In 30-bit digits of
-# 4 B a set costs 16/15 bit per table entry. ``ClosureResult.keys`` holds
-# 8 B per direction, 1 B per entry unpacked and its packed copy: 73 bits,
+# 4 B a set costs 16/15 bit per table entry. The int64 keys of a set take
+# 8 B per direction, 1 B per entry unpacked and a packed copy: 73 bits,
 # counted on top, a bound for a caller who keeps one closure's keys while
 # running the next. tracemalloc measured theorem1 closures at 49.6, 59.8 and
 # 65.1 sets at n = 8, 10 and 11 (49.1, 59.7 and 65.1 counted; the rest is
@@ -235,7 +195,7 @@ def closure(g: GeneratorSet) -> ClosureResult:
     """
     n = g.n
     check_closure(n, len(g.generators))
-    keys = [(p.x_mask << n) | p.z_mask for p in g.generators]
+    keys = [p.key for p in g.generators]
     # glibc serves a block larger than the largest mapped block freed so far
     # from fresh pages, and unmaps free heap past twice that: one freed block
     # of _FIXED_SETS sets keeps the rounds' sets on reused pages (at n = 12,

@@ -1,4 +1,5 @@
-"""Symbolic n-qubit Pauli strings and the symplectic-algebra membership test.
+"""Symbolic n-qubit Pauli strings, sets of Pauli directions and the
+symplectic-algebra membership test.
 
 Encoding: a PauliString holds two n-bit masks and a global phase exponent.
 Bit j-1 of each mask describes qubit j (qubit 1 = leftmost tensor factor);
@@ -22,14 +23,17 @@ Omega = iY (x) I^(x)(n-1), whose dense matrix is ``sampler.omega(2**n)``;
 Omega acts on vectors through ``PauliString.apply`` like any other string. The
 algebra of a form F is {M : M^T F = -F M}; "sp" names F = Omega and "o" names
 F = I. For a Pauli P, P^T = (-1)**y(P) P and P F = +-F P, so iP is a member
-iff y(P) + [P anticommutes with F] is odd: ``in_algebra`` reads this off keys
-(x << n) | z with one popcount, ``in_sp_algebra`` off one PauliString.
+iff y(P) + [P anticommutes with F] is odd: ``in_sp_algebra`` reads this off
+one PauliString, and ``members`` builds all of them as one set of directions,
+a 4**n-bit integer with bit k set for the key k = (x << n) | z of each
+(``PauliString.key``); ``strings`` lists a set as PauliStrings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import xor
 
 from .errors import DomainError, check_bytes, np
 
@@ -127,6 +131,11 @@ class PauliString:
     def y_count(self) -> int:
         return int(self.x_mask & self.z_mask).bit_count()
 
+    @property
+    def key(self) -> int:
+        """(x << n) | z: the direction's bit in a set of directions."""
+        return (self.x_mask << self.n) | self.z_mask
+
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
 
@@ -199,23 +208,6 @@ def symplectic_form(n: int) -> PauliString:
 # (the names of ``brauer``'s forms)
 FORMS = {"sp": symplectic_form, "o": PauliString.identity}
 
-# Keys per block when ``in_algebra`` runs over many keys: its int64
-# temporaries, 32 KiB each, stay block-sized.
-RULE_KEYS = 1 << 12
-
-
-def in_algebra(keys: np.ndarray, n: int, form: str) -> np.ndarray:
-    """Which directions, given as int64 keys (x << n) | z, lie in the algebra
-    of ``form``: y(P) + [P anticommutes with F] is odd. The Y count is
-    popcount((k >> n) & k) and the anticommutation parity popcount(k & swap_F)
-    with swap_F = (z_F << n) | x_F, as in ``lie_closure.anticommuting``; one
-    popcount of their xor gives the sum's parity."""
-    if form not in FORMS:
-        raise DomainError(f"unknown form {form!r}; expected 'sp' or 'o'")
-    f = FORMS[form](n)
-    swap = (f.z_mask << n) | f.x_mask
-    return (np.bitwise_count(((keys >> n) & keys) ^ (keys & swap)) & 1).astype(bool)
-
 
 def in_sp_algebra(p: PauliString) -> bool:
     """True iff iP is a member of sp(d/2) w.r.t. ``symplectic_form``: the
@@ -224,34 +216,66 @@ def in_sp_algebra(p: PauliString) -> bool:
     return (p.y_count + (not commutes(p, symplectic_form(p.n)))) % 2 == 1
 
 
-# Bytes ``enumerate_sp_basis`` holds per entry of the 4**n table, of which the
-# d(d+1)/2 directions are a little over half: per direction one PauliString
-# (the object, its __dict__ and two mask ints past the small-int cache) and
-# its list slot; the keys pass the rule in blocks of ``RULE_KEYS``.
-# tracemalloc measured 116 B per direction at n = 8, 145 B at n = 9, 161 B at
-# n = 10 and 168 B (84 B per table entry) at n = 11, so n = 11 is admitted
-# and n = 12 refused.
-_BASIS_BYTES = 96
+# -- sets of directions: bit k of a 4**n-bit integer for the key k -----------
+
+def key_bit(n: int, b: int) -> int:
+    """The keys below 4**n with bit b set, as one set: 2**b set bits every
+    2**(b + 1), tiled by doubling."""
+    keys, period = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+    while period < 4**n:
+        keys |= keys << period
+        period <<= 1
+    return keys
 
 
-def check_basis(n: int) -> None:
-    """Checks of ``enumerate_sp_basis``."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    check_bytes(f"the sp basis at n = {n}", _BASIS_BYTES, 4, n)
+def anticommuting(n: int, key: int, bits: list) -> int:
+    """The directions that anticommute with the direction ``key``, given the
+    ``key_bit`` sets: k anticommutes iff popcount(k & swap) is odd, where
+    swap = (z << n) | x, so the set is the symmetric difference of the key
+    bits set in swap."""
+    swap = ((key & ((1 << n) - 1)) << n) | (key >> n)
+    return reduce(xor, (bits[b] for b in range(2 * n) if swap >> b & 1), 0)
 
 
-def enumerate_sp_basis(n: int) -> list[PauliString]:
-    """All d(d+1)/2 Pauli directions spanning sp(d/2), d = 2**n, in
-    ascending key (x << n) | z order: the keys 0 .. 4**n - 1 that pass
-    ``in_algebra``'s "sp" rule, in blocks."""
-    check_basis(n)
-    mask = (1 << n) - 1
-    out = []
-    for start in range(0, 4**n, RULE_KEYS):
-        keys = np.arange(start, min(start + RULE_KEYS, 4**n), dtype=np.int64)
-        out += [PauliString(n, k >> n, k & mask, 0)
-                for k in keys[in_algebra(keys, n, "sp")].tolist()]
+def members(n: int, form: str) -> int:
+    """The directions P with iP in the algebra of ``form``, as one set: those
+    with an odd Y count popcount(x & z), symmetric difference those that
+    anticommute with F. Its 2n key bits and four sets more (``reduce`` keeps
+    its last two arguments while the next is built), 16/15 bit per table
+    entry each in 30-bit digits, are checked before any is built."""
+    if form not in FORMS:
+        raise DomainError(f"unknown form {form!r}; expected 'sp' or 'o'")
+    f = FORMS[form](n)  # refuses n < 1
+    check_bytes(f"the {form} members at n = {n}", -(-16 * (2 * n + 4) // 120), 4, n)
+    bits = [key_bit(n, b) for b in range(2 * n)]
+    y_odd = reduce(xor, (bits[n + j] & bits[j] for j in range(n)), 0)
+    return y_odd ^ anticommuting(n, f.key, bits)
+
+
+# Bytes ``strings`` holds per direction: one PauliString (the object, its
+# __dict__ and two mask ints past the small-int cache) and its list slot,
+# besides the set's packed copy; the keys are unpacked in blocks of 4096
+# table entries. tracemalloc measured the sp members at 116 B per direction
+# at n = 8, 145 B at n = 9, 161 B at n = 10 and 168 B at n = 11, so they are
+# listed at n = 11 and refused at n = 12.
+_STRING_BYTES = 192
+
+
+def check_strings(directions: int) -> None:
+    """Checks of ``strings``, before any key is built."""
+    check_bytes(f"the strings of {directions.bit_count()} directions",
+                _STRING_BYTES * directions.bit_count() + directions.bit_length() // 8)
+
+
+def strings(n: int, directions: int) -> list[PauliString]:
+    """The set ``directions`` as unphased PauliStrings in ascending key
+    order: per block, its set bits as int64 keys, each split into masks."""
+    check_strings(directions)
+    packed = np.frombuffer(directions.to_bytes(-(-directions.bit_length() // 8), "little"), "u1")
+    mask, out = (1 << n) - 1, []
+    for start in range(0, packed.size, 512):  # 4096 table entries a block
+        keys = np.flatnonzero(np.unpackbits(packed[start:start + 512], bitorder="little"))
+        out += [PauliString(n, k >> n, k & mask) for k in (keys + 8 * start).tolist()]
     return out
 
 

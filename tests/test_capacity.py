@@ -52,7 +52,7 @@ def test_vast_sizes_are_refused_in_constant_time(nbytes, base, exponent):
 @pytest.mark.parametrize("check,inside", [
     (pauli.check_dense, 12),  # to_dense, to_dense_kron and circuit.to_unitary
     (circuit.check_statevector, 24),  # circuit.apply and simulate
-    (pauli.check_basis, 11),  # enumerate_sp_basis
+    (lambda n: pauli.check_strings(pauli.members(n, "sp")), 11),  # the sp basis as strings
     (moment.check_propagation, 31),  # collision and anticoncentration-depth
     (lambda n: lie_closure.check_closure(n), 12),
 ])
@@ -111,6 +111,10 @@ def commuting_set(n):
     return lie_closure.GeneratorSet(n, tuple(map(PauliString.from_label, labels)))
 
 
+def theorem1_closure(n):
+    return lie_closure.closure(lie_closure.theorem1_generators(n))
+
+
 def pauli_string(n):
     return PauliString.from_label(("XYZ" * n)[:n])
 
@@ -143,8 +147,9 @@ BOUNDED = {
                   4, 64),
     "twirl": (lambda d: partial(brauer.twirl, np.eye(d * d, dtype=complex), 2, d, "o"), 2, 32),
     "twirl_superoperator": (lambda d: partial(brauer.twirl_superoperator, 2, d, "o"), 2, 6),
-    # from n = 9 on, the masks pass the small-int cache
-    "enumerate_sp_basis": (lambda n: partial(pauli.enumerate_sp_basis, n), 3, 9),
+    "members": (lambda n: partial(pauli.members, n, "sp"), 3, 11),
+    # a closure's set as strings; from n = 9 on, the masks pass the small-int cache
+    "strings": (lambda n: partial(pauli.strings, n, theorem1_closure(n).directions), 3, 9),
     "closure": (lambda n: partial(lie_closure.closure, commuting_set(n)), 3, 10),
     "closure-theorem1": (lambda n: partial(lie_closure.closure,
                                            lie_closure.theorem1_generators(n)), 3, 10),

@@ -30,7 +30,7 @@ from spcirc.gp_stats import (
     select_theorem,
     wick_fourth_moments,
 )
-from spcirc.pauli import PauliString, enumerate_sp_basis, to_dense_kron
+from spcirc.pauli import PauliString, members, strings, to_dense_kron
 from spcirc.sampler import (
     FRAME_BLOCK,
     RngStream,
@@ -84,9 +84,9 @@ def projection_overlap(ra, rb):
     """Oracle Tr_g[rho_a rho_b] = (1/d) sum_P Tr[P rho_a] Tr[P rho_b] over the
     d(d+1)/2 sp basis directions, from dense density matrices as given, not
     rebuilt from a spectrum: O(4^n d^2)."""
-    d = len(ra)
+    d, n = len(ra), len(ra).bit_length() - 1
     total = 0.0
-    for p in enumerate_sp_basis(d.bit_length() - 1):
+    for p in strings(n, members(n, "sp")):
         # Tr[P rho] = sum_ij P[i, j] rho[j, i], P from Kronecker products
         m = to_dense_kron(p)
         total += np.real(np.sum(m * ra.T)) * np.real(np.sum(m * rb.T))

@@ -4,7 +4,7 @@ closure round."""
 import numpy as np
 import pytest
 
-from spcirc import kernels, lie_closure
+from spcirc import kernels, lie_closure, pauli
 from spcirc.lie_closure import prop2_generators, so_chain_generators, theorem1_generators
 
 
@@ -248,6 +248,6 @@ def test_closure_round_finds_a_repeated_commutator_once():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_key_bits_and_set_sizes(n):
     for b in range(2 * n):
-        assert lie_closure.key_bit(n, b) == as_set(k for k in range(4**n) if k >> b & 1)
+        assert pauli.key_bit(n, b) == as_set(k for k in range(4**n) if k >> b & 1)
     assert kernels.Directions(as_set([1, 2, 3])).size == 3
     assert lie_closure.closure_basis(n, [1, 2, 3]).size == 3

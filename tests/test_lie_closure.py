@@ -20,10 +20,10 @@ from spcirc.lie_closure import (
 from spcirc.pauli import (
     PauliString,
     commutator,
-    enumerate_sp_basis,
-    in_algebra,
     in_sp_algebra,
+    members,
     sp_dimension,
+    strings,
 )
 
 
@@ -47,7 +47,7 @@ def test_theorem1_classification_and_membership():
     res = closure(theorem1_generators(3))
     assert res.classification == "sp"
     assert res.dimension == sp_dimension(3)
-    assert all(in_sp_algebra(p) for p in res.basis)
+    assert all(in_sp_algebra(p) for p in strings(3, res.directions))
     assert res.iterations >= 2
 
 
@@ -67,18 +67,18 @@ def test_so_chain_dimension():
         d = 2**n
         assert res.dimension == d * (d - 1) // 2
         assert res.classification == "so"
-        assert all(p.y_count % 2 == 1 for p in res.basis)
+        assert all(p.y_count % 2 == 1 for p in strings(n, res.directions))
 
 
 def test_closure_is_commutator_closed_and_idempotent():
     res = closure(theorem1_generators(2))
-    directions = {(p.x_mask, p.z_mask) for p in res.basis}
-    for a in res.basis:
-        for b in res.basis:
+    basis = strings(2, res.directions)
+    for a in basis:
+        for b in basis:
             c = commutator(a, b)
             if c is not None:
-                assert (c.x_mask, c.z_mask) in directions
-    again = closure(GeneratorSet(2, res.basis))
+                assert res.directions >> c.key & 1
+    again = closure(GeneratorSet(2, tuple(basis)))
     assert again.dimension == res.dimension
     assert again.iterations == 1
 
@@ -86,8 +86,7 @@ def test_closure_is_commutator_closed_and_idempotent():
 def test_basis_contains_generators():
     gens = theorem1_generators(4)
     res = closure(gens)
-    dirs = {(p.x_mask, p.z_mask) for p in res.basis}
-    assert all((g.x_mask, g.z_mask) in dirs for g in gens.generators)
+    assert all(res.directions >> g.key & 1 for g in gens.generators)
 
 
 def test_single_generator_closure():
@@ -153,7 +152,7 @@ def as_set(n, masks):
 def assert_matches_basis_closure(g):
     res = closure(g)
     expected = closure_over_basis(g)
-    got = {(p.x_mask, p.z_mask) for p in res.basis}
+    got = {(p.x_mask, p.z_mask) for p in strings(g.n, res.directions)}
     assert got == expected, [str(p) for p in g.generators]
     assert res.dimension == len(expected)
     assert res.classification == classify(g.n, as_set(g.n, expected))
@@ -179,33 +178,30 @@ def test_random_generator_sets_match_basis_closure():
     assert len(kinds) >= 2, kinds
 
 
-# -- classification over keys --------------------------------------------------------
-
-def keys(paulis):
-    return np.array([(p.x_mask << p.n) | p.z_mask for p in paulis], dtype=np.int64)
-
+# -- classification over sets of directions ------------------------------------------
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_vectorised_rules_match_per_object_rules(n):
-    # the key rule of each form against its per-object rule
+    # the member set of each form against its per-object rule
     paulis = [PauliString(n, k >> n, k & (2**n - 1)) for k in range(1, 4**n)]
     # iP is in so(d) iff P^T = -P, i.e. the Y count is odd
     per_object = {"sp": in_sp_algebra, "o": lambda p: p.y_count % 2 == 1}
     for form, rule in per_object.items():
-        assert in_algebra(keys(paulis), n, form).tolist() == list(map(rule, paulis)), form
+        assert members(n, form) == directions(filter(rule, paulis)), form
 
 
 def directions(paulis):
-    return sum(1 << ((p.x_mask << p.n) | p.z_mask) for p in paulis)
+    return sum(1 << p.key for p in paulis)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_classify_on_known_bases(n):
-    # the sets classify compares with are in_algebra's members: a set of the
-    # right size passes, and the same set with one member swapped fails
+    # the sets classify compares with are the form's members, here built by
+    # the per-object rules: a set of the right size passes, and the same set
+    # with one member swapped fails
     d = 2**n
     everything = [PauliString(n, k >> n, k & (d - 1)) for k in range(1, 4**n)]
-    sp = enumerate_sp_basis(n)
+    sp = [p for p in everything if in_sp_algebra(p)]
     so = [p for p in everything if p.y_count % 2 == 1]
     assert classify(n, directions(sp)) == "sp"
     # sp(1) = su(2): at n = 1 the rule for sp comes first
@@ -244,20 +240,22 @@ def test_theorem1_discovery_order_at_n8():
     # the directions in ascending key order, as little-endian int64 x then z
     # masks; the pin is the sorted keys of the breadth-first engine that
     # listed them in discovery order, so the set is unchanged
-    res = closure(theorem1_generators(8))
-    assert res.keys.dtype == np.int64 and (np.diff(res.keys) > 0).all()
-    x, z = res.keys >> 8, res.keys & (2**8 - 1)
+    basis = strings(8, closure(theorem1_generators(8)).directions)
+    keys = np.array([p.key for p in basis])
+    assert (np.diff(keys) > 0).all()
+    x, z = keys >> 8, keys & (2**8 - 1)
     masks = x.astype("<i8").tobytes() + z.astype("<i8").tobytes()
     assert hashlib.sha256(masks).hexdigest() == (
         "f4b9cc087f801b4faf11b7a2aae7248b6a42b26eb579c5ad5c6a312a708ef81a")
 
 
 def test_a_library_caller_reads_keys_and_basis():
+    # pauli.strings lists a result's set in ascending key order
     res = closure(prop2_generators(3))
-    keys = res.keys
-    assert keys.tolist() == sorted(set(keys.tolist())) and keys.size == res.dimension == 63
-    assert [(p.x_mask << 3) | p.z_mask for p in res.basis] == keys.tolist()
-    assert res.basis[0].phase_exp == 0 and res.directions == sum(1 << k for k in keys.tolist())
+    basis = strings(3, res.directions)
+    keys = [p.key for p in basis]
+    assert keys == sorted(set(keys)) and len(keys) == res.dimension == 63
+    assert basis[0].phase_exp == 0 and res.directions == sum(1 << k for k in keys)
 
 
 # -- translation-invariant nearest-neighbour sets ------------------------------------

@@ -13,10 +13,10 @@ from spcirc.pauli import (
     PauliString,
     commutator,
     commutes,
-    enumerate_sp_basis,
-    in_algebra,
     in_sp_algebra,
+    members,
     sp_dimension,
+    strings,
     symplectic_form,
     to_dense,
     to_dense_kron,
@@ -144,8 +144,7 @@ def test_symmetric_iff_even_y_count():
     # P^T = P iff iP is not in so(d), the algebra of the "o" form
     for p in all_strings(2):
         m = to_dense(p)
-        key = np.array([(p.x_mask << 2) | p.z_mask])
-        assert np.allclose(m, m.T) == (p.y_count % 2 == 0) == (not in_algebra(key, 2, "o")[0])
+        assert np.allclose(m, m.T) == (p.y_count % 2 == 0) == (not members(2, "o") >> p.key & 1)
 
 
 # -- commutator ---------------------------------------------------------------
@@ -187,13 +186,13 @@ def test_omega_dense_is_canonical_block_form():
 
 
 def test_in_sp_algebra_matches_dense_exhaustive():
-    # the per-object rule and the key rule of both forms, on every Pauli
+    # the per-object rule and the member set of both forms, on every Pauli
     for n in (1, 2, 3):
         paulis = list(all_strings(n))
-        keys = np.array([(p.x_mask << n) | p.z_mask for p in paulis], dtype=np.int64)
         for form in FORMS:
             dense = [dense_in_algebra(p, form) for p in paulis]
-            assert in_algebra(keys, n, form).tolist() == dense, (n, form)
+            bits = members(n, form)
+            assert [bits >> p.key & 1 == 1 for p in paulis] == dense, (n, form)
         assert [in_sp_algebra(p) for p in paulis] == [dense_in_algebra(p, "sp") for p in paulis]
 
 
@@ -205,28 +204,36 @@ def test_sp_member_count():
         assert count == sp_dimension(n)
 
 
-def test_enumerate_sp_basis():
+def test_sp_basis():
+    # the sp members listed as strings, in ascending key order
     for n in (1, 2, 3, 4):
-        basis = enumerate_sp_basis(n)
+        basis = strings(n, members(n, "sp"))
         assert len(basis) == sp_dimension(n)
-        assert len({(p.x_mask, p.z_mask) for p in basis}) == len(basis)
+        assert [p.key for p in basis] == sorted({p.key for p in basis})
         assert all(in_sp_algebra(p) for p in basis)
         assert all(p.phase_exp == 0 for p in basis)
+    assert strings(3, 0) == []
 
 
-def test_enumerate_sp_basis_limit():
-    # the first n the byte rule refuses
-    with pytest.raises(CapacityError):
-        enumerate_sp_basis(12)
+def test_strings_are_refused_before_any_is_built():
+    # all 4**12 directions at 192 B each; the sp members are refused at n = 12 too
+    for directions in ((1 << 4**12) - 1, members(12, "sp")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="the strings of"):
+                strings(12, directions)
+            assert tracemalloc.get_traced_memory()[1] <= 64 * 1024
+        finally:
+            tracemalloc.stop()
 
 
 def test_iz_only_members_are_z_leading():
     # the {I,Z}-only sp members are exactly Z on qubit 1 times {I,Z} on the rest
     n = 3
-    members = [
+    iz = [
         p
-        for p in enumerate_sp_basis(n)
+        for p in strings(n, members(n, "sp"))
         if all(p.factor(j) in "IZ" for j in range(1, n + 1))
     ]
-    assert len(members) == 2 ** (n - 1)
-    assert all(p.factor(1) == "Z" for p in members)
+    assert len(iz) == 2 ** (n - 1)
+    assert all(p.factor(1) == "Z" for p in iz)

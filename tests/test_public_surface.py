@@ -41,7 +41,7 @@ ORACLES = {
     "moment.dense_collision": "criterion 10",
     "moment.monte_carlo_collision": "test_moment.py::test_monte_carlo_agrees",
     "pauli.commutator": "test_pauli.py::test_commutator_direction",
-    "pauli.enumerate_sp_basis": "test_pauli.py::test_enumerate_sp_basis",
+    "pauli.strings": "test_pauli.py::test_sp_basis",
     "pauli.to_dense": "test_pauli.py::test_commutes_matches_dense",
     "pauli.to_dense_kron": "test_pauli.py::test_dense_matches_kron_exhaustive_n2",
     "sampler.is_symplectic": "test_sampler.py::test_sample_sp_membership",

@@ -14,7 +14,7 @@ from spcirc.errors import DomainError, read_fields, read_kind
 from spcirc.gp_stats import StateSpec, run_gp_experiment
 from spcirc.lie_closure import prop2_generators, so_chain_generators, theorem1_generators
 from spcirc.moment import dense_second_moment, derive_transfer
-from spcirc.pauli import PauliString, check_basis, commutes, in_algebra
+from spcirc.pauli import PauliString, commutes, members
 from spcirc.sampler import RngStream, is_in_sp_algebra_dense, sample_block, symplectic_defect
 
 
@@ -55,11 +55,10 @@ REFUSALS = [
      "unknown Pauli kind 'W'"),
     ("PauliString.single-identity", lambda: PauliString.single(3, 1, "I"),
      "a single factor is X, Y or Z, not the identity I"),
-    ("in_algebra-form", lambda: in_algebra(np.arange(4, dtype=np.int64), 1, "u"),
-     "unknown form 'u'"),
+    ("members-form", lambda: members(1, "u"), "unknown form 'u'"),
     ("commutes", lambda: commutes(PauliString.from_label("X"), PauliString.from_label("XX")),
      "size mismatch: 1 vs 2"),
-    ("check_basis", lambda: check_basis(0), "need n >= 1, got 0"),
+    ("members-n", lambda: members(0, "sp"), "need n >= 1, got 0"),
     ("sample_block", lambda: sample_block("x9", gen()), "unknown block group 'x9'"),
     ("symplectic_defect", lambda: symplectic_defect(np.eye(3)),
      "symplectic predicate needs even dimension, got 3"),
