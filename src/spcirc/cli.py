@@ -18,6 +18,8 @@ no numpy. numpy runs at its first use, in the run, so the dry runs and
 refusals of ``closure``, ``sample``, ``gram``, ``gp``, ``gp-summary``,
 ``concentration``, ``anticoncentration``, ``anticoncentration-depth`` and
 ``collision`` never load it; the plans of ``twirl`` and ``simulate`` do.
+Only ``brauer`` and ``circuit`` define dataclasses, so a closure run and
+those dry runs, gram's aside, load neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _build_id() -> str:
 
 
 def _payload(result, *fields) -> dict:
-    """A result dataclass as a JSON payload; each field is a name or a
+    """A result object as a JSON payload; each field is a name or a
     (payload key, name) pair, and numpy values (by ``tolist``) become lists."""
     out = {}
     for field in fields:

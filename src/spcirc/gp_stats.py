@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import InitVar, dataclass, field
 
 from .errors import DomainError, check_basis_index, check_bytes, np
 from .pauli import PauliString, in_sp_algebra, symplectic_form
@@ -56,7 +55,6 @@ DEFAULT_BATCHES = 20
 # ---------------------------------------------------------------------------
 # states
 
-@dataclass(eq=False)
 class StateSpec:
     """A state in the experiment family on n >= 1 qubits, held as its
     spectrum: ``weights`` (r,) and orthonormal columns ``vectors`` (d x r)
@@ -69,17 +67,12 @@ class StateSpec:
     the caller's array changes nothing.
     """
 
-    n: int
-    statevector: InitVar[np.ndarray | None] = None
-    density: InitVar[np.ndarray | None] = None
-    label: str = ""
-    weights: np.ndarray = field(init=False, repr=False)
-    vectors: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, statevector, density):
-        if self.n < 1:
-            raise DomainError(f"need n >= 1, got {self.n}")
-        d = 2**self.n
+    def __init__(self, n: int, statevector: np.ndarray | None = None,
+                 density: np.ndarray | None = None, label: str = ""):
+        if n < 1:
+            raise DomainError(f"need n >= 1, got {n}")
+        self.n, self.label = n, label
+        d = 2**n
         if (statevector is None) == (density is None):
             raise DomainError("state needs exactly one of a statevector and a density matrix")
         if statevector is not None:
@@ -331,21 +324,22 @@ def _sample(d: int, frame: tuple, compress, n_samples: int, batches: int,
     return values
 
 
-@dataclass
 class GPSummary:
-    n: int
-    sample_count: int
-    state_labels: tuple
-    observable: str
-    mean_vector: np.ndarray
-    mean_se: np.ndarray
-    covariance: np.ndarray
-    covariance_se: np.ndarray
-    theory_name: str
-    theory_covariance: np.ndarray
-    exact_covariance: np.ndarray
-    fourth_moment_ratio: np.ndarray
-    values: np.ndarray
+    """``run_gp_experiment``'s sampled ``values`` (draws x states) and their
+    statistics: the means and sample covariances with batch standard errors,
+    the theory and exact covariances, and the fourth-moment ratios."""
+
+    def __init__(self, n: int, sample_count: int, state_labels: tuple, observable: str,
+                 mean_vector: np.ndarray, mean_se: np.ndarray, covariance: np.ndarray,
+                 covariance_se: np.ndarray, theory_name: str, theory_covariance: np.ndarray,
+                 exact_covariance: np.ndarray, fourth_moment_ratio: np.ndarray,
+                 values: np.ndarray):
+        self.n, self.sample_count, self.state_labels = n, sample_count, state_labels
+        self.observable, self.values = observable, values
+        self.mean_vector, self.mean_se = mean_vector, mean_se
+        self.covariance, self.covariance_se = covariance, covariance_se
+        self.theory_name, self.theory_covariance = theory_name, theory_covariance
+        self.exact_covariance, self.fourth_moment_ratio = exact_covariance, fourth_moment_ratio
 
 
 def run_gp_experiment(
@@ -401,15 +395,15 @@ def wick_fourth_moments(values: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 # concentration
 
-@dataclass
 class TailTable:
-    thresholds: np.ndarray
-    empirical: np.ndarray
-    empirical_se: np.ndarray
-    gaussian: np.ndarray
-    bound_t2: np.ndarray
-    bound_t4: np.ndarray
-    sigma_squared: float
+    """``concentration_tail``'s table, one entry per threshold."""
+
+    def __init__(self, thresholds: np.ndarray, empirical: np.ndarray,
+                 empirical_se: np.ndarray, gaussian: np.ndarray, bound_t2: np.ndarray,
+                 bound_t4: np.ndarray, sigma_squared: float):
+        self.thresholds, self.empirical, self.empirical_se = thresholds, empirical, empirical_se
+        self.gaussian, self.bound_t2, self.bound_t4 = gaussian, bound_t2, bound_t4
+        self.sigma_squared = sigma_squared
 
 
 def moment_bound(tr_g: float, d: int, c, t: int) -> np.ndarray:
@@ -462,17 +456,15 @@ def concentration_tail(
 # ---------------------------------------------------------------------------
 # anti-concentration
 
-@dataclass
 class AnticoncentrationTable:
-    n: int
-    x_index: int
-    alphas: np.ndarray
-    empirical: np.ndarray
-    empirical_se: np.ndarray
-    bound: np.ndarray
-    z_estimate: float
-    z_se: float
-    z_haar: float
+    """``anticoncentration_check``'s table, one entry per alpha, and its z."""
+
+    def __init__(self, n: int, x_index: int, alphas: np.ndarray, empirical: np.ndarray,
+                 empirical_se: np.ndarray, bound: np.ndarray, z_estimate: float, z_se: float,
+                 z_haar: float):
+        self.n, self.x_index, self.alphas = n, x_index, alphas
+        self.empirical, self.empirical_se, self.bound = empirical, empirical_se, bound
+        self.z_estimate, self.z_se, self.z_haar = z_estimate, z_se, z_haar
 
 
 def anticoncentration_check(

@@ -17,23 +17,20 @@ orthogonal Y/XY/YX chain. Keys, sets and member sets are ``pauli``'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernels
 from .errors import DomainError, check_bytes
 from .pauli import PauliString, anticommuting, key_bit, members, sp_dimension
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
-    n: int
-    generators: tuple[PauliString, ...]
+    """Distinct non-identity Pauli directions on n qubits."""
 
-    def __post_init__(self):
+    def __init__(self, n: int, generators: tuple[PauliString, ...]):
+        self.n, self.generators = n, generators
         seen = set()
-        for g in self.generators:
-            if g.n != self.n:
-                raise DomainError(f"generator {g} has n = {g.n}, expected {self.n}")
+        for g in generators:
+            if g.n != n:
+                raise DomainError(f"generator {g} has n = {g.n}, expected {n}")
             if g.is_identity():
                 raise DomainError("identity is not a Lie-algebra direction")
             key = (g.x_mask, g.z_mask)
@@ -42,15 +39,13 @@ class GeneratorSet:
             seen.add(key)
 
 
-@dataclass(frozen=True, eq=False)
 class ClosureResult:
     """The closure's directions as one 4**n-bit set, bit k for the direction
     with key k = ``PauliString.key``; ``pauli.strings`` lists them."""
 
-    n: int
-    directions: int
-    iterations: int
-    classification: str
+    def __init__(self, n: int, directions: int, iterations: int, classification: str):
+        self.n, self.directions = n, directions
+        self.iterations, self.classification = iterations, classification
 
     @property
     def dimension(self) -> int:
@@ -165,14 +160,11 @@ def classify(n: int, directions: int) -> str:
 # Sets of 4**n bits a closure holds at once, besides one per generator and
 # one per key bit: seen, the frontier, the round's union, the moving
 # translation and the four temporaries of a block swap. In 30-bit digits of
-# 4 B a set costs 16/15 bit per table entry. The int64 keys of a set take
-# 8 B per direction, 1 B per entry unpacked and a packed copy: 73 bits,
-# counted on top, a bound for a caller who keeps one closure's keys while
-# running the next. tracemalloc measured theorem1 closures at 49.6, 59.8 and
-# 65.1 sets at n = 8, 10 and 11 (49.1, 59.7 and 65.1 counted; the rest is
-# small objects), and their keys, half the table, at 41 sets more.
+# 4 B a set costs 16/15 bit per table entry. tracemalloc measured theorem1
+# closures at 49.6, 59.8 and 65.1 sets at n = 8, 10 and 11 (49.1, 59.7 and
+# 65.1 counted; the rest is small objects), and a 606 MiB peak at n = 13
+# (640 MiB counted), so n = 13 is admitted and n = 14 refused.
 _FIXED_SETS = 8
-_KEY_BITS = 73
 
 
 def check_closure(n: int, size: int | None = None) -> None:
@@ -182,7 +174,7 @@ def check_closure(n: int, size: int | None = None) -> None:
         raise DomainError(f"need n >= 1, got {n}")
     sets = (3 * n - 2 if size is None else size) + 2 * n + _FIXED_SETS
     # in whole bytes per table entry, rounded up: 4**n is never computed
-    check_bytes(f"the closure sets at n = {n}", -(-(16 * sets + 15 * _KEY_BITS) // 120), 4, n)
+    check_bytes(f"the closure sets at n = {n}", -(-16 * sets // 120), 4, n)
 
 
 def closure(g: GeneratorSet) -> ClosureResult:

@@ -51,7 +51,6 @@ import bisect
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from . import kernels
@@ -169,7 +168,6 @@ def block_transfer(group: str, pairs, out_pairs=None) -> np.ndarray:
     return num / det
 
 
-@dataclass(frozen=True)
 class TransferMatrix:
     """Row-action matrix of one block on fully labeled inputs.
 
@@ -178,8 +176,8 @@ class TransferMatrix:
     lower-numbered qubit, e.g. II, IS, IB, SI, SS, SB for sp2.
     """
 
-    entries: np.ndarray
-    basis_order: tuple
+    def __init__(self, entries: np.ndarray, basis_order: tuple):
+        self.entries, self.basis_order = entries, basis_order
 
 
 def derive_transfer(kind: str) -> TransferMatrix:
@@ -218,7 +216,6 @@ def block_step(group: str, alpha_a: tuple, alpha_b: tuple | None):
 # ---------------------------------------------------------------------------
 # the diagram-basis tensor and its propagation
 
-@dataclass
 class LabelVector:
     """Coefficients of E[rho (x) rho] over products of per-axis operators.
 
@@ -232,11 +229,9 @@ class LabelVector:
     the qubit, (("raw",),).
     """
 
-    alphabets: tuple
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
+    def __init__(self, alphabets: tuple, coeffs: np.ndarray):
+        self.alphabets = alphabets
+        self.coeffs = np.ascontiguousarray(coeffs, dtype=float)
         dims = self.dims()
         if self.coeffs.shape != (math.prod(dims),):
             raise DomainError(
@@ -365,11 +360,12 @@ def collision_trace(n: int, layers: int) -> list:
     return list(itertools.islice(_z_trace(n), layers + 1))
 
 
-@dataclass(frozen=True)
 class DepthResult:
-    n: int
-    n_l_star: int | None
-    z_trace: tuple
+    """``depth_to_anticoncentrate``'s layer count n_L* (None if unreached)
+    and its z trace."""
+
+    def __init__(self, n: int, n_l_star: int | None, z_trace: tuple):
+        self.n, self.n_l_star, self.z_trace = n, n_l_star, z_trace
 
 
 def check_depth(n: int, epsilon: float, max_layers: int) -> None:
@@ -405,13 +401,11 @@ def depth_to_anticoncentrate(
     return DepthResult(n, None, tuple(trace))
 
 
-@dataclass(frozen=True)
 class LogFit:
     """Least-squares fit depth = a*log(n) + b over an n sweep."""
 
-    a: float
-    b: float
-    r_squared: float
+    def __init__(self, a: float, b: float, r_squared: float):
+        self.a, self.b, self.r_squared = a, b, r_squared
 
 
 def fit_log_depth(ns, depths) -> LogFit:

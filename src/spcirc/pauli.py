@@ -31,7 +31,6 @@ a 4**n-bit integer with bit k set for the key k = (x << n) | z of each
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 
@@ -52,21 +51,40 @@ def dense_1q(kind: str) -> np.ndarray:
     return np.array(_DENSE_1Q[kind], dtype=complex)
 
 
-@dataclass(frozen=True)
 class PauliString:
-    """Phased n-qubit Pauli operator i**phase_exp * X^x Z^z * i**y_count."""
+    """Phased n-qubit Pauli operator i**phase_exp * X^x Z^z * i**y_count: a
+    read-only value, equal to and hashed like another with the same fields."""
 
-    n: int
-    x_mask: int
-    z_mask: int
-    phase_exp: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"need n >= 1, got {self.n}")
-        if (self.x_mask | self.z_mask) >> self.n:  # O(1) even for a vast n
+    def __init__(self, n: int, x_mask: int, z_mask: int, phase_exp: int = 0):
+        if n < 1:
+            raise DomainError(f"need n >= 1, got {n}")
+        if (x_mask | z_mask) >> n:  # O(1) even for a vast n
             raise DomainError("mask has bits set beyond position n-1")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+        # object.__setattr__ keeps the fields in the instance's inline values;
+        # a __dict__, which vars(self) would build, more than doubles its bytes
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "x_mask", x_mask)
+        init(self, "z_mask", z_mask)
+        init(self, "phase_exp", phase_exp % 4)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a PauliString is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return self.n, self.x_mask, self.z_mask, self.phase_exp
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (f"PauliString(n={self.n!r}, x_mask={self.x_mask!r}, z_mask={self.z_mask!r}, "
+                f"phase_exp={self.phase_exp!r})")
 
     # -- constructors -------------------------------------------------------
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import numbers
 import zlib
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import DomainError, check_bytes, np
@@ -33,26 +32,41 @@ from .errors import DomainError, check_bytes, np
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class RngStream:
     """A seed: identical (seed, stream_id) -> identical draws from each fresh
-    ``generator()``, the stream every sampler reads.
+    ``generator()``, the stream every sampler reads. A read-only value, equal
+    to and hashed like another with the same fields.
 
     stream_id may be a non-negative int, a short string label (hashed to a
     stable uint32 via crc32, so labels survive process restarts), or a tuple
     of either; it is kept as a tuple.
     """
 
-    seed: int
-    stream_id: int | str | tuple = 0
-
-    def __post_init__(self):
-        sid = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
-        for v in (self.seed, *(s for s in sid if not isinstance(s, str))):
+    def __init__(self, seed: int, stream_id: int | str | tuple = 0):
+        sid = stream_id if isinstance(stream_id, tuple) else (stream_id,)
+        for v in (seed, *(s for s in sid if not isinstance(s, str))):
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
                 raise DomainError(f"an RngStream seed, and each id that is not a label, "
                                   f"must be a non-negative integer; got {v!r}")
+        object.__setattr__(self, "seed", seed)  # as in ``pauli.PauliString``
         object.__setattr__(self, "stream_id", sid)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: an RngStream is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return self.seed, self.stream_id
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"RngStream(seed={self.seed!r}, stream_id={self.stream_id!r})"
 
     def generator(self) -> np.random.Generator:
         key = tuple(zlib.crc32(s.encode()) if isinstance(s, str) else int(s)

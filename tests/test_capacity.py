@@ -54,7 +54,7 @@ def test_vast_sizes_are_refused_in_constant_time(nbytes, base, exponent):
     (circuit.check_statevector, 24),  # circuit.apply and simulate
     (lambda n: pauli.check_strings(pauli.members(n, "sp")), 11),  # the sp basis as strings
     (moment.check_propagation, 31),  # collision and anticoncentration-depth
-    (lambda n: lie_closure.check_closure(n), 12),
+    (lambda n: lie_closure.check_closure(n), 13),
 ])
 def test_bounds(check, inside):
     check(inside)

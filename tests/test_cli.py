@@ -123,7 +123,7 @@ def test_closure_custom_requires_file(capsys):
 
 
 def test_closure_capacity_exit_code(capsys):
-    code, _, err = run(["closure", "--set", "theorem1", "--n", "13"], capsys)
+    code, _, err = run(["closure", "--set", "theorem1", "--n", "14"], capsys)
     assert code == 2
     assert "capacity" in err
 
@@ -851,7 +851,7 @@ PLAN_FAILURES = [
                  id="depth-epsilon-below-resolution"),
     # the byte rule is the closure's only cap, and --max-dim has no effect
     pytest.param(["closure", "--set", "theorem1", "--n", "8"], 0, id="closure-n8-needs-no-cap"),
-    pytest.param(["closure", "--set", "theorem1", "--n", "13"], 2, id="closure-n13-over-budget"),
+    pytest.param(["closure", "--set", "theorem1", "--n", "14"], 2, id="closure-n14-over-budget"),
     pytest.param(["closure", "--set", "theorem1", "--n", "3", "--max-dim", "-1"], 1,
                  id="closure-negative-cap"),
     pytest.param(["closure", "--set", "theorem1", "--n", "3", "--max-dim", "0"], 1,
@@ -1187,11 +1187,44 @@ def test_a_closure_run_loads_no_numpy(tmp_path):
     assert fresh(code) == str([(0, 32896, "sp", False), (0, 36, "sp", False)])
 
 
+def test_numpy_free_runs_load_neither_dataclasses_nor_inspect(tmp_path):
+    """The classes of the modules a closure run and the numpy-free dry runs
+    execute are plain classes, so those runs load neither ``dataclasses`` nor
+    the ``inspect`` it imports. numpy imports ``inspect``, so a real
+    ``gp-summary`` or ``anticoncentration-depth`` run loads it, but still no
+    ``dataclasses``."""
+    gp_config(tmp_path)
+    dry = [["closure", "--set", "theorem1", "--n", "8"],
+           ["collision", "--n", "6", "--layers", "3"],
+           ["anticoncentration-depth", "--n-min", "2", "--n-max", "8",
+            "--out", str(tmp_path / "d.csv")],
+           ["gp", "--config", str(tmp_path / "gp.json"), "--out", str(tmp_path / "gp.csv"),
+            "--seed", "1"],
+           ["gp-summary", "--config", str(tmp_path / "gp.json"), "--seed", "1"],
+           ["sample", "--group", "sp", "--d", "4", "--count", "1",
+            "--out", str(tmp_path / "s.npy"), "--seed", "1"],
+           ["concentration", "--n", "3", "--samples", "20", "--thresholds", "0.5",
+            "--seed", "1"],
+           ["anticoncentration", "--n", "3", "--samples", "20", "--alphas", "0.5",
+            "--seed", "1"]]
+    runs = [["closure", "--set", "theorem1", "--n", "3"]] + [a + ["--dry-run"] for a in dry]
+    with_numpy = [["gp-summary", "--config", str(tmp_path / "gp.json"), "--seed", "1"],
+                  ["anticoncentration-depth", "--n-min", "2", "--n-max", "4",
+                   "--out", str(tmp_path / "d.csv")]]
+    code = ("import contextlib, io, sys, spcirc.cli\n"
+            "def loaded(argvs):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes = [spcirc.cli.main(a) for a in argvs]\n"
+            "    return codes, [m in sys.modules for m in ('dataclasses', 'inspect')]\n"
+            f"print(loaded({runs!r}), loaded({with_numpy!r}))")
+    assert fresh(code) == f"({[0] * 9}, [False, False]) ([0, 0], [False, True])"
+
+
 def test_a_custom_set_too_large_for_the_closure_is_refused_before_the_run(tmp_path, capsys):
-    """The byte rule counts one set per generator, so 400 generators at n = 12
-    (19 B per direction of the table past 1 GiB) exit 2 on the dry run and the
-    real run alike, where theorem1's 34 are admitted."""
-    labels = [pauli.PauliString(12, k >> 12, k & 4095).to_label() for k in range(1, 401)]
+    """The byte rule counts one set per generator, so 449 generators at n = 12
+    (481 sets, 65 B per direction of the table, past 1 GiB) exit 2 on the dry
+    run and the real run alike, where theorem1's 34 are admitted."""
+    labels = [pauli.PauliString(12, k >> 12, k & 4095).to_label() for k in range(1, 450)]
     (tmp_path / "gens.json").write_text(json.dumps(labels))
     argv = ["closure", "--set", "custom", "--n", "12", "--generators", str(tmp_path / "gens.json")]
     for extra in (["--dry-run"], []):

@@ -110,17 +110,17 @@ def test_generator_validation():
 
 
 def test_capacity_budget():
-    # the byte rule is the closure's only cap: n = 13 is refused before any table
+    # the byte rule is the closure's only cap: n = 14 is refused before any table
     with pytest.raises(CapacityError):
-        closure(theorem1_generators(13))
+        closure(theorem1_generators(14))
 
 
 def test_check_closure_byte_bound():
-    # the seen table, the keys and a round's output, 25 * 4**n bytes, and one
-    # block against 1 GiB
-    check_closure(12)
+    # theorem1's sets, one per generator and key bit and 8 more, at 16/15 bit per
+    # table entry: 71 sets at n = 13 take 640 MiB, 76 at n = 14 take 2.75 GiB
+    check_closure(13)
     with pytest.raises(CapacityError):
-        check_closure(13)
+        check_closure(14)
 
 
 # -- the closure over the whole basis, as an oracle ---------------------------------

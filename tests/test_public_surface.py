@@ -15,13 +15,23 @@ A public name that no package code reads is kept only as a key of
 oracle, a release criterion, a README section, an open ROADMAP item or the
 benchmark. A key that is no longer public, or that package code now reads,
 fails too, so the list stays exact.
+
+The package's classes are plain classes. Two are values, which compare,
+hash and print by their fields and refuse assignment; the results that hold
+arrays or large sets compare by identity.
 """
 
 import ast
 import pathlib
 from collections import Counter
 
+import pytest
+
 import spcirc
+from spcirc.gp_stats import StateSpec
+from spcirc.lie_closure import closure, theorem1_generators
+from spcirc.pauli import PauliString
+from spcirc.sampler import RngStream
 
 SRC = pathlib.Path(spcirc.__file__).parent
 
@@ -133,3 +143,26 @@ def test_the_check_sees_each_kind_of_read():
     }
     # g reads only itself, _h is private, V in b is not a's V, and np.g is not a.g
     assert unread(trees) == {"a.g", "a.X", "a.V", "a.C.k", "b.value"}
+
+
+@pytest.mark.parametrize("make,other,fields", [
+    pytest.param(lambda: PauliString(3, 5, 1, 6), PauliString(3, 5, 1, 3),
+                 ("n", "x_mask", "z_mask", "phase_exp"), id="PauliString"),
+    pytest.param(lambda: RngStream(7, ("gp", 2)), RngStream(7, ("gp", 3)),
+                 ("seed", "stream_id"), id="RngStream"),
+    pytest.param(lambda: closure(theorem1_generators(3)), None, None, id="ClosureResult"),
+    pytest.param(lambda: StateSpec.computational_basis(2, 1), None, None, id="StateSpec"),
+])
+def test_values_compare_by_fields_and_results_by_identity(make, other, fields):
+    a, b = make(), make()
+    if fields is None:
+        assert a == a and a != b
+        return
+    assert a is not b and a == b and hash(a) == hash(b) and a != other
+    assert repr(a) == f"{type(a).__name__}({', '.join(f'{f}={getattr(a, f)!r}' for f in fields)})"
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, getattr(other, f))
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    assert a == b
