@@ -112,11 +112,15 @@ def bench_closure(n=10):
     return run
 
 
-def bench_haar_draw(d=256, k=None, draws=20):
-    """``draws`` Haar-symplectic draws: the full matrix, or k quaternionic columns."""
+def bench_haar_draw(d=256, k=None, draws=20, stack=False):
+    """``draws`` Haar-symplectic draws: the full matrix, or k quaternionic
+    columns, one call each or, with ``stack``, one stack of them all."""
     gen = np.random.default_rng(4)
 
     def run():
+        if stack:
+            sample_sp_columns(d, k, gen, draws)
+            return
         for _ in range(draws):
             if k is None:
                 sample_sp(d, gen)
@@ -134,7 +138,7 @@ BENCHES = [
     ("lie closure (theorem1, n=10, dim 524800)", bench_closure),
     ("sample_sp (d=256, 20 draws)", bench_haar_draw),
     ("sample_sp (d=1024, 1 draw)", lambda: bench_haar_draw(d=1024, draws=1)),
-    ("sample_sp_columns (d=256, k=2, 20 draws)", lambda: bench_haar_draw(k=2)),
+    ("sample_sp_columns (d=256, k=2, a stack of 20)", lambda: bench_haar_draw(k=2, stack=True)),
     ("sample_sp_columns (d=65536, k=2, 5 draws)", lambda: bench_haar_draw(d=65536, k=2, draws=5)),
 ]
 

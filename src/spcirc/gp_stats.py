@@ -31,12 +31,13 @@ already lie in the span; psi is stored as c = F^dag psi. F^T Omega F =
 Omega_2k, so F extends to a symplectic unitary U with U e_j = w_j and
 U e_{d/2+j} = -J w_j. For Haar S, SU is Haar again, and S psi = (SU) E c with
 E = [e_0 .. e_{k-1} | e_{d/2} .. e_{d/2+k-1}]: each draw is the d x 2k matrix
-Q = (SU) E from ``sample_sp_columns`` and S psi = Q c, at O(d k^2) cost
-instead of the O(d^3) of a full Haar matrix. The observable enters once per
-draw, through its 2k x 2k compression M = Q^dag O Q: every sampled value is
-C(rho) = sum_w w c^dag M c over the spectrum, with O Q from
-``PauliString.apply``. The anticoncentration check is the same loop on |0>
-(k = 1, c = e_0) with M = Q[x]^dag Q[x], so M[0, 0] = |<x|S|0>|^2.
+Q = (SU) E and S psi = Q c, at O(d k^2) cost instead of the O(d^3) of a full
+Haar matrix. A batch draws its Q as one or more stacks from
+``sample_sp_columns``, each within ``STACK_BYTES``. The observable enters once
+per stack, through the 2k x 2k compression M = Q^dag O Q of each member: every
+sampled value is C(rho) = sum_w w c^dag M c over the spectrum, with the stack's
+O Q from one ``PauliString.apply``. The anticoncentration check is the same
+loop on |0> (k = 1, c = e_0) with M = Q[x]^dag Q[x], so M[0, 0] = |<x|S|0>|^2.
 """
 
 from __future__ import annotations
@@ -184,8 +185,13 @@ def select_theorem(states) -> tuple:
 # error; per amplitude and spectral vector, the vector and its share of the
 # frame or of one draw's Gaussian, Gram-Schmidt and compression temporaries (a
 # frame has at most one quaternionic column per vector; tracemalloc: 241 B per
-# amplitude for two pure states at n = 14).
+# amplitude for two pure states at n = 14); and the further draws of a stack.
 SAMPLE_BYTES, FREE_LIST_BYTES, BATCH_BYTES, VECTOR_BYTES = 24, 128, 24, 144
+# A stack holds as many draws of k quaternionic columns as fit in STACK_BYTES at
+# VECTOR_BYTES per amplitude and column, and at least one, so its draws beyond
+# the first hold at most STACK_BYTES: from n = 11 on at k = 2 a stack is one
+# draw. Of 2**18 .. 2**22, 2**20 drew two pure states fastest at n = 8, 10, 11.
+STACK_BYTES = 2**20
 
 
 def _check_sampling(n: int, n_samples: int, batches: int, vectors: int, states: int = 1,
@@ -199,7 +205,7 @@ def _check_sampling(n: int, n_samples: int, batches: int, vectors: int, states: 
     if n_samples < batches:
         raise DomainError(f"need at least {batches} samples, got {n_samples}")
     held = (n_samples * (SAMPLE_BYTES * states + 1)
-            + batches * (FREE_LIST_BYTES + BATCH_BYTES * (states**2 + cuts)))
+            + batches * (FREE_LIST_BYTES + BATCH_BYTES * (states**2 + cuts)) + STACK_BYTES)
     # what does not grow with d is rounded up per amplitude: 2**n is never computed
     check_bytes(f"sampling {states} states at {cuts} thresholds at n = {n}",
                 VECTOR_BYTES * vectors + -(-held >> n), 2, n)
@@ -299,28 +305,36 @@ def _frame_coefficients(states) -> tuple:
 
 
 def _pauli_compression(observable: PauliString):
-    """Q -> Q^dag P Q, with P Q from ``PauliString.apply``."""
-    return lambda q: q.conj().T @ observable.apply(q)
+    """A stack of Q -> the stack of Q^dag P Q = conj(Q^T conj(P Q)), with every
+    P Q from one ``PauliString.apply`` and conjugated in place."""
+    def compress(q):
+        pq = observable.apply(q.swapaxes(0, 1)).swapaxes(0, 1)
+        return (q.swapaxes(1, 2) @ np.conjugate(pq, out=pq)).conj()
+
+    return compress
 
 
 def _sample(d: int, frame: tuple, compress, n_samples: int, batches: int,
             rng: RngStream) -> np.ndarray:
     """Values (draws x states) of sum_w w c^dag M c over each state's
     spectrum, for ``frame = _frame_coefficients(states)`` and M the 2k x 2k
-    compression ``compress(Q)`` of the observable to a draw Q of k
-    quaternionic columns. Batch b draws its rows from child stream b of
+    compression of the observable to a draw Q of k quaternionic columns;
+    ``compress`` takes a stack of draws to the stack of their M. Batch b
+    draws its rows, in stacks within ``STACK_BYTES``, from child stream b of
     ``rng``, so an int seed or a bare Generator is refused before any draw."""
     if not isinstance(rng, RngStream):
         raise DomainError(f"a sampled run needs an RngStream, got {type(rng).__name__}: "
                           "batch b draws from its child stream b")
     k, coefficients, weights = frame
     conj = coefficients.conj()
+    stack = max(1, STACK_BYTES // (VECTOR_BYTES * k * d))
     values = np.empty((n_samples, len(weights)))
     for b, rows in enumerate(_batch_rows(n_samples, batches)):
         gen = rng.child(b).generator()
-        for i in range(rows.start, rows.stop):
-            m = compress(sample_sp_columns(d, k, gen))
-            values[i] = weights @ np.einsum("ri,ij,rj->r", conj, m, coefficients).real
+        for start in range(rows.start, rows.stop, stack):
+            m = compress(sample_sp_columns(d, k, gen, min(stack, rows.stop - start)))
+            forms = np.einsum("ri,sij,rj->sr", conj, m, coefficients).real
+            values[start:start + len(m)] = forms @ weights.T
     return values
 
 
@@ -483,7 +497,7 @@ def anticoncentration_check(
     # the state |0> has the frame E and c = e_0, and M = Q[x]^dag Q[x] has
     # M[0, 0] = |<x|S|0>|^2
     probs = _sample(d, _frame_coefficients([StateSpec.computational_basis(n, 0)]),
-                    lambda q: np.outer(q[x_index].conj(), q[x_index]),
+                    lambda q: q[:, x_index, :, None].conj() * q[:, x_index, None],
                     n_samples, batches, rng)[:, 0]
     emp, emp_se = _tail(probs, alphas / d, batches)
     # d is a power of two, so d p^2 scales exactly

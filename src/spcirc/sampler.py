@@ -12,7 +12,9 @@ where J w = Omega conj(w) for Omega = [[0, I], [-I, 0]] (on qubits iY (x) I).
 This is the QR of the quaternionic Gaussian with the R-diagonal positive
 (Mezzadri, arXiv:math-ph/0609050), which is unique, so the 2k columns are
 those of a Haar S in SP(d/2); k < d/2 serves experiments that read S on a few
-vectors only.
+vectors only. A stack of such draws is one request of the generator and one
+Gram-Schmidt over the stack's leading axis, with the numbers of as many single
+draws in turn.
 
 The brick-layer schedule of Haar blocks (``brick_layer``), the Haar
 collision probability (``z_haar``) and the pairing count
@@ -133,54 +135,73 @@ def symplectic_frame(vectors) -> np.ndarray:
     twice, a block of ``FRAME_BLOCK`` at a time by matrix products first; one
     whose residual is at most ``DEFAULT_TOL`` times its norm adds nothing.
     F^T Omega F = Omega_2k, so F = U E for a symplectic unitary U and E the
-    columns e_0 .. e_{k-1}, e_{d/2} .. e_{d/2+k-1}."""
-    count, d = len(vectors), len(vectors[0])
-    out = np.empty((d, 2 * count), dtype=complex)
-    w, jw = out[:, :count], out[:, count:]
-    # a block's vectors in the even rows; kept pair j moves to rows 2j, 2j + 1
-    # as w, -J w, and its conjugate to the same rows of ``conj``
-    pairs = np.empty((2 * min(count, FRAME_BLOCK), d), dtype=complex)
-    conj = np.empty_like(pairs)
+    columns e_0 .. e_{k-1}, e_{d/2} .. e_{d/2+k-1}.
+
+    ``vectors`` is a sequence of d-vectors, or a stack (s, count, d) of such
+    sets that one Gram-Schmidt runs over, giving a stack (s, d, 2k) of their
+    frames; the members must drop the same vectors."""
+    vectors = np.asarray(vectors)
+    stack = vectors.reshape((-1,) + vectors.shape[-2:])
+    size, count, d = stack.shape
+    # kept pair j in rows 2j, 2j + 1 as w, -J w; a block's vectors wait in the
+    # even rows that follow the pairs kept so far
+    pairs = np.empty((size, 2 * count, d), dtype=complex)
+    flat = pairs.view(float)[..., None, :]  # a norm is a real dot product of its row
     k = 0
     for start in range(0, count, FRAME_BLOCK):
-        chunk = vectors[start:start + FRAME_BLOCK]
-        block = pairs[:2 * len(chunk):2]
+        chunk = stack[:, start:start + FRAME_BLOCK]
+        block, f = (a[:, 2 * k:2 * (k + chunk.shape[1]):2] for a in (pairs, flat))
         block[:] = chunk
-        norms = [math.sqrt(np.vdot(v, v).real) for v in block]
-        for f in (w[:, :k], jw[:, :k]) * 2 if k else ():  # conjugates stay block-sized
-            block -= (block.conj() @ f).conj() @ f.T
+        floors = DEFAULT_TOL * np.sqrt(f @ f.swapaxes(2, 3)).swapaxes(0, 1)  # each (s, 1, 1)
+        for _ in range(2 if k else 0):  # conjugates stay block-sized
+            block -= (block.conj() @ pairs[:, :2 * k].swapaxes(1, 2)).conj() @ pairs[:, :2 * k]
         j = 0
-        for i, norm in enumerate(norms):
-            r = pairs[2 * i]
+        for i, floor in enumerate(floors):
+            r, done = pairs[:, 2 * (k + i), None], pairs[:, 2 * k:2 * (k + j)]
             for _ in range(2 if j else 0):
-                r -= (conj[:2 * j] @ r) @ pairs[:2 * j]
-            residual = math.sqrt(np.vdot(r, r).real)
-            if residual > DEFAULT_TOL * norm:
-                unit = np.multiply(r, 1 / residual, out=pairs[2 * j]).reshape(2, -1)
-                np.conjugate(unit, out=conj[2 * j].reshape(2, -1))
-                np.multiply(unit[::-1], [[-1 + 0j], [1 + 0j]], out=conj[2 * j + 1].reshape(2, -1))
-                np.conjugate(conj[2 * j + 1], out=pairs[2 * j + 1])
+                r -= np.vecdot(done, r)[:, None] @ done
+            f = flat[:, 2 * (k + i)]
+            residual = np.sqrt(f @ f.swapaxes(1, 2))
+            kept = residual > floor
+            if kept.all():
+                unit = np.multiply(r, 1 / residual, out=pairs[:, 2 * (k + j), None])
+                image = pairs[:, 2 * (k + j) + 1].reshape(size, 2, -1)
+                np.conjugate(unit.reshape(size, 2, -1)[:, ::-1], out=image)
+                np.negative(image[:, 0], out=image[:, 0])
                 j += 1
-        w[:, k:k + j], jw[:, k:k + j] = pairs[0:2 * j:2].T, pairs[1:2 * j:2].T
+            elif kept.any():
+                raise DomainError("the members of a stack span different dimensions")
         k += j
-    return out if k == count else np.concatenate((w[:, :k], jw[:, :k]), axis=1)
+    out = np.concatenate((pairs[:, 0:2 * k:2], pairs[:, 1:2 * k:2]), axis=1).swapaxes(1, 2)
+    return out.reshape(vectors.shape[:-2] + out.shape[1:])
 
 
-def sample_sp_columns(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+def sample_sp_columns(d: int, k: int, rng: np.random.Generator,
+                      count: int | None = None) -> np.ndarray:
     """Columns [S e_0 .. S e_{k-1} | S e_m .. S e_{m+k-1}] (m = d/2) of a Haar
     S in SP(d/2) as a d x 2k complex matrix Q, at O(d k^2) cost: the first k
     quaternionic columns of the QR factor depend only on those of the
     Gaussian. Q^dag Q = I and Q^T omega(d) Q = omega(2k); at k = m this is
-    the full Haar matrix."""
+    the full Haar matrix. With a ``count``, a stack (count, d, 2k) of that
+    many successive draws: one request of the generator, which reads the
+    normals that as many single draws would, and one Gram-Schmidt."""
     if d % 2 or d < 2:
         raise DomainError(f"SP sampler needs even d >= 2, got {d}")
     m = d // 2
     if not 1 <= k <= m:
         raise DomainError(f"need 1 <= k <= d/2 = {m} quaternionic columns, got {k}")
-    q = rng.standard_normal((4, m, k))  # the blocks a, b, c, d in turn
-    images = np.concatenate((q[0] + 1j * q[1], -q[2] + 1j * q[3])).T
-    del q  # freed before the frame is built
-    return symplectic_frame(images)
+    if count is not None and count < 1:
+        raise DomainError(f"need a positive count of draws, got {count}")
+    # per draw, the blocks a, b, c, d in turn, and the images [a + bi; -c + di]
+    # of the k columns as rows
+    q = rng.standard_normal((count or 1, 4, m, k)).swapaxes(2, 3)
+    images = np.empty((len(q), k, d), dtype=complex)
+    re, im = images.real, images.imag
+    re[..., :m], im[..., :m], im[..., m:] = q[:, 0], q[:, 1], q[:, 3]
+    np.negative(q[:, 2], out=re[..., m:])
+    del q  # freed before the frames are built
+    frames = symplectic_frame(images)
+    return frames if count else frames[0]
 
 
 def sample_sp(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -196,8 +217,8 @@ SAMPLERS = {"sp": sample_sp, "o": sample_orthogonal,
 def check_sample(group: str, d: int, count: int) -> None:
     """Checks of ``count`` draws from ``SAMPLERS[group]``: per entry of a d x d
     matrix, 16 B for each output draw and 80 B for one draw (the Ginibre
-    matrix, Q and R, or sp's Gaussian blocks, their images and the
-    Gram-Schmidt's block rows; tracemalloc: 30 B for sp at d = 512)."""
+    matrix, Q and R, or sp's Gaussian blocks, their images, the Gram-Schmidt's
+    rows and their copy in column order; tracemalloc: 40 B for sp at d = 512)."""
     if group not in SAMPLERS:
         raise DomainError(f"unknown group {group!r}; expected one of {tuple(SAMPLERS)}")
     if count < 1:

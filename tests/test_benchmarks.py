@@ -26,6 +26,7 @@ TOY = [
     ("bench_closure", {"n": 3}),
     ("bench_haar_draw", {"d": 8, "draws": 1}),
     ("bench_haar_draw", {"d": 8, "k": 2, "draws": 1}),
+    ("bench_haar_draw", {"d": 8, "k": 2, "draws": 2, "stack": True}),
 ]
 
 

@@ -62,6 +62,19 @@ def test_bounds(check, inside):
         check(inside + 1)
 
 
+# the sampled runs at 400 draws, as the README states: two pure states for the
+# GP, one for the tails
+@pytest.mark.parametrize("check,inside", [
+    (lambda n: gp_stats.check_gp(n, 400, PauliString.single(n, 2, "Y"), states=2), 21),
+    (lambda n: gp_stats.check_concentration(n, 400, [0.5], PauliString.single(n, 2, "Y")), 22),
+    (lambda n: gp_stats.check_anticoncentration(n, 400, [0.5], 0), 22),
+], ids=["check_gp", "check_concentration", "check_anticoncentration"])
+def test_sampled_bounds(check, inside):
+    check(inside)
+    with pytest.raises(CapacityError):
+        check(inside + 1)
+
+
 def test_dense_second_moment_bound(checked_only):
     checked = checked_only(moment)
     with pytest.raises(checked):
@@ -191,14 +204,16 @@ def test_peak_within_the_checked_bytes(name, counted):
 def test_sample_counts_are_refused_before_any_draw():
     obs = PauliString.single(6, 2, "Y")
     # at n = 6 and 20 batches, the most draws that fit: the limit less what
-    # the amplitudes and the batches hold, over the bytes per draw
+    # the amplitudes, the batches and a stack hold, over the bytes per draw
     amplitudes = 2**6 * 2 * gp_stats.VECTOR_BYTES
     batches = 20 * (gp_stats.FREE_LIST_BYTES + gp_stats.BATCH_BYTES * 2**2)
-    inside = (MEMORY_LIMIT - amplitudes - batches) // (2 * gp_stats.SAMPLE_BYTES + 1)
+    inside = ((MEMORY_LIMIT - amplitudes - batches - gp_stats.STACK_BYTES)
+              // (2 * gp_stats.SAMPLE_BYTES + 1))
     gp_stats.check_gp(6, inside, obs, states=2)
     amplitudes = 2**6 * gp_stats.VECTOR_BYTES
     batches = 20 * (gp_stats.FREE_LIST_BYTES + gp_stats.BATCH_BYTES * (1 + 2))
-    alphas = (MEMORY_LIMIT - amplitudes - batches) // (gp_stats.SAMPLE_BYTES + 1)
+    alphas = ((MEMORY_LIMIT - amplitudes - batches - gp_stats.STACK_BYTES)
+              // (gp_stats.SAMPLE_BYTES + 1))
     gp_stats.check_anticoncentration(6, alphas, [0.1, 0.2], 0)
     over = [partial(gp_stats.check_gp, 6, inside + 1, obs, states=2),
             partial(gp_stats.check_anticoncentration, 6, alphas + 1, [0.1, 0.2], 0),

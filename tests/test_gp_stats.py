@@ -259,6 +259,30 @@ def test_symplectic_frame_drops_a_dependent_vector_in_a_later_block():
         assert np.abs(proj @ j_image(v) - j_image(v)).max() <= 1e-12
 
 
+def test_symplectic_frame_of_a_stack_is_the_frame_of_each_member():
+    # every member drops its vector 3 (a mix of the J images of its vectors 0
+    # and 1) and vector FRAME_BLOCK + 2 (a mix of one of its own block and one
+    # of the first block)
+    gen = np.random.default_rng(50)
+    n, count = 7, FRAME_BLOCK + 4
+    stack = np.array([[random_vector(n, gen) for _ in range(count)] for _ in range(3)])
+    for member in stack:
+        member[3] = 0.6j * j_image(member[0]) - 0.2 * j_image(member[1])
+        member[FRAME_BLOCK + 2] = member[FRAME_BLOCK] + 2 * member[5]
+    frames = symplectic_frame(stack)
+    assert frames.shape == (3, 2**n, 2 * (count - 2))
+    for member, frame in zip(stack, frames):
+        assert np.abs(frame - symplectic_frame(member)).max() <= 1e-14
+
+
+def test_symplectic_frame_refuses_a_stack_whose_members_drop_different_vectors():
+    gen = np.random.default_rng(51)
+    stack = np.array([[random_vector(3, gen) for _ in range(3)] for _ in range(2)])
+    stack[1, 2] = j_image(stack[1, 0])
+    with pytest.raises(DomainError, match="span different dimensions"):
+        symplectic_frame(stack)
+
+
 def test_degenerate_states_share_one_column():
     # C(J psi) = -C(psi) for every draw, since J commutes with S and
     # J^dag O J = -O for iO in sp(d/2)

@@ -93,13 +93,27 @@ def mezzadri_columns(d, k, gen):
     return q[np.ix_(shuffle(d), shuffle(2 * k))]
 
 
-# (128, 40) and (256, 128) cross a block of symplectic_frame
-@pytest.mark.parametrize("d,k", [(2, 1), (4, 2), (16, 3), (256, 2), (128, 40), (256, 128)])
-def test_sample_sp_columns_is_the_gauged_qr_of_the_quaternionic_gaussian(d, k):
+# (128, 40) and (256, 128) cross a block of symplectic_frame; a count draws a
+# stack, each member of which is the matching one of as many single draws
+@pytest.mark.parametrize("d,k,count", [
+    pytest.param(d, k, count, id=f"{d}-{k}" + (f"-stack{count}" if count else ""))
+    for d, k in [(2, 1), (4, 2), (16, 3), (256, 2), (128, 40), (256, 128)]
+    for count in (None, 10 if k < 4 else 2)])
+def test_sample_sp_columns_is_the_gauged_qr_of_the_quaternionic_gaussian(d, k, count):
     for seed in range(3):
-        want = mezzadri_columns(d, k, RngStream(seed, "mezzadri").generator())
-        got = sample_sp_columns(d, k, RngStream(seed, "mezzadri").generator())
+        gen = RngStream(seed, "mezzadri").generator()
+        want = np.array([mezzadri_columns(d, k, gen) for _ in range(count or 1)])
+        got = sample_sp_columns(d, k, RngStream(seed, "mezzadri").generator(), count)
+        assert got.shape == (want if count else want[0]).shape
         assert np.abs(got - want).max() <= 1e-13
+
+
+def test_a_stack_reads_the_stream_of_as_many_single_draws():
+    stacked, single = RngStream(19, "columns").generator(), RngStream(19, "columns").generator()
+    sample_sp_columns(16, 3, stacked, 4)
+    for _ in range(4):
+        sample_sp_columns(16, 3, single)
+    assert stacked.standard_normal() == single.standard_normal()
 
 
 def test_sample_sp_is_the_full_column_draw():
@@ -124,6 +138,12 @@ def test_sample_sp_columns_validation():
     for d, k in ((4, 0), (4, 3), (5, 1), (0, 1)):
         with pytest.raises(DomainError):
             sample_sp_columns(d, k, gen)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_sample_sp_columns_refuses_an_empty_stack(count):
+    with pytest.raises(DomainError, match="positive count"):
+        sample_sp_columns(4, 1, RngStream(17, "columns").generator(), count)
 
 
 def test_sample_orthogonal_membership():
